@@ -15,7 +15,7 @@ DATE  ?= $(shell date +%F)
 # experiment benchmark).
 BENCH ?= SimulatorThroughput|ScheduleStep|PostStep|CancelHeavy|ManagerMultiKey|ManagerTCPMultiKey|SealOpen|NodeHandoffLatency|LockUnlockUncontended|SessionAcquireRelease
 
-.PHONY: build test race bench bench-full fuzz
+.PHONY: build test race bench bench-full bench-e2e fuzz
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,17 @@ bench:
 # wrappers in bench_test.go); expect several minutes.
 bench-full:
 	$(MAKE) bench BENCH=.
+
+# bench-e2e runs the committed end-to-end benchmark (bench/, its own Go
+# module: client → session → Manager → TCP → token, six workloads) and
+# self-tests the harness first, since `make test` never sees it. ARGS
+# passes through to the program, e.g.
+#   make bench-e2e ARGS='-seed 1 -out bench/results/mine.json'
+#   make bench-e2e ARGS='-workload hop_1key -seed 7 -seconds 15 -trace 0'
+bench-e2e:
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
+	bash bench/run.sh $(ARGS)
 
 # fuzz runs the codec differential fuzzer longer than CI's 30-second
 # smoke; override FUZZTIME for a real soak.

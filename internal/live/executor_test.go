@@ -215,17 +215,17 @@ func TestExecutorGrantOrderMatchesQueuedLoop(t *testing.T) {
 // firing concurrently with posts from many goroutines. Every posted
 // function mutates a PLAIN (non-atomic) counter — under -race this is the
 // proof that the executor's mutual exclusion holds across all three entry
-// points (posters, the spin-timer runner, time.AfterFunc goroutines).
+// points (posters, the short-timer runner, time.AfterFunc goroutines).
 func TestExecutorTimerRacesInlineDispatch(t *testing.T) {
 	n, _ := newExecNode(t)
 	defer n.Close()
 
 	hits := 0 // executor-confined on purpose; -race arbitrates
 	const (
-		posters  = 4
-		perPost  = 200
-		spinTmrs = 50
-		longTmrs = 10
+		posters   = 4
+		perPost   = 200
+		shortTmrs = 50
+		longTmrs  = 10
 	)
 	var wg sync.WaitGroup
 	for g := 0; g < posters; g++ {
@@ -237,15 +237,15 @@ func TestExecutorTimerRacesInlineDispatch(t *testing.T) {
 			}
 		}()
 	}
-	for i := 0; i < spinTmrs; i++ {
-		n.After(0, 0.0002, func() { hits++ }) // spin-timer service path
+	for i := 0; i < shortTmrs; i++ {
+		n.After(0, 0.0002, func() { hits++ }) // short-timer service path
 	}
 	for i := 0; i < longTmrs; i++ {
 		n.After(0, 0.003, func() { hits++ }) // time.AfterFunc path
 	}
 	wg.Wait()
 
-	want := posters*perPost + spinTmrs + longTmrs
+	want := posters*perPost + shortTmrs + longTmrs
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		got := 0
@@ -273,9 +273,17 @@ func TestExecutorTimerCancelRace(t *testing.T) {
 	release := seizeExecutor(t, n)
 	fired := make(chan struct{})
 	tmr := n.After(0, 0.0002, func() { close(fired) })
-	// Let the spin runner fire: it posts the protocol step, which queues
-	// behind the seized executor instead of running.
+	// Let the short-timer runner pop and fire the entry: it posts the
+	// protocol step, which queues behind the seized executor instead of
+	// running. The table entry must outlive the pop, or Cancel below
+	// would miss it and the step would run.
 	waitQueueLen(t, n, 1)
+	n.timersMu.Lock()
+	pending := len(n.timers)
+	n.timersMu.Unlock()
+	if pending != 1 {
+		t.Fatalf("timer table holds %d entries between fire and step, want 1", pending)
+	}
 	tmr.Cancel()
 	release()
 	// Flush the executor; the queued step must have seen the flag.

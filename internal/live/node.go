@@ -704,8 +704,8 @@ func (n *Node) Broadcast(from dme.NodeID, msg dme.Message) {
 // Timer handle can find its way back here through TimerHost. Delays at
 // or above shortTimerCutoff ride time.AfterFunc (t non-nil); shorter
 // ones — the sub-millisecond Treq/Tfwd protocol phases, whose firing
-// precision bounds the dispatch cycle — go to the spinning short-timer
-// service (t nil, cancellation by flag only).
+// precision bounds the dispatch cycle — go to the short-timer service
+// (t nil, cancellation by flag only).
 type liveTimer struct {
 	t        *time.Timer // nil for short-timer-service delays
 	canceled atomic.Bool
@@ -724,7 +724,14 @@ func (n *Node) After(_ dme.NodeID, delay float64, fn func()) dme.Timer {
 	n.timers[id] = lt
 	n.timersMu.Unlock()
 	d := time.Duration(delay * float64(time.Second))
+	var due time.Time // set for short-timer-service delays only
+	if d < shortTimerCutoff {
+		due = time.Now().Add(d)
+	}
 	fire := func() {
+		if !due.IsZero() {
+			n.metrics.timerLateness.Observe(time.Since(due).Seconds())
+		}
 		// The table entry survives until the posted step runs: a Cancel
 		// landing between the timer firing and the executor running the
 		// step must still find the entry and set the flag, or the step
@@ -738,8 +745,8 @@ func (n *Node) After(_ dme.NodeID, delay float64, fn func()) dme.Timer {
 			}
 		})
 	}
-	if d < shortTimerCutoff {
-		shortTimers.after(d, &lt.canceled, fire)
+	if !due.IsZero() {
+		shortTimers.at(due, &lt.canceled, fire)
 	} else {
 		lt.t = time.AfterFunc(d, fire)
 	}

@@ -1,0 +1,303 @@
+package live
+
+// White-box tests for the short-timer service: ordering, the re-arm
+// path, cancellation, the runner's lifecycle, firing precision, and the
+// regression the kernel sleep exists for — a pending short timer must
+// not blind the process to its sockets.
+
+import (
+	"net"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// needKernelSleep skips tests of behaviour only the timerfd sleep has;
+// the portable runner yields the whole way and they do not apply.
+func needKernelSleep(t *testing.T, s *shortTimerService) {
+	t.Helper()
+	s.mu.Lock()
+	ok := s.wake.arm(time.Nanosecond)
+	s.mu.Unlock()
+	if !ok {
+		t.Skip("no kernel-timed sleep on this platform")
+	}
+}
+
+// waitService polls cond on the service's state under its lock.
+func waitService(t *testing.T, s *shortTimerService, desc string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		ok := cond()
+		s.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", desc)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+func medianDuration(ds []time.Duration) time.Duration {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[len(ds)/2]
+}
+
+// TestShortTimerEqualDeadlinesFireInArmOrder: entries sharing one
+// deadline fire in the order they were armed, whatever the heap did
+// with them, and earlier deadlines armed later still go first.
+func TestShortTimerEqualDeadlinesFireInArmOrder(t *testing.T) {
+	var s shortTimerService
+	const n = 32
+	var (
+		mu    sync.Mutex
+		order []int
+		done  = make(chan struct{})
+	)
+	record := func(i int) func() {
+		return func() {
+			mu.Lock()
+			order = append(order, i)
+			full := len(order) == n+1
+			mu.Unlock()
+			if full {
+				close(done)
+			}
+		}
+	}
+	due := time.Now().Add(800 * time.Microsecond)
+	for i := 0; i < n; i++ {
+		s.at(due, nil, record(i))
+	}
+	s.at(due.Add(-300*time.Microsecond), nil, record(-1))
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("timers never fired")
+	}
+	if order[0] != -1 {
+		t.Errorf("earlier deadline armed last fired at position != 0: %v", order)
+	}
+	for i, got := range order[1:] {
+		if got != i {
+			t.Fatalf("equal deadlines fired out of arm order: %v", order)
+		}
+	}
+}
+
+// TestShortTimerRearmWakesSleepingRunner: a 100 µs timer armed while the
+// runner is parked toward a 1.5 ms one fires on time — at() pulls the
+// timerfd in — rather than when the runner would have woken anyway.
+func TestShortTimerRearmWakesSleepingRunner(t *testing.T) {
+	var s shortTimerService
+	needKernelSleep(t, &s)
+	const rounds = 25
+	late := make([]time.Duration, 0, rounds)
+	for attempt := 0; len(late) < rounds; attempt++ {
+		if attempt == 20*rounds {
+			t.Fatalf("caught the runner asleep only %d times in %d attempts", len(late), attempt)
+		}
+		var longFired atomic.Bool
+		s.at(time.Now().Add(1500*time.Microsecond), nil, func() { longFired.Store(true) })
+		asleep := false
+		for !asleep && !longFired.Load() {
+			runtime.Gosched()
+			s.mu.Lock()
+			asleep = s.sleeping
+			s.mu.Unlock()
+		}
+		if !asleep {
+			continue // descheduled past the whole 1.5 ms; try again
+		}
+		fired := make(chan time.Duration, 1)
+		due := time.Now().Add(100 * time.Microsecond)
+		s.at(due, nil, func() { fired <- time.Since(due) })
+		select {
+		case d := <-fired:
+			late = append(late, d)
+		case <-time.After(5 * time.Second):
+			t.Fatal("short timer never fired")
+		}
+		waitService(t, &s, "long timer to fire and the runner to exit", func() bool { return !s.running })
+	}
+	// Without the re-arm the short timer waits out the long sleep and
+	// fires ≈1.3 ms late.
+	if m := medianDuration(late); m > 500*time.Microsecond {
+		t.Errorf("median lateness of a timer armed under a sleeping runner: %v, want < 500µs", m)
+	}
+}
+
+// TestShortTimerCancelBeforeFire: an entry whose flag is set before its
+// deadline is popped and skipped.
+func TestShortTimerCancelBeforeFire(t *testing.T) {
+	var s shortTimerService
+	var canceled atomic.Bool
+	var ran atomic.Bool
+	now := time.Now()
+	s.at(now.Add(200*time.Microsecond), &canceled, func() { ran.Store(true) })
+	after := make(chan struct{})
+	s.at(now.Add(400*time.Microsecond), nil, func() { close(after) })
+	canceled.Store(true)
+	select {
+	case <-after:
+	case <-time.After(5 * time.Second):
+		t.Fatal("later timer never fired")
+	}
+	if ran.Load() {
+		t.Error("cancelled timer's function ran")
+	}
+}
+
+// fireOnce arms one 300 µs timer on s, checks a runner exists while it
+// is pending, and waits for the runner to exit after it fired.
+func fireOnce(t *testing.T, s *shortTimerService) {
+	t.Helper()
+	fired := make(chan struct{})
+	s.at(time.Now().Add(300*time.Microsecond), nil, func() { close(fired) })
+	s.mu.Lock()
+	running := s.running
+	s.mu.Unlock()
+	if !running {
+		t.Fatal("no runner while a timer is pending")
+	}
+	select {
+	case <-fired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("timer never fired")
+	}
+	waitService(t, s, "runner to exit once the heap drained", func() bool {
+		return !s.running && !s.sleeping && len(s.heap) == 0
+	})
+}
+
+// TestShortTimerRunnerLifecycle: the runner exists only while timers
+// are pending — it exits when the heap drains, leaving no goroutine
+// behind, and the next at() starts a fresh one.
+func TestShortTimerRunnerLifecycle(t *testing.T) {
+	var s shortTimerService
+	fireOnce(t, &s)
+	fireOnce(t, &s)
+}
+
+// TestShortTimerLateness: 200 consecutive Node.After(200 µs) on an idle
+// process fire within microseconds of their deadline, not the ≈0.9 ms
+// late a parked scheduler's time.AfterFunc does, and each one lands in
+// short_timer_lateness_seconds.
+func TestShortTimerLateness(t *testing.T) {
+	n, _ := newExecNode(t)
+	defer n.Close()
+	const rounds = 200
+	late := make([]time.Duration, 0, rounds)
+	for i := 0; i < rounds; i++ {
+		fired := make(chan time.Duration, 1)
+		due := time.Now().Add(200 * time.Microsecond)
+		n.After(0, 0.0002, func() { fired <- time.Since(due) })
+		select {
+		case d := <-fired:
+			late = append(late, d)
+		case <-time.After(5 * time.Second):
+			t.Fatal("timer never fired")
+		}
+	}
+	if m := medianDuration(late); m > 500*time.Microsecond {
+		t.Errorf("median lateness of After(200µs): %v, want < 500µs", m)
+	}
+	h, ok := n.Metrics().Snapshot().Histograms["short_timer_lateness_seconds"]
+	if !ok || h.Count != rounds {
+		t.Errorf("short_timer_lateness_seconds recorded %d of %d timers", h.Count, rounds)
+	}
+}
+
+// pingPongMedian measures the median round trip of one byte over a
+// loopback TCP connection served by an echo goroutine.
+func pingPongMedian(t *testing.T, rounds int) time.Duration {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		var b [1]byte
+		for {
+			if _, err := c.Read(b[:]); err != nil {
+				return
+			}
+			if _, err := c.Write(b[:]); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rtts := make([]time.Duration, 0, rounds)
+	var b [1]byte
+	for i := 0; i < rounds; i++ {
+		start := time.Now()
+		if _, err := c.Write(b[:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Read(b[:]); err != nil {
+			t.Fatal(err)
+		}
+		rtts = append(rtts, time.Since(start))
+	}
+	return medianDuration(rtts)
+}
+
+// TestShortTimerDoesNotStarveNetpoller is the regression test for the
+// yield-spin: with a 1.5 ms short timer always pending, a loopback TCP
+// ping-pong must stay within 4× of the same ping-pong with none. A
+// runner that yields through the whole delay sits on the global run
+// queue, which findRunnable consults before it polls the network. The
+// GOMAXPROCS=1 leg isolates exactly that: there the yield loop reads
+// ≈1000× (the sockets are seen only by sysmon's 10 ms poll). With a
+// second P the damage depends on what else is runnable — a bare
+// ping-pong leaves it free to poll, a loaded session server does not —
+// so the ambient leg only guards against the tail itself getting worse.
+func TestShortTimerDoesNotStarveNetpoller(t *testing.T) {
+	var s shortTimerService
+	needKernelSleep(t, &s)
+	const rounds = 400
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		prev := runtime.GOMAXPROCS(procs)
+		pingPongMedian(t, rounds) // warm the listener path and the scheduler
+		quiet := pingPongMedian(t, rounds)
+
+		var stop atomic.Bool
+		stopped := make(chan struct{})
+		var rearm func()
+		rearm = func() {
+			if stop.Load() {
+				close(stopped)
+				return
+			}
+			s.at(time.Now().Add(1500*time.Microsecond), nil, rearm)
+		}
+		rearm()
+		busy := pingPongMedian(t, rounds)
+		stop.Store(true)
+		<-stopped
+		runtime.GOMAXPROCS(prev)
+
+		t.Logf("GOMAXPROCS=%d: loopback ping-pong median %v quiet, %v with a short timer pending", procs, quiet, busy)
+		if busy > 4*quiet {
+			t.Errorf("GOMAXPROCS=%d: pending short timer slows the network path %v → %v (> 4×)", procs, quiet, busy)
+		}
+	}
+}

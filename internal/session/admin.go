@@ -49,7 +49,7 @@ func (s *Server) Status() StatusDoc {
 	for key, kq := range s.keys {
 		ks := KeyStatus{
 			Key:      key,
-			Queued:   s.queuedLocked(kq),
+			Queued:   kq.live,
 			Watchers: len(kq.watchers),
 		}
 		if kq.holder != nil {

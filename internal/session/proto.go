@@ -89,8 +89,9 @@ func (e *CodeError) Error() string { return "session: " + e.Code.String() }
 const (
 	// ReasonReleased: the holder released normally.
 	ReasonReleased uint8 = 0
-	// ReasonExpired: the holder's lease expired and its fence was
-	// invalidated through the §6 recovery path.
+	// ReasonExpired: the holder's fence was invalidated through the §6
+	// recovery path — its lease expired, or the key's participant was
+	// restarted under it and the lock was granted again.
 	ReasonExpired uint8 = 1
 )
 

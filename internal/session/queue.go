@@ -10,21 +10,42 @@ import (
 	"tokenarbiter/internal/wire"
 )
 
-// Per-key wait queues and their pumps. Each key gets one pump goroutine
-// — started on the first queued acquire, exiting when the queue drains
-// — that pops waiters FIFO, takes the key's lock through the Backend
-// (one LockFence at a time, so the whole client population occupies a
-// single participant slot in the key's DME group), hands the grant to
-// the waiter, and parks until the grant ends: a Release, a Bye, a lease
-// expiry, or server shutdown. Expiry is the interesting ending — the
-// pump crash-restarts the key's local participant instead of unlocking,
-// so the fence dies through §6 recovery (see Config.Invalidate).
+// Per-key wait queues and their grant slots. A key's waiters sit in one
+// FIFO; the lock is fetched for them by up to grantSlots goroutines,
+// each looping: block in Backend.LockFence, and when it returns pop the
+// *current* head of the FIFO — the waiter is bound at grant time, so
+// grant order is exactly queue order whatever order the slots ran in —
+// hand it the grant, and park until the grant ends: a Release, a Bye, a
+// lease expiry, or server shutdown. Expiry is the interesting ending —
+// the slot crash-restarts the key's local participant instead of
+// unlocking, so the fence dies through §6 recovery (see
+// Config.Invalidate).
+//
+// Several slots exist so that several of this server's clients can have
+// requests in the DME group at once: requests that are outstanding
+// while the arbiter's collection window is open are stamped into one
+// Q-list and share one window and one NEW-ARBITER broadcast, which is
+// where the protocol's economy is. One request at a time — the pump
+// this replaces — meant two clients of one node could never share a
+// batch. A slot is started when queued waiters exceed the slots already
+// requesting, and goes back for another grant only while that still
+// holds, so the backend never sees more requests than there are waiters
+// to use them (a waiter that gives up while its request is in flight
+// leaves a grant nobody wants, which is unlocked at once). The lock
+// itself serializes holders, so a key still has one holder at a time.
+
+// grantSlots is D, the bound on one key's outstanding Backend.LockFence
+// calls. Four lets a node's clients fill a batch without letting one
+// node's backlog crowd the Q-list: a node occupies at most D entries of
+// a batch, and across nodes requests are served in arrival order at the
+// arbiter — so fairness is FIFO per client, not per node.
+const grantSlots = 4
 
 // waiter states; guarded by Server.mu.
 const (
 	wQueued   = iota // in the queue, cancelable
-	wGranted         // popped by the pump; owns the next grant
-	wCanceled        // answered (timeout/expiry/shutdown); pump skips it
+	wGranted         // popped by a slot; owns that slot's grant
+	wCanceled        // answered (timeout/expiry/shutdown); slots skip it
 )
 
 // holderEvent ends a grant.
@@ -34,25 +55,29 @@ const (
 	evReleased = iota // clean release (Release or Bye): Unlock + notify
 	evExpired         // lease expiry: invalidate via §6 + notify
 	evClosed          // server shutdown: Unlock and exit
+	evLost            // the backend granted the key again under this holder
 )
 
 // waiter is one queued acquire.
 type waiter struct {
 	sess       *sessionState
 	conn       *srvConn
+	kq         *keyQueue
 	seq        uint64
 	state      int
 	timer      ClockTimer // wait bound, when the acquire set one
 	enqueuedAt time.Time
 }
 
-// keyQueue is one key's waiters, holder, and watchers. Guarded by
-// Server.mu except holderDone sends, which happen after ownership is
-// transferred (holder cleared) under the lock.
+// keyQueue is one key's waiters, grant slots, holder, and watchers.
+// Guarded by Server.mu except holderDone sends, which happen after
+// ownership is transferred (holder cleared or replaced) under the lock.
 type keyQueue struct {
 	key         string
-	q           []*waiter
-	pumpRunning bool
+	q           []*waiter // FIFO; canceled waiters stay until popped
+	live        int       // waiters in q still wQueued
+	slots       int       // slot goroutines alive, at most grantSlots
+	requesting  int       // of those, the ones in (or entering) LockFence
 	holder      *sessionState
 	holderFence uint64
 	holderDone  chan holderEvent
@@ -96,7 +121,7 @@ func (s *Server) handleAcquire(c *srvConn, m AcquireReq) {
 		return
 	}
 	kq := s.keyQueueLocked(m.Key)
-	if s.cfg.MaxWaitersPerKey > 0 && s.queuedLocked(kq) >= s.cfg.MaxWaitersPerKey {
+	if s.cfg.MaxWaitersPerKey > 0 && kq.live >= s.cfg.MaxWaitersPerKey {
 		s.m.rejects.Inc()
 		s.mu.Unlock()
 		c.send(AcquireResp{Seq: m.Seq, Code: CodeOverloaded})
@@ -105,11 +130,13 @@ func (s *Server) handleAcquire(c *srvConn, m AcquireReq) {
 	w := &waiter{
 		sess:       sess,
 		conn:       c,
+		kq:         kq,
 		seq:        m.Seq,
 		state:      wQueued,
 		enqueuedAt: s.clock.Now(),
 	}
 	kq.q = append(kq.q, w)
+	kq.live++
 	sess.waiting[w] = struct{}{}
 	s.m.acquires.Inc()
 	s.m.waiters.Add(1)
@@ -117,108 +144,153 @@ func (s *Server) handleAcquire(c *srvConn, m AcquireReq) {
 		d := time.Duration(m.WaitMillis) * time.Millisecond
 		w.timer = s.clock.AfterFunc(d, func() { s.waiterTimeout(w) })
 	}
-	if !kq.pumpRunning {
-		kq.pumpRunning = true
+	if kq.slots < grantSlots && kq.live > kq.requesting {
+		kq.slots++
+		kq.requesting++
 		s.wg.Add(1)
-		go s.pump(kq)
+		go s.slot(kq)
 	}
 	s.mu.Unlock()
 }
 
-// queuedLocked counts live (still-cancelable) waiters; caller holds mu.
-func (s *Server) queuedLocked(kq *keyQueue) int {
-	n := 0
-	for _, w := range kq.q {
-		if w.state == wQueued {
-			n++
-		}
+// dequeueLocked takes w out of contention — answered by the caller, or
+// about to be granted — reporting false if something else already did.
+// The entry itself stays in kq.q until a slot pops past it. Caller
+// holds mu.
+func (s *Server) dequeueLocked(w *waiter, state int) bool {
+	if w.state != wQueued {
+		return false
 	}
-	return n
+	w.state = state
+	if w.timer != nil {
+		w.timer.Stop()
+	}
+	delete(w.sess.waiting, w)
+	w.kq.live--
+	s.m.waiters.Add(-1)
+	return true
 }
 
 // waiterTimeout fires a queued acquire's wait bound.
 func (s *Server) waiterTimeout(w *waiter) {
 	s.mu.Lock()
-	if w.state != wQueued {
-		s.mu.Unlock()
-		return
-	}
-	w.state = wCanceled
-	delete(w.sess.waiting, w)
-	s.m.waitTimeouts.Inc()
-	s.m.waiters.Add(-1)
+	ok := s.dequeueLocked(w, wCanceled)
 	s.mu.Unlock()
-	w.conn.send(AcquireResp{Seq: w.seq, Code: CodeTimeout})
+	if ok {
+		s.m.waitTimeouts.Inc()
+		w.conn.send(AcquireResp{Seq: w.seq, Code: CodeTimeout})
+	}
 }
 
-// pump is one key's grant loop.
-func (s *Server) pump(kq *keyQueue) {
+// failQueueLocked answers every queued waiter of the key
+// CodeShuttingDown and empties the queue. Caller holds mu (send never
+// blocks).
+func (s *Server) failQueueLocked(kq *keyQueue) {
+	for _, w := range kq.q {
+		if s.dequeueLocked(w, wCanceled) {
+			w.conn.send(AcquireResp{Seq: w.seq, Code: CodeShuttingDown})
+		}
+	}
+	kq.q = nil
+}
+
+// slotContinuesLocked decides whether a slot that is done with a grant
+// goes back for another: only while queued waiters exceed the slots
+// already requesting. Otherwise the slot is retired.
+func (s *Server) slotContinuesLocked(kq *keyQueue) bool {
+	if kq.live > kq.requesting {
+		kq.requesting++
+		return true
+	}
+	kq.slots--
+	if kq.live == 0 {
+		kq.q = nil // only canceled entries remain
+	}
+	return false
+}
+
+// slot is one of a key's grant loops. It enters counted in
+// kq.requesting.
+func (s *Server) slot(kq *keyQueue) {
 	defer s.wg.Done()
 	for {
-		s.mu.Lock()
-		var w *waiter
-		for len(kq.q) > 0 {
-			cand := kq.q[0]
-			kq.q = kq.q[1:]
-			if cand.state == wQueued {
-				w = cand
-				break
-			}
-		}
-		if w == nil {
-			kq.pumpRunning = false
-			s.mu.Unlock()
-			return
-		}
-		w.state = wGranted
-		if w.timer != nil {
-			w.timer.Stop()
-		}
-		delete(w.sess.waiting, w)
-		s.m.waiters.Add(-1)
-		s.mu.Unlock()
-
 		fence, err := s.cfg.Backend.LockFence(s.ctx, kq.key)
+
+		s.mu.Lock()
+		kq.requesting--
 		if err != nil {
 			// The server is closing (our ctx) or the backend is gone;
-			// either way this key grants nothing more.
-			w.conn.send(AcquireResp{Seq: w.seq, Code: CodeShuttingDown})
-			s.mu.Lock()
-			kq.pumpRunning = false
+			// either way this key grants nothing more, so every queued
+			// waiter hears it now instead of sitting there until some
+			// later acquire starts a slot that rediscovers the failure.
+			kq.slots--
+			s.failQueueLocked(kq)
 			s.mu.Unlock()
 			return
 		}
-
-		s.mu.Lock()
-		if s.closed || s.sessions[w.sess.id] != w.sess {
-			// The waiter's session died (expiry or Bye answered it
-			// already) or the server is closing: give the lock straight
-			// back. The grant existed, so watchers still hear about it.
+		var w *waiter
+		for len(kq.q) > 0 && w == nil {
+			if head := kq.q[0]; s.dequeueLocked(head, wGranted) {
+				w = head
+			}
+			kq.q = kq.q[1:]
+		}
+		if w == nil {
+			// Whoever this request was made for gave up meanwhile (wait
+			// bound, session death — answered already) or the server is
+			// closing: give the lock straight back. The grant existed,
+			// so watchers still hear about it.
 			s.mu.Unlock()
 			s.unlock(kq.key)
 			s.notifyWatchers(kq, fence, ReasonReleased)
-			continue
-		}
-		w.sess.held[kq.key] = fence
-		kq.holder = w.sess
-		kq.holderFence = fence
-		ch := make(chan holderEvent, 1)
-		kq.holderDone = ch
-		s.m.grants.Inc()
-		s.m.acquireWait.Observe(s.clock.Now().Sub(w.enqueuedAt).Seconds())
-		s.mu.Unlock()
-		w.conn.send(AcquireResp{Seq: w.seq, Code: CodeOK, Fence: fence})
+		} else {
+			// The lock serializes holders, so a grant arriving while
+			// another is still out means the backend dropped that one:
+			// the key's participant was restarted under its holder (an
+			// operator, chaos injection) and the lock now belongs to this
+			// grant. Take the key from the old holder — its fence is
+			// dead, and its release must not unlock what is ours.
+			var lost chan holderEvent
+			if kq.holder != nil {
+				delete(kq.holder.held, kq.key)
+				lost = kq.holderDone
+			}
+			w.sess.held[kq.key] = fence
+			kq.holder = w.sess
+			kq.holderFence = fence
+			ch := make(chan holderEvent, 1)
+			kq.holderDone = ch
+			s.m.grants.Inc()
+			s.m.acquireWait.Observe(s.clock.Now().Sub(w.enqueuedAt).Seconds())
+			s.mu.Unlock()
+			if lost != nil {
+				lost <- holderEvent{kind: evLost}
+			}
+			w.conn.send(AcquireResp{Seq: w.seq, Code: CodeOK, Fence: fence})
 
-		ev := <-ch
-		switch ev.kind {
-		case evReleased:
-			s.unlock(kq.key)
-			s.notifyWatchers(kq, fence, ReasonReleased)
-		case evExpired:
-			s.invalidateKey(kq.key)
-			s.notifyWatchers(kq, fence, ReasonExpired)
-		case evClosed:
-			s.unlock(kq.key)
+			ev := <-ch
+			reason := ReasonReleased
+			switch ev.kind {
+			case evReleased, evClosed:
+				s.unlock(kq.key)
+			case evExpired:
+				s.invalidateKey(kq.key)
+				reason = ReasonExpired
+			case evLost:
+				s.m.lostGrants.Inc()
+				s.logf("grant superseded: the backend granted the key again under its holder",
+					"key", kq.key, "fence", fence)
+				reason = ReasonExpired
+			}
+			if ev.kind != evClosed {
+				s.notifyWatchers(kq, fence, reason)
+			}
+		}
+
+		s.mu.Lock()
+		again := s.slotContinuesLocked(kq)
+		s.mu.Unlock()
+		if !again {
 			return
 		}
 	}
@@ -229,9 +301,10 @@ func (s *Server) pump(kq *keyQueue) {
 // is crash-restarted: the group loses the token, runs the §6
 // invalidation round, and regenerates it at a higher epoch with the
 // fence watermark carried forward — the expired fence is dead
-// cluster-wide, and the pump's next LockFence rejoins through the new
-// incarnation. Without a hook the lock is released locally, which keeps
-// liveness but trusts the expired client to stop using its fence.
+// cluster-wide, and the slots' LockFence calls — the ones in flight
+// included — rejoin through the new incarnation. Without a hook the
+// lock is released locally, which keeps liveness but trusts the expired
+// client to stop using its fence.
 func (s *Server) invalidateKey(key string) {
 	if s.invalidate == nil {
 		s.unlock(key)
@@ -249,7 +322,7 @@ func (s *Server) invalidateKey(key string) {
 // restarted out from under the holder (an operator restart, chaos
 // injection), the lock already died with the old incarnation and §6
 // recovered it cluster-wide — the release is then a no-op, not a panic
-// out of the pump goroutine.
+// out of the slot goroutine.
 func (s *Server) unlock(key string) {
 	defer func() {
 		if r := recover(); r != nil {

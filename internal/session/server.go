@@ -14,10 +14,17 @@ import (
 
 // Backend is the per-key lock provider the session server multiplexes
 // its clients onto — *live.Manager in production, a scripted fake in
-// service-layer tests. Every key sees at most one outstanding
-// LockFence/Unlock pair from one server at a time (the key's pump
-// serializes them), so the server occupies exactly one participant slot
-// per key in the DME group no matter how many clients pile up behind it.
+// service-layer tests. Every key sees at most grantSlots (D = 4)
+// outstanding LockFence calls and one holder from one server at a time:
+// LockFence must be safe to call concurrently for one key, each call
+// that returns a grant is paired with exactly one Unlock (or one
+// Invalidate) before the key's next grant is used, and a grant whose
+// waiter gave up meanwhile is unlocked at once. However many clients
+// pile up behind it, the server therefore occupies at most D entries of
+// a Q-list batch. The fairness consequence: requests are served in
+// arrival order at the arbiter, so ordering is FIFO per client on one
+// server and a busy server gets up to D turns per batch where an idle
+// peer's lone client gets one — per-client, not per-node, fairness.
 type Backend interface {
 	// LockFence blocks until the key's lock is granted and returns its
 	// fencing token.
@@ -81,8 +88,8 @@ type Config struct {
 }
 
 // Server fronts one live node with the session protocol: it owns the
-// session table (TTL leases), the per-key wait queues and their pump
-// goroutines, the watch registrations, and the connections. All methods
+// session table (TTL leases), the per-key wait queues and their grant
+// slots, the watch registrations, and the connections. All methods
 // are safe for concurrent use.
 type Server struct {
 	cfg        Config
@@ -91,7 +98,7 @@ type Server struct {
 	logger     *slog.Logger
 	invalidate func(key string) error
 
-	ctx    context.Context // cancels pump LockFence calls on Close
+	ctx    context.Context // cancels slot LockFence calls on Close
 	cancel context.CancelFunc
 
 	mu        sync.Mutex
@@ -135,7 +142,7 @@ type sessionState struct {
 	deadline time.Time
 	timer    ClockTimer
 	conn     *srvConn
-	held     map[string]uint64   // key → fence
+	held     map[string]uint64 // key → fence
 	waiting  map[*waiter]struct{}
 	watches  map[string]struct{}
 }
@@ -331,8 +338,8 @@ func (s *Server) dropConn(c *srvConn) {
 }
 
 // Close shuts the server down: listeners stop accepting, queued
-// acquires are answered CodeShuttingDown, pumps release what they hold
-// and exit, lease timers stop, and every connection is closed. The
+// acquires are answered CodeShuttingDown, grant slots release what they
+// hold and exit, lease timers stop, and every connection is closed. The
 // Backend is not closed — its owner does that, afterwards.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -348,17 +355,7 @@ func (s *Server) Close() error {
 	}
 	var done []chan holderEvent
 	for _, kq := range s.keys {
-		for _, w := range kq.q {
-			if w.state == wQueued {
-				w.state = wCanceled
-				if w.timer != nil {
-					w.timer.Stop()
-				}
-				s.m.waiters.Add(-1)
-				w.conn.send(AcquireResp{Seq: w.seq, Code: CodeShuttingDown})
-			}
-		}
-		kq.q = nil
+		s.failQueueLocked(kq)
 		if kq.holder != nil {
 			kq.holder = nil
 			done = append(done, kq.holderDone)
@@ -504,15 +501,9 @@ func (s *Server) endSessionLocked(sess *sessionState, code Code) func() {
 	}
 	var resps []resp
 	for w := range sess.waiting {
-		if w.state != wQueued {
-			continue
+		if s.dequeueLocked(w, wCanceled) {
+			resps = append(resps, resp{w.conn, AcquireResp{Seq: w.seq, Code: waiterCode}})
 		}
-		w.state = wCanceled
-		if w.timer != nil {
-			w.timer.Stop()
-		}
-		s.m.waiters.Add(-1)
-		resps = append(resps, resp{w.conn, AcquireResp{Seq: w.seq, Code: waiterCode}})
 	}
 	evKind := evReleased
 	if code == CodeExpired {

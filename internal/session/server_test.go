@@ -4,7 +4,7 @@ package session_test
 // Backend, driven entirely by a FakeClock — the httptest-style harness
 // the issue asks for. No test here sleeps to "wait for" a lease; time
 // moves only when Advance is called, and the handful of genuinely
-// asynchronous effects (pump goroutines, client-side push processing)
+// asynchronous effects (grant slots, client-side push processing)
 // are observed by condition polling with a deadline.
 
 import (
@@ -20,13 +20,17 @@ import (
 
 // fakeBackend is a scripted Backend: per-key binary semaphores with
 // monotonic fences, recording every unlock and invalidation. Unlock of
-// an unheld key panics, matching *live.Manager.
+// an unheld key panics, matching *live.Manager. The server keeps
+// several LockFence calls outstanding per key, so LockFence is safe to
+// call concurrently and the fake counts how many are blocked at once.
 type fakeBackend struct {
 	mu       sync.Mutex
 	toks     map[string]chan struct{}
 	fences   map[string]uint64
 	unlocks  map[string]int
 	invalids map[string]int
+	blocked  map[string]int // LockFence calls currently waiting
+	peak     map[string]int // high-water mark of blocked
 }
 
 func newFakeBackend() *fakeBackend {
@@ -35,6 +39,8 @@ func newFakeBackend() *fakeBackend {
 		fences:   make(map[string]uint64),
 		unlocks:  make(map[string]int),
 		invalids: make(map[string]int),
+		blocked:  make(map[string]int),
+		peak:     make(map[string]int),
 	}
 }
 
@@ -51,15 +57,34 @@ func (b *fakeBackend) tok(key string) chan struct{} {
 }
 
 func (b *fakeBackend) LockFence(ctx context.Context, key string) (uint64, error) {
+	b.mu.Lock()
+	b.blocked[key]++
+	if b.blocked[key] > b.peak[key] {
+		b.peak[key] = b.blocked[key]
+	}
+	b.mu.Unlock()
+	var err error
 	select {
 	case <-b.tok(key):
 	case <-ctx.Done():
-		return 0, ctx.Err()
+		err = ctx.Err()
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.blocked[key]--
+	if err != nil {
+		return 0, err
+	}
 	b.fences[key]++
 	return b.fences[key], nil
+}
+
+// waiting reports how many LockFence calls are blocked on key now and
+// the most that ever were.
+func (b *fakeBackend) waiting(key string) (now, peak int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.blocked[key], b.peak[key]
 }
 
 func (b *fakeBackend) Unlock(key string) {
@@ -161,7 +186,7 @@ func (r *rig) gauge(name string) int64 {
 }
 
 // waitUntil polls cond until it holds or the deadline passes — the
-// pattern for observing effects that cross a real goroutine (pumps,
+// pattern for observing effects that cross a real goroutine (grant slots,
 // client push processing). It never gates on a fixed sleep.
 func waitUntil(t *testing.T, desc string, cond func() bool) {
 	t.Helper()
