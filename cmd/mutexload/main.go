@@ -70,7 +70,6 @@ func run(args []string) error {
 	var (
 		nodes     = fs.Int("nodes", 5, "cluster size")
 		trans     = fs.String("transport", "mem", "transport: mem or tcp")
-		codec     = fs.String("codec", "auto", "tcp only: wire codec to offer in connection handshakes (auto, binary, or gob)")
 		algoFlag  = fs.String("algo", "core", "algorithm to load-test (any registry name; see mutexnode -algo list)")
 		keys      = fs.Int("keys", 1, "named lock keys served per node (1: classic single mutex; >1: the sharded multi-key service)")
 		workers   = fs.Int("workers", 1, "worker goroutines per node, spread round-robin across the keys")
@@ -188,7 +187,7 @@ func run(args []string) error {
 		defer frec.Close() //nolint:errcheck // shutdown path
 	}
 
-	cluster, counters, cleanup, err := buildCluster(*trans, *nodes, algo, *codec, factory, *netDelay, *loss, inj, tracer, frec)
+	cluster, counters, cleanup, err := buildCluster(*trans, *nodes, algo, factory, *netDelay, *loss, inj, tracer, frec)
 	if err != nil {
 		return err
 	}
@@ -436,7 +435,7 @@ func printPerNode(algo string, cluster []*live.Manager, counters []*transport.Co
 // key counts an apples-to-apples change of sharding only. Baseline
 // algorithms get FIFO in-memory channels (Lamport requires them; TCP is
 // FIFO by nature).
-func buildCluster(kind string, n int, algo, codec string, factory live.Factory, delay time.Duration, loss float64, inj *faultnet.Injector, tracer *reqtrace.Collector, frec *reqtrace.Recorder) ([]*live.Manager, []*transport.Counting, func(), error) {
+func buildCluster(kind string, n int, algo string, factory live.Factory, delay time.Duration, loss float64, inj *faultnet.Injector, tracer *reqtrace.Collector, frec *reqtrace.Recorder) ([]*live.Manager, []*transport.Counting, func(), error) {
 	counters := make([]*transport.Counting, n)
 	trans := make([]transport.Transport, n)
 	regs := make([]*telemetry.Registry, n)
@@ -475,7 +474,7 @@ func buildCluster(kind string, n int, algo, codec string, factory live.Factory, 
 		addrs := make(map[dme.NodeID]string, n)
 		for i := 0; i < n; i++ {
 			tr, err := transport.NewTCPOpt(i, map[dme.NodeID]string{i: "127.0.0.1:0"},
-				transport.TCPOptions{Algo: algo, Codec: codec})
+				transport.TCPOptions{Algo: algo})
 			if err != nil {
 				return nil, nil, func() {}, err
 			}

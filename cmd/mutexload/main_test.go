@@ -27,6 +27,9 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-sessions", "10", "-conns", "0", "-duration", "10ms"}); err == nil {
 		t.Error("session mode without connections accepted")
 	}
+	if err := run([]string{"-codec", "gob", "-duration", "10ms"}); err == nil {
+		t.Error("the -codec flag is still accepted")
+	}
 }
 
 // TestRunShortSessionLoad is the session-mode smoke: a small cohort of

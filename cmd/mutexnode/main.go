@@ -12,19 +12,19 @@
 //
 // -algo selects any algorithm in internal/registry (core — the paper's
 // arbiter protocol — plus the nine baselines); `-algo list` prints the
-// catalog. Peers must agree on the algorithm: the wire envelope is
-// tagged, and a mismatched peer is rejected with a logged error instead
-// of a garbage decode.
+// catalog. Peers must agree on the algorithm: every connection's
+// handshake and every frame is tagged, and a mismatched peer is rejected
+// with a logged error instead of a garbage decode.
 //
 // With -keys M (M > 1) the node runs the sharded multi-key lock service
 // instead of a single mutex: M named lock keys (lock-0 … lock-M-1), one
 // independent DME group per key, all multiplexed over the node's single
-// TCP endpoint via key-tagged envelopes. Every peer must use the same
+// TCP endpoint via key-tagged frames. Every peer must use the same
 // -keys value. The demo workload round-robins its acquisitions over the
 // keys, and the admin surface switches to the multi-key handler
 // (aggregate /metrics with per-key labels, /statusz?key=K). With the
-// default -keys 1 the node runs the original single-mutex protocol and
-// stays wire-compatible with older key-less peers.
+// default -keys 1 the node runs the single-mutex protocol over key-less
+// frames.
 //
 // Each node acquires the mutex -count times with -think pause between
 // acquisitions, holds it for -hold, and prints a line per grant. With
@@ -83,7 +83,6 @@ type nodeConfig struct {
 	addrs     map[dme.NodeID]string
 	n         int
 	algo      string
-	codec     string
 	keys      int
 	count     int
 	hold      time.Duration
@@ -109,7 +108,6 @@ func parseFlags(args []string) (*nodeConfig, error) {
 		id        = fs.Int("id", 0, "this node's id (index into -peers)")
 		peers     = fs.String("peers", "127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002", "comma-separated peer addresses, one per node id")
 		algoFlag  = fs.String("algo", "core", "algorithm to run (see -algo list); every peer must match")
-		codec     = fs.String("codec", "auto", "wire codec to offer in connection handshakes: auto (binary fast path with gob fallback), binary (pinned), or gob (pinned fallback); peers negotiate per connection, so mixed settings interoperate")
 		keys      = fs.Int("keys", 1, "number of named lock keys to serve (1: the classic single mutex; >1: the sharded multi-key service, every peer must match)")
 		count     = fs.Int("count", 10, "critical sections to execute (0: serve only)")
 		hold      = fs.Duration("hold", 50*time.Millisecond, "time to hold the mutex per acquisition")
@@ -123,7 +121,7 @@ func parseFlags(args []string) (*nodeConfig, error) {
 		sessAddr  = fs.String("session", "", "serve the client session protocol (TTL leases, wait queues, watches) on this address (e.g. :7100); forces the multi-key service shape, so every peer must run with -keys > 1 or -session as well")
 		verbose   = fs.Bool("v", false, "log protocol transitions (slog, stderr; core only)")
 		chaos     = fs.String("chaos", "", "inject faults into this node's outbound traffic, e.g. drop=0.05,dup=0.02,corrupt=0.01,delay=2ms,jitter=1ms,reorder=0.05,seed=7; live-tunable via /debug/faults when -http is set")
-		flightrec = fs.String("flightrec", "", "write a flight-recorder capture (JSONL: every envelope sent/received plus the lock lifecycle) to this file; re-execute it with `mutexsim replay`")
+		flightrec = fs.String("flightrec", "", "write a flight-recorder capture (JSONL: every wire frame sent/received plus the lock lifecycle) to this file; re-execute it with `mutexsim replay`")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -146,11 +144,6 @@ func parseFlags(args []string) (*nodeConfig, error) {
 	if *keys < 1 {
 		return nil, fmt.Errorf("-keys %d: need at least one lock key", *keys)
 	}
-	switch *codec {
-	case "", "auto", "binary", "gob":
-	default:
-		return nil, fmt.Errorf("-codec %q: want auto, binary, or gob", *codec)
-	}
 	addrs := make(map[dme.NodeID]string, n)
 	for i, a := range addrList {
 		addrs[i] = strings.TrimSpace(a)
@@ -158,7 +151,7 @@ func parseFlags(args []string) (*nodeConfig, error) {
 
 	return &nodeConfig{
 		id: *id, addrs: addrs, n: n,
-		algo: entry.Name, codec: *codec, keys: *keys,
+		algo: entry.Name, keys: *keys,
 		count: *count, hold: *hold, think: *think, linger: *linger,
 		treq: *treq, tfwd: *tfwd, monitor: *monitor, recovery: *recovery,
 		httpAddr: *httpAddr, session: *sessAddr, verbose: *verbose, chaos: *chaos,
@@ -242,8 +235,7 @@ func run(args []string) error {
 	}
 
 	tcp, err := transport.NewTCPOpt(cfg.id, cfg.addrs, transport.TCPOptions{
-		Algo:  cfg.algo,
-		Codec: cfg.codec,
+		Algo: cfg.algo,
 		OnWireError: func(err error) {
 			fmt.Fprintln(os.Stderr, "mutexnode:", err)
 		},
@@ -300,10 +292,10 @@ func run(args []string) error {
 	defer stop()
 
 	// The two service shapes: the classic single mutex (one live node,
-	// key-less wire envelopes, compatible with older peers) or the
-	// sharded multi-key service (one DME group per key over the same
-	// endpoint). -session needs a Manager behind it (the session layer's
-	// Backend is keyed), so it forces the multi-key shape even at -keys 1.
+	// key-less wire frames) or the sharded multi-key service (one DME
+	// group per key over the same endpoint). -session needs a Manager
+	// behind it (the session layer's Backend is keyed), so it forces the
+	// multi-key shape even at -keys 1.
 	var admin http.Handler
 	var workload func() error
 	var summary func()

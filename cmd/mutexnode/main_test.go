@@ -62,6 +62,7 @@ func TestParseFlags(t *testing.T) {
 		{name: "zero keys", args: []string{"-keys", "0"}, wantErr: "at least one lock key"},
 		{name: "negative keys", args: []string{"-keys", "-3"}, wantErr: "at least one lock key"},
 		{name: "unknown flag", args: []string{"-bogus"}, wantErr: "flag provided but not defined"},
+		{name: "codec flag is gone", args: []string{"-codec", "gob"}, wantErr: "flag provided but not defined"},
 		{
 			name: "session service",
 			args: []string{"-session", ":7100"},

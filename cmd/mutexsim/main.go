@@ -181,8 +181,8 @@ func replayCapture(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The captured envelopes reopen through the normal wire path, so the
-	// algorithm's message types must be gob-registered first.
+	// The captured frames decode through the normal wire path, so the
+	// algorithm's message types must be registered first.
 	if _, err := registry.RegisterWire(capture.Header.Algo); err != nil {
 		return fmt.Errorf("capture algorithm %q: %w", capture.Header.Algo, err)
 	}

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestRunRejectsBadInvocations(t *testing.T) {
 	if err := run(nil); err == nil {
@@ -11,6 +16,23 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 	}
 	if err := run([]string{"-lambdas", "zz", "fig345"}); err == nil {
 		t.Error("malformed -lambdas accepted")
+	}
+}
+
+// TestReplayRefusesV1Capture: a capture from before the frame format
+// (v1 held gob-sealed envelopes) is refused at its header, naming the
+// version it has and the version this build reads.
+func TestReplayRefusesV1Capture(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.jsonl")
+	if err := os.WriteFile(path, []byte(`{"v":1,"algo":"core","n":3}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"replay", path})
+	if err == nil {
+		t.Fatal("replay accepted a v1 capture")
+	}
+	if !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "v2") {
+		t.Errorf("error %q does not name both versions", err)
 	}
 }
 

@@ -1,4 +1,4 @@
-// TCP cluster: three live arbiter-mutex nodes talking gob-over-TCP on
+// TCP cluster: three live arbiter-mutex nodes talking over TCP on
 // loopback, all hosted by this process so the example is self-contained —
 // the wire path is identical to a real multi-process deployment (see
 // cmd/mutexnode for the one-process-per-node version). The nodes contend

@@ -12,11 +12,9 @@
 // injector. All randomness flows from Options.Seed, so a chaos run
 // replays exactly given the same seed and message order.
 //
-// Corruption is modeled at the wire layer, through whichever codec the
-// algorithm would carry on a real cluster: a binary-capable algorithm's
-// message is framed by the binary codec and the frame body damaged, any
-// other is sealed into a gob wire.Envelope with its payload damaged.
-// Either way the failed re-decode surfaces through Options.OnFault as a
+// Corruption is modeled at the wire layer: the message is framed the way
+// a real connection would carry it and the frame body damaged. The
+// failed re-decode surfaces through Options.OnFault as a
 // *wire.DecodeError — the same typed error a real corrupted TCP frame
 // produces — and the message is dropped. Garbage never reaches protocol
 // state.
@@ -31,7 +29,6 @@ package faultnet
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -103,7 +100,7 @@ type Options struct {
 	// Faults is the default fault model applied to every link; override
 	// individual links with SetLinkFaults.
 	Faults Faults
-	// Algo is the registered wire algorithm name, used to seal messages
+	// Algo is the registered wire algorithm name, used to frame messages
 	// for byte-corruption. Empty degrades Corrupt to a plain drop (still
 	// counted as a corruption).
 	Algo string
@@ -410,51 +407,37 @@ func (inj *Injector) decide(from, to int, kind string) decision {
 	return d
 }
 
-// corrupt frames msg with the algorithm's wire codec, damages the
-// frame, and reproduces the typed error a real corrupted frame yields at
-// the receiver. The message itself is dropped either way.
+// corrupt frames msg the way the wire would, damages the frame, and
+// reproduces the typed error a real corrupted frame yields at the
+// receiver. The message itself is dropped either way.
+//
+// The damage is what a broken link inflicts: the body truncated to half
+// and its last byte flipped. A real receiver reads a whole frame before
+// looking inside it, so the per-message failure mode is an in-body
+// decode error, not a broken stream.
 func (inj *Injector) corrupt(from int, msg dme.Message) {
 	if inj.onFault == nil {
 		return // nothing to surface to
 	}
-	if inj.algo == "" || !wire.Registered(inj.algo) {
-		inj.onFault(&wire.DecodeError{
-			From: from, Algo: inj.algo, Kind: msg.Kind(),
-			Err: fmt.Errorf("faultnet: injected corruption (no wire algorithm configured)"),
-		})
-		return
-	}
-	if wire.BinaryCapable(inj.algo) {
-		inj.corruptBinary(from, msg)
-		return
-	}
-	inj.corruptGob(from, msg)
-}
-
-// corruptBinary damages a binary-codec frame: truncate the body to half
-// and flip its last byte, exactly the kind of damage a broken link
-// inflicts. The length prefix is rewritten for the truncated body — a
-// real receiver reads a whole frame before looking inside it, so the
-// per-message failure mode is an in-body decode error, not a broken
-// stream.
-func (inj *Injector) corruptBinary(from int, msg dme.Message) {
 	generic := func(err error) {
 		inj.onFault(&wire.DecodeError{
 			From: from, Algo: inj.algo, Kind: msg.Kind(),
 			Err: fmt.Errorf("faultnet: injected corruption: %w", err),
 		})
 	}
+	if inj.algo == "" || !wire.Registered(inj.algo) {
+		generic(errors.New("no wire algorithm configured"))
+		return
+	}
 	var buf bytes.Buffer
 	if err := wire.BinaryCodec().NewEncoder(&buf, inj.algo).Encode(from, msg); err != nil {
 		generic(err)
 		return
 	}
-	body := buf.Bytes()[4:]
+	body := buf.Bytes()[wire.PrefixLen:]
 	body = body[:(len(body)+1)/2]
 	body[len(body)-1] ^= 0xa5
-	damaged := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+len(body)), uint32(len(body)))
-	damaged = append(damaged, body...)
-	_, _, err := wire.BinaryCodec().NewDecoder(bytes.NewReader(damaged), inj.algo).Decode()
+	_, _, err := wire.BinaryCodec().NewDecoder(nil, inj.algo).DecodeBody(body)
 	var de *wire.DecodeError
 	if errors.As(err, &de) {
 		inj.onFault(err)
@@ -463,32 +446,7 @@ func (inj *Injector) corruptBinary(from int, msg dme.Message) {
 	// Vanishingly unlikely: the damaged frame still decoded (or failed
 	// some other way). The message is dropped regardless; report the
 	// corruption generically.
-	generic(fmt.Errorf("frame survived damage"))
-}
-
-// corruptGob seals msg into a gob envelope and damages the payload — the
-// fallback codec's failure mode.
-func (inj *Injector) corruptGob(from int, msg dme.Message) {
-	env, err := wire.Seal(inj.algo, from, msg)
-	if err != nil {
-		inj.onFault(&wire.DecodeError{From: from, Algo: inj.algo, Kind: msg.Kind(), Err: err})
-		return
-	}
-	// Truncate and flip: a damaged gob stream that cannot decode.
-	if n := len(env.Payload); n > 0 {
-		env.Payload = env.Payload[:(n+1)/2]
-		env.Payload[len(env.Payload)-1] ^= 0xa5
-	}
-	if _, err := env.Open(inj.algo); err != nil {
-		inj.onFault(err)
-		return
-	}
-	// Vanishingly unlikely: the damaged payload still decoded. The
-	// message is dropped regardless; report the corruption generically.
-	inj.onFault(&wire.DecodeError{
-		From: from, Algo: inj.algo, Kind: msg.Kind(),
-		Err: fmt.Errorf("faultnet: injected corruption"),
-	})
+	generic(errors.New("frame survived damage"))
 }
 
 // endpoint is the per-transport middleware layer.

@@ -141,34 +141,6 @@ func TestLockContextCancellation(t *testing.T) {
 	nodes[2].Unlock()
 }
 
-func TestTryLock(t *testing.T) {
-	nodes, _ := memCluster(t, 2, fastOptions(), transport.MemOptions{})
-	bg, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	if err := nodes[0].Lock(bg); err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 the deprecated wrapper stays covered until it is removed
-	ok, err := nodes[1].TryLock(50 * time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("TryLock succeeded while the CS was held elsewhere")
-	}
-	nodes[0].Unlock()
-	//lint:ignore SA1019 the deprecated wrapper stays covered until it is removed
-	ok, err = nodes[1].TryLock(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("TryLock failed on a free mutex")
-	}
-	nodes[1].Unlock()
-}
-
 // TestTokenLossRecovery drops one PRIVILEGE message on the wire and
 // checks that the §6 two-phase invalidation protocol regenerates the
 // token and the cluster keeps making progress.

@@ -502,7 +502,7 @@ func spinForGrant(w *waiter) bool {
 // TryLockContext acquires the mutex only if it is granted before ctx is
 // done: (true, nil) on acquisition, (false, nil) when the context expired
 // or was cancelled first, and (false, err) for real failures such as
-// ErrClosed. Callers own the deadline, so a TryLock can share a context
+// ErrClosed. Callers own the deadline, so the attempt can share a context
 // with the rest of an operation instead of inventing a wait duration.
 func (n *Node) TryLockContext(ctx context.Context) (bool, error) {
 	err := n.Lock(ctx)
@@ -514,18 +514,6 @@ func (n *Node) TryLockContext(ctx context.Context) (bool, error) {
 	default:
 		return false, err
 	}
-}
-
-// TryLock acquires the mutex only if it can be granted within the given
-// wait.
-//
-// Deprecated: use TryLockContext, which composes with the caller's
-// cancellation instead of a bare duration. TryLock remains as a thin
-// wrapper over it.
-func (n *Node) TryLock(wait time.Duration) (bool, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), wait)
-	defer cancel()
-	return n.TryLockContext(ctx)
 }
 
 // Unlock releases the critical section acquired by Lock; when it returns,

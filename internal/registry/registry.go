@@ -2,7 +2,7 @@
 // algorithm-agnostic: it maps a name to (a) a dme.Algorithm factory for
 // the simulation harness, (b) a per-node live factory for internal/live,
 // and (c) the algorithm's concrete wire message types for per-algorithm
-// gob registration in internal/wire. The paper's arbiter algorithm and
+// registration in internal/wire. The paper's arbiter algorithm and
 // all nine baselines are registered, so `mutexnode -algo raymond` and
 // `mutexload -algo suzukikasami` run the same state machines over a real
 // transport that the simulation's Figure 6 compares.

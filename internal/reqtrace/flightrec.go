@@ -1,6 +1,7 @@
 package reqtrace
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,7 +15,9 @@ import (
 )
 
 // CaptureVersion is the flight-recorder capture format generation.
-const CaptureVersion = 1
+// Version 1 held each message as a gob-sealed envelope; version 2 holds
+// the wire frame.
+const CaptureVersion = 2
 
 // CaptureHeader is the first line of a capture file: enough metadata to
 // rebuild the cluster the capture came from (which algorithm's state
@@ -25,7 +28,7 @@ type CaptureHeader struct {
 	N    int    `json:"n"`
 }
 
-// Capture record event kinds. Send/recv are wire-level (one per envelope
+// Capture record event kinds. Send/recv are wire-level (one per message
 // crossing the recorder's transport layer); req/grant/rel are
 // application-level lock lifecycle events recorded by the runtime.
 const (
@@ -38,31 +41,31 @@ const (
 
 // Record is one timestamped capture entry. T is seconds since the
 // recorder's epoch — replay treats it as virtual time, so a capture's
-// timeline is self-contained. Env is present only on send/recv records;
-// it is the full wire envelope (Payload base64-encoded by encoding/json),
-// so a capture can be re-opened by wire.Envelope.Open and replayed
-// through the same decode path live traffic takes.
+// timeline is self-contained. Frame is present only on send/recv records;
+// it is the wire frame body exactly as a connection would carry it
+// (base64-encoded by encoding/json), so a capture replays through the
+// same decode path live traffic takes.
 type Record struct {
-	T     float64        `json:"t"`
-	Ev    string         `json:"ev"`
-	Node  int            `json:"node"`
-	Peer  int            `json:"peer"`
-	Key   string         `json:"key,omitempty"`
-	Trace uint64         `json:"trace,omitempty"`
-	Fence uint64         `json:"fence,omitempty"`
-	Env   *wire.Envelope `json:"env,omitempty"`
+	T     float64 `json:"t"`
+	Ev    string  `json:"ev"`
+	Node  int     `json:"node"`
+	Peer  int     `json:"peer"`
+	Key   string  `json:"key,omitempty"`
+	Trace uint64  `json:"trace,omitempty"`
+	Fence uint64  `json:"fence,omitempty"`
+	Frame []byte  `json:"frame,omitempty"`
 }
 
 // Recorder writes a flight-recorder capture: a JSONL stream with one
 // CaptureHeader line followed by Record lines in write order. It layers
-// into a node two ways at once: Middleware captures every envelope
+// into a node two ways at once: Middleware captures every message
 // crossing the transport (send and recv), and the Record* methods let
 // the runtime log the application-level lock lifecycle (request, grant,
 // release) that wire traffic alone cannot show.
 //
 // All methods are safe on a nil receiver (no-ops), so callers thread an
 // optional recorder without guarding every call site. Writes are
-// serialized by a mutex; a write or seal failure drops that record and
+// serialized by a mutex; a write or encode failure drops that record and
 // counts it (Dropped) rather than failing the node.
 type Recorder struct {
 	algo  string
@@ -72,6 +75,8 @@ type Recorder struct {
 	mu      sync.Mutex
 	w       io.Writer
 	c       io.Closer // non-nil when the recorder owns the sink
+	frame   bytes.Buffer
+	enc     *wire.Encoder // frames into frame
 	records uint64
 	dropped uint64
 }
@@ -80,6 +85,7 @@ type Recorder struct {
 // named algorithm, writing the header line immediately.
 func NewRecorder(w io.Writer, algo string, n int) (*Recorder, error) {
 	r := &Recorder{algo: algo, n: n, epoch: time.Now(), w: w}
+	r.enc = wire.BinaryCodec().NewEncoder(&r.frame, algo)
 	hdr, err := json.Marshal(CaptureHeader{V: CaptureVersion, Algo: algo, N: n})
 	if err != nil {
 		return nil, fmt.Errorf("reqtrace: encode capture header: %w", err)
@@ -142,38 +148,40 @@ func (r *Recorder) Totals() (records, dropped uint64) {
 
 // write appends one record line; errors count as drops.
 func (r *Recorder) write(rec Record) {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		r.mu.Lock()
-		r.dropped++
-		r.mu.Unlock()
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, err := r.w.Write(append(line, '\n')); err != nil {
+	r.writeLocked(rec)
+}
+
+func (r *Recorder) writeLocked(rec Record) {
+	line, err := json.Marshal(rec)
+	if err == nil {
+		_, err = r.w.Write(append(line, '\n'))
+	}
+	if err != nil {
 		r.dropped++
 		return
 	}
 	r.records++
 }
 
-// recordEnvelope captures one wire crossing. sender is the envelope's
-// From; node/peer are the local endpoint's view (node = local id).
+// recordEnvelope captures one wire crossing. sender is the frame's
+// sender id; node/peer are the local endpoint's view (node = local id).
 func (r *Recorder) recordEnvelope(ev string, node, peer, sender int, msg dme.Message) {
 	if r == nil {
 		return
 	}
-	env, err := wire.Seal(r.algo, sender, msg)
-	if err != nil {
-		r.mu.Lock()
+	_, key, trace := wire.Unwrap(msg)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.frame.Reset()
+	if err := r.enc.Encode(sender, msg); err != nil {
 		r.dropped++
-		r.mu.Unlock()
 		return
 	}
-	r.write(Record{
+	r.writeLocked(Record{
 		T: r.Since(), Ev: ev, Node: node, Peer: peer,
-		Key: env.Key, Trace: env.Trace, Env: &env,
+		Key: key, Trace: trace, Frame: r.frame.Bytes()[wire.PrefixLen:],
 	})
 }
 
@@ -204,7 +212,7 @@ func (r *Recorder) RecordRelease(node int, key string, trace ID) {
 		Key: key, Trace: uint64(trace)})
 }
 
-// Middleware returns a transport layer that captures every envelope the
+// Middleware returns a transport layer that captures every message the
 // protocol sends or receives through it. Place it outermost (before
 // fault injectors), so the capture shows the protocol's view of the
 // traffic — what was attempted, not what survived the network. A nil

@@ -2,6 +2,7 @@ package reqtrace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -90,25 +91,27 @@ func TestRecorderCaptureRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The send record's envelope reopens through the normal wire path
-	// with both wrappers intact — what replay depends on.
+	// The send record's frame decodes through the normal wire path with
+	// the sender id and both wrappers intact — what replay depends on.
 	send := capture.Records[1]
-	if send.Env == nil {
-		t.Fatal("send record has no envelope")
-	}
 	if send.Fence != 0 {
 		t.Errorf("send record fence = %d", send.Fence)
 	}
-	reopened, err := send.Env.Open(algo)
+	from, reopened, err := wire.BinaryCodec().NewDecoder(nil, algo).DecodeBody(send.Frame)
 	if err != nil {
-		t.Fatalf("reopen captured envelope: %v", err)
+		t.Fatalf("decode captured frame: %v", err)
 	}
-	k, ok := reopened.(wire.Keyed)
-	if !ok {
-		t.Fatalf("captured envelope opened as %T, want Keyed", reopened)
+	if from != 1 || !reflect.DeepEqual(reopened, msg) {
+		t.Fatalf("captured frame decoded as (%d, %#v), want (1, %#v)", from, reopened, msg)
 	}
-	if tr, ok := k.Msg.(wire.Traced); !ok || tr.Trace != uint64(MakeID(1, 1)) {
-		t.Fatalf("captured envelope inner %#v, want Traced", k.Msg)
+	// And it is the frame body a connection would have carried, byte for
+	// byte.
+	var onWire bytes.Buffer
+	if err := wire.BinaryCodec().NewEncoder(&onWire, algo).Encode(1, msg); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(send.Frame, onWire.Bytes()[wire.PrefixLen:]) {
+		t.Errorf("captured frame %x, wire frame body %x", send.Frame, onWire.Bytes()[wire.PrefixLen:])
 	}
 
 	// Grant record carries the fence.
@@ -147,14 +150,21 @@ func TestReadCaptureErrors(t *testing.T) {
 	}{
 		{"empty", ""},
 		{"future version", `{"v":99,"algo":"core","n":3}` + "\n"},
-		{"zero nodes", `{"v":1,"algo":"core","n":0}` + "\n"},
+		{"zero nodes", `{"v":2,"algo":"core","n":0}` + "\n"},
 		{"malformed header", "not json\n"},
-		{"malformed record", `{"v":1,"algo":"core","n":3}` + "\nnot json\n"},
+		{"malformed record", `{"v":2,"algo":"core","n":3}` + "\nnot json\n"},
 	}
 	for _, c := range cases {
 		if _, err := ReadCapture(strings.NewReader(c.in)); err == nil {
 			t.Errorf("%s: ReadCapture accepted the capture", c.name)
 		}
+	}
+	// A v1 capture (gob-sealed envelopes) is refused at the header, with
+	// both versions named.
+	_, err := ReadCapture(strings.NewReader(`{"v":1,"algo":"core","n":3}` + "\n" +
+		`{"t":0.1,"ev":"recv","node":0,"peer":1,"env":{"Version":2,"Algo":"core","From":1,"Kind":"REQUEST","Payload":"AAAA"}}` + "\n"))
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "v2") {
+		t.Errorf("v1 capture: error %v does not name both versions", err)
 	}
 }
 

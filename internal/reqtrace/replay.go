@@ -88,7 +88,7 @@ type ReplayResult struct {
 	// replayed node was not in the critical section (timing divergence
 	// between the live run and the replayed timeline).
 	OrphanReleases uint64
-	// OpenErrors counts recorded envelopes that failed wire.Open.
+	// OpenErrors counts recorded frames that failed to decode.
 	OpenErrors uint64
 }
 
@@ -107,7 +107,7 @@ func GrantLog(grants []GrantEvent) []byte {
 // Replay re-executes a capture against fresh protocol state machines on
 // the deterministic simulation kernel: each key's records are ingested
 // at their recorded timestamps (requests as OnRequest, received
-// envelopes as OnMessage through the normal wire.Open path, releases as
+// frames as OnMessage through the normal wire decode path, releases as
 // OnCSDone), while protocol timers run naturally in virtual time.
 // Outbound sends the replayed machines generate are suppressed — the
 // capture already holds every delivery that actually happened — so the
@@ -186,6 +186,7 @@ func replayKey(hdr CaptureHeader, key string, recs []Record,
 		})
 	}
 
+	dec := wire.BinaryCodec().NewDecoder(nil, hdr.Algo) // bodies only, no stream
 	var lastT float64
 	for _, rec := range recs {
 		if rec.T > lastT {
@@ -197,11 +198,7 @@ func replayKey(hdr CaptureHeader, key string, recs []Record,
 			recordSpan(rec, PhaseEnqueue)
 			s.PostAt(rec.T, func() { nodes[rec.Node].OnRequest(ctx) })
 		case EvRecv:
-			if rec.Env == nil {
-				res.OpenErrors++
-				continue
-			}
-			msg, err := rec.Env.Open(hdr.Algo)
+			_, msg, err := dec.DecodeBody(rec.Frame)
 			if err != nil {
 				res.OpenErrors++
 				continue

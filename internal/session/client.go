@@ -22,8 +22,6 @@ var ErrSessionDead = errors.New("session: session expired")
 type Options struct {
 	// Clock drives keepalive scheduling; nil means WallClock.
 	Clock Clock
-	// Codec is the proposed wire codec; nil proposes binary.
-	Codec wire.Codec
 	// NoKeepAlive disables the automatic keepalive loop; the caller
 	// renews (or deliberately lets leases lapse) itself. Lease
 	// lifecycle tests use this to step expiry by hand.
@@ -70,7 +68,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 // NewClient runs the handshake over an existing connection and starts
 // the client's reader. The client owns the connection from here on.
 func NewClient(conn net.Conn, opts Options) (*Client, error) {
-	fr, err := clientHandshake(conn, opts.Codec)
+	fr, err := handshake(conn, false)
 	if err != nil {
 		return nil, err
 	}

@@ -3,96 +3,56 @@ package session
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"net"
+	"time"
 
 	"tokenarbiter/internal/wire"
 )
 
-// The session protocol runs over any net.Conn with a four-byte magic +
-// one-byte codec handshake in front of the ordinary wire codec stream:
-//
-//	client → server: "TSES" + proposed CodecID
-//	server → client: accepted CodecID (the proposal when the server
-//	                 speaks it, else CodecGob)
-//
-// after which both directions carry codec frames for the "session"
-// algorithm. The magic rejects strangers (an arbiter-protocol peer or a
-// stray HTTP client dialing the session port) with a clear error
-// instead of a codec desync.
+// A session connection opens with the wire handshake every peer
+// connection opens with, for the "session" algorithm, after which both
+// directions carry wire frames of the session message family. The
+// handshake rejects strangers (an arbiter-protocol peer or a stray HTTP
+// client dialing the session port) with the same typed refusal the peer
+// port gives them, instead of a codec desync.
 
-// handshakeMagic opens every session connection.
-const handshakeMagic = "TSES"
+// endpointID is the node id session endpoints state in the handshake:
+// clients and servers are not cluster nodes.
+const endpointID = -1
 
-// sessionCodec resolves a handshake codec id; nil when unknown.
-func sessionCodec(id wire.CodecID) wire.Codec {
-	switch id {
-	case wire.CodecGob:
-		return wire.GobCodec()
-	case wire.CodecBinary:
-		return wire.BinaryCodec()
-	}
-	return nil
-}
+// handshakeTimeout bounds the handshake on a fresh connection, on either
+// side — the transport's dial budget. A dialer that connects and says
+// nothing costs the server one goroutine for this long, not forever.
+const handshakeTimeout = 2 * time.Second
 
 // framed is one side's encoder/decoder pair over a buffered connection.
 // Encode paths must hold their own serialization (the client's write
 // mutex, the server's single writer goroutine) and flush after a batch.
 type framed struct {
-	enc wire.Encoder
-	dec wire.Decoder
+	enc *wire.Encoder
+	dec *wire.Decoder
 	bw  *bufio.Writer
 }
 
-// clientHandshake proposes codec (nil = binary) and builds the frame
-// pair from the server's acceptance.
-func clientHandshake(conn net.Conn, codec wire.Codec) (framed, error) {
+// handshake runs one side of the wire handshake under handshakeTimeout
+// and builds the frame pair.
+func handshake(conn net.Conn, server bool) (framed, error) {
 	Register()
-	if codec == nil {
-		codec = wire.BinaryCodec()
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	var err error
+	if server {
+		_, err = wire.ServerHandshake(conn, conn, endpointID, Algo)
+	} else {
+		_, err = wire.ClientHandshake(conn, endpointID, Algo)
 	}
-	hello := append([]byte(handshakeMagic), byte(codec.ID()))
-	if _, err := conn.Write(hello); err != nil {
-		return framed{}, fmt.Errorf("session: handshake write: %w", err)
+	if err != nil {
+		return framed{}, fmt.Errorf("session: %w", err)
 	}
-	var accept [1]byte
-	if _, err := io.ReadFull(conn, accept[:]); err != nil {
-		return framed{}, fmt.Errorf("session: handshake read: %w", err)
-	}
-	got := sessionCodec(wire.CodecID(accept[0]))
-	if got == nil {
-		return framed{}, fmt.Errorf("session: server accepted unknown codec %d", accept[0])
-	}
+	_ = conn.SetDeadline(time.Time{})
 	bw := bufio.NewWriter(conn)
 	return framed{
-		enc: got.NewEncoder(bw, Algo),
-		dec: got.NewDecoder(bufio.NewReader(conn), Algo),
-		bw:  bw,
-	}, nil
-}
-
-// serverHandshake validates the magic, answers the codec proposal, and
-// builds the frame pair.
-func serverHandshake(conn net.Conn) (framed, error) {
-	Register()
-	var hello [5]byte
-	if _, err := io.ReadFull(conn, hello[:]); err != nil {
-		return framed{}, fmt.Errorf("session: handshake read: %w", err)
-	}
-	if string(hello[:4]) != handshakeMagic {
-		return framed{}, fmt.Errorf("session: bad handshake magic %q", hello[:4])
-	}
-	codec := sessionCodec(wire.CodecID(hello[4]))
-	if codec == nil {
-		codec = wire.GobCodec()
-	}
-	if _, err := conn.Write([]byte{byte(codec.ID())}); err != nil {
-		return framed{}, fmt.Errorf("session: handshake write: %w", err)
-	}
-	bw := bufio.NewWriter(conn)
-	return framed{
-		enc: codec.NewEncoder(bw, Algo),
-		dec: codec.NewDecoder(bufio.NewReader(conn), Algo),
+		enc: wire.BinaryCodec().NewEncoder(bw, Algo),
+		dec: wire.BinaryCodec().NewDecoder(bufio.NewReader(conn), Algo),
 		bw:  bw,
 	}, nil
 }

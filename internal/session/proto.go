@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tokenarbiter/internal/binenc"
+	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/wire"
 )
 
@@ -18,10 +19,10 @@ import (
 // Algo is the session protocol's wire registry name.
 const Algo = "session"
 
-// Register records the session message family with the wire registry.
-// It is idempotent; every Server, Client, and codec test calls it.
-func Register() {
-	wire.RegisterAlgorithm(Algo,
+// Messages returns one zero-value prototype of every session message,
+// in wire kind-id order.
+func Messages() []dme.Message {
+	return []dme.Message{
 		OpenReq{}, OpenResp{},
 		KeepAliveReq{}, KeepAliveResp{},
 		AcquireReq{}, AcquireResp{},
@@ -29,8 +30,12 @@ func Register() {
 		WatchReq{}, WatchResp{}, UnwatchReq{},
 		ByeReq{}, ByeResp{},
 		WatchEvent{}, SessionExpired{},
-	)
+	}
 }
+
+// Register records the session message family with the wire registry.
+// It is idempotent; every Server, Client, and codec test calls it.
+func Register() { wire.RegisterAlgorithm(Algo, Messages()...) }
 
 // Code is a response status.
 type Code uint8

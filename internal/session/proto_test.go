@@ -11,9 +11,9 @@ import (
 )
 
 // protoMessages is one exemplar per session message type with every
-// field populated, plus zero-value variants — the same differential
-// corpus style the algorithm codecs use: a binary round-trip must be
-// value-identical to a gob round-trip for each.
+// field populated, plus zero-value variants. (The differential check of
+// the layouts against the gob oracle lives with every other family's, in
+// internal/wire's TestCodecEquivalenceAllAlgorithms.)
 func protoMessages() []dme.Message {
 	return []dme.Message{
 		session.OpenReq{Seq: 1, TTLMillis: 15000},
@@ -39,51 +39,44 @@ func protoMessages() []dme.Message {
 	}
 }
 
-// roundTrip pushes msg through one codec's encoder/decoder pair.
-func roundTrip(t *testing.T, codec wire.Codec, msg dme.Message) dme.Message {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := codec.NewEncoder(&buf, session.Algo)
-	if err := enc.Encode(3, msg); err != nil {
-		t.Fatalf("%s encode %T: %v", codec.Name(), msg, err)
-	}
-	dec := codec.NewDecoder(&buf, session.Algo)
-	from, got, err := dec.Decode()
-	if err != nil {
-		t.Fatalf("%s decode %T: %v", codec.Name(), msg, err)
-	}
-	if from != 3 {
-		t.Fatalf("%s decode %T: from = %d, want 3", codec.Name(), msg, from)
-	}
-	return got
-}
-
-// TestProtoRoundTrip checks every session message survives both codecs
-// unchanged and that the two codecs agree on the decoded value.
+// TestProtoRoundTrip checks every session message survives the wire
+// unchanged.
 func TestProtoRoundTrip(t *testing.T) {
 	session.Register()
+	var pipe bytes.Buffer
+	enc := wire.BinaryCodec().NewEncoder(&pipe, session.Algo)
+	dec := wire.BinaryCodec().NewDecoder(&pipe, session.Algo)
 	for _, msg := range protoMessages() {
-		viaBinary := roundTrip(t, wire.BinaryCodec(), msg)
-		viaGob := roundTrip(t, wire.GobCodec(), msg)
-		if !reflect.DeepEqual(viaBinary, msg) {
-			t.Errorf("binary round-trip of %T:\n got %+v\nwant %+v", msg, viaBinary, msg)
+		if err := enc.Encode(3, msg); err != nil {
+			t.Fatalf("encode %T: %v", msg, err)
 		}
-		if !reflect.DeepEqual(viaGob, msg) {
-			t.Errorf("gob round-trip of %T:\n got %+v\nwant %+v", msg, viaGob, msg)
+		from, got, err := dec.Decode()
+		if err != nil {
+			t.Fatalf("decode %T: %v", msg, err)
 		}
-		if !reflect.DeepEqual(viaBinary, viaGob) {
-			t.Errorf("codecs disagree on %T: binary %+v, gob %+v", msg, viaBinary, viaGob)
+		if from != 3 || !reflect.DeepEqual(got, msg) {
+			t.Errorf("round-trip of %T:\n got (%d, %+v)\nwant (3, %+v)", msg, from, got, msg)
 		}
 	}
 }
 
-// TestProtoBinaryCapable: the session family must keep its binary fast
-// path — a new message type without AppendWire/UnmarshalWire would
-// silently demote every connection to gob.
+// TestProtoBinaryCapable: every message type the server or client can
+// send is in the registered family — Register would have panicked on one
+// without a layout, and an unregistered one fails its first Encode on a
+// live connection — and Messages lists one prototype of each.
 func TestProtoBinaryCapable(t *testing.T) {
 	session.Register()
-	if !wire.BinaryCapable(session.Algo) {
-		t.Fatal("session message family is not binary-capable")
+	kinds := map[string]bool{}
+	for _, proto := range session.Messages() {
+		kinds[proto.Kind()] = true
+	}
+	for _, msg := range protoMessages() {
+		if !kinds[msg.Kind()] {
+			t.Errorf("%T is not in session.Messages()", msg)
+		}
+	}
+	if len(kinds) != len(session.Messages()) {
+		t.Errorf("%d prototypes share %d kinds", len(session.Messages()), len(kinds))
 	}
 }
 

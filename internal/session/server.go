@@ -128,6 +128,7 @@ type serverMetrics struct {
 	invalidations *telemetry.Counter
 	lostGrants    *telemetry.Counter
 	slowCloses    *telemetry.Counter
+	hsRejects     *telemetry.Counter
 	active        *telemetry.Gauge
 	waiters       *telemetry.Gauge
 	connsActive   *telemetry.Gauge
@@ -214,6 +215,8 @@ func NewServer(cfg Config) (*Server, error) {
 				"releases of grants the backend no longer recognized (key restarted under the holder)"),
 			slowCloses: reg.Counter("session_slow_consumer_closes_total",
 				"connections dropped because their write queue overflowed"),
+			hsRejects: reg.Counter("session_handshake_rejects_total",
+				"connections refused at the wire handshake (not a session client, or one of another format version)"),
 			active: reg.Gauge("sessions_active",
 				"sessions currently leased"),
 			waiters: reg.Gauge("session_queue_waiters",
@@ -289,39 +292,36 @@ var ErrServerClosed = errors.New("session: server closed")
 // or when its write queue overflows. Sessions opened on it outlive it —
 // only the lease TTL ends a session whose connection died.
 func (s *Server) ServeConn(conn net.Conn) {
+	c := &srvConn{
+		s:    s,
+		conn: conn,
+		out:  make(chan respFrame, s.cfg.WriteQueue),
+		quit: make(chan struct{}),
+	}
+	// The connection is tracked before it has said anything, so Close
+	// reaches a dialer that never completes the handshake.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		_ = conn.Close()
 		return
 	}
+	s.conns[c] = struct{}{}
+	s.m.connsActive.Add(1)
 	s.wg.Add(1)
 	s.mu.Unlock()
 	go func() {
 		defer s.wg.Done()
-		fr, err := serverHandshake(conn)
+		fr, err := handshake(conn, true)
 		if err != nil {
-			s.logf("handshake failed", "err", err)
-			_ = conn.Close()
+			s.m.hsRejects.Inc()
+			s.logf("handshake refused", "remote", conn.RemoteAddr(), "err", err)
+			c.close()
+			s.dropConn(c)
 			return
 		}
-		c := &srvConn{
-			s:    s,
-			conn: conn,
-			fr:   fr,
-			out:  make(chan respFrame, s.cfg.WriteQueue),
-			quit: make(chan struct{}),
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[c] = struct{}{}
-		s.m.connsActive.Add(1)
+		c.fr = fr
 		s.wg.Add(1) // the writer; the reader runs on this goroutine
-		s.mu.Unlock()
 		go c.writeLoop()
 		c.readLoop()
 	}()

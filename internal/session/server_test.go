@@ -214,6 +214,27 @@ func ctxT(t *testing.T) context.Context {
 	return ctx
 }
 
+// TestCloseReachesSilentDialer: a connection is tracked from the moment
+// it is adopted, not from the end of its handshake, so Close closes a
+// dialer that never said hello and returns, instead of waiting behind a
+// read nobody will satisfy.
+func TestCloseReachesSilentDialer(t *testing.T) {
+	r := newRig(t, nil)
+	cli, srv := net.Pipe()
+	defer cli.Close() //nolint:errcheck
+	r.srv.ServeConn(srv)
+	done := make(chan struct{})
+	go func() {
+		_ = r.srv.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Close still blocked after 1 s behind a dialer that sent nothing")
+	}
+}
+
 // TestLeaseLifecycle drives lease grant, renewal, and expiry through a
 // step table on the fake clock — the timer re-arm path (a renewal
 // pushing the deadline past an already-armed timer) falls out of the

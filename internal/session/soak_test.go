@@ -21,15 +21,25 @@ import (
 	"tokenarbiter/internal/transport"
 )
 
-// soakRecorder opens a flight-recorder capture under $FLIGHTREC_DIR when
-// set (CI uploads a failing soak's capture as an artifact for offline
-// replay); unset, recording is off.
+// soakRecorder opens a flight-recorder capture of the soak, always: a
+// failure that happens one run in five must leave something to replay
+// (`mutexsim replay <capture>`). Under $FLIGHTREC_DIR when that is set —
+// CI sets it and uploads the directory when the job fails — else in a
+// temp dir that is removed when the test passes and named in the log
+// when it fails.
 func soakRecorder(t *testing.T, algo string, n int, name string) *reqtrace.Recorder {
 	dir := os.Getenv("FLIGHTREC_DIR")
 	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+		var err error
+		if dir, err = os.MkdirTemp("", "flightrec-"); err != nil {
+			t.Fatalf("flight recorder dir: %v", err)
+		}
+		t.Cleanup(func() {
+			if !t.Failed() {
+				_ = os.RemoveAll(dir)
+			}
+		})
+	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatalf("flight recorder dir %s: %v", dir, err)
 	}
 	path := filepath.Join(dir, name+".jsonl")
@@ -37,8 +47,12 @@ func soakRecorder(t *testing.T, algo string, n int, name string) *reqtrace.Recor
 	if err != nil {
 		t.Fatalf("flight recorder %s: %v", path, err)
 	}
-	t.Cleanup(func() { _ = rec.Close() })
-	t.Logf("flight recorder capturing to %s", path)
+	t.Cleanup(func() {
+		_ = rec.Close()
+		if t.Failed() {
+			t.Logf("flight-recorder capture of the failed run: %s", path)
+		}
+	})
 	return rec
 }
 

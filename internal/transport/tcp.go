@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -24,54 +23,42 @@ type TCPOptions struct {
 	// algorithm. NewTCPOpt registers the algorithm's wire types itself,
 	// and rejects names the registry does not know.
 	Algo string
-	// Codec selects the wire codecs this endpoint offers in connection
-	// handshakes: "" or "auto" offers the binary fast path (when the
-	// algorithm has binary layouts) with gob as fallback; "binary" or
-	// "gob" pins a single codec. Each connection negotiates the best
-	// codec both ends offer, so a pinned-gob node interoperates with
-	// auto peers — every connection to or from it just runs gob.
+	// Codec is a compile-compatibility field: there is one wire codec, so
+	// "", "auto" and "binary" all mean it and anything else is an error.
+	//
+	// Deprecated: leave it unset.
 	Codec string
-	// FlushDelay is how long a written envelope may wait for more
-	// traffic to share its syscall. Zero means senders flush inline —
-	// batching happens only when senders contend for the same
-	// connection, and an isolated message pays no added latency. A
-	// positive delay hands flushing to a per-connection goroutine that
-	// waits out the delay, trading latency for fewer, larger writes.
-	FlushDelay time.Duration
 	// DialTimeout bounds each outbound connection attempt, including
-	// the codec handshake; zero means 2 s.
+	// the handshake, and each inbound handshake; zero means 2 s.
 	DialTimeout time.Duration
-	// OnWireError, when non-nil, receives every inbound envelope error:
+	// OnWireError, when non-nil, receives every inbound frame error —
 	// *wire.MismatchError when a peer runs a different algorithm or wire
-	// format, *wire.DecodeError when a payload fails to decode. Called
-	// from receive goroutines; must be safe for concurrent use. The
-	// errors are also counted (see WireErrors) regardless.
+	// format, *wire.DecodeError when a frame fails to decode or names a
+	// sender other than the node its connection handshook as — and the
+	// error of every refused handshake (a plain error when the dialer is
+	// not a wire peer at all). Called from receive goroutines; must be
+	// safe for concurrent use. The errors are also counted (see
+	// WireErrors) regardless.
 	OnWireError func(error)
 }
 
 // TCPTransport moves protocol messages between cluster nodes over TCP.
 // One endpoint per process: it listens on its own address and dials
 // peers lazily, caching one outbound connection per peer and redialling
-// once on failure. Each connection negotiates its wire codec in a
-// handshake at setup (see package wire): the binary fast path when both
-// ends offer it, the gob fallback otherwise, and inbound connections
-// from builds that predate the handshake are served as implicit gob
-// streams. Outbound envelopes are buffered and coalesced: with a
-// timed FlushDelay a per-connection write goroutine batches a burst of
-// messages to one peer — the paper's T_req batch dispatch is exactly
-// such a burst — into few syscalls; with the default zero delay
-// senders flush inline and contending senders share flushes. Delivery is best-effort — if a peer is unreachable
-// the message is dropped, which the arbiter protocol tolerates by
-// design (§6 of the paper).
+// once on failure. Each connection opens with the wire handshake (see
+// package wire), which fixes the format version, the algorithm and the
+// two node ids for the connection's life. Outbound frames are buffered
+// and flushed by their sender; senders contending for one connection
+// share flushes — the paper's T_req batch dispatch is exactly such a
+// burst. Delivery is best-effort — if a peer is unreachable the message
+// is dropped, which the arbiter protocol tolerates by design (§6 of the
+// paper).
 type TCPTransport struct {
-	self   dme.NodeID
-	algo   string
-	codecs []wire.Codec
-	onErr  func(error)
-	addrs  map[dme.NodeID]string
-	ln     net.Listener
-
-	flushDelay time.Duration
+	self  dme.NodeID
+	algo  string
+	onErr func(error)
+	addrs map[dme.NodeID]string
+	ln    net.Listener
 
 	hmu     sync.RWMutex
 	handler Handler
@@ -86,8 +73,7 @@ type TCPTransport struct {
 	quit   chan struct{}
 	closed sync.Once
 
-	// Wire-byte totals (framed bytes incl. handshakes and, on gob
-	// connections, the per-connection type preamble), kept always — the
+	// Wire-byte totals (framed bytes incl. handshakes), kept always — the
 	// cost is one atomic add per I/O call.
 	bytesOut atomic.Uint64
 	bytesIn  atomic.Uint64
@@ -97,7 +83,7 @@ type TCPTransport struct {
 	frames  atomic.Uint64
 	flushes atomic.Uint64
 
-	// Inbound envelope rejections, by class.
+	// Inbound rejections, by class.
 	wireMismatches atomic.Uint64
 	wireDecodeErrs atomic.Uint64
 
@@ -109,10 +95,12 @@ type TCPTransport struct {
 // endpoint is configured for.
 func (t *TCPTransport) Algo() string { return t.algo }
 
-// WireErrors reports how many inbound envelopes were rejected: mismatches
-// (peer speaks another algorithm or wire version) and decode failures
-// (corrupted or unknown payloads). Nonzero mismatches almost always mean
-// the cluster was started with inconsistent -algo flags.
+// WireErrors reports how many inbound frames and handshakes were
+// rejected: mismatches (the peer speaks another algorithm or wire
+// version, or is not a wire peer at all) and decode failures (corrupted
+// or unknown payloads, frames from a sender other than the connection's).
+// Nonzero mismatches almost always mean the cluster was started with
+// inconsistent -algo flags.
 func (t *TCPTransport) WireErrors() (mismatches, decodeErrs uint64) {
 	return t.wireMismatches.Load(), t.wireDecodeErrs.Load()
 }
@@ -128,20 +116,6 @@ func (t *TCPTransport) WireBytes() (sent, received uint64) {
 // frames/flushes is the mean number of envelopes per syscall.
 func (t *TCPTransport) CoalesceStats() (frames, flushes uint64) {
 	return t.frames.Load(), t.flushes.Load()
-}
-
-// ConnCodecs reports the negotiated codec name of each live outbound
-// connection, keyed by peer id — introspection for tests and operators
-// verifying what a mixed-codec cluster actually negotiated. Connections
-// are dialed lazily, so a peer this node has never sent to is absent.
-func (t *TCPTransport) ConnCodecs() map[dme.NodeID]string {
-	t.cmu.Lock()
-	defer t.cmu.Unlock()
-	m := make(map[dme.NodeID]string, len(t.conns))
-	for id, oc := range t.conns {
-		m[id] = oc.codec
-	}
-	return m
 }
 
 // countingWriter and countingReader tap a connection's byte flow into an
@@ -168,42 +142,29 @@ func (cr countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// outConn is one established outbound connection: the negotiated
-// encoder writing into a buffered writer. With a positive FlushDelay
-// the buffer is drained by a dedicated flush goroutine (see
-// TCPTransport.flusher); with the zero delay senders flush inline
-// (see send). mu serializes encoder and buffer access between senders
-// and the flusher.
+// outConn is one established outbound connection: the encoder writing
+// into a buffered writer that senders flush themselves (see send). mu
+// serializes encoder and buffer access between senders.
 type outConn struct {
-	c     net.Conn
-	codec string
-
-	// inline is FlushDelay == 0: senders flush their own frames rather
-	// than waking a flusher goroutine, and no flusher is started.
-	inline  bool
+	c       net.Conn
 	flushes *atomic.Uint64
 
 	mu    sync.Mutex
 	bw    *bufio.Writer
-	enc   wire.Encoder
+	enc   *wire.Encoder
 	dirty bool
 	dead  bool
 
-	kick chan struct{}
-	done chan struct{}
 	once sync.Once
 }
 
-// send encodes one envelope into the connection's buffer and gets it
-// flushed. With a timed FlushDelay the actual syscall happens on the
-// flush goroutine, so a burst of sends coalesces while the previous
-// flush is still in flight. With the zero delay the sender flushes
-// inline instead: the token handoff is a strictly serialized chain of
-// single envelopes, and handing the syscall to another goroutine would
-// add a park/unpark to every hop for coalescing that never happens.
-// Dropping the lock between encode and flush keeps the batching that
-// does happen under contention — a sender that arrives while another
-// holds the flush finds dirty already cleared and skips its own.
+// send encodes one frame into the connection's buffer and flushes it
+// inline: the token handoff is a strictly serialized chain of single
+// frames, and handing the syscall to another goroutine would add a
+// park/unpark to every hop for coalescing that never happens. Dropping
+// the lock between encode and flush keeps the batching that does happen
+// under contention — a sender that arrives while another holds the flush
+// finds dirty already cleared and skips its own.
 func (oc *outConn) send(from dme.NodeID, msg dme.Message) error {
 	oc.mu.Lock()
 	if oc.dead {
@@ -217,13 +178,6 @@ func (oc *outConn) send(from dme.NodeID, msg dme.Message) error {
 	oc.mu.Unlock()
 	if err != nil {
 		return err
-	}
-	if !oc.inline {
-		select {
-		case oc.kick <- struct{}{}:
-		default:
-		}
-		return nil
 	}
 	oc.mu.Lock()
 	if oc.dirty {
@@ -240,15 +194,14 @@ func (oc *outConn) send(from dme.NodeID, msg dme.Message) error {
 // stalled peer cannot wedge teardown.
 const closeFlushTimeout = 250 * time.Millisecond
 
-// close tears the connection down exactly once, stopping its flusher.
-// It drains what is already buffered before closing: Close is not a
+// close tears the connection down exactly once. It drains what is
+// already buffered before closing: Close is not a
 // promise of delivery, but losing an encoded envelope for want of one
 // write would be gratuitous. The write deadline set first bounds both an
 // in-flight flush (so the mutex is acquirable) and the final one.
 func (oc *outConn) close() {
 	oc.once.Do(func() {
 		_ = oc.c.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
-		close(oc.done)
 		oc.mu.Lock()
 		if oc.dirty {
 			_ = oc.bw.Flush()
@@ -271,7 +224,7 @@ func NewTCP(self dme.NodeID, addrs map[dme.NodeID]string) (*TCPTransport, error)
 
 // NewTCPOpt is NewTCP with explicit options; use it to carry any
 // registered algorithm (the -algo seam of cmd/mutexnode and
-// cmd/mutexload) or to pin the wire codec (-codec).
+// cmd/mutexload).
 func NewTCPOpt(self dme.NodeID, addrs map[dme.NodeID]string, opts TCPOptions) (*TCPTransport, error) {
 	name := opts.Algo
 	if name == "" {
@@ -281,9 +234,10 @@ func NewTCPOpt(self dme.NodeID, addrs map[dme.NodeID]string, opts TCPOptions) (*
 	if err != nil {
 		return nil, fmt.Errorf("tcp: %w", err)
 	}
-	codecs, err := wire.CodecsFor(algo, opts.Codec)
-	if err != nil {
-		return nil, fmt.Errorf("tcp: %w", err)
+	switch opts.Codec {
+	case "", "auto", "binary":
+	default:
+		return nil, fmt.Errorf("tcp: unknown codec %q: the binary frame is the only wire codec (gob is gone); leave TCPOptions.Codec unset", opts.Codec)
 	}
 	addr, ok := addrs[self]
 	if !ok {
@@ -300,11 +254,9 @@ func NewTCPOpt(self dme.NodeID, addrs map[dme.NodeID]string, opts TCPOptions) (*
 	t := &TCPTransport{
 		self:        self,
 		algo:        algo,
-		codecs:      codecs,
 		onErr:       opts.OnWireError,
 		addrs:       addrs,
 		ln:          ln,
-		flushDelay:  opts.FlushDelay,
 		conns:       make(map[dme.NodeID]*outConn),
 		inbound:     make(map[net.Conn]struct{}),
 		quit:        make(chan struct{}),
@@ -373,46 +325,44 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		_ = conn.Close()
 	}()
 	br := bufio.NewReaderSize(countingReader{conn, &t.bytesIn}, 64<<10)
-	// Dispatch on the first bytes: a handshaking peer leads with the
-	// magic; a peer from a build that predates the handshake opens its
-	// gob envelope stream directly, and no gob stream begins with the
-	// magic (a first gob message that long starts with a multi-byte
-	// length marker), so such a connection is served as an implicit gob
-	// stream.
-	peek, err := br.Peek(len(wire.Magic))
+	// A dialer that connects and then says nothing, or something else
+	// entirely, costs this goroutine the dial budget, not its life.
+	_ = conn.SetDeadline(time.Now().Add(t.DialTimeout))
+	peer, err := wire.ServerHandshake(br, countingWriter{conn, &t.bytesOut}, int(t.self), t.algo)
 	if err != nil {
+		select {
+		case <-t.quit: // our own Close cut the handshake short
+		default:
+			t.wireMismatches.Add(1)
+			t.reportWireError(fmt.Errorf("tcp: handshake from %s refused: %w", conn.RemoteAddr(), err))
+		}
 		return
 	}
-	var codec wire.Codec
-	if bytes.Equal(peek, wire.Magic[:]) {
-		_, codec, err = wire.ServerHandshake(br, countingWriter{conn, &t.bytesOut}, int(t.self), t.algo, t.codecs)
-		if err != nil {
-			var mm *wire.MismatchError
-			if errors.As(err, &mm) {
-				t.wireMismatches.Add(1)
-			}
-			t.reportWireError(err)
-			return
-		}
-	} else {
-		codec = wire.GobCodec()
-	}
-	dec := codec.NewDecoder(br, t.algo)
+	_ = conn.SetDeadline(time.Time{})
+	dec := wire.BinaryCodec().NewDecoder(br, t.algo)
 	for {
 		from, msg, err := dec.Decode()
+		if err == nil && from != peer {
+			// The handshake bound this connection to one node; a frame
+			// claiming another sender is as undeliverable as a corrupt
+			// one, and like a corrupt one it costs the frame, not the
+			// connection.
+			err = &wire.DecodeError{From: from, Algo: t.algo, Kind: msg.Kind(),
+				Err: fmt.Errorf("sender %d on a connection that handshook as node %d", from, peer)}
+		}
 		if err != nil {
 			var mm *wire.MismatchError
 			var de *wire.DecodeError
 			switch {
 			case errors.As(err, &mm):
 				// The peer speaks another algorithm or wire format;
-				// every envelope on this connection will be rejected,
-				// so count it, surface it, and drop the connection.
+				// every frame on this connection will be rejected, so
+				// count it, surface it, and drop the connection.
 				t.wireMismatches.Add(1)
 				t.reportWireError(err)
 				return
 			case errors.As(err, &de):
-				// A single undecodable payload: the stream is still
+				// A single undeliverable frame: the stream is still
 				// aligned on a frame boundary, so skip the message and
 				// keep the connection.
 				t.wireDecodeErrs.Add(1)
@@ -444,8 +394,8 @@ func (t *TCPTransport) reportWireError(err error) {
 }
 
 // Send implements Transport. Self-sends loop back synchronously through
-// the handler; remote sends are buffered onto the peer's connection and
-// written by its flush goroutine.
+// the handler; remote sends are encoded onto the peer's connection and
+// flushed before Send returns.
 func (t *TCPTransport) Send(to dme.NodeID, msg dme.Message) error {
 	if to == t.self {
 		t.hmu.RLock()
@@ -496,10 +446,13 @@ func (t *TCPTransport) conn(to dme.NodeID) (*outConn, error) {
 	// The handshake shares the dial budget; a peer that accepts but
 	// never answers should fail the Send, not hang it.
 	_ = c.SetDeadline(time.Now().Add(t.DialTimeout))
-	codec, err := wire.ClientHandshake(struct {
+	peer, err := wire.ClientHandshake(struct {
 		io.Reader
 		io.Writer
-	}{countingReader{c, &t.bytesIn}, countingWriter{c, &t.bytesOut}}, int(t.self), t.algo, t.codecs)
+	}{countingReader{c, &t.bytesIn}, countingWriter{c, &t.bytesOut}}, int(t.self), t.algo)
+	if err == nil && peer != int(to) {
+		err = fmt.Errorf("node %d answered (check -peers: the address listed for node %d belongs to node %d)", peer, to, peer)
+	}
 	if err != nil {
 		_ = c.Close()
 		var mm *wire.MismatchError
@@ -513,59 +466,12 @@ func (t *TCPTransport) conn(to dme.NodeID) (*outConn, error) {
 	bw := bufio.NewWriterSize(countingWriter{c, &t.bytesOut}, 64<<10)
 	oc := &outConn{
 		c:       c,
-		codec:   codec.Name(),
-		inline:  t.flushDelay == 0,
 		flushes: &t.flushes,
 		bw:      bw,
-		enc:     codec.NewEncoder(bw, t.algo),
-		kick:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
+		enc:     wire.BinaryCodec().NewEncoder(bw, t.algo),
 	}
 	t.conns[to] = oc
-	if !oc.inline {
-		t.wg.Add(1)
-		go t.flusher(to, oc)
-	}
 	return oc, nil
-}
-
-// flusher drains one connection's write buffer when FlushDelay is
-// positive (with the zero delay senders flush inline and no flusher
-// runs). Senders encode into the buffer and kick; the flusher waits
-// out the delay and issues the syscall. While a flush is in flight,
-// further sends keep filling the buffer, so bursts batch into few
-// syscalls.
-func (t *TCPTransport) flusher(to dme.NodeID, oc *outConn) {
-	defer t.wg.Done()
-	for {
-		select {
-		case <-oc.kick:
-		case <-oc.done:
-			return
-		}
-		if d := t.flushDelay; d > 0 {
-			timer := time.NewTimer(d)
-			select {
-			case <-timer.C:
-			case <-oc.done:
-				timer.Stop()
-				return
-			}
-		}
-		oc.mu.Lock()
-		var err error
-		if oc.dirty {
-			t.flushes.Add(1)
-			err = oc.bw.Flush()
-			oc.dirty = false
-		}
-		oc.mu.Unlock()
-		if err != nil {
-			// The connection is gone; drop it so the next Send redials.
-			t.dropConn(to, oc)
-			return
-		}
-	}
 }
 
 func (t *TCPTransport) dropConn(to dme.NodeID, oc *outConn) {

@@ -2,10 +2,12 @@ package transport_test
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
+	"io"
 	"net"
+	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,9 +141,9 @@ func TestTCPClusterMutualExclusion(t *testing.T) {
 
 // TestTCPAlgorithmMismatch: two endpoints configured for different
 // algorithms must not exchange messages — the receiver rejects the
-// tagged envelope with a typed *wire.MismatchError, surfaces it through
+// tagged handshake with a typed *wire.MismatchError, surfaces it through
 // OnWireError, counts it, and drops the connection instead of feeding
-// gob garbage to the protocol.
+// garbage to the protocol.
 func TestTCPAlgorithmMismatch(t *testing.T) {
 	coreEnd, err := transport.NewTCPOpt(0, map[dme.NodeID]string{0: "127.0.0.1:0"},
 		transport.TCPOptions{Algo: "core"})
@@ -171,8 +173,8 @@ func TestTCPAlgorithmMismatch(t *testing.T) {
 	delivered := make(chan dme.Message, 1)
 	rayEnd.SetHandler(func(from dme.NodeID, msg dme.Message) { delivered <- msg })
 
-	// The mismatch surfaces at connection setup: the codec handshake is
-	// refused before any envelope flows, so the sender learns about the
+	// The mismatch surfaces at connection setup: the handshake is
+	// refused before any frame flows, so the sender learns about the
 	// misconfiguration immediately instead of talking into a dropped
 	// connection.
 	err = coreEnd.Send(1, core.Request{Entry: core.QEntry{Node: 0, Seq: 7}})
@@ -211,58 +213,164 @@ func TestTCPAlgorithmMismatch(t *testing.T) {
 	}
 }
 
-// TestTCPLegacyGobDialer emulates a peer from a build that predates the
-// codec handshake: it dials raw TCP and immediately opens a gob
-// Envelope stream, no hello. The acceptor must sniff the missing magic
-// and serve the connection as an implicit gob stream — the accept-side
-// interop guarantee that lets old builds talk to new ones.
-func TestTCPLegacyGobDialer(t *testing.T) {
-	algo, err := registry.RegisterWire(registry.Core)
+// rawPeer dials tr as a wire peer claiming node id self: the handshake
+// a TCPTransport would run, then an encoder on the bare connection.
+func rawPeer(t *testing.T, tr *transport.TCPTransport, self int) *wire.Encoder {
+	t.Helper()
+	conn, err := net.Dial("tcp", tr.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := transport.NewTCP(0, map[dme.NodeID]string{0: "127.0.0.1:0"})
+	t.Cleanup(func() { _ = conn.Close() })
+	if _, err := wire.ClientHandshake(conn, self, tr.Algo()); err != nil {
+		t.Fatalf("handshake as node %d: %v", self, err)
+	}
+	return wire.BinaryCodec().NewEncoder(conn, tr.Algo())
+}
+
+// TestTCPSpoofedSender: the handshake binds a connection to the node id
+// it stated. A frame on that connection claiming another sender is
+// counted and surfaced as a *wire.DecodeError and never reaches the
+// handler; the frames around it, and the connection, are unharmed.
+func TestTCPSpoofedSender(t *testing.T) {
+	errCh := make(chan error, 4)
+	tr, err := transport.NewTCPOpt(0, map[dme.NodeID]string{0: "127.0.0.1:0"},
+		transport.TCPOptions{OnWireError: func(err error) { errCh <- err }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close() //nolint:errcheck
-	got := make(chan dme.Message, 2)
-	tr.SetHandler(func(from dme.NodeID, msg dme.Message) {
-		if from == 9 {
-			got <- msg
-		}
-	})
+	type delivery struct {
+		from dme.NodeID
+		msg  dme.Message
+	}
+	got := make(chan delivery, 4)
+	tr.SetHandler(func(from dme.NodeID, msg dme.Message) { got <- delivery{from, msg} })
 
+	enc := rawPeer(t, tr, 9)
+	request := func(seq uint64) dme.Message { return core.Request{Entry: core.QEntry{Node: 9, Seq: seq}} }
+	for _, f := range []struct {
+		from int
+		seq  uint64
+	}{{9, 1}, {5, 2}, {9, 3}} {
+		if err := enc.Encode(f.from, request(f.seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, seq := range []uint64{1, 3} {
+		select {
+		case d := <-got:
+			if d.from != 9 || !reflect.DeepEqual(d.msg, request(seq)) {
+				t.Fatalf("delivered (%d, %#v), want node 9's request %d", d.from, d.msg, seq)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("request %d never arrived", seq)
+		}
+	}
+	select {
+	case err := <-errCh:
+		var de *wire.DecodeError
+		if !errors.As(err, &de) || de.From != 5 {
+			t.Fatalf("OnWireError got %T (%v), want a *wire.DecodeError from node 5", err, err)
+		}
+		if !strings.Contains(err.Error(), "node 9") {
+			t.Errorf("error %q does not name the connection's node", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("spoofed frame not surfaced")
+	}
+	if mm, de := tr.WireErrors(); mm != 0 || de != 1 {
+		t.Errorf("wire errors = %d mismatches, %d decode failures; want 0, 1", mm, de)
+	}
+	if len(got) != 0 || len(errCh) != 0 {
+		t.Errorf("%d extra deliveries, %d extra errors", len(got), len(errCh))
+	}
+}
+
+// TestTCPWrongNodeAnswers: a -peers list that gives one node another's
+// address fails the Send at the handshake, naming the node that was
+// meant and the node that answered, instead of feeding node 2's traffic
+// to node 1.
+func TestTCPWrongNodeAnswers(t *testing.T) {
+	a, err := transport.NewTCP(0, map[dme.NodeID]string{0: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close() //nolint:errcheck
+	b, err := transport.NewTCP(1, map[dme.NodeID]string{1: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close() //nolint:errcheck
+	delivered := make(chan dme.Message, 1)
+	b.SetHandler(func(_ dme.NodeID, msg dme.Message) { delivered <- msg })
+	a.SetPeers(map[dme.NodeID]string{0: a.Addr().String(), 2: b.Addr().String()})
+
+	err = a.Send(2, core.Probe{})
+	if err == nil {
+		t.Fatal("Send to node 2 succeeded against node 1's address")
+	}
+	for _, want := range []string{"node 2", "node 1", "-peers"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	select {
+	case msg := <-delivered:
+		t.Fatalf("node 1 was handed node 2's message: %#v", msg)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestTCPSilentDialer: the acceptor's handshake runs under the dial
+// budget, so a dialer that connects and says nothing is refused — closed,
+// counted once, surfaced once — instead of holding a goroutine forever.
+func TestTCPSilentDialer(t *testing.T) {
+	errCh := make(chan error, 2)
+	tr, err := transport.NewTCPOpt(0, map[dme.NodeID]string{0: "127.0.0.1:0"},
+		transport.TCPOptions{
+			DialTimeout: 100 * time.Millisecond,
+			OnWireError: func(err error) { errCh <- err },
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close() //nolint:errcheck
 	conn, err := net.Dial("tcp", tr.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck
-	enc := gob.NewEncoder(conn)
-	msgs := []dme.Message{
-		core.Request{Entry: core.QEntry{Node: 9, Seq: 1}},
-		wire.Wrap(core.Warning{Entry: core.QEntry{Node: 9, Seq: 2}}, wire.WithKey("orders")),
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("refusal %v, want a deadline error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("silent dialer never refused")
 	}
-	for _, m := range msgs {
-		env, err := wire.Seal(algo, 9, m)
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Errorf("read on the refused connection = %v, want EOF", err)
+	}
+	if mm, de := tr.WireErrors(); mm != 1 || de != 0 {
+		t.Errorf("wire errors = %d mismatches, %d decode failures; want 1, 0", mm, de)
+	}
+}
+
+// TestTCPCodecOption: TCPOptions.Codec is a compile-compatibility field;
+// every spelling of "the wire codec" is accepted and gob is an error
+// that says so.
+func TestTCPCodecOption(t *testing.T) {
+	for _, codec := range []string{"", "auto", "binary"} {
+		tr, err := transport.NewTCPOpt(0, map[dme.NodeID]string{0: "127.0.0.1:0"}, transport.TCPOptions{Codec: codec})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Codec %q: %v", codec, err)
 		}
-		if err := enc.Encode(&env); err != nil {
-			t.Fatalf("legacy encode: %v", err)
-		}
+		_ = tr.Close()
 	}
-	for i, want := range msgs {
-		select {
-		case msg := <-got:
-			if !reflect.DeepEqual(msg, want) {
-				t.Fatalf("message %d: %#v, want %#v", i, msg, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("legacy message %d never arrived", i)
-		}
-	}
-	if mm, de := tr.WireErrors(); mm != 0 || de != 0 {
-		t.Errorf("wire errors on a clean legacy stream: %d mismatches, %d decode failures", mm, de)
+	_, err := transport.NewTCPOpt(0, map[dme.NodeID]string{0: "127.0.0.1:0"}, transport.TCPOptions{Codec: "gob"})
+	if err == nil || !strings.Contains(err.Error(), "gob is gone") {
+		t.Errorf("Codec \"gob\": error %v, want one saying gob is gone", err)
 	}
 }

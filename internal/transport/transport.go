@@ -1,7 +1,7 @@
 // Package transport defines the message transport abstraction used by the
 // live runtime (internal/live), with two implementations: an in-process
 // channel-based network (chanmem.go) for tests, examples and single-
-// process deployments, and a TCP/gob network (tcp.go) for real clusters.
+// process deployments, and a TCP network (tcp.go) for real clusters.
 //
 // Cross-cutting layers compose over any base transport through the
 // Middleware API (middleware.go): Chain stacks decorators such as the

@@ -25,33 +25,10 @@ func benchToken() core.Privilege {
 	}
 }
 
-// BenchmarkSealOpenGob measures one full gob encode+decode of the token
-// through the envelope layer — the per-message serialization cost of the
-// gob fallback codec.
-func BenchmarkSealOpenGob(b *testing.B) {
-	algo, err := registry.RegisterWire(registry.Core)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := benchToken()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env, err := wire.Seal(algo, 2, msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := env.Open(algo); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSealOpenBinary measures one full binary encode+decode of the
-// same token through the codec API — the steady-state per-message cost
-// of the binary fast path, to set against BenchmarkSealOpenGob. The
-// encoder and decoder share one in-memory buffer, emulating one
-// connection's pipeline without a socket.
+// token through the codec — the steady-state per-message cost of the
+// wire format. The encoder and decoder share one in-memory buffer,
+// emulating one connection's pipeline without a socket.
 func BenchmarkSealOpenBinary(b *testing.B) {
 	algo, err := registry.RegisterWire(registry.Core)
 	if err != nil {

@@ -7,43 +7,37 @@ import (
 	"testing"
 
 	"tokenarbiter/internal/dme"
-	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/wire"
 )
 
-// FuzzCodecEquivalence is the differential fuzz target for the codec
-// API: arbitrary bytes are interpreted as one binary frame for one of
-// the registered algorithms (all eleven — the paper's arbiter and every
-// baseline — are registered, so the fuzzer reaches every message
-// layout). The decoder must never panic and must type every in-body
-// failure as *wire.MismatchError or *wire.DecodeError; and any frame it
-// does accept must re-encode and round-trip identically — at the
-// dme.Message level, wrappers included — through BOTH codecs, which is
-// the property that lets a binary node and a gob node share one
-// cluster.
+// FuzzCodecEquivalence is the differential fuzz target for the wire
+// codec: arbitrary bytes are interpreted as one frame for one of the
+// registered message families (the eleven algorithms — the paper's
+// arbiter and every baseline — and the session protocol, so the fuzzer
+// reaches every message layout). The decoder must never panic and must
+// type every in-body failure as *wire.MismatchError or
+// *wire.DecodeError; any frame it does accept must re-encode and
+// round-trip identically at the dme.Message level, wrappers included;
+// and the gob oracle, handed the same message value, must agree.
 //
 // The seed corpus holds a well-formed frame for every message type of
-// every algorithm (zero-valued and fully populated, keyed and traced)
-// plus a truncated and a bit-flipped variant of each, so even the
+// every family (zero-valued and fully populated, keyed and traced) plus
+// a truncated and a bit-flipped variant of each, so even the
 // -fuzztime=30s CI smoke run covers every layout's decode path.
 func FuzzCodecEquivalence(f *testing.F) {
 	var algos []string
-	for _, e := range registry.Entries() {
-		algo, err := registry.RegisterWire(e.Name)
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, fam := range families(f) {
 		algoIdx := byte(len(algos))
-		algos = append(algos, algo)
-		for _, proto := range e.Messages {
+		algos = append(algos, fam.algo)
+		for _, proto := range fam.msgs {
 			for _, msg := range []dme.Message{
 				proto,
 				wire.Wrap(filled(proto, 0x9e3779b97f4a7c15),
 					wire.WithKey("orders"), wire.WithTrace(9)),
 			} {
 				var buf bytes.Buffer
-				if err := wire.BinaryCodec().NewEncoder(&buf, algo).Encode(3, msg); err != nil {
-					f.Fatalf("%s %s: seed encode: %v", algo, msg.Kind(), err)
+				if err := wire.BinaryCodec().NewEncoder(&buf, fam.algo).Encode(3, msg); err != nil {
+					f.Fatalf("%s %s: seed encode: %v", fam.algo, msg.Kind(), err)
 				}
 				frame := buf.Bytes()
 				f.Add(algoIdx, append([]byte(nil), frame...))
@@ -74,7 +68,7 @@ func FuzzCodecEquivalence(f *testing.F) {
 		}
 
 		// The decoder vouched for this message: it must round-trip
-		// identically through both codecs.
+		// identically, and the oracle must agree on its value.
 		var bin bytes.Buffer
 		if err := wire.BinaryCodec().NewEncoder(&bin, algo).Encode(from, msg); err != nil {
 			t.Fatalf("re-encode binary %T: %v", msg, err)
@@ -86,17 +80,9 @@ func FuzzCodecEquivalence(f *testing.F) {
 		if bFrom != from || !reflect.DeepEqual(bMsg, msg) {
 			t.Fatalf("binary round trip:\n in: (%d, %#v)\nout: (%d, %#v)", from, msg, bFrom, bMsg)
 		}
-
-		var gob bytes.Buffer
-		if err := wire.GobCodec().NewEncoder(&gob, algo).Encode(from, msg); err != nil {
-			t.Fatalf("encode gob %T: %v", msg, err)
-		}
-		gFrom, gMsg, err := wire.GobCodec().NewDecoder(&gob, algo).Decode()
-		if err != nil {
-			t.Fatalf("decode gob %T: %v", msg, err)
-		}
-		if gFrom != from || !reflect.DeepEqual(gMsg, msg) {
-			t.Fatalf("codecs disagree:\nbinary: (%d, %#v)\n   gob: (%d, %#v)", from, msg, gFrom, gMsg)
+		inner, _, _ := wire.Unwrap(msg)
+		if want := gobRoundTrip(t, inner); !reflect.DeepEqual(inner, want) {
+			t.Fatalf("binary and the gob oracle disagree:\nbinary: %#v\n   gob: %#v", inner, want)
 		}
 	})
 }

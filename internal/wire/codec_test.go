@@ -11,8 +11,32 @@ import (
 	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/registry"
+	"tokenarbiter/internal/session"
 	"tokenarbiter/internal/wire"
 )
+
+// family is one wire message family: an algorithm name and a prototype
+// of every message registered under it.
+type family struct {
+	algo string
+	msgs []dme.Message
+}
+
+// families registers and returns every message family production puts
+// on a wire: the eleven registry algorithms and the session protocol.
+func families(t testing.TB) []family {
+	t.Helper()
+	var out []family
+	for _, e := range registry.Entries() {
+		algo, err := registry.RegisterWire(e.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, family{algo, e.Messages})
+	}
+	session.Register()
+	return append(out, family{session.Algo, session.Messages()})
+}
 
 // filled returns a copy of the prototype message with every exported
 // field set to a deterministic non-zero value derived from seed —
@@ -71,6 +95,24 @@ func encodeBinary(t *testing.T, algo string, from int, msg dme.Message) []byte {
 // decodeBinary decodes one binary frame.
 func decodeBinary(frame []byte, algo string) (int, dme.Message, error) {
 	return wire.BinaryCodec().NewDecoder(bytes.NewReader(frame), algo).Decode()
+}
+
+// roundTrip frames msg the way a connection does, decodes the frame back
+// and returns the message that arrives, having checked the sender id
+// and kind survived.
+func roundTrip(t *testing.T, algo string, from int, msg dme.Message) dme.Message {
+	t.Helper()
+	gotFrom, got, err := decodeBinary(encodeBinary(t, algo, from, msg), algo)
+	if err != nil {
+		t.Fatalf("decode %T: %v", msg, err)
+	}
+	if gotFrom != from {
+		t.Errorf("%T: from = %d, want %d", msg, gotFrom, from)
+	}
+	if got.Kind() != msg.Kind() {
+		t.Errorf("%T: Kind = %q, want %q", msg, got.Kind(), msg.Kind())
+	}
+	return got
 }
 
 // TestBinaryCodecRoundTrip drives a representative core message through
@@ -142,41 +184,32 @@ func TestBinaryEncoderStreams(t *testing.T) {
 }
 
 // TestCodecEquivalenceAllAlgorithms is the deterministic differential
-// check behind FuzzCodecEquivalence: for every registered algorithm and
-// every one of its message types, a zero-value and a fully populated
-// sample must decode to the same dme.Message through the binary codec
-// and through the gob codec.
+// check behind FuzzCodecEquivalence: for every message family and every
+// one of its message types, a zero-value and a fully populated sample
+// must come out of the binary codec exactly as they went in, and equal
+// to what the gob oracle makes of the same value.
 func TestCodecEquivalenceAllAlgorithms(t *testing.T) {
-	for _, e := range registry.Entries() {
-		t.Run(e.Name, func(t *testing.T) {
-			algo := register(t, e.Name)
-			for _, proto := range e.Messages {
-				for variant, msg := range map[string]dme.Message{
+	for _, fam := range families(t) {
+		t.Run(fam.algo, func(t *testing.T) {
+			for _, proto := range fam.msgs {
+				for variant, inner := range map[string]dme.Message{
 					"zero":   proto,
 					"filled": filled(proto, 0x9e3779b97f4a7c15),
 				} {
-					msg := wire.Wrap(msg, wire.WithKey("orders"), wire.WithTrace(7))
-					frame := encodeBinary(t, algo, 3, msg)
-					bFrom, bMsg, err := decodeBinary(frame, algo)
+					msg := wire.Wrap(inner, wire.WithKey("orders"), wire.WithTrace(7))
+					from, got, err := decodeBinary(encodeBinary(t, fam.algo, 3, msg), fam.algo)
 					if err != nil {
 						t.Fatalf("%s %s binary: %v", proto.Kind(), variant, err)
 					}
-					var buf bytes.Buffer
-					if err := wire.GobCodec().NewEncoder(&buf, algo).Encode(3, msg); err != nil {
-						t.Fatalf("%s %s gob encode: %v", proto.Kind(), variant, err)
+					if from != 3 {
+						t.Errorf("%s %s: from = %d, want 3", proto.Kind(), variant, from)
 					}
-					gFrom, gMsg, err := wire.GobCodec().NewDecoder(&buf, algo).Decode()
-					if err != nil {
-						t.Fatalf("%s %s gob decode: %v", proto.Kind(), variant, err)
+					if !reflect.DeepEqual(got, msg) {
+						t.Errorf("%s %s binary:\n in: %#v\nout: %#v", proto.Kind(), variant, msg, got)
 					}
-					if bFrom != 3 || gFrom != 3 {
-						t.Errorf("%s %s: from binary=%d gob=%d, want 3", proto.Kind(), variant, bFrom, gFrom)
-					}
-					if !reflect.DeepEqual(bMsg, msg) {
-						t.Errorf("%s %s binary:\n in: %#v\nout: %#v", proto.Kind(), variant, msg, bMsg)
-					}
-					if !reflect.DeepEqual(bMsg, gMsg) {
-						t.Errorf("%s %s codecs disagree:\nbinary: %#v\n   gob: %#v", proto.Kind(), variant, bMsg, gMsg)
+					gotInner, _, _ := wire.Unwrap(got)
+					if want := gobRoundTrip(t, inner); !reflect.DeepEqual(gotInner, want) {
+						t.Errorf("%s %s: binary and the gob oracle disagree:\nbinary: %#v\n   gob: %#v", proto.Kind(), variant, gotInner, want)
 					}
 				}
 			}
@@ -197,10 +230,7 @@ func TestBinaryDecoderTruncatedFrames(t *testing.T) {
 	frame := encodeBinary(t, algo, 2, msg)
 	body := frame[4:]
 	for cut := 1; cut < len(body); cut++ {
-		truncated := make([]byte, 4+cut)
-		binary.LittleEndian.PutUint32(truncated, uint32(cut))
-		copy(truncated[4:], body[:cut])
-		_, got, err := decodeBinary(truncated, algo)
+		_, got, err := decodeBinary(reframe(body[:cut]), algo)
 		if err == nil {
 			t.Fatalf("cut %d/%d: truncated frame decoded to %#v", cut, len(body), got)
 		}
@@ -218,13 +248,6 @@ func TestBinaryDecoderCorruptFrames(t *testing.T) {
 	register(t, "raymond")
 	valid := encodeBinary(t, algo, 2, core.Request{Entry: core.QEntry{Node: 2, Seq: 5}})
 
-	// reframe wraps a mutated body in a fresh consistent length prefix.
-	reframe := func(body []byte) []byte {
-		f := make([]byte, 4+len(body))
-		binary.LittleEndian.PutUint32(f, uint32(len(body)))
-		copy(f[4:], body)
-		return f
-	}
 	mutate := func(mut func(body []byte) []byte) []byte {
 		body := append([]byte(nil), valid[4:]...)
 		return reframe(mut(body))
@@ -317,43 +340,4 @@ func TestBinaryDecoderCorruptFrames(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestCodecsFor pins the -codec flag resolution: auto prefers binary
-// where possible, pinning is strict, and unknown names are rejected.
-func TestCodecsFor(t *testing.T) {
-	algo := register(t, registry.Core)
-	names := func(cs []wire.Codec) []string {
-		var out []string
-		for _, c := range cs {
-			out = append(out, c.Name())
-		}
-		return out
-	}
-	for _, sel := range []string{"", "auto"} {
-		cs, err := wire.CodecsFor(algo, sel)
-		if err != nil {
-			t.Fatalf("CodecsFor(%q, %q): %v", algo, sel, err)
-		}
-		if got := names(cs); !reflect.DeepEqual(got, []string{"binary", "gob"}) {
-			t.Errorf("CodecsFor(%q, %q) = %v", algo, sel, got)
-		}
-	}
-	cs, err := wire.CodecsFor(algo, "gob")
-	if err != nil || !reflect.DeepEqual(names(cs), []string{"gob"}) {
-		t.Errorf("CodecsFor(gob) = %v, %v", names(cs), err)
-	}
-	cs, err = wire.CodecsFor(algo, "binary")
-	if err != nil || !reflect.DeepEqual(names(cs), []string{"binary"}) {
-		t.Errorf("CodecsFor(binary) = %v, %v", names(cs), err)
-	}
-	if _, err := wire.CodecsFor("no-such-algo", "binary"); err == nil {
-		t.Error("pinning binary for an unregistered algorithm succeeded")
-	}
-	if cs, err := wire.CodecsFor("no-such-algo", "auto"); err != nil || !reflect.DeepEqual(names(cs), []string{"gob"}) {
-		t.Errorf("CodecsFor(unregistered, auto) = %v, %v; want the gob fallback", names(cs), err)
-	}
-	if _, err := wire.CodecsFor(algo, "json"); err == nil {
-		t.Error("unknown codec selection accepted")
-	}
 }

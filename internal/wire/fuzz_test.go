@@ -2,20 +2,20 @@ package wire_test
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tokenarbiter/internal/core"
-	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/wire"
 )
 
 // FuzzEnvelopeRoundTrip builds a Privilege from arbitrary bytes and
-// checks Seal/Open round-trips it exactly through a gob stream — the
-// property the TCP transport depends on for every token transfer.
+// checks the codec round-trips it exactly — the property the TCP
+// transport depends on for every token transfer.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
 	algo, err := registry.RegisterWire(registry.Core)
 	if err != nil {
@@ -38,30 +38,11 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 			Fence:     fence,
 			ToMonitor: toMon,
 		}
-		env, err := wire.Seal(algo, from, want)
-		if err != nil {
-			t.Fatalf("seal: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		var out wire.Envelope
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if out.From != from {
-			t.Fatalf("From %d → %d", from, out.From)
-		}
-		msg, err := out.Open(algo)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		got, ok := msg.(core.Privilege)
+		got, ok := roundTrip(t, algo, from, want).(core.Privilege)
 		if !ok {
-			t.Fatalf("payload type %T", msg)
+			t.Fatal("payload is not a core.Privilege")
 		}
-		// gob encodes empty slices and nil identically; normalize.
+		// An empty Q-list and a nil one are the same list; normalize.
 		if len(got.Q) == 0 && len(want.Q) == 0 {
 			got.Q, want.Q = nil, nil
 		}
@@ -73,50 +54,23 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 
 // FuzzKeyedEnvelopeRoundTrip drives arbitrary lock-key names — keys are
 // uninterpreted byte strings, so empty, very long, and non-UTF-8 names
-// must all survive — through the keyed Seal/Open path and checks the
-// multiplexing invariants: the key and inner message round-trip exactly,
-// and the payload stays byte-identical to the key-less encoding (the
-// property legacy interop rests on).
+// must all survive — through the codec and checks the multiplexing
+// invariants: the key and inner message round-trip exactly, and the
+// empty key is no key.
 func FuzzKeyedEnvelopeRoundTrip(f *testing.F) {
 	algo, err := registry.RegisterWire(registry.Core)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add([]byte(""), 0, uint64(0))                                 // empty key: legacy channel
+	f.Add([]byte(""), 0, uint64(0))                                 // empty key: the key-less channel
 	f.Add([]byte("orders"), 3, uint64(9))                           // everyday name
 	f.Add(bytes.Repeat([]byte("k"), 4096), 1, uint64(2))            // long
 	f.Add([]byte{0x80, 0xfe, 0xff, 0x00, 0xc3, 0x28}, 2, uint64(7)) // non-UTF-8, embedded NUL
 	f.Fuzz(func(t *testing.T, keyBytes []byte, from int, seq uint64) {
 		key := string(keyBytes)
 		inner := core.Request{Entry: core.QEntry{Node: from, Seq: seq}}
-		env, err := wire.Seal(algo, from, wire.Keyed{Key: key, Msg: inner})
-		if err != nil {
-			t.Fatalf("seal keyed %q: %v", key, err)
-		}
-		if env.Key != key {
-			t.Fatalf("envelope Key %q, want %q", env.Key, key)
-		}
-		bare, err := wire.Seal(algo, from, inner)
-		if err != nil {
-			t.Fatalf("seal bare: %v", err)
-		}
-		if !bytes.Equal(env.Payload, bare.Payload) {
-			t.Fatal("keyed payload differs from bare payload")
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		var out wire.Envelope
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		msg, err := out.Open(algo)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
+		msg := roundTrip(t, algo, from, wire.Keyed{Key: key, Msg: inner})
 		if key == "" {
-			// The empty key is the legacy key-less framing: bare message out.
 			if got, ok := msg.(core.Request); !ok || !reflect.DeepEqual(got, inner) {
 				t.Fatalf("empty key: got %#v, want bare %#v", msg, inner)
 			}
@@ -136,61 +90,27 @@ func FuzzKeyedEnvelopeRoundTrip(f *testing.F) {
 }
 
 // FuzzTracedEnvelopeRoundTrip drives arbitrary trace IDs — including 0
-// (the untraced convention) and all-bits-set — through the traced
-// Seal/Open path, alone and nested inside a Keyed wrapper, and checks
-// the propagation invariants: trace and inner message round-trip
-// exactly, the payload stays byte-identical to the untraced encoding
-// (the mixed-version interop property), and the wrapper nesting comes
-// back Keyed-outside-Traced.
+// (the untraced convention) and all-bits-set — through the codec, alone
+// and nested inside a Keyed wrapper, and checks the propagation
+// invariants: trace and inner message round-trip exactly and the
+// wrapper nesting comes back Keyed-outside-Traced.
 func FuzzTracedEnvelopeRoundTrip(f *testing.F) {
 	algo, err := registry.RegisterWire(registry.Core)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(uint64(0), []byte(""), 0, uint64(0))                // untraced, key-less legacy
+	f.Add(uint64(0), []byte(""), 0, uint64(0))                // untraced, key-less
 	f.Add(uint64(1<<40|1), []byte(""), 0, uint64(1))          // node 0 seq 1, single-lock channel
 	f.Add(uint64(17<<40|999), []byte("orders"), 3, uint64(9)) // traced and keyed
 	f.Add(^uint64(0), []byte{0x80, 0xfe, 0xff}, 2, uint64(7)) // hostile key, max trace
 	f.Fuzz(func(t *testing.T, trace uint64, keyBytes []byte, from int, seq uint64) {
 		key := string(keyBytes)
 		inner := core.Request{Entry: core.QEntry{Node: from, Seq: seq}}
-		var msg dme.Message = wire.Traced{Trace: trace, Msg: inner}
-		if trace == 0 {
-			msg = inner // Seal rejects nothing here, but 0 means untraced: seal bare
-		}
-		if key != "" {
-			msg = wire.Keyed{Key: key, Msg: msg}
-		}
-		env, err := wire.Seal(algo, from, msg)
-		if err != nil {
-			t.Fatalf("seal trace %#x key %q: %v", trace, key, err)
-		}
-		if env.Trace != trace || env.Key != key {
-			t.Fatalf("envelope Trace=%#x Key=%q, want %#x/%q", env.Trace, env.Key, trace, key)
-		}
-		bare, err := wire.Seal(algo, from, inner)
-		if err != nil {
-			t.Fatalf("seal bare: %v", err)
-		}
-		if !bytes.Equal(env.Payload, bare.Payload) {
-			t.Fatal("traced payload differs from bare payload")
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		var out wire.Envelope
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		got, err := out.Open(algo)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
+		got := roundTrip(t, algo, from, wire.Keyed{Key: key, Msg: wire.Traced{Trace: trace, Msg: inner}})
 		if key != "" {
 			k, ok := got.(wire.Keyed)
 			if !ok {
-				t.Fatalf("keyed envelope opened as %T", got)
+				t.Fatalf("keyed frame decoded as %T", got)
 			}
 			if k.Key != key {
 				t.Fatalf("key %q → %q", key, k.Key)
@@ -200,14 +120,12 @@ func FuzzTracedEnvelopeRoundTrip(f *testing.F) {
 		if trace != 0 {
 			tr, ok := got.(wire.Traced)
 			if !ok {
-				t.Fatalf("traced envelope opened as %T", got)
+				t.Fatalf("traced frame decoded as %T", got)
 			}
 			if tr.Trace != trace {
 				t.Fatalf("trace %#x → %#x", trace, tr.Trace)
 			}
 			got = tr.Msg
-		} else if _, traced := got.(wire.Traced); traced {
-			t.Fatalf("untraced envelope opened as Traced: %#v", got)
 		}
 		if req, ok := got.(core.Request); !ok || !reflect.DeepEqual(req, inner) {
 			t.Fatalf("inner %#v, want %#v", got, inner)
@@ -215,61 +133,79 @@ func FuzzTracedEnvelopeRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzEnvelopeOpen aims arbitrary — corrupted, truncated, legacy,
-// hostile — envelopes at Open and checks the receive-path contract the
-// TCP read loop depends on: Open never panics, and every failure is a
-// typed *wire.MismatchError or *wire.DecodeError (never a raw gob error,
-// never a success with a nil message).
+// FuzzEnvelopeOpen assembles a frame body field by field — version,
+// algorithm tag, kind id, sender, key and payload bytes, each arbitrary
+// — and aims it at the decoder: the structured complement of
+// FuzzCodecEquivalence's raw bytes, a header that parses around a
+// payload that may not. It checks the receive-path contract the TCP
+// read loop depends on: the decoder never panics, every failure is
+// exactly one of *wire.MismatchError and *wire.DecodeError, classified
+// in version → algorithm → payload order, and a success is never a nil
+// message.
 func FuzzEnvelopeOpen(f *testing.F) {
 	algo, err := registry.RegisterWire(registry.Core)
 	if err != nil {
 		f.Fatal(err)
 	}
-	valid, err := wire.Seal(algo, 1, wire.Keyed{Key: "orders", Msg: core.Request{Entry: core.QEntry{Node: 1, Seq: 2}}})
+	payload, err := core.Request{Entry: core.QEntry{Node: 1, Seq: 2}}.AppendWire(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	// Seeds: the valid keyed envelope, its key-less legacy shape, a
-	// truncated payload, garbage bytes, wrong version, and empty payload.
-	f.Add(valid.Version, valid.Algo, valid.From, valid.Kind, valid.Key, valid.Payload)
-	f.Add(valid.Version, valid.Algo, valid.From, valid.Kind, "", valid.Payload)
-	f.Add(valid.Version, valid.Algo, valid.From, valid.Kind, "orders", valid.Payload[:len(valid.Payload)/2])
-	f.Add(valid.Version, valid.Algo, 0, "REQUEST", "k", []byte{0xde, 0xad, 0xbe, 0xef})
-	f.Add(valid.Version+7, valid.Algo, 2, valid.Kind, "\x80\xff", valid.Payload)
-	f.Add(valid.Version, "no-such-algo", 3, valid.Kind, "k", []byte{})
-	f.Fuzz(func(t *testing.T, version int, envAlgo string, from int, kind, key string, payload []byte) {
-		env := wire.Envelope{
-			Version: version, Algo: envAlgo, From: from,
-			Kind: kind, Key: key, Payload: payload,
+	// Seeds: a valid keyed frame, its key-less shape, a truncated
+	// payload, garbage bytes, a wrong version, and a foreign algorithm
+	// with an empty payload.
+	f.Add(byte(wire.FormatVersion), algo, uint64(0), 1, "orders", payload)
+	f.Add(byte(wire.FormatVersion), algo, uint64(0), 1, "", payload)
+	f.Add(byte(wire.FormatVersion), algo, uint64(0), 1, "orders", payload[:len(payload)/2])
+	f.Add(byte(wire.FormatVersion), algo, uint64(2), 0, "k", []byte{0xde, 0xad, 0xbe, 0xef})
+	f.Add(byte(wire.FormatVersion+7), algo, uint64(0), 2, "\x80\xff", payload)
+	f.Add(byte(wire.FormatVersion), "no-such-algo", uint64(0), 3, "k", []byte{})
+	f.Fuzz(func(t *testing.T, version byte, frameAlgo string, kind uint64, from int, key string, payload []byte) {
+		if len(frameAlgo) > 0xff {
+			frameAlgo = frameAlgo[:0xff]
 		}
-		msg, err := env.Open(algo) // must not panic, whatever the input
+		var flags byte
+		if key != "" {
+			flags = 1
+		}
+		body := append([]byte{version, flags, byte(len(frameAlgo))}, frameAlgo...)
+		body = binary.AppendUvarint(body, kind)
+		body = binary.AppendVarint(body, int64(from))
+		if key != "" {
+			body = append(binary.AppendUvarint(body, uint64(len(key))), key...)
+		}
+		body = append(body, payload...)
+
+		gotFrom, msg, err := wire.BinaryCodec().NewDecoder(nil, algo).DecodeBody(body) // must not panic, whatever the input
 		if err != nil {
 			var mm *wire.MismatchError
 			var de *wire.DecodeError
-			if !errors.As(err, &mm) && !errors.As(err, &de) {
-				t.Fatalf("untyped error %T: %v", err, err)
+			isMM, isDE := errors.As(err, &mm), errors.As(err, &de)
+			if isMM == isDE {
+				t.Fatalf("error %T (%v) is not exactly one of mismatch and decode error", err, err)
 			}
-			if errors.As(err, &mm) && errors.As(err, &de) {
-				t.Fatalf("error is both a mismatch and a decode error: %v", err)
-			}
-			if mm != nil && mm.Error() == "" || de != nil && de.Error() == "" {
-				t.Fatal("typed error renders empty")
+			switch {
+			case version != wire.FormatVersion:
+				if !isMM || !strings.Contains(err.Error(), "version mismatch") {
+					t.Fatalf("wrong version reported as %v", err)
+				}
+			case frameAlgo != algo:
+				if !isMM || !strings.Contains(err.Error(), "algorithm mismatch") {
+					t.Fatalf("wrong algorithm reported as %v", err)
+				}
+			case !isDE:
+				t.Fatalf("matching version and algorithm reported as %v", err)
 			}
 			return
 		}
 		if msg == nil {
-			t.Fatal("Open returned (nil, nil)")
+			t.Fatal("DecodeBody returned (nil, nil)")
 		}
-		if key != "" {
-			k, ok := msg.(wire.Keyed)
-			if !ok {
-				t.Fatalf("keyed envelope opened as %T", msg)
-			}
-			if k.Key != key || k.Msg == nil {
-				t.Fatalf("keyed result %#v, want key %q and a non-nil inner message", k, key)
-			}
-		} else if _, ok := msg.(wire.Keyed); ok {
-			t.Fatalf("key-less envelope opened as Keyed: %#v", msg)
+		if gotFrom != from {
+			t.Fatalf("from %d → %d", from, gotFrom)
+		}
+		if k, ok := msg.(wire.Keyed); ok != (key != "") || ok && (k.Key != key || k.Msg == nil) {
+			t.Fatalf("key %q decoded as %#v", key, msg)
 		}
 	})
 }

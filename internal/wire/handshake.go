@@ -7,183 +7,131 @@ import (
 	"io"
 )
 
-// The codec handshake is one round trip at connection setup, before any
-// envelope flows. The dialer states its identity and what it can speak;
-// the acceptor picks the best common codec or rejects with a reason the
-// dialer can turn into the same typed errors a bad envelope would have
-// produced.
+// The handshake is one round trip at connection setup, before any frame
+// flows. The dialer states its identity, format version and algorithm;
+// the acceptor answers with its own, or rejects with a reason the dialer
+// can turn into the same typed error a bad frame would have produced.
 //
-//	hello (dialer → acceptor), 11+len(algo) bytes:
-//	  magic "TAW2" | version u8 | codec bitmask u8 |
-//	  node id i32 LE | algo length u8 | algo bytes
-//	reply (acceptor → dialer), 12+len(algo) bytes:
-//	  magic "TAW2" | status u8 | acceptor version u8 | codec id u8 |
-//	  node id i32 LE | algo length u8 | algo bytes
+//	hello (dialer → acceptor), 10+len(algo) bytes:
+//	  magic "TAW3" | version u8 | node id i32 LE | algo length u8 | algo bytes
+//	reply (acceptor → dialer), 11+len(algo) bytes:
+//	  magic "TAW3" | status u8 | version u8 | node id i32 LE |
+//	  algo length u8 | algo bytes
 //
-// The magic doubles as the acceptor's dispatch byte sequence: a peer
-// from a build that predates the handshake opens its gob envelope stream
-// immediately, and no gob stream of ours begins with "TAW2", so an
-// acceptor that peeks the first four bytes can serve both — handshaking
-// dialers get negotiation, legacy dialers get an implicit gob stream.
-// (A new dialer cannot reach a legacy acceptor, which will reject the
-// hello as a broken gob stream; interop with old builds is accept-side
-// only.)
+// The magic is what refuses a stranger — an HTTP client, a port scanner,
+// a build from before the single-codec format (those said "TAW2" or
+// opened a gob stream) — at the first four bytes instead of mis-parsing
+// it.
 
-// Magic is the first four bytes of every handshake, distinguishing a
-// negotiating peer from a legacy gob stream.
-var Magic = [4]byte{'T', 'A', 'W', '2'}
+// Magic is the first four bytes of every hello and reply.
+var Magic = [4]byte{'T', 'A', 'W', '3'}
 
 // Handshake reply statuses.
 const (
 	hsOK              = 0
 	hsVersionMismatch = 1
 	hsAlgoMismatch    = 2
-	hsNoCommonCodec   = 3
 )
 
-func codecMask(codecs []Codec) byte {
-	var mask byte
-	for _, c := range codecs {
-		mask |= 1 << c.ID()
-	}
-	return mask
+// appendIdentity appends the version | node id | algo tail both handshake
+// messages end with.
+func appendIdentity(b []byte, self int, algo string) []byte {
+	b = append(b, FormatVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(int32(self)))
+	b = append(b, byte(len(algo)))
+	return append(b, algo...)
 }
 
-func pickCodec(mask byte, offered []Codec) Codec {
-	var best Codec
-	for _, c := range offered {
-		if mask&(1<<c.ID()) == 0 {
-			continue
-		}
-		if best == nil || c.ID() > best.ID() {
-			best = c
-		}
+// readMessage reads one handshake message in two reads: its fixed part —
+// the magic, whatever the caller's buffer leaves room for after it (a
+// reply's status), and the six fixed bytes of the identity tail — then
+// the algorithm name. what names the message in errors.
+func readMessage(r io.Reader, what string, fixed []byte) (version, peer int, algo string, err error) {
+	if _, err := io.ReadFull(r, fixed); err != nil {
+		return 0, -1, "", fmt.Errorf("wire: read handshake %s: %w", what, err)
 	}
-	return best
+	if !bytes.Equal(fixed[:4], Magic[:]) {
+		return 0, -1, "", fmt.Errorf("wire: peer is not a wire endpoint of this format (%s began %q, want %q)", what, fixed[:4], Magic[:])
+	}
+	tail := fixed[len(fixed)-6:]
+	peer = int(int32(binary.LittleEndian.Uint32(tail[1:5])))
+	name := make([]byte, tail[5])
+	if _, err := io.ReadFull(r, name); err != nil {
+		return 0, peer, "", fmt.Errorf("wire: read handshake %s: %w", what, err)
+	}
+	return int(tail[0]), peer, string(name), nil
 }
 
-// ClientHandshake runs the dialer's half of the codec negotiation on a
-// fresh connection and returns the codec both sides agreed on. A version
-// or algorithm rejection from the acceptor comes back as *MismatchError
-// — the same type a mismatched envelope produces — so the transport's
-// existing mismatch accounting covers handshake failures too.
-func ClientHandshake(rw io.ReadWriter, self int, algo string, offer []Codec) (Codec, error) {
+// ClientHandshake runs the dialer's half of the handshake on a fresh
+// connection and returns the acceptor's node id. A version or algorithm
+// rejection from the acceptor comes back as *MismatchError — the same
+// type a mismatched frame produces — so the transport's mismatch
+// accounting covers handshake failures too.
+func ClientHandshake(rw io.ReadWriter, self int, algo string) (peer int, err error) {
 	if len(algo) == 0 || len(algo) > 0xff {
-		return nil, fmt.Errorf("wire: handshake algorithm name %q must be 1..255 bytes", algo)
+		return -1, fmt.Errorf("wire: handshake algorithm name %q must be 1..255 bytes", algo)
 	}
-	if len(offer) == 0 {
-		return nil, fmt.Errorf("wire: handshake with no codecs to offer")
-	}
-	hello := make([]byte, 0, 11+len(algo))
-	hello = append(hello, Magic[:]...)
-	hello = append(hello, FormatVersion, codecMask(offer))
-	hello = binary.LittleEndian.AppendUint32(hello, uint32(int32(self)))
-	hello = append(hello, byte(len(algo)))
-	hello = append(hello, algo...)
+	hello := append(make([]byte, 0, 10+len(algo)), Magic[:]...)
+	hello = appendIdentity(hello, self, algo)
 	if _, err := rw.Write(hello); err != nil {
-		return nil, fmt.Errorf("wire: send handshake: %w", err)
+		return -1, fmt.Errorf("wire: send handshake: %w", err)
 	}
 
-	var fixed [12]byte
-	if _, err := io.ReadFull(rw, fixed[:]); err != nil {
-		return nil, fmt.Errorf("wire: read handshake reply: %w", err)
+	var fixed [11]byte // magic | status | identity
+	peerVersion, peer, peerAlgo, err := readMessage(rw, "reply", fixed[:])
+	if err != nil {
+		return peer, err
 	}
-	if !bytes.Equal(fixed[:4], Magic[:]) {
-		return nil, fmt.Errorf("wire: peer is not a handshaking wire endpoint (bad magic %q)", fixed[:4])
-	}
-	status := fixed[4]
-	peerVersion := int(fixed[5])
-	codecID := CodecID(fixed[6])
-	peer := int(int32(binary.LittleEndian.Uint32(fixed[7:11])))
-	peerAlgo := make([]byte, fixed[11])
-	if _, err := io.ReadFull(rw, peerAlgo); err != nil {
-		return nil, fmt.Errorf("wire: read handshake reply: %w", err)
-	}
-	switch status {
+	switch status := fixed[4]; status {
 	case hsOK:
-		for _, c := range offer {
-			if c.ID() == codecID {
-				return c, nil
-			}
-		}
-		return nil, fmt.Errorf("wire: peer %d chose codec id %d we never offered", peer, codecID)
-	case hsVersionMismatch:
-		return nil, &MismatchError{
+		return peer, nil
+	case hsVersionMismatch, hsAlgoMismatch:
+		return peer, &MismatchError{
 			From:          peer,
 			LocalAlgo:     algo,
-			RemoteAlgo:    string(peerAlgo),
+			RemoteAlgo:    peerAlgo,
 			LocalVersion:  FormatVersion,
 			RemoteVersion: peerVersion,
 		}
-	case hsAlgoMismatch:
-		return nil, &MismatchError{
-			From:          peer,
-			LocalAlgo:     algo,
-			RemoteAlgo:    string(peerAlgo),
-			LocalVersion:  FormatVersion,
-			RemoteVersion: peerVersion,
-		}
-	case hsNoCommonCodec:
-		return nil, fmt.Errorf("wire: no codec in common with node %d running %q", peer, peerAlgo)
+	default:
+		return peer, fmt.Errorf("wire: peer %d sent unknown handshake status %d", peer, status)
 	}
-	return nil, fmt.Errorf("wire: peer %d sent unknown handshake status %d", peer, status)
 }
 
-// ServerHandshake runs the acceptor's half of the negotiation: it reads
-// the dialer's hello from r (which the caller has already matched
-// against Magic), replies on w, and returns the dialer's node id with
-// the chosen codec. On a rejected hello it writes the refusal before
-// returning *MismatchError (version or algorithm) or a plain error (no
-// common codec); the caller drops the connection either way.
-func ServerHandshake(r io.Reader, w io.Writer, self int, algo string, offer []Codec) (int, Codec, error) {
-	var fixed [11]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return -1, nil, fmt.Errorf("wire: read handshake hello: %w", err)
-	}
-	if !bytes.Equal(fixed[:4], Magic[:]) {
-		return -1, nil, fmt.Errorf("wire: handshake hello has bad magic %q", fixed[:4])
-	}
-	peerVersion := int(fixed[4])
-	mask := fixed[5]
-	peer := int(int32(binary.LittleEndian.Uint32(fixed[6:10])))
-	peerAlgo := make([]byte, fixed[10])
-	if _, err := io.ReadFull(r, peerAlgo); err != nil {
-		return peer, nil, fmt.Errorf("wire: read handshake hello: %w", err)
+// ServerHandshake runs the acceptor's half: it reads the dialer's hello
+// from r, replies on w, and returns the dialer's node id. A hello that
+// does not begin with Magic is refused unanswered (the dialer is not a
+// wire peer and would not understand a reply); a version or algorithm
+// disagreement is answered with the refusal before *MismatchError is
+// returned. The caller drops the connection on any error.
+func ServerHandshake(r io.Reader, w io.Writer, self int, algo string) (peer int, err error) {
+	var fixed [10]byte // magic | identity
+	peerVersion, peer, peerAlgo, err := readMessage(r, "hello", fixed[:])
+	if err != nil {
+		return peer, err
 	}
 
-	reply := func(status byte, codec CodecID) error {
-		buf := make([]byte, 0, 12+len(algo))
-		buf = append(buf, Magic[:]...)
-		buf = append(buf, status, FormatVersion, byte(codec))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(self)))
-		buf = append(buf, byte(len(algo)))
-		buf = append(buf, algo...)
-		_, err := w.Write(buf)
-		return err
+	status := byte(hsOK)
+	switch {
+	case peerVersion != FormatVersion:
+		status = hsVersionMismatch
+	case peerAlgo != algo:
+		status = hsAlgoMismatch
 	}
-
-	mismatch := &MismatchError{
-		From:          peer,
-		LocalAlgo:     algo,
-		RemoteAlgo:    string(peerAlgo),
-		LocalVersion:  FormatVersion,
-		RemoteVersion: peerVersion,
+	reply := append(make([]byte, 0, 11+len(algo)), Magic[:]...)
+	reply = appendIdentity(append(reply, status), self, algo)
+	_, werr := w.Write(reply)
+	if status != hsOK {
+		return peer, &MismatchError{
+			From:          peer,
+			LocalAlgo:     algo,
+			RemoteAlgo:    peerAlgo,
+			LocalVersion:  FormatVersion,
+			RemoteVersion: peerVersion,
+		}
 	}
-	if peerVersion != FormatVersion {
-		_ = reply(hsVersionMismatch, 0)
-		return peer, nil, mismatch
+	if werr != nil {
+		return peer, fmt.Errorf("wire: send handshake reply: %w", werr)
 	}
-	if string(peerAlgo) != algo {
-		_ = reply(hsAlgoMismatch, 0)
-		return peer, nil, mismatch
-	}
-	codec := pickCodec(mask, offer)
-	if codec == nil {
-		_ = reply(hsNoCommonCodec, 0)
-		return peer, nil, fmt.Errorf("wire: no codec in common with node %d (peer mask %#x)", peer, mask)
-	}
-	if err := reply(hsOK, codec.ID()); err != nil {
-		return peer, nil, fmt.Errorf("wire: send handshake reply: %w", err)
-	}
-	return peer, codec, nil
+	return peer, nil
 }

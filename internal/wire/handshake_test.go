@@ -1,7 +1,6 @@
 package wire_test
 
 import (
-	"encoding/binary"
 	"errors"
 	"net"
 	"strings"
@@ -11,9 +10,10 @@ import (
 	"tokenarbiter/internal/wire"
 )
 
-// runHandshake drives both halves of the negotiation over an in-memory
-// pipe and returns each side's outcome.
-func runHandshake(t *testing.T, clientAlgo, serverAlgo string, clientOffer, serverOffer []wire.Codec) (client wire.Codec, clientErr error, peer int, server wire.Codec, serverErr error) {
+// runHandshake drives both halves of the handshake over an in-memory
+// pipe, the dialer as node 3 and the acceptor as node 7, and returns
+// what each side learned.
+func runHandshake(t *testing.T, clientAlgo, serverAlgo string) (acceptor int, clientErr error, dialer int, serverErr error) {
 	t.Helper()
 	c, s := net.Pipe()
 	defer c.Close()
@@ -21,44 +21,24 @@ func runHandshake(t *testing.T, clientAlgo, serverAlgo string, clientOffer, serv
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		peer, server, serverErr = wire.ServerHandshake(s, s, 7, serverAlgo, serverOffer)
+		dialer, serverErr = wire.ServerHandshake(s, s, 7, serverAlgo)
 	}()
-	client, clientErr = wire.ClientHandshake(c, 3, clientAlgo, clientOffer)
+	acceptor, clientErr = wire.ClientHandshake(c, 3, clientAlgo)
 	<-done
 	return
 }
 
-// TestHandshakeNegotiation pins codec selection: the acceptor picks the
-// highest codec id both sides offer, and either side pinning gob forces
-// the connection to gob.
-func TestHandshakeNegotiation(t *testing.T) {
+// TestHandshakeExchangesIdentity: peers that agree on version and
+// algorithm each come away with the other's node id — what the
+// transport binds the connection to.
+func TestHandshakeExchangesIdentity(t *testing.T) {
 	algo := register(t, registry.Core)
-	both := []wire.Codec{wire.BinaryCodec(), wire.GobCodec()}
-	gobOnly := []wire.Codec{wire.GobCodec()}
-	cases := []struct {
-		name        string
-		clientOffer []wire.Codec
-		serverOffer []wire.Codec
-		want        string
-	}{
-		{"auto both sides picks binary", both, both, "binary"},
-		{"gob-pinned dialer", gobOnly, both, "gob"},
-		{"gob-pinned acceptor", both, gobOnly, "gob"},
-		{"offer order is irrelevant", []wire.Codec{wire.GobCodec(), wire.BinaryCodec()}, both, "binary"},
+	acceptor, clientErr, dialer, serverErr := runHandshake(t, algo, algo)
+	if clientErr != nil || serverErr != nil {
+		t.Fatalf("client err %v, server err %v", clientErr, serverErr)
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			client, clientErr, peer, server, serverErr := runHandshake(t, algo, algo, c.clientOffer, c.serverOffer)
-			if clientErr != nil || serverErr != nil {
-				t.Fatalf("client err %v, server err %v", clientErr, serverErr)
-			}
-			if client.Name() != c.want || server.Name() != c.want {
-				t.Errorf("negotiated client=%s server=%s, want %s", client.Name(), server.Name(), c.want)
-			}
-			if peer != 3 {
-				t.Errorf("server saw peer %d, want 3", peer)
-			}
-		})
+	if acceptor != 7 || dialer != 3 {
+		t.Errorf("dialer saw node %d (want 7), acceptor saw node %d (want 3)", acceptor, dialer)
 	}
 }
 
@@ -68,14 +48,13 @@ func TestHandshakeNegotiation(t *testing.T) {
 func TestHandshakeAlgorithmMismatch(t *testing.T) {
 	register(t, registry.Core)
 	register(t, "raymond")
-	offer := []wire.Codec{wire.BinaryCodec(), wire.GobCodec()}
-	_, clientErr, _, _, serverErr := runHandshake(t, "core", "raymond", offer, offer)
+	_, clientErr, _, serverErr := runHandshake(t, "core", "raymond")
 
 	var mm *wire.MismatchError
 	if !errors.As(clientErr, &mm) {
 		t.Fatalf("client error %T (%v), want *wire.MismatchError", clientErr, clientErr)
 	}
-	if mm.LocalAlgo != "core" || mm.RemoteAlgo != "raymond" {
+	if mm.LocalAlgo != "core" || mm.RemoteAlgo != "raymond" || mm.From != 7 {
 		t.Errorf("client mismatch %+v", mm)
 	}
 	if !errors.As(serverErr, &mm) {
@@ -86,55 +65,66 @@ func TestHandshakeAlgorithmMismatch(t *testing.T) {
 	}
 }
 
-// TestHandshakeNoCommonCodec pins the disjoint-offer refusal on both
-// sides.
-func TestHandshakeNoCommonCodec(t *testing.T) {
-	algo := register(t, registry.Core)
-	_, clientErr, _, _, serverErr := runHandshake(t, algo, algo,
-		[]wire.Codec{wire.BinaryCodec()}, []wire.Codec{wire.GobCodec()})
-	if clientErr == nil || serverErr == nil {
-		t.Fatalf("disjoint offers succeeded: client %v, server %v", clientErr, serverErr)
-	}
-	var mm *wire.MismatchError
-	if errors.As(clientErr, &mm) || errors.As(serverErr, &mm) {
-		t.Errorf("no-common-codec misreported as a mismatch: client %v, server %v", clientErr, serverErr)
-	}
-	if !strings.Contains(clientErr.Error(), "no codec in common") {
-		t.Errorf("client error %q", clientErr)
-	}
+// craftedHello plays a hand-written hello at an acceptor and returns the
+// acceptor's error and whatever it answered.
+func craftedHello(t *testing.T, algo string, hello []byte) (serverErr error, reply []byte) {
+	t.Helper()
+	c, s := net.Pipe()
+	defer c.Close()
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := wire.ServerHandshake(s, s, 7, algo)
+		s.Close()
+		errCh <- err
+	}()
+	_, _ = c.Write(hello) // an acceptor that refuses early stops reading mid-hello
+	reply = make([]byte, 64)
+	n, _ := c.Read(reply)
+	return <-errCh, reply[:n]
 }
 
 // TestHandshakeVersionMismatch hand-crafts a hello from a build one
 // format generation ahead and checks the acceptor refuses it as a
-// *wire.MismatchError carrying both versions.
+// *wire.MismatchError carrying both versions, having answered with a
+// refusal the dialer can read.
 func TestHandshakeVersionMismatch(t *testing.T) {
 	algo := register(t, registry.Core)
-	c, s := net.Pipe()
-	defer c.Close()
-	defer s.Close()
-	errCh := make(chan error, 1)
-	go func() {
-		_, _, err := wire.ServerHandshake(s, s, 7, algo, []wire.Codec{wire.GobCodec()})
-		errCh <- err
-	}()
 	hello := append([]byte{}, wire.Magic[:]...)
-	hello = append(hello, wire.FormatVersion+1, 1<<wire.CodecGob)
-	hello = binary.LittleEndian.AppendUint32(hello, 3)
-	hello = append(hello, byte(len(algo)))
+	hello = append(hello, wire.FormatVersion+1, 3, 0, 0, 0, byte(len(algo)))
 	hello = append(hello, algo...)
-	if _, err := c.Write(hello); err != nil {
-		t.Fatal(err)
-	}
-	// The acceptor still answers with a refusal the dialer can read.
-	reply := make([]byte, 12+len(algo))
-	if _, err := c.Read(reply); err != nil {
-		t.Fatalf("read refusal: %v", err)
-	}
+	err, reply := craftedHello(t, algo, hello)
 	var mm *wire.MismatchError
-	if err := <-errCh; !errors.As(err, &mm) {
+	if !errors.As(err, &mm) {
 		t.Fatalf("server error %T (%v), want *wire.MismatchError", err, err)
 	}
-	if mm.RemoteVersion != wire.FormatVersion+1 || mm.LocalVersion != wire.FormatVersion {
+	if mm.RemoteVersion != wire.FormatVersion+1 || mm.LocalVersion != wire.FormatVersion || mm.From != 3 {
 		t.Errorf("mismatch %+v", mm)
+	}
+	if len(reply) != 11+len(algo) || string(reply[:4]) != string(wire.Magic[:]) || reply[4] == 0 {
+		t.Errorf("refusal %q is not a magic-led non-OK reply", reply)
+	}
+}
+
+// TestHandshakeRefusesOldMagic: a hello from the build before this
+// format ("TAW2", with a codec bitmask this build would mis-parse as
+// part of the node id) is refused at the magic, unanswered, with an
+// error that shows what arrived.
+func TestHandshakeRefusesOldMagic(t *testing.T) {
+	algo := register(t, registry.Core)
+	hello := append([]byte("TAW2"), wire.FormatVersion, 0b110, 3, 0, 0, 0, byte(len(algo)))
+	hello = append(hello, algo...)
+	err, reply := craftedHello(t, algo, hello)
+	if err == nil {
+		t.Fatal("acceptor took a TAW2 hello")
+	}
+	var mm *wire.MismatchError
+	if errors.As(err, &mm) {
+		t.Errorf("a stranger was typed as a wire peer: %v", err)
+	}
+	if !strings.Contains(err.Error(), "TAW2") || !strings.Contains(err.Error(), "TAW3") {
+		t.Errorf("error %q does not show both magics", err)
+	}
+	if len(reply) != 0 {
+		t.Errorf("acceptor answered a stranger with %q", reply)
 	}
 }

@@ -2,7 +2,6 @@ package wire_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,10 +22,10 @@ func TestKeyedRoundTrip(t *testing.T) {
 		"sp ace\nnew\tline\"quote\\_", // exposition-hostile bytes
 	}
 	for _, key := range keys {
-		out := sealOpen(t, algo, 2, wire.Keyed{Key: key, Msg: inner})
+		out := roundTrip(t, algo, 2, wire.Keyed{Key: key, Msg: inner})
 		k, ok := out.(wire.Keyed)
 		if !ok {
-			t.Fatalf("key %q: Open returned %T, want wire.Keyed", key, out)
+			t.Fatalf("key %q: Decode returned %T, want wire.Keyed", key, out)
 		}
 		if k.Key != key {
 			t.Errorf("key round trip: %q → %q", key, k.Key)
@@ -37,115 +36,37 @@ func TestKeyedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestKeyedEmptyKeyIsLegacy pins the "" convention: sealing a Keyed with
-// the empty key produces a key-less envelope, and Open returns the bare
-// message — the legacy single-lock framing, not a Keyed wrapper.
+// TestKeyedEmptyKeyIsLegacy pins the "" convention: encoding a Keyed
+// with the empty key produces a key-less frame — byte for byte the bare
+// message's — and Decode returns the bare message, not a Keyed wrapper.
 func TestKeyedEmptyKeyIsLegacy(t *testing.T) {
 	algo := register(t, registry.Core)
 	inner := core.Probe{}
-	out := sealOpen(t, algo, 0, wire.Keyed{Key: "", Msg: inner})
+	out := roundTrip(t, algo, 0, wire.Keyed{Key: "", Msg: inner})
 	if _, keyed := out.(wire.Keyed); keyed {
 		t.Fatalf("empty key returned a Keyed wrapper: %#v", out)
 	}
 	if !reflect.DeepEqual(out, inner) {
 		t.Errorf("message %#v, want %#v", out, inner)
 	}
-}
-
-// TestKeyedPayloadMatchesBare pins the compatibility mechanism: a keyed
-// envelope's payload is byte-identical to the key-less envelope of the
-// same inner message, so a peer that predates the Key field decodes
-// keyed traffic as ordinary messages.
-func TestKeyedPayloadMatchesBare(t *testing.T) {
-	algo := register(t, registry.Core)
-	inner := core.Privilege{Q: core.QList{{Node: 1, Seq: 2}}, Epoch: 3, Fence: 4}
-	bare, err := wire.Seal(algo, 5, inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keyed, err := wire.Seal(algo, 5, wire.Keyed{Key: "orders", Msg: inner})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keyed.Key != "orders" {
-		t.Fatalf("envelope Key = %q", keyed.Key)
-	}
-	if keyed.Kind != inner.Kind() {
-		t.Errorf("envelope Kind = %q, want the inner message's %q", keyed.Kind, inner.Kind())
-	}
-	if !bytes.Equal(keyed.Payload, bare.Payload) {
-		t.Error("keyed payload differs from the bare payload; legacy peers would misdecode")
+	if !bytes.Equal(encodeBinary(t, algo, 0, wire.Keyed{Key: "", Msg: inner}), encodeBinary(t, algo, 0, inner)) {
+		t.Error("an empty-keyed frame differs from the bare message's frame")
 	}
 }
 
-// TestKeyedLegacyDecode simulates a pre-key build receiving a keyed
-// envelope: gob-decoding into an envelope struct without the Key field
-// must succeed (gob skips unknown fields) and yield the inner message.
-func TestKeyedLegacyDecode(t *testing.T) {
-	algo := register(t, registry.Core)
-	env, err := wire.Seal(algo, 1, wire.Keyed{Key: "orders", Msg: core.Enquiry{Round: 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		t.Fatal(err)
-	}
-	// The wire.Envelope of builds before the Key field existed.
-	type legacyEnvelope struct {
-		Version int
-		Algo    string
-		From    int
-		Kind    string
-		Payload []byte
-	}
-	var legacy legacyEnvelope
-	if err := gob.NewDecoder(&buf).Decode(&legacy); err != nil {
-		t.Fatalf("legacy decode of a keyed envelope: %v", err)
-	}
-	if legacy.Version != wire.FormatVersion || legacy.Algo != algo || legacy.From != 1 {
-		t.Fatalf("legacy header %+v", legacy)
-	}
-	// The legacy build would Open this as a key-less envelope.
-	reopened := wire.Envelope{
-		Version: legacy.Version, Algo: legacy.Algo, From: legacy.From,
-		Kind: legacy.Kind, Payload: legacy.Payload,
-	}
-	msg, err := reopened.Open(algo)
-	if err != nil {
-		t.Fatalf("legacy open: %v", err)
-	}
-	if enq, ok := msg.(core.Enquiry); !ok || enq.Round != 9 {
-		t.Errorf("legacy peer decoded %#v, want core.Enquiry{Round: 9}", msg)
-	}
-}
-
-// TestLegacyKeylessOpen goes the other way: an envelope sealed without
-// any key (an older peer's traffic) opens as the bare message on a
-// key-aware build — Key zero-values to "" through gob.
-func TestLegacyKeylessOpen(t *testing.T) {
-	algo := register(t, registry.Core)
-	env, err := wire.Seal(algo, 3, core.Probe{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Key != "" {
-		t.Fatalf("bare Seal set Key = %q", env.Key)
-	}
-	out := sealOpen(t, algo, 3, core.Probe{})
-	if _, keyed := out.(wire.Keyed); keyed {
-		t.Fatalf("key-less envelope opened as Keyed: %#v", out)
-	}
-}
-
+// TestKeyedSealErrors: a wrapper around nothing is an encode error; a
+// wrapper around a wrapper is tolerated the way Unwrap documents it (the
+// innermost key wins) and arrives in the canonical single nesting.
 func TestKeyedSealErrors(t *testing.T) {
 	algo := register(t, registry.Core)
-	if _, err := wire.Seal(algo, 0, wire.Keyed{Key: "k"}); err == nil {
-		t.Error("Seal accepted a Keyed with a nil inner message")
+	enc := wire.BinaryCodec().NewEncoder(&bytes.Buffer{}, algo)
+	if err := enc.Encode(0, wire.Keyed{Key: "k"}); err == nil {
+		t.Error("Encode accepted a Keyed with a nil inner message")
 	}
 	nested := wire.Keyed{Key: "outer", Msg: wire.Keyed{Key: "inner", Msg: core.Probe{}}}
-	if _, err := wire.Seal(algo, 0, nested); err == nil {
-		t.Error("Seal accepted a nested Keyed")
+	want := wire.Keyed{Key: "inner", Msg: core.Probe{}}
+	if out := roundTrip(t, algo, 0, nested); !reflect.DeepEqual(out, want) {
+		t.Errorf("nested Keyed arrived as %#v, want %#v", out, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package wire_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -21,10 +20,10 @@ func TestTracedRoundTrip(t *testing.T) {
 		^uint64(0),       // all bits set
 	}
 	for _, trace := range traces {
-		out := sealOpen(t, algo, 2, wire.Traced{Trace: trace, Msg: inner})
+		out := roundTrip(t, algo, 2, wire.Traced{Trace: trace, Msg: inner})
 		tr, ok := out.(wire.Traced)
 		if !ok {
-			t.Fatalf("trace %#x: Open returned %T, want wire.Traced", trace, out)
+			t.Fatalf("trace %#x: Decode returned %T, want wire.Traced", trace, out)
 		}
 		if tr.Trace != trace {
 			t.Errorf("trace round trip: %#x → %#x", trace, tr.Trace)
@@ -35,134 +34,37 @@ func TestTracedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTracedZeroIsUntraced pins the 0 convention: sealing a Traced with
-// the zero ID produces an untraced envelope, and Open returns the bare
-// message — exactly the traffic an untraced build emits.
+// TestTracedZeroIsUntraced pins the 0 convention: encoding a Traced with
+// the zero ID produces an untraced frame — byte for byte the bare
+// message's — and Decode returns the bare message.
 func TestTracedZeroIsUntraced(t *testing.T) {
 	algo := register(t, registry.Core)
 	inner := core.Probe{}
-	out := sealOpen(t, algo, 0, wire.Traced{Trace: 0, Msg: inner})
+	out := roundTrip(t, algo, 0, wire.Traced{Trace: 0, Msg: inner})
 	if _, traced := out.(wire.Traced); traced {
 		t.Fatalf("zero trace returned a Traced wrapper: %#v", out)
 	}
 	if !reflect.DeepEqual(out, inner) {
 		t.Errorf("message %#v, want %#v", out, inner)
 	}
-}
-
-// TestTracedPayloadMatchesBare pins the compatibility mechanism: a traced
-// envelope's payload is byte-identical to the untraced envelope of the
-// same inner message, so a peer that predates the Trace field decodes
-// traced traffic as ordinary messages.
-func TestTracedPayloadMatchesBare(t *testing.T) {
-	algo := register(t, registry.Core)
-	inner := core.Privilege{Q: core.QList{{Node: 1, Seq: 2}}, Epoch: 3, Fence: 4}
-	bare, err := wire.Seal(algo, 5, inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, err := wire.Seal(algo, 5, wire.Traced{Trace: 0xbeef, Msg: inner})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traced.Trace != 0xbeef {
-		t.Fatalf("envelope Trace = %#x", traced.Trace)
-	}
-	if traced.Kind != inner.Kind() {
-		t.Errorf("envelope Kind = %q, want the inner message's %q", traced.Kind, inner.Kind())
-	}
-	if !bytes.Equal(traced.Payload, bare.Payload) {
-		t.Error("traced payload differs from the bare payload; untraced peers would misdecode")
-	}
-}
-
-// TestTracedMixedVersionInterop simulates both directions of a
-// mixed-version cluster. A pre-trace build receiving a traced envelope:
-// gob-decoding into an envelope struct without the Trace field must
-// succeed (gob skips unknown fields) and Open must yield the bare
-// message. And the reverse: an untraced envelope from an old build opens
-// cleanly on a trace-aware build with Trace zero-valued through gob.
-func TestTracedMixedVersionInterop(t *testing.T) {
-	algo := register(t, registry.Core)
-	env, err := wire.Seal(algo, 1, wire.Traced{Trace: 42, Msg: core.Enquiry{Round: 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		t.Fatal(err)
-	}
-	// The wire.Envelope of builds before the Trace field existed (the
-	// PR-5 shape: Key present, Trace not).
-	type preTraceEnvelope struct {
-		Version int
-		Algo    string
-		From    int
-		Kind    string
-		Key     string
-		Payload []byte
-	}
-	var old preTraceEnvelope
-	if err := gob.NewDecoder(&buf).Decode(&old); err != nil {
-		t.Fatalf("pre-trace decode of a traced envelope: %v", err)
-	}
-	if old.Version != wire.FormatVersion || old.Algo != algo || old.From != 1 {
-		t.Fatalf("pre-trace header %+v", old)
-	}
-	reopened := wire.Envelope{
-		Version: old.Version, Algo: old.Algo, From: old.From,
-		Kind: old.Kind, Key: old.Key, Payload: old.Payload,
-	}
-	msg, err := reopened.Open(algo)
-	if err != nil {
-		t.Fatalf("pre-trace open: %v", err)
-	}
-	if enq, ok := msg.(core.Enquiry); !ok || enq.Round != 9 {
-		t.Errorf("pre-trace peer decoded %#v, want core.Enquiry{Round: 9}", msg)
-	}
-
-	// Reverse direction: an old build's untraced envelope over the wire.
-	oldEnv := preTraceEnvelope{
-		Version: wire.FormatVersion, Algo: algo, From: 3,
-		Kind: old.Kind, Payload: old.Payload,
-	}
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&oldEnv); err != nil {
-		t.Fatal(err)
-	}
-	var fresh wire.Envelope
-	if err := gob.NewDecoder(&buf).Decode(&fresh); err != nil {
-		t.Fatalf("trace-aware decode of an untraced envelope: %v", err)
-	}
-	if fresh.Trace != 0 {
-		t.Fatalf("untraced envelope decoded with Trace = %#x", fresh.Trace)
-	}
-	msg, err = fresh.Open(algo)
-	if err != nil {
-		t.Fatalf("trace-aware open of untraced envelope: %v", err)
-	}
-	if _, traced := msg.(wire.Traced); traced {
-		t.Fatalf("untraced envelope opened as Traced: %#v", msg)
+	if !bytes.Equal(encodeBinary(t, algo, 0, wire.Traced{Trace: 0, Msg: inner}), encodeBinary(t, algo, 0, inner)) {
+		t.Error("a zero-traced frame differs from the bare message's frame")
 	}
 }
 
 // TestKeyedTracedNesting pins the combined wrapper layering: Keyed
-// outermost, Traced inside, both unwrapped by Seal and rebuilt in the
-// same order by Open.
+// outermost, Traced inside, both unwrapped by the encoder and rebuilt in
+// the same order by the decoder.
 func TestKeyedTracedNesting(t *testing.T) {
 	algo := register(t, registry.Core)
 	inner := core.Request{Entry: core.QEntry{Node: 4, Seq: 11}}
-	env, err := wire.Seal(algo, 4, wire.Keyed{Key: "orders", Msg: wire.Traced{Trace: 77, Msg: inner}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Key != "orders" || env.Trace != 77 {
-		t.Fatalf("envelope Key=%q Trace=%#x, want orders/0x4d", env.Key, env.Trace)
-	}
-	out := sealOpen(t, algo, 4, wire.Keyed{Key: "orders", Msg: wire.Traced{Trace: 77, Msg: inner}})
+	out := roundTrip(t, algo, 4, wire.Keyed{Key: "orders", Msg: wire.Traced{Trace: 77, Msg: inner}})
 	k, ok := out.(wire.Keyed)
 	if !ok {
-		t.Fatalf("Open returned %T, want wire.Keyed outermost", out)
+		t.Fatalf("Decode returned %T, want wire.Keyed outermost", out)
+	}
+	if k.Key != "orders" {
+		t.Errorf("key %q, want orders", k.Key)
 	}
 	tr, ok := k.Msg.(wire.Traced)
 	if !ok {
@@ -173,18 +75,23 @@ func TestKeyedTracedNesting(t *testing.T) {
 	}
 }
 
+// TestTracedSealErrors: a wrapper around nothing is an encode error; a
+// doubled or inverted wrapper is tolerated the way Unwrap documents it
+// and arrives in the canonical Keyed-outside-Traced nesting.
 func TestTracedSealErrors(t *testing.T) {
 	algo := register(t, registry.Core)
-	if _, err := wire.Seal(algo, 0, wire.Traced{Trace: 1}); err == nil {
-		t.Error("Seal accepted a Traced with a nil inner message")
+	enc := wire.BinaryCodec().NewEncoder(&bytes.Buffer{}, algo)
+	if err := enc.Encode(0, wire.Traced{Trace: 1}); err == nil {
+		t.Error("Encode accepted a Traced with a nil inner message")
 	}
 	nested := wire.Traced{Trace: 1, Msg: wire.Traced{Trace: 2, Msg: core.Probe{}}}
-	if _, err := wire.Seal(algo, 0, nested); err == nil {
-		t.Error("Seal accepted a nested Traced")
+	if out := roundTrip(t, algo, 0, nested); !reflect.DeepEqual(out, wire.Traced{Trace: 2, Msg: core.Probe{}}) {
+		t.Errorf("nested Traced arrived as %#v, want the innermost trace over the bare message", out)
 	}
 	inverted := wire.Traced{Trace: 1, Msg: wire.Keyed{Key: "k", Msg: core.Probe{}}}
-	if _, err := wire.Seal(algo, 0, inverted); err == nil {
-		t.Error("Seal accepted Keyed inside Traced (the inverted nesting)")
+	want := wire.Keyed{Key: "k", Msg: wire.Traced{Trace: 1, Msg: core.Probe{}}}
+	if out := roundTrip(t, algo, 0, inverted); !reflect.DeepEqual(out, want) {
+		t.Errorf("Keyed inside Traced arrived as %#v, want %#v", out, want)
 	}
 }
 

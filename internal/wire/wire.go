@@ -1,6 +1,7 @@
 // Package wire defines the on-the-wire representation shared by the live
-// transports: a versioned, algorithm-tagged Envelope carrying the sender
-// id and one gob-encoded protocol message.
+// transports, the session protocol and the flight recorder: one
+// length-prefixed binary frame per protocol message (binary.go), behind
+// one connection handshake (handshake.go).
 //
 // Every algorithm that runs over a real transport first registers its
 // concrete message types under its registry name with RegisterAlgorithm;
@@ -8,12 +9,11 @@
 // can coexist in one process (a load generator running core and Raymond
 // clusters side by side, say). Peers must agree on both the wire format
 // version and the algorithm; a disagreement surfaces as a typed
-// *MismatchError from Open rather than a gob panic or a garbage decode.
+// *MismatchError from the handshake or the decoder rather than a garbage
+// decode.
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"sort"
@@ -22,56 +22,21 @@ import (
 	"tokenarbiter/internal/dme"
 )
 
-// FormatVersion is the envelope format generation. Version 1 was the
-// untagged single-algorithm envelope; version 2 added the Algo tag and
-// the self-contained payload encoding. The Key field rides on version 2:
-// gob omits zero-valued fields and skips unknown ones, so key-less
-// envelopes from older builds decode with Key == "" and keyed envelopes
-// degrade to key-less on older builds — no version bump needed.
+// FormatVersion is the frame format generation, carried in every frame
+// and every handshake. Version 1 was the untagged single-algorithm
+// envelope; version 2 added the algorithm tag.
 const FormatVersion = 2
-
-// Envelope frames one protocol message with its sender and enough
-// metadata to reject it cheaply when the peers disagree. The Payload is a
-// self-contained gob stream (see Seal), so decoding the envelope itself
-// never depends on which algorithm's message types this process has
-// registered — mismatches are detected from Algo before the payload is
-// touched.
-type Envelope struct {
-	// Version is the wire format generation (FormatVersion).
-	Version int
-	// Algo is the registry name of the algorithm that owns Payload.
-	Algo string
-	// From is the sender's node id.
-	From int
-	// Kind is the payload message's Kind(), carried in clear for
-	// diagnostics on envelopes that cannot be opened.
-	Kind string
-	// Key is the lock key this message belongs to when many DME groups
-	// share one transport (the multi-key service of internal/live's
-	// Manager). Empty means the single-lock legacy framing: Open returns
-	// the bare message. Keys are arbitrary byte strings — they are never
-	// interpreted, only matched — so empty-prefix, very long, and
-	// non-UTF-8 names all round-trip.
-	Key string
-	// Trace is the end-to-end trace ID of the request this message serves
-	// (reqtrace.ID as a raw uint64), or 0 for untraced traffic. It rides
-	// version 2 the same way Key does: gob omits the zero value and skips
-	// the unknown field, so traced and untraced builds interoperate in
-	// both directions with no version bump.
-	Trace uint64
-	// Payload is the gob encoding of a box wrapping the dme.Message.
-	Payload []byte
-}
 
 // Keyed tags a protocol message with the lock key of the DME group it
 // belongs to. A multiplexed transport stack passes Keyed values between
-// the key demultiplexer (transport.KeyMux) and the wire: Seal unwraps a
-// Keyed into the envelope's Key field (the payload is the inner message,
-// so legacy peers and per-kind accounting see exactly what they always
-// did), and Open re-wraps a keyed envelope's message on the way in.
-// Kind and SizeUnits delegate to the inner message, so counting and
-// fault-injection middleware below the demux observe keyed traffic
-// identically to key-less traffic.
+// the key demultiplexer (transport.KeyMux) and the wire: the encoder
+// unwraps a Keyed into the frame's key field (the payload is the inner
+// message) and the decoder re-wraps a keyed frame's message on the way
+// in. Keys are arbitrary byte strings — never interpreted, only matched
+// — so very long and non-UTF-8 names round-trip; the empty key means no
+// key at all. Kind and SizeUnits delegate to the inner message, so
+// counting and fault-injection middleware below the demux observe keyed
+// traffic identically to key-less traffic.
 type Keyed struct {
 	Key string
 	Msg dme.Message
@@ -91,15 +56,15 @@ func (k Keyed) SizeUnits() int {
 }
 
 // Traced tags a protocol message with the end-to-end trace ID of the
-// request it serves, propagating trace context across the wire: Seal
-// unwraps a Traced into the envelope's Trace field (the payload carries
-// only the inner message, so traced and untraced payload encodings are
-// byte-identical), and Open re-wraps on the way in. In a multiplexed
-// stack the Keyed wrapper is outermost — Keyed{Key, Traced{Trace, Msg}}
-// — matching the layering of the transport stack (the key demultiplexer
-// sits above the tracing runtime). Kind and SizeUnits delegate to the
-// inner message, so accounting and fault-injection layers observe traced
-// traffic identically to untraced traffic.
+// request it serves (reqtrace.ID as a raw uint64; 0 means untraced),
+// propagating trace context across the wire: the encoder unwraps a
+// Traced into the frame's trace field and the decoder re-wraps on the
+// way in. In a multiplexed stack the Keyed wrapper is outermost —
+// Keyed{Key, Traced{Trace, Msg}} — matching the layering of the
+// transport stack (the key demultiplexer sits above the tracing
+// runtime). Kind and SizeUnits delegate to the inner message, so
+// accounting and fault-injection layers observe traced traffic
+// identically to untraced traffic.
 type Traced struct {
 	Trace uint64
 	Msg   dme.Message
@@ -117,18 +82,12 @@ func (t Traced) SizeUnits() int {
 	return 1
 }
 
-// box is the gob top-level value inside Envelope.Payload; the interface
-// field is what forces concrete message types to be gob-registered.
-type box struct {
-	M dme.Message
-}
-
-// MismatchError reports an envelope from a peer speaking a different
-// wire format version or a different algorithm.
+// MismatchError reports a frame or a handshake from a peer speaking a
+// different wire format version or a different algorithm.
 type MismatchError struct {
-	From          int    // sender node id, as claimed by the envelope
+	From          int    // sender node id, as the frame or handshake claims it
 	LocalAlgo     string // algorithm this process runs
-	RemoteAlgo    string // algorithm tagged on the envelope
+	RemoteAlgo    string // algorithm the peer tagged
 	LocalVersion  int
 	RemoteVersion int
 }
@@ -145,9 +104,9 @@ func (e *MismatchError) Error() string {
 		e.From, e.LocalAlgo, e.RemoteAlgo)
 }
 
-// DecodeError reports a payload that could not be decoded even though the
-// envelope's version and algorithm matched — a corrupted stream or a
-// message type the local build does not know.
+// DecodeError reports a frame that could not be decoded even though its
+// version and algorithm matched — a corrupted body or a message type
+// the local build does not know.
 type DecodeError struct {
 	From int
 	Algo string
@@ -161,22 +120,18 @@ func (e *DecodeError) Error() string {
 		e.From, e.Algo, e.Kind, e.Err)
 }
 
-// Unwrap exposes the underlying gob error.
+// Unwrap exposes the underlying decode failure.
 func (e *DecodeError) Unwrap() error { return e.Err }
 
 // algoSet is everything registered for one algorithm: the kind names
-// for diagnostics, and the concrete-type tables the binary codec
-// dispatches on. The index of a type in types is its binary kind id, so
-// for binary-capable algorithms the RegisterAlgorithm call order is wire
-// protocol (registry.Entry.Messages fixes it per algorithm).
+// for diagnostics, and the concrete-type tables the codec dispatches
+// on. The index of a type in types is its wire kind id, so the
+// RegisterAlgorithm call order is wire protocol (registry.Entry.Messages
+// fixes it per algorithm).
 type algoSet struct {
 	kinds  []string
 	types  []reflect.Type
 	byType map[reflect.Type]int
-	// binary reports that every message implements WireAppender with
-	// WireUnmarshaler on its pointer — the contract the binary codec
-	// needs.
-	binary bool
 }
 
 var (
@@ -187,36 +142,34 @@ var (
 )
 
 // RegisterAlgorithm records an algorithm's concrete protocol message
-// types with the gob runtime under the given registry name, and probes
-// each for the binary-layout methods that enable the binary codec (see
-// BinaryCapable). It is idempotent per algorithm — repeated calls for
-// the same name are no-ops — and any number of distinct algorithms may
-// register in one process; registration order does not matter across
-// algorithms, but within one algorithm it fixes the binary kind ids.
-// Transports call it (via internal/registry) when they are constructed;
-// we deliberately avoid init().
+// types under the given registry name. Every message must carry a binary
+// layout — WireAppender on the value, WireUnmarshaler on the pointer —
+// and one that does not panics here, at registration, rather than
+// failing the first Encode: the message sets are static lists, so a
+// missing layout is a programming error. It is idempotent per algorithm
+// — repeated calls for the same name are no-ops — and any number of
+// distinct algorithms may register in one process; registration order
+// does not matter across algorithms, but within one algorithm it fixes
+// the wire kind ids. Transports call it (via internal/registry) when
+// they are constructed; we deliberately avoid init().
 func RegisterAlgorithm(name string, msgs ...dme.Message) {
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, ok := algos[name]; ok {
 		return
 	}
-	set := &algoSet{
-		byType: make(map[reflect.Type]int, len(msgs)),
-		binary: len(msgs) > 0,
-	}
+	set := &algoSet{byType: make(map[reflect.Type]int, len(msgs))}
 	for i, m := range msgs {
-		gob.Register(m)
 		rt := reflect.TypeOf(m)
+		if _, ok := m.(WireAppender); !ok {
+			panic(fmt.Sprintf("wire: %s message %s has no AppendWire method", name, rt))
+		}
+		if _, ok := reflect.New(rt).Interface().(WireUnmarshaler); !ok {
+			panic(fmt.Sprintf("wire: %s message *%s has no UnmarshalWire method", name, rt))
+		}
 		set.kinds = append(set.kinds, m.Kind())
 		set.types = append(set.types, rt)
 		set.byType[rt] = i
-		if _, ok := m.(WireAppender); !ok {
-			set.binary = false
-		}
-		if _, ok := reflect.New(rt).Interface().(WireUnmarshaler); !ok {
-			set.binary = false
-		}
 	}
 	algos[name] = set
 }
@@ -226,16 +179,6 @@ func algoFor(name string) *algoSet {
 	regMu.Lock()
 	defer regMu.Unlock()
 	return algos[name]
-}
-
-// BinaryCapable reports whether every message registered for the
-// algorithm carries a binary layout (WireAppender on the value,
-// WireUnmarshaler on the pointer), i.e. whether the
-// binary codec can be offered for it. An unregistered algorithm is not
-// binary-capable.
-func BinaryCapable(name string) bool {
-	set := algoFor(name)
-	return set != nil && set.binary
 }
 
 // Registered reports whether RegisterAlgorithm has been called for name.
@@ -256,112 +199,4 @@ func Algorithms() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Seal wraps msg in an envelope tagged with the given algorithm name.
-// The algorithm must have been registered first. A Keyed message is
-// unwrapped into the envelope's Key field and a Traced message into its
-// Trace field (nesting order Keyed outside Traced): the payload carries
-// only the inner protocol message, so a keyed or traced envelope's
-// payload encoding is byte-identical to a plain one and a peer that
-// predates either field decodes it as plain traffic. Nested wrappers of
-// the same kind, or a Keyed inside a Traced, are programming errors.
-func Seal(algo string, from int, msg dme.Message) (Envelope, error) {
-	if !Registered(algo) {
-		return Envelope{}, fmt.Errorf("wire: algorithm %q is not registered", algo)
-	}
-	var key string
-	if k, ok := msg.(Keyed); ok {
-		key = k.Key
-		msg = k.Msg
-		if msg == nil {
-			return Envelope{}, fmt.Errorf("wire: Keyed message for key %q has a nil inner message", key)
-		}
-		if _, nested := msg.(Keyed); nested {
-			return Envelope{}, fmt.Errorf("wire: nested Keyed message for key %q", key)
-		}
-	}
-	var trace uint64
-	if t, ok := msg.(Traced); ok {
-		trace = t.Trace
-		msg = t.Msg
-		if msg == nil {
-			return Envelope{}, fmt.Errorf("wire: Traced message (trace %#x) has a nil inner message", trace)
-		}
-		switch msg.(type) {
-		case Traced:
-			return Envelope{}, fmt.Errorf("wire: nested Traced message (trace %#x)", trace)
-		case Keyed:
-			return Envelope{}, fmt.Errorf("wire: Keyed inside Traced (trace %#x): nest Traced inside Keyed", trace)
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&box{M: msg}); err != nil {
-		return Envelope{}, fmt.Errorf("wire: encode %s %q payload: %w", algo, msg.Kind(), err)
-	}
-	return Envelope{
-		Version: FormatVersion,
-		Algo:    algo,
-		From:    from,
-		Kind:    msg.Kind(),
-		Key:     key,
-		Trace:   trace,
-		Payload: buf.Bytes(),
-	}, nil
-}
-
-// Open validates the envelope against the local algorithm and decodes its
-// payload. A version or algorithm disagreement returns *MismatchError; a
-// payload that fails to decode returns *DecodeError. Both identify the
-// peer, so a misconfigured cluster diagnoses itself from either side's
-// logs.
-//
-// Validation is strictly ordered — version, then algorithm, then payload
-// — and exactly one error is returned per envelope, so each failure is
-// counted once by exactly one transport counter: a wrong-version
-// envelope is rejected as a mismatch before its payload (whose encoding
-// that version may define differently) is ever gob-decoded, rather than
-// also failing decode and being double-reported.
-//
-// A traced envelope (Trace != 0) returns the message wrapped in Traced,
-// and a keyed envelope (Key != "") wraps that in Keyed — the same
-// nesting Seal accepts — so a demultiplexer above the transport can
-// route it and the runtime below can recover the trace context; a legacy
-// plain envelope returns the bare message, exactly as before either
-// field existed.
-func (e Envelope) Open(localAlgo string) (dme.Message, error) {
-	if e.Version != FormatVersion {
-		return nil, &MismatchError{
-			From:          e.From,
-			LocalAlgo:     localAlgo,
-			RemoteAlgo:    e.Algo,
-			LocalVersion:  FormatVersion,
-			RemoteVersion: e.Version,
-		}
-	}
-	if e.Algo != localAlgo {
-		return nil, &MismatchError{
-			From:          e.From,
-			LocalAlgo:     localAlgo,
-			RemoteAlgo:    e.Algo,
-			LocalVersion:  FormatVersion,
-			RemoteVersion: e.Version,
-		}
-	}
-	var b box
-	if err := gob.NewDecoder(bytes.NewReader(e.Payload)).Decode(&b); err != nil {
-		return nil, &DecodeError{From: e.From, Algo: e.Algo, Kind: e.Kind, Err: err}
-	}
-	if b.M == nil {
-		return nil, &DecodeError{From: e.From, Algo: e.Algo, Kind: e.Kind,
-			Err: fmt.Errorf("empty payload")}
-	}
-	m := b.M
-	if e.Trace != 0 {
-		m = Traced{Trace: e.Trace, Msg: m}
-	}
-	if e.Key != "" {
-		m = Keyed{Key: e.Key, Msg: m}
-	}
-	return m, nil
 }

@@ -2,7 +2,7 @@ package wire_test
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"strings"
@@ -27,35 +27,6 @@ func register(t *testing.T, name string) string {
 	return algo
 }
 
-// sealOpen round-trips msg through a gob-encoded envelope, as the TCP
-// transport does, and returns the decoded message.
-func sealOpen(t *testing.T, algo string, from int, msg dme.Message) dme.Message {
-	t.Helper()
-	env, err := wire.Seal(algo, from, msg)
-	if err != nil {
-		t.Fatalf("seal %T: %v", msg, err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		t.Fatalf("encode envelope: %v", err)
-	}
-	var out wire.Envelope
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatalf("decode envelope: %v", err)
-	}
-	if out.From != from {
-		t.Errorf("%T: From = %d, want %d", msg, out.From, from)
-	}
-	if out.Kind != msg.Kind() {
-		t.Errorf("%T: Kind = %q, want %q", msg, out.Kind, msg.Kind())
-	}
-	got, err := out.Open(algo)
-	if err != nil {
-		t.Fatalf("open %T: %v", msg, err)
-	}
-	return got
-}
-
 func TestEnvelopeRoundTripCoreMessageTypes(t *testing.T) {
 	algo := register(t, registry.Core)
 	msgs := []dme.Message{
@@ -77,7 +48,7 @@ func TestEnvelopeRoundTripCoreMessageTypes(t *testing.T) {
 		core.ProbeAck{},
 	}
 	for _, msg := range msgs {
-		out := sealOpen(t, algo, 6, msg)
+		out := roundTrip(t, algo, 6, msg)
 		if !reflect.DeepEqual(out, msg) {
 			t.Errorf("%T: payload %#v, want %#v", msg, out, msg)
 		}
@@ -85,9 +56,10 @@ func TestEnvelopeRoundTripCoreMessageTypes(t *testing.T) {
 }
 
 func TestPrivilegeWithToMonitorFlag(t *testing.T) {
-	// gob drops zero-valued fields; a set flag must survive.
+	// A token that is otherwise all zero values must still carry a set
+	// flag.
 	algo := register(t, registry.Core)
-	out := sealOpen(t, algo, 0, core.Privilege{ToMonitor: true, Epoch: 1})
+	out := roundTrip(t, algo, 0, core.Privilege{ToMonitor: true, Epoch: 1})
 	p, ok := out.(core.Privilege)
 	if !ok || !p.ToMonitor {
 		t.Errorf("ToMonitor flag lost: %#v", out)
@@ -97,7 +69,7 @@ func TestPrivilegeWithToMonitorFlag(t *testing.T) {
 func TestEnvelopeRoundTripBaselineMessages(t *testing.T) {
 	algo := register(t, "suzukikasami")
 	msg := suzukikasami.Token{LN: []uint64{1, 2, 3}, Queue: []int{2, 0}}
-	out := sealOpen(t, algo, 1, msg)
+	out := roundTrip(t, algo, 1, msg)
 	tok, ok := out.(suzukikasami.Token)
 	if !ok {
 		t.Fatalf("payload type %T, want suzukikasami.Token", out)
@@ -109,24 +81,22 @@ func TestEnvelopeRoundTripBaselineMessages(t *testing.T) {
 		t.Errorf("SizeUnits %d, want %d", tok.SizeUnits(), msg.SizeUnits())
 	}
 
-	// Zero-field messages must survive too (gob of empty structs).
+	// Zero-field messages must survive too (an empty payload).
 	ralgo := register(t, "raymond")
-	if out := sealOpen(t, ralgo, 2, raymond.Token{}); out.Kind() != raymond.KindToken {
+	if out := roundTrip(t, ralgo, 2, raymond.Token{}); out.Kind() != raymond.KindToken {
 		t.Errorf("raymond token kind %q", out.Kind())
 	}
 }
 
 func TestTwoAlgorithmsInOneProcess(t *testing.T) {
-	// The old wire.Register was a process-wide sync.Once: whichever
-	// algorithm registered first won, and every other algorithm's
-	// messages failed to encode. Per-algorithm registration must let two
-	// algorithms coexist in one process.
+	// Registration is per algorithm, not per process: two algorithms
+	// coexist, each with its own kind-id table.
 	a := register(t, "raymond")
 	b := register(t, "suzukikasami")
-	if out := sealOpen(t, a, 0, raymond.Request{}); out.Kind() != raymond.KindRequest {
+	if out := roundTrip(t, a, 0, raymond.Request{}); out.Kind() != raymond.KindRequest {
 		t.Errorf("raymond request kind %q", out.Kind())
 	}
-	if out := sealOpen(t, b, 0, suzukikasami.Request{Node: 1, N: 2}); out.Kind() != suzukikasami.KindRequest {
+	if out := roundTrip(t, b, 0, suzukikasami.Request{Node: 1, N: 2}); out.Kind() != suzukikasami.KindRequest {
 		t.Errorf("suzukikasami request kind %q", out.Kind())
 	}
 	for _, name := range []string{a, b} {
@@ -134,36 +104,63 @@ func TestTwoAlgorithmsInOneProcess(t *testing.T) {
 			t.Errorf("Registered(%q) = false after registration", name)
 		}
 	}
-}
-
-func TestRegisterAlgorithmIdempotent(t *testing.T) {
-	// Double registration of the same algorithm must not panic (gob
-	// panics on conflicting re-registration; the per-algorithm guard
-	// must make repeats no-ops).
-	wire.RegisterAlgorithm("idem-test", raymond.Request{})
-	wire.RegisterAlgorithm("idem-test", raymond.Request{})
-	if !wire.Registered("idem-test") {
-		t.Fatal("algorithm not registered")
+	// One algorithm's encoder refuses the other's messages.
+	if err := wire.BinaryCodec().NewEncoder(&bytes.Buffer{}, a).Encode(0, suzukikasami.Request{}); err == nil {
+		t.Error("raymond encoder accepted a suzukikasami message")
 	}
 }
 
+func TestRegisterAlgorithmIdempotent(t *testing.T) {
+	// Repeats of the same algorithm are no-ops: the first call's kind
+	// ids stand.
+	wire.RegisterAlgorithm("idem-test", raymond.Request{})
+	wire.RegisterAlgorithm("idem-test", raymond.Token{}, raymond.Request{})
+	if !wire.Registered("idem-test") {
+		t.Fatal("algorithm not registered")
+	}
+	if _, ok := roundTrip(t, "idem-test", 0, raymond.Request{}).(raymond.Request); !ok {
+		t.Error("the first registration's kind ids did not stand")
+	}
+}
+
+// layoutless is a protocol message nobody wrote a binary layout for.
+type layoutless struct{}
+
+func (layoutless) Kind() string { return "LAYOUTLESS" }
+
+// TestRegisterAlgorithmRequiresLayouts: a message without AppendWire /
+// UnmarshalWire fails at registration, naming the type — not at the
+// first Encode on some connection — and leaves nothing registered.
+func TestRegisterAlgorithmRequiresLayouts(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("RegisterAlgorithm accepted a message with no binary layout")
+		}
+		if s, _ := r.(string); !strings.Contains(s, "layoutless") || !strings.Contains(s, "AppendWire") {
+			t.Errorf("unhelpful panic: %v", r)
+		}
+		if wire.Registered("layoutless-test") {
+			t.Error("a failed registration left the algorithm registered")
+		}
+	}()
+	wire.RegisterAlgorithm("layoutless-test", raymond.Request{}, layoutless{})
+}
+
 func TestSealUnregisteredAlgorithm(t *testing.T) {
-	if _, err := wire.Seal("no-such-algo", 0, raymond.Request{}); err == nil {
-		t.Fatal("Seal accepted an unregistered algorithm")
+	err := wire.BinaryCodec().NewEncoder(&bytes.Buffer{}, "no-such-algo").Encode(0, raymond.Request{})
+	if err == nil {
+		t.Fatal("Encode accepted an unregistered algorithm")
 	}
 }
 
 func TestOpenAlgorithmMismatch(t *testing.T) {
 	a := register(t, "raymond")
 	b := register(t, "suzukikasami")
-	env, err := wire.Seal(a, 3, raymond.Request{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = env.Open(b)
+	_, _, err := decodeBinary(encodeBinary(t, a, 3, raymond.Request{}), b)
 	var mm *wire.MismatchError
 	if !errors.As(err, &mm) {
-		t.Fatalf("Open returned %v (%T), want *wire.MismatchError", err, err)
+		t.Fatalf("Decode returned %v (%T), want *wire.MismatchError", err, err)
 	}
 	if mm.LocalAlgo != b || mm.RemoteAlgo != a || mm.From != 3 {
 		t.Errorf("mismatch fields %+v, want local=%q remote=%q from=3", mm, b, a)
@@ -173,17 +170,19 @@ func TestOpenAlgorithmMismatch(t *testing.T) {
 	}
 }
 
+// reframe wraps a frame body in a fresh consistent length prefix.
+func reframe(body []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
 func TestOpenVersionMismatch(t *testing.T) {
 	algo := register(t, "raymond")
-	env, err := wire.Seal(algo, 1, raymond.Token{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.Version = wire.FormatVersion + 1
-	_, err = env.Open(algo)
+	frame := encodeBinary(t, algo, 1, raymond.Token{})
+	frame[4] = wire.FormatVersion + 1
+	_, _, err := decodeBinary(frame, algo)
 	var mm *wire.MismatchError
 	if !errors.As(err, &mm) {
-		t.Fatalf("Open returned %v, want *wire.MismatchError", err)
+		t.Fatalf("Decode returned %v, want *wire.MismatchError", err)
 	}
 	if mm.RemoteVersion != wire.FormatVersion+1 || mm.LocalVersion != wire.FormatVersion {
 		t.Errorf("version fields %+v", mm)
@@ -194,47 +193,44 @@ func TestOpenVersionMismatch(t *testing.T) {
 }
 
 func TestOpenCorruptPayload(t *testing.T) {
-	algo := register(t, "raymond")
-	env, err := wire.Seal(algo, 2, raymond.Request{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.Payload = []byte{0xff, 0x00, 0x13, 0x37}
-	_, err = env.Open(algo)
+	algo := register(t, "suzukikasami")
+	frame := encodeBinary(t, algo, 2, suzukikasami.Request{Node: 1, N: 2})
+	corrupt := reframe(append(frame[4:len(frame)-1], 0xff, 0xff, 0xff)) // an unterminated varint
+	_, _, err := decodeBinary(corrupt, algo)
 	var de *wire.DecodeError
 	if !errors.As(err, &de) {
-		t.Fatalf("Open returned %v (%T), want *wire.DecodeError", err, err)
+		t.Fatalf("Decode returned %v (%T), want *wire.DecodeError", err, err)
 	}
-	if de.Kind != raymond.KindRequest || de.From != 2 {
+	if de.Kind != suzukikasami.KindRequest || de.From != 2 || de.Algo != algo {
 		t.Errorf("decode-error fields %+v", de)
 	}
 }
 
-// TestOpenValidationOrder pins the one-error-per-envelope contract: each
-// failing envelope is classified by exactly one check, in version →
+// TestOpenValidationOrder pins the one-error-per-frame contract: each
+// failing frame is classified by exactly one check, in version →
 // algorithm → payload order, so transport counters never double-report a
-// single bad envelope.
+// single bad frame.
 func TestOpenValidationOrder(t *testing.T) {
-	algo := register(t, "raymond")
-	other := register(t, "suzukikasami")
+	algo := register(t, "suzukikasami")
+	other := register(t, "raymond")
+	valid := encodeBinary(t, algo, 4, suzukikasami.Request{Node: 1, N: 2})
+	damaged := func(version byte, truncate int) []byte {
+		body := append([]byte(nil), valid[4:len(valid)-truncate]...)
+		body[0] = version
+		return reframe(body)
+	}
 
 	// Wrong version AND undecodable payload: the version check wins —
-	// the payload (whose encoding that version may define differently)
-	// is never touched.
-	env, err := wire.Seal(algo, 4, raymond.Request{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.Version = wire.FormatVersion + 9
-	env.Payload = []byte{0xde, 0xad}
-	_, err = env.Open(algo)
+	// the payload (whose layout that version may define differently) is
+	// never touched.
+	_, _, err := decodeBinary(damaged(wire.FormatVersion+9, 1), algo)
 	var mm *wire.MismatchError
 	if !errors.As(err, &mm) {
 		t.Fatalf("wrong version + corrupt payload: got %T (%v), want *wire.MismatchError", err, err)
 	}
 	var de *wire.DecodeError
 	if errors.As(err, &de) {
-		t.Fatal("one envelope produced both a mismatch and a decode error")
+		t.Fatal("one frame produced both a mismatch and a decode error")
 	}
 	if !strings.Contains(mm.Error(), "version mismatch") {
 		t.Errorf("version should be checked before algorithm/payload: %q", mm.Error())
@@ -242,24 +238,21 @@ func TestOpenValidationOrder(t *testing.T) {
 
 	// Wrong version AND wrong algorithm: still reported as the version
 	// disagreement — the more fundamental incompatibility.
-	env, err = wire.Seal(algo, 4, raymond.Request{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.Version = wire.FormatVersion + 1
-	_, err = env.Open(other)
+	_, _, err = decodeBinary(damaged(wire.FormatVersion+1, 0), other)
 	if !errors.As(err, &mm) || !strings.Contains(mm.Error(), "version mismatch") {
 		t.Fatalf("wrong version + wrong algo: got %v, want a version MismatchError", err)
 	}
 
+	// Wrong algorithm AND undecodable payload: a mismatch, not a decode
+	// error.
+	_, _, err = decodeBinary(damaged(wire.FormatVersion, 1), other)
+	if !errors.As(err, &mm) || !strings.Contains(mm.Error(), "algorithm mismatch") {
+		t.Fatalf("wrong algo + corrupt payload: got %v, want an algorithm MismatchError", err)
+	}
+
 	// Matching version and algorithm with a corrupt payload: exactly a
 	// DecodeError.
-	env, err = wire.Seal(algo, 4, raymond.Request{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.Payload = env.Payload[:len(env.Payload)/2]
-	_, err = env.Open(algo)
+	_, _, err = decodeBinary(damaged(wire.FormatVersion, 1), algo)
 	if !errors.As(err, &de) {
 		t.Fatalf("corrupt payload: got %T (%v), want *wire.DecodeError", err, err)
 	}
