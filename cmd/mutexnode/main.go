@@ -1,8 +1,8 @@
-// Command mutexnode runs one live distributed-mutex node over TCP and
-// drives a demo workload against it, printing each critical-section
-// grant. Start N copies (one per node id) with the same -peers list and
-// the same -algo; node 0 starts as the token holder / arbiter /
-// coordinator of the chosen algorithm.
+// Command mutexnode runs one live lock-service node (a live.Manager)
+// over TCP and drives a demo workload against it, printing each
+// critical-section grant. Start N copies (one per node id) with the same
+// -peers list, the same -algo and the same -keys; node 0 starts as the
+// token holder / arbiter / coordinator of every key.
 //
 // Example, three nodes on one machine running Raymond's tree algorithm:
 //
@@ -16,25 +16,23 @@
 // handshake and every frame is tagged, and a mismatched peer is rejected
 // with a logged error instead of a garbage decode.
 //
-// With -keys M (M > 1) the node runs the sharded multi-key lock service
-// instead of a single mutex: M named lock keys (lock-0 … lock-M-1), one
-// independent DME group per key, all multiplexed over the node's single
-// TCP endpoint via key-tagged frames. Every peer must use the same
-// -keys value. The demo workload round-robins its acquisitions over the
-// keys, and the admin surface switches to the multi-key handler
-// (aggregate /metrics with per-key labels, /statusz?key=K). With the
-// default -keys 1 the node runs the single-mutex protocol over key-less
-// frames.
-//
-// Each node acquires the mutex -count times with -think pause between
-// acquisitions, holds it for -hold, and prints a line per grant. With
+// The node serves -keys M named lock keys (lock-0 … lock-M-1; the
+// default 1 is the single mutex, key lock-0): one independent DME group
+// per key, all multiplexed over the node's single TCP endpoint via
+// key-tagged frames. The demo workload round-robins -count acquisitions
+// over the keys with -think pause between them, holds each for -hold,
+// and prints a line per grant with its key and fencing token. With
 // -count 0 the node only serves the protocol (a pure participant).
+// -session additionally serves the client session protocol in front of
+// the same locks; it changes nothing between peers.
 //
 // With -http the node serves its admin endpoints: /metrics (Prometheus
-// text), /statusz (JSON state snapshot including the current role),
-// /healthz, and /debug/trace (recent protocol transitions as JSONL). On
-// shutdown every node — including a -count 0 pure participant — prints a
-// per-kind message summary with the messages-per-CS ratio.
+// text, per-key series labelled key="..."), /statusz (aggregate JSON;
+// ?key=K for one key's state snapshot including the current role),
+// /healthz, /debug/trace?key=K (recent protocol transitions as JSONL),
+// /debug/requests, and /sessionz with -session. On shutdown every node —
+// including a -count 0 pure participant — prints a per-kind message
+// summary with the messages-per-CS ratio.
 //
 // With -chaos the node's outbound traffic passes through a seeded fault
 // injector (drops, duplicates, corruption, delay, reordering — see
@@ -70,7 +68,9 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "mutexnode:", err)
 		os.Exit(1)
 	}
@@ -108,7 +108,7 @@ func parseFlags(args []string) (*nodeConfig, error) {
 		id        = fs.Int("id", 0, "this node's id (index into -peers)")
 		peers     = fs.String("peers", "127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002", "comma-separated peer addresses, one per node id")
 		algoFlag  = fs.String("algo", "core", "algorithm to run (see -algo list); every peer must match")
-		keys      = fs.Int("keys", 1, "number of named lock keys to serve (1: the classic single mutex; >1: the sharded multi-key service, every peer must match)")
+		keys      = fs.Int("keys", 1, "number of named lock keys to serve, lock-0 … lock-(keys-1) (1: a single mutex); every peer must match")
 		count     = fs.Int("count", 10, "critical sections to execute (0: serve only)")
 		hold      = fs.Duration("hold", 50*time.Millisecond, "time to hold the mutex per acquisition")
 		think     = fs.Duration("think", 100*time.Millisecond, "pause between acquisitions")
@@ -118,7 +118,7 @@ func parseFlags(args []string) (*nodeConfig, error) {
 		monitor   = fs.Bool("monitor", false, "core: enable the starvation-free monitor variant")
 		recovery  = fs.Bool("recovery", true, "core: enable the §6 failure recovery protocol")
 		httpAddr  = fs.String("http", "", "admin endpoint address (e.g. :8080) serving /metrics, /statusz, /healthz, /debug/trace; empty disables")
-		sessAddr  = fs.String("session", "", "serve the client session protocol (TTL leases, wait queues, watches) on this address (e.g. :7100); forces the multi-key service shape, so every peer must run with -keys > 1 or -session as well")
+		sessAddr  = fs.String("session", "", "serve the client session protocol (TTL leases, wait queues, watches) on this address (e.g. :7100)")
 		verbose   = fs.Bool("v", false, "log protocol transitions (slog, stderr; core only)")
 		chaos     = fs.String("chaos", "", "inject faults into this node's outbound traffic, e.g. drop=0.05,dup=0.02,corrupt=0.01,delay=2ms,jitter=1ms,reorder=0.05,seed=7; live-tunable via /debug/faults when -http is set")
 		flightrec = fs.String("flightrec", "", "write a flight-recorder capture (JSONL: every wire frame sent/received plus the lock lifecycle) to this file; re-execute it with `mutexsim replay`")
@@ -159,7 +159,7 @@ func parseFlags(args []string) (*nodeConfig, error) {
 	}, nil
 }
 
-// buildFactory assembles the per-node (or per-key) protocol factory. The
+// buildFactory assembles the per-key protocol factory. The
 // paper's algorithm keeps its full option surface (variant, recovery,
 // phase tuning); the baselines build from the registry.
 func buildFactory(cfg *nodeConfig) (live.Factory, error) {
@@ -187,32 +187,13 @@ func buildFactory(cfg *nodeConfig) (live.Factory, error) {
 	return registry.NewLiveFactory(cfg.algo, nil)
 }
 
-// adminHandler composes the node's admin surface with the optional
-// fault-injector control endpoint and session-layer status, returning
-// the handler and the endpoint list for the startup banner.
-func adminHandler(admin http.Handler, inj *faultnet.Injector, ssrv *session.Server) (http.Handler, string) {
-	endpoints := "/metrics /statusz /healthz /debug/trace /debug/requests"
-	if inj == nil && ssrv == nil {
-		return admin, endpoints
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/", admin)
-	if inj != nil {
-		mux.Handle("/debug/faults", inj.Handler())
-		endpoints += " /debug/faults"
-	}
-	if ssrv != nil {
-		mux.Handle("/session/", http.StripPrefix("/session", ssrv.Handler()))
-		endpoints += " /session/sessionz /session/metrics"
-	}
-	return mux, endpoints
-}
-
 // keyName names the demo workload's lock keys: lock-0 … lock-M-1. Every
 // peer derives the same names from its own -keys value.
 func keyName(i int) string { return fmt.Sprintf("lock-%d", i) }
 
-func run(args []string) error {
+// run serves one node until its workload and -linger finish or ctx is
+// cancelled (main cancels it on SIGINT/SIGTERM).
+func run(ctx context.Context, args []string) error {
 	cfg, err := parseFlags(args)
 	if err != nil {
 		return err
@@ -248,9 +229,9 @@ func run(args []string) error {
 	// message volume (and the /metrics endpoint its per-kind counters).
 	// With -chaos, the fault injector slots in below it — innermost, so
 	// injected faults are indistinguishable from network behavior and the
-	// counters still report what the protocol attempted to send. With
-	// -keys > 1 the whole chain sits below the Manager's key demux, so
-	// both layers observe the merged multi-key stream.
+	// counters still report what the protocol attempted to send. The
+	// whole chain sits below the Manager's key demux, so both layers
+	// observe the merged stream of every key.
 	reg := telemetry.NewRegistry()
 	var inj *faultnet.Injector
 	if cfg.chaos != "" {
@@ -288,68 +269,49 @@ func run(args []string) error {
 	tr := transport.Chain(tcp, frec.Middleware(), transport.CountingMW(reg), faultMW(inj))
 	ct, _ := transport.Find[*transport.Counting](tr)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// The two service shapes: the classic single mutex (one live node,
-	// key-less wire frames) or the sharded multi-key service (one DME
-	// group per key over the same endpoint). -session needs a Manager
-	// behind it (the session layer's Backend is keyed), so it forces the
-	// multi-key shape even at -keys 1.
-	var admin http.Handler
-	var workload func() error
-	var summary func()
+	mgr, err := live.NewManager(live.ManagerConfig{
+		ID: cfg.id, N: cfg.n, Transport: tr, Factory: factory, Algo: cfg.algo,
+		Logger: logger, Metrics: reg, Tracer: tracer, FlightRec: frec,
+	})
+	if err != nil {
+		_ = tcp.Close()
+		return err
+	}
+	defer mgr.Close() //nolint:errcheck // shutdown path
 	var ssrv *session.Server
-	if cfg.keys == 1 && cfg.session == "" {
-		node, err := live.NewNode(live.Config{
-			ID: cfg.id, N: cfg.n, Transport: tr, Factory: factory, Algo: cfg.algo,
-			Logger: logger, Metrics: reg, Tracer: tracer, FlightRec: frec,
+	if cfg.session != "" {
+		// The session server shares the node's registry, so /metrics
+		// exposes the session_* counters alongside the protocol's.
+		ssrv, err = session.NewServer(session.Config{
+			Backend: mgr, Metrics: reg, Logger: logger,
 		})
 		if err != nil {
-			_ = tcp.Close()
 			return err
 		}
-		defer node.Close() //nolint:errcheck // shutdown path
-		admin = node.AdminHandler()
-		workload = func() error { return singleKeyWorkload(ctx, cfg, node) }
-		summary = func() { printSummary(cfg.id, cfg.algo, node, ct, tcp, inj) }
-	} else {
-		mgr, err := live.NewManager(live.ManagerConfig{
-			ID: cfg.id, N: cfg.n, Transport: tr, Factory: factory, Algo: cfg.algo,
-			Logger: logger, Metrics: reg, Tracer: tracer, FlightRec: frec,
-		})
+		defer ssrv.Close() //nolint:errcheck // shutdown path
+		sln, err := net.Listen("tcp", cfg.session)
 		if err != nil {
-			_ = tcp.Close()
 			return err
 		}
-		defer mgr.Close() //nolint:errcheck // shutdown path
-		admin = mgr.AdminHandler()
-		workload = func() error { return multiKeyWorkload(ctx, cfg, mgr) }
-		summary = func() { printManagerSummary(cfg, mgr, ct, tcp, inj) }
-		if cfg.session != "" {
-			// The session server shares the node's registry, so the main
-			// /metrics exposes the session_* counters alongside the
-			// protocol's; /session/metrics serves the same registry.
-			ssrv, err = session.NewServer(session.Config{
-				Backend: mgr, Metrics: reg, Logger: logger,
-			})
-			if err != nil {
-				return err
-			}
-			defer ssrv.Close() //nolint:errcheck // shutdown path
-			sln, err := net.Listen("tcp", cfg.session)
-			if err != nil {
-				return err
-			}
-			go ssrv.Serve(sln) //nolint:errcheck // returns ErrServerClosed on shutdown
-			fmt.Printf("node %d: session service on %s (TTL leases, wait queues, watches)\n",
-				cfg.id, sln.Addr())
-		}
+		go ssrv.Serve(sln) //nolint:errcheck // returns ErrServerClosed on shutdown
+		fmt.Printf("node %d: session service on %s (TTL leases, wait queues, watches)\n",
+			cfg.id, sln.Addr())
 	}
 
 	if cfg.httpAddr != "" {
-		handler, endpoints := adminHandler(admin, inj, ssrv)
-		srv := &http.Server{Addr: cfg.httpAddr, Handler: handler}
+		// One mux: the optional fault-injector control endpoint and the
+		// session-layer status mount beside the Manager's own routes.
+		mux := mgr.AdminHandler()
+		endpoints := "/metrics /statusz /healthz /debug/trace /debug/requests"
+		if inj != nil {
+			mux.Handle("/debug/faults", inj.Handler())
+			endpoints += " /debug/faults"
+		}
+		if ssrv != nil {
+			mux.HandleFunc("/sessionz", ssrv.ServeSessionz)
+			endpoints += " /sessionz"
+		}
+		srv := &http.Server{Addr: cfg.httpAddr, Handler: mux}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "mutexnode: admin server:", err)
@@ -362,7 +324,7 @@ func run(args []string) error {
 		}()
 		fmt.Printf("node %d: admin endpoints on %s (%s)\n", cfg.id, cfg.httpAddr, endpoints)
 	}
-	defer summary()
+	defer printSummary(cfg, mgr, ct, tcp, inj)
 	if frec != nil {
 		defer func() {
 			records, dropped := frec.Totals()
@@ -371,23 +333,19 @@ func run(args []string) error {
 		}()
 	}
 
-	switch {
-	case cfg.algo == registry.Core && cfg.keys > 1:
-		fmt.Printf("node %d/%d listening on %s (arbiter protocol, %d lock keys: treq=%.3fs tfwd=%.3fs monitor=%v recovery=%v)\n",
-			cfg.id, cfg.n, cfg.addrs[cfg.id], cfg.keys, cfg.treq, cfg.tfwd, cfg.monitor, cfg.recovery)
-	case cfg.algo == registry.Core:
-		fmt.Printf("node %d/%d listening on %s (arbiter protocol: treq=%.3fs tfwd=%.3fs monitor=%v recovery=%v)\n",
-			cfg.id, cfg.n, cfg.addrs[cfg.id], cfg.treq, cfg.tfwd, cfg.monitor, cfg.recovery)
-	default:
-		fmt.Printf("node %d/%d listening on %s (algorithm: %s, keys: %d)\n",
-			cfg.id, cfg.n, cfg.addrs[cfg.id], cfg.algo, cfg.keys)
+	params := ""
+	if cfg.algo == registry.Core {
+		params = fmt.Sprintf(", treq=%.3fs tfwd=%.3fs monitor=%v recovery=%v",
+			cfg.treq, cfg.tfwd, cfg.monitor, cfg.recovery)
 	}
+	fmt.Printf("node %d/%d listening on %s (algorithm %s, lock keys: %d%s)\n",
+		cfg.id, cfg.n, cfg.addrs[cfg.id], cfg.algo, cfg.keys, params)
 
 	if cfg.count == 0 {
 		<-ctx.Done()
 		return nil
 	}
-	if err := workload(); err != nil {
+	if err := workload(ctx, cfg, mgr); err != nil {
 		return err
 	}
 	if cfg.linger > 0 {
@@ -399,32 +357,10 @@ func run(args []string) error {
 	return nil
 }
 
-// singleKeyWorkload is the classic demo loop: acquire, hold, release,
-// think, -count times.
-func singleKeyWorkload(ctx context.Context, cfg *nodeConfig, node *live.Node) error {
-	for i := 1; i <= cfg.count; i++ {
-		if err := node.Lock(ctx); err != nil {
-			return fmt.Errorf("lock %d: %w", i, err)
-		}
-		fmt.Printf("node %d: acquired CS #%d at %s\n", cfg.id, i, time.Now().Format("15:04:05.000"))
-		select {
-		case <-time.After(cfg.hold):
-		case <-ctx.Done():
-		}
-		node.Unlock()
-		select {
-		case <-time.After(cfg.think):
-		case <-ctx.Done():
-			return nil
-		}
-	}
-	return nil
-}
-
-// multiKeyWorkload round-robins -count acquisitions over the node's lock
-// keys (offset by the node id so the keys see staggered traffic from
-// every node), printing each grant with its per-key fencing token.
-func multiKeyWorkload(ctx context.Context, cfg *nodeConfig, mgr *live.Manager) error {
+// workload round-robins -count acquisitions over the node's lock keys
+// (offset by the node id so the keys see staggered traffic from every
+// node), printing each grant with its per-key fencing token.
+func workload(ctx context.Context, cfg *nodeConfig, mgr *live.Manager) error {
 	for i := 1; i <= cfg.count; i++ {
 		key := keyName((cfg.id + i) % cfg.keys)
 		fence, err := mgr.LockFence(ctx, key)
@@ -456,23 +392,12 @@ func faultMW(inj *faultnet.Injector) transport.Middleware {
 	return inj.Middleware()
 }
 
-// printSummary reports the node's lifetime protocol traffic: grants,
-// per-kind sent/received counts, payload units, wire bytes, and the
+// printSummary is the shutdown report: aggregate grants, per-kind
+// sent/received counts, payload units and wire bytes over the shared
+// endpoint, one row per lock key from the key's own registry, and the
 // local messages-per-CS ratio (which under a symmetric workload matches
 // the cluster-wide figure the simulation reports).
-func printSummary(id int, algo string, node *live.Node, ct *transport.Counting, tcp *transport.TCPTransport, inj *faultnet.Injector) {
-	granted, released := node.Stats()
-	fmt.Printf("node %d: done (algorithm %s, %d granted, %d released)\n", id, algo, granted, released)
-	printTraffic(id, node.Metrics(), ct)
-	printWireAndChaos(id, tcp, inj)
-	printKinds(id, ct)
-	printPerCS(id, granted, ct)
-}
-
-// printManagerSummary is the multi-key shutdown report: aggregate grants
-// and traffic over the shared endpoint, then one row per lock key from
-// the key's own registry.
-func printManagerSummary(cfg *nodeConfig, mgr *live.Manager, ct *transport.Counting, tcp *transport.TCPTransport, inj *faultnet.Injector) {
+func printSummary(cfg *nodeConfig, mgr *live.Manager, ct *transport.Counting, tcp *transport.TCPTransport, inj *faultnet.Injector) {
 	granted, released := mgr.Stats()
 	fmt.Printf("node %d: done (algorithm %s, %d keys, %d granted, %d released)\n",
 		cfg.id, cfg.algo, len(mgr.Keys()), granted, released)

@@ -9,7 +9,8 @@
 //
 //	go test -bench=. -benchmem
 //
-// Deployable API: internal/live (Lock/Unlock over a transport).
+// Deployable API: internal/live (live.NewManager, then Lock(ctx, key) /
+// Unlock(key) over a transport).
 // Simulation & experiments: internal/dme, internal/experiments,
 // cmd/mutexsim.
 package tokenarbiter

@@ -42,10 +42,10 @@ func main() {
 		RetransmitTimeout: 0.5,
 	})
 	counters := make([]*transport.Counting, nodesN)
-	nodes := make([]*live.Node, nodesN)
+	nodes := make([]*live.Manager, nodesN)
 	for i := range nodes {
 		counters[i] = transport.NewCounting(net.Endpoint(i))
-		node, err := live.NewNode(live.Config{
+		node, err := live.NewManager(live.ManagerConfig{
 			ID:        i,
 			N:         nodesN,
 			Transport: counters[i],
@@ -68,13 +68,13 @@ func main() {
 	for i := range nodes {
 		for w := 0; w < workersN; w++ {
 			wg.Add(1)
-			go func(node *live.Node) {
+			go func(node *live.Manager) {
 				defer wg.Done()
 				for r := 0; r < rounds; r++ {
 					// TryLockContext bounds each acquisition by the run's
 					// deadline: (false, nil) means the context expired while
 					// waiting, anything else is a real failure.
-					ok, err := node.TryLockContext(ctx)
+					ok, err := node.TryLockContext(ctx, "counter")
 					if err != nil {
 						log.Printf("node %d: %v", node.ID(), err)
 						return
@@ -84,7 +84,7 @@ func main() {
 						return
 					}
 					counter++ // safe: we hold the distributed mutex
-					node.Unlock()
+					node.Unlock("counter")
 				}
 			}(nodes[i])
 		}

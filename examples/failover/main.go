@@ -51,9 +51,10 @@ func main() {
 		},
 	}
 	factory := registry.CoreLiveFactory(opts)
-	nodes := make([]*live.Node, n)
+	const key = "demo"
+	nodes := make([]*live.Manager, n)
 	for i := 0; i < n; i++ {
-		node, err := live.NewNode(live.Config{
+		node, err := live.NewManager(live.ManagerConfig{
 			ID: i, N: n,
 			Transport: transport.Chain(net.Endpoint(i), inj.Middleware()),
 			Factory:   factory,
@@ -74,7 +75,7 @@ func main() {
 	stop := make(chan struct{})
 	for _, node := range nodes[1:] { // node 0 is our failure victim later
 		wg.Add(1)
-		go func(node *live.Node) {
+		go func(node *live.Manager) {
 			defer wg.Done()
 			for {
 				select {
@@ -82,12 +83,12 @@ func main() {
 					return
 				default:
 				}
-				if err := node.Lock(ctx); err != nil {
+				if err := node.Lock(ctx, key); err != nil {
 					return
 				}
 				acquisitions.Add(1)
 				time.Sleep(2 * time.Millisecond)
-				node.Unlock()
+				node.Unlock(key)
 				time.Sleep(3 * time.Millisecond)
 			}
 		}(node)
@@ -96,7 +97,7 @@ func main() {
 	epoch := func() uint64 {
 		var max uint64
 		for _, node := range nodes[1:] {
-			if ins, err := node.Inspect(ctx); err == nil && ins.Epoch > max {
+			if ins, err := node.Node(key).Inspect(ctx); err == nil && ins.Epoch > max {
 				max = ins.Epoch
 			}
 		}
@@ -118,12 +119,11 @@ func main() {
 	fmt.Println("\n=== failure 2: killing node 0 while it holds the mutex ===")
 	victimCtx, victimCancel := context.WithTimeout(ctx, 5*time.Second)
 	defer victimCancel()
-	if ok, err := nodes[0].TryLockContext(victimCtx); err != nil || !ok {
+	if ok, err := nodes[0].TryLockContext(victimCtx, key); err != nil || !ok {
 		log.Fatalf("victim lock: ok=%v err=%v", ok, err)
 	}
 	fmt.Println("node 0 acquired the mutex ... and dies")
-	net.Disconnect(0)
-	_ = nodes[0].Close()
+	_ = nodes[0].Close() // the hard kill: closes the endpoint under the mux too
 
 	before = acquisitions.Load()
 	time.Sleep(1500 * time.Millisecond)

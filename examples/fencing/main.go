@@ -2,7 +2,7 @@
 // tokens fix it. A client can acquire the mutex, stall (GC pause, VM
 // migration, network partition), get declared dead by the §6 recovery
 // protocol, and then wake up and write to the shared resource while a
-// new holder is active. The cure — returned by live.Node.LockFence — is
+// new holder is active. The cure — returned by live.Manager.LockFence — is
 // a counter that increases with every grant across the cluster,
 // including across token regenerations: the resource remembers the
 // highest fence it has accepted and rejects anything older.
@@ -70,9 +70,10 @@ func main() {
 		},
 	}
 	factory := registry.CoreLiveFactory(opts)
-	nodes := make([]*live.Node, n)
+	const key = "register"
+	nodes := make([]*live.Manager, n)
 	for i := 0; i < n; i++ {
-		node, err := live.NewNode(live.Config{ID: i, N: n, Transport: net.Endpoint(i), Factory: factory})
+		node, err := live.NewManager(live.ManagerConfig{ID: i, N: n, Transport: net.Endpoint(i), Factory: factory})
 		if err != nil {
 			log.Fatalf("node %d: %v", i, err)
 		}
@@ -86,14 +87,14 @@ func main() {
 
 	// Warm up so the token circulates.
 	for _, nd := range nodes {
-		if err := nd.Lock(ctx); err != nil {
+		if err := nd.Lock(ctx, key); err != nil {
 			log.Fatal(err)
 		}
-		nd.Unlock()
+		nd.Unlock(key)
 	}
 
 	// Node 1 acquires the lock and stalls while holding it.
-	staleFence, err := nodes[1].LockFence(ctx)
+	staleFence, err := nodes[1].LockFence(ctx, key)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func main() {
 
 	// Node 2 wants the lock; the §6 recovery declares the token lost,
 	// regenerates it with a fence jump, and grants node 2.
-	freshFence, err := nodes[2].LockFence(ctx)
+	freshFence, err := nodes[2].LockFence(ctx, key)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func main() {
 	if !reg.write(freshFence, "written by node 2") {
 		log.Fatal("fresh write rejected!?")
 	}
-	nodes[2].Unlock()
+	nodes[2].Unlock(key)
 
 	// Node 1 wakes up, still believing it holds the lock, and writes.
 	net.Reconnect(1)
@@ -120,5 +121,5 @@ func main() {
 	}
 	fmt.Printf("register rejected the stale write (fence %d ≤ %d)\n", staleFence, reg.maxFence)
 	fmt.Printf("final value: %q, rejected writes: %d\n", reg.value, reg.rejected)
-	nodes[1].Unlock() // node 1 cleans up its local state
+	nodes[1].Unlock(key) // node 1 cleans up its local state
 }

@@ -1,6 +1,6 @@
 // Quickstart: a five-node in-process cluster of the arbiter token-passing
-// mutex. Each node acquires the distributed critical section three times
-// and prints what it did. Node 0 starts as the arbiter holding the token,
+// mutex. Each node acquires the distributed lock "demo" three times and
+// prints what it did. Node 0 starts as the arbiter holding the token,
 // exactly as in the paper's initialization.
 //
 // Run with:
@@ -35,9 +35,9 @@ func main() {
 		Treq: 0.01, // 10 ms request-collection phase
 		Tfwd: 0.01, // 10 ms request-forwarding phase
 	})
-	nodes := make([]*live.Node, n)
+	nodes := make([]*live.Manager, n)
 	for i := 0; i < n; i++ {
-		node, err := live.NewNode(live.Config{
+		node, err := live.NewManager(live.ManagerConfig{
 			ID:        i,
 			N:         n,
 			Transport: net.Endpoint(i),
@@ -56,16 +56,16 @@ func main() {
 	var wg sync.WaitGroup
 	for i, node := range nodes {
 		wg.Add(1)
-		go func(i int, node *live.Node) {
+		go func(i int, node *live.Manager) {
 			defer wg.Done()
 			for round := 1; round <= 3; round++ {
-				if err := node.Lock(ctx); err != nil {
+				if err := node.Lock(ctx, "demo"); err != nil {
 					log.Printf("node %d: lock failed: %v", i, err)
 					return
 				}
 				fmt.Printf("node %d entered the critical section (round %d)\n", i, round)
 				time.Sleep(2 * time.Millisecond) // the protected work
-				node.Unlock()
+				node.Unlock("demo")
 			}
 		}(i, node)
 	}

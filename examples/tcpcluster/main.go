@@ -56,9 +56,9 @@ func main() {
 			RoundTimeout: 0.5,
 		},
 	})
-	nodes := make([]*live.Node, n)
+	nodes := make([]*live.Manager, n)
 	for i := 0; i < n; i++ {
-		node, err := live.NewNode(live.Config{
+		node, err := live.NewManager(live.ManagerConfig{
 			ID:        i,
 			N:         n,
 			Transport: transports[i],
@@ -81,10 +81,10 @@ func main() {
 	)
 	for i := range nodes {
 		wg.Add(1)
-		go func(node *live.Node) {
+		go func(node *live.Manager) {
 			defer wg.Done()
 			for r := 0; r < 5; r++ {
-				if err := node.Lock(ctx); err != nil {
+				if err := node.Lock(ctx, "demo"); err != nil {
 					log.Printf("node %d: %v", node.ID(), err)
 					return
 				}
@@ -93,7 +93,7 @@ func main() {
 				mu.Unlock()
 				fmt.Printf("node %d holds the mutex (round %d)\n", node.ID(), r+1)
 				time.Sleep(5 * time.Millisecond)
-				node.Unlock()
+				node.Unlock("demo")
 			}
 		}(nodes[i])
 	}

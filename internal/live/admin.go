@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -12,8 +13,8 @@ import (
 	"tokenarbiter/internal/telemetry"
 )
 
-// Status is the /statusz document: the node's protocol role and state
-// snapshot plus every metric. Role is "holder" while the node is inside
+// Status is one key's /statusz?key=K document: the node's protocol role
+// and state snapshot for that lock plus every metric. Role is "holder" while the node is inside
 // (or its application holds) the critical section, "arbiter" while it is
 // collecting requests, "waiting" with requests outstanding, else "idle".
 //
@@ -46,86 +47,131 @@ type Status struct {
 	Metrics telemetry.Snapshot `json:"metrics"`
 }
 
-// Status assembles the /statusz document, taking the protocol snapshot
-// under the executor's exclusion. Algorithms without core introspection get the
+// Status assembles the document, taking the protocol snapshot under the
+// executor's exclusion. Algorithms without core introspection get the
 // degraded generic document rather than an error.
 func (n *Node) Status(ctx context.Context) (Status, error) {
 	ins, err := n.Inspect(ctx)
-	if errors.Is(err, ErrNotCore) {
-		granted, released := n.Stats()
-		role := "idle"
-		switch {
-		case n.holding.Load():
-			role = "holder"
-		case n.metrics.lockWaiters.Value() > 0:
-			role = "waiting"
-		}
-		return Status{
-			ID:            n.cfg.ID,
-			N:             n.cfg.N,
-			Algo:          n.cfg.Algo,
-			Role:          role,
-			UptimeSeconds: time.Since(n.start).Seconds(),
-			Granted:       granted,
-			Released:      released,
-			Metrics:       n.reg.Snapshot(),
-		}, nil
-	}
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrNotCore) {
 		return Status{}, err
 	}
 	granted, released := n.Stats()
-	role := "idle"
-	switch {
-	case ins.InCS || n.holding.Load():
-		role = "holder"
-	case ins.IsArbiter:
-		role = "arbiter"
-	case ins.Outstanding > 0:
-		role = "waiting"
-	}
-	return Status{
+	st := Status{
 		ID:            n.cfg.ID,
 		N:             n.cfg.N,
 		Algo:          n.cfg.Algo,
-		Role:          role,
+		Role:          "idle",
 		UptimeSeconds: time.Since(n.start).Seconds(),
-		Arbiter:       ins.Arbiter,
-		Monitor:       ins.Monitor,
-		HasToken:      ins.HasToken,
-		InCS:          ins.InCS,
-		Forwarding:    ins.Forwarding,
-		Epoch:         ins.Epoch,
-		LastFence:     ins.LastFence,
-		MaxFence:      ins.MaxFence,
-		BatchLen:      ins.BatchLen,
-		StoredLen:     ins.StoredLen,
-		Outstanding:   ins.Outstanding,
 		Granted:       granted,
 		Released:      released,
 		Metrics:       n.reg.Snapshot(),
-	}, nil
+	}
+	if err != nil {
+		// No core introspection: the runtime's own view of the role.
+		switch {
+		case n.holding.Load():
+			st.Role = "holder"
+		case n.metrics.lockWaiters.Value() > 0:
+			st.Role = "waiting"
+		}
+		return st, nil
+	}
+	switch {
+	case ins.InCS || n.holding.Load():
+		st.Role = "holder"
+	case ins.IsArbiter:
+		st.Role = "arbiter"
+	case ins.Outstanding > 0:
+		st.Role = "waiting"
+	}
+	st.Arbiter = ins.Arbiter
+	st.Monitor = ins.Monitor
+	st.HasToken = ins.HasToken
+	st.InCS = ins.InCS
+	st.Forwarding = ins.Forwarding
+	st.Epoch = ins.Epoch
+	st.LastFence = ins.LastFence
+	st.MaxFence = ins.MaxFence
+	st.BatchLen = ins.BatchLen
+	st.StoredLen = ins.StoredLen
+	st.Outstanding = ins.Outstanding
+	return st, nil
 }
 
-// AdminHandler returns the node's admin HTTP surface:
+// ManagerStatus is the Manager's aggregate /statusz document: the
+// service-level identity, totals across every key, and each key's
+// summary row. A single key's full protocol Status (role, arbiter,
+// epoch, fences, per-key metrics) is served by /statusz?key=K instead —
+// one document per key keeps the aggregate view bounded as keys grow.
+type ManagerStatus struct {
+	ID            int     `json:"id"`
+	N             int     `json:"n"`
+	Algo          string  `json:"algo,omitempty"`
+	Shards        int     `json:"shards"`
+	KeyCount      int     `json:"key_count"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+
+	Granted  uint64 `json:"granted"`
+	Released uint64 `json:"released"`
+
+	Keys []KeyStat `json:"keys"`
+
+	Metrics telemetry.Snapshot `json:"metrics"` // manager-level registry
+}
+
+// Status assembles the aggregate /statusz document.
+func (m *Manager) Status() ManagerStatus {
+	stats := m.KeyStats()
+	st := ManagerStatus{
+		ID:            m.cfg.ID,
+		N:             m.cfg.N,
+		Algo:          m.cfg.Algo,
+		Shards:        len(m.shards),
+		KeyCount:      len(stats),
+		UptimeSeconds: time.Since(m.start).Seconds(),
+		Keys:          stats,
+		Metrics:       m.reg.Snapshot(),
+	}
+	for _, ks := range stats {
+		st.Granted += ks.Granted
+		st.Released += ks.Released
+	}
+	return st
+}
+
+// keyStatus wraps one key's node Status with the manager-level identity
+// of the instance serving it.
+type keyStatus struct {
+	Key         string `json:"key"`
+	Shard       int    `json:"shard"`
+	Incarnation uint64 `json:"incarnation"`
+	Status
+}
+
+// AdminHandler returns the admin HTTP surface, one mux for the whole
+// node. It is returned as the *http.ServeMux it is so a caller mounts
+// its own routes on it (cmd/mutexnode adds /debug/faults and /sessionz)
+// instead of wrapping it in another mux.
 //
-//	/healthz         liveness: 200 "ok" while the node runs, 503 once closed
-//	/metrics         Prometheus text exposition of the telemetry registry
-//	/statusz         JSON Status document (role, protocol state, metrics)
-//	/debug/trace     recent protocol transitions as JSONL, oldest first;
-//	                 ?kind=K keeps only events of that kind, ?format=json
-//	                 returns one JSON array instead of JSONL
-//	/debug/requests  recent completed request traces (Config.Tracer):
-//	                 totals, the ?n= most recent, and the ?n= slowest by
-//	                 lock-wait with per-phase breakdowns; 404 when request
-//	                 tracing is disabled
-//
-// Mount it on any mux or serve it directly; cmd/mutexnode's -http flag
-// does the latter.
-func (n *Node) AdminHandler() http.Handler {
+//	/healthz              liveness: 200 "ok" while the service runs, 503 once closed
+//	/metrics              Prometheus exposition in one metric-major pass (one
+//	                      HELP/TYPE per name): the manager registry's series
+//	                      unlabeled, every key's registry with a key="..." label
+//	/statusz              aggregate JSON ManagerStatus (totals + per-key rows)
+//	/statusz?key=K        key K's full protocol Status (wrapped with key/shard/
+//	                      incarnation); 404 when the key does not exist here
+//	/debug/trace?key=K    key K's recent protocol transitions as JSONL, oldest
+//	                      first; ?kind=X keeps only events of that kind,
+//	                      ?format=json returns one JSON array instead
+//	/debug/requests       recent completed request traces from the shared
+//	                      collector (ManagerConfig.Tracer): totals, the ?n= most
+//	                      recent and the ?n= slowest by lock-wait with per-phase
+//	                      breakdowns; ?key=K restricts to one lock key's traces;
+//	                      404 when request tracing is disabled
+func (m *Manager) AdminHandler() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if n.closed.Load() {
+		if m.closed.Load() {
 			http.Error(w, "closed", http.StatusServiceUnavailable)
 			return
 		}
@@ -134,32 +180,73 @@ func (n *Node) AdminHandler() http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = n.reg.WritePrometheus(w)
+		var regs []telemetry.LabeledRegistry
+		for _, inst := range m.snapshotInstances() {
+			regs = append(regs, telemetry.LabeledRegistry{Value: inst.key, Reg: inst.reg})
+		}
+		_ = telemetry.WritePrometheusMulti(w, m.reg, "key", regs)
 	})
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		key, keyed := queryKey(r)
+		if !keyed {
+			_ = enc.Encode(m.Status())
+			return
+		}
+		inst := m.lookup(key)
+		if inst == nil {
+			http.Error(w, fmt.Sprintf("unknown lock key %q", key), http.StatusNotFound)
+			return
+		}
 		ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
 		defer cancel()
-		st, err := n.Status(ctx)
+		st, err := inst.node.Status(ctx)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(st)
+		_ = enc.Encode(keyStatus{
+			Key:         inst.key,
+			Shard:       inst.shard,
+			Incarnation: inst.incarnation,
+			Status:      st,
+		})
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		if n.trace == nil {
-			http.Error(w, "tracing disabled (Config.TraceDepth < 0)", http.StatusNotFound)
+		key, keyed := queryKey(r)
+		if !keyed {
+			http.Error(w, "which key? pass ?key=K (see /statusz for the live keys)", http.StatusBadRequest)
 			return
 		}
-		writeTraceRing(w, r, n.trace)
+		inst := m.lookup(key)
+		if inst == nil {
+			http.Error(w, fmt.Sprintf("unknown lock key %q", key), http.StatusNotFound)
+			return
+		}
+		tr := inst.node.Trace()
+		if tr == nil {
+			http.Error(w, "tracing disabled (ManagerConfig.TraceDepth < 0)", http.StatusNotFound)
+			return
+		}
+		writeTraceRing(w, r, tr)
 	})
 	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
-		writeRequests(w, r, n.tracer)
+		writeRequests(w, r, m.cfg.Tracer)
 	})
 	return mux
+}
+
+// queryKey extracts the ?key= parameter, distinguishing an absent
+// parameter from the present-but-empty one — "" is a legal key (its
+// frames carry no key field) an operator may want to inspect.
+func queryKey(r *http.Request) (string, bool) {
+	vals, ok := r.URL.Query()["key"]
+	if !ok || len(vals) == 0 {
+		return "", false
+	}
+	return vals[0], true
 }
 
 // writeTraceRing serves a protocol-transition ring, honoring the

@@ -16,14 +16,14 @@ import (
 	"tokenarbiter/internal/transport"
 )
 
-// tracedNode builds a single-node cluster with request tracing on and
-// runs a few lock/unlock cycles so the admin surfaces have data.
-func tracedNode(t *testing.T) (*live.Node, *reqtrace.Collector) {
+// tracedManager serves a single-node Manager's admin mux after a few
+// lock/unlock cycles of key "k", so the admin surfaces have data. Request
+// tracing is on when tracer is non-nil.
+func tracedManager(t *testing.T, tracer *reqtrace.Collector) *httptest.Server {
 	t.Helper()
 	net := transport.NewMemNetwork(1, transport.MemOptions{})
 	t.Cleanup(net.Close)
-	tracer := reqtrace.NewCollector(reqtrace.DefaultDepth)
-	nd, err := live.NewNode(live.Config{
+	m, err := live.NewManager(live.ManagerConfig{
 		ID: 0, N: 1, Transport: net.Endpoint(0),
 		Factory: registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005}),
 		Seed:    1,
@@ -32,17 +32,19 @@ func tracedNode(t *testing.T) (*live.Node, *reqtrace.Collector) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = nd.Close() })
+	t.Cleanup(func() { _ = m.Close() })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for i := 0; i < 4; i++ {
-		if err := nd.Lock(ctx); err != nil {
+		if err := m.Lock(ctx, "k"); err != nil {
 			t.Fatal(err)
 		}
-		nd.Unlock()
+		m.Unlock("k")
 	}
-	return nd, tracer
+	srv := httptest.NewServer(m.AdminHandler())
+	t.Cleanup(srv.Close)
+	return srv
 }
 
 func adminGet(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -60,12 +62,10 @@ func adminGet(t *testing.T, srv *httptest.Server, path string) (int, string) {
 }
 
 func TestDebugTraceFilters(t *testing.T) {
-	nd, _ := tracedNode(t)
-	srv := httptest.NewServer(nd.AdminHandler())
-	defer srv.Close()
+	srv := tracedManager(t, nil)
 
 	// Unfiltered NDJSON: one JSON object per line, several kinds.
-	code, body := adminGet(t, srv, "/debug/trace")
+	code, body := adminGet(t, srv, "/debug/trace?key=k")
 	if code != 200 {
 		t.Fatalf("/debug/trace = %d", code)
 	}
@@ -84,7 +84,7 @@ func TestDebugTraceFilters(t *testing.T) {
 	}
 
 	// ?kind= keeps only events of that kind.
-	code, body = adminGet(t, srv, "/debug/trace?kind="+first.Kind)
+	code, body = adminGet(t, srv, "/debug/trace?key=k&kind="+first.Kind)
 	if code != 200 {
 		t.Fatalf("filtered /debug/trace = %d", code)
 	}
@@ -105,13 +105,13 @@ func TestDebugTraceFilters(t *testing.T) {
 	}
 
 	// ?kind= with a never-matching value yields an empty body, not an error.
-	code, body = adminGet(t, srv, "/debug/trace?kind=no-such-kind")
+	code, body = adminGet(t, srv, "/debug/trace?key=k&kind=no-such-kind")
 	if code != 200 || strings.TrimSpace(body) != "" {
 		t.Errorf("no-match filter = %d with body %q", code, body)
 	}
 
 	// ?format=json returns one array holding the same events.
-	code, body = adminGet(t, srv, "/debug/trace?format=json&kind="+first.Kind)
+	code, body = adminGet(t, srv, "/debug/trace?key=k&format=json&kind="+first.Kind)
 	if code != 200 {
 		t.Fatalf("/debug/trace?format=json = %d", code)
 	}
@@ -125,9 +125,8 @@ func TestDebugTraceFilters(t *testing.T) {
 }
 
 func TestDebugRequestsNode(t *testing.T) {
-	nd, tracer := tracedNode(t)
-	srv := httptest.NewServer(nd.AdminHandler())
-	defer srv.Close()
+	tracer := reqtrace.NewCollector(reqtrace.DefaultDepth)
+	srv := tracedManager(t, tracer)
 
 	code, body := adminGet(t, srv, "/debug/requests")
 	if code != 200 {
@@ -182,19 +181,7 @@ func TestDebugRequestsNode(t *testing.T) {
 }
 
 func TestDebugRequestsDisabled(t *testing.T) {
-	net := transport.NewMemNetwork(1, transport.MemOptions{})
-	t.Cleanup(net.Close)
-	nd, err := live.NewNode(live.Config{
-		ID: 0, N: 1, Transport: net.Endpoint(0),
-		Factory: registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005}),
-		Seed:    1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = nd.Close() })
-	srv := httptest.NewServer(nd.AdminHandler())
-	defer srv.Close()
+	srv := tracedManager(t, nil)
 	if code, _ := adminGet(t, srv, "/debug/requests"); code != 404 {
 		t.Errorf("/debug/requests without a Tracer = %d, want 404", code)
 	}
@@ -260,15 +247,18 @@ func TestDebugRequestsManagerKeyFilter(t *testing.T) {
 }
 
 // TestLockWaitExemplar pins the histogram↔trace linkage: after traced
-// acquisitions, the lock-wait histogram snapshot carries a max_exemplar
-// whose trace resolves in the collector.
+// acquisitions, the lock-wait histogram in the key's /statusz carries a
+// max_exemplar whose trace resolves in the collector.
 func TestLockWaitExemplar(t *testing.T) {
-	nd, tracer := tracedNode(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	st, err := nd.Status(ctx)
-	if err != nil {
-		t.Fatal(err)
+	tracer := reqtrace.NewCollector(reqtrace.DefaultDepth)
+	srv := tracedManager(t, tracer)
+	code, body := adminGet(t, srv, "/statusz?key=k")
+	if code != 200 {
+		t.Fatalf("/statusz?key=k = %d: %s", code, body)
+	}
+	var st live.Status
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatalf("decode: %v\n%s", err, body)
 	}
 	hist, ok := st.Metrics.Histograms["lock_wait_seconds"]
 	if !ok {

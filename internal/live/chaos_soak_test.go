@@ -16,7 +16,6 @@ import (
 	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/reqtrace"
-	"tokenarbiter/internal/telemetry"
 	"tokenarbiter/internal/transport"
 	"tokenarbiter/internal/wire"
 )
@@ -119,18 +118,10 @@ func (r *fencedResource) report() (accepted, stale, overlaps int, violations []s
 	return r.accepted, r.stale, r.overlaps, append([]string(nil), r.violations...)
 }
 
-// sumCounter totals one counter across every node's registry.
-func sumCounter(regs []*telemetry.Registry, name string) uint64 {
-	var sum uint64
-	for _, reg := range regs {
-		sum += reg.Snapshot().Counters[name]
-	}
-	return sum
-}
-
-// TestChaosSoak drives a 5-node cluster through the full fault gauntlet —
-// random drop/dup/corrupt/delay/reorder on every link, a forced token
-// loss, a partition-and-heal cycle, and a member crash with restart —
+// TestChaosSoak drives a 5-node cluster of one-key Managers through the
+// full fault gauntlet — random drop/dup/corrupt/delay/reorder on every
+// link, a forced token loss, a partition-and-heal cycle, and a node crash
+// (Close) with restart (a fresh Manager on the reconnected endpoint) —
 // and asserts the three chaos-layer guarantees: mutual exclusion (no
 // fencing token granted twice), bounded recovery (the token is
 // regenerated after forced loss), and liveness (every worker completes
@@ -150,6 +141,7 @@ func chaosSoak(t *testing.T, seed uint64) {
 	const (
 		n     = 5
 		quota = 8
+		key   = "soak"
 	)
 	algo, err := registry.RegisterWire(registry.Core)
 	if err != nil {
@@ -188,34 +180,59 @@ func chaosSoak(t *testing.T, seed uint64) {
 
 	rec := soakRecorder(t, algo, n, fmt.Sprintf("chaos-soak-seed%d", seed))
 	net := transport.NewMemNetwork(n, transport.MemOptions{})
-	regs := make([]*telemetry.Registry, n)
-	members := make([]live.Member, n)
-	for i := 0; i < n; i++ {
-		regs[i] = telemetry.NewRegistry()
-		members[i] = live.Member{Build: func() (live.Config, error) {
-			net.Reconnect(i)
-			return live.Config{
-				ID: i,
-				N:  n,
-				// The injector sits innermost, directly over the wire,
-				// with the optional flight recorder outermost (it captures
-				// what the protocol attempted, not what survived the
-				// faults); restarts reuse the slot's registry so recovery
-				// counters stay cumulative across incarnations.
-				Transport: transport.Chain(net.Endpoint(i), rec.Middleware(), inj.Middleware()),
-				Factory:   registry.CoreLiveFactory(opts),
-				Seed:      seed<<8 + uint64(i) + 1,
-				Metrics:   regs[i],
-				FlightRec: rec,
-			}, nil
-		}}
-	}
-	sup, err := live.NewSupervisor(members)
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer net.Close()
-	defer sup.Close()
+	// mgrs[i] is node i's current Manager, nil while the node is crashed.
+	// start builds one on the (re)connected endpoint: the injector sits
+	// innermost, directly over the wire, with the flight recorder
+	// outermost (it captures what the protocol attempted, not what
+	// survived the faults).
+	var mgrs [n]atomic.Pointer[live.Manager]
+	start := func(i int) {
+		net.Reconnect(i)
+		m, err := live.NewManager(live.ManagerConfig{
+			ID:        i,
+			N:         n,
+			Transport: transport.Chain(net.Endpoint(i), rec.Middleware(), inj.Middleware()),
+			Factory:   registry.CoreLiveFactory(opts),
+			Seed:      seed<<8 + uint64(i) + 1,
+			FlightRec: rec,
+		})
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		mgrs[i].Store(m)
+	}
+	for i := 0; i < n; i++ {
+		start(i)
+	}
+	defer func() {
+		for i := range mgrs {
+			if m := mgrs[i].Load(); m != nil {
+				_ = m.Close()
+			}
+		}
+	}()
+	// regenerations totals the cluster's token regenerations. A crashed
+	// node's counters die with its Manager; lostRegens carries them so the
+	// total stays cumulative across the restart.
+	var lostRegens uint64
+	regenerations := func() uint64 {
+		sum := lostRegens
+		for i := range mgrs {
+			if m := mgrs[i].Load(); m != nil {
+				sum += m.SumCounter("recovery_regenerations_total")
+			}
+		}
+		return sum
+	}
+	// engine returns node i's engine for the soak key, nil while the node
+	// is down or has not joined the key's group yet.
+	engine := func(i int) *live.Node {
+		if m := mgrs[i].Load(); m != nil {
+			return m.Node(key)
+		}
+		return nil
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -226,7 +243,7 @@ func chaosSoak(t *testing.T, seed uint64) {
 		dctx, dcancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer dcancel()
 		for i := 0; i < n; i++ {
-			nd := sup.Node(i)
+			nd := engine(i)
 			if nd == nil {
 				t.Logf("node %d: down", i)
 				continue
@@ -236,7 +253,7 @@ func chaosSoak(t *testing.T, seed uint64) {
 				t.Logf("node %d: inspect: %v", i, err)
 				continue
 			}
-			snap := regs[i].Snapshot()
+			snap := nd.Metrics().Snapshot()
 			t.Logf("node %d: arbiter=%d collecting=%v token=%v inCS=%v epoch=%d fence=%d/%d out=%d retx=%d regen=%d takeover=%d dup-drop=%d stale-drop=%d",
 				i, ins.Arbiter, ins.IsArbiter, ins.HasToken, ins.InCS, ins.Epoch,
 				ins.LastFence, ins.MaxFence, ins.Outstanding,
@@ -262,13 +279,13 @@ func chaosSoak(t *testing.T, seed uint64) {
 		go func(i int) {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				nd := sup.Node(i)
-				if nd == nil {
-					// Crashed; wait for the supervisor to restart us.
+				m := mgrs[i].Load()
+				if m == nil {
+					// Crashed; wait for the restart.
 					time.Sleep(10 * time.Millisecond)
 					continue
 				}
-				fence, err := nd.LockFence(ctx)
+				fence, err := m.LockFence(ctx, key)
 				if err != nil {
 					if errors.Is(err, live.ErrClosed) {
 						continue // killed mid-wait; retry on the next incarnation
@@ -284,7 +301,7 @@ func chaosSoak(t *testing.T, seed uint64) {
 					res.release()
 					counts[i].Add(1)
 				}
-				nd.Unlock()
+				m.Unlock(key)
 				// A refused fence was a stale grant overtaken by recovery:
 				// the CS is retried and does not count toward the quota.
 			}
@@ -297,10 +314,10 @@ func chaosSoak(t *testing.T, seed uint64) {
 	// Phase 2 — forced token loss: kill the next two PRIVILEGE transfers
 	// (the token and, if need be, its immediate regeneration), then
 	// require a regeneration within a generous recovery bound.
-	regenBase := sumCounter(regs, "recovery_regenerations_total")
+	regenBase := regenerations()
 	inj.DropNextKind(core.KindPrivilege, 2)
 	deadline := time.Now().Add(15 * time.Second)
-	for sumCounter(regs, "recovery_regenerations_total") == regenBase {
+	for regenerations() == regenBase {
 		if time.Now().After(deadline) {
 			t.Fatal("token not regenerated within the recovery bound after forced loss")
 		}
@@ -317,13 +334,13 @@ func chaosSoak(t *testing.T, seed uint64) {
 	inj.Heal()
 
 	// Phase 4 — crash node 4, leave it down briefly, restart it.
-	if err := sup.Kill(4); err != nil {
-		t.Fatalf("kill member 4: %v", err)
+	victim := mgrs[4].Swap(nil)
+	lostRegens = victim.SumCounter("recovery_regenerations_total")
+	if err := victim.Close(); err != nil {
+		t.Fatalf("crash node 4: %v", err)
 	}
 	time.Sleep(300 * time.Millisecond)
-	if _, err := sup.Restart(4); err != nil {
-		t.Fatalf("restart member 4: %v", err)
-	}
+	start(4)
 
 	// Reconvergence: any partition-era twin token must be dead before the
 	// strict exclusion assertion is re-armed. Converged means every node
@@ -336,7 +353,7 @@ func chaosSoak(t *testing.T, seed uint64) {
 		var epoch uint64
 		tokens := 0
 		for i := 0; i < n && converged; i++ {
-			nd := sup.Node(i)
+			nd := engine(i)
 			if nd == nil {
 				converged = false
 				break
@@ -414,10 +431,10 @@ func chaosSoak(t *testing.T, seed uint64) {
 	if decodeErrs.Load() == 0 {
 		t.Error("no corruption surfaced as *wire.DecodeError")
 	}
-	regens := sumCounter(regs, "recovery_regenerations_total")
+	regens := regenerations()
 	if regens == 0 {
 		t.Error("soak completed without a single token regeneration")
 	}
-	t.Logf("seed %d: accepted=%d stale-rejected=%d split-brain-overlaps=%d regenerations=%d restarts=%d faults=%+v",
-		seed, accepted, stale, overlaps, regens, sup.Restarts(), c)
+	t.Logf("seed %d: accepted=%d stale-rejected=%d split-brain-overlaps=%d regenerations=%d faults=%+v",
+		seed, accepted, stale, overlaps, regens, c)
 }

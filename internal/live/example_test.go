@@ -13,15 +13,15 @@ import (
 )
 
 // Example shows the minimal lifecycle: build an in-memory cluster, take
-// the distributed mutex on one node, release it, shut down.
+// a named distributed lock on one node, release it, shut down.
 func Example() {
 	const n = 3
 	net := transport.NewMemNetwork(n, transport.MemOptions{})
 	defer net.Close()
 
-	nodes := make([]*live.Node, n)
+	mgrs := make([]*live.Manager, n)
 	for i := 0; i < n; i++ {
-		node, err := live.NewNode(live.Config{
+		mgr, err := live.NewManager(live.ManagerConfig{
 			ID:        i,
 			N:         n,
 			Transport: net.Endpoint(i),
@@ -30,22 +30,22 @@ func Example() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		nodes[i] = node
-		defer node.Close() //nolint:errcheck // example shutdown
+		mgrs[i] = mgr
+		defer mgr.Close() //nolint:errcheck // example shutdown
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	if err := nodes[1].Lock(ctx); err != nil {
+	if err := mgrs[1].Lock(ctx, "orders"); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("node 1 holds the distributed mutex")
-	nodes[1].Unlock()
+	fmt.Println("node 1 holds the distributed lock \"orders\"")
+	mgrs[1].Unlock("orders")
 
-	granted, released := nodes[1].Stats()
+	granted, released := mgrs[1].Stats()
 	fmt.Printf("node 1 stats: %d granted, %d released\n", granted, released)
 	// Output:
-	// node 1 holds the distributed mutex
+	// node 1 holds the distributed lock "orders"
 	// node 1 stats: 1 granted, 1 released
 }

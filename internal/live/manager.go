@@ -22,12 +22,14 @@ import (
 // keys beyond the limit is dropped (counted, not created).
 var ErrTooManyKeys = errors.New("live: manager key limit reached")
 
-// DefaultShards is the Manager's shard count when ManagerConfig.Shards
-// is zero: enough stripes that key creation and lookup on different keys
-// almost never contend, cheap enough to be irrelevant when idle.
+// DefaultShards is the number of lock stripes a Manager spreads its keys
+// over by FNV hashing, so creating or locking a hot key never serializes
+// against unrelated keys: enough stripes that key creation and lookup on
+// different keys almost never contend, cheap enough to be irrelevant
+// when idle.
 const DefaultShards = 16
 
-// ManagerConfig parameterizes one node's multi-key lock service.
+// ManagerConfig parameterizes one node's lock service.
 type ManagerConfig struct {
 	// ID is this node's identity in [0, N), shared by every key's DME
 	// instance; node 0 mints each key's initial token.
@@ -45,10 +47,6 @@ type ManagerConfig struct {
 	Factory Factory
 	// Algo optionally names the algorithm for display surfaces.
 	Algo string
-	// Shards is the number of lock stripes keys are spread over by FNV
-	// hashing, so creating or locking a hot key never serializes against
-	// unrelated keys. 0 means DefaultShards.
-	Shards int
 	// MaxKeys bounds the number of live keys (0 = unlimited): Lock on a
 	// fresh key beyond the bound fails with ErrTooManyKeys, and inbound
 	// traffic for fresh keys is dropped. A guard against unbounded state
@@ -78,16 +76,28 @@ type ManagerConfig struct {
 	FlightRec *reqtrace.Recorder
 }
 
-// Manager is a sharded multi-key distributed lock service: one DME
-// instance per named lock key, all multiplexed over a single transport.
+// Manager is one node's distributed lock service, the only live shape a
+// process builds: one DME instance per named lock key — a single lock is
+// a Manager with one key — all multiplexed over a single transport.
 // Keys are created lazily — by the first local Lock, or by the first
 // message a peer sends for the key — and each carries its own protocol
 // state machine (with its own run-to-completion executor — see the
-// Node docs), telemetry registry, and incarnation counter. All methods are safe for concurrent use.
+// Node docs), telemetry registry, and incarnation counter. All methods
+// are safe for concurrent use.
+//
+// Crashes have one mechanism at each scale. RestartKey crash-restarts
+// one key in place; the new incarnation rejoins without re-minting
+// protocol state. A whole-node crash is Close — it closes the mux and
+// the endpoint under it — followed by a fresh NewManager on the
+// reconnected endpoint. The rebuilt node remembers nothing: its keys
+// start again at incarnation 1, so a rebuilt node 0 mints each key's
+// initial token a second time and §6 recovery has to retire the twin.
+// Closing that gap takes a durable record of epoch, fence and
+// incarnation (an open ROADMAP item), not a configuration flag.
 type Manager struct {
 	cfg    ManagerConfig
 	mux    *transport.KeyMux
-	shards []managerShard
+	shards [DefaultShards]managerShard
 	start  time.Time
 
 	closed   atomic.Bool
@@ -152,19 +162,14 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.Factory == nil {
 		return nil, errors.New("live: manager config needs a Factory")
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = DefaultShards
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
 	m := &Manager{
-		cfg:    cfg,
-		shards: make([]managerShard, shards),
-		start:  time.Now(),
-		reg:    reg,
+		cfg:   cfg,
+		start: time.Now(),
+		reg:   reg,
 		keysActive: reg.Gauge("manager_keys_active",
 			"lock keys currently live on this node"),
 		keysCreated: reg.Counter("manager_keys_created_total",
@@ -198,7 +203,7 @@ func (m *Manager) Requests() *reqtrace.Collector { return m.cfg.Tracer }
 // ShardOf returns the shard index key routes to on this Manager.
 func (m *Manager) ShardOf(key string) int { return ShardIndex(key, len(m.shards)) }
 
-// Shards returns the configured shard count.
+// Shards returns the shard count, DefaultShards.
 func (m *Manager) Shards() int { return len(m.shards) }
 
 // onRemoteKey is the KeyMux unknown-key hook: a peer is running a DME
@@ -314,7 +319,7 @@ func (m *Manager) Lock(ctx context.Context, key string) error {
 // LockFence is Lock returning the grant's fencing token for key (see
 // Node.LockFence; fences are per-key sequences). If the key's instance
 // is closed or restarted while we wait, the acquisition retries on the
-// next incarnation, mirroring how Supervisor users retry across crashes.
+// next incarnation.
 func (m *Manager) LockFence(ctx context.Context, key string) (uint64, error) {
 	for {
 		inst, err := m.instanceFor(key, false)
@@ -326,7 +331,7 @@ func (m *Manager) LockFence(ctx context.Context, key string) (uint64, error) {
 		case err == nil:
 			return fence, nil
 		case errors.Is(err, ErrClosed) && !m.closed.Load() && ctx.Err() == nil:
-			// The instance died under us (CloseKey/RestartKey); retry on
+			// The instance died under us (RestartKey); retry on
 			// the replacement incarnation.
 			continue
 		default:
@@ -503,9 +508,9 @@ func (m *Manager) Stats() (granted, released uint64) {
 // RestartKey crash-restarts one key's instance in place: the old node is
 // closed (in-flight Locks on it fail and are retried by LockFence) and a
 // fresh incarnation joins the key's DME group, keeping the cumulative
-// registry — the per-key analogue of Supervisor.Restart. The rest of the
-// cluster recovers the key via the §6 protocol when the old incarnation
-// held protocol state. Restarting a key that does not exist is an error.
+// registry. The rest of the cluster recovers the key via the §6 protocol
+// when the old incarnation held protocol state. Restarting a key that
+// does not exist is an error.
 func (m *Manager) RestartKey(key string) (*Node, error) {
 	if m.closed.Load() {
 		return nil, ErrClosed
@@ -528,25 +533,6 @@ func (m *Manager) RestartKey(key string) (*Node, error) {
 	sh.keys[key] = inst
 	m.keyRestarts.Inc()
 	return inst.node, nil
-}
-
-// CloseKey retires one key locally: its instance is closed and removed.
-// A later local Lock — or a peer's message for the key — recreates it
-// from scratch. Closing an unknown key is a no-op.
-func (m *Manager) CloseKey(key string) error {
-	sh := &m.shards[m.ShardOf(key)]
-	sh.mu.Lock()
-	inst, ok := sh.keys[key]
-	if ok {
-		delete(sh.keys, key)
-		m.keyCount.Add(-1)
-		m.keysActive.Set(m.keyCount.Load())
-	}
-	sh.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	return inst.node.Close()
 }
 
 // Close shuts the whole service down: every key's node stops, then the

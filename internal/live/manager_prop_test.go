@@ -80,10 +80,10 @@ func randomKey(rng *rand.Rand) string {
 // schedule of Lock/Unlock/TryLockContext operations over several keys
 // and nodes, every acquisition bounded by a TryLockContext deadline, and
 // requires global progress: the schedule always completes and every key
-// sees at least one successful acquisition. Keys are never closed
-// mid-schedule — closing a key on its token-holding node without
-// recovery enabled orphans that key's token by design (see CloseKey's
-// doc); the chaos soak covers restarts with recovery on.
+// sees at least one successful acquisition. Keys are never restarted
+// mid-schedule — restarting a key on its token-holding node without
+// recovery enabled orphans that key's token by design; the chaos soak
+// covers restarts with recovery on.
 func TestManagerInterleavingsNeverDeadlock(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second schedule")

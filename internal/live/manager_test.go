@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -208,12 +207,28 @@ func TestManagerTryLockContext(t *testing.T) {
 	if ok {
 		t.Fatal("TryLockContext acquired a held lock")
 	}
+
+	// Explicit cancellation is also "not acquired", not an error.
+	canceled, cancelNow := context.WithCancel(ctx)
+	cancelNow()
+	ok, err = mgrs[1].TryLockContext(canceled, "k")
+	if err != nil || ok {
+		t.Fatalf("TryLockContext with canceled ctx = (%v, %v), want (false, nil)", ok, err)
+	}
+
 	mgrs[0].Unlock("k")
 	ok, err = mgrs[1].TryLockContext(ctx, "k")
 	if err != nil || !ok {
 		t.Fatalf("TryLockContext after release = (%v, %v), want (true, nil)", ok, err)
 	}
 	mgrs[1].Unlock("k")
+
+	// Real failures still surface as errors.
+	_ = mgrs[1].Close()
+	ok, err = mgrs[1].TryLockContext(ctx, "k")
+	if !errors.Is(err, live.ErrClosed) || ok {
+		t.Fatalf("TryLockContext on a closed service = (%v, %v), want (false, ErrClosed)", ok, err)
+	}
 }
 
 func TestManagerUnlockUnknownKeyPanics(t *testing.T) {
@@ -291,10 +306,10 @@ func TestManagerKeyStatsAndKeys(t *testing.T) {
 	}
 }
 
-func TestManagerRestartKeyIncarnation(t *testing.T) {
-	// The restarted instance may have been the key's token holder, so the
-	// group needs §6 recovery to regenerate the key's token — the same
-	// requirement a Supervisor-restarted single-lock node has.
+// recoveryOptions is fastOptions with §6 recovery on: a crashed or
+// restarted participant may have held the token, so the group needs it
+// to regenerate one.
+func recoveryOptions() core.Options {
 	opts := fastOptions()
 	opts.Recovery = core.RecoveryOptions{
 		Enabled:        true,
@@ -303,7 +318,11 @@ func TestManagerRestartKeyIncarnation(t *testing.T) {
 		ArbiterTimeout: 0.4,
 		ProbeTimeout:   0.05,
 	}
-	mgrs, _ := managerCluster(t, 3, opts, transport.MemOptions{})
+	return opts
+}
+
+func TestManagerRestartKeyIncarnation(t *testing.T) {
+	mgrs, _ := managerCluster(t, 3, recoveryOptions(), transport.MemOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 
@@ -317,8 +336,11 @@ func TestManagerRestartKeyIncarnation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh == old {
-		t.Fatal("RestartKey returned the old node")
+	if fresh == old || mgrs[2].Node("k") != fresh {
+		t.Fatalf("RestartKey returned %p, Node(k) = %p, old incarnation %p", fresh, mgrs[2].Node("k"), old)
+	}
+	if got := mgrs[2].Metrics().Snapshot().Counters["manager_key_restarts_total"]; got != 1 {
+		t.Errorf("manager_key_restarts_total = %d, want 1", got)
 	}
 	if _, err := old.LockFence(ctx); !errors.Is(err, live.ErrClosed) {
 		t.Errorf("old incarnation still accepts locks: %v", err)
@@ -342,40 +364,51 @@ func TestManagerRestartKeyIncarnation(t *testing.T) {
 	mgrs[2].Unlock("k")
 }
 
-func TestManagerCloseKeyRecreates(t *testing.T) {
-	// Single-node group: closing the key discards the token, and the lazy
-	// recreation mints a fresh instance (node 0 re-creates the token), so
-	// locking works again. Multi-node groups must NOT close node 0's
-	// instance this way — see the CloseKey doc.
-	net := transport.NewMemNetwork(1, transport.MemOptions{})
-	defer net.Close()
-	m, err := live.NewManager(live.ManagerConfig{
-		ID: 0, N: 1, Transport: net.Endpoint(0),
-		Factory: registry.CoreLiveFactory(fastOptions()),
+// TestManagerCloseRebuild crashes a whole node mid-run and brings it
+// back — Close, then a fresh Manager on the reconnected endpoint: the
+// survivors keep acquiring the lock across the crash, and the rebuilt
+// node rejoins and acquires it too.
+func TestManagerCloseRebuild(t *testing.T) {
+	mgrs, net := managerCluster(t, 3, recoveryOptions(), transport.MemOptions{})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	lockUnlock := func(i int) {
+		t.Helper()
+		if err := mgrs[i].Lock(ctx, "k"); err != nil {
+			t.Fatalf("node %d lock: %v", i, err)
+		}
+		mgrs[i].Unlock("k")
+	}
+	for i := range mgrs {
+		lockUnlock(i)
+	}
+
+	victim := mgrs[2]
+	if err := victim.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := victim.Lock(ctx, "k"); !errors.Is(err, live.ErrClosed) {
+		t.Fatalf("closed node Lock err = %v, want ErrClosed", err)
+	}
+	if err := victim.Close(); err != nil {
+		t.Fatalf("double Close should be a no-op, got %v", err)
+	}
+
+	// Survivors make progress while node 2 is down.
+	lockUnlock(0)
+	lockUnlock(1)
+
+	net.Reconnect(2) // Close disconnected the endpoint under the mux
+	fresh, err := live.NewManager(live.ManagerConfig{
+		ID: 2, N: 3, Transport: net.Endpoint(2),
+		Factory: registry.CoreLiveFactory(recoveryOptions()), Seed: 3,
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("rebuild: %v", err)
 	}
-	defer m.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := m.Lock(ctx, "k"); err != nil {
-		t.Fatal(err)
-	}
-	m.Unlock("k")
-	if err := m.CloseKey("k"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.CloseKey("k"); err != nil {
-		t.Errorf("CloseKey of a gone key: %v", err)
-	}
-	if m.Node("k") != nil {
-		t.Fatal("key still resolvable after CloseKey")
-	}
-	if err := m.Lock(ctx, "k"); err != nil {
-		t.Fatalf("lock after CloseKey: %v", err)
-	}
-	m.Unlock("k")
+	mgrs[2] = fresh // managerCluster's cleanup closes whatever is in the slot
+	lockUnlock(2)
 }
 
 func TestManagerClosedErrors(t *testing.T) {
@@ -416,16 +449,7 @@ func TestManagerAdminEndpoints(t *testing.T) {
 	srv := httptest.NewServer(mgrs[0].AdminHandler())
 	defer srv.Close()
 
-	get := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(body)
-	}
+	get := func(path string) (int, string) { return adminGet(t, srv, path) }
 
 	if code, body := get("/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz = %d %q", code, body)

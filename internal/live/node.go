@@ -1,33 +1,34 @@
 // Package live is the deployable runtime for distributed mutual
-// exclusion protocols: one Node per process (or per goroutine cluster
-// member), real wall-clock timers, and any transport.Transport
-// underneath. The protocol state machine is injected through a Factory —
-// the paper's arbiter algorithm (internal/core) or any baseline from
-// internal/registry — and is the very same code the simulation
-// validates; this package adapts it to real time and exposes a
-// context-aware Lock/Unlock API.
+// exclusion protocols: one Manager per process (or per goroutine cluster
+// member) serving any number of named locks over one
+// transport.Transport, with real wall-clock timers. Each lock key runs
+// its own protocol state machine inside a Node, the per-key engine. The
+// state machine is injected through a Factory — the paper's arbiter
+// algorithm (internal/core) or any baseline from internal/registry — and
+// is the very same code the simulation validates; this package adapts it
+// to real time and exposes a context-aware Lock/Unlock API.
 //
 // Typical use:
 //
 //	factory, _ := registry.NewLiveFactory("raymond", nil)
 //	net := transport.NewMemNetwork(5, transport.MemOptions{})
-//	nodes := make([]*live.Node, 5)
-//	for i := range nodes {
-//	    nodes[i], _ = live.NewNode(live.Config{
+//	mgrs := make([]*live.Manager, 5)
+//	for i := range mgrs {
+//	    mgrs[i], _ = live.NewManager(live.ManagerConfig{
 //	        ID: i, N: 5, Transport: net.Endpoint(i), Factory: factory,
 //	    })
 //	}
 //	...
-//	if err := nodes[2].Lock(ctx); err != nil { ... }
-//	defer nodes[2].Unlock()
+//	if err := mgrs[2].Lock(ctx, "orders"); err != nil { ... }
+//	defer mgrs[2].Unlock("orders")
 //
-// Node 0 is the initial token holder / arbiter / coordinator in every
-// registered algorithm, matching the paper's initialization.
+// Node 0 is the initial token holder / arbiter / coordinator of every
+// key in every registered algorithm, matching the paper's initialization.
 //
 // Core-only features degrade gracefully for other algorithms: Inspect
 // and the protocol-transition metrics/logging report nothing (the
 // observer hook is an arbiter-protocol concept), fencing tokens stay
-// zero, and /statusz falls back to the generic role view.
+// zero, and /statusz?key=K falls back to the generic role view.
 package live
 
 import (
@@ -66,7 +67,9 @@ var ErrNotCore = errors.New("live: algorithm does not support core introspection
 // this package.
 type Factory = func(id, n int, obs func(core.Event)) (dme.Node, error)
 
-// Config parameterizes one live node.
+// Config parameterizes one Node, the engine of a single lock. The
+// Manager fills one in per key; only engine-level tests and
+// micro-benchmarks construct a Node directly.
 type Config struct {
 	// ID is this node's identity in [0, N); node 0 starts as the
 	// initial token holder / arbiter.
@@ -106,7 +109,7 @@ type Config struct {
 	TraceDepth int
 	// Key labels this node's lock in request-trace spans and
 	// flight-recorder records when many locks share a tracer or recorder
-	// (the Manager sets it per instance). Empty for single-lock nodes.
+	// (the Manager sets it per instance). Empty for a bare engine.
 	Key string
 	// Tracer, when non-nil, collects end-to-end request traces: every
 	// Lock/LockFence call mints a trace ID and accumulates spans from
@@ -152,7 +155,10 @@ const (
 	execClosed
 )
 
-// Node is a live protocol participant. All protocol state (the inner
+// Node is one lock's live protocol participant: the per-key engine a
+// Manager runs, handed out by Manager.Node for Inspect and Status. It is
+// not a service — lifecycle, restart and the admin surface belong to the
+// Manager. All protocol state (the inner
 // dme.Node, waiters, holder, rng, metrics' tenure clock) is guarded by
 // the executor's mutual exclusion: exactly one goroutine owns the
 // idle/running/dirty state machine at a time and only the owner touches
@@ -499,23 +505,6 @@ func spinForGrant(w *waiter) bool {
 	return false
 }
 
-// TryLockContext acquires the mutex only if it is granted before ctx is
-// done: (true, nil) on acquisition, (false, nil) when the context expired
-// or was cancelled first, and (false, err) for real failures such as
-// ErrClosed. Callers own the deadline, so the attempt can share a context
-// with the rest of an operation instead of inventing a wait duration.
-func (n *Node) TryLockContext(ctx context.Context) (bool, error) {
-	err := n.Lock(ctx)
-	switch {
-	case err == nil:
-		return true, nil
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return false, nil
-	default:
-		return false, err
-	}
-}
-
 // Unlock releases the critical section acquired by Lock; when it returns,
 // the node has handed the token onward. Unlocking a node that is not
 // holding panics, mirroring sync.Mutex semantics. Do not call Unlock from
@@ -611,9 +600,10 @@ func (n *Node) Inspect(ctx context.Context) (core.Introspection, error) {
 // fail with ErrClosed, and the transport endpoint is closed. A crashed
 // node is simulated by Close — the rest of the cluster recovers via the
 // §6 protocol when recovery options are enabled. Close is idempotent and
-// safe to race with the public API (Lock/TryLockContext return ErrClosed,
-// Unlock of a closed node returns once the holder bookkeeping is dropped),
-// which is what lets a Supervisor kill a node out from under its users.
+// safe to race with the public API (Lock returns ErrClosed, Unlock of a
+// closed node returns once the holder bookkeeping is dropped), which is
+// what lets Manager.RestartKey and Manager.Close kill a node out from
+// under its users.
 // Do not call Close from protocol callbacks or from inside an
 // inline-executed step: it waits for the executor to go idle, and the
 // owner waiting on itself would spin forever (the old event loop had

@@ -2,7 +2,6 @@ package live_test
 
 import (
 	"context"
-	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -105,69 +104,88 @@ func TestLiveMetricsRecordProtocolActivity(t *testing.T) {
 	}
 }
 
+// TestAdminEndpoints serves the admin mux of a Manager wired the way
+// cmd/mutexnode wires it — the manager registry shared with the counting
+// layer under the key demux — so /metrics has node-level and per-key
+// series of the same families to merge.
 func TestAdminEndpoints(t *testing.T) {
-	nodes, _ := startCluster(t, 2)
+	net := transport.NewMemNetwork(2, transport.MemOptions{})
+	t.Cleanup(net.Close)
+	mgrs := make([]*live.Manager, 2)
+	for i := range mgrs {
+		reg := telemetry.NewRegistry()
+		m, err := live.NewManager(live.ManagerConfig{
+			ID: i, N: 2, Transport: transport.NewCountingIn(net.Endpoint(i), reg),
+			Factory: registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005}),
+			Metrics: reg,
+			Seed:    uint64(i + 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgrs[i] = m
+		t.Cleanup(func() { _ = m.Close() })
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	for _, nd := range nodes {
-		if err := nd.Lock(ctx); err != nil {
+	for _, m := range mgrs {
+		if err := m.Lock(ctx, "k"); err != nil {
 			t.Fatal(err)
 		}
-		nd.Unlock()
+		m.Unlock("k")
 	}
 
-	srv := httptest.NewServer(nodes[1].AdminHandler())
+	srv := httptest.NewServer(mgrs[1].AdminHandler())
 	defer srv.Close()
 
-	get := func(path string) (int, string) {
-		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close() //nolint:errcheck
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(body)
-	}
-
-	if code, body := get("/healthz"); code != 200 || !strings.Contains(body, "ok") {
+	if code, body := adminGet(t, srv, "/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz = %d %q", code, body)
 	}
 
-	code, body := get("/metrics")
+	code, body := adminGet(t, srv, "/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)
 	}
 	for _, want := range []string{
-		"token_passes_total",
-		"lock_wait_seconds_bucket{le=",
-		"cs_granted_total 1",
-		"transport_sent_total{kind=",
+		`token_passes_total{key="k"}`,
+		`lock_wait_seconds_bucket{le=`,
+		`cs_granted_total{key="k"} 1`,
+		`transport_sent_total{kind="REQUEST"} `,         // the merged stream, unlabeled
+		`transport_sent_total{kind="REQUEST",key="k"} `, // the key's own tally
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
 	}
-
-	code, body = get("/statusz")
-	if code != 200 {
-		t.Fatalf("/statusz = %d", code)
+	// One # TYPE line per family, however many registries feed it.
+	types := map[string]int{}
+	for _, line := range strings.Split(body, "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			types[strings.Fields(name)[0]]++
+		}
 	}
-	for _, want := range []string{`"role"`, `"id": 1`, `"metrics"`, `"lock_wait_seconds"`} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/statusz missing %q:\n%s", want, body)
+	for family, n := range types {
+		if n != 1 {
+			t.Errorf("/metrics has %d # TYPE lines for %s, want 1", n, family)
 		}
 	}
 
-	code, body = get("/debug/trace")
+	code, body = adminGet(t, srv, "/statusz?key=k")
 	if code != 200 {
-		t.Fatalf("/debug/trace = %d", code)
+		t.Fatalf("/statusz?key=k = %d", code)
+	}
+	for _, want := range []string{`"role"`, `"id": 1`, `"metrics"`, `"lock_wait_seconds"`} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/statusz?key=k missing %q:\n%s", want, body)
+		}
+	}
+
+	code, body = adminGet(t, srv, "/debug/trace?key=k")
+	if code != 200 {
+		t.Fatalf("/debug/trace?key=k = %d", code)
 	}
 	if !strings.Contains(body, `"kind"`) {
-		t.Errorf("/debug/trace has no events:\n%s", body)
+		t.Errorf("/debug/trace?key=k has no events:\n%s", body)
 	}
 }
 
@@ -210,25 +228,26 @@ func TestStatusRoles(t *testing.T) {
 func TestTraceDisabled(t *testing.T) {
 	net := transport.NewMemNetwork(1, transport.MemOptions{})
 	defer net.Close()
-	nd, err := live.NewNode(live.Config{
+	m, err := live.NewManager(live.ManagerConfig{
 		ID: 0, N: 1, Transport: net.Endpoint(0), TraceDepth: -1,
 		Factory: registry.CoreLiveFactory(core.Options{Treq: 0.001, Tfwd: 0.001}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nd.Close() //nolint:errcheck
-	if nd.Trace() != nil {
-		t.Error("trace ring exists despite TraceDepth -1")
-	}
-	srv := httptest.NewServer(nd.AdminHandler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/debug/trace")
-	if err != nil {
+	defer m.Close() //nolint:errcheck
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := m.Lock(ctx, "k"); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != 404 {
-		t.Errorf("/debug/trace with tracing off = %d, want 404", resp.StatusCode)
+	m.Unlock("k")
+	if m.Node("k").Trace() != nil {
+		t.Error("trace ring exists despite TraceDepth -1")
+	}
+	srv := httptest.NewServer(m.AdminHandler())
+	defer srv.Close()
+	if code, _ := adminGet(t, srv, "/debug/trace?key=k"); code != 404 {
+		t.Errorf("/debug/trace?key=k with tracing off = %d, want 404", code)
 	}
 }

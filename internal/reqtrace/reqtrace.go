@@ -4,7 +4,7 @@
 // deterministic re-execution in the simulation kernel (replay.go).
 //
 // A request acquires a trace ID when the application asks for the lock
-// (live.Node mints it at Lock/LockFence/TryLockContext entry; the sim
+// (live.Node mints it at Lock/LockFence entry; the sim
 // adapter mints it on the workload arrival). The ID is derived from the
 // requester's node id and its per-node request sequence number — exactly
 // the (node, seq) identity the core protocol stamps on QEntry — so spans

@@ -91,28 +91,17 @@ func (s *Server) SessionInfos() []SessionInfo {
 	return infos
 }
 
-// Handler returns the session layer's admin HTTP surface:
-//
-//	/sessionz   JSON StatusDoc (lease count, per-key queues, metrics);
-//	            ?sessions=1 returns the per-session listing instead
-//	/metrics    Prometheus text exposition of the session registry
-//
-// cmd/mutexnode mounts it under /session/ next to the node admin.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/sessionz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if r.URL.Query().Get("sessions") == "1" {
-			_ = enc.Encode(s.SessionInfos())
-			return
-		}
-		_ = enc.Encode(s.Status())
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.reg.WritePrometheus(w)
-	})
-	return mux
+// ServeSessionz is the /sessionz handler: the JSON StatusDoc (lease
+// count, per-key queues, metrics), or with ?sessions=1 the per-session
+// listing instead. cmd/mutexnode mounts it on the node's admin mux, whose
+// /metrics already serves the session registry.
+func (s *Server) ServeSessionz(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if r.URL.Query().Get("sessions") == "1" {
+		_ = enc.Encode(s.SessionInfos())
+		return
+	}
+	_ = enc.Encode(s.Status())
 }

@@ -14,35 +14,46 @@ type LabeledRegistry struct {
 }
 
 // WritePrometheusMulti renders many registries as one Prometheus text
-// exposition, distinguishing same-named series with an extra label
-// (label=Value). The output is metric-major: each metric name appears
-// exactly once with its # HELP / # TYPE header followed by every
-// registry's samples — the exposition format forbids repeating a metric's
-// header per label value, so a registry-major loop would be invalid.
+// exposition: base's series as they are, then each of regs' with an
+// extra label (label=Value) distinguishing same-named series. The output
+// is metric-major: each metric name appears exactly once with its
+// # HELP / # TYPE header followed by every registry's samples — the
+// exposition format forbids repeating a metric's header, so a
+// registry-major loop (or writing base on its own first) would be
+// invalid whenever two registries share a name.
 //
-// Metric order is first-registration order across the registries (in the
-// given registry order); a name registered with different metric types in
-// different registries is an error. Registries may have disjoint metric
-// sets — absent metrics are simply skipped for that registry.
-func WritePrometheusMulti(w io.Writer, label string, regs []LabeledRegistry) error {
+// Metric order is first-registration order across the registries (base,
+// then regs in the given order); a name registered with different metric
+// types in different registries is an error. Registries may have
+// disjoint metric sets — absent metrics are simply skipped for that
+// registry.
+func WritePrometheusMulti(w io.Writer, base *Registry, label string, regs []LabeledRegistry) error {
 	type source struct {
 		m     *metric
 		extra string
 	}
 	var order []string
 	byName := make(map[string][]source)
-	for _, lr := range regs {
-		extra := fmt.Sprintf("%s=%q", label, lr.Value)
-		for _, m := range lr.Reg.snapshotMetrics() {
+	add := func(reg *Registry, extra string) error {
+		for _, m := range reg.snapshotMetrics() {
 			prev, ok := byName[m.name]
 			if !ok {
 				order = append(order, m.name)
 			} else if prev[0].m.kind != m.kind {
 				return fmt.Errorf(
-					"telemetry: metric %q has conflicting types across registries (%s=%q vs %s=%q)",
-					m.name, label, prev[0].extra, label, lr.Value)
+					"telemetry: metric %q has conflicting types across registries ({%s} vs {%s})",
+					m.name, prev[0].extra, extra)
 			}
 			byName[m.name] = append(prev, source{m: m, extra: extra})
+		}
+		return nil
+	}
+	if err := add(base, ""); err != nil {
+		return err
+	}
+	for _, lr := range regs {
+		if err := add(lr.Reg, fmt.Sprintf("%s=%q", label, lr.Value)); err != nil {
+			return err
 		}
 	}
 	for _, name := range order {

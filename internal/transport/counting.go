@@ -11,11 +11,11 @@ import (
 // Counting wraps a Transport and tallies traffic by message kind and
 // volume, giving live deployments the same messages-per-CS and
 // units-per-CS observability the simulation metrics provide. Wrap each
-// node's endpoint before passing it to live.NewNode — directly, or as the
-// CountingMW middleware in a Chain:
+// node's endpoint before passing it to live.NewManager — directly, or as
+// the CountingMW middleware in a Chain:
 //
 //	ct := transport.NewCounting(net.Endpoint(i))
-//	node, _ := live.NewNode(live.Config{..., Transport: ct})
+//	mgr, _ := live.NewManager(live.ManagerConfig{..., Transport: ct})
 //	...
 //	sent, received := ct.Totals()
 //
