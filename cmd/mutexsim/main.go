@@ -14,6 +14,7 @@
 //	mutexsim fairness   §5.1 strict-fairness (least-served-first) study
 //	mutexsim model      batch-polling model vs. simulation (intermediate loads)
 //	mutexsim tuning     E15: §6 recovery-timeout sensitivity under loss
+//	mutexsim window     E16: fixed vs. adaptive collection window (messages/wait trade)
 //	mutexsim trace      replay the §2.2 worked example, print the messages
 //	mutexsim replay F   re-execute a flight-recorder capture deterministically:
 //	                    the canonical grant/fence log goes to stdout (two
@@ -67,7 +68,7 @@ func run(args []string) error {
 		svgDir   = fs.String("svg", "", "directory to write <figure-id>.svg files into")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: mutexsim [flags] <fig345|fig6|analysis|monitor|recovery|scaling|ablation|delays|volume|fairness|model|tuning|trace|all>")
+		fmt.Fprintln(os.Stderr, "usage: mutexsim [flags] <fig345|fig6|analysis|monitor|recovery|scaling|ablation|delays|volume|fairness|model|tuning|window|trace|all>")
 		fmt.Fprintln(os.Stderr, "       mutexsim replay <capture.jsonl>")
 		fs.PrintDefaults()
 	}
@@ -127,6 +128,7 @@ func run(args []string) error {
 		{"fairness", func() error { return p.fairness(s) }},
 		{"model", func() error { return p.model(s, ls) }},
 		{"tuning", func() error { return p.tuning(s) }},
+		{"window", func() error { return p.window(s, ls) }},
 	}
 	timed := func(e experiment) error {
 		pl.begin(e.name)
@@ -279,6 +281,12 @@ func (p printer) figure(f *experiments.Figure) {
 	if p.spark {
 		fmt.Println(f.Sparkline(0))
 	}
+	p.export(f)
+}
+
+// export writes the figure's machine-readable forms: CSV on stdout under
+// -csv, <id>.svg under -svg.
+func (p printer) export(f *experiments.Figure) {
 	if p.csv {
 		fmt.Println(f.CSV())
 	}
@@ -396,6 +404,19 @@ func (p printer) tuning(s experiments.Setup) error {
 		return err
 	}
 	fmt.Println(res.Table())
+	return nil
+}
+
+func (p printer) window(s experiments.Setup, ls []float64) error {
+	res, err := experiments.RunWindowTradeoff(s, ls)
+	if err != nil {
+		return err
+	}
+	// The Pareto curve has a different x per point and series, which the
+	// per-x figure table cannot show; the sweep's own table is the text
+	// form, the figure goes out as CSV/SVG only.
+	fmt.Println(res.Table())
+	p.export(res.Pareto)
 	return nil
 }
 

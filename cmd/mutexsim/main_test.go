@@ -65,3 +65,19 @@ func TestRunQuickFig345WithCSV(t *testing.T) {
 		t.Fatalf("fig345: %v", err)
 	}
 }
+
+// TestRunQuickWindow drives E16 through run() the way CI's smoke step
+// does, -svg included: the Pareto figure must render.
+func TestRunQuickWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a small simulation batch")
+	}
+	dir := t.TempDir()
+	err := run([]string{"-requests", "3000", "-reps", "2", "-csv", "-svg", dir, "-lambdas", "0.01,0.3", "window"})
+	if err != nil {
+		t.Fatalf("window: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "e16.svg")); err != nil {
+		t.Errorf("no Pareto figure written: %v", err)
+	}
+}

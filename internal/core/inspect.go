@@ -21,6 +21,10 @@ type Introspection struct {
 	BatchLen    int // requests collected so far (arbiter role)
 	StoredLen   int // requests parked (monitor role)
 	Outstanding int // own unsatisfied requests
+	// RecentBatchMean is the adaptive window's load estimate: the mean
+	// size of the batches this node recently dispatched or saw announced
+	// (0 with no history, or when Options.AdaptiveWindow is off).
+	RecentBatchMean float64
 }
 
 // Inspect returns the protocol snapshot of a node built by this package;
@@ -29,6 +33,10 @@ func Inspect(n dme.Node) (Introspection, bool) {
 	nd, ok := n.(*node)
 	if !ok {
 		return Introspection{}, false
+	}
+	var batchMean float64
+	if nd.batches != nil {
+		batchMean = nd.batches.Mean()
 	}
 	return Introspection{
 		ID:          nd.id,
@@ -44,5 +52,7 @@ func Inspect(n dme.Node) (Introspection, bool) {
 		BatchLen:    len(nd.q),
 		StoredLen:   len(nd.stored),
 		Outstanding: len(nd.outstanding),
+
+		RecentBatchMean: batchMean,
 	}, true
 }

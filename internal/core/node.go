@@ -111,6 +111,12 @@ type node struct {
 	counter    int       // NEW-ARBITER counter since last monitor visit
 	flushTimer dme.Timer // liveness flush (see Options.MonitorFlushTimeout)
 
+	// batches is the adaptive window's load estimate (nil unless
+	// Options.AdaptiveWindow): the sizes of the last adaptiveHistory
+	// batches this node dispatched or saw announced. It is kept apart from
+	// qsizes, which drives the §4.1 diversion period and E7's numbers.
+	batches *stats.MovingWindow
+
 	// Recovery state (§6).
 	rec recovery
 
@@ -135,6 +141,9 @@ func newNode(id, n int, opts Options) *node {
 		// sequence-number variant.
 		nextSeq: 1,
 		qsizes:  stats.NewMovingWindow(opts.MonitorWindow),
+	}
+	if opts.AdaptiveWindow {
+		nd.batches = stats.NewMovingWindow(adaptiveHistory)
 	}
 	nd.rec.init()
 	return nd
@@ -176,6 +185,15 @@ func (nd *node) Init(ctx dme.Context) {
 		}
 		nd.haveToken = true
 		nd.token = Privilege{Granted: make([]uint64, nd.n)}
+	}
+	if nd.id == 1 && !nd.opts.Rejoin && enabled(nd) {
+		// §6 makes the previous arbiter the watchdog of the current one,
+		// and the initial arbiter has no previous arbiter. While its
+		// batches end in its own request it broadcasts no NEW-ARBITER, so
+		// nobody ever becomes one: if it crashes in that stretch the token
+		// goes to a dead node and the group stalls for good. Node 1 stands
+		// in as the predecessor, exactly as if it had designated node 0.
+		nd.rec.armWatchdog(ctx, nd, 0)
 	}
 }
 
@@ -224,7 +242,14 @@ func (nd *node) issueRequest(ctx dme.Context) {
 }
 
 // armRetransmit schedules the absolute-timeout fallback for one request.
+// Both callers run it after handing the entry to acceptRequest, which on
+// an idle arbiter (Options.AdaptiveWindow) dispatches and grants before
+// it returns: st has then left outstanding and sits in stPool, and a
+// timer armed on it would fire early for whichever request reuses it.
 func (nd *node) armRetransmit(ctx dme.Context, st *reqState) {
+	if !nd.hasOutstanding(st.seq) {
+		return
+	}
 	ctx.Cancel(st.retxTimer)
 	if st.retxFn == nil {
 		st.retxFn = func() {
@@ -342,7 +367,14 @@ func (nd *node) acceptRequest(ctx dme.Context, e QEntry) {
 	nd.q = append(nd.q, e)
 	nd.observe(Event{Kind: EventRequestAccepted, Arbiter: nd.id, Batch: len(nd.q), Req: e.Node, ReqSeq: e.Seq})
 	if nd.haveToken && nd.windowDone && !nd.windowTimer.Armed() && !nd.inCS {
-		nd.startWindow(ctx)
+		// The idle arbiter: token in hand, outside the CS, and one whole
+		// Treq already watched expire on an empty Q-list.
+		if nd.lightlyLoaded() {
+			nd.observe(Event{Kind: EventWindowSkipped, Arbiter: nd.id, Batch: len(nd.q), Req: e.Node, ReqSeq: e.Seq})
+			nd.dispatch(ctx)
+		} else {
+			nd.startWindow(ctx)
+		}
 	}
 	// Liveness net: a collecting arbiter holding requests but no token and
 	// no pending §6 activity is wedged unless something re-triggers
@@ -353,6 +385,37 @@ func (nd *node) acceptRequest(ctx dme.Context, e QEntry) {
 	if enabled(nd) && !nd.haveToken && nd.collecting && nd.arbiter == nd.id &&
 		!nd.rec.invalidating && !nd.rec.tokTimer.Armed() {
 		nd.rec.armTokenWait(ctx, nd)
+	}
+}
+
+// Constants of the adaptive window, read off E16's curve (EXPERIMENTS.md):
+// sixteen batches of history, and "light" meaning their mean size is
+// below 1.5 — most recent windows collected a single request.
+const (
+	adaptiveHistory   = 16
+	adaptiveThreshold = 1.5
+)
+
+// lightlyLoaded is the adaptive window's second condition (the first is
+// the idle test at its only call site): recent batches were singletons,
+// so a second window would most likely collect nothing but latency. A
+// node with no history has no evidence either way and keeps the paper's
+// window for its first batch. The estimate cannot latch the window off
+// under load: a saturated arbiter finds requests in every window and
+// never reaches windowDone, so this is consulted only once the load has
+// already dropped. A closed loop of two clients on two nodes is the case
+// that matters — with a zero window there every batch would be a
+// singleton (≈8 messages per CS instead of ≈4) and the history would say
+// "light" forever; because each re-requests inside the window opened at
+// token return, that arbiter is never idle and the history is never read.
+func (nd *node) lightlyLoaded() bool {
+	return nd.batches != nil && nd.batches.Count() > 0 && nd.batches.Mean() < adaptiveThreshold
+}
+
+// noteBatch feeds the adaptive window's load estimate.
+func (nd *node) noteBatch(size int) {
+	if nd.batches != nil && size > 0 {
+		nd.batches.Add(float64(size))
 	}
 }
 
@@ -490,6 +553,10 @@ func (nd *node) enterCS(ctx dme.Context, tok Privilege, entry QEntry, st *reqSta
 	tok.Fence++
 	nd.haveToken = true
 	nd.inCS = true
+	// Not idle any more, however the grant got here (a §6 race can hand a
+	// token to an arbiter idling on another): the next window is the one
+	// opened at token return.
+	nd.windowDone = false
 	nd.token = tok
 	nd.csEntry = entry
 	nd.csFence = tok.Fence
@@ -760,6 +827,7 @@ func (nd *node) sendBatch(ctx dme.Context, batch QList, fromMonitor bool) {
 	tok.Gen = nd.gen
 	tok.ToMonitor = false
 
+	nd.noteBatch(len(batch))
 	nd.observe(Event{Kind: EventDispatched, Arbiter: tail.Node, Batch: len(batch), Epoch: nd.epoch, Fence: tok.Fence})
 	nd.rec.onDispatch(ctx, nd, batch)
 
@@ -866,12 +934,17 @@ func (nd *node) onNewArbiter(ctx dme.Context, from int, m NewArbiter) {
 		nd.maxFence = m.FenceBase
 	}
 	nd.qsizes.Add(float64(len(m.Q)))
+	nd.noteBatch(len(m.Q))
 	nd.rec.onNewArbiterSeen(ctx, nd, from, m)
 
 	// Implicit acknowledgement: every outstanding request should appear
 	// in some NEW-ARBITER Q-list within τ broadcasts, else it was lost or
 	// dropped and must be resubmitted (§4.1, §6).
-	for _, st := range nd.outstanding {
+	// By index, length re-read each pass: a resubmission into an idle
+	// arbiter's own batch (Options.AdaptiveWindow) is granted on the spot
+	// and leaves outstanding under the loop.
+	for i := 0; i < len(nd.outstanding); i++ {
+		st := nd.outstanding[i]
 		if st.scheduled {
 			continue
 		}

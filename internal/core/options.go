@@ -70,6 +70,19 @@ type Options struct {
 	// complementing the implicit-ACK mechanism of §6). 0 disables it.
 	RetransmitTimeout float64
 
+	// AdaptiveWindow lets an idle arbiter skip the collection window: when
+	// it holds the token outside the CS, has already watched one full Treq
+	// expire on an empty Q-list, and the batches it recently dispatched or
+	// saw announced were singletons (a node that has seen none yet waits),
+	// the first request to arrive is stamped and dispatched at once
+	// instead of opening a second window. Every other window — at token
+	// return, after §6 regeneration, while a window timer is armed — runs
+	// as the paper says. Off (the paper's fixed Treq) by default and in
+	// every paper-reproducing run; the live runtime turns it on for every
+	// node (registry.CoreLiveFactory). E16 in EXPERIMENTS.md prices the
+	// trade.
+	AdaptiveWindow bool
+
 	// Recovery configures the §6 failure-recovery protocol.
 	Recovery RecoveryOptions
 
@@ -151,6 +164,11 @@ const (
 	// after the append) — the batch-inclusion point of a request's life,
 	// which request tracing turns into its "batch" span.
 	EventRequestAccepted
+	// EventWindowSkipped: an idle arbiter (Options.AdaptiveWindow)
+	// dispatched the request it just accepted without waiting a collection
+	// window; the dispatch's own events follow. Req/ReqSeq identify the
+	// request.
+	EventWindowSkipped
 )
 
 // String names the kind for logs.
@@ -186,6 +204,8 @@ func (k EventKind) String() string {
 		return "stale-token-dropped"
 	case EventRequestAccepted:
 		return "request-accepted"
+	case EventWindowSkipped:
+		return "window-skipped"
 	default:
 		return "unknown"
 	}
@@ -318,6 +338,9 @@ func New(opts Options) *Algorithm {
 	}
 	if opts.StrictFairness {
 		name += "+fair"
+	}
+	if opts.AdaptiveWindow {
+		name += "+adaptive"
 	}
 	if opts.Recovery.Enabled {
 		name += "+recovery"

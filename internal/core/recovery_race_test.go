@@ -162,3 +162,52 @@ func TestInvalidationRestartsAfterRedesignation(t *testing.T) {
 		t.Fatalf("invalidation started %d times, want 2 (one per lost batch)", n)
 	}
 }
+
+// TestLostResumeRearmsTokenWait pins hardening item 12: a §6 round that
+// resolves because a holder answered ends with RESUME — and that RESUME,
+// or the token it releases, can itself be lost. The arbiter is then
+// collecting, tokenless, with no round in flight and no timer armed:
+// requesters retransmit forever and nothing ever restarts recovery. Two
+// re-arms close it: the resolution keeps the token wait armed while any
+// work is pending here, and a tokenless collecting arbiter with no §6
+// activity arms it on every REQUEST it accepts, so a retransmission is a
+// recovery trigger instead of a no-op.
+func TestLostResumeRearmsTokenWait(t *testing.T) {
+	var events []Event
+	ctx := newFakeCtx(t, 4)
+	nd := testNode(t, 2, 4, raceOptions(&events))
+
+	// Designated with an empty batch, token never arrives, round 1 asks
+	// the previous arbiter, which holds the token: RESUME, resolved, and
+	// with nothing pending here no reason to keep waiting.
+	nd.OnMessage(ctx, 0, NewArbiter{Arbiter: 2, Gen: 2})
+	ctx.firePending()
+	if !nd.rec.invalidating {
+		t.Fatal("setup: token timeout did not start the invalidation")
+	}
+	nd.OnMessage(ctx, 0, EnquiryAck{Round: nd.rec.round, Status: StatusHolding})
+	if nd.rec.invalidating || len(ctx.sent(KindResume)) != 1 {
+		t.Fatalf("holder's answer did not resolve the round with one RESUME (invalidating=%v)", nd.rec.invalidating)
+	}
+	if nd.rec.tokTimer.Armed() {
+		t.Fatal("setup: token wait armed with nothing pending")
+	}
+
+	// The RESUME is lost. A requester's retransmission reaches the
+	// tokenless arbiter: it must re-arm the token wait...
+	nd.OnMessage(ctx, 1, Request{Entry: QEntry{Node: 1, Seq: 1}, Retransmit: true})
+	if !nd.rec.tokTimer.Armed() {
+		t.Fatal("accepted REQUEST left a tokenless collecting arbiter with no token wait: the wedge")
+	}
+	// ...whose expiry opens round 2; the holder answers again, and this
+	// time the resolution itself keeps the wait armed (a batch is pending).
+	ctx.firePending()
+	if n := countEvents(events, EventInvalidationStarted); n != 2 {
+		t.Fatalf("invalidation started %d times, want 2", n)
+	}
+	nd.OnMessage(ctx, 0, EnquiryAck{Round: nd.rec.round, Status: StatusHolding})
+	if nd.rec.invalidating || !nd.rec.tokTimer.Armed() {
+		t.Fatalf("second resolution: invalidating=%v tokenWaitArmed=%v, want resolved and still waiting",
+			nd.rec.invalidating, nd.rec.tokTimer.Armed())
+	}
+}

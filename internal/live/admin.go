@@ -41,6 +41,14 @@ type Status struct {
 	StoredLen   int    `json:"stored_len"`
 	Outstanding int    `json:"outstanding"`
 
+	// The adaptive collection window at a glance: batches this node
+	// dispatched, how many of them went out from idle without waiting a
+	// Treq, and the recent-batch-size mean that decides the next one
+	// (below 1.5 an idle arbiter dispatches at once).
+	Dispatches      uint64  `json:"dispatches"`
+	WindowSkips     uint64  `json:"window_skips"`
+	RecentBatchMean float64 `json:"recent_batch_mean"`
+
 	Granted  uint64 `json:"granted"`
 	Released uint64 `json:"released"`
 
@@ -95,6 +103,9 @@ func (n *Node) Status(ctx context.Context) (Status, error) {
 	st.BatchLen = ins.BatchLen
 	st.StoredLen = ins.StoredLen
 	st.Outstanding = ins.Outstanding
+	st.Dispatches = n.metrics.dispatches.Value()
+	st.WindowSkips = n.metrics.windowSkips.Value()
+	st.RecentBatchMean = ins.RecentBatchMean
 	return st, nil
 }
 

@@ -1,0 +1,117 @@
+package live_test
+
+import (
+	"context"
+	"sync"
+	"testing"
+	"time"
+
+	"tokenarbiter/internal/core"
+	"tokenarbiter/internal/transport"
+)
+
+// TestLockFromIdleGrantsInline: a lone Lock on the idle token holder does
+// not wait out a collection window — the grant completes inside the
+// LockFence call, on the caller's goroutine — while a closed loop of two
+// local requesters, which re-request inside the window opened at token
+// return, still shares batches of two.
+func TestLockFromIdleGrantsInline(t *testing.T) {
+	const (
+		treq = 5 * time.Millisecond
+		key  = "k"
+	)
+	opts := core.Options{Treq: treq.Seconds(), Tfwd: treq.Seconds(), RetransmitTimeout: 0.25}
+	mgrs, _ := managerCluster(t, 3, opts, transport.MemOptions{})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	m := mgrs[0]
+
+	timedLock := func() time.Duration {
+		t.Helper()
+		start := time.Now()
+		if _, err := m.LockFence(ctx, key); err != nil {
+			t.Fatalf("LockFence: %v", err)
+		}
+		took := time.Since(start)
+		m.Unlock(key)
+		return took
+	}
+
+	// The first request the key ever sees finds node 0 idle but with no
+	// batch history, so it waits the paper's window once: one dispatch, no
+	// skip, and a history of one singleton for the next request to read.
+	timedLock()
+	if d, s := m.SumCounter("dispatches_total"), m.SumCounter("window_skips_total"); d != 1 || s != 0 {
+		t.Fatalf("after the first Lock of a cold key: dispatches=%d window_skips=%d, want 1 and 0", d, s)
+	}
+
+	// Let the token-return window run out, then lock again: a lone Lock on
+	// the idle holder. A shared VM can stall any one attempt, so the claim
+	// is that a from-idle Lock *can* beat Treq/4, which a Lock that waits
+	// a window never does.
+	best := time.Hour
+	for attempt := 0; attempt < 40 && best >= treq/4; attempt++ {
+		time.Sleep(2 * treq)
+		before := m.SumCounter("window_skips_total")
+		took := timedLock()
+		if m.SumCounter("window_skips_total") == before+1 && took < best {
+			best = took
+		}
+	}
+	if best >= treq/4 {
+		t.Fatalf("fastest from-idle Lock took %v, want under Treq/4 = %v", best, treq/4)
+	}
+	t.Logf("fastest from-idle Lock: %v (Treq %v)", best, treq)
+	// /statusz?key= shows the skips next to the dispatches, and the
+	// estimate behind them.
+	st, err := m.Node(key).Status(ctx)
+	if err != nil || st.WindowSkips == 0 || st.WindowSkips != m.SumCounter("window_skips_total") ||
+		st.Dispatches != m.SumCounter("dispatches_total") || st.RecentBatchMean != 1 {
+		t.Fatalf("Status: dispatches=%d window_skips=%d recent_batch_mean=%v err=%v, want the counters' values and a mean of 1",
+			st.Dispatches, st.WindowSkips, st.RecentBatchMean, err)
+	}
+	// lock_wait_seconds resolves such a grant instead of folding it into
+	// a 100 µs floor bucket.
+	wait := m.MergedHistogram("lock_wait_seconds")
+	var sub100 uint64
+	for i, bound := range wait.Bounds {
+		if bound < 1e-4 {
+			sub100 += wait.Buckets[i]
+		}
+	}
+	if len(wait.Bounds) == 0 || wait.Bounds[0] > 1e-6 || sub100 == 0 {
+		t.Errorf("lock_wait_seconds: bounds %v, %d observations below 100 µs; want a microsecond floor with the inline grants in it",
+			wait.Bounds, sub100)
+	}
+
+	// The closed loop: batches of two, and no more skips than its start.
+	time.Sleep(2 * treq)
+	batches := m.MergedHistogram("qlist_batch_size")
+	skips := m.SumCounter("window_skips_total")
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if _, err := m.LockFence(ctx, key); err != nil {
+					t.Errorf("LockFence: %v", err)
+					return
+				}
+				m.Unlock(key)
+			}
+		}()
+	}
+	wg.Wait()
+	after := m.MergedHistogram("qlist_batch_size")
+	n := after.Count - batches.Count
+	if n == 0 {
+		t.Fatal("the closed loop dispatched nothing")
+	}
+	if mean := (after.Sum - batches.Sum) / float64(n); mean < 1.8 {
+		t.Errorf("closed loop: mean batch %.2f over %d dispatches, want ≈2", mean, n)
+	}
+	if got := m.SumCounter("window_skips_total") - skips; got > 2 {
+		t.Errorf("closed loop skipped %d windows, want only its start", got)
+	}
+}

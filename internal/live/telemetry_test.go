@@ -149,6 +149,7 @@ func TestAdminEndpoints(t *testing.T) {
 	for _, want := range []string{
 		`token_passes_total{key="k"}`,
 		`lock_wait_seconds_bucket{le=`,
+		`window_skips_total{key="k"} `,
 		`cs_granted_total{key="k"} 1`,
 		`transport_sent_total{kind="REQUEST"} `,         // the merged stream, unlabeled
 		`transport_sent_total{kind="REQUEST",key="k"} `, // the key's own tally
@@ -174,7 +175,8 @@ func TestAdminEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/statusz?key=k = %d", code)
 	}
-	for _, want := range []string{`"role"`, `"id": 1`, `"metrics"`, `"lock_wait_seconds"`} {
+	for _, want := range []string{`"role"`, `"id": 1`, `"metrics"`, `"lock_wait_seconds"`,
+		`"dispatches": `, `"window_skips": `, `"recent_batch_mean": 1`} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/statusz?key=k missing %q:\n%s", want, body)
 		}

@@ -242,9 +242,16 @@ func RegisterWire(name string) (string, error) {
 // retransmission — tuning the generic params map cannot express). The
 // live runtime's observer fan-out composes with any Observer already set
 // in opts rather than displacing it.
+//
+// Every live node runs the adaptive collection window
+// (core.Options.AdaptiveWindow): this is the one construction path that
+// mutexnode, mutexload, the session tests, the benchmark and `mutexsim
+// replay` share, so a capture replays under the rule that produced it.
+// Only the simulator still runs the paper's fixed window.
 func CoreLiveFactory(opts core.Options) LiveFactory {
 	return func(id, n int, obs func(core.Event)) (dme.Node, error) {
 		o := opts
+		o.AdaptiveWindow = true
 		switch {
 		case o.Observer == nil:
 			o.Observer = obs
