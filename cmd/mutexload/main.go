@@ -30,13 +30,19 @@
 // the run prints aggregate plus per-key throughput and messages/CS.
 //
 // -chaos threads every node's outbound traffic through a shared, seeded
-// fault injector (internal/faultnet) and reports the injected-fault
-// tallies at the end — measuring how the core protocol's recovery holds
-// latency under a reproducible fault mix.
+// fault injector (internal/faultnet), on either transport, and reports
+// the injected-fault tallies at the end — measuring how the core
+// protocol's recovery holds latency under a reproducible fault mix. It
+// is the one way to inject loss (drop=P).
+//
+// mutexload explores a configuration by hand. A number worth quoting
+// comes from the benchmark in bench/ (declared by BENCHMARK.json), which
+// drives the same stack through the session tier with measured noise.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand/v2"
@@ -81,7 +87,6 @@ func run(args []string) error {
 		monitor   = fs.Bool("monitor", false, "core: enable the §4.1 starvation-free variant")
 		recover   = fs.Bool("recovery", true, "core: enable the §6 recovery protocol")
 		netDelay  = fs.Duration("netdelay", 200*time.Microsecond, "in-memory network one-way delay")
-		loss      = fs.Float64("loss", 0, "in-memory network loss rate (requires -recovery, core only)")
 		chaosStr  = fs.String("chaos", "", "fault-injection spec applied to every node's outbound traffic, e.g. drop=0.05,dup=0.02,corrupt=0.01,delay=1ms,seed=7 (requires -recovery, core only)")
 		perNodeS  = fs.Bool("pernode", true, "print a per-node metrics summary at the end of the run")
 		flightrec = fs.String("flightrec", "", "write one flight-recorder capture (JSONL) of the whole cluster's traffic and lock lifecycle to this file; re-execute it with `mutexsim replay`")
@@ -95,6 +100,11 @@ func run(args []string) error {
 		maxSessions = fs.Int("maxsessions", 0, "session mode: per-node admission bound on concurrent sessions (0 = unlimited)")
 		maxWaiters  = fs.Int("maxwaiters", 256, "session mode: per-key wait-queue bound; acquires beyond it are refused with overloaded (0 = unlimited)")
 	)
+	// -loss dropped messages on the mem transport only and was silently
+	// ignored over tcp; -chaos is the one spelling of drop probability.
+	fs.Func("loss", "removed: use -chaos drop=P", func(string) error {
+		return errors.New("removed; use -chaos drop=P, which works on both transports")
+	})
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -119,9 +129,6 @@ func run(args []string) error {
 			*algoFlag, strings.Join(registry.Names(), ", "))
 	}
 	algo := entry.Name
-	if algo != registry.Core && *loss > 0 {
-		return fmt.Errorf("-loss requires the core algorithm's recovery protocol; %s has none", algo)
-	}
 	if algo != registry.Core && *chaosStr != "" {
 		return fmt.Errorf("-chaos requires the core algorithm's recovery protocol; %s has none", algo)
 	}
@@ -187,7 +194,7 @@ func run(args []string) error {
 		defer frec.Close() //nolint:errcheck // shutdown path
 	}
 
-	cluster, counters, cleanup, err := buildCluster(*trans, *nodes, algo, factory, *netDelay, *loss, inj, tracer, frec)
+	cluster, counters, cleanup, err := buildCluster(*trans, *nodes, algo, factory, *netDelay, inj, tracer, frec)
 	if err != nil {
 		return err
 	}
@@ -200,8 +207,8 @@ func run(args []string) error {
 	totalWorkers := *nodes * *workers
 
 	if *sessionsN > 0 {
-		fmt.Printf("cluster: %d nodes over %s, algorithm=%s, keys=%d, sessions=%d, conns=%d/node, ttl=%v, wait=%v, think=%v, hold=%v, duration=%v, maxsessions=%d maxwaiters=%d\n",
-			*nodes, *trans, algo, *keys, *sessionsN, *connsN, *ttl, *wait, *think, *hold, *duration, *maxSessions, *maxWaiters)
+		fmt.Printf("cluster: %d nodes over %s, algorithm=%s, keys=%d, sessions=%d, conns=%d/node, ttl=%v, wait=%v, think=%v, hold=%v, duration=%v, maxsessions=%d maxwaiters=%d chaos=%q\n",
+			*nodes, *trans, algo, *keys, *sessionsN, *connsN, *ttl, *wait, *think, *hold, *duration, *maxSessions, *maxWaiters, *chaosStr)
 		err := runSessionLoad(cluster, sessionLoadConfig{
 			sessions:    *sessionsN,
 			conns:       *connsN,
@@ -229,8 +236,8 @@ func run(args []string) error {
 		return err
 	}
 
-	fmt.Printf("cluster: %d nodes over %s, algorithm=%s, keys=%d, workers=%d/node, rate=%.0f/s, hold=%v, duration=%v, monitor=%v recovery=%v loss=%.2f%%\n",
-		*nodes, *trans, algo, *keys, *workers, *rate, *hold, *duration, *monitor, *recover, 100**loss)
+	fmt.Printf("cluster: %d nodes over %s, algorithm=%s, keys=%d, workers=%d/node, rate=%.0f/s, hold=%v, duration=%v, monitor=%v recovery=%v chaos=%q\n",
+		*nodes, *trans, algo, *keys, *workers, *rate, *hold, *duration, *monitor, *recover, *chaosStr)
 
 	ctx, cancel := context.WithTimeout(context.Background(), *duration+30*time.Second)
 	defer cancel()
@@ -435,7 +442,7 @@ func printPerNode(algo string, cluster []*live.Manager, counters []*transport.Co
 // key counts an apples-to-apples change of sharding only. Baseline
 // algorithms get FIFO in-memory channels (Lamport requires them; TCP is
 // FIFO by nature).
-func buildCluster(kind string, n int, algo string, factory live.Factory, delay time.Duration, loss float64, inj *faultnet.Injector, tracer *reqtrace.Collector, frec *reqtrace.Recorder) ([]*live.Manager, []*transport.Counting, func(), error) {
+func buildCluster(kind string, n int, algo string, factory live.Factory, delay time.Duration, inj *faultnet.Injector, tracer *reqtrace.Collector, frec *reqtrace.Recorder) ([]*live.Manager, []*transport.Counting, func(), error) {
 	counters := make([]*transport.Counting, n)
 	trans := make([]transport.Transport, n)
 	regs := make([]*telemetry.Registry, n)
@@ -462,8 +469,8 @@ func buildCluster(kind string, n int, algo string, factory live.Factory, delay t
 	switch kind {
 	case "mem":
 		net := transport.NewMemNetwork(n, transport.MemOptions{
-			Delay: delay, LossRate: loss, Seed: 1,
-			FIFO: algo != registry.Core,
+			Delay: delay,
+			FIFO:  algo != registry.Core,
 		})
 		closers = append(closers, net.Close)
 		for i := 0; i < n; i++ {

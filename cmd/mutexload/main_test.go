@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"os"
+	"strings"
+	"testing"
+)
 
 func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-nodes", "0"}); err == nil {
@@ -12,8 +17,11 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-algo", "paxos-deluxe", "-duration", "10ms"}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if err := run([]string{"-algo", "raymond", "-loss", "0.1", "-duration", "10ms"}); err == nil {
-		t.Error("loss accepted for a baseline without recovery")
+	if err := run([]string{"-algo", "raymond", "-chaos", "drop=0.1", "-duration", "10ms"}); err == nil {
+		t.Error("chaos accepted for a baseline without recovery")
+	}
+	if err := run([]string{"-loss", "0.1", "-duration", "10ms"}); err == nil || !strings.Contains(err.Error(), "-chaos drop=P") {
+		t.Errorf("-loss: got %v, want a flag error naming -chaos drop=P", err)
 	}
 	if err := run([]string{"-keys", "0", "-duration", "10ms"}); err == nil {
 		t.Error("zero keys accepted")
@@ -105,12 +113,47 @@ func TestRunShortMultiKeyLoad(t *testing.T) {
 	}
 }
 
+// TestRunWithLossAndMonitor is the lossy monitored load, once per
+// transport: -chaos must reach the wire on both, so the report's
+// injected-drop tally has to be non-zero. (The -loss flag it replaces
+// only ever reached the mem transport.)
 func TestRunWithLossAndMonitor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real cluster")
 	}
-	err := run([]string{"-nodes", "3", "-duration", "600ms", "-rate", "80", "-loss", "0.01", "-monitor"})
-	if err != nil {
-		t.Fatalf("lossy monitored load: %v", err)
+	for _, trans := range []string{"mem", "tcp"} {
+		t.Run(trans, func(t *testing.T) {
+			out, err := captureStdout(t, func() error {
+				return run([]string{"-transport", trans, "-nodes", "3", "-duration", "1s", "-rate", "400",
+					"-chaos", "drop=0.01,seed=1", "-monitor", "-slowest", "0", "-pernode=false"})
+			})
+			if err != nil {
+				t.Fatalf("lossy monitored load: %v", err)
+			}
+			if !strings.Contains(out, "chaos: dropped=") || strings.Contains(out, "chaos: dropped=0 ") {
+				t.Errorf("-chaos drop=0.01 over %s reported no injected drops:\n%s", trans, out)
+			}
+		})
 	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stdout
+	os.Stdout = w
+	read := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- string(b)
+	}()
+	ferr := f()
+	os.Stdout = orig
+	w.Close()
+	return <-read, ferr
 }

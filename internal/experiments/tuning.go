@@ -30,14 +30,14 @@ type TuningRow struct {
 // traffic and service times orders of magnitude above the well-tuned
 // few-cycle setting.
 type TuningResult struct {
-	LossRate float64
-	Rows     []TuningRow
+	Loss float64
+	Rows []TuningRow
 }
 
 // Table renders E15.
 func (r *TuningResult) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "E15 — §6 recovery-timeout sensitivity at %.2g%% message loss\n", 100*r.LossRate)
+	fmt.Fprintf(&b, "E15 — §6 recovery-timeout sensitivity at %.2g%% message loss\n", 100*r.Loss)
 	fmt.Fprintf(&b, "%12s | %9s | %10s | %9s | %9s | %9s\n",
 		"TokenTimeout", "completed", "throughput", "msgs/cs", "rec/cs", "service")
 	b.WriteString(strings.Repeat("-", 74) + "\n")
@@ -128,7 +128,7 @@ func RunRecoveryTuning(s Setup, lossRate float64, timeouts []float64) (*TuningRe
 	if err != nil {
 		return nil, err
 	}
-	return &TuningResult{LossRate: lossRate, Rows: rows}, nil
+	return &TuningResult{Loss: lossRate, Rows: rows}, nil
 }
 
 func isLiveness(err error) bool {

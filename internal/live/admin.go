@@ -201,8 +201,8 @@ func (m *Manager) AdminHandler() *http.ServeMux {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		key, keyed := queryKey(r)
-		if !keyed {
+		key := r.URL.Query().Get("key")
+		if key == "" {
 			_ = enc.Encode(m.Status())
 			return
 		}
@@ -226,8 +226,8 @@ func (m *Manager) AdminHandler() *http.ServeMux {
 		})
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		key, keyed := queryKey(r)
-		if !keyed {
+		key := r.URL.Query().Get("key")
+		if key == "" {
 			http.Error(w, "which key? pass ?key=K (see /statusz for the live keys)", http.StatusBadRequest)
 			return
 		}
@@ -247,17 +247,6 @@ func (m *Manager) AdminHandler() *http.ServeMux {
 		writeRequests(w, r, m.cfg.Tracer)
 	})
 	return mux
-}
-
-// queryKey extracts the ?key= parameter, distinguishing an absent
-// parameter from the present-but-empty one — "" is a legal key (its
-// frames carry no key field) an operator may want to inspect.
-func queryKey(r *http.Request) (string, bool) {
-	vals, ok := r.URL.Query()["key"]
-	if !ok || len(vals) == 0 {
-		return "", false
-	}
-	return vals[0], true
 }
 
 // writeTraceRing serves a protocol-transition ring, honoring the
@@ -299,13 +288,14 @@ type RequestsDoc struct {
 	Slowest   []reqtrace.Summary `json:"slowest"`
 }
 
-// buildRequestsDoc assembles the document; keyed restricts both lists to
-// traces of one lock key (shared collectors hold every key's traces).
-func buildRequestsDoc(c *reqtrace.Collector, key string, keyed bool, n int) RequestsDoc {
+// buildRequestsDoc assembles the document; a non-empty key restricts
+// both lists to traces of that lock key (shared collectors hold every
+// key's traces).
+func buildRequestsDoc(c *reqtrace.Collector, key string, n int) RequestsDoc {
 	var doc RequestsDoc
 	doc.Completed, doc.Open, doc.Dropped = c.Totals()
 	done := c.Completed()
-	if keyed {
+	if key != "" {
 		kept := make([]reqtrace.Trace, 0, len(done))
 		for _, t := range done {
 			if t.Key == key {
@@ -322,7 +312,7 @@ func buildRequestsDoc(c *reqtrace.Collector, key string, keyed bool, n int) Requ
 		doc.Recent = append(doc.Recent, t.Summarize())
 	}
 	var slow []reqtrace.Trace
-	if keyed {
+	if key != "" {
 		slow = c.SlowestFor(key, n)
 	} else {
 		slow = c.Slowest(n)
@@ -347,9 +337,8 @@ func writeRequests(w http.ResponseWriter, r *http.Request, c *reqtrace.Collector
 			depth = v
 		}
 	}
-	key, keyed := queryKey(r)
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(buildRequestsDoc(c, key, keyed, depth))
+	_ = enc.Encode(buildRequestsDoc(c, r.URL.Query().Get("key"), depth))
 }

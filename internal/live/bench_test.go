@@ -6,39 +6,17 @@ import (
 	"time"
 
 	"tokenarbiter/internal/core"
-	"tokenarbiter/internal/live"
-	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/transport"
 )
 
-func benchCluster(b *testing.B, n int) []*live.Node {
-	b.Helper()
-	net := transport.NewMemNetwork(n, transport.MemOptions{})
-	nodes := make([]*live.Node, n)
-	for i := 0; i < n; i++ {
-		nd, err := live.NewNode(live.Config{
-			ID: i, N: n, Transport: net.Endpoint(i),
-			Factory: registry.CoreLiveFactory(core.Options{Treq: 0.001, Tfwd: 0.001, RetransmitTimeout: 0.5}),
-			Seed:    uint64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		nodes[i] = nd
-	}
-	b.Cleanup(func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-		net.Close()
-	})
-	return nodes
-}
+// benchOptions are the 1 ms protocol phases every benchmark cluster in
+// this package runs.
+var benchOptions = core.Options{Treq: 0.001, Tfwd: 0.001, RetransmitTimeout: 0.5}
 
 // BenchmarkLiveLockUnlockUncontended measures the full Lock/Unlock round
 // trip on the node that already holds the token.
 func BenchmarkLiveLockUnlockUncontended(b *testing.B) {
-	nodes := benchCluster(b, 3)
+	nodes, _ := memCluster(b, 3, benchOptions, transport.MemOptions{})
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -52,7 +30,7 @@ func BenchmarkLiveLockUnlockUncontended(b *testing.B) {
 // BenchmarkLiveLockUnlockRoundRobin bounces the mutex between all nodes,
 // forcing a token transfer per acquisition.
 func BenchmarkLiveLockUnlockRoundRobin(b *testing.B) {
-	nodes := benchCluster(b, 3)
+	nodes, _ := memCluster(b, 3, benchOptions, transport.MemOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	b.ResetTimer()

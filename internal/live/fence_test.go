@@ -61,6 +61,27 @@ func TestFencingTokensStrictlyIncrease(t *testing.T) {
 	}
 }
 
+// dropFirst swallows the first outbound message match accepts, on
+// whichever endpoint of the cluster sends it, and sets done.
+type dropFirst struct {
+	transport.Transport
+	done  *atomic.Bool
+	match func(dme.Message) bool
+}
+
+func dropFirstMW(done *atomic.Bool, match func(dme.Message) bool) transport.Middleware {
+	return func(next transport.Transport) transport.Transport {
+		return &dropFirst{Transport: next, done: done, match: match}
+	}
+}
+
+func (d *dropFirst) Send(to dme.NodeID, msg dme.Message) error {
+	if d.match(msg) && d.done.CompareAndSwap(false, true) {
+		return nil
+	}
+	return d.Transport.Send(to, msg)
+}
+
 // TestFencingSurvivesTokenRegeneration drops the token mid-run and checks
 // that post-recovery fences are strictly above every pre-recovery fence —
 // the property a fencing-token consumer relies on.
@@ -74,18 +95,10 @@ func TestFencingSurvivesTokenRegeneration(t *testing.T) {
 		ProbeTimeout:   0.05,
 	}
 	var dropped atomic.Bool
-	mo := transport.MemOptions{
-		Interceptor: func(from, to dme.NodeID, msg dme.Message) transport.MemAction {
-			if !dropped.Load() && msg.Kind() == core.KindPrivilege {
-				if p, ok := msg.(core.Privilege); ok && p.Fence >= 5 && len(p.Q) > 0 {
-					dropped.Store(true)
-					return transport.MemDrop
-				}
-			}
-			return transport.MemDeliver
-		},
-	}
-	nodes, _ := memCluster(t, 4, opts, mo)
+	nodes, _ := memCluster(t, 4, opts, transport.MemOptions{}, dropFirstMW(&dropped, func(msg dme.Message) bool {
+		p, ok := msg.(core.Privilege)
+		return ok && p.Fence >= 5 && len(p.Q) > 0
+	}))
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tokenarbiter/internal/core"
+	"tokenarbiter/internal/faultnet"
 	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/transport"
 )
@@ -94,10 +95,9 @@ func TestLiveLossyNetworkWithRecovery(t *testing.T) {
 		ArbiterTimeout: 0.5,
 		ProbeTimeout:   0.05,
 	}
-	nodes, _ := memCluster(t, 4, opts, transport.MemOptions{
-		LossRate: 0.01, // 1% of every message type, including tokens
-		Seed:     7,
-	})
+	// 1% of every message type, including tokens.
+	inj := faultnet.New(faultnet.Options{Seed: 7, Faults: faultnet.Faults{Drop: 0.01}})
+	nodes, _ := memCluster(t, 4, opts, transport.MemOptions{}, inj.Middleware())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"tokenarbiter/internal/core"
-	"tokenarbiter/internal/dme"
+	"tokenarbiter/internal/faultnet"
 	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/transport"
@@ -24,8 +24,9 @@ func fastOptions() core.Options {
 	}
 }
 
-// memCluster builds an n-node in-memory cluster.
-func memCluster(t *testing.T, n int, opts core.Options, mo transport.MemOptions) ([]*live.Node, *transport.MemNetwork) {
+// memCluster builds an n-node in-memory cluster; mws wrap every node's
+// endpoint (first outermost), which is how a test injects faults.
+func memCluster(t testing.TB, n int, opts core.Options, mo transport.MemOptions, mws ...transport.Middleware) ([]*live.Node, *transport.MemNetwork) {
 	t.Helper()
 	net := transport.NewMemNetwork(n, mo)
 	nodes := make([]*live.Node, n)
@@ -33,7 +34,7 @@ func memCluster(t *testing.T, n int, opts core.Options, mo transport.MemOptions)
 		nd, err := live.NewNode(live.Config{
 			ID:        i,
 			N:         n,
-			Transport: net.Endpoint(i),
+			Transport: transport.Chain(net.Endpoint(i), mws...),
 			Factory:   registry.CoreLiveFactory(opts),
 			Seed:      uint64(i + 1),
 		})
@@ -154,18 +155,11 @@ func TestTokenLossRecovery(t *testing.T) {
 		ProbeTimeout:   0.05,
 	}
 
-	var dropped atomic.Bool
-	mo := transport.MemOptions{
-		Interceptor: func(from, to dme.NodeID, msg dme.Message) transport.MemAction {
-			// Drop the first PRIVILEGE that leaves node 0 for a peer.
-			if !dropped.Load() && msg.Kind() == core.KindPrivilege && from == 0 {
-				dropped.Store(true)
-				return transport.MemDrop
-			}
-			return transport.MemDeliver
-		},
-	}
-	nodes, _ := memCluster(t, 4, opts, mo)
+	// Drop the first PRIVILEGE on the wire: the one node 0, which starts
+	// with the token, sends to the first requesting peer.
+	inj := faultnet.New(faultnet.Options{})
+	inj.DropNextKind(core.KindPrivilege, 1)
+	nodes, _ := memCluster(t, 4, opts, transport.MemOptions{}, inj.Middleware())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -191,8 +185,8 @@ func TestTokenLossRecovery(t *testing.T) {
 	}
 	wg.Wait()
 
-	if !dropped.Load() {
-		t.Fatal("interceptor never dropped a token; scenario did not run")
+	if inj.Counters().Drops != 1 {
+		t.Fatal("injector never dropped a token; scenario did not run")
 	}
 	// At least one node must have witnessed a token regeneration.
 	var maxEpoch uint64

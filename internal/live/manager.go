@@ -22,6 +22,11 @@ import (
 // keys beyond the limit is dropped (counted, not created).
 var ErrTooManyKeys = errors.New("live: manager key limit reached")
 
+// ErrEmptyKey is returned by Lock, LockFence and RestartKey for the key
+// "": it names no lock (a frame without a key field is not addressed to
+// any), so the Manager never creates an instance for it.
+var ErrEmptyKey = errors.New("live: the empty string is not a lock key")
+
 // DefaultShards is the number of lock stripes a Manager spreads its keys
 // over by FNV hashing, so creating or locking a hot key never serializes
 // against unrelated keys: enough stripes that key creation and lookup on
@@ -221,6 +226,9 @@ func (m *Manager) onRemoteKey(key string, _ dme.NodeID, _ dme.Message) {
 // remote marks creations triggered by peer traffic rather than a local
 // Lock (metrics only).
 func (m *Manager) instanceFor(key string, remote bool) (*instance, error) {
+	if key == "" {
+		return nil, ErrEmptyKey
+	}
 	if m.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -512,6 +520,9 @@ func (m *Manager) Stats() (granted, released uint64) {
 // when the old incarnation held protocol state. Restarting a key that
 // does not exist is an error.
 func (m *Manager) RestartKey(key string) (*Node, error) {
+	if key == "" {
+		return nil, ErrEmptyKey
+	}
 	if m.closed.Load() {
 		return nil, ErrClosed
 	}

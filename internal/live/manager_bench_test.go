@@ -8,36 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"tokenarbiter/internal/core"
-	"tokenarbiter/internal/live"
-	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/transport"
 )
-
-func benchManagerCluster(b *testing.B, n int) []*live.Manager {
-	b.Helper()
-	net := transport.NewMemNetwork(n, transport.MemOptions{})
-	mgrs := make([]*live.Manager, n)
-	for i := 0; i < n; i++ {
-		m, err := live.NewManager(live.ManagerConfig{
-			ID: i, N: n, Transport: net.Endpoint(i),
-			Factory: registry.CoreLiveFactory(core.Options{Treq: 0.001, Tfwd: 0.001, RetransmitTimeout: 0.5}),
-			Algo:    "core",
-			Seed:    uint64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		mgrs[i] = m
-	}
-	b.Cleanup(func() {
-		for _, m := range mgrs {
-			_ = m.Close()
-		}
-		net.Close()
-	})
-	return mgrs
-}
 
 // BenchmarkManagerMultiKey is the aggregate-throughput-vs-keys point of
 // the sharded lock service: the same worker pool drives b.N total
@@ -55,7 +27,7 @@ func BenchmarkManagerMultiKey(b *testing.B) {
 	)
 	for _, keys := range []int{1, 8} {
 		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
-			mgrs := benchManagerCluster(b, nodes)
+			mgrs, _ := managerCluster(b, nodes, benchOptions, transport.MemOptions{})
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 			defer cancel()
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"tokenarbiter/internal/core"
+	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/transport"
@@ -19,7 +20,7 @@ import (
 
 // managerCluster builds n Managers over one in-memory network, each
 // multiplexing every lock key over its single endpoint.
-func managerCluster(t *testing.T, n int, opts core.Options, mo transport.MemOptions) ([]*live.Manager, *transport.MemNetwork) {
+func managerCluster(t testing.TB, n int, opts core.Options, mo transport.MemOptions) ([]*live.Manager, *transport.MemNetwork) {
 	t.Helper()
 	net := transport.NewMemNetwork(n, mo)
 	mgrs := make([]*live.Manager, n)
@@ -239,6 +240,64 @@ func TestManagerUnlockUnknownKeyPanics(t *testing.T) {
 		}
 	}()
 	mgrs[0].Unlock("never-locked")
+}
+
+// recvSignal reports on done each time the wrapped endpoint's handler
+// has finished with an inbound message.
+type recvSignal struct {
+	transport.Transport
+	done chan struct{}
+}
+
+func (r recvSignal) SetHandler(h transport.Handler) {
+	r.Transport.SetHandler(func(from dme.NodeID, msg dme.Message) {
+		h(from, msg)
+		r.done <- struct{}{}
+	})
+}
+
+// TestManagerEmptyKeyIsNotALock pins that "" names no lock: the API
+// refuses it with ErrEmptyKey, and a frame without a key field from a
+// peer creates no instance.
+func TestManagerEmptyKeyIsNotALock(t *testing.T) {
+	net := transport.NewMemNetwork(2, transport.MemOptions{})
+	defer net.Close()
+	recv := recvSignal{Transport: net.Endpoint(0), done: make(chan struct{}, 1)}
+	m, err := live.NewManager(live.ManagerConfig{
+		ID: 0, N: 2, Transport: recv,
+		Factory: registry.CoreLiveFactory(fastOptions()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	if err := m.Lock(context.Background(), ""); !errors.Is(err, live.ErrEmptyKey) {
+		t.Errorf("Lock(\"\"): %v, want ErrEmptyKey", err)
+	}
+	if _, err := m.LockFence(context.Background(), ""); !errors.Is(err, live.ErrEmptyKey) {
+		t.Errorf("LockFence(\"\"): %v, want ErrEmptyKey", err)
+	}
+	if _, err := m.RestartKey(""); !errors.Is(err, live.ErrEmptyKey) {
+		t.Errorf("RestartKey(\"\"): %v, want ErrEmptyKey", err)
+	}
+
+	// A peer that sends on its raw endpoint, not through a KeyMux,
+	// produces a frame with no key.
+	if err := net.Endpoint(1).Send(0, core.Request{Entry: core.QEntry{Node: 1, Seq: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-recv.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("bare frame never delivered")
+	}
+	if got := m.Metrics().Snapshot().Counters["manager_keys_created_total"]; got != 0 {
+		t.Errorf("manager_keys_created_total = %d after a bare frame, want 0", got)
+	}
+	if keys := m.Keys(); len(keys) != 0 {
+		t.Errorf("bare frame created keys %q", keys)
+	}
 }
 
 func TestManagerMaxKeys(t *testing.T) {

@@ -2,34 +2,13 @@ package sim
 
 import "testing"
 
-// BenchmarkScheduleStep is the kernel hot loop in isolation: schedule one
-// event, execute one event, with the queue held at a steady depth that
-// mirrors a loaded simulation. Run with -benchmem: the headline number is
-// allocs/op, which the free-list pool is expected to hold near zero.
-func BenchmarkScheduleStep(b *testing.B) {
-	s := New(1)
-	var fn func()
-	depth := 0
-	fn = func() {
-		depth--
-	}
-	refill := func() {
-		for depth < 64 {
-			s.Schedule(s.RNG().Float64(), fn)
-			depth++
-		}
-	}
-	refill()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		refill()
-		s.Step()
-	}
-}
-
-// BenchmarkPostStep is BenchmarkScheduleStep over the fire-and-forget
-// path used by message delivery — the hottest producer in a real run.
+// BenchmarkPostStep is the kernel hot loop in isolation over the
+// fire-and-forget path used by message delivery — the hottest producer in
+// a real run: post one event, execute one event, with the queue held at a
+// steady depth that mirrors a loaded simulation. Run with -benchmem: the
+// headline number is allocs/op, which the free-list pool is expected to
+// hold near zero. (The cancellable Schedule path is bench/'s
+// sim.event_ns.)
 func BenchmarkPostStep(b *testing.B) {
 	s := New(1)
 	var fn func()

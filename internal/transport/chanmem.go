@@ -9,26 +9,15 @@ import (
 	"tokenarbiter/internal/dme"
 )
 
-// MemAction tells the in-memory network what to do with a message,
-// mirroring dme.FaultAction for live failure-injection tests.
-type MemAction int
-
-// Actions for MemOptions.Interceptor.
-const (
-	MemDeliver MemAction = iota + 1
-	MemDrop
-	MemDuplicate
-)
-
-// MemOptions configures the in-memory network's fault and latency model.
+// MemOptions configures the in-memory network's latency and ordering
+// model. It injects no faults: wrap the endpoints in a faultnet.Injector
+// for loss, duplication and partitions.
 type MemOptions struct {
 	// Delay is the base one-way latency applied to every message.
 	Delay time.Duration
 	// Jitter adds a uniform random extra latency in [0, Jitter).
 	Jitter time.Duration
-	// LossRate drops each message independently with this probability.
-	LossRate float64
-	// Seed seeds the loss/jitter randomness.
+	// Seed seeds the jitter randomness.
 	Seed uint64
 	// FIFO forces per-(sender, receiver) in-order delivery, emulating
 	// TCP-like channels — the live counterpart of dme.Config.FIFO.
@@ -36,15 +25,11 @@ type MemOptions struct {
 	// Without it, messages race through independent timers/goroutines
 	// and may reorder even at equal delays.
 	FIFO bool
-	// Interceptor, when non-nil, decides each message's fate explicitly
-	// (it runs before LossRate); use it to drop a specific PRIVILEGE
-	// message in recovery tests.
-	Interceptor func(from, to dme.NodeID, msg dme.Message) MemAction
 }
 
 // MemNetwork is an in-process network of N endpoints connected by
-// goroutine timers. It implements the latency/loss model of MemOptions
-// and supports disconnecting endpoints to simulate crashes/partitions.
+// goroutine timers. It implements the latency model of MemOptions and
+// supports disconnecting endpoints to simulate crashes/partitions.
 type MemNetwork struct {
 	opts MemOptions
 
@@ -123,29 +108,9 @@ func (m *MemNetwork) send(from, to dme.NodeID, msg dme.Message) error {
 		m.mu.Unlock()
 		return nil // best-effort semantics: unreachable peers drop
 	}
-	action := MemDeliver
-	if m.opts.Interceptor != nil {
-		action = m.opts.Interceptor(from, to, msg)
-	}
-	if action == MemDrop {
-		m.mu.Unlock()
-		return nil
-	}
-	if m.opts.LossRate > 0 && m.rng.Float64() < m.opts.LossRate {
-		m.mu.Unlock()
-		return nil
-	}
-	copies := 1
-	if action == MemDuplicate {
-		copies = 2
-	}
-	delays := make([]time.Duration, copies)
-	for i := range delays {
-		d := m.opts.Delay
-		if m.opts.Jitter > 0 {
-			d += time.Duration(m.rng.Int64N(int64(m.opts.Jitter)))
-		}
-		delays[i] = d
+	d := m.opts.Delay
+	if m.opts.Jitter > 0 {
+		d += time.Duration(m.rng.Int64N(int64(m.opts.Jitter)))
 	}
 	if m.opts.FIFO {
 		pq := m.pairs[pairKey{from, to}]
@@ -153,11 +118,8 @@ func (m *MemNetwork) send(from, to dme.NodeID, msg dme.Message) error {
 			pq = &pairQueue{}
 			m.pairs[pairKey{from, to}] = pq
 		}
-		now := time.Now()
-		for _, d := range delays {
-			pq.q = append(pq.q, memPending{from: from, msg: msg, due: now.Add(d)})
-		}
-		if !pq.running && len(pq.q) > 0 {
+		pq.q = append(pq.q, memPending{from: from, msg: msg, due: time.Now().Add(d)})
+		if !pq.running {
 			pq.running = true
 			go m.drainPair(pairKey{from, to})
 		}
@@ -166,9 +128,7 @@ func (m *MemNetwork) send(from, to dme.NodeID, msg dme.Message) error {
 	}
 	m.mu.Unlock()
 
-	for _, d := range delays {
-		m.deliverAfter(d, from, to, msg)
-	}
+	m.deliverAfter(d, from, to, msg)
 	return nil
 }
 

@@ -61,37 +61,6 @@ func TestMemNetworkDelayIsApplied(t *testing.T) {
 	}
 }
 
-func TestMemNetworkLoss(t *testing.T) {
-	net := transport.NewMemNetwork(2, transport.MemOptions{LossRate: 1.0})
-	defer net.Close()
-
-	var got atomic.Int64
-	net.Endpoint(1).SetHandler(func(dme.NodeID, dme.Message) { got.Add(1) })
-	for i := 0; i < 20; i++ {
-		_ = net.Endpoint(0).Send(1, core.Probe{})
-	}
-	time.Sleep(50 * time.Millisecond)
-	if got.Load() != 0 {
-		t.Errorf("%d messages survived a 100%% loss network", got.Load())
-	}
-}
-
-func TestMemNetworkInterceptorDuplicate(t *testing.T) {
-	net := transport.NewMemNetwork(2, transport.MemOptions{
-		Interceptor: func(from, to dme.NodeID, msg dme.Message) transport.MemAction {
-			return transport.MemDuplicate
-		},
-	})
-	defer net.Close()
-
-	var got atomic.Int64
-	net.Endpoint(1).SetHandler(func(dme.NodeID, dme.Message) { got.Add(1) })
-	_ = net.Endpoint(0).Send(1, core.Probe{})
-	if !waitFor(t, time.Second, func() bool { return got.Load() == 2 }) {
-		t.Errorf("duplicate delivered %d copies, want 2", got.Load())
-	}
-}
-
 func TestMemNetworkDisconnectReconnect(t *testing.T) {
 	net := transport.NewMemNetwork(2, transport.MemOptions{})
 	defer net.Close()

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -23,11 +24,10 @@ import (
 // keyed traffic exactly like key-less traffic). Per-key middleware, if
 // any, wraps the sub-Transport returned by Bind.
 //
-// The empty key "" is the legacy single-lock channel: its sub-Transport
-// sends messages bare (no Keyed wrapper, so the envelopes are
-// byte-identical to the pre-key wire format) and receives every inbound
-// message that carries no key. A cluster of KeyMux nodes using only the
-// "" key interoperates with peers that predate keys entirely.
+// The empty key "" is not a lock key: Bind refuses it, and an inbound
+// frame that carries no key is dropped (counted in DroppedUnknown)
+// without reaching the unknown-key hook, so a stray bare frame cannot
+// make a lazily-keyed service mint a lock for it.
 //
 // Inbound messages for a key that is not bound go to the OnUnknownKey
 // hook (if set), which may Bind the key and return; the mux then
@@ -112,12 +112,16 @@ func (m *KeyMux) Keys() []string {
 	return out
 }
 
-// Bind creates the sub-Transport for key. Binding an already-bound key
-// or a closed mux is an error. The sub-Transport's Close unbinds the key
-// only — the base transport stays up for the other keys; closing it is
-// the mux's Close. A message dispatched after Bind returns is guaranteed
-// to see the binding (the snapshot swap happens before Bind returns).
+// Bind creates the sub-Transport for key. Binding the empty key, an
+// already-bound key or a closed mux is an error. The sub-Transport's
+// Close unbinds the key only — the base transport stays up for the other
+// keys; closing it is the mux's Close. A message dispatched after Bind
+// returns is guaranteed to see the binding (the snapshot swap happens
+// before Bind returns).
 func (m *KeyMux) Bind(key string) (Transport, error) {
+	if key == "" {
+		return nil, errors.New("keymux: the empty key cannot be bound")
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cur := m.state.Load()
@@ -135,8 +139,8 @@ func (m *KeyMux) Bind(key string) (Transport, error) {
 }
 
 // dispatch is the base transport's handler: route keyed messages to
-// their key's endpoint, key-less messages to the "" endpoint. The hot
-// path — bound key, handler installed — takes no locks.
+// their key's endpoint and drop key-less ones. The hot path — bound key,
+// handler installed — takes no locks.
 func (m *KeyMux) dispatch(from dme.NodeID, msg dme.Message) {
 	msg, key := wire.SplitKey(msg)
 	st := m.state.Load()
@@ -144,7 +148,7 @@ func (m *KeyMux) dispatch(from dme.NodeID, msg dme.Message) {
 		return
 	}
 	ep := st.keys[key]
-	if ep == nil && st.unknown != nil {
+	if ep == nil && key != "" && st.unknown != nil {
 		st.unknown(key, from, msg) // may Bind(key)
 		ep = m.state.Load().keys[key]
 	}
@@ -204,11 +208,8 @@ var _ Transport = (*keyEndpoint)(nil)
 func (e *keyEndpoint) Self() dme.NodeID { return e.mux.base.Self() }
 
 // Send implements Transport, tagging the message with the endpoint's
-// key. The "" key sends bare messages — the legacy wire format.
+// key.
 func (e *keyEndpoint) Send(to dme.NodeID, msg dme.Message) error {
-	if e.key == "" {
-		return e.mux.base.Send(to, msg)
-	}
 	return e.mux.base.Send(to, wire.Wrap(msg, wire.WithKey(e.key)))
 }
 

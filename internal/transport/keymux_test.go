@@ -10,7 +10,6 @@ import (
 	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/telemetry"
-	"tokenarbiter/internal/wire"
 )
 
 // recvOn binds key on mux and collects its deliveries.
@@ -91,49 +90,37 @@ func TestKeyMuxRoutesByKey(t *testing.T) {
 	}
 }
 
-// TestKeyMuxEmptyKeyLegacyChannel pins the "" convention: the empty-key
-// endpoint sends bare messages (no Keyed wrapper on the wire) and
-// receives traffic from peers that know nothing about keys.
-func TestKeyMuxEmptyKeyLegacyChannel(t *testing.T) {
+// TestKeyMuxBareFrameDropped pins that "" is not a lock key: it cannot
+// be bound, and a frame that carries no key — here from a peer sending
+// on its raw endpoint — is counted as dropped without ever reaching the
+// unknown-key hook, so it cannot make the hook's owner create anything.
+func TestKeyMuxBareFrameDropped(t *testing.T) {
 	net := NewMemNetwork(2, MemOptions{})
 	defer net.Close()
-
-	// Node 0: a mux with the legacy "" binding. Node 1: a plain key-less
-	// endpoint, as an old build would use.
 	mux := NewKeyMux(net.Endpoint(0))
-	legacyEP := net.Endpoint(1)
+	var hookCalls atomic.Int64
+	mux.OnUnknownKey(func(string, dme.NodeID, dme.Message) { hookCalls.Add(1) })
 
-	legacy := newKeyRecorder()
-	legacyEP.SetHandler(legacy.handler)
+	if _, err := mux.Bind(""); err == nil {
+		t.Error("the empty key was bound")
+	}
 
-	sub, err := mux.Bind("")
-	if err != nil {
+	if err := net.Endpoint(1).Send(0, core.Probe{}); err != nil {
 		t.Fatal(err)
 	}
-	muxSide := newKeyRecorder()
-	sub.SetHandler(muxSide.handler)
-
-	// Mux → legacy: the message must arrive unwrapped.
-	if err := sub.Send(1, core.Probe{}); err != nil {
-		t.Fatal(err)
+	deadline := time.Now().Add(5 * time.Second)
+	for mux.DroppedUnknown() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("bare frame not counted as dropped")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	waitFor(t, legacy.got)
-	legacy.mu.Lock()
-	if _, isKeyed := legacy.msgs[0].(wire.Keyed); isKeyed {
-		t.Error("legacy peer received a Keyed wrapper from the \"\" endpoint")
+	if n := hookCalls.Load(); n != 0 {
+		t.Errorf("bare frame reached the unknown-key hook %d times", n)
 	}
-	legacy.mu.Unlock()
-
-	// Legacy → mux: a bare message routes to the "" binding.
-	if err := legacyEP.Send(0, core.ProbeAck{}); err != nil {
-		t.Fatal(err)
+	if keys := mux.Keys(); len(keys) != 0 {
+		t.Errorf("bare frame left keys %v bound", keys)
 	}
-	waitFor(t, muxSide.got)
-	muxSide.mu.Lock()
-	if _, ok := muxSide.msgs[0].(core.ProbeAck); !ok {
-		t.Errorf("\"\" binding got %#v, want the bare ProbeAck", muxSide.msgs[0])
-	}
-	muxSide.mu.Unlock()
 }
 
 func TestKeyMuxUnknownKeyHook(t *testing.T) {

@@ -22,7 +22,7 @@ type wrapOpts struct {
 }
 
 // WithKey tags the message with the lock key of the DME group it belongs
-// to. The empty key means the single-lock legacy framing, so
+// to. The empty key is no key (the frame carries no key field), so
 // WithKey("") removes an existing key tag.
 func WithKey(key string) WrapOption {
 	return func(o *wrapOpts) { o.key = key; o.hasKey = true }
