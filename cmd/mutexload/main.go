@@ -89,7 +89,7 @@ func run(args []string) error {
 		netDelay  = fs.Duration("netdelay", 200*time.Microsecond, "in-memory network one-way delay")
 		chaosStr  = fs.String("chaos", "", "fault-injection spec applied to every node's outbound traffic, e.g. drop=0.05,dup=0.02,corrupt=0.01,delay=1ms,seed=7 (requires -recovery, core only)")
 		perNodeS  = fs.Bool("pernode", true, "print a per-node metrics summary at the end of the run")
-		flightrec = fs.String("flightrec", "", "write one flight-recorder capture (JSONL) of the whole cluster's traffic and lock lifecycle to this file; re-execute it with `mutexsim replay`")
+		flightrec = fs.String("flightrec", "", "write one flight-recorder capture (JSONL) of the whole cluster's traffic, lock lifecycle and protocol transitions to this file; re-execute it with `mutexsim replay`")
 		slowN     = fs.Int("slowest", 3, "end-of-run: print the per-phase breakdown of this many slowest traced acquisitions (0 disables)")
 
 		sessionsN   = fs.Int("sessions", 0, "session mode: sustain this many concurrent TTL-leased sessions against per-node session servers instead of driving the lock API directly (0 = classic worker mode)")
@@ -400,10 +400,10 @@ func printSlowest(c *reqtrace.Collector, n int) {
 			s.ID, key, s.Wait*1000, s.Hold*1000, s.Hops, s.Fence)
 		for _, st := range s.Steps {
 			peer := ""
-			if st.Peer >= 0 {
+			if st.Peer >= 0 && st.Peer != st.Node {
 				peer = fmt.Sprintf(" -> node %d", st.Peer)
 			}
-			fmt.Printf("    +%9.2fms  %-10s node %d%s (Δ%.2fms)\n",
+			fmt.Printf("    +%9.2fms  %-16s node %d%s (Δ%.2fms)\n",
 				(st.At-s.Start)*1000, st.Phase, st.Node, peer, st.Delta*1000)
 		}
 	}

@@ -121,7 +121,7 @@ func parseFlags(args []string) (*nodeConfig, error) {
 		sessAddr  = fs.String("session", "", "serve the client session protocol (TTL leases, wait queues, watches) on this address (e.g. :7100)")
 		verbose   = fs.Bool("v", false, "log protocol transitions (slog, stderr; core only)")
 		chaos     = fs.String("chaos", "", "inject faults into this node's outbound traffic, e.g. drop=0.05,dup=0.02,corrupt=0.01,delay=2ms,jitter=1ms,reorder=0.05,seed=7; live-tunable via /debug/faults when -http is set")
-		flightrec = fs.String("flightrec", "", "write a flight-recorder capture (JSONL: every wire frame sent/received plus the lock lifecycle) to this file; re-execute it with `mutexsim replay`")
+		flightrec = fs.String("flightrec", "", "write a flight-recorder capture (JSONL: every wire frame sent/received plus the lock lifecycle and protocol transitions) to this file; re-execute it with `mutexsim replay`")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err

@@ -310,7 +310,7 @@ func TestAdminHandlerSingleKey(t *testing.T) {
 		if code != http.StatusOK || !strings.Contains(body, `"role": "arbiter"`) {
 			t.Errorf("/statusz?key=%s = %d, want the idle single node as arbiter:\n%s", keyName(0), code, body)
 		}
-		if code, body := adminGet(t, admin, "/debug/trace?key="+keyName(0)); code != http.StatusOK || !strings.Contains(body, `"kind"`) {
+		if code, body := adminGet(t, admin, "/debug/trace?key="+keyName(0)); code != http.StatusOK || !strings.Contains(body, `"ev":"dispatched"`) {
 			t.Errorf("/debug/trace?key=%s = %d %q", keyName(0), code, body)
 		}
 		for _, path := range []string{"/debug/faults", "/sessionz"} {

@@ -31,7 +31,7 @@ func TestReplayRefusesV1Capture(t *testing.T) {
 	if err == nil {
 		t.Fatal("replay accepted a v1 capture")
 	}
-	if !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "v2") {
+	if !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "v3") {
 		t.Errorf("error %q does not name both versions", err)
 	}
 }

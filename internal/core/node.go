@@ -606,8 +606,9 @@ func (nd *node) OnCSDone(ctx dme.Context) {
 		// The incarnation we executed under was invalidated mid-CS (the
 		// fence protected the resource throughout); the regenerated
 		// token owns the queue now — ours dies here rather than
-		// re-arbitrating a dead epoch.
+		// re-arbitrating a dead epoch, and a §6 hold on it dies with it.
 		nd.haveToken = false
+		nd.rec.suspended = false
 		nd.observe(Event{Kind: EventStaleTokenDropped, Arbiter: nd.arbiter, Epoch: nd.token.Epoch, Fence: nd.token.Fence})
 		if nd.opts.SeqNumbers && nd.backlog > 0 && len(nd.outstanding) == 0 {
 			nd.backlog--
@@ -709,6 +710,7 @@ func (nd *node) dropInvalidatedToken(ctx dme.Context) {
 		return
 	}
 	nd.haveToken = false
+	nd.rec.suspended = false // the §6 hold was on this token, not the next one
 	nd.windowDone = false
 	ctx.Cancel(nd.windowTimer)
 	nd.windowTimer = dme.Timer{}

@@ -328,6 +328,18 @@ func (nd *node) hasScheduledOutstanding() bool {
 func (nd *node) onEnquiryAck(ctx dme.Context, from int, m EnquiryAck) {
 	r := &nd.rec
 	if !r.invalidating || m.Round != r.round {
+		// The round this answers is over — stood down by a newer
+		// NEW-ARBITER, or timed out. A holder suspended itself to answer
+		// and holds the token until told otherwise, whatever became of the
+		// round, so it still gets its verdict: carry on if its token is of
+		// our epoch or newer, drop it if our epoch has moved past it.
+		if m.Status == StatusHolding {
+			if m.Epoch >= nd.epoch {
+				ctx.Send(nd.id, from, Resume{Round: m.Round})
+			} else {
+				ctx.Send(nd.id, from, Invalidate{Epoch: nd.epoch})
+			}
+		}
 		return
 	}
 	r.acks[from] = m.Status

@@ -171,9 +171,10 @@ type keyStatus struct {
 //	/statusz              aggregate JSON ManagerStatus (totals + per-key rows)
 //	/statusz?key=K        key K's full protocol Status (wrapped with key/shard/
 //	                      incarnation); 404 when the key does not exist here
-//	/debug/trace?key=K    key K's recent protocol transitions as JSONL, oldest
-//	                      first; ?kind=X keeps only events of that kind,
-//	                      ?format=json returns one JSON array instead
+//	/debug/trace?key=K    key K's recent event records (protocol transitions
+//	                      and the lock lifecycle, the lines a capture holds)
+//	                      as JSONL, oldest first; ?kind=X keeps only records
+//	                      whose ev is X, ?format=json returns one JSON array
 //	/debug/requests       recent completed request traces from the shared
 //	                      collector (ManagerConfig.Tracer): totals, the ?n= most
 //	                      recent and the ?n= slowest by lock-wait with per-phase
@@ -249,15 +250,15 @@ func (m *Manager) AdminHandler() *http.ServeMux {
 	return mux
 }
 
-// writeTraceRing serves a protocol-transition ring, honoring the
-// ?kind= filter (exact event-kind match) and ?format=json (one JSON
-// array instead of JSONL) query parameters.
-func writeTraceRing(w http.ResponseWriter, r *http.Request, ring *telemetry.Ring) {
+// writeTraceRing serves a node's record ring, honoring the ?kind= filter
+// (exact match on the record's ev) and ?format=json (one JSON array
+// instead of JSONL) query parameters.
+func writeTraceRing(w http.ResponseWriter, r *http.Request, ring *reqtrace.Ring) {
 	events := ring.Events()
 	if kind := r.URL.Query().Get("kind"); kind != "" {
-		kept := make([]telemetry.TraceEvent, 0, len(events))
+		kept := events[:0]
 		for _, ev := range events {
-			if ev.Kind == kind {
+			if ev.Ev == kind {
 				kept = append(kept, ev)
 			}
 		}

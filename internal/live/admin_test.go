@@ -64,17 +64,23 @@ func adminGet(t *testing.T, srv *httptest.Server, path string) (int, string) {
 func TestDebugTraceFilters(t *testing.T) {
 	srv := tracedManager(t, nil)
 
-	// Unfiltered NDJSON: one JSON object per line, several kinds.
+	// Unfiltered NDJSON: one record per line, several kinds — the lock
+	// lifecycle beside the protocol's own transitions.
 	code, body := adminGet(t, srv, "/debug/trace?key=k")
 	if code != 200 {
 		t.Fatalf("/debug/trace = %d", code)
+	}
+	for _, want := range []string{`"ev":"enqueue"`, `"ev":"grant"`, `"ev":"release"`, `"ev":"dispatched"`} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/debug/trace has no %s line:\n%s", want, body)
+		}
 	}
 	lines := strings.Split(strings.TrimSpace(body), "\n")
 	if len(lines) < 2 {
 		t.Fatalf("trace ring has %d events, want several:\n%s", len(lines), body)
 	}
 	var first struct {
-		Kind string `json:"kind"`
+		Kind string `json:"ev"`
 	}
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
 		t.Fatalf("first trace line is not JSON: %v", err)
@@ -94,7 +100,7 @@ func TestDebugTraceFilters(t *testing.T) {
 	}
 	for _, line := range filtered {
 		var ev struct {
-			Kind string `json:"kind"`
+			Kind string `json:"ev"`
 		}
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatal(err)
@@ -148,12 +154,12 @@ func TestDebugRequestsNode(t *testing.T) {
 		}
 	}
 	// Every trace on a single-node cluster carries the full protocol
-	// phase breakdown: enqueue, batch, grant, release at minimum.
+	// phase breakdown: enqueue, batch inclusion, grant, release at minimum.
 	phases := map[string]bool{}
 	for _, st := range doc.Recent[0].Steps {
-		phases[string(st.Phase)] = true
+		phases[st.Phase] = true
 	}
-	for _, want := range []string{"enqueue", "batch", "grant", "release"} {
+	for _, want := range []string{"enqueue", "request-accepted", "grant", "release"} {
 		if !phases[want] {
 			t.Errorf("trace lacks %s phase: %+v", want, doc.Recent[0].Steps)
 		}

@@ -1,0 +1,190 @@
+package live_test
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"testing"
+	"time"
+
+	"tokenarbiter/internal/live"
+	"tokenarbiter/internal/registry"
+	"tokenarbiter/internal/reqtrace"
+	"tokenarbiter/internal/transport"
+)
+
+// TestCancelledGrantRecordsItsFence: a Lock that gave up is still granted
+// when its turn comes (the protocol has no un-request) and released on the
+// spot. That grant consumed a real fence, and its records — the trace's
+// and the capture's — must carry it: Replay compares recorded against
+// replayed fences, and a recorded 0 reads as drift that is not there.
+func TestCancelledGrantRecordsItsFence(t *testing.T) {
+	algo, err := registry.RegisterWire(registry.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	rec, err := reqtrace.NewRecorder(&buf, algo, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := reqtrace.NewCollector(8)
+	net := transport.NewMemNetwork(1, transport.MemOptions{})
+	defer net.Close()
+	nd, err := live.NewNode(live.Config{
+		ID: 0, N: 1, Transport: net.Endpoint(0),
+		Factory: registry.CoreLiveFactory(fastOptions()),
+		Seed:    1, Key: "k", Tracer: tracer, FlightRec: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close() //nolint:errcheck
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	held, err := nd.LockFence(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second request is issued and abandoned while the first holds.
+	gone, giveUp := context.WithCancel(ctx)
+	giveUp()
+	if _, err := nd.LockFence(gone); !errors.Is(err, context.Canceled) {
+		t.Fatalf("LockFence under a cancelled context = %v, want context.Canceled", err)
+	}
+	nd.Unlock()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if done, _, _ := tracer.Totals(); done == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned request was never granted and released")
+		}
+	}
+	after, err := nd.LockFence(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.Unlock()
+	_ = nd.Close()
+
+	id := reqtrace.MakeID(0, 2)
+	tr, ok := tracer.Lookup(id)
+	if !ok {
+		t.Fatalf("no completed trace %s", id)
+	}
+	if f := tr.Fence(); f <= held || f >= after {
+		t.Errorf("cancelled grant's trace says fence %d, want one between the grants around it (%d, %d)", f, held, after)
+	}
+	capture, err := reqtrace.ReadCapture(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, r := range capture.Records {
+		if r.Ev == reqtrace.EvGrant && r.Trace == id {
+			found = true
+			if r.Fence != tr.Fence() {
+				t.Errorf("capture's grant record says fence %d, the trace %d", r.Fence, tr.Fence())
+			}
+		}
+	}
+	if !found {
+		t.Errorf("capture has no grant record for %s", id)
+	}
+}
+
+// TestOneClock: one event is one record, so it reads the same t on every
+// surface. With the ring, the collector and the recorder all on, every
+// grant's timestamp in Node.Trace().Events(), in the collector's completed
+// trace and in the capture file is the same float. (The three used to be
+// stamped separately — time.Now, seconds since the collector's epoch,
+// seconds since the recorder's.)
+func TestOneClock(t *testing.T) {
+	algo, err := registry.RegisterWire(registry.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	var buf bytes.Buffer
+	rec, err := reqtrace.NewRecorder(&buf, algo, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := reqtrace.NewCollector(reqtrace.DefaultDepth)
+	net := transport.NewMemNetwork(n, transport.MemOptions{})
+	defer net.Close()
+	mgrs := make([]*live.Manager, n)
+	for i := range mgrs {
+		m, err := live.NewManager(live.ManagerConfig{
+			ID: i, N: n,
+			Transport: transport.Chain(net.Endpoint(i), rec.Middleware()),
+			Factory:   registry.CoreLiveFactory(fastOptions()),
+			Algo:      algo, Seed: uint64(i + 1),
+			Tracer: tracer, FlightRec: rec, // TraceDepth 0: the ring at its default depth
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgrs[i] = m
+		defer m.Close() //nolint:errcheck
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	keys := []string{"orders", "billing"}
+	want := 0
+	for round := 0; round < 3; round++ {
+		for _, key := range keys {
+			for _, m := range mgrs {
+				if err := m.Lock(ctx, key); err != nil {
+					t.Fatal(err)
+				}
+				m.Unlock(key)
+				want++
+			}
+		}
+	}
+
+	// A grant is named by its key and trace ID (each key's node counts its
+	// own requests); every record carries both.
+	type grantID struct {
+		key string
+		id  reqtrace.ID
+	}
+	inRing, inTrace, inCapture := map[grantID]float64{}, map[grantID]float64{}, map[grantID]float64{}
+	grants := func(recs []reqtrace.Record, into map[grantID]float64) {
+		for _, r := range recs {
+			if r.Ev == reqtrace.EvGrant {
+				into[grantID{r.Key, r.Trace}] = r.T
+			}
+		}
+	}
+	for _, m := range mgrs {
+		for _, key := range keys {
+			grants(m.Node(key).Trace().Events(), inRing)
+		}
+	}
+	for _, tr := range tracer.Completed() {
+		grants(tr.Events, inTrace)
+	}
+	for _, m := range mgrs {
+		_ = m.Close()
+	}
+	capture, err := reqtrace.ReadCapture(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grants(capture.Records, inCapture)
+
+	if len(inRing) != want || len(inTrace) != want || len(inCapture) != want {
+		t.Fatalf("%d grants: the rings hold %d, the collector %d, the capture %d",
+			want, len(inRing), len(inTrace), len(inCapture))
+	}
+	for k, at := range inRing {
+		if inTrace[k] != at || inCapture[k] != at {
+			t.Errorf("grant %s of %q: t=%v in the ring, %v in its trace, %v in the capture",
+				k.id, k.key, at, inTrace[k], inCapture[k])
+		}
+	}
+}

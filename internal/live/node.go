@@ -103,27 +103,27 @@ type Config struct {
 	// endpoint. Nil creates a private registry, available via
 	// Node.Metrics.
 	Metrics *telemetry.Registry
-	// TraceDepth sizes the ring buffer of recent protocol transitions
-	// (Node.Trace, the /debug/trace endpoint). 0 means DefaultTraceDepth;
-	// negative disables tracing.
+	// TraceDepth sizes the ring buffer of recent event records — protocol
+	// transitions and the lock lifecycle (Node.Trace, the /debug/trace
+	// endpoint). 0 means DefaultTraceDepth; negative disables it.
 	TraceDepth int
-	// Key labels this node's lock in request-trace spans and
-	// flight-recorder records when many locks share a tracer or recorder
-	// (the Manager sets it per instance). Empty for a bare engine.
+	// Key labels this node's lock in its event records when many locks
+	// share a tracer or recorder (the Manager sets it per instance). Empty
+	// for a bare engine.
 	Key string
 	// Tracer, when non-nil, collects end-to-end request traces: every
-	// Lock/LockFence call mints a trace ID and accumulates spans from
-	// enqueue through grant to release, including protocol-phase spans
+	// Lock/LockFence call mints a trace ID and accumulates records from
+	// enqueue through grant to release, including the protocol's own
 	// (batch inclusion, token hops) for the core algorithm. Share one
 	// collector across a cluster's nodes (or a Manager's keys) so each
 	// trace assembles in one place. Nil disables request tracing at zero
 	// cost on the lock path.
 	Tracer *reqtrace.Collector
-	// FlightRec, when non-nil, logs this node's lock lifecycle events
-	// (request, grant, release) into the flight recorder; pair it with
-	// FlightRec.Middleware() on the node's transport chain so the same
-	// capture holds the wire traffic, making it replayable by
-	// reqtrace.Replay / `mutexsim replay`.
+	// FlightRec, when non-nil, logs this node's lock lifecycle (enqueue,
+	// grant, release) and every protocol transition into the flight
+	// recorder; pair it with FlightRec.Middleware() on the node's
+	// transport chain so the same capture holds the wire traffic, making
+	// it replayable by reqtrace.Replay / `mutexsim replay`.
 	FlightRec *reqtrace.Recorder
 	// Rejoin marks this node a restarted incarnation joining a group
 	// that is already running. Protocol machines that support it (the
@@ -193,11 +193,14 @@ type Node struct {
 
 	reg     *telemetry.Registry
 	metrics *liveMetrics
-	trace   *telemetry.Ring // nil when tracing is disabled
 
-	tracer   *reqtrace.Collector // nil when request tracing is disabled
-	frec     *reqtrace.Recorder  // nil when flight recording is disabled
-	traceSeq uint64              // executor-confined: request count, mirrors core's sequence numbering
+	// The one event stream: each lifecycle point and protocol transition
+	// is one reqtrace.Record handed to sinks — the ring, Config.Tracer and
+	// Config.FlightRec, whichever are on; empty when none is.
+	sinks    sinks
+	trace    *reqtrace.Ring // the ring among sinks; nil when TraceDepth < 0
+	stamp    bool           // Tracer or FlightRec is on: mint trace IDs and stamp them on the wire
+	traceSeq uint64         // executor-confined: request count, mirrors core's sequence numbering
 
 	timersMu sync.Mutex
 	timers   map[int32]*liveTimer // pending wall-clock timers by handle id
@@ -247,13 +250,23 @@ func NewNode(cfg Config) (*Node, error) {
 		// became-arbiter event); its first tenure starts now.
 		metrics.tenureStart = time.Now()
 	}
-	var ring *telemetry.Ring
+	// Nil checks on the typed pointers: a disabled sink must not enter the
+	// list as a non-nil interface.
+	var out sinks
+	var ring *reqtrace.Ring
 	if cfg.TraceDepth >= 0 {
 		depth := cfg.TraceDepth
 		if depth == 0 {
 			depth = DefaultTraceDepth
 		}
-		ring = telemetry.NewRing(depth)
+		ring = reqtrace.NewRing(depth)
+		out = append(out, ring)
+	}
+	if cfg.Tracer != nil {
+		out = append(out, cfg.Tracer)
+	}
+	if cfg.FlightRec != nil {
+		out = append(out, cfg.FlightRec)
 	}
 
 	// Metrics, tracing, and the configured logger all share the one
@@ -276,16 +289,13 @@ func NewNode(cfg Config) (*Node, error) {
 			)
 		}
 	}
-	traceObs := func(core.Event) {}
-	if ring != nil {
-		traceObs = traceObserver(ring)
+	// Protocol transitions become records once, for every sink, on the
+	// lifecycle records' clock; with no sink on, no observer joins for them.
+	var recObs func(core.Event)
+	if len(out) > 0 {
+		recObs = reqtrace.CoreObserver(out, cfg.Key, reqtrace.Now)
 	}
-	// Request-trace protocol spans (batch inclusion, token hops) share the
-	// collector's clock so spans from every node in the cluster order on
-	// one timeline. CoreObserver is nil (and FanOut skips it) when no
-	// collector is configured.
-	reqObs := reqtrace.CoreObserver(cfg.Tracer, cfg.Key, cfg.Tracer.Since)
-	obs := core.FanOut(metrics.observer(), traceObs, userObs, reqObs)
+	obs := core.FanOut(metrics.observer(), recObs, userObs)
 
 	inner, err := cfg.Factory(cfg.ID, cfg.N, obs)
 	if err != nil {
@@ -317,9 +327,9 @@ func NewNode(cfg Config) (*Node, error) {
 		quit:    make(chan struct{}),
 		reg:     reg,
 		metrics: metrics,
+		sinks:   out,
 		trace:   ring,
-		tracer:  cfg.Tracer,
-		frec:    cfg.FlightRec,
+		stamp:   cfg.Tracer != nil || cfg.FlightRec != nil,
 	}
 	n.tr.SetHandler(func(from dme.NodeID, msg dme.Message) {
 		// Trace context rides a wire wrapper; the protocol state
@@ -444,17 +454,11 @@ func (n *Node) LockFence(ctx context.Context) (uint64, error) {
 		// one OnRequest per waiter in posting order is precisely how the
 		// core protocol assigns sequence numbers, so remote observers can
 		// re-derive the same ID from the QEntry they see (core.RequestID).
-		if n.tracer != nil || n.frec != nil {
+		if n.stamp {
 			n.traceSeq++
 			w.trace = reqtrace.MakeID(n.cfg.ID, n.traceSeq)
 		}
-		if n.tracer != nil {
-			n.tracer.Record(reqtrace.Span{
-				Trace: w.trace, Phase: reqtrace.PhaseEnqueue,
-				At: n.tracer.Since(), Node: n.cfg.ID, Peer: -1, Key: n.cfg.Key,
-			})
-		}
-		n.frec.RecordRequest(n.cfg.ID, n.cfg.Key, w.trace)
+		n.emit(reqtrace.EvRequest, w)
 		n.waiters = append(n.waiters, w)
 		n.inner.OnRequest(n)
 	})
@@ -538,14 +542,31 @@ func (n *Node) finishCS(w *waiter) {
 	if !w.grantedAt.IsZero() {
 		n.metrics.csHold.ObserveEx(time.Since(w.grantedAt).Seconds(), uint64(w.trace))
 	}
-	if n.tracer != nil {
-		n.tracer.Record(reqtrace.Span{
-			Trace: w.trace, Phase: reqtrace.PhaseRelease,
-			At: n.tracer.Since(), Node: n.cfg.ID, Peer: -1, Key: n.cfg.Key,
-		})
-	}
-	n.frec.RecordRelease(n.cfg.ID, n.cfg.Key, w.trace)
+	n.emit(reqtrace.EvRelease, w)
 	n.inner.OnCSDone(n)
+}
+
+// sinks fans one record out to every configured sink.
+type sinks []reqtrace.Sink
+
+// Record implements reqtrace.Sink.
+func (s sinks) Record(rec reqtrace.Record) {
+	for _, k := range s {
+		k.Record(rec)
+	}
+}
+
+// emit hands one lock-lifecycle record for w to the sinks, on the clock
+// the protocol-transition records share (executor-owned context only).
+// With every sink off it is one length test.
+func (n *Node) emit(ev string, w *waiter) {
+	if len(n.sinks) == 0 {
+		return
+	}
+	n.sinks.Record(reqtrace.Record{
+		T: reqtrace.Now(), Ev: ev, Node: n.cfg.ID, Peer: -1,
+		Key: n.cfg.Key, Trace: w.trace, Fence: w.fence,
+	})
 }
 
 // Stats reports how many critical sections this node has been granted
@@ -560,14 +581,14 @@ func (n *Node) Stats() (granted, released uint64) {
 // recovery activity) accumulate here from node start.
 func (n *Node) Metrics() *telemetry.Registry { return n.reg }
 
-// Trace returns the ring buffer of recent protocol transitions, or nil
-// when Config.TraceDepth is negative.
-func (n *Node) Trace() *telemetry.Ring { return n.trace }
+// Trace returns the ring buffer of recent event records, or nil when
+// Config.TraceDepth is negative.
+func (n *Node) Trace() *reqtrace.Ring { return n.trace }
 
 // Requests returns the request-trace collector from Config.Tracer, or
 // nil when request tracing is disabled. Safe to pass to the admin
 // surfaces either way — the collector's methods are nil-safe.
-func (n *Node) Requests() *reqtrace.Collector { return n.tracer }
+func (n *Node) Requests() *reqtrace.Collector { return n.cfg.Tracer }
 
 // Inspect returns a read-only snapshot of the protocol state, taken
 // under the executor's exclusion. Algorithms other than the paper's arbiter protocol
@@ -657,7 +678,7 @@ func (n *Node) Send(from, to dme.NodeID, msg dme.Message) {
 	// serve the group rather than one request go out unstamped, as do
 	// all baseline-algorithm messages (core.RequestID knows only the
 	// arbiter protocol's types).
-	if n.tracer != nil || n.frec != nil {
+	if n.stamp {
 		if node, seq, ok := core.RequestID(msg); ok {
 			msg = wire.Wrap(msg, wire.WithTrace(uint64(reqtrace.MakeID(node, seq))))
 		}
@@ -755,6 +776,11 @@ func (n *Node) EnterCS(_ dme.NodeID) {
 	for len(n.waiters) > 0 {
 		w := n.waiters[0]
 		n.waiters = n.waiters[1:]
+		// Read before the branch: a cancelled waiter's grant consumed a
+		// real fence too, and its records must say which.
+		if ins, ok := core.Inspect(n.inner); ok {
+			w.fence = ins.LastFence
+		}
 		if w.canceled {
 			// The Lock call gave up; release the CS immediately so the
 			// token keeps moving. Posted rather than called inline so
@@ -763,15 +789,9 @@ func (n *Node) EnterCS(_ dme.NodeID) {
 			n.released.Add(1)
 			n.metrics.grants.Inc()
 			n.metrics.releases.Inc()
-			n.recordGrant(w)
-			if n.tracer != nil {
-				// Close the trace: the grant existed, however briefly.
-				n.tracer.Record(reqtrace.Span{
-					Trace: w.trace, Phase: reqtrace.PhaseRelease,
-					At: n.tracer.Since(), Node: n.cfg.ID, Peer: -1, Key: n.cfg.Key,
-				})
-			}
-			n.frec.RecordRelease(n.cfg.ID, n.cfg.Key, w.trace)
+			// Close the trace: the grant existed, however briefly.
+			n.emit(reqtrace.EvGrant, w)
+			n.emit(reqtrace.EvRelease, w)
 			n.post(func() { n.inner.OnCSDone(n) })
 			return
 		}
@@ -780,10 +800,7 @@ func (n *Node) EnterCS(_ dme.NodeID) {
 		n.holder = w
 		n.granted.Add(1)
 		n.metrics.grants.Inc()
-		if ins, ok := core.Inspect(n.inner); ok {
-			w.fence = ins.LastFence
-		}
-		n.recordGrant(w)
+		n.emit(reqtrace.EvGrant, w)
 		if !n.msgRecvAt.IsZero() {
 			// This grant was produced by processing an inbound message
 			// (a token arrival): receive-to-grant is the handoff latency
@@ -799,17 +816,4 @@ func (n *Node) EnterCS(_ dme.NodeID) {
 	}
 	// No waiter (should not happen: one OnRequest per waiter); release.
 	n.post(func() { n.inner.OnCSDone(n) })
-}
-
-// recordGrant emits the grant span and flight-recorder record for w
-// (executor-owned context only).
-func (n *Node) recordGrant(w *waiter) {
-	if n.tracer != nil {
-		n.tracer.Record(reqtrace.Span{
-			Trace: w.trace, Phase: reqtrace.PhaseGrant,
-			At: n.tracer.Since(), Node: n.cfg.ID, Peer: -1,
-			Key: n.cfg.Key, Fence: w.fence,
-		})
-	}
-	n.frec.RecordGrant(n.cfg.ID, n.cfg.Key, w.trace, w.fence)
 }

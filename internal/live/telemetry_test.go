@@ -186,7 +186,7 @@ func TestAdminEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/debug/trace?key=k = %d", code)
 	}
-	if !strings.Contains(body, `"kind"`) {
+	if !strings.Contains(body, `"ev"`) {
 		t.Errorf("/debug/trace?key=k has no events:\n%s", body)
 	}
 }

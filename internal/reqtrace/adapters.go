@@ -5,50 +5,35 @@ import (
 	"tokenarbiter/internal/dme"
 )
 
-// CoreObserver adapts the core protocol's observer hook to span
-// recording: batch-inclusion and token-hop events carry the owning
-// request's (node, seq) identity, which derives the same trace ID the
-// requester's runtime minted at Lock entry. Install it in the observer
-// fan-out (core.FanOut) next to metrics and logging; now supplies span
-// timestamps — Collector.Since for live runs, the runner's virtual clock
-// for simulations — so sim and live runs produce identical span shapes.
-func CoreObserver(c *Collector, key string, now func() float64) func(core.Event) {
+// CoreObserver adapts the core protocol's observer hook to the record
+// stream: every protocol transition becomes one Record, named as the
+// event kind names itself. Events about one request (batch inclusion,
+// token hops, window skips) carry its (node, seq) identity, which derives
+// the same trace ID the requester's runtime minted at Lock entry. Install
+// it in the observer fan-out (core.FanOut) next to metrics and logging;
+// now supplies the timestamps — Now for live runs, the runner's virtual
+// clock for simulations — so sim and live runs produce identical records.
+func CoreObserver(c Sink, key string, now func() float64) func(core.Event) {
 	if c == nil {
 		return nil
 	}
 	return func(ev core.Event) {
-		switch ev.Kind {
-		case core.EventRequestAccepted:
-			c.Record(Span{
-				Trace: MakeID(ev.Req, ev.ReqSeq),
-				Phase: PhaseBatch,
-				At:    now(),
-				Node:  ev.Node,
-				Peer:  -1,
-				Key:   key,
-				Batch: ev.Batch,
-			})
-		case core.EventTokenPassed:
-			if ev.ReqSeq == 0 {
-				return // no request heads this transfer (empty Q-list hand-off)
-			}
-			c.Record(Span{
-				Trace: MakeID(ev.Req, ev.ReqSeq),
-				Phase: PhaseTokenHop,
-				At:    now(),
-				Node:  ev.Node,
-				Peer:  ev.Arbiter,
-				Key:   key,
-			})
+		rec := Record{
+			T: now(), Ev: ev.Kind.String(), Node: ev.Node, Peer: ev.Arbiter,
+			Key: key, Fence: ev.Fence, Batch: ev.Batch, Epoch: ev.Epoch,
 		}
+		if ev.ReqSeq != 0 { // 0: the event is about the group, not one request
+			rec.Trace = MakeID(ev.Req, ev.ReqSeq)
+		}
+		c.Record(rec)
 	}
 }
 
-// SimTracer mints trace IDs and records runtime-side spans (enqueue,
+// SimTracer mints trace IDs and emits the runtime-side records (enqueue,
 // grant, release) for a simulation run, the counterpart of what
 // live.Node does for live runs: install Trace as (or inside)
 // dme.Config.Trace and pair it with CoreObserver on the algorithm's
-// observer hook for the protocol-side spans.
+// observer hook for the protocol-side records.
 //
 // Request-to-grant matching is per-node FIFO — the n-th grant at a node
 // completes that node's n-th request — which is exactly the contract the
@@ -75,36 +60,32 @@ func NewSimTracer(c *Collector, key string, n int) *SimTracer {
 
 // Trace consumes one simulation event; wire it to dme.Config.Trace.
 func (t *SimTracer) Trace(ev dme.TraceEvent) {
+	var name string
+	var id ID
 	switch ev.Kind {
 	case dme.TraceRequest:
 		t.seq[ev.From]++
-		id := MakeID(ev.From, t.seq[ev.From])
+		id = MakeID(ev.From, t.seq[ev.From])
 		t.fifo[ev.From] = append(t.fifo[ev.From], id)
-		t.c.Record(Span{
-			Trace: id, Phase: PhaseEnqueue, At: ev.Time,
-			Node: ev.From, Peer: -1, Key: t.key,
-		})
+		name = EvRequest
 	case dme.TraceEnterCS:
 		q := t.fifo[ev.From]
 		if len(q) == 0 {
 			return
 		}
-		id := q[0]
+		id = q[0]
 		t.fifo[ev.From] = q[1:]
 		t.inCS[ev.From] = id
-		t.c.Record(Span{
-			Trace: id, Phase: PhaseGrant, At: ev.Time,
-			Node: ev.From, Peer: -1, Key: t.key,
-		})
+		name = EvGrant
 	case dme.TraceExitCS:
-		id := t.inCS[ev.From]
+		id = t.inCS[ev.From]
 		if id == 0 {
 			return
 		}
 		t.inCS[ev.From] = 0
-		t.c.Record(Span{
-			Trace: id, Phase: PhaseRelease, At: ev.Time,
-			Node: ev.From, Peer: -1, Key: t.key,
-		})
+		name = EvRelease
+	default:
+		return
 	}
+	t.c.Record(Record{T: ev.Time, Ev: name, Node: ev.From, Peer: -1, Key: t.key, Trace: id})
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
 
 	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/transport"
@@ -15,9 +14,12 @@ import (
 )
 
 // CaptureVersion is the flight-recorder capture format generation.
-// Version 1 held each message as a gob-sealed envelope; version 2 holds
-// the wire frame.
-const CaptureVersion = 2
+// Version 1 held each message as a gob-sealed envelope; version 2 held
+// the wire frame beside lifecycle records spelled req/grant/rel; version
+// 3 is the one record stream: the lifecycle is spelled
+// enqueue/grant/release, as every other surface spells it, and every
+// protocol transition is a line of its own.
+const CaptureVersion = 3
 
 // CaptureHeader is the first line of a capture file: enough metadata to
 // rebuild the cluster the capture came from (which algorithm's state
@@ -28,50 +30,18 @@ type CaptureHeader struct {
 	N    int    `json:"n"`
 }
 
-// Capture record event kinds. Send/recv are wire-level (one per message
-// crossing the recorder's transport layer); req/grant/rel are
-// application-level lock lifecycle events recorded by the runtime.
-const (
-	EvSend    = "send"
-	EvRecv    = "recv"
-	EvRequest = "req"
-	EvGrant   = "grant"
-	EvRelease = "rel"
-)
-
-// Record is one timestamped capture entry. T is seconds since the
-// recorder's epoch — replay treats it as virtual time, so a capture's
-// timeline is self-contained. Frame is present only on send/recv records;
-// it is the wire frame body exactly as a connection would carry it
-// (base64-encoded by encoding/json), so a capture replays through the
-// same decode path live traffic takes.
-type Record struct {
-	T     float64 `json:"t"`
-	Ev    string  `json:"ev"`
-	Node  int     `json:"node"`
-	Peer  int     `json:"peer"`
-	Key   string  `json:"key,omitempty"`
-	Trace uint64  `json:"trace,omitempty"`
-	Fence uint64  `json:"fence,omitempty"`
-	Frame []byte  `json:"frame,omitempty"`
-}
-
-// Recorder writes a flight-recorder capture: a JSONL stream with one
-// CaptureHeader line followed by Record lines in write order. It layers
-// into a node two ways at once: Middleware captures every message
-// crossing the transport (send and recv), and the Record* methods let
-// the runtime log the application-level lock lifecycle (request, grant,
-// release) that wire traffic alone cannot show.
+// Recorder is the sink that keeps everything: it writes a flight-recorder
+// capture, a JSONL stream with one CaptureHeader line followed by Record
+// lines in write order. It layers into a node two ways at once:
+// Middleware captures every message crossing the transport (send and
+// recv), and as the node's Sink it logs the lock lifecycle and the
+// protocol transitions that wire traffic alone cannot show.
 //
 // All methods are safe on a nil receiver (no-ops), so callers thread an
 // optional recorder without guarding every call site. Writes are
 // serialized by a mutex; a write or encode failure drops that record and
 // counts it (Dropped) rather than failing the node.
 type Recorder struct {
-	algo  string
-	n     int
-	epoch time.Time
-
 	mu      sync.Mutex
 	w       io.Writer
 	c       io.Closer // non-nil when the recorder owns the sink
@@ -84,7 +54,7 @@ type Recorder struct {
 // NewRecorder starts a capture on w for an n-node cluster running the
 // named algorithm, writing the header line immediately.
 func NewRecorder(w io.Writer, algo string, n int) (*Recorder, error) {
-	r := &Recorder{algo: algo, n: n, epoch: time.Now(), w: w}
+	r := &Recorder{w: w}
 	r.enc = wire.BinaryCodec().NewEncoder(&r.frame, algo)
 	hdr, err := json.Marshal(CaptureHeader{V: CaptureVersion, Algo: algo, N: n})
 	if err != nil {
@@ -127,15 +97,6 @@ func (r *Recorder) Close() error {
 	return err
 }
 
-// Since returns seconds since the recorder's epoch — the T value the
-// next record written now would carry.
-func (r *Recorder) Since() float64 {
-	if r == nil {
-		return 0
-	}
-	return time.Since(r.epoch).Seconds()
-}
-
 // Totals returns the number of records written and dropped so far.
 func (r *Recorder) Totals() (records, dropped uint64) {
 	if r == nil {
@@ -146,13 +107,17 @@ func (r *Recorder) Totals() (records, dropped uint64) {
 	return r.records, r.dropped
 }
 
-// write appends one record line; errors count as drops.
-func (r *Recorder) write(rec Record) {
+// Record implements Sink: one capture line per record.
+func (r *Recorder) Record(rec Record) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.writeLocked(rec)
 }
 
+// writeLocked appends one record line; errors count as drops.
 func (r *Recorder) writeLocked(rec Record) {
 	line, err := json.Marshal(rec)
 	if err == nil {
@@ -180,36 +145,9 @@ func (r *Recorder) recordEnvelope(ev string, node, peer, sender int, msg dme.Mes
 		return
 	}
 	r.writeLocked(Record{
-		T: r.Since(), Ev: ev, Node: node, Peer: peer,
-		Key: key, Trace: trace, Frame: r.frame.Bytes()[wire.PrefixLen:],
+		T: Now(), Ev: ev, Node: node, Peer: peer,
+		Key: key, Trace: ID(trace), Frame: r.frame.Bytes()[wire.PrefixLen:],
 	})
-}
-
-// RecordRequest logs an application lock request entering the runtime.
-func (r *Recorder) RecordRequest(node int, key string, trace ID) {
-	if r == nil {
-		return
-	}
-	r.write(Record{T: r.Since(), Ev: EvRequest, Node: node, Peer: -1,
-		Key: key, Trace: uint64(trace)})
-}
-
-// RecordGrant logs a critical-section grant with its fencing token.
-func (r *Recorder) RecordGrant(node int, key string, trace ID, fence uint64) {
-	if r == nil {
-		return
-	}
-	r.write(Record{T: r.Since(), Ev: EvGrant, Node: node, Peer: -1,
-		Key: key, Trace: uint64(trace), Fence: fence})
-}
-
-// RecordRelease logs a critical-section release (Unlock).
-func (r *Recorder) RecordRelease(node int, key string, trace ID) {
-	if r == nil {
-		return
-	}
-	r.write(Record{T: r.Since(), Ev: EvRelease, Node: node, Peer: -1,
-		Key: key, Trace: uint64(trace)})
 }
 
 // Middleware returns a transport layer that captures every message the

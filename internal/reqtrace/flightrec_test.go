@@ -41,7 +41,10 @@ func TestRecorderCaptureRoundTrip(t *testing.T) {
 	}
 
 	// Lifecycle records plus wire traffic through the middleware.
-	rec.RecordRequest(1, "orders", MakeID(1, 1))
+	step := func(ev string, fence uint64) Record {
+		return Record{T: Now(), Ev: ev, Node: 1, Peer: -1, Key: "orders", Trace: MakeID(1, 1), Fence: fence}
+	}
+	rec.Record(step(EvRequest, 0))
 	base := &loopTransport{self: 1}
 	tr := rec.Middleware()(base)
 	tr.SetHandler(func(from dme.NodeID, msg dme.Message) {})
@@ -54,8 +57,8 @@ func TestRecorderCaptureRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	base.handler(0, msg) // inbound delivery through the recv tap
-	rec.RecordGrant(1, "orders", MakeID(1, 1), 7)
-	rec.RecordRelease(1, "orders", MakeID(1, 1))
+	rec.Record(step(EvGrant, 7))
+	rec.Record(step(EvRelease, 7))
 
 	if records, dropped := rec.Totals(); records != 5 || dropped != 0 {
 		t.Fatalf("totals = (%d records, %d dropped), want (5, 0)", records, dropped)
@@ -79,7 +82,7 @@ func TestRecorderCaptureRoundTrip(t *testing.T) {
 		if r.Key != "orders" {
 			t.Errorf("record %d key = %q", i, r.Key)
 		}
-		if r.Trace != uint64(MakeID(1, 1)) {
+		if r.Trace != MakeID(1, 1) {
 			t.Errorf("record %d trace = %#x", i, r.Trace)
 		}
 	}
@@ -124,9 +127,7 @@ func TestRecorderCaptureRoundTrip(t *testing.T) {
 // no-op everywhere, and a nil middleware disappears from the chain.
 func TestNilRecorder(t *testing.T) {
 	var rec *Recorder
-	rec.RecordRequest(0, "k", 1)
-	rec.RecordGrant(0, "k", 1, 1)
-	rec.RecordRelease(0, "k", 1)
+	rec.Record(Record{Ev: EvRequest, Key: "k", Trace: 1})
 	if err := rec.Close(); err != nil {
 		t.Errorf("nil Close() = %v", err)
 	}
@@ -150,21 +151,27 @@ func TestReadCaptureErrors(t *testing.T) {
 	}{
 		{"empty", ""},
 		{"future version", `{"v":99,"algo":"core","n":3}` + "\n"},
-		{"zero nodes", `{"v":2,"algo":"core","n":0}` + "\n"},
+		{"zero nodes", `{"v":3,"algo":"core","n":0}` + "\n"},
 		{"malformed header", "not json\n"},
-		{"malformed record", `{"v":2,"algo":"core","n":3}` + "\nnot json\n"},
+		{"malformed record", `{"v":3,"algo":"core","n":3}` + "\nnot json\n"},
 	}
 	for _, c := range cases {
 		if _, err := ReadCapture(strings.NewReader(c.in)); err == nil {
 			t.Errorf("%s: ReadCapture accepted the capture", c.name)
 		}
 	}
-	// A v1 capture (gob-sealed envelopes) is refused at the header, with
-	// both versions named.
+	// Older captures are refused at the header, with both versions named:
+	// v1 (gob-sealed envelopes) and v2 (lifecycle spelled req/rel, no
+	// protocol transitions).
 	_, err := ReadCapture(strings.NewReader(`{"v":1,"algo":"core","n":3}` + "\n" +
 		`{"t":0.1,"ev":"recv","node":0,"peer":1,"env":{"Version":2,"Algo":"core","From":1,"Kind":"REQUEST","Payload":"AAAA"}}` + "\n"))
-	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "v2") {
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "v3") {
 		t.Errorf("v1 capture: error %v does not name both versions", err)
+	}
+	_, err = ReadCapture(strings.NewReader(`{"v":2,"algo":"core","n":3}` + "\n" +
+		`{"t":0.1,"ev":"req","node":0,"peer":-1,"trace":1099511627777}` + "\n"))
+	if err == nil || !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "v3") {
+		t.Errorf("v2 capture: error %v does not name both versions", err)
 	}
 }
 

@@ -115,8 +115,8 @@ func GrantLog(grants []GrantEvent) []byte {
 // produce the same grant sequence.
 //
 // The factory builds one node's state machine, same shape as
-// registry.LiveFactory; obs is wired to a CoreObserver recording
-// protocol-phase spans into collector (pass nil to skip span
+// registry.LiveFactory; obs is wired to a CoreObserver recording the
+// replayed protocol transitions into collector (pass nil to skip trace
 // collection).
 func Replay(cap *Capture, factory func(id, n int, obs func(core.Event)) (dme.Node, error), collector *Collector) (*ReplayResult, error) {
 	if cap == nil || cap.Header.N < 1 {
@@ -169,21 +169,14 @@ func replayKey(hdr CaptureHeader, key string, recs []Record,
 		nd.Init(ctx)
 	}
 
-	// Recorded lifecycle events double as runtime-side spans: combined
-	// with the protocol spans the replayed machines emit through
-	// CoreObserver, the collector assembles the same full traces a live
-	// run's collector holds — enqueue/grant/release at recorded times,
-	// batch and token hops at replayed times on the same virtual clock.
-	recordSpan := func(rec Record, phase Phase) {
-		if rec.Trace == 0 {
-			return
-		}
-		s.PostAt(rec.T, func() {
-			collector.Record(Span{
-				Trace: ID(rec.Trace), Phase: phase, At: rec.T,
-				Node: rec.Node, Peer: -1, Key: key, Fence: rec.Fence,
-			})
-		})
+	// Recorded lifecycle records go to the collector as they are, at their
+	// recorded times: combined with the protocol records the replayed
+	// machines emit through CoreObserver, it assembles the same full traces
+	// a live run's collector holds — enqueue/grant/release at recorded
+	// times, batch inclusion and token hops at replayed times on the same
+	// virtual clock.
+	keep := func(rec Record) {
+		s.PostAt(rec.T, func() { collector.Record(rec) })
 	}
 
 	dec := wire.BinaryCodec().NewDecoder(nil, hdr.Algo) // bodies only, no stream
@@ -195,7 +188,7 @@ func replayKey(hdr CaptureHeader, key string, recs []Record,
 		rec := rec
 		switch rec.Ev {
 		case EvRequest:
-			recordSpan(rec, PhaseEnqueue)
+			keep(rec)
 			s.PostAt(rec.T, func() { nodes[rec.Node].OnRequest(ctx) })
 		case EvRecv:
 			_, msg, err := dec.DecodeBody(rec.Frame)
@@ -209,9 +202,9 @@ func replayKey(hdr CaptureHeader, key string, recs []Record,
 			msg, _, _ = wire.Unwrap(msg)
 			s.PostAt(rec.T, func() { nodes[rec.Node].OnMessage(ctx, rec.Peer, msg) })
 		case EvGrant:
-			recordSpan(rec, PhaseGrant)
+			keep(rec)
 		case EvRelease:
-			recordSpan(rec, PhaseRelease)
+			keep(rec)
 			s.PostAt(rec.T, func() {
 				if ctx.grants[rec.Node] > ctx.releases[rec.Node] {
 					ctx.releases[rec.Node]++
@@ -222,9 +215,9 @@ func replayKey(hdr CaptureHeader, key string, recs []Record,
 			})
 		}
 		// EvSend records are informational: sends are regenerated (and
-		// suppressed) by the replayed machines. EvGrant records were
-		// folded into res.Recorded by the caller; here they only
-		// contribute their span.
+		// suppressed) by the replayed machines, and so are the recorded
+		// protocol transitions, which the replayed machines emit afresh.
+		// EvGrant records were folded into res.Recorded by the caller.
 	}
 
 	// Run past the last record; the +1.0 horizon lets in-flight timers at

@@ -83,6 +83,26 @@ func TestReplayDeterminism(t *testing.T) {
 	if len(capture.Records) < want {
 		t.Fatalf("capture holds %d records for %d critical sections", len(capture.Records), want)
 	}
+	// The capture is the one record stream, not only the wire: each key's
+	// lock lifecycle and the protocol transitions behind it are in there.
+	for _, key := range keys {
+		grants, transitions := 0, 0
+		for _, r := range capture.Records {
+			if r.Key != key {
+				continue
+			}
+			switch r.Ev {
+			case reqtrace.EvGrant:
+				grants++
+			case core.EventDispatched.String(), core.EventTokenPassed.String(), core.EventRequestAccepted.String():
+				transitions++
+			}
+		}
+		if grants != want/len(keys) || transitions == 0 {
+			t.Errorf("key %q: capture holds %d grant records (want %d) and %d protocol transitions (want some)",
+				key, grants, want/len(keys), transitions)
+		}
+	}
 
 	factory, err := registry.NewLiveFactory(algo, map[string]float64{"treq": 0.005, "tfwd": 0.005})
 	if err != nil {

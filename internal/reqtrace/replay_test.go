@@ -15,10 +15,10 @@ func syntheticCapture(algo string) *Capture {
 	return &Capture{
 		Header: CaptureHeader{V: CaptureVersion, Algo: algo, N: 1},
 		Records: []Record{
-			{T: 0.0, Ev: EvRequest, Node: 0, Peer: -1, Trace: uint64(MakeID(0, 1))},
-			{T: 0.5, Ev: EvRelease, Node: 0, Peer: -1, Trace: uint64(MakeID(0, 1))},
-			{T: 0.6, Ev: EvRequest, Node: 0, Peer: -1, Trace: uint64(MakeID(0, 2))},
-			{T: 1.2, Ev: EvRelease, Node: 0, Peer: -1, Trace: uint64(MakeID(0, 2))},
+			{T: 0.0, Ev: EvRequest, Node: 0, Peer: -1, Trace: MakeID(0, 1)},
+			{T: 0.5, Ev: EvRelease, Node: 0, Peer: -1, Trace: MakeID(0, 1)},
+			{T: 0.6, Ev: EvRequest, Node: 0, Peer: -1, Trace: MakeID(0, 2)},
+			{T: 1.2, Ev: EvRelease, Node: 0, Peer: -1, Trace: MakeID(0, 2)},
 		},
 	}
 }

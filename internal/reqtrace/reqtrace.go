@@ -3,25 +3,35 @@
 // recorder that captures the envelope traffic of a live run for offline,
 // deterministic re-execution in the simulation kernel (replay.go).
 //
+// There is one event record, Record, and one way to consume it, Sink. A
+// runtime (live.Node, or the simulation adapters in adapters.go) turns
+// each protocol step into a Record exactly once and hands it to its
+// sinks; each sink keeps what it serves and ignores the rest:
+//
+//	Ring       the last few records of one lock's node (/debug/trace)
+//	Collector  the records that name a request, assembled per request
+//	           (/debug/requests, `mutexload -slowest`)
+//	Recorder   every record, as one capture line (`mutexsim replay`)
+//
 // A request acquires a trace ID when the application asks for the lock
 // (live.Node mints it at Lock/LockFence entry; the sim
 // adapter mints it on the workload arrival). The ID is derived from the
 // requester's node id and its per-node request sequence number — exactly
-// the (node, seq) identity the core protocol stamps on QEntry — so spans
-// recorded by the requester's runtime and spans recorded by protocol
+// the (node, seq) identity the core protocol stamps on QEntry — so records
+// made by the requester's runtime and records made by protocol
 // observers on OTHER nodes (batch inclusion at the arbiter, token hops)
 // agree on the ID without any coordination.
 //
-// Spans are point events on a shared clock (a Collector's epoch in live
-// runs, virtual time in simulations); phase durations fall out of the
-// deltas between consecutive spans. The same span phases are produced by
-// the live runtime and the simulation harness, so a request's life reads
-// identically in both:
+// Records are point events on one clock (Now in live runs, virtual time
+// in simulations); phase durations fall out of the deltas between
+// consecutive records. The live runtime and the simulation harness
+// produce the same records, so a request's life reads identically in
+// both:
 //
-//	enqueue → batch → token-hop* → grant → release
+//	enqueue → request-accepted → token-passed* → grant → release
 //
 // Baseline algorithms have no observer hook, so their traces carry only
-// the runtime-side spans (enqueue, grant, release) — wait and hold times
+// the runtime-side records (enqueue, grant, release) — wait and hold times
 // still measure correctly; the protocol-phase breakdown is a core-protocol
 // feature.
 package reqtrace
@@ -31,6 +41,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"tokenarbiter/internal/core"
 )
 
 // ID identifies one application-level lock request across nodes. It packs
@@ -65,93 +77,185 @@ func (id ID) String() string {
 	return fmt.Sprintf("%d-%d", id.Node(), id.Seq())
 }
 
-// Phase classifies one span of a request's life.
-type Phase string
-
-// The span phases, in causal order. TokenHop may repeat (one per
-// PRIVILEGE transfer while the request heads the token's Q-list); the
-// others appear at most once per request.
+// Record event names. Send/recv are wire-level (one per message crossing
+// the Recorder's transport layer); enqueue/grant/release are the
+// application-level lock lifecycle the runtime emits. Every other Ev is
+// a protocol transition, spelled as core.EventKind.String() spells it
+// ("request-accepted", "token-passed", "takeover", ...; CoreObserver
+// converts them).
 const (
-	// PhaseEnqueue: the application asked for the lock (Lock entry /
-	// workload arrival); the protocol request is issued.
-	PhaseEnqueue Phase = "enqueue"
-	// PhaseBatch: the current arbiter accepted the request into the batch
-	// it is collecting (§2.1's request-collection phase).
-	PhaseBatch Phase = "batch"
-	// PhaseTokenHop: a node sent the token (PRIVILEGE) onward while this
-	// request headed its Q-list — the token is traveling to serve it.
-	PhaseTokenHop Phase = "token-hop"
-	// PhaseGrant: the requester entered the critical section.
-	PhaseGrant Phase = "grant"
-	// PhaseRelease: the requester released the critical section.
-	PhaseRelease Phase = "release"
+	EvSend    = "send"
+	EvRecv    = "recv"
+	EvRequest = "enqueue" // the application asked for the lock (Lock entry / workload arrival)
+	EvGrant   = "grant"   // the requester entered the critical section
+	EvRelease = "release" // the requester released the critical section
 )
 
-// Span is one point event in a request's life. At is seconds on the
-// recording Collector's clock (wall-clock since its epoch in live runs,
-// virtual time in simulations).
-type Span struct {
-	Trace ID      `json:"trace"`
-	Phase Phase   `json:"phase"`
-	At    float64 `json:"at"`
-	// Node is where the span was observed (the arbiter for batch spans,
-	// the sending node for token hops, the requester for the rest).
+// evTokenPassed is the one protocol transition the trace views count: a
+// node sent the token (PRIVILEGE) onward while this request headed its
+// Q-list — the token is traveling to serve it.
+var evTokenPassed = core.EventTokenPassed.String()
+
+// Record is the one event record: a /debug/trace line, a step of a
+// request trace and a capture line are all this object. T is seconds on
+// the emitter's clock — Now in live runs, virtual time in simulations;
+// replay treats a capture's T as virtual time, so its timeline is
+// self-contained.
+type Record struct {
+	T  float64 `json:"t"`
+	Ev string  `json:"ev"`
+	// Node is where the event happened (the arbiter for request-accepted,
+	// the sending node for token-passed, the requester for the lifecycle).
 	Node int `json:"node"`
-	// Peer is the destination of a token hop; -1 otherwise.
-	Peer int `json:"peer,omitempty"`
+	// Peer is the other node involved: the remote endpoint of a send/recv,
+	// the core event's Arbiter on protocol transitions (the destination of
+	// a token-passed, the announced successor of a dispatched, the usurped
+	// arbiter of a takeover, ...), -1 on lifecycle records.
+	Peer int `json:"peer"`
 	// Key is the lock key of the DME group, for multi-key services.
 	Key string `json:"key,omitempty"`
-	// Fence is the grant's fencing token (grant spans only).
+	// Trace names the request the event is about; zero when it is about
+	// the group (or tracing is off).
+	Trace ID `json:"trace,omitempty"`
+	// Fence is the fencing token: the grant's on grant and release records,
+	// the token's on dispatched/regenerated/dropped transitions.
 	Fence uint64 `json:"fence,omitempty"`
-	// Batch is the batch length at acceptance (batch spans only).
+	// Batch is the batch or Q-list length on protocol transitions.
 	Batch int `json:"batch,omitempty"`
+	// Epoch is the token epoch on the transitions that carry one.
+	Epoch uint64 `json:"epoch,omitempty"`
+	// Frame is present only on send/recv records: the wire frame body
+	// exactly as a connection would carry it (base64-encoded by
+	// encoding/json), so a capture replays through the same decode path
+	// live traffic takes.
+	Frame []byte `json:"frame,omitempty"`
 }
 
-// Trace is one request's assembled span list, causally ordered by At.
+// Sink consumes the event stream. Implementations must be safe for
+// concurrent use: one sink is typically shared by every node of an
+// in-process cluster and every key of a Manager.
+type Sink interface {
+	Record(Record)
+}
+
+// epoch anchors Now; one per process, so every record a process emits —
+// whichever sink keeps it — is on one timeline.
+var epoch = time.Now()
+
+// Now returns seconds since the process started tracing: the T of every
+// live record.
+func Now() float64 { return time.Since(epoch).Seconds() }
+
+// ring is a bounded overwrite-oldest buffer, the storage behind Ring and
+// the Collector's completed traces. Not safe for concurrent use; its
+// owners hold their own mutex.
+type ring[T any] struct {
+	buf   []T
+	total uint64 // values ever pushed; buf[total%cap] is the next slot
+}
+
+func newRing[T any](capacity int) ring[T] {
+	if capacity < 1 {
+		capacity = 1
+	}
+	return ring[T]{buf: make([]T, 0, capacity)}
+}
+
+func (r *ring[T]) push(v T) {
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, v)
+	} else {
+		r.buf[r.total%uint64(cap(r.buf))] = v
+	}
+	r.total++
+}
+
+// snapshot returns a copy of the buffered values, oldest first.
+func (r *ring[T]) snapshot() []T {
+	start := r.total % uint64(cap(r.buf)) // len(buf) until the first wrap
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[start:]...)
+	return append(out, r.buf[:start]...)
+}
+
+// Ring is the sink that keeps the most recent records, whatever they are
+// about — the /debug/trace view of one lock's node. Recording overwrites
+// the oldest entry once the buffer is full; readers get a copy, oldest
+// first. Safe for concurrent use.
+type Ring struct {
+	mu sync.Mutex
+	r  ring[Record]
+}
+
+// NewRing returns a ring holding the last capacity records (minimum 1).
+func NewRing(capacity int) *Ring {
+	return &Ring{r: newRing[Record](capacity)}
+}
+
+// Record implements Sink.
+func (r *Ring) Record(rec Record) {
+	r.mu.Lock()
+	r.r.push(rec)
+	r.mu.Unlock()
+}
+
+// Events returns the buffered records, oldest first.
+func (r *Ring) Events() []Record {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.r.snapshot()
+}
+
+// Total returns how many records have ever been recorded (≥ len(Events());
+// the difference is how many were overwritten).
+func (r *Ring) Total() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.r.total
+}
+
+// Trace is one request's assembled record list, in arrival order.
 type Trace struct {
-	ID    ID     `json:"id"`
-	Key   string `json:"key,omitempty"`
-	Spans []Span `json:"spans"`
+	ID     ID       `json:"id"`
+	Key    string   `json:"key,omitempty"`
+	Events []Record `json:"events"`
 }
 
-// at returns the time of the first span with the given phase.
-func (t Trace) at(p Phase) (float64, bool) {
-	for _, s := range t.Spans {
-		if s.Phase == p {
-			return s.At, true
+// at returns the time of the first record with the given name.
+func (t Trace) at(ev string) (float64, bool) {
+	for _, r := range t.Events {
+		if r.Ev == ev {
+			return r.T, true
 		}
 	}
 	return 0, false
 }
 
-// Wait returns the enqueue→grant duration (the paper's waiting time for
-// this one request), or 0 when either endpoint is missing.
-func (t Trace) Wait() float64 {
-	enq, ok1 := t.at(PhaseEnqueue)
-	grant, ok2 := t.at(PhaseGrant)
-	if !ok1 || !ok2 || grant < enq {
+// between returns the from→to duration, or 0 when either endpoint is
+// missing or they are out of order.
+func (t Trace) between(from, to string) float64 {
+	a, ok1 := t.at(from)
+	b, ok2 := t.at(to)
+	if !ok1 || !ok2 || b < a {
 		return 0
 	}
-	return grant - enq
+	return b - a
 }
+
+// Wait returns the enqueue→grant duration (the paper's waiting time for
+// this one request), or 0 when either endpoint is missing.
+func (t Trace) Wait() float64 { return t.between(EvRequest, EvGrant) }
 
 // Hold returns the grant→release duration, or 0 when either endpoint is
 // missing.
-func (t Trace) Hold() float64 {
-	grant, ok1 := t.at(PhaseGrant)
-	rel, ok2 := t.at(PhaseRelease)
-	if !ok1 || !ok2 || rel < grant {
-		return 0
-	}
-	return rel - grant
-}
+func (t Trace) Hold() float64 { return t.between(EvGrant, EvRelease) }
 
 // Hops counts the token transfers made while this request headed the
 // Q-list — the per-request share of token movement.
 func (t Trace) Hops() int {
 	hops := 0
-	for _, s := range t.Spans {
-		if s.Phase == PhaseTokenHop {
+	for _, r := range t.Events {
+		if r.Ev == evTokenPassed {
 			hops++
 		}
 	}
@@ -159,20 +263,20 @@ func (t Trace) Hops() int {
 }
 
 // Fence returns the grant's fencing token, or 0 if the trace has no
-// grant span.
+// grant record.
 func (t Trace) Fence() uint64 {
-	for _, s := range t.Spans {
-		if s.Phase == PhaseGrant {
-			return s.Fence
+	for _, r := range t.Events {
+		if r.Ev == EvGrant {
+			return r.Fence
 		}
 	}
 	return 0
 }
 
-// Step is one row of a per-phase breakdown: the span plus the time since
-// the previous span — where the request spent that slice of its life.
+// Step is one row of a per-phase breakdown: the record plus the time
+// since the previous one — where the request spent that slice of its life.
 type Step struct {
-	Phase Phase   `json:"phase"`
+	Phase string  `json:"phase"`
 	Node  int     `json:"node"`
 	Peer  int     `json:"peer,omitempty"`
 	At    float64 `json:"at"`
@@ -202,19 +306,19 @@ func (t Trace) Summarize() Summary {
 		Hops:  t.Hops(),
 		Fence: t.Fence(),
 	}
-	if len(t.Spans) > 0 {
-		sum.Start = t.Spans[0].At
+	if len(t.Events) > 0 {
+		sum.Start = t.Events[0].T
 	}
 	prev := sum.Start
-	for _, s := range t.Spans {
+	for _, r := range t.Events {
 		sum.Steps = append(sum.Steps, Step{
-			Phase: s.Phase,
-			Node:  s.Node,
-			Peer:  s.Peer,
-			At:    s.At,
-			Delta: s.At - prev,
+			Phase: r.Ev,
+			Node:  r.Node,
+			Peer:  r.Peer,
+			At:    r.T,
+			Delta: r.T - prev,
 		})
-		prev = s.At
+		prev = r.T
 	}
 	return sum
 }
@@ -229,74 +333,81 @@ const DefaultDepth = 256
 // peers).
 const defaultMaxOpen = 4096
 
-// Collector accumulates spans into traces: spans for an ID collect in an
-// open table until the release span arrives, then the assembled trace
-// moves to a bounded ring of completed traces. One Collector is typically
-// shared by every node of an in-process cluster (and by every key of a
-// Manager), so a request's spans from all the nodes it crossed land in
-// one place. All methods are safe for concurrent use and are no-ops on a
-// nil receiver, so a disabled tracer costs one pointer test.
+// Collector is the sink that assembles request traces: it keeps the
+// records that name a request (non-zero Trace) and ignores the rest.
+// Records for an ID collect in an open table until the release arrives,
+// then the assembled trace moves to a bounded ring of completed traces.
+// One Collector is typically shared by every node of an in-process
+// cluster (and by every key of a Manager), so a request's records from
+// all the nodes it crossed land in one place. All methods are safe for
+// concurrent use and are no-ops on a nil receiver, so a disabled tracer
+// costs one pointer test.
 type Collector struct {
-	epoch time.Time
-
 	mu      sync.Mutex
 	open    map[ID]*Trace
-	order   []ID // open-trace FIFO for eviction
-	done    []Trace
-	next    int // ring write position
-	total   uint64
+	order   []ID // opening order of traces, for eviction; may name completed ones
+	done    ring[Trace]
 	dropped uint64
 }
 
 // NewCollector returns a collector keeping the last depth completed
-// traces (0 means DefaultDepth). Its clock starts now.
+// traces (0 means DefaultDepth).
 func NewCollector(depth int) *Collector {
 	if depth <= 0 {
 		depth = DefaultDepth
 	}
 	return &Collector{
-		epoch: time.Now(),
-		open:  make(map[ID]*Trace),
-		done:  make([]Trace, 0, depth),
+		open: make(map[ID]*Trace),
+		done: newRing[Trace](depth),
 	}
 }
 
-// Since returns seconds since the collector's epoch — the At clock for
-// live spans. Virtual-time recorders (the sim adapter) ignore it and pass
-// their own times.
-func (c *Collector) Since() float64 {
-	if c == nil {
-		return 0
-	}
-	return time.Since(c.epoch).Seconds()
-}
-
-// Record appends one span to its trace; a release span completes the
-// trace and moves it to the ring. Untraced spans (zero ID) and nil
-// collectors are ignored.
-func (c *Collector) Record(s Span) {
-	if c == nil || s.Trace == 0 {
+// Record implements Sink: it appends rec to its request's trace; a
+// release completes the trace and moves it to the ring. Records about no
+// request (zero Trace) and nil collectors are ignored.
+func (c *Collector) Record(rec Record) {
+	if c == nil || rec.Trace == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	tr, ok := c.open[s.Trace]
+	tr, ok := c.open[rec.Trace]
 	if !ok {
 		if len(c.open) >= defaultMaxOpen {
 			c.evictOldestLocked()
 		}
-		tr = &Trace{ID: s.Trace, Key: s.Key}
-		c.open[s.Trace] = tr
-		c.order = append(c.order, s.Trace)
+		c.pushOrderLocked(rec.Trace)
+		// Room for the usual life (enqueue, accepted, a token hop or
+		// three, grant, release) in one allocation.
+		tr = &Trace{ID: rec.Trace, Key: rec.Key, Events: make([]Record, 0, 8)}
+		c.open[rec.Trace] = tr
 	}
 	if tr.Key == "" {
-		tr.Key = s.Key
+		tr.Key = rec.Key
 	}
-	tr.Spans = append(tr.Spans, s)
-	if s.Phase == PhaseRelease {
-		delete(c.open, s.Trace)
-		c.pushDoneLocked(*tr)
+	tr.Events = append(tr.Events, rec)
+	if rec.Ev == EvRelease {
+		delete(c.open, rec.Trace)
+		c.done.push(*tr)
 	}
+}
+
+// pushOrderLocked appends a trace about to open to the eviction FIFO (mu
+// held). Completed traces leave their id behind in it; once those
+// outnumber the open ones the FIFO is compacted in place, so its length
+// stays within twice the open table's (plus a constant) at amortized
+// constant cost.
+func (c *Collector) pushOrderLocked(id ID) {
+	if len(c.order) >= 2*len(c.open)+64 {
+		kept := c.order[:0]
+		for _, old := range c.order {
+			if _, ok := c.open[old]; ok {
+				kept = append(kept, old)
+			}
+		}
+		c.order = kept
+	}
+	c.order = append(c.order, id)
 }
 
 // evictOldestLocked drops the oldest still-open trace (mu held).
@@ -312,17 +423,6 @@ func (c *Collector) evictOldestLocked() {
 	}
 }
 
-// pushDoneLocked appends a completed trace to the ring (mu held).
-func (c *Collector) pushDoneLocked(tr Trace) {
-	c.total++
-	if len(c.done) < cap(c.done) {
-		c.done = append(c.done, tr)
-		return
-	}
-	c.done[c.next] = tr
-	c.next = (c.next + 1) % cap(c.done)
-}
-
 // Completed returns the buffered completed traces, oldest first.
 func (c *Collector) Completed() []Trace {
 	if c == nil {
@@ -330,12 +430,7 @@ func (c *Collector) Completed() []Trace {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Trace, 0, len(c.done))
-	if len(c.done) < cap(c.done) {
-		return append(out, c.done...)
-	}
-	out = append(out, c.done[c.next:]...)
-	return append(out, c.done[:c.next]...)
+	return c.done.snapshot()
 }
 
 // Totals reports how many traces have ever completed, how many are open
@@ -346,7 +441,7 @@ func (c *Collector) Totals() (completed, open, dropped uint64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.total, uint64(len(c.open)), c.dropped
+	return c.done.total, uint64(len(c.open)), c.dropped
 }
 
 // Lookup returns the completed trace with the given ID, newest match

@@ -3,6 +3,8 @@ package reqtrace
 import (
 	"fmt"
 	"testing"
+
+	"tokenarbiter/internal/core"
 )
 
 func TestMakeIDRoundTrip(t *testing.T) {
@@ -29,30 +31,30 @@ func TestMakeIDRoundTrip(t *testing.T) {
 	}
 }
 
-// span is a test shorthand for one lifecycle span.
-func span(id ID, p Phase, at float64) Span {
-	return Span{Trace: id, Phase: p, At: at, Node: id.Node(), Peer: -1, Key: "k"}
+// life is a test shorthand for one lifecycle record.
+func life(id ID, ev string, at float64) Record {
+	return Record{Trace: id, Ev: ev, T: at, Node: id.Node(), Peer: -1, Key: "k"}
 }
 
 // complete records a full enqueue→grant→release life for id.
 func complete(c *Collector, id ID, start, wait, hold float64) {
-	c.Record(span(id, PhaseEnqueue, start))
-	c.Record(span(id, PhaseGrant, start+wait))
-	c.Record(span(id, PhaseRelease, start+wait+hold))
+	c.Record(life(id, EvRequest, start))
+	c.Record(life(id, EvGrant, start+wait))
+	c.Record(life(id, EvRelease, start+wait+hold))
 }
 
 func TestCollectorLifecycle(t *testing.T) {
 	c := NewCollector(8)
 	id := MakeID(1, 1)
-	c.Record(span(id, PhaseEnqueue, 0.0))
-	c.Record(Span{Trace: id, Phase: PhaseBatch, At: 0.1, Node: 2, Peer: -1, Key: "k", Batch: 3})
-	c.Record(Span{Trace: id, Phase: PhaseTokenHop, At: 0.2, Node: 2, Peer: 1, Key: "k"})
-	c.Record(Span{Trace: id, Phase: PhaseGrant, At: 0.3, Node: 1, Peer: -1, Key: "k", Fence: 9})
+	c.Record(life(id, EvRequest, 0.0))
+	c.Record(Record{Trace: id, Ev: core.EventRequestAccepted.String(), T: 0.1, Node: 2, Peer: 2, Key: "k", Batch: 3})
+	c.Record(Record{Trace: id, Ev: core.EventTokenPassed.String(), T: 0.2, Node: 2, Peer: 1, Key: "k"})
+	c.Record(Record{Trace: id, Ev: EvGrant, T: 0.3, Node: 1, Peer: -1, Key: "k", Fence: 9})
 
 	if done, open, _ := c.Totals(); done != 0 || open != 1 {
 		t.Fatalf("before release: totals = (%d done, %d open)", done, open)
 	}
-	c.Record(span(id, PhaseRelease, 0.5))
+	c.Record(life(id, EvRelease, 0.5))
 	if done, open, _ := c.Totals(); done != 1 || open != 0 {
 		t.Fatalf("after release: totals = (%d done, %d open)", done, open)
 	}
@@ -61,8 +63,8 @@ func TestCollectorLifecycle(t *testing.T) {
 	if !ok {
 		t.Fatal("completed trace not found by Lookup")
 	}
-	if tr.Key != "k" || len(tr.Spans) != 5 {
-		t.Fatalf("trace key %q with %d spans, want k with 5", tr.Key, len(tr.Spans))
+	if tr.Key != "k" || len(tr.Events) != 5 {
+		t.Fatalf("trace key %q with %d records, want k with 5", tr.Key, len(tr.Events))
 	}
 	if w := tr.Wait(); w < 0.299 || w > 0.301 {
 		t.Errorf("Wait() = %v, want 0.3", w)
@@ -87,9 +89,9 @@ func TestCollectorLifecycle(t *testing.T) {
 	if sum.Steps[0].Delta != 0 {
 		t.Errorf("first step delta = %v, want 0", sum.Steps[0].Delta)
 	}
-	// Each later delta is the gap to the previous span.
+	// Each later delta is the gap to the previous record.
 	if d := sum.Steps[2].Delta; d < 0.099 || d > 0.101 {
-		t.Errorf("token-hop delta = %v, want 0.1", d)
+		t.Errorf("token-passed delta = %v, want 0.1", d)
 	}
 }
 
@@ -118,7 +120,7 @@ func TestCollectorOpenEviction(t *testing.T) {
 	c := NewCollector(4)
 	// Open one more trace than the in-flight bound without ever releasing.
 	for i := 1; i <= defaultMaxOpen+1; i++ {
-		c.Record(span(MakeID(0, uint64(i)), PhaseEnqueue, float64(i)))
+		c.Record(life(MakeID(0, uint64(i)), EvRequest, float64(i)))
 	}
 	_, open, dropped := c.Totals()
 	if open != defaultMaxOpen {
@@ -152,9 +154,9 @@ func TestSlowestFor(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		id := MakeID(i, 1)
 		key := fmt.Sprintf("key-%d", i%2)
-		c.Record(Span{Trace: id, Phase: PhaseEnqueue, At: 0, Node: i, Peer: -1, Key: key})
-		c.Record(Span{Trace: id, Phase: PhaseGrant, At: float64(i + 1), Node: i, Peer: -1, Key: key})
-		c.Record(Span{Trace: id, Phase: PhaseRelease, At: float64(i + 2), Node: i, Peer: -1, Key: key})
+		c.Record(Record{Trace: id, Ev: EvRequest, T: 0, Node: i, Peer: -1, Key: key})
+		c.Record(Record{Trace: id, Ev: EvGrant, T: float64(i + 1), Node: i, Peer: -1, Key: key})
+		c.Record(Record{Trace: id, Ev: EvRelease, T: float64(i + 2), Node: i, Peer: -1, Key: key})
 	}
 	slow := c.SlowestFor("key-1", 10)
 	if len(slow) != 2 {
@@ -174,27 +176,95 @@ func TestSlowestFor(t *testing.T) {
 // no-op on a nil receiver, so call sites need no guards.
 func TestNilCollector(t *testing.T) {
 	var c *Collector
-	c.Record(span(MakeID(0, 1), PhaseEnqueue, 0))
+	c.Record(life(MakeID(0, 1), EvRequest, 0))
 	if got := c.Completed(); got != nil {
 		t.Errorf("nil Completed() = %v", got)
 	}
 	if a, b, d := c.Totals(); a != 0 || b != 0 || d != 0 {
 		t.Error("nil Totals() non-zero")
 	}
-	if got := c.Since(); got != 0 {
-		t.Errorf("nil Since() = %v", got)
-	}
 	if got := c.Slowest(3); got != nil {
 		t.Errorf("nil Slowest() = %v", got)
 	}
 }
 
-// TestZeroTraceIgnored pins that untraced spans never pollute the
+// TestZeroTraceIgnored pins that untraced records never pollute the
 // collector — the zero ID is the "tracing off for this request" path.
 func TestZeroTraceIgnored(t *testing.T) {
 	c := NewCollector(4)
-	c.Record(Span{Trace: 0, Phase: PhaseEnqueue, At: 0})
+	c.Record(Record{Trace: 0, Ev: EvRequest, T: 0})
 	if _, open, _ := c.Totals(); open != 0 {
-		t.Errorf("zero-ID span opened a trace (open = %d)", open)
+		t.Errorf("zero-ID record opened a trace (open = %d)", open)
+	}
+}
+
+// TestCollectorOrderBounded pins that the eviction FIFO does not outlive
+// the traces it orders: completed traces used to leave their id in it
+// forever (8 bytes per traced request on a long-running node), because
+// only the open-table-full path ever popped. The second half keeps one
+// trace open at the head throughout, the case a head-only pop would miss.
+func TestCollectorOrderBounded(t *testing.T) {
+	const n = 100_000
+	c := NewCollector(4)
+	for i := 1; i <= n; i++ {
+		complete(c, MakeID(0, uint64(i)), float64(i), 0.1, 0.1)
+	}
+	if _, open, _ := c.Totals(); open != 0 || len(c.order) > 128 {
+		t.Errorf("after %d completed traces: open=%d, order=%d entries", n, open, len(c.order))
+	}
+
+	c = NewCollector(4)
+	c.Record(life(MakeID(1, 1), EvRequest, 0)) // never released
+	for i := 1; i <= n; i++ {
+		complete(c, MakeID(0, uint64(i)), float64(i), 0.1, 0.1)
+	}
+	if _, open, _ := c.Totals(); open != 1 || len(c.order) > 128 {
+		t.Errorf("with one trace stuck open: open=%d, order=%d entries", open, len(c.order))
+	}
+	// The stuck trace is still first in line for eviction.
+	if len(c.order) == 0 || c.order[0] != MakeID(1, 1) {
+		t.Errorf("order head = %v, want the stuck trace 1-1", c.order)
+	}
+}
+
+// The Ring tests moved here from internal/telemetry with the ring they
+// test; the records are whatever a node emits, told apart by Batch.
+
+func TestRingWraparound(t *testing.T) {
+	r := NewRing(4)
+	for i := 0; i < 10; i++ {
+		r.Record(Record{Ev: "dispatched", Batch: i})
+	}
+	evs := r.Events()
+	if len(evs) != 4 {
+		t.Fatalf("len = %d, want 4", len(evs))
+	}
+	for i, ev := range evs {
+		if want := 6 + i; ev.Batch != want {
+			t.Errorf("event %d = batch %d, want %d", i, ev.Batch, want)
+		}
+	}
+	if r.Total() != 10 {
+		t.Errorf("total = %d, want 10", r.Total())
+	}
+}
+
+func TestRingPartiallyFull(t *testing.T) {
+	r := NewRing(8)
+	r.Record(Record{Ev: "a"})
+	r.Record(Record{Ev: "b"})
+	evs := r.Events()
+	if len(evs) != 2 || evs[0].Ev != "a" || evs[1].Ev != "b" {
+		t.Errorf("events %+v", evs)
+	}
+}
+
+func TestRingMinimumCapacity(t *testing.T) {
+	r := NewRing(0)
+	r.Record(Record{Ev: "a"})
+	r.Record(Record{Ev: "b"})
+	evs := r.Events()
+	if len(evs) != 1 || evs[0].Ev != "b" {
+		t.Errorf("events %+v", evs)
 	}
 }

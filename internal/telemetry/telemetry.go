@@ -1,8 +1,8 @@
 // Package telemetry is a dependency-free metrics substrate for the live
 // runtime: atomic counters, gauges and fixed-bucket latency histograms
 // collected in a named Registry, with Prometheus text-exposition
-// (prometheus.go) and JSON snapshot (json.go) encoders, plus a bounded
-// ring-buffer event trace (trace.go).
+// (prometheus.go) and JSON snapshot (json.go) encoders. (The event trace
+// is internal/reqtrace's.)
 //
 // The simulation (internal/dme) extracts messages-per-CS and waiting-time
 // figures from virtual time; this package gives live nodes the same

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"tokenarbiter/internal/dme"
@@ -19,9 +18,9 @@ import (
 //	...
 //	sent, received := ct.Totals()
 //
-// NewCountingIn additionally publishes the tallies into a
-// telemetry.Registry, so they appear on the /metrics endpoint alongside
-// the protocol metrics.
+// The per-kind tallies live in a telemetry.Registry and nowhere else:
+// NewCountingIn's, so they appear on the /metrics endpoint alongside the
+// protocol metrics, or a private one.
 type Counting struct {
 	inner Transport
 
@@ -30,35 +29,26 @@ type Counting struct {
 	sentUnits atomic.Uint64
 	recvUnits atomic.Uint64
 
-	mu       sync.Mutex
-	sentKind map[string]uint64
-	recvKind map[string]uint64
-
-	// Registry mirrors (nil without a registry). The local maps stay
-	// authoritative so the map-returning API works either way.
 	sentVec *telemetry.CounterVec
 	recvVec *telemetry.CounterVec
 }
 
 var _ Transport = (*Counting)(nil)
 
-// NewCounting wraps t.
-func NewCounting(t Transport) *Counting {
-	return &Counting{
-		inner:    t,
-		sentKind: make(map[string]uint64),
-		recvKind: make(map[string]uint64),
-	}
-}
+// NewCounting wraps t, keeping the tallies in a registry of its own.
+func NewCounting(t Transport) *Counting { return NewCountingIn(t, nil) }
 
-// NewCountingIn wraps t and mirrors every tally into reg:
-// transport_sent_total / transport_received_total (by kind),
+// NewCountingIn wraps t and keeps every tally in reg (nil means a private
+// registry): transport_sent_total / transport_received_total (by kind),
 // transport_sent_units_total / transport_received_units_total (Sized
 // payload units, the simulation's TotalUnits accounting), and — when the
 // inner transport reports wire bytes (the TCP transport does) —
 // transport_wire_bytes_sent_total / transport_wire_bytes_received_total.
 func NewCountingIn(t Transport, reg *telemetry.Registry) *Counting {
-	c := NewCounting(t)
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
+	c := &Counting{inner: t}
 	c.sentVec = reg.CounterVec("transport_sent_total",
 		"protocol messages sent to peers, by kind", "kind")
 	c.recvVec = reg.CounterVec("transport_received_total",
@@ -109,13 +99,7 @@ func (c *Counting) Send(to dme.NodeID, msg dme.Message) error {
 	if to != c.inner.Self() {
 		c.sent.Add(1)
 		c.sentUnits.Add(units(msg))
-		kind := msg.Kind()
-		c.mu.Lock()
-		c.sentKind[kind]++
-		c.mu.Unlock()
-		if c.sentVec != nil {
-			c.sentVec.With(kind).Inc()
-		}
+		c.sentVec.With(msg.Kind()).Inc()
 	}
 	return c.inner.Send(to, msg)
 }
@@ -126,13 +110,7 @@ func (c *Counting) SetHandler(h Handler) {
 		if from != c.inner.Self() {
 			c.received.Add(1)
 			c.recvUnits.Add(units(msg))
-			kind := msg.Kind()
-			c.mu.Lock()
-			c.recvKind[kind]++
-			c.mu.Unlock()
-			if c.recvVec != nil {
-				c.recvVec.With(kind).Inc()
-			}
+			c.recvVec.With(msg.Kind()).Inc()
 		}
 		h(from, msg)
 	})
@@ -156,24 +134,8 @@ func (c *Counting) UnitTotals() (sent, received uint64) {
 }
 
 // SentByKind returns a copy of the per-kind outbound tally.
-func (c *Counting) SentByKind() map[string]uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]uint64, len(c.sentKind))
-	for k, v := range c.sentKind {
-		out[k] = v
-	}
-	return out
-}
+func (c *Counting) SentByKind() map[string]uint64 { return c.sentVec.Values() }
 
 // ReceivedByKind returns a copy of the per-kind inbound tally, mirroring
 // SentByKind.
-func (c *Counting) ReceivedByKind() map[string]uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]uint64, len(c.recvKind))
-	for k, v := range c.recvKind {
-		out[k] = v
-	}
-	return out
-}
+func (c *Counting) ReceivedByKind() map[string]uint64 { return c.recvVec.Values() }

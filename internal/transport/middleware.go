@@ -72,15 +72,9 @@ func Find[T any](t Transport) (T, bool) {
 	return zero, false
 }
 
-// CountingMW is the counting layer as a Middleware: with a registry it
-// mirrors the tallies into reg (NewCountingIn), without one it keeps them
-// local (NewCounting). Recover the concrete *Counting from the chain with
-// Find to read its totals.
+// CountingMW is the counting layer as a Middleware, keeping its tallies
+// in reg (nil: a private registry; see NewCountingIn). Recover the
+// concrete *Counting from the chain with Find to read its totals.
 func CountingMW(reg *telemetry.Registry) Middleware {
-	return func(t Transport) Transport {
-		if reg == nil {
-			return NewCounting(t)
-		}
-		return NewCountingIn(t, reg)
-	}
+	return func(t Transport) Transport { return NewCountingIn(t, reg) }
 }
