@@ -12,9 +12,9 @@ package main
 // -maxsessions and acquires beyond -maxwaiters are refused with
 // CodeOverloaded, and the driver backs off exponentially and retries —
 // the refusals and backoffs are reported in the session summary. Every
-// grant passes through a shared per-key checker that asserts mutual
-// exclusion and fencing-token monotonicity across the whole cluster; a
-// violation fails the run.
+// grant and release a session observes feeds one reqtrace.Checker, which
+// asserts per-key mutual exclusion and fencing-token monotonicity across
+// the whole cluster; a violation fails the run.
 
 import (
 	"context"
@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"tokenarbiter/internal/live"
+	"tokenarbiter/internal/reqtrace"
 	"tokenarbiter/internal/session"
 	"tokenarbiter/internal/stats"
 )
@@ -44,37 +45,6 @@ type sessionLoadConfig struct {
 	maxWaiters  int           // per-key wait-queue bound (0 = unlimited)
 	duration    time.Duration
 	keys        []string
-}
-
-// keyChecker is the cluster-wide exclusion and fencing oracle for one
-// key: at most one session may hold the key at a time, and fencing
-// tokens must be strictly increasing across grants — regardless of which
-// node's server granted them.
-type keyChecker struct {
-	mu         sync.Mutex
-	held       bool
-	lastFence  uint64
-	exclusionV int
-	fenceV     int
-}
-
-func (k *keyChecker) acquire(fence uint64) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.held {
-		k.exclusionV++
-	}
-	if fence <= k.lastFence {
-		k.fenceV++
-	}
-	k.lastFence = fence
-	k.held = true
-}
-
-func (k *keyChecker) release() {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.held = false
 }
 
 // sessionTally aggregates the driver-side observations.
@@ -148,10 +118,9 @@ func runSessionLoad(cluster []*live.Manager, cfg sessionLoadConfig) error {
 		}
 	}
 
-	checkers := make(map[string]*keyChecker, len(cfg.keys))
-	for _, k := range cfg.keys {
-		checkers[k] = &keyChecker{}
-	}
+	// Client-side records carry no epoch: every grant is one lineage, so
+	// any overlap or fence at or below an accepted one is a violation.
+	checker := reqtrace.NewChecker(0)
 
 	var (
 		tally     sessionTally
@@ -201,10 +170,11 @@ func runSessionLoad(cluster []*live.Manager, cfg sessionLoadConfig) error {
 					welford.Add(l)
 					latMu.Unlock()
 					tally.grants.Add(1)
-					ck := checkers[key]
-					ck.acquire(fence)
+					rec := reqtrace.Record{T: reqtrace.Now(), Ev: reqtrace.EvGrant, Node: j, Peer: -1, Key: key, Fence: fence}
+					checker.Record(rec)
 					time.Sleep(cfg.hold)
-					ck.release()
+					rec.T, rec.Ev = reqtrace.Now(), reqtrace.EvRelease
+					checker.Record(rec)
 					_ = sess.Release(key)
 					backoff = time.Millisecond
 				case sessionCode(err) == session.CodeOverloaded:
@@ -267,13 +237,8 @@ func runSessionLoad(cluster []*live.Manager, cfg sessionLoadConfig) error {
 	}
 	printSessionServers(servers)
 
-	var exclusionV, fenceV int
-	for _, k := range cfg.keys {
-		exclusionV += checkers[k].exclusionV
-		fenceV += checkers[k].fenceV
-	}
-	if exclusionV > 0 || fenceV > 0 {
-		return fmt.Errorf("correctness violated: %d mutual-exclusion, %d fence-monotonicity", exclusionV, fenceV)
+	if err := checker.Verdict().Err(); err != nil {
+		return fmt.Errorf("correctness violated: %w", err)
 	}
 	fmt.Printf("checker: 0 violations (mutual exclusion and fence monotonicity held over %d grants)\n",
 		tally.grants.Load())

@@ -19,7 +19,8 @@
 //	mutexsim replay F   re-execute a flight-recorder capture deterministically:
 //	                    the canonical grant/fence log goes to stdout (two
 //	                    replays of one capture are byte-identical), the
-//	                    fidelity summary to stderr
+//	                    fidelity summary and the safety verdict of the
+//	                    recorded records (reqtrace.Check) to stderr
 //	mutexsim all        everything above, in order (replay excepted)
 //
 // Common flags: -n nodes, -requests per run, -reps replications, -seed,
@@ -169,7 +170,9 @@ func run(args []string) error {
 // fresh state machines of the capture's algorithm, and print the
 // canonical grant/fence log on stdout. The log is the replay's whole
 // observable output, so `mutexsim replay f > a; mutexsim replay f > b;
-// cmp a b` is the determinism check CI runs.
+// cmp a b` is the determinism check CI runs. The safety verdict on the
+// capture's recorded records goes to stderr beside the fidelity summary;
+// a capture carries no recovery bound, so the time rules are off.
 func replayCapture(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: mutexsim replay <capture.jsonl>")
@@ -205,6 +208,7 @@ func replayCapture(args []string) error {
 	if completed, open, _ := collector.Totals(); completed+open > 0 {
 		fmt.Fprintf(os.Stderr, "replay: traces completed=%d open=%d\n", completed, open)
 	}
+	fmt.Fprintf(os.Stderr, "verdict: %s\n", reqtrace.Check(capture, 0))
 	_, err = os.Stdout.Write(reqtrace.GrantLog(res.Grants))
 	return err
 }

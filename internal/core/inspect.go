@@ -27,6 +27,10 @@ type Introspection struct {
 	RecentBatchMean float64
 }
 
+// GrantFence implements dme.Fenced: the fence and epoch Inspect reports
+// as LastFence and Epoch.
+func (nd *node) GrantFence() (fence, epoch uint64) { return nd.csFence, nd.epoch }
+
 // Inspect returns the protocol snapshot of a node built by this package;
 // ok is false for nodes of other algorithms.
 func Inspect(n dme.Node) (Introspection, bool) {

@@ -227,6 +227,17 @@ type TraceEvent struct {
 	From NodeID
 	To   NodeID  // valid for Send/Deliver
 	Msg  Message // valid for Send/Deliver
+	// Fence and Epoch are the grant's fencing token and token epoch on
+	// EnterCS, for algorithms whose nodes implement Fenced.
+	Fence, Epoch uint64
+}
+
+// Fenced is implemented by nodes whose grants carry a fencing token. The
+// Runner reads it on each CS entry, only when Config.Trace is set.
+type Fenced interface {
+	// GrantFence returns the fence and token epoch of the node's latest
+	// grant.
+	GrantFence() (fence, epoch uint64)
 }
 
 // GeneratorFunc yields the next interarrival time. It adapts

@@ -429,7 +429,13 @@ func (r *Runner) EnterCS(node NodeID) {
 	r.inCS = node
 	r.csArrival = arrival
 	r.csEnter = r.sim.Now()
-	r.trace(TraceEvent{Time: r.csEnter, Kind: TraceEnterCS, From: node})
+	if r.cfg.Trace != nil {
+		ev := TraceEvent{Time: r.csEnter, Kind: TraceEnterCS, From: node}
+		if f, ok := r.nodes[node].(Fenced); ok {
+			ev.Fence, ev.Epoch = f.GrantFence()
+		}
+		r.cfg.Trace(ev)
+	}
 	r.sim.PostCall(r.cfg.Texec, evCSExit, int32(node), 0, 0, nil)
 }
 

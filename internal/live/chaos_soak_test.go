@@ -20,13 +20,21 @@ import (
 	"tokenarbiter/internal/wire"
 )
 
-// soakRecorder opens a flight-recorder capture of the soak, always: a
-// failure that happens one run in five must leave something to replay
-// (`mutexsim replay <capture>`). Under $FLIGHTREC_DIR when that is set —
-// CI sets it and uploads the directory when the job fails — else in a
-// temp dir that is removed when the test passes and named in the log
-// when it fails.
-func soakRecorder(t *testing.T, algo string, n int, name string) *reqtrace.Recorder {
+// soakCapture is a soak's flight-recorder capture and the one place its
+// safety verdict comes from. Every soak records, always: a failure that
+// happens one run in five must leave something to replay (`mutexsim
+// replay <capture>`) and to judge. Under $FLIGHTREC_DIR when that is set
+// — CI sets it and uploads the directory when the job fails — else in a
+// temp dir that is removed when the test passes. A failed test logs the
+// capture's path beside its verdict.
+type soakCapture struct {
+	*reqtrace.Recorder
+	path    string
+	settle  float64 // the soak's recovery bound: reqtrace.Check's time rules
+	verdict *reqtrace.Verdict
+}
+
+func newSoakCapture(t *testing.T, algo string, n int, name string, settle float64) *soakCapture {
 	dir := os.Getenv("FLIGHTREC_DIR")
 	if dir == "" {
 		var err error
@@ -46,86 +54,50 @@ func soakRecorder(t *testing.T, algo string, n int, name string) *reqtrace.Recor
 	if err != nil {
 		t.Fatalf("flight recorder %s: %v", path, err)
 	}
+	c := &soakCapture{Recorder: rec, path: path, settle: settle}
 	t.Cleanup(func() {
-		_ = rec.Close()
 		if t.Failed() {
-			t.Logf("flight-recorder capture of the failed run: %s", path)
+			t.Logf("flight-recorder capture of the failed run: %s\nverdict: %s", path, c.judge(t))
 		}
+		_ = rec.Close()
 	})
-	return rec
+	return c
 }
 
-// fencedResource models the shared resource a distributed lock protects,
-// enforced the way a real fenced store would: every acquisition presents
-// its fencing token and the resource accepts only strictly increasing
-// fences. A fence at or below the high-water mark means a stale holder —
-// rejected, which IS the fencing defense working (a paused or
-// partitioned holder overtaken by a §6 regeneration), not a protocol
-// failure. The exclusion check is temporal: two grants both accepted
-// while overlapping in time. During a network partition the paper's
-// protocol can legitimately fork twin tokens (each side regenerates from
-// the same base epoch — no quorum exists to stop it), so overlaps inside
-// the split-brain grace window are counted but expected; outside it they
-// are hard violations.
-type fencedResource struct {
-	mu         sync.Mutex
-	highWater  uint64
-	holders    int
-	holderNode int
-	accepted   int
-	stale      int
-	overlaps   int // accepted-holder overlaps while split-brain was possible
-	violations []string
-	grace      atomic.Bool // partition open or its residue not yet drained
-}
-
-func newFencedResource() *fencedResource { return &fencedResource{} }
-
-// acquire presents a grant's fence; false means the resource refused it
-// as stale. Accepted callers must call release when done.
-func (r *fencedResource) acquire(node int, fence uint64) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if fence <= r.highWater {
-		r.stale++
-		return false
-	}
-	r.highWater = fence
-	if r.holders > 0 {
-		if r.grace.Load() {
-			r.overlaps++
-		} else {
-			r.violations = append(r.violations, fmt.Sprintf(
-				"fence %d accepted for node %d while node %d still held the resource",
-				fence, node, r.holderNode))
+// judge ends the capture and judges it. Call it once the cluster is shut
+// down, so every grant has its release or close on record.
+func (c *soakCapture) judge(t *testing.T) *reqtrace.Verdict {
+	if c.verdict == nil {
+		_ = c.Close()
+		f, err := os.Open(c.path)
+		if err != nil {
+			t.Fatalf("open capture: %v", err)
 		}
+		defer f.Close()
+		capture, err := reqtrace.ReadCapture(f)
+		if err != nil {
+			t.Fatalf("read capture %s: %v", c.path, err)
+		}
+		c.verdict = reqtrace.Check(capture, c.settle)
 	}
-	r.holders++
-	r.holderNode = node
-	r.accepted++
-	return true
+	return c.verdict
 }
 
-func (r *fencedResource) release() {
-	r.mu.Lock()
-	r.holders--
-	r.mu.Unlock()
-}
-
-func (r *fencedResource) report() (accepted, stale, overlaps int, violations []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.accepted, r.stale, r.overlaps, append([]string(nil), r.violations...)
+// mark records a fault or heal on the capture; key "" is every key.
+func (c *soakCapture) mark(ev, key string) {
+	c.Record(reqtrace.Record{T: reqtrace.Now(), Ev: ev, Node: -1, Peer: -1, Key: key})
 }
 
 // TestChaosSoak drives a 5-node cluster of one-key Managers through the
 // full fault gauntlet — random drop/dup/corrupt/delay/reorder on every
 // link, a forced token loss, a partition-and-heal cycle, and a node crash
 // (Close) with restart (a fresh Manager on the reconnected endpoint) —
-// and asserts the three chaos-layer guarantees: mutual exclusion (no
-// fencing token granted twice), bounded recovery (the token is
-// regenerated after forced loss), and liveness (every worker completes
-// its quota). Runs under -race in CI with three fixed seeds.
+// and asserts the three chaos-layer guarantees: safety as the checker
+// judges the capture (reqtrace.Check: exclusion and fencing per lineage,
+// no superseded token granting and no wedge past the recovery bound),
+// bounded recovery (the token is regenerated after forced loss), and
+// liveness (every worker completes its quota). Runs under -race in CI
+// with three fixed seeds.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak is a multi-second test; skipped in -short")
@@ -178,7 +150,8 @@ func chaosSoak(t *testing.T, seed uint64) {
 		ProbeTimeout:   0.05,
 	}
 
-	rec := soakRecorder(t, algo, n, fmt.Sprintf("chaos-soak-seed%d", seed))
+	// 15 s is the recovery bound the forced-loss phase waits out.
+	rec := newSoakCapture(t, algo, n, fmt.Sprintf("chaos-soak-seed%d", seed), 15)
 	net := transport.NewMemNetwork(n, transport.MemOptions{})
 	defer net.Close()
 	// mgrs[i] is node i's current Manager, nil while the node is crashed.
@@ -195,7 +168,7 @@ func chaosSoak(t *testing.T, seed uint64) {
 			Transport: transport.Chain(net.Endpoint(i), rec.Middleware(), inj.Middleware()),
 			Factory:   registry.CoreLiveFactory(opts),
 			Seed:      seed<<8 + uint64(i) + 1,
-			FlightRec: rec,
+			FlightRec: rec.Recorder,
 		})
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
@@ -205,13 +178,14 @@ func chaosSoak(t *testing.T, seed uint64) {
 	for i := 0; i < n; i++ {
 		start(i)
 	}
-	defer func() {
+	closeAll := func() {
 		for i := range mgrs {
 			if m := mgrs[i].Load(); m != nil {
 				_ = m.Close()
 			}
 		}
-	}()
+	}
+	defer closeAll()
 	// regenerations totals the cluster's token regenerations. A crashed
 	// node's counters die with its Manager; lostRegens carries them so the
 	// total stays cumulative across the restart.
@@ -267,11 +241,10 @@ func chaosSoak(t *testing.T, seed uint64) {
 
 	// Workers churn on the lock for the whole run — the chaos phases need
 	// live token traffic to bite on — and keep a per-worker count of
-	// accepted CS entries. The liveness quota is judged AFTER the fault
+	// completed CS entries. The liveness quota is judged AFTER the fault
 	// gauntlet: every surviving worker must complete `quota` further
 	// critical sections once the forced phases are over (random link
 	// faults stay on throughout).
-	res := newFencedResource()
 	counts := make([]atomic.Int64, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -285,8 +258,7 @@ func chaosSoak(t *testing.T, seed uint64) {
 					time.Sleep(10 * time.Millisecond)
 					continue
 				}
-				fence, err := m.LockFence(ctx, key)
-				if err != nil {
+				if _, err := m.LockFence(ctx, key); err != nil {
 					if errors.Is(err, live.ErrClosed) {
 						continue // killed mid-wait; retry on the next incarnation
 					}
@@ -295,15 +267,9 @@ func chaosSoak(t *testing.T, seed uint64) {
 					}
 					return
 				}
-				ok := res.acquire(i, fence)
 				time.Sleep(300 * time.Microsecond) // hold the CS briefly
-				if ok {
-					res.release()
-					counts[i].Add(1)
-				}
+				counts[i].Add(1)
 				m.Unlock(key)
-				// A refused fence was a stale grant overtaken by recovery:
-				// the CS is retried and does not count toward the quota.
 			}
 		}(i)
 	}
@@ -325,13 +291,13 @@ func chaosSoak(t *testing.T, seed uint64) {
 	}
 
 	// Phase 3 — partition {0,1} from {2,3,4} for ~700ms, then heal. The
-	// isolated side may regenerate a twin token (no quorum prevents it),
-	// so the resource's strict-overlap assertion is relaxed from here
-	// until the cluster provably reconverges below.
-	res.grace.Store(true)
+	// isolated side may regenerate a twin token (no quorum prevents it);
+	// the fault/heal records let the checker excuse what the split made.
+	rec.mark(reqtrace.EvFault, "")
 	inj.Partition([]int{0, 1}, []int{2, 3, 4})
 	time.Sleep(700 * time.Millisecond)
 	inj.Heal()
+	rec.mark(reqtrace.EvHeal, "")
 
 	// Phase 4 — crash node 4, leave it down briefly, restart it.
 	victim := mgrs[4].Swap(nil)
@@ -341,47 +307,6 @@ func chaosSoak(t *testing.T, seed uint64) {
 	}
 	time.Sleep(300 * time.Millisecond)
 	start(4)
-
-	// Reconvergence: any partition-era twin token must be dead before the
-	// strict exclusion assertion is re-armed. Converged means every node
-	// reports the same epoch with at most one token holder — also a
-	// tripwire for the stale-token zombie wedge (a node sitting on a dead
-	// incarnation forever).
-	convDeadline := time.Now().Add(15 * time.Second)
-	for {
-		converged := true
-		var epoch uint64
-		tokens := 0
-		for i := 0; i < n && converged; i++ {
-			nd := engine(i)
-			if nd == nil {
-				converged = false
-				break
-			}
-			ins, err := nd.Inspect(ctx)
-			if err != nil {
-				converged = false
-				break
-			}
-			if i == 0 {
-				epoch = ins.Epoch
-			} else if ins.Epoch != epoch {
-				converged = false
-			}
-			if ins.HasToken {
-				tokens++
-			}
-		}
-		if converged && tokens <= 1 {
-			break
-		}
-		if time.Now().After(convDeadline) || ctx.Err() != nil {
-			dumpState()
-			t.Fatal("cluster did not reconverge to one epoch after the partition healed")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	res.grace.Store(false)
 
 	// Phase 5 — liveness: every worker completes `quota` critical
 	// sections after the forced phases, under the still-running random
@@ -412,13 +337,15 @@ func chaosSoak(t *testing.T, seed uint64) {
 	}
 	cancel()
 	wg.Wait()
+	regens := regenerations()
+	closeAll()
 
-	accepted, stale, overlaps, violations := res.report()
-	for _, v := range violations {
-		t.Errorf("mutual exclusion violated: %s", v)
+	v := rec.judge(t)
+	for _, x := range v.Violations {
+		t.Errorf("safety: %s", x)
 	}
-	if accepted < n*quota {
-		t.Errorf("resource accepted %d operations, want ≥ %d", accepted, n*quota)
+	if v.Accepted[key] < n*quota {
+		t.Errorf("the fenced store accepted %d grants, want ≥ %d", v.Accepted[key], n*quota)
 	}
 
 	c := inj.Counters()
@@ -431,10 +358,8 @@ func chaosSoak(t *testing.T, seed uint64) {
 	if decodeErrs.Load() == 0 {
 		t.Error("no corruption surfaced as *wire.DecodeError")
 	}
-	regens := regenerations()
 	if regens == 0 {
 		t.Error("soak completed without a single token regeneration")
 	}
-	t.Logf("seed %d: accepted=%d stale-rejected=%d split-brain-overlaps=%d regenerations=%d faults=%+v",
-		seed, accepted, stale, overlaps, regens, c)
+	t.Logf("seed %d: regenerations=%d faults=%+v verdict: %s", seed, regens, c, v)
 }

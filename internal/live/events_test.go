@@ -188,3 +188,82 @@ func TestOneClock(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartedHolderRecordsLineage: a holder restarted mid-CS ends its
+// grant with a close record, §6 regenerates the token that died with it,
+// and the next grant's records carry the new epoch — what the checker
+// needs to tell the two tokens apart. The capture judges clean.
+func TestRestartedHolderRecordsLineage(t *testing.T) {
+	algo, err := registry.RegisterWire(registry.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	var buf bytes.Buffer
+	rec, err := reqtrace.NewRecorder(&buf, algo, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := transport.NewMemNetwork(n, transport.MemOptions{})
+	defer net.Close()
+	mgrs := make([]*live.Manager, n)
+	for i := range mgrs {
+		m, err := live.NewManager(live.ManagerConfig{
+			ID: i, N: n,
+			Transport: transport.Chain(net.Endpoint(i), rec.Middleware()),
+			Factory:   registry.CoreLiveFactory(recoveryOptions()),
+			Algo:      algo, Seed: uint64(i + 1), FlightRec: rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgrs[i] = m
+		defer m.Close() //nolint:errcheck
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	// A first grant away from node 0 spreads the key's group cluster-wide.
+	if err := mgrs[1].Lock(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
+	mgrs[1].Unlock("k")
+	held, err := mgrs[2].LockFence(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgrs[2].RestartKey("k"); err != nil {
+		t.Fatal(err)
+	}
+	after, err := mgrs[1].LockFence(ctx, "k")
+	if err != nil {
+		t.Fatalf("lock after the holder's restart: %v", err)
+	}
+	mgrs[1].Unlock("k")
+	for _, m := range mgrs {
+		_ = m.Close()
+	}
+
+	capture, err := reqtrace.ReadCapture(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed, lineage := false, map[string]uint64{}
+	for _, r := range capture.Records {
+		switch {
+		case r.Ev == reqtrace.EvClose && r.Node == 2 && len(lineage) == 0:
+			closed = true
+		case (r.Ev == reqtrace.EvGrant || r.Ev == reqtrace.EvRelease) && r.Fence == after:
+			lineage[r.Ev] = r.Epoch
+		}
+	}
+	if !closed {
+		t.Error("the restarted holder's stream has no close record before the next grant")
+	}
+	if lineage[reqtrace.EvGrant] == 0 || lineage[reqtrace.EvRelease] != lineage[reqtrace.EvGrant] {
+		t.Errorf("grant of fence %d (after %d) and its release say epochs %v, want one regenerated epoch on both",
+			after, held, lineage)
+	}
+	if v := reqtrace.Check(capture, 0); v.Err() != nil {
+		t.Errorf("verdict: %s", v)
+	}
+}

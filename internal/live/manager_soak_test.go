@@ -14,6 +14,7 @@ import (
 	"tokenarbiter/internal/faultnet"
 	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/registry"
+	"tokenarbiter/internal/reqtrace"
 	"tokenarbiter/internal/transport"
 	"tokenarbiter/internal/wire"
 )
@@ -81,13 +82,12 @@ func (b *keyBlackout) SetHandler(h transport.Handler) {
 // transport — through random link faults, a cluster partition, and a
 // single-key blackout, asserting the multi-key guarantees:
 //
-//   - per-key mutual exclusion and fencing monotonicity (each key's
-//     fenced resource accepts only strictly increasing fences and sees
-//     no overlapping holders outside split-brain grace windows);
+//   - per-key safety as the checker judges the capture (reqtrace.Check:
+//     exclusion and fencing per lineage, excused across lineages only
+//     as its rule allows, no superseded token granting and no wedge
+//     past the recovery bound);
 //   - cross-key isolation (a fully blacked-out key's recovery churn
 //     never stalls the other seven keys' critical sections);
-//   - per-key reconvergence (after faults clear, every key's group
-//     agrees on one epoch with at most one token);
 //   - liveness (every worker of every key completes its post-gauntlet
 //     quota).
 //
@@ -156,7 +156,8 @@ func managerChaosSoak(t *testing.T, seed uint64) {
 		ProbeTimeout:   0.05,
 	}
 
-	rec := soakRecorder(t, algo, n, fmt.Sprintf("manager-soak-seed%d", seed))
+	// 30 s is the recovery bound the convergence barrier waits out.
+	rec := newSoakCapture(t, algo, n, fmt.Sprintf("manager-soak-seed%d", seed), 30)
 	ctl := &blackoutCtl{}
 	net := transport.NewMemNetwork(n, transport.MemOptions{})
 	defer net.Close()
@@ -172,18 +173,19 @@ func managerChaosSoak(t *testing.T, seed uint64) {
 			Factory:   registry.CoreLiveFactory(opts),
 			Algo:      "core",
 			Seed:      seed<<8 + uint64(i) + 1,
-			FlightRec: rec,
+			FlightRec: rec.Recorder,
 		})
 		if err != nil {
 			t.Fatalf("manager %d: %v", i, err)
 		}
 		mgrs[i] = m
 	}
-	defer func() {
+	closeAll := func() {
 		for _, m := range mgrs {
 			_ = m.Close()
 		}
-	}()
+	}
+	defer closeAll()
 
 	// The deadline is deliberately generous: eight independent recovery
 	// state machines share one transport per node, so reconvergence and
@@ -221,13 +223,7 @@ func managerChaosSoak(t *testing.T, seed uint64) {
 		}
 	}
 
-	// One fenced resource per key (independent fence sequences, so the
-	// monotonicity and exclusion assertions are per key), one worker per
-	// (node, key) churning for the whole run.
-	resources := make(map[string]*fencedResource, nKeys)
-	for _, key := range keys {
-		resources[key] = newFencedResource()
-	}
+	// One worker per (node, key) churning for the whole run.
 	counts := make([][]atomic.Int64, n)
 	for i := range counts {
 		counts[i] = make([]atomic.Int64, nKeys)
@@ -239,21 +235,15 @@ func managerChaosSoak(t *testing.T, seed uint64) {
 			go func(m *live.Manager, node, ki int) {
 				defer wg.Done()
 				key := keys[ki]
-				res := resources[key]
 				for ctx.Err() == nil {
-					fence, err := m.LockFence(ctx, key)
-					if err != nil {
+					if _, err := m.LockFence(ctx, key); err != nil {
 						if ctx.Err() == nil && !errors.Is(err, live.ErrClosed) {
 							t.Errorf("worker %d/%s: %v", node, key, err)
 						}
 						return
 					}
-					ok := res.acquire(node, fence)
 					time.Sleep(200 * time.Microsecond)
-					if ok {
-						res.release()
-						counts[node][ki].Add(1)
-					}
+					counts[node][ki].Add(1)
 					m.Unlock(key)
 				}
 			}(mgrs[i], i, k)
@@ -273,18 +263,17 @@ func managerChaosSoak(t *testing.T, seed uint64) {
 	time.Sleep(400 * time.Millisecond)
 
 	// Phase 2 — partition node 0 (every key's initial arbiter) from
-	// {1,2}. Twin tokens are possible on every key at once, so every
-	// resource relaxes to grace until its group reconverges.
-	for _, res := range resources {
-		res.grace.Store(true)
-	}
+	// {1,2}. Twin tokens are possible on every key at once; the fault/heal
+	// records let the checker excuse what the split made.
+	rec.mark(reqtrace.EvFault, "")
 	inj.Partition([]int{0}, []int{1, 2})
 	time.Sleep(600 * time.Millisecond)
 	inj.Heal()
+	rec.mark(reqtrace.EvHeal, "")
 
-	// Per-key reconvergence: with the loss faults quiesced (latency
-	// stays), each key's group must get back to one epoch with ≤1 token.
-	// Keys recover independently; all eight must make it.
+	// The barrier before the isolation phase: with the loss faults
+	// quiesced (latency stays), every key's group gets back to one epoch
+	// with ≤1 token, so no key enters the blackout still in recovery.
 	if err := inj.SetFaults(mildFaults); err != nil {
 		t.Fatal(err)
 	}
@@ -292,16 +281,13 @@ func managerChaosSoak(t *testing.T, seed uint64) {
 		dumpState()
 		t.Fatal("some key's group did not reconverge after the partition healed")
 	}
-	for _, res := range resources {
-		res.grace.Store(false)
-	}
 	if err := inj.SetFaults(fullFaults); err != nil {
 		t.Fatal(err)
 	}
 
 	// Phase 3 — cross-key isolation: black out one key's traffic
 	// entirely (its group is partitioned into three singletons; recovery
-	// churns and may fork per-node twins — grace on) and require every
+	// churns and may fork per-node twins) and require every
 	// OTHER key to keep completing critical sections throughout. The
 	// random loss faults are quiesced for the window so the blackout is
 	// the only disturbance: otherwise an innocent key can lose its token
@@ -311,16 +297,17 @@ func managerChaosSoak(t *testing.T, seed uint64) {
 		t.Fatal(err)
 	}
 	victim := keys[3]
-	resources[victim].grace.Store(true)
 	before := make([]int64, nKeys)
 	for k := range keys {
 		for i := 0; i < n; i++ {
 			before[k] += counts[i][k].Load()
 		}
 	}
+	rec.mark(reqtrace.EvFault, victim)
 	ctl.set(victim)
 	time.Sleep(600 * time.Millisecond)
 	ctl.clear()
+	rec.mark(reqtrace.EvHeal, victim)
 	for k, key := range keys {
 		if key == victim {
 			continue
@@ -338,16 +325,6 @@ func managerChaosSoak(t *testing.T, seed uint64) {
 		t.Error("blackout phase dropped no messages; the victim key was idle")
 	}
 
-	// The victim's group reconverges once its traffic flows again (loss
-	// faults quiesced for the check, as above).
-	if err := inj.SetFaults(mildFaults); err != nil {
-		t.Fatal(err)
-	}
-	if !waitKeysConverged(ctx, mgrs, []string{victim}, 30*time.Second) {
-		dumpState()
-		t.Fatalf("%s did not reconverge after its blackout lifted", victim)
-	}
-	resources[victim].grace.Store(false)
 	if err := inj.SetFaults(fullFaults); err != nil {
 		t.Fatal(err)
 	}
@@ -390,16 +367,16 @@ func managerChaosSoak(t *testing.T, seed uint64) {
 	}
 	cancel()
 	wg.Wait()
+	regens := sumRegen()
+	closeAll()
 
-	var accepted, stale, overlaps int
+	v := rec.judge(t)
+	for _, x := range v.Violations {
+		t.Errorf("safety: %s", x)
+	}
 	for _, key := range keys {
-		a, s, o, violations := resources[key].report()
-		accepted, stale, overlaps = accepted+a, stale+s, overlaps+o
-		for _, v := range violations {
-			t.Errorf("key %s: mutual exclusion violated: %s", key, v)
-		}
-		if a < n*quota {
-			t.Errorf("key %s accepted %d operations, want ≥ %d", key, a, n*quota)
+		if a := v.Accepted[key]; a < n*quota {
+			t.Errorf("key %s: the fenced store accepted %d grants, want ≥ %d", key, a, n*quota)
 		}
 	}
 	c := inj.Counters()
@@ -409,8 +386,8 @@ func managerChaosSoak(t *testing.T, seed uint64) {
 	if decodeErrs.Load() == 0 {
 		t.Error("no corruption surfaced as *wire.DecodeError")
 	}
-	t.Logf("seed %d: accepted=%d stale-rejected=%d split-brain-overlaps=%d regenerations=%d blackout-drops=%d faults=%+v",
-		seed, accepted, stale, overlaps, sumRegen(), ctl.dropped.Load(), c)
+	t.Logf("seed %d: regenerations=%d blackout-drops=%d faults=%+v verdict: %s",
+		seed, regens, ctl.dropped.Load(), c, v)
 }
 
 // waitKeysConverged polls until every named key's group reports one

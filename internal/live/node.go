@@ -197,7 +197,7 @@ type Node struct {
 	// The one event stream: each lifecycle point and protocol transition
 	// is one reqtrace.Record handed to sinks — the ring, Config.Tracer and
 	// Config.FlightRec, whichever are on; empty when none is.
-	sinks    sinks
+	sinks    reqtrace.Sinks
 	trace    *reqtrace.Ring // the ring among sinks; nil when TraceDepth < 0
 	stamp    bool           // Tracer or FlightRec is on: mint trace IDs and stamp them on the wire
 	traceSeq uint64         // executor-confined: request count, mirrors core's sequence numbering
@@ -220,6 +220,7 @@ type waiter struct {
 	granted   bool          // executor-confined
 	canceled  bool          // executor-confined
 	fence     uint64        // fencing token of the grant, set before fast/grant publish
+	epoch     uint64        // the grant's token epoch, for its records
 	trace     reqtrace.ID   // end-to-end trace ID, zero when tracing is off
 	issuedAt  time.Time     // Lock call time, for the lock-wait histogram
 	grantedAt time.Time     // grant time, for the CS-hold histogram
@@ -252,7 +253,7 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	// Nil checks on the typed pointers: a disabled sink must not enter the
 	// list as a non-nil interface.
-	var out sinks
+	var out reqtrace.Sinks
 	var ring *reqtrace.Ring
 	if cfg.TraceDepth >= 0 {
 		depth := cfg.TraceDepth
@@ -546,16 +547,6 @@ func (n *Node) finishCS(w *waiter) {
 	n.inner.OnCSDone(n)
 }
 
-// sinks fans one record out to every configured sink.
-type sinks []reqtrace.Sink
-
-// Record implements reqtrace.Sink.
-func (s sinks) Record(rec reqtrace.Record) {
-	for _, k := range s {
-		k.Record(rec)
-	}
-}
-
 // emit hands one lock-lifecycle record for w to the sinks, on the clock
 // the protocol-transition records share (executor-owned context only).
 // With every sink off it is one length test.
@@ -565,7 +556,7 @@ func (n *Node) emit(ev string, w *waiter) {
 	}
 	n.sinks.Record(reqtrace.Record{
 		T: reqtrace.Now(), Ev: ev, Node: n.cfg.ID, Peer: -1,
-		Key: n.cfg.Key, Trace: w.trace, Fence: w.fence,
+		Key: n.cfg.Key, Trace: w.trace, Fence: w.fence, Epoch: w.epoch,
 	})
 }
 
@@ -624,7 +615,8 @@ func (n *Node) Inspect(ctx context.Context) (core.Introspection, error) {
 // safe to race with the public API (Lock returns ErrClosed, Unlock of a
 // closed node returns once the holder bookkeeping is dropped), which is
 // what lets Manager.RestartKey and Manager.Close kill a node out from
-// under its users.
+// under its users. With any sink on, Close ends the node's record
+// stream with a close record: its grant and its waits are over.
 // Do not call Close from protocol callbacks or from inside an
 // inline-executed step: it waits for the executor to go idle, and the
 // owner waiting on itself would spin forever (the old event loop had
@@ -649,6 +641,9 @@ func (n *Node) Close() error {
 	// its queue before exiting on quit, and posted completions (Unlock's
 	// done) should not silently vanish when they lost that race.
 	n.drain()
+	if len(n.sinks) > 0 {
+		n.sinks.Record(reqtrace.Record{T: reqtrace.Now(), Ev: reqtrace.EvClose, Node: n.cfg.ID, Peer: -1, Key: n.cfg.Key})
+	}
 	return n.tr.Close()
 }
 
@@ -779,7 +774,7 @@ func (n *Node) EnterCS(_ dme.NodeID) {
 		// Read before the branch: a cancelled waiter's grant consumed a
 		// real fence too, and its records must say which.
 		if ins, ok := core.Inspect(n.inner); ok {
-			w.fence = ins.LastFence
+			w.fence, w.epoch = ins.LastFence, ins.Epoch
 		}
 		if w.canceled {
 			// The Lock call gave up; release the CS immediately so the

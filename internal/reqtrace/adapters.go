@@ -30,8 +30,9 @@ func CoreObserver(c Sink, key string, now func() float64) func(core.Event) {
 }
 
 // SimTracer mints trace IDs and emits the runtime-side records (enqueue,
-// grant, release) for a simulation run, the counterpart of what
-// live.Node does for live runs: install Trace as (or inside)
+// grant, release) for a simulation run into a sink (a Collector, a
+// Checker, or Sinks of both), the counterpart of what live.Node does for
+// live runs: install Trace as (or inside)
 // dme.Config.Trace and pair it with CoreObserver on the algorithm's
 // observer hook for the protocol-side records.
 //
@@ -40,52 +41,52 @@ func CoreObserver(c Sink, key string, now func() float64) func(core.Event) {
 // live runtime's waiter queue implements, so sim and live traces agree
 // even when a node's requests are served out of issue order.
 type SimTracer struct {
-	c    *Collector
+	sink Sink
 	key  string
 	seq  []uint64 // per-node request sequence, counting from 1 like core
 	fifo [][]ID   // per-node open (granted-pending) request IDs
-	inCS []ID     // per-node ID currently holding the CS
+	inCS []Record // per-node grant in progress; zero Trace when none
 }
 
-// NewSimTracer returns a tracer for an n-node run recording into c.
-func NewSimTracer(c *Collector, key string, n int) *SimTracer {
+// NewSimTracer returns a tracer for an n-node run recording into sink.
+func NewSimTracer(sink Sink, key string, n int) *SimTracer {
 	return &SimTracer{
-		c:    c,
+		sink: sink,
 		key:  key,
 		seq:  make([]uint64, n),
 		fifo: make([][]ID, n),
-		inCS: make([]ID, n),
+		inCS: make([]Record, n),
 	}
 }
 
 // Trace consumes one simulation event; wire it to dme.Config.Trace.
+// Grant and release records carry the grant's fence and epoch when the
+// algorithm reports them (dme.Fenced).
 func (t *SimTracer) Trace(ev dme.TraceEvent) {
-	var name string
-	var id ID
+	rec := Record{T: ev.Time, Node: ev.From, Peer: -1, Key: t.key}
 	switch ev.Kind {
 	case dme.TraceRequest:
 		t.seq[ev.From]++
-		id = MakeID(ev.From, t.seq[ev.From])
-		t.fifo[ev.From] = append(t.fifo[ev.From], id)
-		name = EvRequest
+		rec.Trace = MakeID(ev.From, t.seq[ev.From])
+		t.fifo[ev.From] = append(t.fifo[ev.From], rec.Trace)
+		rec.Ev = EvRequest
 	case dme.TraceEnterCS:
 		q := t.fifo[ev.From]
 		if len(q) == 0 {
 			return
 		}
-		id = q[0]
 		t.fifo[ev.From] = q[1:]
-		t.inCS[ev.From] = id
-		name = EvGrant
+		rec.Ev, rec.Trace, rec.Fence, rec.Epoch = EvGrant, q[0], ev.Fence, ev.Epoch
+		t.inCS[ev.From] = rec
 	case dme.TraceExitCS:
-		id = t.inCS[ev.From]
-		if id == 0 {
+		rec = t.inCS[ev.From]
+		if rec.Trace == 0 {
 			return
 		}
-		t.inCS[ev.From] = 0
-		name = EvRelease
+		t.inCS[ev.From] = Record{}
+		rec.T, rec.Ev = ev.Time, EvRelease
 	default:
 		return
 	}
-	t.c.Record(Record{T: ev.Time, Ev: name, Node: ev.From, Peer: -1, Key: t.key, Trace: id})
+	t.sink.Record(rec)
 }

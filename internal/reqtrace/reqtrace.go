@@ -12,6 +12,8 @@
 //	Collector  the records that name a request, assembled per request
 //	           (/debug/requests, `mutexload -slowest`)
 //	Recorder   every record, as one capture line (`mutexsim replay`)
+//	Checker    the grants, releases and §6 mints, judged for safety
+//	           (checker.go; Check judges a capture)
 //
 // A request acquires a trace ID when the application asks for the lock
 // (live.Node mints it at Lock/LockFence entry; the sim
@@ -122,7 +124,8 @@ type Record struct {
 	Fence uint64 `json:"fence,omitempty"`
 	// Batch is the batch or Q-list length on protocol transitions.
 	Batch int `json:"batch,omitempty"`
-	// Epoch is the token epoch on the transitions that carry one.
+	// Epoch is the token epoch: the grant's token's on grant and release
+	// records, and on the transitions that carry one.
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Frame is present only on send/recv records: the wire frame body
 	// exactly as a connection would carry it (base64-encoded by
@@ -136,6 +139,17 @@ type Record struct {
 // in-process cluster and every key of a Manager.
 type Sink interface {
 	Record(Record)
+}
+
+// Sinks fans one record out to every sink in it, so one stream can feed a
+// ring, a collector, a recorder and a checker at once.
+type Sinks []Sink
+
+// Record implements Sink.
+func (s Sinks) Record(rec Record) {
+	for _, k := range s {
+		k.Record(rec)
+	}
 }
 
 // epoch anchors Now; one per process, so every record a process emits —

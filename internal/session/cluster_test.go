@@ -7,11 +7,17 @@ package session_test
 // of sleeping for them.
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/core"
+	"tokenarbiter/internal/live"
+	"tokenarbiter/internal/registry"
+	"tokenarbiter/internal/reqtrace"
 	"tokenarbiter/internal/session"
 	"tokenarbiter/internal/session/sessiontest"
+	"tokenarbiter/internal/transport"
 )
 
 // TestClusterAcquireAcrossNodes: sessions on different nodes contend
@@ -120,5 +126,82 @@ func TestClusterExpiryRunsRecovery(t *testing.T) {
 	}
 	if regens <= regenBase {
 		t.Fatalf("recovery_regenerations_total = %d, want > %d: the expired fence was not invalidated through §6", regens, regenBase)
+	}
+}
+
+// TestClusterCaptureReplays: a session cluster whose Managers are handed
+// the flight recorder captures each key's grants and protocol transitions
+// beside the frames, so the capture replays to grants and judges clean.
+// Without the Manager hook the capture held frames only.
+func TestClusterCaptureReplays(t *testing.T) {
+	algo, err := registry.RegisterWire(registry.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	rec, err := reqtrace.NewRecorder(&buf, algo, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := sessiontest.Start(t, sessiontest.Options{
+		Middleware: func(i int, base transport.Transport) transport.Transport {
+			return transport.Chain(base, rec.Middleware())
+		},
+		Manager: func(i int, cfg *live.ManagerConfig) { cfg.FlightRec = rec },
+	})
+	ctx := ctxT(t)
+	keys := []string{"a", "b"}
+	for node := 0; node < cl.N; node++ {
+		sess, err := cl.Dial(t, node, session.Options{NoKeepAlive: true}).Open(ctx, 10*time.Second)
+		if err != nil {
+			t.Fatalf("node %d: open: %v", node, err)
+		}
+		for _, key := range keys {
+			if _, err := sess.Acquire(ctx, key); err != nil {
+				t.Fatalf("node %d: acquire %s: %v", node, key, err)
+			}
+			if err := sess.Release(key); err != nil {
+				t.Fatalf("node %d: release %s: %v", node, key, err)
+			}
+		}
+	}
+	for i := range cl.Servers {
+		_ = cl.Servers[i].Close()
+		_ = cl.Managers[i].Close()
+	}
+
+	capture, err := reqtrace.ReadCapture(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range keys {
+		grants, transitions := 0, 0
+		for _, r := range capture.Records {
+			switch {
+			case r.Key != key:
+			case r.Ev == reqtrace.EvGrant:
+				grants++
+			case r.Ev == core.EventDispatched.String(), r.Ev == core.EventRequestAccepted.String():
+				transitions++
+			}
+		}
+		if grants != cl.N || transitions == 0 {
+			t.Errorf("key %q: capture holds %d grants (want %d) and %d protocol transitions (want some)",
+				key, grants, cl.N, transitions)
+		}
+	}
+	factory, err := registry.NewLiveFactory(algo, map[string]float64{"treq": 0.005, "tfwd": 0.005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := reqtrace.Replay(capture, factory, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Grants) == 0 {
+		t.Errorf("replay granted nothing (recorded %d grants)", len(res.Recorded))
+	}
+	if v := reqtrace.Check(capture, 0); v.Err() != nil {
+		t.Errorf("verdict: %s", v)
 	}
 }

@@ -36,6 +36,9 @@ type Options struct {
 	// Middleware, when non-nil, wraps node i's transport endpoint —
 	// the hook for fault injection in chaos tests.
 	Middleware func(i int, base transport.Transport) transport.Transport
+	// Manager, when non-nil, tweaks node i's Manager config (a flight
+	// recorder, a tracer) before it is built.
+	Manager func(i int, cfg *live.ManagerConfig)
 	// Server, when non-nil, tweaks node i's session server config
 	// (admission limits, TTL bounds) before it is built.
 	Server func(i int, cfg *session.Config)
@@ -104,14 +107,18 @@ func Start(t testing.TB, o Options) *Cluster {
 		if o.Middleware != nil {
 			tr = o.Middleware(i, tr)
 		}
-		mgr, err := live.NewManager(live.ManagerConfig{
+		mcfg := live.ManagerConfig{
 			ID:        i,
 			N:         o.N,
 			Transport: tr,
 			Factory:   registry.CoreLiveFactory(opts),
 			Algo:      "core",
 			Seed:      o.Seed<<8 + uint64(i) + 1,
-		})
+		}
+		if o.Manager != nil {
+			o.Manager(i, &mcfg)
+		}
+		mgr, err := live.NewManager(mcfg)
 		if err != nil {
 			t.Fatalf("manager %d: %v", i, err)
 		}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"tokenarbiter/internal/faultnet"
+	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/reqtrace"
 	"tokenarbiter/internal/session"
@@ -21,13 +22,21 @@ import (
 	"tokenarbiter/internal/transport"
 )
 
-// soakRecorder opens a flight-recorder capture of the soak, always: a
-// failure that happens one run in five must leave something to replay
-// (`mutexsim replay <capture>`). Under $FLIGHTREC_DIR when that is set —
-// CI sets it and uploads the directory when the job fails — else in a
-// temp dir that is removed when the test passes and named in the log
-// when it fails.
-func soakRecorder(t *testing.T, algo string, n int, name string) *reqtrace.Recorder {
+// soakCapture is a soak's flight-recorder capture and the one place its
+// safety verdict comes from. Every soak records, always: a failure that
+// happens one run in five must leave something to replay (`mutexsim
+// replay <capture>`) and to judge. Under $FLIGHTREC_DIR when that is set
+// — CI sets it and uploads the directory when the job fails — else in a
+// temp dir that is removed when the test passes. A failed test logs the
+// capture's path beside its verdict.
+type soakCapture struct {
+	*reqtrace.Recorder
+	path    string
+	settle  float64 // the soak's recovery bound: reqtrace.Check's time rules
+	verdict *reqtrace.Verdict
+}
+
+func newSoakCapture(t *testing.T, algo string, n int, name string, settle float64) *soakCapture {
 	dir := os.Getenv("FLIGHTREC_DIR")
 	if dir == "" {
 		var err error
@@ -47,78 +56,38 @@ func soakRecorder(t *testing.T, algo string, n int, name string) *reqtrace.Recor
 	if err != nil {
 		t.Fatalf("flight recorder %s: %v", path, err)
 	}
+	c := &soakCapture{Recorder: rec, path: path, settle: settle}
 	t.Cleanup(func() {
-		_ = rec.Close()
 		if t.Failed() {
-			t.Logf("flight-recorder capture of the failed run: %s", path)
+			t.Logf("flight-recorder capture of the failed run: %s\nverdict: %s", path, c.judge(t))
 		}
+		_ = rec.Close()
 	})
-	return rec
+	return c
 }
 
-// keyedResource models one lock-protected resource the fenced way a real
-// store would: acquisitions present their fencing token and only strictly
-// increasing fences are accepted — a fence at or below the high-water
-// mark is a stale holder overtaken by recovery, rejected (which is the
-// fencing defense working, not a failure). Exclusion is temporal: two
-// accepted holders overlapping is a violation, except while the shared
-// grace flag is up (partition or forced-restart residue: the protocol can
-// legitimately fork twin tokens with no quorum to stop it).
-type keyedResource struct {
-	grace *atomic.Bool
-
-	mu         sync.Mutex
-	highWater  uint64
-	holders    int
-	accepted   int
-	stale      int
-	overlaps   int
-	violations []string
-}
-
-func (r *keyedResource) acquire(fence uint64) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if fence <= r.highWater {
-		r.stale++
-		return false
-	}
-	r.highWater = fence
-	if r.holders > 0 {
-		if r.grace.Load() {
-			r.overlaps++
-		} else {
-			r.violations = append(r.violations, fmt.Sprintf(
-				"fence %d accepted while %d holder(s) still held the resource", fence, r.holders))
+// judge ends the capture and judges it. Call it once the cluster is shut
+// down, so every grant has its release or close on record.
+func (c *soakCapture) judge(t *testing.T) *reqtrace.Verdict {
+	if c.verdict == nil {
+		_ = c.Close()
+		f, err := os.Open(c.path)
+		if err != nil {
+			t.Fatalf("open capture: %v", err)
 		}
+		defer f.Close()
+		capture, err := reqtrace.ReadCapture(f)
+		if err != nil {
+			t.Fatalf("read capture %s: %v", c.path, err)
+		}
+		c.verdict = reqtrace.Check(capture, c.settle)
 	}
-	r.holders++
-	r.accepted++
-	return true
+	return c.verdict
 }
 
-func (r *keyedResource) release() {
-	r.mu.Lock()
-	r.holders--
-	r.mu.Unlock()
-}
-
-// observe records a fence granted to a deliberately-leaky session: it
-// advances the watermark (later grants must still climb above it) without
-// holder accounting — the zombie's overlap with its §6 replacement is the
-// scenario fencing exists for, not an exclusion violation.
-func (r *keyedResource) observe(fence uint64) {
-	r.mu.Lock()
-	if fence > r.highWater {
-		r.highWater = fence
-	}
-	r.mu.Unlock()
-}
-
-func (r *keyedResource) snapshot() (accepted, stale, overlaps int, violations []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.accepted, r.stale, r.overlaps, append([]string(nil), r.violations...)
+// mark records a fault or heal on the capture; key "" is every key.
+func (c *soakCapture) mark(ev, key string) {
+	c.Record(reqtrace.Record{T: reqtrace.Now(), Ev: ev, Node: -1, Peer: -1, Key: key})
 }
 
 // waitFor is waitUntil with a caller-chosen deadline: the soak's
@@ -149,10 +118,12 @@ func sumRegs(regs []*telemetry.Registry, name string) uint64 {
 // random drop/dup/corrupt/delay, a partition-and-heal cycle, and forced
 // key-participant restarts (the rejoin path) — with a band of deliberately
 // leaky holders whose leases lapse mid-CS so expiry flows through the §6
-// invalidation. Asserts per-key mutual exclusion and fence monotonicity at
-// a model resource, expiry-invalidation accounting, watch delivery on
-// release, and a post-gauntlet per-key liveness quota. Runs under -race in
-// the CI soak job with FLIGHTREC_DIR capture.
+// invalidation. Asserts per-key safety as the checker judges the capture
+// (reqtrace.Check: exclusion and fencing per lineage, no superseded token
+// granting and no wedge past the recovery bound), expiry-invalidation
+// accounting, watch delivery on release, and a post-gauntlet per-key
+// liveness quota. Runs under -race in the CI soak job with FLIGHTREC_DIR
+// capture.
 func TestSessionChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("session chaos soak is a multi-second test; skipped in -short")
@@ -179,7 +150,8 @@ func sessionChaosSoak(t *testing.T, seed uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := soakRecorder(t, algo, nodes, fmt.Sprintf("session-chaos-soak-seed%d", seed))
+	// 20 s is the recovery bound the soak's phases wait out.
+	rec := newSoakCapture(t, algo, nodes, fmt.Sprintf("session-chaos-soak-seed%d", seed), 20)
 	inj := faultnet.New(faultnet.Options{
 		Seed: seed,
 		Faults: faultnet.Faults{
@@ -202,24 +174,21 @@ func sessionChaosSoak(t *testing.T, seed uint64) {
 			// not what survived the faults.
 			return transport.Chain(base, rec.Middleware(), inj.Middleware())
 		},
+		Manager: func(i int, cfg *live.ManagerConfig) { cfg.FlightRec = rec.Recorder },
 		Server: func(i int, cfg *session.Config) {
 			cfg.MaxSessions = 1000
 			cfg.MaxWaitersPerKey = 64 // small enough that admission control engages
 		},
 	})
 
-	var grace atomic.Bool
-	res := make(map[string]*keyedResource, len(keys))
-	for _, k := range keys {
-		res[k] = &keyedResource{grace: &grace}
-	}
-	perKeyAccepted := func() map[string]int {
-		m := make(map[string]int, len(keys))
-		for _, k := range keys {
-			a, _, _, _ := res[k].snapshot()
-			m[k] = a
+	// Completed grants per key, the liveness quota's measure.
+	granted := make([]atomic.Int64, len(keys))
+	perKeyGranted := func() []int64 {
+		n := make([]int64, len(keys))
+		for k := range keys {
+			n[k] = granted[k].Load()
 		}
-		return m
+		return n
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -253,13 +222,14 @@ func sessionChaosSoak(t *testing.T, seed uint64) {
 						return
 					}
 					for churnCtx.Err() == nil {
-						key := keys[rng.Intn(len(keys))]
+						k := rng.Intn(len(keys))
+						key := keys[k]
 						// The call runs on the outer ctx so an in-flight
 						// acquire completes (grant or bound) rather than
 						// being abandoned in the server's wait queue when
 						// the churn stops; a post-stop grant is released
 						// on the way out.
-						fence, err := sess.AcquireWait(ctx, key, 2*time.Second)
+						_, err := sess.AcquireWait(ctx, key, 2*time.Second)
 						if err != nil {
 							switch {
 							case ctx.Err() != nil:
@@ -281,11 +251,8 @@ func sessionChaosSoak(t *testing.T, seed uint64) {
 							_ = sess.Release(key)
 							return
 						}
-						ok := res[key].acquire(fence)
 						time.Sleep(holdFor)
-						if ok {
-							res[key].release()
-						}
+						granted[k].Add(1)
 						_ = sess.Release(key)
 					}
 				}(node, c, s)
@@ -324,8 +291,8 @@ func sessionChaosSoak(t *testing.T, seed uint64) {
 
 	// Leaky holders: NoKeepAlive sessions that acquire and then vanish —
 	// the lease lapses mid-CS and the server must invalidate the fence
-	// through §6, not just forget locally. Their fences feed the model's
-	// watermark so replacement grants are still forced above them.
+	// through §6, not just forget locally. At node level they are ordinary
+	// holders; the checker's rule excuses their replacement.
 	var grantedLeaky atomic.Uint64
 	for node := 0; node < nodes; node++ {
 		lconn := cl.Dial(t, node, session.Options{NoKeepAlive: true})
@@ -338,12 +305,10 @@ func sessionChaosSoak(t *testing.T, seed uint64) {
 					return
 				}
 				key := keys[(node+s)%len(keys)]
-				fence, err := sess.AcquireWait(ctx, key, 700*time.Millisecond)
-				if err != nil {
+				if _, err := sess.AcquireWait(ctx, key, 700*time.Millisecond); err != nil {
 					return // expired or bounded out while queued; fine
 				}
 				grantedLeaky.Add(1)
-				res[key].observe(fence)
 				// Abandon: no release, no keepalive. The server push on
 				// expiry must close the session client-side.
 				select {
@@ -366,52 +331,22 @@ func sessionChaosSoak(t *testing.T, seed uint64) {
 	})
 
 	// Phase 3 — partition node 0 from {1,2} for ~600ms, then heal. Twin
-	// tokens are possible until reconvergence; relax the overlap check.
-	grace.Store(true)
+	// tokens are possible; the fault/heal records let the checker excuse
+	// what the split made.
+	rec.mark(reqtrace.EvFault, "")
 	inj.Partition([]int{0}, []int{1, 2})
 	time.Sleep(600 * time.Millisecond)
 	inj.Heal()
+	rec.mark(reqtrace.EvHeal, "")
 
-	// Phase 4 — forced participant restarts, still inside the grace
-	// window: node 0's instance exercises the initial-node rejoin path
-	// (no token re-mint; §6 regenerates above the group watermark).
+	// Phase 4 — forced participant restarts: node 0's instance exercises
+	// the initial-node rejoin path (no token re-mint; §6 regenerates above
+	// the group watermark).
 	for i, key := range []string{keys[0], keys[1]} {
 		if _, err := cl.Managers[i].RestartKey(key); err != nil {
 			t.Fatalf("restart %s on node %d: %v", key, i, err)
 		}
 	}
-
-	// Reconvergence: per key, every node at one epoch with at most one
-	// token holder — then the strict exclusion assertion is re-armed.
-	waitFor(t, "cluster reconverged to one epoch per key", 20*time.Second, func() bool {
-		for _, key := range keys {
-			var epoch uint64
-			tokens := 0
-			for i := 0; i < nodes; i++ {
-				nd := cl.Managers[i].Node(key)
-				if nd == nil {
-					return false
-				}
-				ins, err := nd.Inspect(ctx)
-				if err != nil {
-					return false
-				}
-				if i == 0 {
-					epoch = ins.Epoch
-				} else if ins.Epoch != epoch {
-					return false
-				}
-				if ins.HasToken {
-					tokens++
-				}
-			}
-			if tokens > 1 {
-				return false
-			}
-		}
-		return true
-	})
-	grace.Store(false)
 
 	// dumpState logs per-key per-node protocol state on failure paths
 	// (with its own context: ctx may be expired by then).
@@ -444,20 +379,16 @@ func sessionChaosSoak(t *testing.T, seed uint64) {
 					snap.Counters["requests_retransmitted_total"])
 			}
 		}
-		acc := perKeyAccepted()
-		for _, k := range keys {
-			t.Logf("key %s: accepted=%d", k, acc[k])
-		}
 	}
 
-	// Phase 5 — liveness quota: every key's resource accepts `quota`
-	// further operations after the forced phases, random faults still on.
-	base := perKeyAccepted()
+	// Phase 5 — liveness quota: every key completes `quota` further
+	// grants after the forced phases, random faults still on.
+	base := perKeyGranted()
 	quotaDeadline := time.Now().Add(30 * time.Second)
 	for {
-		now := perKeyAccepted()
+		now := perKeyGranted()
 		done := true
-		for _, k := range keys {
+		for k := range keys {
 			if now[k]-base[k] < quota {
 				done = false
 			}
@@ -466,8 +397,8 @@ func sessionChaosSoak(t *testing.T, seed uint64) {
 			break
 		}
 		if time.Now().After(quotaDeadline) {
-			for _, k := range keys {
-				t.Errorf("key %s: %d/%d post-gauntlet accepted operations", k, now[k]-base[k], quota)
+			for k, key := range keys {
+				t.Errorf("key %s: %d/%d post-gauntlet grants", key, now[k]-base[k], quota)
 			}
 			dumpState()
 			t.Fatal("per-key liveness quota not reached")
@@ -526,29 +457,31 @@ func sessionChaosSoak(t *testing.T, seed uint64) {
 	}
 watched:
 
-	// Final accounting.
-	var totalAccepted, totalStale, totalOverlaps int
-	for _, k := range keys {
-		accepted, stale, overlaps, violations := res[k].snapshot()
-		for _, v := range violations {
-			t.Errorf("key %s: mutual exclusion violated: %s", k, v)
-		}
-		totalAccepted += accepted
-		totalStale += stale
-		totalOverlaps += overlaps
+	// Final accounting; the capture is judged with the cluster shut down.
+	var regens uint64
+	for _, m := range cl.Managers {
+		regens += m.SumCounter("recovery_regenerations_total")
 	}
-	if totalAccepted < len(keys)*quota {
-		t.Errorf("resources accepted %d operations, want ≥ %d", totalAccepted, len(keys)*quota)
+	for i := range cl.Servers {
+		_ = cl.Servers[i].Close()
+		_ = cl.Managers[i].Close()
+	}
+	v := rec.judge(t)
+	for _, x := range v.Violations {
+		t.Errorf("safety: %s", x)
+	}
+	accepted := 0
+	for _, k := range keys {
+		accepted += v.Accepted[k]
+	}
+	if accepted < len(keys)*quota {
+		t.Errorf("the fenced store accepted %d grants, want ≥ %d", accepted, len(keys)*quota)
 	}
 	if n := churnErrs.Load(); n > 0 {
 		t.Errorf("%d churn sessions died with unexpected errors", n)
 	}
 	if got := sumRegs(cl.Regs, "session_watch_events_total"); got == 0 {
 		t.Error("no watch events delivered during the soak")
-	}
-	var regens uint64
-	for _, m := range cl.Managers {
-		regens += m.SumCounter("recovery_regenerations_total")
 	}
 	if regens == 0 {
 		t.Error("soak completed without a single §6 token regeneration")
@@ -560,8 +493,6 @@ watched:
 	if c.Partitions != 1 || c.Heals != 1 {
 		t.Errorf("partition lifecycle counters: %+v, want 1 partition and 1 heal", c)
 	}
-	t.Logf("seed %d: accepted=%d stale-rejected=%d split-brain-overlaps=%d leaky-granted=%d invalidations=%d regenerations=%d overloads=%d wait-retries=%d watch-events=%d faults=%+v",
-		seed, totalAccepted, totalStale, totalOverlaps,
-		grantedLeaky.Load(), sumRegs(cl.Regs, "session_expiry_invalidations_total"),
-		regens, overloads.Load(), waitRetries.Load(), watchEvents.Load(), c)
+	t.Logf("seed %d: leaky-granted=%d invalidations=%d regenerations=%d overloads=%d wait-retries=%d watch-events=%d faults=%+v verdict: %s",
+		seed, grantedLeaky.Load(), sumRegs(cl.Regs, "session_expiry_invalidations_total"), regens, overloads.Load(), waitRetries.Load(), watchEvents.Load(), c, v)
 }
