@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench fuzz
+.PHONY: build test race allocs bench fuzz
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ test:
 
 race:
 	$(GO) test -race -skip 'TestChaosSoak|TestManagerChaosSoakMultiKey|TestSessionChaosSoak|TestRunTenThousandSessions' ./...
+
+# allocs runs the lock path's allocation-budget guards, which skip under
+# -race (the detector allocates on its own): decode, session round trip
+# and live Lock/Unlock (DESIGN.md, "Allocation budget").
+allocs:
+	$(GO) test -run 'Allocs' -count=1 ./internal/wire ./internal/session ./internal/live
 
 # bench runs the committed benchmark (bench/, its own Go module: client →
 # session → Manager → TCP → token, six workloads declared in

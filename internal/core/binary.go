@@ -208,3 +208,12 @@ func (m *ProbeAck) UnmarshalWire(data []byte) error {
 	m.NotArbiter = r.Bool()
 	return r.Close()
 }
+
+// AppendWire implements wire.WireAppender.
+func (Disown) AppendWire(b []byte) ([]byte, error) { return b, nil }
+
+// UnmarshalWire implements wire.WireUnmarshaler.
+func (*Disown) UnmarshalWire(data []byte) error {
+	r := binenc.NewReader(data)
+	return r.Close()
+}

@@ -21,6 +21,7 @@ const (
 	KindInvalidate  = "INVALIDATE"
 	KindProbe       = "PROBE"
 	KindProbeAck    = "PROBE-ACK"
+	KindDisown      = "DISOWN"
 )
 
 // Request is REQUEST(j) — optionally REQUEST(j, n) in the sequence-number
@@ -257,3 +258,14 @@ type ProbeAck struct {
 
 // Kind implements dme.Message.
 func (ProbeAck) Kind() string { return KindProbeAck }
+
+// Disown answers a retransmitted REQUEST or a WARNING that reached an
+// amnesiac incarnation: a restarted node that has learned no token epoch
+// and no batch generation, so it cannot be the arbiter its sender
+// believes in. Only a starving requester acts on it (see
+// recovery.suspectArbiter); nothing else ever sends it, so a group
+// without restarts never sees one.
+type Disown struct{}
+
+// Kind implements dme.Message.
+func (Disown) Kind() string { return KindDisown }

@@ -38,6 +38,12 @@ type reqState struct {
 // skip already absorb them.
 const retxEscalation = 3
 
+// rescueAfter is the number of unanswered retransmissions (or WARNINGs,
+// once the request is scheduled) after which a request's node suspects
+// its believed arbiter (recovery.suspectArbiter), and again every
+// rescueAfter after that.
+const rescueAfter = 2 * retxEscalation
+
 // node is the event-driven realization of one protocol participant.
 // It is driven entirely from the simulation loop, so no locking is needed.
 type node struct {
@@ -258,6 +264,9 @@ func (nd *node) armRetransmit(ctx dme.Context, st *reqState) {
 			}
 			entry := QEntry{Node: nd.id, Seq: st.seq}
 			st.retries++
+			if st.retries%rescueAfter == 0 {
+				nd.rec.suspectArbiter(nd)
+			}
 			nd.observe(Event{Kind: EventRequestRetransmitted, Arbiter: nd.arbiter})
 			switch {
 			case nd.collecting:
@@ -326,6 +335,8 @@ func (nd *node) OnMessage(ctx dme.Context, from int, msg dme.Message) {
 		ctx.Send(nd.id, from, ProbeAck{NotArbiter: nd.arbiter != nd.id})
 	case ProbeAck:
 		nd.onProbeAck(ctx, from, m)
+	case Disown:
+		nd.rec.onDisown(ctx, nd, from)
 	default:
 		panic(fmt.Sprintf("core: node %d received unknown message %T", nd.id, msg))
 	}
@@ -355,6 +366,9 @@ func (nd *node) onRequestMsg(ctx dme.Context, m Request) {
 	default:
 		// Arrived after the forwarding phase: dropped (§2.1).
 		nd.observe(Event{Kind: EventRequestDropped, Arbiter: m.Entry.Node})
+		if m.Retransmit {
+			nd.rec.disown(ctx, nd, m.Entry.Node)
+		}
 	}
 }
 

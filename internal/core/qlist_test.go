@@ -296,6 +296,7 @@ func TestMessageKinds(t *testing.T) {
 		KindInvalidate:  Invalidate{},
 		KindProbe:       Probe{},
 		KindProbeAck:    ProbeAck{},
+		KindDisown:      Disown{},
 	}
 	for want, msg := range cases {
 		if got := msg.Kind(); got != want {

@@ -37,6 +37,10 @@ type recovery struct {
 	watchTarget int
 	lastBatch   QList // the batch this node dispatched most recently
 
+	// rescueTarget is the believed arbiter a starving requester suspects
+	// (suspectArbiter), or -1.
+	rescueTarget int
+
 	// excluded tracks the members that answered nothing during the
 	// invalidation round that regenerated the current token: §6 presumes
 	// them failed and purges their entries. If such a member is in fact
@@ -54,6 +58,7 @@ type recovery struct {
 func (r *recovery) init() {
 	r.prevArbiter = -1
 	r.watchTarget = -1
+	r.rescueTarget = -1
 }
 
 // enabled is a tiny helper to keep the call sites readable.
@@ -106,8 +111,10 @@ func (r *recovery) onDispatch(ctx dme.Context, nd *node, batch QList) {
 		// entirely on the common disabled path.
 		return
 	}
+	// One clone serves both: neither field is ever written in place (a
+	// takeover re-clones lastBatch before reusing it as pendingBatch).
 	r.lastBatch = batch.Clone()
-	r.pendingBatch = batch.Clone()
+	r.pendingBatch = r.lastBatch
 	ctx.Cancel(r.tokTimer)
 	r.tokTimer = dme.Timer{}
 	tail := batch.Tail()
@@ -184,6 +191,46 @@ func (nd *node) onProbeAck(ctx dme.Context, from int, m ProbeAck) {
 	}
 }
 
+// suspectArbiter runs when one of this node's requests has gone
+// unanswered for rescueAfter retransmissions, or, once scheduled, for
+// rescueAfter WARNINGs, unicast and broadcast: no member is collecting
+// requests. The §6 watchdog cannot see this wedge. The previous arbiter
+// watches the current one only until a newer NEW-ARBITER stands it down,
+// and a takeover's arbiter is its own predecessor. So when that arbiter
+// restarts, its amnesiac incarnation disowns the role, and nobody probes
+// it. Suspecting sends nothing: the retransmission or WARNING it rides
+// is the question, and only an amnesiac incarnation answers it (disown).
+func (r *recovery) suspectArbiter(nd *node) {
+	if !enabled(nd) || nd.collecting || nd.arbiter == nd.id {
+		return
+	}
+	r.rescueTarget = nd.arbiter
+}
+
+// disown answers a retransmitted REQUEST or a WARNING from requester to
+// when this node is an amnesiac incarnation: restarted, not collecting,
+// and knowing no token epoch and no batch generation. Whoever sent it
+// believes in an arbiter role this incarnation knows nothing of.
+func (r *recovery) disown(ctx dme.Context, nd *node, to int) {
+	if enabled(nd) && nd.opts.Rejoin && !nd.collecting && nd.epoch == 0 && nd.gen == 0 && to != nd.id {
+		ctx.Send(nd.id, to, Disown{})
+	}
+}
+
+// onDisown: the arbiter a starving requester suspects is an amnesiac
+// incarnation. The requester takes over, unless it knows no more than
+// that incarnation does (two amnesiacs must not rescue each other).
+func (r *recovery) onDisown(ctx dme.Context, nd *node, from int) {
+	if r.rescueTarget != from || nd.arbiter != from {
+		return
+	}
+	r.rescueTarget = -1
+	if !enabled(nd) || nd.collecting || nd.epoch == 0 && nd.gen == 0 {
+		return
+	}
+	r.seize(ctx, nd, from, nil)
+}
+
 // onScheduled runs when one of this node's requests shows up in a
 // NEW-ARBITER Q-list: per §6 the requester now arms a token-arrival
 // timeout; on expiry it sends WARNING to the current arbiter and re-arms.
@@ -199,6 +246,11 @@ func (r *recovery) onScheduled(ctx dme.Context, nd *node, st *reqState) {
 				return
 			}
 			st.warnings++
+			if st.warnings%rescueAfter == 0 {
+				// Scheduled requests retransmit no more, so the rescue
+				// rides the warnings: nobody may be collecting them.
+				r.suspectArbiter(nd)
+			}
 			w := Warning{Entry: QEntry{Node: nd.id, Seq: st.seq}}
 			if st.warnings%retxEscalation == 0 {
 				// The unicast may be landing on a stale arbiter belief;
@@ -227,6 +279,7 @@ func (r *recovery) onScheduled(ctx dme.Context, nd *node, st *reqState) {
 // served.
 func (nd *node) onWarning(ctx dme.Context, from int, m Warning) {
 	if !enabled(nd) || !nd.collecting {
+		nd.rec.disown(ctx, nd, from)
 		return
 	}
 	if nd.haveToken || nd.inCS {
@@ -548,7 +601,14 @@ func (r *recovery) takeover(ctx dme.Context, nd *node) {
 	if r.watchTarget < 0 {
 		return
 	}
-	usurped := r.watchTarget
+	r.seize(ctx, nd, r.watchTarget, r.lastBatch)
+}
+
+// seize proclaims this node the current arbiter in place of usurped and,
+// unless it holds the token, runs the invalidation round over batch. An
+// empty batch enquires every member: a starving requester's rescue
+// (onDisown) knows of no batch the token could be serving.
+func (r *recovery) seize(ctx dme.Context, nd *node, usurped int, batch QList) {
 	r.watchTarget = -1
 	nd.observe(Event{Kind: EventTakeover, Arbiter: usurped, Epoch: nd.epoch})
 	nd.collecting = true
@@ -566,7 +626,7 @@ func (r *recovery) takeover(ctx dme.Context, nd *node) {
 		Epoch:    nd.epoch,
 		Gen:      nd.gen,
 	})
-	r.pendingBatch = r.lastBatch.Clone()
+	r.pendingBatch = batch.Clone()
 	if !nd.haveToken {
 		r.startInvalidation(ctx, nd)
 		// If the invalidation round discovers the token alive (RESUME

@@ -77,7 +77,7 @@ func (n *Node) Status(ctx context.Context) (Status, error) {
 	if err != nil {
 		// No core introspection: the runtime's own view of the role.
 		switch {
-		case n.holding.Load():
+		case n.held.Load() != nil:
 			st.Role = "holder"
 		case n.metrics.lockWaiters.Value() > 0:
 			st.Role = "waiting"
@@ -85,7 +85,7 @@ func (n *Node) Status(ctx context.Context) (Status, error) {
 		return st, nil
 	}
 	switch {
-	case ins.InCS || n.holding.Load():
+	case ins.InCS || n.held.Load() != nil:
 		st.Role = "holder"
 	case ins.IsArbiter:
 		st.Role = "arbiter"

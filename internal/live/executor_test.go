@@ -278,10 +278,7 @@ func TestExecutorTimerCancelRace(t *testing.T) {
 	// running. The table entry must outlive the pop, or Cancel below
 	// would miss it and the step would run.
 	waitQueueLen(t, n, 1)
-	n.timersMu.Lock()
-	pending := len(n.timers)
-	n.timersMu.Unlock()
-	if pending != 1 {
+	if pending := armedTimers(n); pending != 1 {
 		t.Fatalf("timer table holds %d entries between fire and step, want 1", pending)
 	}
 	tmr.Cancel()

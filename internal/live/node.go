@@ -175,18 +175,19 @@ type Node struct {
 
 	execState atomic.Int32
 
-	mu    sync.Mutex
-	queue []func()
-	spare []func() // drain's double buffer; owner-confined
+	mu           sync.Mutex
+	queue        []func()
+	spare        []func()  // drain's double buffer; owner-confined
+	spareWaiters []*waiter // released waiters ready for reuse; guarded by mu
 
 	// Executor-confined (owner-only) state.
 	waiters   []*waiter
 	holder    *waiter
 	msgRecvAt time.Time // receive timestamp of the message being processed
 
-	holding atomic.Bool // public-API view: between Lock return and Unlock
-	closed  atomic.Bool
-	quit    chan struct{}
+	held   atomic.Pointer[waiter] // public-API view: the grant between Lock return and Unlock
+	closed atomic.Bool
+	quit   chan struct{}
 
 	granted  atomic.Uint64
 	released atomic.Uint64
@@ -202,20 +203,30 @@ type Node struct {
 	stamp    bool           // Tracer or FlightRec is on: mint trace IDs and stamp them on the wire
 	traceSeq uint64         // executor-confined: request count, mirrors core's sequence numbering
 
-	timersMu sync.Mutex
-	timers   map[int32]*liveTimer // pending wall-clock timers by handle id
-	timerSeq int32
+	timersMu   sync.Mutex
+	timers     []liveTimer // the timer slab, indexed by handle id
+	freeTimers []int32     // slab slots ready for reuse
 }
 
-// waiter tracks one Lock call from issuance to grant. The fast flag is
-// the grant-path fast waiter: EnterCS publishes the grant (fence and
-// grantedAt already written) with an atomic store, and LockFence spins
-// briefly on it before parking on the channel — so a grant that arrives
-// within the spin window, inline-executed grants above all, never costs
-// a park/unpark. The channel remains for grants that outlast the spin
-// and for the cancellation/shutdown select.
+// waiter tracks one Lock call from issuance to grant, and on to the
+// Unlock that releases it. The fast flag is the grant-path fast waiter:
+// EnterCS publishes the grant (fence and grantedAt already written) with
+// an atomic store, and LockFence spins briefly on it before parking on
+// the channel — so a grant that arrives within the spin window, inline-
+// executed grants above all, never costs a park/unpark. The channel
+// remains for grants that outlast the spin and for the cancellation/
+// shutdown select.
+//
+// Waiters are recycled on the grant path: the Unlock that releases one
+// returns it to the node once its release step has run, and the next
+// LockFence reuses it with its channel and bound steps. A waiter whose
+// Lock call gave up is never recycled; its grant may still be coming.
 type waiter struct {
-	grant     chan struct{}
+	// sig carries one token per phase, in order: the grant (EnterCS),
+	// then the completion of the Unlock releasing it (release).
+	sig       chan struct{}
+	enqueue   func()        // executor step queueing this waiter; bound once
+	release   func()        // Unlock's executor step; bound once
 	fast      atomic.Uint32 // 0 pending, 1 granted; fence/grantedAt happen-before the store
 	granted   bool          // executor-confined
 	canceled  bool          // executor-confined
@@ -448,24 +459,15 @@ func (n *Node) LockFence(ctx context.Context) (uint64, error) {
 	if n.closed.Load() {
 		return 0, ErrClosed
 	}
-	w := &waiter{grant: make(chan struct{}), issuedAt: time.Now()}
+	w := n.newWaiter()
+	w.issuedAt = time.Now()
 	n.metrics.lockWaiters.Add(1)
-	n.post(func() {
-		// Mint the trace ID under the executor, where the request count is exact:
-		// one OnRequest per waiter in posting order is precisely how the
-		// core protocol assigns sequence numbers, so remote observers can
-		// re-derive the same ID from the QEntry they see (core.RequestID).
-		if n.stamp {
-			n.traceSeq++
-			w.trace = reqtrace.MakeID(n.cfg.ID, n.traceSeq)
-		}
-		n.emit(reqtrace.EvRequest, w)
-		n.waiters = append(n.waiters, w)
-		n.inner.OnRequest(n)
-	})
-	if !spinForGrant(w) {
+	n.post(w.enqueue)
+	if spinForGrant(w) {
+		<-w.sig // the grant's token, sent right after the flag
+	} else {
 		select {
-		case <-w.grant:
+		case <-w.sig:
 		case <-ctx.Done():
 			n.metrics.lockWaiters.Add(-1)
 			n.metrics.lockCancels.Inc()
@@ -485,8 +487,57 @@ func (n *Node) LockFence(ctx context.Context) (uint64, error) {
 	}
 	n.metrics.lockWaiters.Add(-1)
 	n.metrics.lockWait.ObserveEx(time.Since(w.issuedAt).Seconds(), uint64(w.trace))
-	n.holding.Store(true)
-	return w.fence, nil
+	fence := w.fence
+	n.held.Store(w)
+	return fence, nil
+}
+
+// newWaiter returns a recycled waiter, or builds one with its channel
+// and its two executor steps bound once.
+func (n *Node) newWaiter() *waiter {
+	n.mu.Lock()
+	if k := len(n.spareWaiters); k > 0 {
+		w := n.spareWaiters[k-1]
+		n.spareWaiters[k-1] = nil
+		n.spareWaiters = n.spareWaiters[:k-1]
+		n.mu.Unlock()
+		return w
+	}
+	n.mu.Unlock()
+	w := &waiter{sig: make(chan struct{}, 1)}
+	w.enqueue = func() { n.enqueue(w) }
+	w.release = func() { n.release(w) }
+	return w
+}
+
+// recycle resets a released waiter and keeps it for the next LockFence.
+// Only Unlock calls it, after receiving the release step's token: the
+// executor has let go of w by then (EnterCS popped it, finishCS cleared
+// the holder) and its channel is empty.
+func (n *Node) recycle(w *waiter) {
+	w.fast.Store(0)
+	w.granted, w.canceled = false, false
+	w.fence, w.epoch, w.trace = 0, 0, 0
+	w.issuedAt, w.grantedAt = time.Time{}, time.Time{}
+	n.mu.Lock()
+	n.spareWaiters = append(n.spareWaiters, w)
+	n.mu.Unlock()
+}
+
+// enqueue is LockFence's executor step: w joins the local waiters and
+// the protocol hears one request.
+func (n *Node) enqueue(w *waiter) {
+	// Mint the trace ID under the executor, where the request count is exact:
+	// one OnRequest per waiter in posting order is precisely how the
+	// core protocol assigns sequence numbers, so remote observers can
+	// re-derive the same ID from the QEntry they see (core.RequestID).
+	if n.stamp {
+		n.traceSeq++
+		w.trace = reqtrace.MakeID(n.cfg.ID, n.traceSeq)
+	}
+	n.emit(reqtrace.EvRequest, w)
+	n.waiters = append(n.waiters, w)
+	n.inner.OnRequest(n)
 }
 
 // grantSpin bounds the fast waiter's pre-park polling. Each miss yields
@@ -515,20 +566,25 @@ func spinForGrant(w *waiter) bool {
 // holding panics, mirroring sync.Mutex semantics. Do not call Unlock from
 // inside protocol callbacks (there is no reason to).
 func (n *Node) Unlock() {
-	if !n.holding.CompareAndSwap(true, false) {
+	w := n.held.Swap(nil)
+	if w == nil {
 		panic("live: Unlock of a node that is not holding the critical section")
 	}
-	done := make(chan struct{})
-	n.post(func() {
-		defer close(done)
-		if n.holder != nil {
-			n.finishCS(n.holder)
-		}
-	})
+	n.post(w.release)
 	select {
-	case <-done:
+	case <-w.sig:
+		n.recycle(w)
 	case <-n.quit:
 	}
+}
+
+// release is Unlock's executor step for the grant w was handed: finish
+// the critical section, then signal the Unlock waiting on w.
+func (n *Node) release(w *waiter) {
+	if n.holder != nil {
+		n.finishCS(n.holder)
+	}
+	w.sig <- struct{}{}
 }
 
 // finishCS completes the critical section held by w (executor-owned
@@ -692,73 +748,134 @@ func (n *Node) Broadcast(from dme.NodeID, msg dme.Message) {
 	}
 }
 
-// liveTimer adapts a wall-clock timer to a dme.Timer handle with a
-// cancellation flag checked under the executor, closing the stop/fire
-// race. The node keeps pending timers in an id-keyed table so the value
-// Timer handle can find its way back here through TimerHost. Delays at
-// or above shortTimerCutoff ride time.AfterFunc (t non-nil); shorter
-// ones — the sub-millisecond Treq/Tfwd protocol phases, whose firing
-// precision bounds the dispatch cycle — go to the short-timer service
-// (t nil, cancellation by flag only).
+// liveTimer is one slot of the node's timer slab. A dme.Timer handle
+// names a slot by id and an arming by gen, the way the simulator
+// kernel's event records do: every After bumps gen, so a handle kept
+// past its timer's firing, or past its cancellation, misses the slot's
+// next arming. Delays at or above shortTimerCutoff ride the slot's own
+// runtime timer, built on its first such arming and re-armed with Reset;
+// shorter ones — the sub-millisecond Treq/Tfwd protocol phases, whose
+// firing precision bounds the dispatch cycle — go to the short-timer
+// service. Either way the slot's fire and step functions are bound once,
+// so arming a timer allocates nothing once the slab has grown to the
+// node's timer concurrency.
+//
+// An armed slot belongs to its pending firing until it is freed: by its
+// step (fired), by its fire (cancelled before it fired), or by Cancel
+// when the runtime timer's Stop guarantees no firing is left. Cancel
+// only sets the flag otherwise, and the step, which runs under the
+// executor, reads it; that closes the race between a timer firing and
+// the protocol cancelling it. All fields are guarded by Node.timersMu.
 type liveTimer struct {
-	t        *time.Timer // nil for short-timer-service delays
-	canceled atomic.Bool
+	fn       func() // the protocol callback; nil while the slot is free
+	gen      uint32
+	canceled bool
+	due      time.Time   // short-timer deadline; zero for runtime-timer delays
+	t        *time.Timer // the slot's runtime timer, once it needed one
+	fire     func()      // runs when the delay elapses, off the executor
+	step     func()      // fire's posted executor step
 }
 
 // After implements dme.Context: delay is in seconds, matching the
 // simulation's time unit.
 func (n *Node) After(_ dme.NodeID, delay float64, fn func()) dme.Timer {
-	lt := &liveTimer{}
-	n.timersMu.Lock()
-	if n.timers == nil {
-		n.timers = make(map[int32]*liveTimer)
-	}
-	id := n.timerSeq
-	n.timerSeq++
-	n.timers[id] = lt
-	n.timersMu.Unlock()
 	d := time.Duration(delay * float64(time.Second))
-	var due time.Time // set for short-timer-service delays only
-	if d < shortTimerCutoff {
-		due = time.Now().Add(d)
-	}
-	fire := func() {
-		if !due.IsZero() {
-			n.metrics.timerLateness.Observe(time.Since(due).Seconds())
+	n.timersMu.Lock()
+	id := n.allocTimerLocked()
+	lt := &n.timers[id]
+	lt.gen++
+	lt.fn = fn
+	lt.canceled = false
+	lt.due = time.Time{}
+	gen, fire := lt.gen, lt.fire
+	if d >= shortTimerCutoff {
+		if lt.t == nil {
+			lt.t = time.AfterFunc(d, fire)
+		} else {
+			lt.t.Reset(d)
 		}
-		// The table entry survives until the posted step runs: a Cancel
-		// landing between the timer firing and the executor running the
-		// step must still find the entry and set the flag, or the step
-		// would run a callback the protocol already cancelled.
-		n.post(func() {
-			n.timersMu.Lock()
-			delete(n.timers, id)
-			n.timersMu.Unlock()
-			if !lt.canceled.Load() {
-				fn()
-			}
-		})
+		n.timersMu.Unlock()
+		return dme.MakeTimer(n, id, gen)
 	}
-	if !due.IsZero() {
-		shortTimers.at(due, &lt.canceled, fire)
-	} else {
-		lt.t = time.AfterFunc(d, fire)
-	}
-	return dme.MakeTimer(n, id, 0)
+	due := time.Now().Add(d)
+	lt.due = due
+	n.timersMu.Unlock()
+	shortTimers.at(due, fire)
+	return dme.MakeTimer(n, id, gen)
 }
 
-// CancelTimer implements dme.TimerHost. Stale ids (fired or already
-// cancelled timers) miss the table and are no-ops.
-func (n *Node) CancelTimer(id int32, _ uint32) {
+// allocTimerLocked takes a free slab slot, growing the slab when every
+// slot is armed. Caller holds timersMu.
+func (n *Node) allocTimerLocked() int32 {
+	if k := len(n.freeTimers); k > 0 {
+		id := n.freeTimers[k-1]
+		n.freeTimers = n.freeTimers[:k-1]
+		return id
+	}
+	id := int32(len(n.timers))
+	n.timers = append(n.timers, liveTimer{
+		fire: func() { n.fireTimer(id) },
+		step: func() { n.runTimer(id) },
+	})
+	return id
+}
+
+// freeTimerLocked returns a slot to the free list. Caller holds
+// timersMu.
+func (n *Node) freeTimerLocked(id int32) {
+	n.timers[id].fn = nil
+	n.freeTimers = append(n.freeTimers, id)
+}
+
+// fireTimer runs when slot id's delay elapses: it posts the slot's step,
+// or frees the slot if the timer was cancelled first.
+func (n *Node) fireTimer(id int32) {
 	n.timersMu.Lock()
-	lt := n.timers[id]
-	delete(n.timers, id)
+	lt := &n.timers[id]
+	if lt.canceled {
+		n.freeTimerLocked(id)
+		n.timersMu.Unlock()
+		return
+	}
+	due, step := lt.due, lt.step
 	n.timersMu.Unlock()
-	if lt != nil {
-		lt.canceled.Store(true)
-		if lt.t != nil {
-			lt.t.Stop()
-		}
+	if !due.IsZero() {
+		n.metrics.timerLateness.Observe(time.Since(due).Seconds())
+	}
+	n.post(step)
+}
+
+// runTimer is a fired timer's executor step: free the slot, then run the
+// callback unless a Cancel landed after the fire. The slot is free
+// before the callback runs, so a callback that re-arms may get the same
+// slot back under a new generation.
+func (n *Node) runTimer(id int32) {
+	n.timersMu.Lock()
+	lt := &n.timers[id]
+	fn, canceled := lt.fn, lt.canceled
+	n.freeTimerLocked(id)
+	n.timersMu.Unlock()
+	if !canceled {
+		fn()
+	}
+}
+
+// CancelTimer implements dme.TimerHost. Stale handles (the slot fired,
+// was cancelled, or was re-armed since) are no-ops.
+func (n *Node) CancelTimer(id int32, gen uint32) {
+	n.timersMu.Lock()
+	defer n.timersMu.Unlock()
+	if id < 0 || int(id) >= len(n.timers) {
+		return
+	}
+	lt := &n.timers[id]
+	if lt.fn == nil || lt.gen != gen || lt.canceled {
+		return
+	}
+	lt.canceled = true
+	if lt.due.IsZero() && lt.t.Stop() {
+		// The runtime timer will not fire: nothing else holds the slot.
+		n.freeTimerLocked(id)
 	}
 }
 
@@ -769,8 +886,13 @@ func (n *Node) Cancel(t dme.Timer) { t.Cancel() }
 // section; hand it to the oldest live Lock waiter.
 func (n *Node) EnterCS(_ dme.NodeID) {
 	for len(n.waiters) > 0 {
+		// Pop by shifting: the queue holds a few waiters, and keeping its
+		// backing array spares the next append a reallocation.
 		w := n.waiters[0]
-		n.waiters = n.waiters[1:]
+		last := len(n.waiters) - 1
+		copy(n.waiters, n.waiters[1:])
+		n.waiters[last] = nil
+		n.waiters = n.waiters[:last]
 		// Read before the branch: a cancelled waiter's grant consumed a
 		// real fence too, and its records must say which.
 		if ins, ok := core.Inspect(n.inner); ok {
@@ -804,9 +926,11 @@ func (n *Node) EnterCS(_ dme.NodeID) {
 		}
 		// Publish the grant: everything the waiter reads (fence,
 		// grantedAt) is written above, so the flag store orders it for
-		// the spinning fast path and the channel close for the parked one.
+		// the spinning fast path and the token for the parked one. The
+		// channel is buffered and this is its only token until Unlock,
+		// so the send never blocks.
 		w.fast.Store(1)
-		close(w.grant)
+		w.sig <- struct{}{}
 		return
 	}
 	// No waiter (should not happen: one OnRequest per waiter); release.

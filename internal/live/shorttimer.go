@@ -1,10 +1,8 @@
 package live
 
 import (
-	"container/heap"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -69,30 +67,57 @@ const shortTimerLead = 100 * time.Microsecond
 
 // timerEntry is one pending short timer.
 type timerEntry struct {
-	due      time.Time
-	seq      uint64 // tie-break so equal deadlines fire in arm order
-	fn       func()
-	canceled *atomic.Bool
+	due time.Time
+	seq uint64 // tie-break so equal deadlines fire in arm order
+	fn  func()
 }
 
-// timerHeap is a deadline-ordered min-heap of pending entries.
+// timerHeap is a deadline-ordered binary min-heap of pending entries,
+// typed rather than container/heap's so a push or pop boxes nothing.
 type timerHeap []timerEntry
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
+func (h timerHeap) less(i, j int) bool {
 	if !h[i].due.Equal(h[j].due) {
 		return h[i].due.Before(h[j].due)
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(timerEntry)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = timerEntry{}
-	*h = old[:n-1]
+
+func (h *timerHeap) push(e timerEntry) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+func (h *timerHeap) pop() timerEntry {
+	q := *h
+	e := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q[last] = timerEntry{}
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && q.less(c+1, c) {
+			c++
+		}
+		if !q.less(c, i) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
 	return e
 }
 
@@ -105,19 +130,21 @@ type shortTimerService struct {
 	heap     timerHeap
 	seq      uint64
 	running  bool
+	runner   func()     // s.run, bound once so starting the runner allocates nothing
 	sleeping bool       // the runner armed wake and is (about to be) parked on it
 	wake     kernelWake // armed and re-armed under mu, so the latest arm wins
 }
 
 var shortTimers shortTimerService
 
-// at schedules fn to run once at due, skipped if canceled is set first.
-// Callers guarantee due is < shortTimerCutoff away.
-func (s *shortTimerService) at(due time.Time, canceled *atomic.Bool, fn func()) {
+// at schedules fn to run once at due. Callers guarantee due is <
+// shortTimerCutoff away; cancellation is theirs (Node's timer slab
+// checks its own flag when fn runs).
+func (s *shortTimerService) at(due time.Time, fn func()) {
 	s.mu.Lock()
 	seq := s.seq
 	s.seq++
-	heap.Push(&s.heap, timerEntry{due: due, seq: seq, fn: fn, canceled: canceled})
+	s.heap.push(timerEntry{due: due, seq: seq, fn: fn})
 	if s.sleeping && s.heap[0].seq == seq {
 		// New earliest deadline under a runner sleeping toward a later
 		// one: pull its wakeup in. A wake already in the past still arms
@@ -127,10 +154,14 @@ func (s *shortTimerService) at(due time.Time, canceled *atomic.Bool, fn func()) 
 	start := !s.running
 	if start {
 		s.running = true
+		if s.runner == nil {
+			s.runner = s.run
+		}
 	}
+	runner := s.runner
 	s.mu.Unlock()
 	if start {
-		go s.run()
+		go runner()
 	}
 }
 
@@ -150,14 +181,12 @@ func (s *shortTimerService) run() {
 		}
 		wait := time.Until(s.heap[0].due)
 		if wait <= 0 {
-			e := heap.Pop(&s.heap).(timerEntry)
+			e := s.heap.pop()
 			s.mu.Unlock()
-			if e.canceled == nil || !e.canceled.Load() {
-				// fn is Node.post: when the node's executor is idle the
-				// protocol step (a Treq window dispatching its batch, say)
-				// runs to completion right here on the runner's stack.
-				e.fn()
-			}
+			// fn posts to a Node: when the node's executor is idle the
+			// protocol step (a Treq window dispatching its batch, say)
+			// runs to completion right here on the runner's stack.
+			e.fn()
 			continue
 		}
 		if wait > shortTimerLead && s.wake.arm(wait-shortTimerLead) {

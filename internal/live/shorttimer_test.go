@@ -74,9 +74,9 @@ func TestShortTimerEqualDeadlinesFireInArmOrder(t *testing.T) {
 	}
 	due := time.Now().Add(800 * time.Microsecond)
 	for i := 0; i < n; i++ {
-		s.at(due, nil, record(i))
+		s.at(due, record(i))
 	}
-	s.at(due.Add(-300*time.Microsecond), nil, record(-1))
+	s.at(due.Add(-300*time.Microsecond), record(-1))
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -105,7 +105,7 @@ func TestShortTimerRearmWakesSleepingRunner(t *testing.T) {
 			t.Fatalf("caught the runner asleep only %d times in %d attempts", len(late), attempt)
 		}
 		var longFired atomic.Bool
-		s.at(time.Now().Add(1500*time.Microsecond), nil, func() { longFired.Store(true) })
+		s.at(time.Now().Add(1500*time.Microsecond), func() { longFired.Store(true) })
 		asleep := false
 		for !asleep && !longFired.Load() {
 			runtime.Gosched()
@@ -118,7 +118,7 @@ func TestShortTimerRearmWakesSleepingRunner(t *testing.T) {
 		}
 		fired := make(chan time.Duration, 1)
 		due := time.Now().Add(100 * time.Microsecond)
-		s.at(due, nil, func() { fired <- time.Since(due) })
+		s.at(due, func() { fired <- time.Since(due) })
 		select {
 		case d := <-fired:
 			late = append(late, d)
@@ -134,17 +134,17 @@ func TestShortTimerRearmWakesSleepingRunner(t *testing.T) {
 	}
 }
 
-// TestShortTimerCancelBeforeFire: an entry whose flag is set before its
-// deadline is popped and skipped.
+// TestShortTimerCancelBeforeFire: a short timer cancelled before its
+// deadline never runs its callback, and its slab slot is free again
+// once the service has popped the entry.
 func TestShortTimerCancelBeforeFire(t *testing.T) {
-	var s shortTimerService
-	var canceled atomic.Bool
+	n, _ := newExecNode(t)
+	defer n.Close()
 	var ran atomic.Bool
-	now := time.Now()
-	s.at(now.Add(200*time.Microsecond), &canceled, func() { ran.Store(true) })
+	tmr := n.After(0, 0.0002, func() { ran.Store(true) })
 	after := make(chan struct{})
-	s.at(now.Add(400*time.Microsecond), nil, func() { close(after) })
-	canceled.Store(true)
+	n.After(0, 0.0004, func() { close(after) })
+	tmr.Cancel()
 	select {
 	case <-after:
 	case <-time.After(5 * time.Second):
@@ -153,6 +153,9 @@ func TestShortTimerCancelBeforeFire(t *testing.T) {
 	if ran.Load() {
 		t.Error("cancelled timer's function ran")
 	}
+	if armed := armedTimers(n); armed != 0 {
+		t.Errorf("%d slab slots still armed after both timers left the service", armed)
+	}
 }
 
 // fireOnce arms one 300 µs timer on s, checks a runner exists while it
@@ -160,7 +163,7 @@ func TestShortTimerCancelBeforeFire(t *testing.T) {
 func fireOnce(t *testing.T, s *shortTimerService) {
 	t.Helper()
 	fired := make(chan struct{})
-	s.at(time.Now().Add(300*time.Microsecond), nil, func() { close(fired) })
+	s.at(time.Now().Add(300*time.Microsecond), func() { close(fired) })
 	s.mu.Lock()
 	running := s.running
 	s.mu.Unlock()
@@ -287,7 +290,7 @@ func TestShortTimerDoesNotStarveNetpoller(t *testing.T) {
 				close(stopped)
 				return
 			}
-			s.at(time.Now().Add(1500*time.Microsecond), nil, rearm)
+			s.at(time.Now().Add(1500*time.Microsecond), rearm)
 		}
 		rearm()
 		busy := pingPongMedian(t, rounds)

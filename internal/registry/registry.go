@@ -72,7 +72,7 @@ var entries = []*Entry{
 			core.Request{}, core.MonitorRequest{}, core.Privilege{},
 			core.NewArbiter{}, core.Warning{}, core.Enquiry{},
 			core.EnquiryAck{}, core.Resume{}, core.Invalidate{},
-			core.Probe{}, core.ProbeAck{},
+			core.Probe{}, core.ProbeAck{}, core.Disown{},
 		},
 		New: func(params map[string]float64) dme.Algorithm {
 			return core.New(coreOptions(params))

@@ -1,0 +1,66 @@
+package session_test
+
+import (
+	"context"
+	"net"
+	"sync/atomic"
+	"testing"
+
+	"tokenarbiter/internal/race"
+	"tokenarbiter/internal/session"
+)
+
+// instantBackend grants every LockFence at once with the next fence.
+type instantBackend struct{ fence atomic.Uint64 }
+
+func (b *instantBackend) LockFence(context.Context, string) (uint64, error) {
+	return b.fence.Add(1), nil
+}
+func (b *instantBackend) Unlock(string) {}
+
+// sessionCycleBudget is what one Acquire+Release round trip may
+// allocate, client and server together: each of the four frames is
+// boxed once on the way out and once on the way in, and each request's
+// key is copied once by the decoder.
+const sessionCycleBudget = 10
+
+// TestSessionCycleAllocs pins the session tier's per-cycle allocation
+// budget against a backend that grants at once: reply channels, server
+// waiters, holder-event channels and slot starts are all reused.
+func TestSessionCycleAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	srv, err := session.NewServer(session.Config{Backend: &instantBackend{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, end := net.Pipe()
+	srv.ServeConn(end)
+	c, err := session.NewClient(cli, session.Options{NoKeepAlive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	sess, err := c.Open(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "alloc-budget"
+	cycle := func() {
+		if _, err := sess.Acquire(ctx, key); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Release(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // grow every pool and buffer first
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(500, cycle); allocs > sessionCycleBudget {
+		t.Errorf("Acquire+Release round trip: %.1f allocations, want ≤ %d", allocs, sessionCycleBudget)
+	}
+}

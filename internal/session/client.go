@@ -47,6 +47,12 @@ type Client struct {
 	pending  map[uint64]chan dme.Message
 	sessions map[uint64]*Session
 	nextSeq  uint64
+	// replies are response channels ready for reuse. A channel returns
+	// here only after its caller received the one response sent on it:
+	// it is then empty and no longer in pending, so nothing else can
+	// send on it. Abandoned calls (ctx gave up, session died) never
+	// return theirs, since a late response may still land in it.
+	replies []chan dme.Message
 
 	readerDone chan struct{}
 }
@@ -148,9 +154,23 @@ func (c *Client) seq() (uint64, chan dme.Message, error) {
 		return 0, nil, c.err
 	}
 	c.nextSeq++
-	ch := make(chan dme.Message, 1)
+	var ch chan dme.Message
+	if n := len(c.replies); n > 0 {
+		ch = c.replies[n-1]
+		c.replies[n-1] = nil
+		c.replies = c.replies[:n-1]
+	} else {
+		ch = make(chan dme.Message, 1)
+	}
 	c.pending[c.nextSeq] = ch
 	return c.nextSeq, ch, nil
+}
+
+// recycle returns a response channel its caller has received on.
+func (c *Client) recycle(ch chan dme.Message) {
+	c.mu.Lock()
+	c.replies = append(c.replies, ch)
+	c.mu.Unlock()
 }
 
 // forget abandons a pending call (ctx gave up before the response).
@@ -176,6 +196,7 @@ func (c *Client) call(ctx context.Context, build func(seq uint64) dme.Message) (
 		if !ok {
 			return nil, c.Err()
 		}
+		c.recycle(ch)
 		return resp, nil
 	case <-ctx.Done():
 		c.forget(seq)
@@ -197,19 +218,21 @@ func (c *Client) readLoop() {
 			c.fail(fmt.Errorf("session: connection lost: %w", err))
 			return
 		}
+		// Responses go on as the decoder boxed them: re-boxing m would
+		// allocate a second copy per frame.
 		switch m := msg.(type) {
 		case OpenResp:
-			c.deliver(m.Seq, m)
+			c.deliver(m.Seq, msg)
 		case KeepAliveResp:
-			c.deliver(m.Seq, m)
+			c.deliver(m.Seq, msg)
 		case AcquireResp:
-			c.deliver(m.Seq, m)
+			c.deliver(m.Seq, msg)
 		case ReleaseResp:
-			c.deliver(m.Seq, m)
+			c.deliver(m.Seq, msg)
 		case WatchResp:
-			c.deliver(m.Seq, m)
+			c.deliver(m.Seq, msg)
 		case ByeResp:
-			c.deliver(m.Seq, m)
+			c.deliver(m.Seq, msg)
 		case WatchEvent:
 			c.mu.Lock()
 			s := c.sessions[m.Session]
@@ -445,6 +468,7 @@ func (s *Session) acquire(ctx context.Context, key string, wait time.Duration) (
 		if !ok {
 			return 0, s.c.Err()
 		}
+		s.c.recycle(ch)
 		ar, ok := resp.(AcquireResp)
 		if !ok {
 			return 0, fmt.Errorf("session: acquire got %T", resp)
@@ -456,6 +480,7 @@ func (s *Session) acquire(ctx context.Context, key string, wait time.Duration) (
 	case <-ctx.Done():
 		// Stay registered for the response: if the grant already won
 		// the race it must be released, not leaked until lease expiry.
+		// The channel stays with this goroutine and is never recycled.
 		go func() {
 			resp, ok := <-ch
 			if !ok {

@@ -58,7 +58,8 @@ const (
 	evLost            // the backend granted the key again under this holder
 )
 
-// waiter is one queued acquire.
+// waiter is one queued acquire. Granted waiters are recycled through
+// Server.spare (see recycleLocked).
 type waiter struct {
 	sess       *sessionState
 	conn       *srvConn
@@ -74,7 +75,8 @@ type waiter struct {
 // ownership is transferred (holder cleared or replaced) under the lock.
 type keyQueue struct {
 	key         string
-	q           []*waiter // FIFO; canceled waiters stay until popped
+	q           []*waiter // FIFO from q[head]; canceled waiters stay until popped
+	head        int       // index of the FIFO's first entry in q
 	live        int       // waiters in q still wQueued
 	slots       int       // slot goroutines alive, at most grantSlots
 	requesting  int       // of those, the ones in (or entering) LockFence
@@ -82,6 +84,13 @@ type keyQueue struct {
 	holderFence uint64
 	holderDone  chan holderEvent
 	watchers    map[uint64]*srvConn // watching session id → its conn
+	// run starts one grant slot on this key; bound once, so starting a
+	// slot allocates no closure.
+	run func()
+	// spareDone holds the holder-event channels of retired slots, for
+	// the next slot to start. A slot retires only between grants, with
+	// its channel drained.
+	spareDone []chan holderEvent
 }
 
 // keyQueueLocked returns (creating if needed) the key's queue; the
@@ -90,6 +99,7 @@ func (s *Server) keyQueueLocked(key string) *keyQueue {
 	kq := s.keys[key]
 	if kq == nil {
 		kq = &keyQueue{key: key, watchers: make(map[uint64]*srvConn)}
+		kq.run = func() { s.slot(kq) }
 		s.keys[key] = kq
 	}
 	return kq
@@ -127,7 +137,8 @@ func (s *Server) handleAcquire(c *srvConn, m AcquireReq) {
 		c.send(AcquireResp{Seq: m.Seq, Code: CodeOverloaded})
 		return
 	}
-	w := &waiter{
+	w := s.newWaiterLocked()
+	*w = waiter{
 		sess:       sess,
 		conn:       c,
 		kq:         kq,
@@ -135,7 +146,7 @@ func (s *Server) handleAcquire(c *srvConn, m AcquireReq) {
 		state:      wQueued,
 		enqueuedAt: s.clock.Now(),
 	}
-	kq.q = append(kq.q, w)
+	kq.push(w)
 	kq.live++
 	sess.waiting[w] = struct{}{}
 	s.m.acquires.Inc()
@@ -148,22 +159,83 @@ func (s *Server) handleAcquire(c *srvConn, m AcquireReq) {
 		kq.slots++
 		kq.requesting++
 		s.wg.Add(1)
-		go s.slot(kq)
+		go kq.run()
 	}
 	s.mu.Unlock()
 }
 
+// newWaiterLocked returns a recycled waiter, or a new one. Caller holds
+// mu.
+func (s *Server) newWaiterLocked() *waiter {
+	if n := len(s.spare); n > 0 {
+		w := s.spare[n-1]
+		s.spare[n-1] = nil
+		s.spare = s.spare[:n-1]
+		return w
+	}
+	return &waiter{}
+}
+
+// recycleLocked returns a granted waiter for reuse. Only a waiter that
+// nothing else can still reach qualifies: one that left the queue, the
+// session's waiting set and kq.q, with no wait-bound callback that
+// could still fire on it (its timer never armed, or stopped before it
+// ran). Caller holds mu and reads nothing of w afterwards.
+func (s *Server) recycleLocked(w *waiter) {
+	if w.timer != nil {
+		return
+	}
+	*w = waiter{}
+	s.spare = append(s.spare, w)
+}
+
+// push appends w to the FIFO, reusing the slice's dead prefix once the
+// backing array is full.
+func (kq *keyQueue) push(w *waiter) {
+	if kq.head > 0 && len(kq.q) == cap(kq.q) {
+		n := copy(kq.q, kq.q[kq.head:])
+		clear(kq.q[n:])
+		kq.q = kq.q[:n]
+		kq.head = 0
+	}
+	kq.q = append(kq.q, w)
+}
+
+// pop removes and returns the FIFO's first entry, or nil when it is
+// empty. A drained queue rewinds to the start of its backing array, so
+// the next push does not reallocate.
+func (kq *keyQueue) pop() *waiter {
+	if kq.head == len(kq.q) {
+		return nil
+	}
+	w := kq.q[kq.head]
+	kq.q[kq.head] = nil
+	kq.head++
+	if kq.head == len(kq.q) {
+		kq.reset()
+	}
+	return w
+}
+
+// reset empties the FIFO, keeping its backing array.
+func (kq *keyQueue) reset() {
+	clear(kq.q)
+	kq.q = kq.q[:0]
+	kq.head = 0
+}
+
 // dequeueLocked takes w out of contention — answered by the caller, or
 // about to be granted — reporting false if something else already did.
-// The entry itself stays in kq.q until a slot pops past it. Caller
-// holds mu.
+// The entry itself stays in kq.q until a slot pops past it. A wait-bound
+// timer stopped before it fired is dropped, which is what lets
+// recycleLocked reuse w. Caller holds mu.
 func (s *Server) dequeueLocked(w *waiter, state int) bool {
 	if w.state != wQueued {
 		return false
 	}
 	w.state = state
-	if w.timer != nil {
-		w.timer.Stop()
+	if w.timer != nil && w.timer.Stop() {
+		w.timer = nil
 	}
 	delete(w.sess.waiting, w)
 	w.kq.live--
@@ -186,12 +258,12 @@ func (s *Server) waiterTimeout(w *waiter) {
 // CodeShuttingDown and empties the queue. Caller holds mu (send never
 // blocks).
 func (s *Server) failQueueLocked(kq *keyQueue) {
-	for _, w := range kq.q {
+	for _, w := range kq.q[kq.head:] {
 		if s.dequeueLocked(w, wCanceled) {
 			w.conn.send(AcquireResp{Seq: w.seq, Code: CodeShuttingDown})
 		}
 	}
-	kq.q = nil
+	kq.reset()
 }
 
 // slotContinuesLocked decides whether a slot that is done with a grant
@@ -204,15 +276,19 @@ func (s *Server) slotContinuesLocked(kq *keyQueue) bool {
 	}
 	kq.slots--
 	if kq.live == 0 {
-		kq.q = nil // only canceled entries remain
+		kq.reset() // only canceled entries remain
 	}
 	return false
 }
 
 // slot is one of a key's grant loops. It enters counted in
-// kq.requesting.
+// kq.requesting. Each grant it hands out ends with exactly one event on
+// done (whoever clears or replaces the holder sends it), and the slot
+// receives that event before taking another grant, so one channel
+// serves every grant of the slot, and of the slots after it.
 func (s *Server) slot(kq *keyQueue) {
 	defer s.wg.Done()
+	var done chan holderEvent
 	for {
 		fence, err := s.cfg.Backend.LockFence(s.ctx, kq.key)
 
@@ -225,15 +301,19 @@ func (s *Server) slot(kq *keyQueue) {
 			// later acquire starts a slot that rediscovers the failure.
 			kq.slots--
 			s.failQueueLocked(kq)
+			kq.retireDone(done)
 			s.mu.Unlock()
 			return
 		}
 		var w *waiter
-		for len(kq.q) > 0 && w == nil {
-			if head := kq.q[0]; s.dequeueLocked(head, wGranted) {
+		for w == nil {
+			head := kq.pop()
+			if head == nil {
+				break
+			}
+			if s.dequeueLocked(head, wGranted) {
 				w = head
 			}
-			kq.q = kq.q[1:]
 		}
 		if w == nil {
 			// Whoever this request was made for gave up meanwhile (wait
@@ -255,20 +335,24 @@ func (s *Server) slot(kq *keyQueue) {
 				delete(kq.holder.held, kq.key)
 				lost = kq.holderDone
 			}
+			if done == nil {
+				done = kq.takeDone()
+			}
 			w.sess.held[kq.key] = fence
 			kq.holder = w.sess
 			kq.holderFence = fence
-			ch := make(chan holderEvent, 1)
-			kq.holderDone = ch
+			kq.holderDone = done
 			s.m.grants.Inc()
 			s.m.acquireWait.Observe(s.clock.Now().Sub(w.enqueuedAt).Seconds())
+			conn, seq := w.conn, w.seq
+			s.recycleLocked(w)
 			s.mu.Unlock()
 			if lost != nil {
 				lost <- holderEvent{kind: evLost}
 			}
-			w.conn.send(AcquireResp{Seq: w.seq, Code: CodeOK, Fence: fence})
+			conn.send(AcquireResp{Seq: seq, Code: CodeOK, Fence: fence})
 
-			ev := <-ch
+			ev := <-done
 			reason := ReasonReleased
 			switch ev.kind {
 			case evReleased, evClosed:
@@ -289,10 +373,32 @@ func (s *Server) slot(kq *keyQueue) {
 
 		s.mu.Lock()
 		again := s.slotContinuesLocked(kq)
+		if !again {
+			kq.retireDone(done)
+		}
 		s.mu.Unlock()
 		if !again {
 			return
 		}
+	}
+}
+
+// takeDone returns a retired slot's holder-event channel, or a new one.
+// Caller holds mu.
+func (kq *keyQueue) takeDone() chan holderEvent {
+	if n := len(kq.spareDone); n > 0 {
+		ch := kq.spareDone[n-1]
+		kq.spareDone = kq.spareDone[:n-1]
+		return ch
+	}
+	return make(chan holderEvent, 1)
+}
+
+// retireDone keeps an exiting slot's channel, if it had one, for the
+// next slot. Caller holds mu.
+func (kq *keyQueue) retireDone(ch chan holderEvent) {
+	if ch != nil {
+		kq.spareDone = append(kq.spareDone, ch)
 	}
 }
 

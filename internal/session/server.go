@@ -108,6 +108,7 @@ type Server struct {
 	conns     map[*srvConn]struct{}
 	listeners map[net.Listener]struct{}
 	nextID    uint64
+	spare     []*waiter // recycled waiters (see recycleLocked)
 
 	wg sync.WaitGroup
 

@@ -305,8 +305,18 @@ func sessionChaosSoak(t *testing.T, seed uint64) {
 					return
 				}
 				key := keys[(node+s)%len(keys)]
-				if _, err := sess.AcquireWait(ctx, key, 700*time.Millisecond); err != nil {
-					return // expired or bounded out while queued; fine
+				for {
+					_, err := sess.AcquireWait(ctx, key, 700*time.Millisecond)
+					if err == nil {
+						break
+					}
+					if codeOf(err) != session.CodeOverloaded {
+						return // expired or bounded out while queued; fine
+					}
+					// The churn keeps each wait queue near its cap: retry
+					// admission refusals as the churn does, or a run can
+					// end with no leaky grant for phase 2 to wait out.
+					time.Sleep(time.Duration(2+s%8) * time.Millisecond)
 				}
 				grantedLeaky.Add(1)
 				// Abandon: no release, no keepalive. The server push on

@@ -1,0 +1,68 @@
+package wire_test
+
+import (
+	"fmt"
+	"testing"
+
+	"tokenarbiter/internal/core"
+	"tokenarbiter/internal/dme"
+	"tokenarbiter/internal/race"
+	"tokenarbiter/internal/registry"
+	"tokenarbiter/internal/session"
+	"tokenarbiter/internal/wire"
+)
+
+// TestDecodeBodyAllocs pins the decoder's budget: a frame whose payload
+// holds no slice or string costs one allocation, the boxing of the
+// decoded value into a dme.Message.
+func TestDecodeBodyAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	coreAlgo := register(t, registry.Core)
+	session.Register()
+	cases := []struct {
+		name string
+		algo string
+		msg  dme.Message
+	}{
+		{"core PRIVILEGE", coreAlgo, core.Privilege{Counter: 7, Epoch: 2, Gen: 3, Fence: 41}},
+		{"session AcquireResp", session.Algo, session.AcquireResp{Seq: 9, Code: session.CodeOK, Fence: 41}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			body := encodeBinary(t, c.algo, 1, c.msg)[wire.PrefixLen:]
+			dec := wire.BinaryCodec().NewDecoder(nil, c.algo)
+			allocs := testing.AllocsPerRun(1000, func() {
+				if _, _, err := dec.DecodeBody(body); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 1 {
+				t.Errorf("DecodeBody of an unkeyed, untraced %s: %.1f allocations, want ≤ 1", c.name, allocs)
+			}
+		})
+	}
+}
+
+// TestDecoderKeyInternCap: the key-intern table stops growing at its
+// cap however many distinct keys a peer sends, and every key past the
+// cap still decodes intact.
+func TestDecoderKeyInternCap(t *testing.T) {
+	algo := register(t, registry.Core)
+	dec := wire.BinaryCodec().NewDecoder(nil, algo)
+	for i := 0; i < 10_000; i++ {
+		key := fmt.Sprintf("client-chosen/%d", i)
+		body := encodeBinary(t, algo, 1, wire.Wrap(core.Probe{}, wire.WithKey(key)))[wire.PrefixLen:]
+		_, msg, err := dec.DecodeBody(body)
+		if err != nil {
+			t.Fatalf("key %d: %v", i, err)
+		}
+		if _, got := wire.SplitKey(msg); got != key {
+			t.Fatalf("key %d decoded as %q, want %q", i, got, key)
+		}
+	}
+	if got := dec.Interned(); got != wire.MaxInterned {
+		t.Errorf("intern table holds %d keys after 10k distinct ones, want the cap %d", got, wire.MaxInterned)
+	}
+}

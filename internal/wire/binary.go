@@ -147,7 +147,8 @@ func (e *Encoder) Encode(from int, msg dme.Message) error {
 	return err
 }
 
-// Decoder reads framed messages off one connection.
+// Decoder reads framed messages off one connection. Decoders are not
+// safe for concurrent use; each connection's reader owns its own.
 type Decoder struct {
 	algo string
 	set  *algoSet
@@ -157,9 +158,20 @@ type Decoder struct {
 	// implementations copy what they keep, per the interface contract.
 	buf []byte
 	// keys interns lock keys so steady-state keyed traffic does not
-	// allocate a fresh key string per message.
+	// allocate a fresh key string per message. It holds at most
+	// maxInterned entries: a peer choosing keys (a session client does)
+	// must not grow it without bound, so keys past the cap are copied
+	// per frame instead.
 	keys map[string]string
+	// scratch holds, per kind id, a reusable *T the payload decodes
+	// into, so a frame allocates only the final boxing of T into a
+	// dme.Message. Created on a kind's first frame; zeroed after each.
+	scratch []reflect.Value
 }
+
+// maxInterned caps a Decoder's key-intern table. A node's own traffic
+// uses a handful of lock keys, so 256 covers every steady-state key.
+const maxInterned = 256
 
 // Decode reads one frame. Errors come in three severities, and callers
 // dispatch on type:
@@ -241,7 +253,9 @@ func (d *Decoder) DecodeBody(body []byte) (int, dme.Message, error) {
 				key = interned
 			} else {
 				key = string(kb)
-				d.keys[key] = key
+				if len(d.keys) < maxInterned {
+					d.keys[key] = key
+				}
 			}
 		}
 	}
@@ -255,11 +269,10 @@ func (d *Decoder) DecodeBody(body []byte) (int, dme.Message, error) {
 	if d.set == nil || kind >= uint64(len(d.set.types)) {
 		return corrupt(from, "", fmt.Errorf("unknown kind id %d", kind))
 	}
-	pv := reflect.New(d.set.types[kind])
-	if err := pv.Interface().(WireUnmarshaler).UnmarshalWire(r.Rest()); err != nil {
+	msg, err := d.decodePayload(int(kind), r.Rest())
+	if err != nil {
 		return corrupt(from, d.set.kinds[kind], err)
 	}
-	msg := pv.Elem().Interface().(dme.Message)
 	if trace != 0 {
 		msg = Traced{Trace: trace, Msg: msg}
 	}
@@ -267,4 +280,26 @@ func (d *Decoder) DecodeBody(body []byte) (int, dme.Message, error) {
 		msg = Keyed{Key: key, Msg: msg}
 	}
 	return from, msg, nil
+}
+
+// decodePayload decodes one kind's payload into the decoder's scratch
+// value for that kind and returns a copy of it as a dme.Message: the
+// copy is the frame's one allocation. The scratch is zeroed afterwards,
+// so every decode starts from the zero value (as a fresh reflect.New
+// would) and no decoded slice is shared with the next frame.
+func (d *Decoder) decodePayload(kind int, data []byte) (dme.Message, error) {
+	if d.scratch == nil {
+		d.scratch = make([]reflect.Value, len(d.set.types))
+	}
+	pv := d.scratch[kind]
+	if !pv.IsValid() {
+		pv = reflect.New(d.set.types[kind])
+		d.scratch[kind] = pv
+	}
+	v := pv.Elem()
+	defer v.SetZero()
+	if err := pv.Interface().(WireUnmarshaler).UnmarshalWire(data); err != nil {
+		return nil, err
+	}
+	return v.Interface().(dme.Message), nil
 }

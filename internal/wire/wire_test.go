@@ -46,6 +46,7 @@ func TestEnvelopeRoundTripCoreMessageTypes(t *testing.T) {
 		core.Invalidate{Epoch: 12},
 		core.Probe{},
 		core.ProbeAck{},
+		core.Disown{},
 	}
 	for _, msg := range msgs {
 		out := roundTrip(t, algo, 6, msg)
