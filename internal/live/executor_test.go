@@ -294,6 +294,110 @@ func TestExecutorTimerCancelRace(t *testing.T) {
 	}
 }
 
+// newCoreExecNode is a 1-node live Node running the real protocol with
+// 1 ms phases and recovery off, so an idle node arms no timers at all.
+func newCoreExecNode(t *testing.T) *Node {
+	t.Helper()
+	n, err := NewNode(Config{
+		ID: 0, N: 1, Transport: &recTransport{}, Seed: 1, TraceDepth: -1,
+		Factory: registry.CoreLiveFactory(core.Options{Treq: 0.001, Tfwd: 0.001}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// waitIdle waits until the token-return window is over and its step has
+// run: no timer is armed, and (read after that) the executor is idle.
+// runTimer frees its slot before it runs the callback, so an empty slab
+// alone does not say the window's step is done. From then on nothing but
+// the test's own calls drives the executor.
+func waitIdle(t *testing.T, n *Node) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); armedTimers(n) != 0 || n.execState.Load() != execIdle; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the node never went idle")
+		}
+	}
+}
+
+// TestCancelledLockKeepsInlineGrant: on an idle node that holds the
+// token, LockFence's own post grants the request before LockFence waits.
+// That grant is already in hand, so LockFence returns it even under a
+// cancelled context, every time: select's random choice between the
+// grant and ctx.Done must not throw it back.
+func TestCancelledLockKeepsInlineGrant(t *testing.T) {
+	n := newCoreExecNode(t)
+	defer n.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	// The key's first request waits one window and leaves the batch
+	// history that lets the next lone request skip it.
+	last, err := n.LockFence(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Unlock()
+
+	gone, giveUp := context.WithCancel(ctx)
+	giveUp()
+	for i := 0; i < 200; i++ {
+		waitIdle(t, n)
+		fence, err := n.LockFence(gone)
+		if err != nil {
+			t.Fatalf("call %d: LockFence with its grant in hand = %v, want the fence", i, err)
+		}
+		if fence <= last {
+			t.Fatalf("call %d: fence %d after %d", i, fence, last)
+		}
+		last = fence
+		n.Unlock()
+	}
+}
+
+// TestLockCancelledBeforeItsGrantStepReleases: a Lock cancelled while
+// its enqueue step is still queued gives up with context.Canceled. Its
+// cancellation step queues behind the enqueue step, so the grant the
+// enqueue step makes (inline: the arbiter is idle) lands first, and the
+// cancellation step must hand that CS back. Otherwise the node holds
+// the CS for nobody and the next Lock waits forever.
+func TestLockCancelledBeforeItsGrantStepReleases(t *testing.T) {
+	n := newCoreExecNode(t)
+	defer n.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := n.Lock(ctx); err != nil { // warm the batch history, as above
+		t.Fatal(err)
+	}
+	n.Unlock()
+	waitIdle(t, n)
+
+	release := seizeExecutor(t, n)
+	abandoned, giveUp := context.WithCancel(ctx)
+	done := make(chan error, 1)
+	go func() {
+		_, err := n.LockFence(abandoned)
+		done <- err
+	}()
+	waitQueueLen(t, n, 1)
+	giveUp()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("LockFence cancelled before its grant = %v, want context.Canceled", err)
+	}
+	release()
+	flushed := make(chan struct{})
+	n.post(func() { close(flushed) })
+	<-flushed
+	if granted, released := n.Stats(); granted != 2 || released != 2 {
+		t.Fatalf("after the cancelled Lock: granted %d, released %d, want 2 and 2", granted, released)
+	}
+	if err := n.Lock(ctx); err != nil {
+		t.Fatalf("Lock after the cancelled grant was handed back: %v", err)
+	}
+	n.Unlock()
+}
+
 // TestExecutorCloseWhileForeignOwner: Close called while another
 // goroutine owns the state machine must wait for that owner's drain
 // (running everything already queued), then retire the executor and the

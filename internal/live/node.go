@@ -209,13 +209,10 @@ type Node struct {
 }
 
 // waiter tracks one Lock call from issuance to grant, and on to the
-// Unlock that releases it. The fast flag is the grant-path fast waiter:
-// EnterCS publishes the grant (fence and grantedAt already written) with
-// an atomic store, and LockFence spins briefly on it before parking on
-// the channel — so a grant that arrives within the spin window, inline-
-// executed grants above all, never costs a park/unpark. The channel
-// remains for grants that outlast the spin and for the cancellation/
-// shutdown select.
+// Unlock that releases it. LockFence parks on sig at once: a grant its
+// own post produced inline is already in the buffered channel, so the
+// receive returns without parking, and any other grant is at least a
+// token hop or a collection window away.
 //
 // Waiters are recycled on the grant path: the Unlock that releases one
 // returns it to the node once its release step has run, and the next
@@ -225,16 +222,15 @@ type waiter struct {
 	// sig carries one token per phase, in order: the grant (EnterCS),
 	// then the completion of the Unlock releasing it (release).
 	sig       chan struct{}
-	enqueue   func()        // executor step queueing this waiter; bound once
-	release   func()        // Unlock's executor step; bound once
-	fast      atomic.Uint32 // 0 pending, 1 granted; fence/grantedAt happen-before the store
-	granted   bool          // executor-confined
-	canceled  bool          // executor-confined
-	fence     uint64        // fencing token of the grant, set before fast/grant publish
-	epoch     uint64        // the grant's token epoch, for its records
-	trace     reqtrace.ID   // end-to-end trace ID, zero when tracing is off
-	issuedAt  time.Time     // Lock call time, for the lock-wait histogram
-	grantedAt time.Time     // grant time, for the CS-hold histogram
+	enqueue   func()      // executor step queueing this waiter; bound once
+	release   func()      // Unlock's executor step; bound once
+	granted   bool        // executor-confined
+	canceled  bool        // executor-confined
+	fence     uint64      // fencing token of the grant, set before the grant's token is sent
+	epoch     uint64      // the grant's token epoch, for its records
+	trace     reqtrace.ID // end-to-end trace ID, zero when tracing is off
+	issuedAt  time.Time   // Lock call time, for the lock-wait histogram
+	grantedAt time.Time   // grant time, for the CS-hold histogram
 }
 
 // NewNode builds and starts a live node: the protocol state machine is
@@ -463,12 +459,15 @@ func (n *Node) LockFence(ctx context.Context) (uint64, error) {
 	w.issuedAt = time.Now()
 	n.metrics.lockWaiters.Add(1)
 	n.post(w.enqueue)
-	if spinForGrant(w) {
-		<-w.sig // the grant's token, sent right after the flag
-	} else {
+	select {
+	case <-w.sig:
+	case <-ctx.Done():
+		// select picks at random among ready cases. A grant already in
+		// sig, above all one this call's own post made inline, is
+		// returned, not thrown back; only a grant still to come loses.
 		select {
 		case <-w.sig:
-		case <-ctx.Done():
+		default:
 			n.metrics.lockWaiters.Add(-1)
 			n.metrics.lockCancels.Inc()
 			n.post(func() {
@@ -480,10 +479,10 @@ func (n *Node) LockFence(ctx context.Context) (uint64, error) {
 				}
 			})
 			return 0, ctx.Err()
-		case <-n.quit:
-			n.metrics.lockWaiters.Add(-1)
-			return 0, ErrClosed
 		}
+	case <-n.quit:
+		n.metrics.lockWaiters.Add(-1)
+		return 0, ErrClosed
 	}
 	n.metrics.lockWaiters.Add(-1)
 	n.metrics.lockWait.ObserveEx(time.Since(w.issuedAt).Seconds(), uint64(w.trace))
@@ -515,7 +514,6 @@ func (n *Node) newWaiter() *waiter {
 // executor has let go of w by then (EnterCS popped it, finishCS cleared
 // the holder) and its channel is empty.
 func (n *Node) recycle(w *waiter) {
-	w.fast.Store(0)
 	w.granted, w.canceled = false, false
 	w.fence, w.epoch, w.trace = 0, 0, 0
 	w.issuedAt, w.grantedAt = time.Time{}, time.Time{}
@@ -538,27 +536,6 @@ func (n *Node) enqueue(w *waiter) {
 	n.emit(reqtrace.EvRequest, w)
 	n.waiters = append(n.waiters, w)
 	n.inner.OnRequest(n)
-}
-
-// grantSpin bounds the fast waiter's pre-park polling. Each miss yields
-// the processor, so the window is a handful of microseconds of scheduler
-// passes — enough to catch an inline grant executed by post on this very
-// goroutine (iteration zero) or a token hop already in flight on a
-// receive goroutine, short enough that a genuinely contended Lock parks
-// almost immediately and costs nothing measurable.
-const grantSpin = 64
-
-// spinForGrant polls w's atomic grant flag briefly, reporting whether
-// the grant landed within the window. On true, the grant's fence and
-// timestamps are visible (they happen-before the flag store).
-func spinForGrant(w *waiter) bool {
-	for i := 0; i < grantSpin; i++ {
-		if w.fast.Load() == 1 {
-			return true
-		}
-		runtime.Gosched()
-	}
-	return false
 }
 
 // Unlock releases the critical section acquired by Lock; when it returns,
@@ -925,11 +902,9 @@ func (n *Node) EnterCS(_ dme.NodeID) {
 			n.metrics.handoff.Observe(w.grantedAt.Sub(n.msgRecvAt).Seconds())
 		}
 		// Publish the grant: everything the waiter reads (fence,
-		// grantedAt) is written above, so the flag store orders it for
-		// the spinning fast path and the token for the parked one. The
+		// grantedAt) is written above, and the send orders it. The
 		// channel is buffered and this is its only token until Unlock,
 		// so the send never blocks.
-		w.fast.Store(1)
 		w.sig <- struct{}{}
 		return
 	}
