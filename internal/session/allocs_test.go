@@ -25,8 +25,8 @@ func (b *instantBackend) Unlock(string) {}
 const sessionCycleBudget = 10
 
 // TestSessionCycleAllocs pins the session tier's per-cycle allocation
-// budget against a backend that grants at once: reply channels, server
-// waiters, holder-event channels and slot starts are all reused.
+// budget against a backend that grants at once: reply channels and
+// server waiters are reused, and a slot start allocates no closure.
 func TestSessionCycleAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")

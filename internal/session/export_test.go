@@ -4,12 +4,15 @@ package session
 // LockFence calls, to the black-box tests.
 const GrantSlots = grantSlots
 
-// Slots reports how many of key's grant-slot goroutines are alive.
+// Slots reports how many of key's grant-slot goroutines are alive. A
+// slot that hands over its grant and does not go back to
+// Backend.LockFence stops counting in that step, so a held grant keeps
+// none.
 func (s *Server) Slots(key string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if kq := s.keys[key]; kq != nil {
-		return kq.slots
+		return kq.requesting
 	}
 	return 0
 }

@@ -15,11 +15,13 @@ import (
 // each looping: block in Backend.LockFence, and when it returns pop the
 // *current* head of the FIFO — the waiter is bound at grant time, so
 // grant order is exactly queue order whatever order the slots ran in —
-// hand it the grant, and park until the grant ends: a Release, a Bye, a
-// lease expiry, or server shutdown. Expiry is the interesting ending —
-// the slot crash-restarts the key's local participant instead of
-// unlocking, so the fence dies through §6 recovery (see
-// Config.Invalidate).
+// hand it the grant, and go back for another or retire. A held grant
+// occupies no slot: the grant is owned by kq.holder, and whoever takes
+// it from the holder under Server.mu ends it (endGrant) on its own
+// goroutine — Release and Bye unlock it, lease expiry crash-restarts the
+// key's local participant so the fence dies through §6 recovery (see
+// Config.Invalidate), a superseding grant finds the lock already gone,
+// and Close unlocks it.
 //
 // Several slots exist so that several of this server's clients can have
 // requests in the DME group at once: requests that are outstanding
@@ -41,23 +43,6 @@ import (
 // arbiter — so fairness is FIFO per client, not per node.
 const grantSlots = 4
 
-// waiter states; guarded by Server.mu.
-const (
-	wQueued   = iota // in the queue, cancelable
-	wGranted         // popped by a slot; owns that slot's grant
-	wCanceled        // answered (timeout/expiry/shutdown); slots skip it
-)
-
-// holderEvent ends a grant.
-type holderEvent struct{ kind int }
-
-const (
-	evReleased = iota // clean release (Release or Bye): Unlock + notify
-	evExpired         // lease expiry: invalidate via §6 + notify
-	evClosed          // server shutdown: Unlock and exit
-	evLost            // the backend granted the key again under this holder
-)
-
 // waiter is one queued acquire. Granted waiters are recycled through
 // Server.spare (see recycleLocked).
 type waiter struct {
@@ -65,32 +50,25 @@ type waiter struct {
 	conn       *srvConn
 	kq         *keyQueue
 	seq        uint64
-	state      int
+	queued     bool       // in the queue, cancelable; guarded by Server.mu
 	timer      ClockTimer // wait bound, when the acquire set one
 	enqueuedAt time.Time
 }
 
 // keyQueue is one key's waiters, grant slots, holder, and watchers.
-// Guarded by Server.mu except holderDone sends, which happen after
-// ownership is transferred (holder cleared or replaced) under the lock.
+// Guarded by Server.mu.
 type keyQueue struct {
 	key         string
 	q           []*waiter // FIFO from q[head]; canceled waiters stay until popped
 	head        int       // index of the FIFO's first entry in q
-	live        int       // waiters in q still wQueued
-	slots       int       // slot goroutines alive, at most grantSlots
-	requesting  int       // of those, the ones in (or entering) LockFence
+	live        int       // waiters in q still queued
+	requesting  int       // slot goroutines in (or headed into) LockFence, at most grantSlots
 	holder      *sessionState
 	holderFence uint64
-	holderDone  chan holderEvent
 	watchers    map[uint64]*srvConn // watching session id → its conn
 	// run starts one grant slot on this key; bound once, so starting a
 	// slot allocates no closure.
 	run func()
-	// spareDone holds the holder-event channels of retired slots, for
-	// the next slot to start. A slot retires only between grants, with
-	// its channel drained.
-	spareDone []chan holderEvent
 }
 
 // keyQueueLocked returns (creating if needed) the key's queue; the
@@ -143,7 +121,7 @@ func (s *Server) handleAcquire(c *srvConn, m AcquireReq) {
 		conn:       c,
 		kq:         kq,
 		seq:        m.Seq,
-		state:      wQueued,
+		queued:     true,
 		enqueuedAt: s.clock.Now(),
 	}
 	kq.push(w)
@@ -155,8 +133,7 @@ func (s *Server) handleAcquire(c *srvConn, m AcquireReq) {
 		d := time.Duration(m.WaitMillis) * time.Millisecond
 		w.timer = s.clock.AfterFunc(d, func() { s.waiterTimeout(w) })
 	}
-	if kq.slots < grantSlots && kq.live > kq.requesting {
-		kq.slots++
+	if kq.requesting < grantSlots && kq.live > kq.requesting {
 		kq.requesting++
 		s.wg.Add(1)
 		go kq.run()
@@ -229,11 +206,11 @@ func (kq *keyQueue) reset() {
 // The entry itself stays in kq.q until a slot pops past it. A wait-bound
 // timer stopped before it fired is dropped, which is what lets
 // recycleLocked reuse w. Caller holds mu.
-func (s *Server) dequeueLocked(w *waiter, state int) bool {
-	if w.state != wQueued {
+func (s *Server) dequeueLocked(w *waiter) bool {
+	if !w.queued {
 		return false
 	}
-	w.state = state
+	w.queued = false
 	if w.timer != nil && w.timer.Stop() {
 		w.timer = nil
 	}
@@ -246,7 +223,7 @@ func (s *Server) dequeueLocked(w *waiter, state int) bool {
 // waiterTimeout fires a queued acquire's wait bound.
 func (s *Server) waiterTimeout(w *waiter) {
 	s.mu.Lock()
-	ok := s.dequeueLocked(w, wCanceled)
+	ok := s.dequeueLocked(w)
 	s.mu.Unlock()
 	if ok {
 		s.m.waitTimeouts.Inc()
@@ -259,22 +236,21 @@ func (s *Server) waiterTimeout(w *waiter) {
 // blocks).
 func (s *Server) failQueueLocked(kq *keyQueue) {
 	for _, w := range kq.q[kq.head:] {
-		if s.dequeueLocked(w, wCanceled) {
+		if s.dequeueLocked(w) {
 			w.conn.send(AcquireResp{Seq: w.seq, Code: CodeShuttingDown})
 		}
 	}
 	kq.reset()
 }
 
-// slotContinuesLocked decides whether a slot that is done with a grant
-// goes back for another: only while queued waiters exceed the slots
-// already requesting. Otherwise the slot is retired.
+// slotContinuesLocked decides whether a slot that has handed out its
+// grant goes back for another: only while queued waiters exceed the
+// slots already requesting. Otherwise the slot is retired.
 func (s *Server) slotContinuesLocked(kq *keyQueue) bool {
 	if kq.live > kq.requesting {
 		kq.requesting++
 		return true
 	}
-	kq.slots--
 	if kq.live == 0 {
 		kq.reset() // only canceled entries remain
 	}
@@ -282,13 +258,11 @@ func (s *Server) slotContinuesLocked(kq *keyQueue) bool {
 }
 
 // slot is one of a key's grant loops. It enters counted in
-// kq.requesting. Each grant it hands out ends with exactly one event on
-// done (whoever clears or replaces the holder sends it), and the slot
-// receives that event before taking another grant, so one channel
-// serves every grant of the slot, and of the slots after it.
+// kq.requesting and stays counted only while it is in, or headed back
+// into, LockFence: once a grant is handed to its waiter the slot owns
+// nothing of it.
 func (s *Server) slot(kq *keyQueue) {
 	defer s.wg.Done()
-	var done chan holderEvent
 	for {
 		fence, err := s.cfg.Backend.LockFence(s.ctx, kq.key)
 
@@ -299,9 +273,7 @@ func (s *Server) slot(kq *keyQueue) {
 			// either way this key grants nothing more, so every queued
 			// waiter hears it now instead of sitting there until some
 			// later acquire starts a slot that rediscovers the failure.
-			kq.slots--
 			s.failQueueLocked(kq)
-			kq.retireDone(done)
 			s.mu.Unlock()
 			return
 		}
@@ -311,95 +283,78 @@ func (s *Server) slot(kq *keyQueue) {
 			if head == nil {
 				break
 			}
-			if s.dequeueLocked(head, wGranted) {
+			if s.dequeueLocked(head) {
 				w = head
 			}
 		}
-		if w == nil {
-			// Whoever this request was made for gave up meanwhile (wait
-			// bound, session death — answered already) or the server is
-			// closing: give the lock straight back. The grant existed,
-			// so watchers still hear about it.
-			s.mu.Unlock()
-			s.unlock(kq.key)
-			s.notifyWatchers(kq, fence, ReasonReleased)
-		} else {
+		var conn *srvConn
+		var seq, lost uint64
+		superseded := false
+		if w != nil {
 			// The lock serializes holders, so a grant arriving while
 			// another is still out means the backend dropped that one:
 			// the key's participant was restarted under its holder (an
 			// operator, chaos injection) and the lock now belongs to this
 			// grant. Take the key from the old holder — its fence is
 			// dead, and its release must not unlock what is ours.
-			var lost chan holderEvent
 			if kq.holder != nil {
-				delete(kq.holder.held, kq.key)
-				lost = kq.holderDone
-			}
-			if done == nil {
-				done = kq.takeDone()
+				superseded = true
+				lost = s.takeGrantLocked(kq)
 			}
 			w.sess.held[kq.key] = fence
 			kq.holder = w.sess
 			kq.holderFence = fence
-			kq.holderDone = done
 			s.m.grants.Inc()
 			s.m.acquireWait.Observe(s.clock.Now().Sub(w.enqueuedAt).Seconds())
-			conn, seq := w.conn, w.seq
+			conn, seq = w.conn, w.seq
 			s.recycleLocked(w)
-			s.mu.Unlock()
-			if lost != nil {
-				lost <- holderEvent{kind: evLost}
-			}
-			conn.send(AcquireResp{Seq: seq, Code: CodeOK, Fence: fence})
+		}
+		again := s.slotContinuesLocked(kq)
+		s.mu.Unlock()
 
-			ev := <-done
-			reason := ReasonReleased
-			switch ev.kind {
-			case evReleased, evClosed:
-				s.unlock(kq.key)
-			case evExpired:
-				s.invalidateKey(kq.key)
-				reason = ReasonExpired
-			case evLost:
+		if conn == nil {
+			// Whoever this request was made for gave up meanwhile (wait
+			// bound, session death — answered already) or the server is
+			// closing: give the lock straight back. The grant existed,
+			// so watchers still hear about it.
+			s.endGrant(kq, fence, false)
+		} else {
+			if superseded {
 				s.m.lostGrants.Inc()
 				s.logf("grant superseded: the backend granted the key again under its holder",
-					"key", kq.key, "fence", fence)
-				reason = ReasonExpired
+					"key", kq.key, "fence", lost)
+				s.notifyWatchers(kq, lost, ReasonExpired)
 			}
-			if ev.kind != evClosed {
-				s.notifyWatchers(kq, fence, reason)
-			}
+			conn.send(AcquireResp{Seq: seq, Code: CodeOK, Fence: fence})
 		}
-
-		s.mu.Lock()
-		again := s.slotContinuesLocked(kq)
-		if !again {
-			kq.retireDone(done)
-		}
-		s.mu.Unlock()
 		if !again {
 			return
 		}
 	}
 }
 
-// takeDone returns a retired slot's holder-event channel, or a new one.
-// Caller holds mu.
-func (kq *keyQueue) takeDone() chan holderEvent {
-	if n := len(kq.spareDone); n > 0 {
-		ch := kq.spareDone[n-1]
-		kq.spareDone = kq.spareDone[:n-1]
-		return ch
-	}
-	return make(chan holderEvent, 1)
+// takeGrantLocked takes the key's grant from its holder, returning the
+// grant's fence. Whoever takes it owns its ending. Caller holds mu and
+// has checked kq.holder is non-nil.
+func (s *Server) takeGrantLocked(kq *keyQueue) uint64 {
+	delete(kq.holder.held, kq.key)
+	kq.holder = nil
+	return kq.holderFence
 }
 
-// retireDone keeps an exiting slot's channel, if it had one, for the
-// next slot. Caller holds mu.
-func (kq *keyQueue) retireDone(ch chan holderEvent) {
-	if ch != nil {
-		kq.spareDone = append(kq.spareDone, ch)
+// endGrant ends a grant its caller took from the holder (or that nobody
+// took up): the lock goes back through the backend — through §6
+// invalidation when the holder's lease expired — and watchers hear it.
+// Caller does not hold mu.
+func (s *Server) endGrant(kq *keyQueue, fence uint64, expired bool) {
+	reason := ReasonReleased
+	if expired {
+		s.invalidateKey(kq.key)
+		reason = ReasonExpired
+	} else {
+		s.unlock(kq.key)
 	}
+	s.notifyWatchers(kq, fence, reason)
 }
 
 // invalidateKey kills an expired holder's grant. With an Invalidate
@@ -428,7 +383,7 @@ func (s *Server) invalidateKey(key string) {
 // restarted out from under the holder (an operator restart, chaos
 // injection), the lock already died with the old incarnation and §6
 // recovered it cluster-wide — the release is then a no-op, not a panic
-// out of the slot goroutine.
+// out of whichever goroutine ended the grant.
 func (s *Server) unlock(key string) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -144,7 +144,7 @@ type sessionState struct {
 	deadline time.Time
 	timer    ClockTimer
 	conn     *srvConn
-	held     map[string]uint64 // key → fence
+	held     map[string]uint64 // key → fence, exactly while s.keys[key].holder is this session
 	waiting  map[*waiter]struct{}
 	watches  map[string]struct{}
 }
@@ -339,9 +339,10 @@ func (s *Server) dropConn(c *srvConn) {
 }
 
 // Close shuts the server down: listeners stop accepting, queued
-// acquires are answered CodeShuttingDown, grant slots release what they
-// hold and exit, lease timers stop, and every connection is closed. The
-// Backend is not closed — its owner does that, afterwards.
+// acquires are answered CodeShuttingDown, held grants are taken from
+// their holders and unlocked (watchers hear nothing), grant slots exit,
+// lease timers stop, and every connection is closed. The Backend is not
+// closed — its owner does that, afterwards.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -354,12 +355,12 @@ func (s *Server) Close() error {
 			sess.timer.Stop()
 		}
 	}
-	var done []chan holderEvent
-	for _, kq := range s.keys {
+	var held []string
+	for key, kq := range s.keys {
 		s.failQueueLocked(kq)
 		if kq.holder != nil {
-			kq.holder = nil
-			done = append(done, kq.holderDone)
+			s.takeGrantLocked(kq)
+			held = append(held, key)
 		}
 	}
 	conns := make([]*srvConn, 0, len(s.conns))
@@ -373,8 +374,8 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 
 	s.cancel()
-	for _, ch := range done {
-		ch <- holderEvent{kind: evClosed}
+	for _, key := range held {
+		s.unlock(key)
 	}
 	for _, ln := range listeners {
 		_ = ln.Close()
@@ -460,7 +461,7 @@ func (s *Server) leaseTimer(id uint64) {
 		return
 	}
 	s.m.expiries.Inc()
-	after := s.endSessionLocked(sess, CodeExpired)
+	after := s.endSessionLocked(sess, true)
 	s.mu.Unlock()
 	after()
 }
@@ -474,27 +475,23 @@ func (s *Server) handleBye(c *srvConn, m ByeReq) {
 		return
 	}
 	s.m.byes.Inc()
-	after := s.endSessionLocked(sess, CodeOK)
+	after := s.endSessionLocked(sess, false)
 	s.mu.Unlock()
 	after()
 	c.send(ByeResp{Seq: m.Seq, Code: CodeOK})
 }
 
 // endSessionLocked removes a session and detaches everything it owns,
-// returning the actions to run after the server lock is released. The
-// code selects the flavor: CodeExpired is a lease death — held locks
-// are invalidated through the §6 path and the client is pushed a
-// SessionExpired — while CodeOK is a clean Bye that releases held locks
-// normally and pushes nothing.
-func (s *Server) endSessionLocked(sess *sessionState, code Code) func() {
+// returning the actions to run after the server lock is released. An
+// expired session is a lease death — held locks are invalidated through
+// the §6 path and the client is pushed a SessionExpired — otherwise it
+// is a clean Bye that releases held locks normally and pushes nothing.
+// Queued acquires are answered CodeExpired either way.
+func (s *Server) endSessionLocked(sess *sessionState, expired bool) func() {
 	delete(s.sessions, sess.id)
 	s.m.active.Add(-1)
 	if sess.timer != nil {
 		sess.timer.Stop()
-	}
-	waiterCode := CodeExpired
-	if code == CodeShuttingDown {
-		waiterCode = CodeShuttingDown
 	}
 	type resp struct {
 		c *srvConn
@@ -502,21 +499,18 @@ func (s *Server) endSessionLocked(sess *sessionState, code Code) func() {
 	}
 	var resps []resp
 	for w := range sess.waiting {
-		if s.dequeueLocked(w, wCanceled) {
-			resps = append(resps, resp{w.conn, AcquireResp{Seq: w.seq, Code: waiterCode}})
+		if s.dequeueLocked(w) {
+			resps = append(resps, resp{w.conn, AcquireResp{Seq: w.seq, Code: CodeExpired}})
 		}
 	}
-	evKind := evReleased
-	if code == CodeExpired {
-		evKind = evExpired
+	type grant struct {
+		kq    *keyQueue
+		fence uint64
 	}
-	var done []chan holderEvent
+	var ends []grant
 	for key := range sess.held {
 		kq := s.keys[key]
-		if kq != nil && kq.holder == sess {
-			kq.holder = nil
-			done = append(done, kq.holderDone)
-		}
+		ends = append(ends, grant{kq, s.takeGrantLocked(kq)})
 	}
 	for key := range sess.watches {
 		if kq := s.keys[key]; kq != nil {
@@ -529,11 +523,11 @@ func (s *Server) endSessionLocked(sess *sessionState, code Code) func() {
 		for _, r := range resps {
 			r.c.send(r.m)
 		}
-		for _, ch := range done {
-			ch <- holderEvent{kind: evKind}
+		for _, g := range ends {
+			s.endGrant(g.kq, g.fence, expired)
 		}
-		if code != CodeOK {
-			conn.send(SessionExpired{Session: id, Code: code})
+		if expired {
+			conn.send(SessionExpired{Session: id, Code: CodeExpired})
 		}
 	}
 }
@@ -551,14 +545,12 @@ func (s *Server) handleRelease(c *srvConn, m ReleaseReq) {
 		c.send(ReleaseResp{Seq: m.Seq, Code: CodeNotHeld})
 		return
 	}
-	delete(sess.held, m.Key)
 	kq := s.keys[m.Key]
-	kq.holder = nil
-	ch := kq.holderDone
+	fence := s.takeGrantLocked(kq)
 	s.m.releases.Inc()
 	s.mu.Unlock()
 	c.send(ReleaseResp{Seq: m.Seq, Code: CodeOK})
-	ch <- holderEvent{kind: evReleased}
+	s.endGrant(kq, fence, false)
 }
 
 func (s *Server) handleWatch(c *srvConn, m WatchReq) {

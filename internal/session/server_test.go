@@ -112,6 +112,16 @@ func (b *fakeBackend) invalidate(key string) error {
 	return nil
 }
 
+// restart frees the key as a crash-restart of its participant by an
+// operator would: the server did not ask for it, so nothing is recorded.
+func (b *fakeBackend) restart(key string) {
+	select {
+	case b.tok(key) <- struct{}{}:
+	default:
+		panic("fakeBackend: restart of unheld key " + key)
+	}
+}
+
 func (b *fakeBackend) unlocked(key string) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -382,20 +392,11 @@ func TestAutoKeepAlive(t *testing.T) {
 // TestExpiryDuringCSInvalidatesFence is the §6 integration contract at
 // the service layer: a holder whose lease lapses mid-critical-section
 // loses its lock through the invalidation hook (the protocol path), NOT
-// through a plain unlock — and watchers hear ReasonExpired with the
-// dead grant's fence.
+// through a plain unlock. (What watchers hear is TestGrantEndings'.)
 func TestExpiryDuringCSInvalidatesFence(t *testing.T) {
 	r := newRig(t, nil)
 	holderC := r.dial()
-	watcherC := r.dial()
-
-	watcher, err := watcherC.Open(ctxT(t), 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := watcher.Watch(ctxT(t), "k"); err != nil {
-		t.Fatal(err)
-	}
+	otherC := r.dial()
 
 	holder, err := holderC.Open(ctxT(t), 100*time.Millisecond)
 	if err != nil {
@@ -420,17 +421,8 @@ func TestExpiryDuringCSInvalidatesFence(t *testing.T) {
 	}
 	waitUntil(t, "holder handle to learn of expiry", holder.Expired)
 
-	select {
-	case ev := <-watcher.Events():
-		if ev.Key != "k" || ev.Fence != fence || ev.Reason != session.ReasonExpired {
-			t.Fatalf("watch event = %+v, want key k fence %d reason expired", ev, fence)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no watch event after expiry")
-	}
-
 	// The key is free again and the next grant's fence is higher.
-	sess2, err := watcherC.Open(ctxT(t), 10*time.Second)
+	sess2, err := otherC.Open(ctxT(t), 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,8 +653,8 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestWatchUnwatch: watches deliver release events with the released
-// grant's fence; unwatched sessions hear nothing more.
+// TestWatchUnwatch: an unwatched session hears nothing more. (What a
+// watch delivers for each way a grant ends is TestGrantEndings'.)
 func TestWatchUnwatch(t *testing.T) {
 	r := newRig(t, nil)
 	c := r.dial()
@@ -677,18 +669,14 @@ func TestWatchUnwatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fence, err := worker.Acquire(ctxT(t), "k")
-	if err != nil {
+	if _, err := worker.Acquire(ctxT(t), "k"); err != nil {
 		t.Fatal(err)
 	}
 	if err := worker.Release("k"); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case ev := <-watcher.Events():
-		if ev.Key != "k" || ev.Fence != fence || ev.Reason != session.ReasonReleased {
-			t.Fatalf("watch event = %+v, want key k fence %d released", ev, fence)
-		}
+	case <-watcher.Events():
 	case <-time.After(5 * time.Second):
 		t.Fatal("no watch event after release")
 	}
@@ -716,6 +704,98 @@ func TestWatchUnwatch(t *testing.T) {
 	}
 	if got := r.counter("session_watch_events_total"); got != 1 {
 		t.Fatalf("watch events pushed = %d, want 1", got)
+	}
+}
+
+// TestGrantEndings: each of the five ways a grant ends — Release, Bye,
+// lease expiry, a restart under the holder that lets the backend grant
+// the key again (superseded), and server Close — is acted on once, by
+// whoever ends it: the backend sees one Unlock, one invalidation or
+// nothing, and a watcher hears one event for the ended grant's fence,
+// or none when the server is closing.
+func TestGrantEndings(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ttl  time.Duration // the holder's lease
+		// end ends the holder's grant and returns once it has ended.
+		end func(t *testing.T, r *rig, holder *session.Session)
+		// unlocks and invalidations are the backend calls the ending
+		// makes; events is how many watch events it pushes.
+		unlocks, invalidations, events int
+		reason                         uint8
+	}{
+		{"release", 10 * time.Second, func(t *testing.T, r *rig, holder *session.Session) {
+			if err := holder.Release("k"); err != nil {
+				t.Fatal(err)
+			}
+		}, 1, 0, 1, session.ReasonReleased},
+		{"bye", 10 * time.Second, func(t *testing.T, r *rig, holder *session.Session) {
+			if err := holder.End(ctxT(t)); err != nil {
+				t.Fatal(err)
+			}
+		}, 1, 0, 1, session.ReasonReleased},
+		{"lease-expiry", 100 * time.Millisecond, func(t *testing.T, r *rig, holder *session.Session) {
+			r.clk.Advance(100 * time.Millisecond)
+			waitUntil(t, "holder handle to learn of expiry", holder.Expired)
+		}, 0, 1, 1, session.ReasonExpired},
+		{"superseded", 10 * time.Second, func(t *testing.T, r *rig, holder *session.Session) {
+			next := openSessions(t, r.dial(), 1, 10*time.Second)
+			res := acquireAsync(t, r, next, "k", 0, nil)
+			waitUntil(t, "successor's request to reach the backend", func() bool {
+				now, _ := r.fb.waiting("k")
+				return now == 1
+			})
+			r.fb.restart("k")
+			if got := result(t, res[0], "successor"); got.err != nil {
+				t.Fatal(got.err)
+			}
+			waitUntil(t, "superseded grant to be counted", func() bool {
+				return r.counter("session_lost_grants_total") == 1
+			})
+			// The successor's release is the key's only Unlock.
+			t.Cleanup(func() {
+				if err := next[0].Release("k"); err != nil {
+					t.Error(err)
+				}
+				waitUntil(t, "successor's release to unlock", func() bool { return r.fb.unlocked("k") == 1 })
+			})
+		}, 0, 0, 1, session.ReasonExpired},
+		{"close", 10 * time.Second, func(t *testing.T, r *rig, holder *session.Session) {
+			if err := r.srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}, 1, 0, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, nil)
+			watcher := openSessions(t, r.dial(), 1, 10*time.Second)[0]
+			if err := watcher.Watch(ctxT(t), "k"); err != nil {
+				t.Fatal(err)
+			}
+			holder := openSessions(t, r.dial(), 1, tc.ttl)[0]
+			fence, err := holder.Acquire(ctxT(t), "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			tc.end(t, r, holder)
+			if tc.events > 0 {
+				select {
+				case ev := <-watcher.Events():
+					if ev.Key != "k" || ev.Fence != fence || ev.Reason != tc.reason {
+						t.Fatalf("watch event = %+v, want key k fence %d reason %d", ev, fence, tc.reason)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("no watch event for the ended grant")
+				}
+			}
+			waitUntil(t, "the ending's backend call", func() bool {
+				return r.fb.unlocked("k") == tc.unlocks && r.fb.invalidated("k") == tc.invalidations
+			})
+			if got := r.counter("session_watch_events_total"); got != uint64(tc.events) {
+				t.Errorf("watch events pushed = %d, want %d", got, tc.events)
+			}
+		})
 	}
 }
 

@@ -1,14 +1,16 @@
 package session_test
 
 // Grant-slot tests: the server keeps up to GrantSlots Backend.LockFence
-// calls outstanding per key and binds a waiter to a grant only when the
-// grant arrives. These pin the bound, the no-leak endings (a waiter
-// that gives up, a holder that expires, a backend that fails) and the
-// contract text in session.Backend's doc.
+// calls outstanding per key, binds a waiter to a grant only when the
+// grant arrives, and keeps no slot for a grant once it is held. These
+// pin the bound, the no-leak endings (a waiter that gives up, a holder
+// that expires, a backend that fails) and the contract text in
+// session.Backend's doc.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -113,6 +115,41 @@ func TestSlotsBoundConcurrentLockFence(t *testing.T) {
 		return r.fb.unlocked("k") == waiters+1
 	})
 	waitUntil(t, "slots to retire", func() bool { return r.srv.Slots("k") == 0 })
+}
+
+// TestHeldGrantParksNoSlot: a slot retires (or goes back to the
+// backend) in the same step that hands its grant to a waiter, so a
+// session holding many keys leaves no goroutine waiting on any of them:
+// each grant is ended by whoever ends it, here the session's Release.
+// And since a holder occupies no slot, all D slots request for the
+// waiters queued behind it.
+func TestHeldGrantParksNoSlot(t *testing.T) {
+	r := newRig(t, nil)
+	sess := openSessions(t, r.dial(), 1, 10*time.Second)[0]
+	keys := make([]string, 32)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+		if _, err := sess.Acquire(ctxT(t), keys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range keys {
+		if n := r.srv.Slots(k); n != 0 {
+			t.Errorf("held key %s keeps %d grant slots", k, n)
+		}
+	}
+	waiters := openSessions(t, r.dial(), session.GrantSlots+1, 10*time.Second)
+	acquireAsync(t, r, waiters, keys[0], 0, nil)
+	waitUntil(t, "D requests in flight behind the holder", func() bool {
+		now, _ := r.fb.waiting(keys[0])
+		return now == session.GrantSlots
+	})
+	for _, k := range keys {
+		if err := sess.Release(k); err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, "release of "+k+" to unlock", func() bool { return r.fb.unlocked(k) == 1 })
+	}
 }
 
 // TestWaiterTimeoutWhileRequesting: a waiter whose wait bound fires
