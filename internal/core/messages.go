@@ -93,11 +93,14 @@ type Privilege struct {
 	Fence uint64
 }
 
-// clone deep-copies the token so a node can mutate its copy while the
-// simulated network still holds the original by reference.
+// clone copies the token so a node can mutate its copy while the
+// simulated network still holds the original by reference. Q is shared,
+// not copied: no Q-list is ever written in place (see QList.PopHead), so
+// narrowing the copy's list leaves the original's intact. Granted is
+// deep-copied, since it is the one token slice a holder writes in place
+// (OnCSDone records its grant there).
 func (m Privilege) clone() Privilege {
 	out := m
-	out.Q = m.Q.Clone()
 	if m.Granted != nil {
 		out.Granted = make([]uint64, len(m.Granted))
 		copy(out.Granted, m.Granted)

@@ -1,6 +1,10 @@
 package core
 
-import "tokenarbiter/internal/dme"
+import (
+	"slices"
+
+	"tokenarbiter/internal/dme"
+)
 
 // This file implements the monitor role of the starvation-free variant
 // (§4.1): the monitor stores resubmitted (and stray) requests, and when
@@ -77,7 +81,10 @@ func (nd *node) absorbStored(ctx dme.Context) {
 // append the stored requests, broadcast NEW-ARBITER with the counter reset
 // to zero, and forward the token to the head of the augmented list.
 func (nd *node) monitorHandleToken(ctx dme.Context, tok Privilege) {
-	batch := tok.Q
+	// Clipped, so the first append copies: the token's list shares its
+	// backing array with the diverting arbiter's batch, and a Q-list
+	// writer always builds a fresh slice (see QList.PopHead).
+	batch := slices.Clip(tok.Q)
 	for _, e := range nd.stored {
 		if !batch.Contains(e) {
 			batch = append(batch, e)

@@ -309,6 +309,9 @@ func TestMessageKinds(t *testing.T) {
 	}
 }
 
+// TestPrivilegeCloneIndependence: a clone's Granted table is its own,
+// since the holder writes it in place. The Q-list is shared on purpose;
+// TestSentQListsNeverChange checks the invariant that makes that safe.
 func TestPrivilegeCloneIndependence(t *testing.T) {
 	p := Privilege{
 		Q:       ql(1, 0, 2, 0),
@@ -316,10 +319,9 @@ func TestPrivilegeCloneIndependence(t *testing.T) {
 		Epoch:   7,
 	}
 	c := p.clone()
-	c.Q[0].Node = 99
 	c.Granted[0] = 99
-	if p.Q[0].Node != 1 || p.Granted[0] != 1 {
-		t.Error("clone aliases the original")
+	if p.Granted[0] != 1 {
+		t.Error("clone aliases the original's Granted table")
 	}
 	if c.Epoch != 7 {
 		t.Error("clone lost scalar fields")

@@ -30,6 +30,10 @@ type recovery struct {
 	// Designated-arbiter token timeout (the arbiter is itself a
 	// "requesting node" for the token in the §6 sense).
 	tokTimer dme.Timer
+	// tokWaitFn is tokTimer's callback, bound once: like the node's
+	// windowFn it captures only the node and the Context, which is the
+	// same object for the node's whole life.
+	tokWaitFn func()
 
 	// Previous-arbiter watchdog (§6, failed arbiter).
 	watchTimer  dme.Timer
@@ -90,15 +94,19 @@ func (r *recovery) armTokenWait(ctx dme.Context, nd *node) {
 		return
 	}
 	ctx.Cancel(r.tokTimer)
-	r.tokTimer = ctx.After(nd.id, nd.opts.Recovery.TokenTimeout, func() {
-		r.tokTimer = dme.Timer{}
-		// Re-check the arbiter stance at fire time: if the role moved on
-		// (abandoned or superseded) the invalidation is someone else's
-		// to run, and starting one here could mint a duplicate token.
-		if !nd.haveToken && nd.collecting && nd.arbiter == nd.id {
-			r.startInvalidation(ctx, nd)
+	if r.tokWaitFn == nil {
+		r.tokWaitFn = func() {
+			r.tokTimer = dme.Timer{}
+			// Re-check the arbiter stance at fire time: if the role moved
+			// on (abandoned or superseded) the invalidation is someone
+			// else's to run, and starting one here could mint a
+			// duplicate token.
+			if !nd.haveToken && nd.collecting && nd.arbiter == nd.id {
+				r.startInvalidation(ctx, nd)
+			}
 		}
-	})
+	}
+	r.tokTimer = ctx.After(nd.id, nd.opts.Recovery.TokenTimeout, r.tokWaitFn)
 }
 
 // onDispatch runs after this node stamps and sends a batch: the batch in
@@ -107,14 +115,14 @@ func (r *recovery) armTokenWait(ctx dme.Context, nd *node) {
 func (r *recovery) onDispatch(ctx dme.Context, nd *node, batch QList) {
 	if !enabled(nd) {
 		// lastBatch/pendingBatch feed invalidation and takeover only, and
-		// tokTimer is never armed while recovery is off — skip the clones
-		// entirely on the common disabled path.
+		// tokTimer is never armed while recovery is off.
 		return
 	}
-	// One clone serves both: neither field is ever written in place (a
-	// takeover re-clones lastBatch before reusing it as pendingBatch).
-	r.lastBatch = batch.Clone()
-	r.pendingBatch = r.lastBatch
+	// Both share the dispatched batch, as the token and the NEW-ARBITER
+	// broadcast do: no Q-list is ever written in place (see
+	// QList.PopHead).
+	r.lastBatch = batch
+	r.pendingBatch = batch
 	ctx.Cancel(r.tokTimer)
 	r.tokTimer = dme.Timer{}
 	tail := batch.Tail()

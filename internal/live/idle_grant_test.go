@@ -70,18 +70,25 @@ func TestLockFromIdleGrantsInline(t *testing.T) {
 		t.Fatalf("Status: dispatches=%d window_skips=%d recent_batch_mean=%v err=%v, want the counters' values and a mean of 1",
 			st.Dispatches, st.WindowSkips, st.RecentBatchMean, err)
 	}
-	// lock_wait_seconds resolves such a grant instead of folding it into
-	// a 100 µs floor bucket.
+	// lock_wait_seconds resolves such a grant at its own scale instead of
+	// folding it into a 100 µs floor bucket: its floor is a microsecond,
+	// and the fastest grant lands no higher than the bucket its own
+	// duration falls in. (How fast that is depends on the build: tens of
+	// microseconds, or about a hundred under the race detector.)
 	wait := m.MergedHistogram("lock_wait_seconds")
-	var sub100 uint64
+	if len(wait.Bounds) == 0 || wait.Bounds[0] > 1e-6 {
+		t.Fatalf("lock_wait_seconds: bounds %v, want a microsecond floor", wait.Bounds)
+	}
+	var within uint64
 	for i, bound := range wait.Bounds {
-		if bound < 1e-4 {
-			sub100 += wait.Buckets[i]
+		within += wait.Buckets[i]
+		if bound >= best.Seconds() {
+			break
 		}
 	}
-	if len(wait.Bounds) == 0 || wait.Bounds[0] > 1e-6 || sub100 == 0 {
-		t.Errorf("lock_wait_seconds: bounds %v, %d observations below 100 µs; want a microsecond floor with the inline grants in it",
-			wait.Bounds, sub100)
+	if within == 0 {
+		t.Errorf("lock_wait_seconds: bounds %v, buckets %v; want an observation at or below the bucket of the fastest Lock (%v)",
+			wait.Bounds, wait.Buckets, best)
 	}
 
 	// The closed loop: batches of two, and no more skips than its start.

@@ -176,8 +176,8 @@ type Node struct {
 	execState atomic.Int32
 
 	mu           sync.Mutex
-	queue        []func()
-	spare        []func()  // drain's double buffer; owner-confined
+	queue        []step
+	spare        []step    // drain's double buffer; owner-confined
 	spareWaiters []*waiter // released waiters ready for reuse; guarded by mu
 
 	// Executor-confined (owner-only) state.
@@ -206,6 +206,17 @@ type Node struct {
 	timersMu   sync.Mutex
 	timers     []liveTimer // the timer slab, indexed by handle id
 	freeTimers []int32     // slab slots ready for reuse
+}
+
+// step is one executor queue entry: a function to run, or, when fn is
+// nil, the delivery of msg from a peer (or from this node itself) to the
+// protocol state machine. Deliveries are plain values so that an inbound
+// message or a self-send costs no closure.
+type step struct {
+	fn     func()
+	from   dme.NodeID
+	msg    dme.Message
+	recvAt time.Time // transport receive time; zero for a self-send
 }
 
 // waiter tracks one Lock call from issuance to grant, and on to the
@@ -346,12 +357,7 @@ func NewNode(cfg Config) (*Node, error) {
 		// When the executor is free this runs the protocol step inline on
 		// the transport's receive goroutine (see post); recvAt feeds the
 		// handoff_latency_seconds histogram if the step grants the CS.
-		recvAt := time.Now()
-		n.post(func() {
-			n.msgRecvAt = recvAt
-			n.inner.OnMessage(n, from, msg)
-			n.msgRecvAt = time.Time{}
-		})
+		n.postStep(step{from: from, msg: msg, recvAt: time.Now()})
 	})
 	n.post(func() { n.inner.Init(n) })
 	return n, nil
@@ -369,12 +375,15 @@ func (n *Node) ID() int { return n.cfg.ID }
 // poster itself — so the fn runs after the current step returns, exactly
 // the deferred semantics protocol code (self-sends, OnCSDone handoffs)
 // relies on. post never deadlocks and never parks.
-func (n *Node) post(fn func()) {
+func (n *Node) post(fn func()) { n.postStep(step{fn: fn}) }
+
+// postStep is post for any queue entry, a message delivery included.
+func (n *Node) postStep(s step) {
 	if n.closed.Load() {
 		return
 	}
 	n.mu.Lock()
-	n.queue = append(n.queue, fn)
+	n.queue = append(n.queue, s)
 	n.mu.Unlock()
 	n.schedule()
 }
@@ -415,9 +424,9 @@ func (n *Node) runExecutor() {
 	}
 }
 
-// drain runs queued functions until the queue is empty, swapping the
-// queue against a retained spare buffer so steady-state batches allocate
-// and copy nothing. Caller must own the executor.
+// drain runs queued steps in FIFO order until the queue is empty,
+// swapping the queue against a retained spare buffer so steady-state
+// batches allocate and copy nothing. Caller must own the executor.
 func (n *Node) drain() {
 	for {
 		n.mu.Lock()
@@ -428,12 +437,25 @@ func (n *Node) drain() {
 		batch := n.queue
 		n.queue = n.spare[:0]
 		n.mu.Unlock()
-		for i, fn := range batch {
-			batch[i] = nil // release the closure as soon as it has run
-			fn()
+		for i := range batch {
+			s := batch[i]
+			batch[i] = step{} // the spare buffer must not keep the closure or message alive
+			n.run(s)
 		}
 		n.spare = batch[:0]
 	}
+}
+
+// run executes one step. A delivery brackets OnMessage with its receive
+// time, which EnterCS reads for the handoff latency.
+func (n *Node) run(s step) {
+	if s.fn != nil {
+		s.fn()
+		return
+	}
+	n.msgRecvAt = s.recvAt
+	n.inner.OnMessage(n, s.from, s.msg)
+	n.msgRecvAt = time.Time{}
 }
 
 // Lock acquires the distributed mutex, blocking until the token grants
@@ -696,7 +718,7 @@ func (n *Node) Rand() float64 { return n.rng.Float64() }
 // Send implements dme.Context.
 func (n *Node) Send(from, to dme.NodeID, msg dme.Message) {
 	if to == n.cfg.ID {
-		n.post(func() { n.inner.OnMessage(n, from, msg) })
+		n.postStep(step{from: from, msg: msg})
 		return
 	}
 	// Stamp outbound protocol messages with the trace ID of the request

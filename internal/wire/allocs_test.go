@@ -45,6 +45,26 @@ func TestDecodeBodyAllocs(t *testing.T) {
 	}
 }
 
+// TestWrapAllocs pins the cost of KeyMux's per-send tagging: keying an
+// already-boxed message allocates only the Keyed box, not the options.
+func TestWrapAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	var msg dme.Message = core.Privilege{Q: core.QList{{Node: 1, Seq: 2}}, Counter: 7, Fence: 41}
+	key := "orders"
+	var out dme.Message
+	allocs := testing.AllocsPerRun(1000, func() {
+		out = wire.Wrap(msg, wire.WithKey(key))
+	})
+	if _, got := wire.SplitKey(out); got != key {
+		t.Fatalf("Wrap keyed the message %q, want %q", got, key)
+	}
+	if allocs > 1 {
+		t.Errorf("Wrap(msg, WithKey): %.1f allocations, want ≤ 1 (the Keyed box)", allocs)
+	}
+}
+
 // TestDecoderKeyInternCap: the key-intern table stops growing at its
 // cap however many distinct keys a peer sends, and every key past the
 // cap still decodes intact.

@@ -11,10 +11,9 @@ import "tokenarbiter/internal/dme"
 // and constructing them directly outside internal/wire is deprecated
 // (enforced by a grep check in CI).
 
-// WrapOption configures Wrap.
-type WrapOption func(*wrapOpts)
-
-type wrapOpts struct {
+// WrapOption configures Wrap: one tag, set by WithKey or WithTrace. It
+// is a plain value so that Wrap's option loop moves nothing to the heap.
+type WrapOption struct {
 	key      string
 	hasKey   bool
 	trace    uint64
@@ -25,14 +24,14 @@ type wrapOpts struct {
 // to. The empty key is no key (the frame carries no key field), so
 // WithKey("") removes an existing key tag.
 func WithKey(key string) WrapOption {
-	return func(o *wrapOpts) { o.key = key; o.hasKey = true }
+	return WrapOption{key: key, hasKey: true}
 }
 
 // WithTrace tags the message with the end-to-end trace id of the request
 // it serves. Zero means untraced, so WithTrace(0) removes an existing
 // trace tag.
 func WithTrace(trace uint64) WrapOption {
-	return func(o *wrapOpts) { o.trace = trace; o.hasTrace = true }
+	return WrapOption{trace: trace, hasTrace: true}
 }
 
 // Wrap attaches transport metadata to a protocol message, producing the
@@ -44,16 +43,14 @@ func WithTrace(trace uint64) WrapOption {
 // knowing about the other. Zero-valued tags add no wrapper at all —
 // Wrap(msg) returns msg unchanged.
 func Wrap(msg dme.Message, opts ...WrapOption) dme.Message {
-	var o wrapOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
 	inner, key, trace := Unwrap(msg)
-	if o.hasKey {
-		key = o.key
-	}
-	if o.hasTrace {
-		trace = o.trace
+	for _, o := range opts {
+		if o.hasKey {
+			key = o.key
+		}
+		if o.hasTrace {
+			trace = o.trace
+		}
 	}
 	if inner == nil {
 		return nil
