@@ -2,16 +2,12 @@
 // and reports acquisition-latency percentiles, throughput and messages
 // per critical section — the operational counterpart of the simulation
 // experiments, measured on the real runtime (goroutines + timers) over
-// an in-memory or loopback-TCP transport.
-//
-// -algo selects any algorithm in internal/registry, so the same harness
-// compares the paper's arbiter protocol against the nine baselines on
-// identical workloads:
+// an in-memory or loopback-TCP transport. Every node runs the paper's
+// arbiter protocol; its comparison with the baselines is the simulator's
+// (`mutexsim fig6`):
 //
 //	mutexload -nodes 5 -duration 5s -rate 200
 //	mutexload -transport tcp -nodes 3 -duration 3s -hold 2ms
-//	mutexload -algo raymond -nodes 5 -duration 5s -rate 200
-//	mutexload -algo ricartagrawala -transport tcp -nodes 3 -duration 3s
 //	mutexload -nodes 5 -duration 10s -chaos drop=0.05,dup=0.02,corrupt=0.01,seed=7
 //
 // -keys M load-tests the sharded multi-key lock service: every node runs
@@ -31,8 +27,8 @@
 //
 // -chaos threads every node's outbound traffic through a shared, seeded
 // fault injector (internal/faultnet), on either transport, and reports
-// the injected-fault tallies at the end — measuring how the core
-// protocol's recovery holds latency under a reproducible fault mix. It
+// the injected-fault tallies at the end — measuring how the protocol's
+// recovery holds latency under a reproducible fault mix. It
 // is the one way to inject loss (drop=P).
 //
 // mutexload explores a configuration by hand. A number worth quoting
@@ -48,7 +44,6 @@ import (
 	"math/rand/v2"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,18 +71,17 @@ func run(args []string) error {
 	var (
 		nodes     = fs.Int("nodes", 5, "cluster size")
 		trans     = fs.String("transport", "mem", "transport: mem or tcp")
-		algoFlag  = fs.String("algo", "core", "algorithm to load-test (any registry name; see mutexnode -algo list)")
 		keys      = fs.Int("keys", 1, "named lock keys served per node (1: classic single mutex; >1: the sharded multi-key service)")
 		workers   = fs.Int("workers", 1, "worker goroutines per node, spread round-robin across the keys")
 		duration  = fs.Duration("duration", 5*time.Second, "measurement duration")
 		rate      = fs.Float64("rate", 200, "aggregate lock attempts per second (0 = closed loop)")
 		hold      = fs.Duration("hold", time.Millisecond, "critical-section hold time")
-		treq      = fs.Float64("treq", 0.002, "core: request collection phase (seconds)")
-		tfwd      = fs.Float64("tfwd", 0.002, "core: request forwarding phase (seconds)")
-		monitor   = fs.Bool("monitor", false, "core: enable the §4.1 starvation-free variant")
-		recover   = fs.Bool("recovery", true, "core: enable the §6 recovery protocol")
+		treq      = fs.Float64("treq", 0.002, "request collection phase (seconds)")
+		tfwd      = fs.Float64("tfwd", 0.002, "request forwarding phase (seconds)")
+		monitor   = fs.Bool("monitor", false, "enable the §4.1 starvation-free variant")
+		recover   = fs.Bool("recovery", true, "enable the §6 recovery protocol")
 		netDelay  = fs.Duration("netdelay", 200*time.Microsecond, "in-memory network one-way delay")
-		chaosStr  = fs.String("chaos", "", "fault-injection spec applied to every node's outbound traffic, e.g. drop=0.05,dup=0.02,corrupt=0.01,delay=1ms,seed=7 (requires -recovery, core only)")
+		chaosStr  = fs.String("chaos", "", "fault-injection spec applied to every node's outbound traffic, e.g. drop=0.05,dup=0.02,corrupt=0.01,delay=1ms,seed=7 (requires -recovery)")
 		perNodeS  = fs.Bool("pernode", true, "print a per-node metrics summary at the end of the run")
 		flightrec = fs.String("flightrec", "", "write one flight-recorder capture (JSONL) of the whole cluster's traffic, lock lifecycle and protocol transitions to this file; re-execute it with `mutexsim replay`")
 		slowN     = fs.Int("slowest", 3, "end-of-run: print the per-phase breakdown of this many slowest traced acquisitions (0 disables)")
@@ -123,44 +117,26 @@ func run(args []string) error {
 	if *sessionsN > 0 && *connsN < 1 {
 		return fmt.Errorf("-conns %d: need at least one connection per node", *connsN)
 	}
-	entry, ok := registry.Lookup(*algoFlag)
-	if !ok {
-		return fmt.Errorf("unknown algorithm %q (have %s)",
-			*algoFlag, strings.Join(registry.Names(), ", "))
-	}
-	algo := entry.Name
-	if algo != registry.Core && *chaosStr != "" {
-		return fmt.Errorf("-chaos requires the core algorithm's recovery protocol; %s has none", algo)
-	}
 
-	var factory live.Factory
-	if algo == registry.Core {
-		opts := core.Options{
-			Treq:              *treq,
-			Tfwd:              *tfwd,
-			Monitor:           *monitor,
-			RetransmitTimeout: 1,
-		}
-		if *monitor {
-			opts.MonitorFlushTimeout = 2
-		}
-		if *recover {
-			opts.Recovery = core.RecoveryOptions{
-				Enabled:        true,
-				TokenTimeout:   1,
-				RoundTimeout:   0.25,
-				ArbiterTimeout: 3,
-				ProbeTimeout:   0.25,
-			}
-		}
-		factory = registry.CoreLiveFactory(opts)
-	} else {
-		var err error
-		factory, err = registry.NewLiveFactory(algo, nil)
-		if err != nil {
-			return err
+	opts := core.Options{
+		Treq:              *treq,
+		Tfwd:              *tfwd,
+		Monitor:           *monitor,
+		RetransmitTimeout: 1,
+	}
+	if *monitor {
+		opts.MonitorFlushTimeout = 2
+	}
+	if *recover {
+		opts.Recovery = core.RecoveryOptions{
+			Enabled:        true,
+			TokenTimeout:   1,
+			RoundTimeout:   0.25,
+			ArbiterTimeout: 3,
+			ProbeTimeout:   0.25,
 		}
 	}
+	factory := registry.CoreLiveFactory(opts)
 
 	// One shared injector covers every node's outbound link, so a single
 	// seed reproduces the whole cluster's fault schedule.
@@ -170,7 +146,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("-chaos: %w", err)
 		}
-		inj = faultnet.New(faultnet.Options{Seed: spec.Seed, Faults: spec.Faults, Algo: algo})
+		inj = faultnet.New(faultnet.Options{Seed: spec.Seed, Faults: spec.Faults})
 	}
 
 	// One shared collector and (optionally) one shared flight recorder
@@ -183,18 +159,18 @@ func run(args []string) error {
 		// The recorder seals every captured message itself, so the wire
 		// types must be registered even over the mem transport (which
 		// ships message values and never serializes).
-		if _, err := registry.RegisterWire(algo); err != nil {
+		if _, err := registry.RegisterWire(registry.Core); err != nil {
 			return err
 		}
 		var err error
-		frec, err = reqtrace.CreateRecorder(*flightrec, algo, *nodes)
+		frec, err = reqtrace.CreateRecorder(*flightrec, registry.Core, *nodes)
 		if err != nil {
 			return err
 		}
 		defer frec.Close() //nolint:errcheck // shutdown path
 	}
 
-	cluster, counters, cleanup, err := buildCluster(*trans, *nodes, algo, factory, *netDelay, inj, tracer, frec)
+	cluster, counters, cleanup, err := buildCluster(*trans, *nodes, factory, *netDelay, inj, tracer, frec)
 	if err != nil {
 		return err
 	}
@@ -207,8 +183,8 @@ func run(args []string) error {
 	totalWorkers := *nodes * *workers
 
 	if *sessionsN > 0 {
-		fmt.Printf("cluster: %d nodes over %s, algorithm=%s, keys=%d, sessions=%d, conns=%d/node, ttl=%v, wait=%v, think=%v, hold=%v, duration=%v, maxsessions=%d maxwaiters=%d chaos=%q\n",
-			*nodes, *trans, algo, *keys, *sessionsN, *connsN, *ttl, *wait, *think, *hold, *duration, *maxSessions, *maxWaiters, *chaosStr)
+		fmt.Printf("cluster: %d nodes over %s, keys=%d, sessions=%d, conns=%d/node, ttl=%v, wait=%v, think=%v, hold=%v, duration=%v, maxsessions=%d maxwaiters=%d chaos=%q\n",
+			*nodes, *trans, *keys, *sessionsN, *connsN, *ttl, *wait, *think, *hold, *duration, *maxSessions, *maxWaiters, *chaosStr)
 		err := runSessionLoad(cluster, sessionLoadConfig{
 			sessions:    *sessionsN,
 			conns:       *connsN,
@@ -222,7 +198,7 @@ func run(args []string) error {
 			keys:        keyNames,
 		})
 		if *perNodeS {
-			printPerNode(algo, cluster, counters)
+			printPerNode(cluster, counters)
 		}
 		if frec != nil {
 			records, dropped := frec.Totals()
@@ -236,8 +212,8 @@ func run(args []string) error {
 		return err
 	}
 
-	fmt.Printf("cluster: %d nodes over %s, algorithm=%s, keys=%d, workers=%d/node, rate=%.0f/s, hold=%v, duration=%v, monitor=%v recovery=%v chaos=%q\n",
-		*nodes, *trans, algo, *keys, *workers, *rate, *hold, *duration, *monitor, *recover, *chaosStr)
+	fmt.Printf("cluster: %d nodes over %s, keys=%d, workers=%d/node, rate=%.0f/s, hold=%v, duration=%v, monitor=%v recovery=%v chaos=%q\n",
+		*nodes, *trans, *keys, *workers, *rate, *hold, *duration, *monitor, *recover, *chaosStr)
 
 	ctx, cancel := context.WithTimeout(context.Background(), *duration+30*time.Second)
 	defer cancel()
@@ -328,16 +304,15 @@ func run(args []string) error {
 		printPerKey(cluster, keyNames, perKey, duration.Seconds())
 	}
 	if *perNodeS {
-		printPerNode(algo, cluster, counters)
+		printPerNode(cluster, counters)
 	}
 	if *slowN > 0 {
 		printSlowest(tracer, *slowN)
 	}
-	// The comparison footer: this is the live counterpart of the paper's
-	// Figure 6 message-complexity comparison. Run once per -algo on the
-	// same workload and compare the line directly.
-	fmt.Printf("algorithm=%s keys=%d: %.2f messages per CS (%d messages, %d critical sections, %d nodes)\n",
-		algo, *keys, float64(sent)/float64(n), sent, n, *nodes)
+	// The message-complexity footer: the live counterpart of the
+	// simulator's messages per CS at matched parameters.
+	fmt.Printf("keys=%d: %.2f messages per CS (%d messages, %d critical sections, %d nodes)\n",
+		*keys, float64(sent)/float64(n), sent, n, *nodes)
 	if frec != nil {
 		records, dropped := frec.Totals()
 		fmt.Printf("flight recorder: %d records (%d dropped) -> %s\n", records, dropped, *flightrec)
@@ -412,19 +387,16 @@ func printSlowest(c *reqtrace.Collector, n int) {
 // printPerNode scrapes each node's per-key telemetry registries and
 // prints the live counterparts of the simulation observables summed over
 // the node's keys: grants, token passes, dispatches, lock-wait
-// percentiles (merged across keys) and the node's message traffic. The
-// token/dispatch/retransmit columns are core-protocol observables and
-// read zero under baseline algorithms; grants, waits and traffic are
-// algorithm-agnostic.
-func printPerNode(algo string, cluster []*live.Manager, counters []*transport.Counting) {
+// percentiles (merged across keys) and the node's message traffic.
+func printPerNode(cluster []*live.Manager, counters []*transport.Counting) {
 	fmt.Println("per-node metrics:")
-	fmt.Printf("  %-4s %-14s %8s %8s %8s %8s %12s %12s %10s %10s\n",
-		"node", "algorithm", "grants", "tokpass", "dispatch", "retx", "wait-p50-ms", "wait-p99-ms", "sent", "recv")
+	fmt.Printf("  %-4s %8s %8s %8s %8s %12s %12s %10s %10s\n",
+		"node", "grants", "tokpass", "dispatch", "retx", "wait-p50-ms", "wait-p99-ms", "sent", "recv")
 	for i, m := range cluster {
 		wait := m.MergedHistogram("lock_wait_seconds")
 		sent, recv := counters[i].Totals()
-		fmt.Printf("  %-4d %-14s %8d %8d %8d %8d %12.2f %12.2f %10d %10d\n",
-			i, algo,
+		fmt.Printf("  %-4d %8d %8d %8d %8d %12.2f %12.2f %10d %10d\n",
+			i,
 			m.SumCounter("cs_granted_total"),
 			m.SumCounter("token_passes_total"),
 			m.SumCounter("dispatches_total"),
@@ -439,10 +411,8 @@ func printPerNode(algo string, cluster []*live.Manager, counters []*transport.Co
 // cmd/mutexnode uses), so the end-of-run summary can scrape protocol and
 // transport metrics together. With -keys 1 the Manager serves a single
 // key — same protocol, one DME group — keeping the comparison between
-// key counts an apples-to-apples change of sharding only. Baseline
-// algorithms get FIFO in-memory channels (Lamport requires them; TCP is
-// FIFO by nature).
-func buildCluster(kind string, n int, algo string, factory live.Factory, delay time.Duration, inj *faultnet.Injector, tracer *reqtrace.Collector, frec *reqtrace.Recorder) ([]*live.Manager, []*transport.Counting, func(), error) {
+// key counts an apples-to-apples change of sharding only.
+func buildCluster(kind string, n int, factory live.Factory, delay time.Duration, inj *faultnet.Injector, tracer *reqtrace.Collector, frec *reqtrace.Recorder) ([]*live.Manager, []*transport.Counting, func(), error) {
 	counters := make([]*transport.Counting, n)
 	trans := make([]transport.Transport, n)
 	regs := make([]*telemetry.Registry, n)
@@ -468,10 +438,7 @@ func buildCluster(kind string, n int, algo string, factory live.Factory, delay t
 
 	switch kind {
 	case "mem":
-		net := transport.NewMemNetwork(n, transport.MemOptions{
-			Delay: delay,
-			FIFO:  algo != registry.Core,
-		})
+		net := transport.NewMemNetwork(n, transport.MemOptions{Delay: delay})
 		closers = append(closers, net.Close)
 		for i := 0; i < n; i++ {
 			chain(i, net.Endpoint(i))
@@ -480,8 +447,7 @@ func buildCluster(kind string, n int, algo string, factory live.Factory, delay t
 		trs := make([]*transport.TCPTransport, n)
 		addrs := make(map[dme.NodeID]string, n)
 		for i := 0; i < n; i++ {
-			tr, err := transport.NewTCPOpt(i, map[dme.NodeID]string{i: "127.0.0.1:0"},
-				transport.TCPOptions{Algo: algo})
+			tr, err := transport.NewTCP(i, map[dme.NodeID]string{i: "127.0.0.1:0"})
 			if err != nil {
 				return nil, nil, func() {}, err
 			}
@@ -498,7 +464,7 @@ func buildCluster(kind string, n int, algo string, factory live.Factory, delay t
 
 	for i := 0; i < n; i++ {
 		m, err := live.NewManager(live.ManagerConfig{
-			ID: i, N: n, Transport: trans[i], Factory: factory, Algo: algo,
+			ID: i, N: n, Transport: trans[i], Factory: factory, Algo: registry.Core,
 			Seed: uint64(i + 1), Metrics: regs[i],
 			Tracer: tracer, FlightRec: frec,
 		})

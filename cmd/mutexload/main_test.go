@@ -14,11 +14,10 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-transport", "carrier-pigeon", "-duration", "10ms"}); err == nil {
 		t.Error("unknown transport accepted")
 	}
-	if err := run([]string{"-algo", "paxos-deluxe", "-duration", "10ms"}); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-	if err := run([]string{"-algo", "raymond", "-chaos", "drop=0.1", "-duration", "10ms"}); err == nil {
-		t.Error("chaos accepted for a baseline without recovery")
+	// Core is the only live algorithm: there is no -algo to choose
+	// another with.
+	if err := run([]string{"-algo", "raymond", "-duration", "10ms"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-algo: got %v, want an unknown-flag error", err)
 	}
 	if err := run([]string{"-loss", "0.1", "-duration", "10ms"}); err == nil || !strings.Contains(err.Error(), "-chaos drop=P") {
 		t.Errorf("-loss: got %v, want a flag error naming -chaos drop=P", err)
@@ -89,16 +88,6 @@ func TestRunShortTCPLoad(t *testing.T) {
 	err := run([]string{"-transport", "tcp", "-nodes", "2", "-duration", "500ms", "-rate", "50"})
 	if err != nil {
 		t.Fatalf("tcp load: %v", err)
-	}
-}
-
-func TestRunShortBaselineLoad(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real cluster")
-	}
-	err := run([]string{"-algo", "raymond", "-nodes", "3", "-duration", "500ms", "-rate", "100", "-hold", "200us"})
-	if err != nil {
-		t.Fatalf("raymond mem load: %v", err)
 	}
 }
 

@@ -1,20 +1,21 @@
 // Command mutexnode runs one live lock-service node (a live.Manager)
 // over TCP and drives a demo workload against it, printing each
 // critical-section grant. Start N copies (one per node id) with the same
-// -peers list, the same -algo and the same -keys; node 0 starts as the
-// token holder / arbiter / coordinator of every key.
+// -peers list and the same -keys; node 0 starts as the token holder and
+// arbiter of every key.
 //
-// Example, three nodes on one machine running Raymond's tree algorithm:
+// Example, three nodes on one machine:
 //
-//	mutexnode -algo raymond -id 0 -http :8080 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 &
-//	mutexnode -algo raymond -id 1 -http :8081 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 &
-//	mutexnode -algo raymond -id 2 -http :8082 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002
+//	mutexnode -id 0 -http :8080 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 &
+//	mutexnode -id 1 -http :8081 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 &
+//	mutexnode -id 2 -http :8082 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002
 //
-// -algo selects any algorithm in internal/registry (core — the paper's
-// arbiter protocol — plus the nine baselines); `-algo list` prints the
-// catalog. Peers must agree on the algorithm: every connection's
-// handshake and every frame is tagged, and a mismatched peer is rejected
-// with a logged error instead of a garbage decode.
+// Every node runs the paper's arbiter protocol (internal/core) with its
+// §6 recovery; the baselines it is compared with run in the simulator
+// (`mutexsim fig6`). Every connection's handshake and every frame is
+// tagged with the algorithm and wire format, so a peer that speaks
+// something else is rejected with a logged error instead of a garbage
+// decode.
 //
 // The node serves -keys M named lock keys (lock-0 … lock-M-1; the
 // default 1 is the single mutex, key lock-0): one independent DME group
@@ -82,7 +83,6 @@ type nodeConfig struct {
 	id        int
 	addrs     map[dme.NodeID]string
 	n         int
-	algo      string
 	keys      int
 	count     int
 	hold      time.Duration
@@ -97,43 +97,31 @@ type nodeConfig struct {
 	verbose   bool
 	chaos     string
 	flightrec string
-	listAlgos bool
 }
 
-// parseFlags parses and validates the command line. With `-algo list`
-// the returned config has listAlgos set and no further validation runs.
+// parseFlags parses and validates the command line.
 func parseFlags(args []string) (*nodeConfig, error) {
 	fs := flag.NewFlagSet("mutexnode", flag.ContinueOnError)
 	var (
 		id        = fs.Int("id", 0, "this node's id (index into -peers)")
 		peers     = fs.String("peers", "127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002", "comma-separated peer addresses, one per node id")
-		algoFlag  = fs.String("algo", "core", "algorithm to run (see -algo list); every peer must match")
 		keys      = fs.Int("keys", 1, "number of named lock keys to serve, lock-0 … lock-(keys-1) (1: a single mutex); every peer must match")
 		count     = fs.Int("count", 10, "critical sections to execute (0: serve only)")
 		hold      = fs.Duration("hold", 50*time.Millisecond, "time to hold the mutex per acquisition")
 		think     = fs.Duration("think", 100*time.Millisecond, "pause between acquisitions")
-		linger    = fs.Duration("linger", 3*time.Second, "keep serving the protocol after finishing -count acquisitions (baselines have no recovery: an exiting node strands peers that still need the token)")
+		linger    = fs.Duration("linger", 3*time.Second, "keep serving the protocol after finishing -count acquisitions, so peers still queued behind this node are served without a §6 recovery round")
 		treq      = fs.Float64("treq", 0.05, "core: request collection phase (seconds)")
 		tfwd      = fs.Float64("tfwd", 0.05, "core: request forwarding phase (seconds)")
 		monitor   = fs.Bool("monitor", false, "core: enable the starvation-free monitor variant")
 		recovery  = fs.Bool("recovery", true, "core: enable the §6 failure recovery protocol")
 		httpAddr  = fs.String("http", "", "admin endpoint address (e.g. :8080) serving /metrics, /statusz, /healthz, /debug/trace; empty disables")
 		sessAddr  = fs.String("session", "", "serve the client session protocol (TTL leases, wait queues, watches) on this address (e.g. :7100)")
-		verbose   = fs.Bool("v", false, "log protocol transitions (slog, stderr; core only)")
+		verbose   = fs.Bool("v", false, "log protocol transitions (slog, stderr)")
 		chaos     = fs.String("chaos", "", "inject faults into this node's outbound traffic, e.g. drop=0.05,dup=0.02,corrupt=0.01,delay=2ms,jitter=1ms,reorder=0.05,seed=7; live-tunable via /debug/faults when -http is set")
 		flightrec = fs.String("flightrec", "", "write a flight-recorder capture (JSONL: every wire frame sent/received plus the lock lifecycle and protocol transitions) to this file; re-execute it with `mutexsim replay`")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
-	}
-
-	if *algoFlag == "list" {
-		return &nodeConfig{listAlgos: true}, nil
-	}
-	entry, ok := registry.Lookup(*algoFlag)
-	if !ok {
-		return nil, fmt.Errorf("unknown algorithm %q (have %s)",
-			*algoFlag, strings.Join(registry.Names(), ", "))
 	}
 
 	addrList := strings.Split(*peers, ",")
@@ -150,8 +138,7 @@ func parseFlags(args []string) (*nodeConfig, error) {
 	}
 
 	return &nodeConfig{
-		id: *id, addrs: addrs, n: n,
-		algo: entry.Name, keys: *keys,
+		id: *id, addrs: addrs, n: n, keys: *keys,
 		count: *count, hold: *hold, think: *think, linger: *linger,
 		treq: *treq, tfwd: *tfwd, monitor: *monitor, recovery: *recovery,
 		httpAddr: *httpAddr, session: *sessAddr, verbose: *verbose, chaos: *chaos,
@@ -159,32 +146,28 @@ func parseFlags(args []string) (*nodeConfig, error) {
 	}, nil
 }
 
-// buildFactory assembles the per-key protocol factory. The
-// paper's algorithm keeps its full option surface (variant, recovery,
-// phase tuning); the baselines build from the registry.
-func buildFactory(cfg *nodeConfig) (live.Factory, error) {
-	if cfg.algo == registry.Core {
-		opts := core.Options{
-			Treq:              cfg.treq,
-			Tfwd:              cfg.tfwd,
-			Monitor:           cfg.monitor,
-			RetransmitTimeout: 2,
-		}
-		if cfg.monitor {
-			opts.MonitorFlushTimeout = 5
-		}
-		if cfg.recovery {
-			opts.Recovery = core.RecoveryOptions{
-				Enabled:        true,
-				TokenTimeout:   3,
-				RoundTimeout:   1,
-				ArbiterTimeout: 10,
-				ProbeTimeout:   1,
-			}
-		}
-		return registry.CoreLiveFactory(opts), nil
+// buildFactory assembles the per-key protocol factory from the core
+// flags (variant, recovery, phase tuning).
+func buildFactory(cfg *nodeConfig) live.Factory {
+	opts := core.Options{
+		Treq:              cfg.treq,
+		Tfwd:              cfg.tfwd,
+		Monitor:           cfg.monitor,
+		RetransmitTimeout: 2,
 	}
-	return registry.NewLiveFactory(cfg.algo, nil)
+	if cfg.monitor {
+		opts.MonitorFlushTimeout = 5
+	}
+	if cfg.recovery {
+		opts.Recovery = core.RecoveryOptions{
+			Enabled:        true,
+			TokenTimeout:   3,
+			RoundTimeout:   1,
+			ArbiterTimeout: 10,
+			ProbeTimeout:   1,
+		}
+	}
+	return registry.CoreLiveFactory(opts)
 }
 
 // keyName names the demo workload's lock keys: lock-0 … lock-M-1. Every
@@ -198,25 +181,13 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if cfg.listAlgos {
-		for _, e := range registry.Entries() {
-			fmt.Printf("  %-16s %s\n", e.Name, e.Description)
-		}
-		return nil
-	}
 
 	var logger *slog.Logger
 	if cfg.verbose {
 		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 
-	factory, err := buildFactory(cfg)
-	if err != nil {
-		return err
-	}
-
 	tcp, err := transport.NewTCPOpt(cfg.id, cfg.addrs, transport.TCPOptions{
-		Algo: cfg.algo,
 		OnWireError: func(err error) {
 			fmt.Fprintln(os.Stderr, "mutexnode:", err)
 		},
@@ -243,7 +214,6 @@ func run(ctx context.Context, args []string) error {
 		inj = faultnet.New(faultnet.Options{
 			Seed:   spec.Seed,
 			Faults: spec.Faults,
-			Algo:   cfg.algo,
 			OnFault: func(err error) {
 				fmt.Fprintln(os.Stderr, "mutexnode: chaos:", err)
 			},
@@ -255,7 +225,7 @@ func run(ctx context.Context, args []string) error {
 	// the injector innermost as before.
 	var frec *reqtrace.Recorder
 	if cfg.flightrec != "" {
-		frec, err = reqtrace.CreateRecorder(cfg.flightrec, cfg.algo, cfg.n)
+		frec, err = reqtrace.CreateRecorder(cfg.flightrec, registry.Core, cfg.n)
 		if err != nil {
 			_ = tcp.Close()
 			return err
@@ -270,7 +240,7 @@ func run(ctx context.Context, args []string) error {
 	ct, _ := transport.Find[*transport.Counting](tr)
 
 	mgr, err := live.NewManager(live.ManagerConfig{
-		ID: cfg.id, N: cfg.n, Transport: tr, Factory: factory, Algo: cfg.algo,
+		ID: cfg.id, N: cfg.n, Transport: tr, Factory: buildFactory(cfg), Algo: registry.Core,
 		Logger: logger, Metrics: reg, Tracer: tracer, FlightRec: frec,
 	})
 	if err != nil {
@@ -333,13 +303,9 @@ func run(ctx context.Context, args []string) error {
 		}()
 	}
 
-	params := ""
-	if cfg.algo == registry.Core {
-		params = fmt.Sprintf(", treq=%.3fs tfwd=%.3fs monitor=%v recovery=%v",
-			cfg.treq, cfg.tfwd, cfg.monitor, cfg.recovery)
-	}
-	fmt.Printf("node %d/%d listening on %s (algorithm %s, lock keys: %d%s)\n",
-		cfg.id, cfg.n, cfg.addrs[cfg.id], cfg.algo, cfg.keys, params)
+	fmt.Printf("node %d/%d listening on %s (algorithm %s, lock keys: %d, treq=%.3fs tfwd=%.3fs monitor=%v recovery=%v)\n",
+		cfg.id, cfg.n, cfg.addrs[cfg.id], registry.Core, cfg.keys,
+		cfg.treq, cfg.tfwd, cfg.monitor, cfg.recovery)
 
 	if cfg.count == 0 {
 		<-ctx.Done()
@@ -400,7 +366,7 @@ func faultMW(inj *faultnet.Injector) transport.Middleware {
 func printSummary(cfg *nodeConfig, mgr *live.Manager, ct *transport.Counting, tcp *transport.TCPTransport, inj *faultnet.Injector) {
 	granted, released := mgr.Stats()
 	fmt.Printf("node %d: done (algorithm %s, %d keys, %d granted, %d released)\n",
-		cfg.id, cfg.algo, len(mgr.Keys()), granted, released)
+		cfg.id, registry.Core, len(mgr.Keys()), granted, released)
 	printTraffic(cfg.id, mgr.Metrics(), ct)
 	printWireAndChaos(cfg.id, tcp, inj)
 	printKinds(cfg.id, ct)
@@ -426,7 +392,7 @@ func printTraffic(id int, reg *telemetry.Registry, ct *transport.Counting) {
 
 func printWireAndChaos(id int, tcp *transport.TCPTransport, inj *faultnet.Injector) {
 	if mism, dec := tcp.WireErrors(); mism > 0 || dec > 0 {
-		fmt.Printf("node %d: WIRE ERRORS: %d algorithm/version mismatches, %d undecodable payloads (check every peer's -algo)\n",
+		fmt.Printf("node %d: WIRE ERRORS: %d algorithm/version mismatches, %d undecodable payloads (is every peer a mutexnode of this build's wire format?)\n",
 			id, mism, dec)
 	}
 	if inj != nil {

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"tokenarbiter/internal/live"
-	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/session"
 )
 
@@ -30,33 +29,26 @@ func TestParseFlags(t *testing.T) {
 			name: "defaults",
 			args: nil,
 			check: func(t *testing.T, cfg *nodeConfig) {
-				if cfg.algo != registry.Core || cfg.keys != 1 || cfg.n != 3 || cfg.id != 0 {
-					t.Errorf("defaults = algo %q keys %d n %d id %d", cfg.algo, cfg.keys, cfg.n, cfg.id)
+				if cfg.keys != 1 || cfg.n != 3 || cfg.id != 0 {
+					t.Errorf("defaults = keys %d n %d id %d", cfg.keys, cfg.n, cfg.id)
 				}
 			},
 		},
 		{
-			name: "multi key baseline",
-			args: []string{"-keys", "8", "-algo", "raymond", "-peers", "a:1,b:2", "-id", "1"},
+			name: "multi key",
+			args: []string{"-keys", "8", "-peers", "a:1,b:2", "-id", "1"},
 			check: func(t *testing.T, cfg *nodeConfig) {
-				if cfg.keys != 8 || cfg.algo != "raymond" || cfg.n != 2 || cfg.id != 1 {
-					t.Errorf("cfg = algo %q keys %d n %d id %d", cfg.algo, cfg.keys, cfg.n, cfg.id)
+				if cfg.keys != 8 || cfg.n != 2 || cfg.id != 1 {
+					t.Errorf("cfg = keys %d n %d id %d", cfg.keys, cfg.n, cfg.id)
 				}
 				if cfg.addrs[0] != "a:1" || cfg.addrs[1] != "b:2" {
 					t.Errorf("addrs = %v", cfg.addrs)
 				}
 			},
 		},
-		{
-			name: "algo list short-circuits validation",
-			args: []string{"-algo", "list", "-id", "99", "-keys", "0"},
-			check: func(t *testing.T, cfg *nodeConfig) {
-				if !cfg.listAlgos {
-					t.Error("listAlgos not set")
-				}
-			},
-		},
-		{name: "unknown algorithm", args: []string{"-algo", "paxos-deluxe"}, wantErr: "unknown algorithm"},
+		// Core is the only live algorithm: there is no -algo to choose
+		// another with.
+		{name: "unknown algorithm", args: []string{"-algo", "raymond"}, wantErr: "flag provided but not defined"},
 		{name: "id beyond peers", args: []string{"-id", "5"}, wantErr: "outside peer list"},
 		{name: "negative id", args: []string{"-id", "-1"}, wantErr: "outside peer list"},
 		{name: "zero keys", args: []string{"-keys", "0"}, wantErr: "at least one lock key"},
@@ -458,12 +450,6 @@ func TestRunMultiKeyTCP(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("multi-key run: %v", err)
-	}
-}
-
-func TestRunAlgoList(t *testing.T) {
-	if err := run(context.Background(), []string{"-algo", "list"}); err != nil {
-		t.Fatalf("-algo list: %v", err)
 	}
 }
 

@@ -186,17 +186,14 @@ func replayCapture(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The captured frames decode through the normal wire path, so the
-	// algorithm's message types must be registered first.
+	// The captured frames decode through the normal wire path, so core's
+	// message types must be registered first; a capture of any other
+	// algorithm is refused here, by name.
 	if _, err := registry.RegisterWire(capture.Header.Algo); err != nil {
 		return fmt.Errorf("capture algorithm %q: %w", capture.Header.Algo, err)
 	}
-	factory, err := registry.NewLiveFactory(capture.Header.Algo, nil)
-	if err != nil {
-		return fmt.Errorf("capture algorithm %q: %w", capture.Header.Algo, err)
-	}
 	collector := reqtrace.NewCollector(reqtrace.DefaultDepth)
-	res, err := reqtrace.Replay(capture, factory, collector)
+	res, err := reqtrace.Replay(capture, registry.CoreLiveFactory(core.Options{}), collector)
 	if err != nil {
 		return err
 	}

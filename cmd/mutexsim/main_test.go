@@ -36,6 +36,23 @@ func TestReplayRefusesV1Capture(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesNonCoreCapture: the live runtime runs only core, so a
+// capture tagged with any other algorithm is refused by name before
+// anything replays.
+func TestReplayRefusesNonCoreCapture(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "raymond.jsonl")
+	if err := os.WriteFile(path, []byte(`{"v":3,"algo":"raymond","n":3}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"replay", path})
+	if err == nil {
+		t.Fatal("replay accepted a raymond capture")
+	}
+	if !strings.Contains(err.Error(), `"raymond"`) {
+		t.Errorf("error %q does not name the capture's algorithm", err)
+	}
+}
+
 func TestRunQuickAnalysis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a small simulation batch")

@@ -28,9 +28,9 @@ func main() {
 	})
 	defer net.Close()
 
-	// The factory picks the protocol each node runs; swap it for
-	// registry.NewLiveFactory("raymond", nil) (or any registry name) to
-	// run a baseline on the same harness.
+	// The factory builds each key's protocol engine: the paper's arbiter
+	// algorithm with its phase durations (the baselines it is compared
+	// with run in the simulator, `mutexsim fig6`).
 	factory := registry.CoreLiveFactory(core.Options{
 		Treq: 0.01, // 10 ms request-collection phase
 		Tfwd: 0.01, // 10 ms request-forwarding phase

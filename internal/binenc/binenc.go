@@ -3,10 +3,10 @@
 // encoding/binary, and a sticky-error Reader that keeps hand-written
 // UnmarshalBinary implementations to one line per field.
 //
-// The package sits below internal/wire and the protocol packages
-// (internal/core, internal/baseline/...) so all of them can share one
-// encoding vocabulary without an import cycle: binenc imports only the
-// standard library.
+// The package sits below internal/wire and the two message families
+// that cross a wire (internal/core and internal/session) so all of them
+// can share one encoding vocabulary without an import cycle: binenc
+// imports only the standard library.
 //
 // Conventions, shared by every message layout in the repository:
 //

@@ -1,6 +1,9 @@
 package core
 
-import "tokenarbiter/internal/binenc"
+import (
+	"tokenarbiter/internal/binenc"
+	"tokenarbiter/internal/dme"
+)
 
 // Binary wire layouts (wire.WireAppender / wire.WireUnmarshaler) for
 // every protocol message, enabling internal/wire's binary codec for the
@@ -9,6 +12,18 @@ import "tokenarbiter/internal/binenc"
 // interop with older builds (bump wire.FormatVersion instead). Slices
 // decode to nil when empty so a binary round-trip is value-identical to
 // a gob round-trip.
+
+// Messages returns one zero-value prototype of every message the
+// protocol sends, in wire kind-id order: the order is wire protocol, so
+// new messages append at the end.
+func Messages() []dme.Message {
+	return []dme.Message{
+		Request{}, MonitorRequest{}, Privilege{},
+		NewArbiter{}, Warning{}, Enquiry{},
+		EnquiryAck{}, Resume{}, Invalidate{},
+		Probe{}, ProbeAck{}, Disown{},
+	}
+}
 
 func appendQEntry(b []byte, e QEntry) []byte {
 	b = binenc.AppendInt(b, e.Node)

@@ -22,7 +22,7 @@
 // Wire the injector into a node with Chain, innermost so counters above
 // it see the protocol's attempted traffic (see transport.Middleware):
 //
-//	inj := faultnet.New(faultnet.Options{Seed: 7, Faults: f, Algo: algo})
+//	inj := faultnet.New(faultnet.Options{Seed: 7, Faults: f})
 //	tr := transport.Chain(base, transport.CountingMW(reg), inj.Middleware())
 //	inj.RegisterMetrics(reg) // faultnet_* counters on /metrics
 package faultnet
@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"tokenarbiter/internal/dme"
+	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/telemetry"
 	"tokenarbiter/internal/transport"
 	"tokenarbiter/internal/wire"
@@ -100,10 +101,6 @@ type Options struct {
 	// Faults is the default fault model applied to every link; override
 	// individual links with SetLinkFaults.
 	Faults Faults
-	// Algo is the registered wire algorithm name, used to frame messages
-	// for byte-corruption. Empty degrades Corrupt to a plain drop (still
-	// counted as a corruption).
-	Algo string
 	// OnFault, when non-nil, receives the *wire.DecodeError produced by
 	// each injected corruption. Called from Send paths; must be safe for
 	// concurrent use.
@@ -116,7 +113,6 @@ type link struct{ From, To int }
 // Injector is the shared fault state for a set of wrapped endpoints. All
 // methods are safe for concurrent use.
 type Injector struct {
-	algo    string
 	onFault func(error)
 
 	mu        sync.Mutex
@@ -143,8 +139,10 @@ func New(opts Options) *Injector {
 	if err := opts.Faults.Validate(); err != nil {
 		panic(err)
 	}
+	// Corruption frames messages in core's wire family (see corrupt);
+	// registering core cannot fail.
+	_, _ = registry.RegisterWire(registry.Core)
 	return &Injector{
-		algo:    opts.Algo,
 		onFault: opts.OnFault,
 		rng:     rand.New(rand.NewPCG(opts.Seed, opts.Seed^0x9e3779b97f4a7c15)),
 		faults:  opts.Faults,
@@ -409,7 +407,8 @@ func (inj *Injector) decide(from, to int, kind string) decision {
 
 // corrupt frames msg the way the wire would, damages the frame, and
 // reproduces the typed error a real corrupted frame yields at the
-// receiver. The message itself is dropped either way.
+// receiver. The message is dropped either way. Frames are core's: it is
+// the one algorithm the live path runs.
 //
 // The damage is what a broken link inflicts: the body truncated to half
 // and its last byte flipped. A real receiver reads a whole frame before
@@ -421,23 +420,19 @@ func (inj *Injector) corrupt(from int, msg dme.Message) {
 	}
 	generic := func(err error) {
 		inj.onFault(&wire.DecodeError{
-			From: from, Algo: inj.algo, Kind: msg.Kind(),
+			From: from, Algo: registry.Core, Kind: msg.Kind(),
 			Err: fmt.Errorf("faultnet: injected corruption: %w", err),
 		})
 	}
-	if inj.algo == "" || !wire.Registered(inj.algo) {
-		generic(errors.New("no wire algorithm configured"))
-		return
-	}
 	var buf bytes.Buffer
-	if err := wire.BinaryCodec().NewEncoder(&buf, inj.algo).Encode(from, msg); err != nil {
+	if err := wire.BinaryCodec().NewEncoder(&buf, registry.Core).Encode(from, msg); err != nil {
 		generic(err)
 		return
 	}
 	body := buf.Bytes()[wire.PrefixLen:]
 	body = body[:(len(body)+1)/2]
 	body[len(body)-1] ^= 0xa5
-	_, _, err := wire.BinaryCodec().NewDecoder(nil, inj.algo).DecodeBody(body)
+	_, _, err := wire.BinaryCodec().NewDecoder(nil, registry.Core).DecodeBody(body)
 	var de *wire.DecodeError
 	if errors.As(err, &de) {
 		inj.onFault(err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/faultnet"
 	"tokenarbiter/internal/registry"
@@ -193,18 +194,16 @@ func TestDropNextKind(t *testing.T) {
 	}
 }
 
-func TestCorruptionSurfacesDecodeError(t *testing.T) {
-	algo, err := registry.RegisterWire(registry.Core)
-	if err != nil {
-		t.Fatal(err)
-	}
+// corruptOnce sends m through an injector that corrupts every message
+// and returns what OnFault received.
+func corruptOnce(t *testing.T, m dme.Message) (*faultnet.Injector, []error) {
+	t.Helper()
 	var (
 		mu     sync.Mutex
 		faults []error
 	)
 	inj := faultnet.New(faultnet.Options{
 		Faults: faultnet.Faults{Corrupt: 1},
-		Algo:   algo,
 		OnFault: func(err error) {
 			mu.Lock()
 			faults = append(faults, err)
@@ -212,12 +211,19 @@ func TestCorruptionSurfacesDecodeError(t *testing.T) {
 		},
 	})
 	tr, base := wrap(inj, 0)
-	_ = tr.Send(1, msg{K: "REQUEST"})
+	_ = tr.Send(1, m)
 	if len(base.log()) != 0 {
 		t.Fatal("corrupted message was delivered")
 	}
 	mu.Lock()
 	defer mu.Unlock()
+	return inj, append([]error(nil), faults...)
+}
+
+// TestCorruptionSurfacesDecodeError: a message no wire family carries
+// still surfaces as a *wire.DecodeError, and is dropped and counted.
+func TestCorruptionSurfacesDecodeError(t *testing.T) {
+	inj, faults := corruptOnce(t, msg{K: "REQUEST"})
 	if len(faults) != 1 {
 		t.Fatalf("OnFault called %d times, want 1", len(faults))
 	}
@@ -227,6 +233,27 @@ func TestCorruptionSurfacesDecodeError(t *testing.T) {
 	}
 	if c := inj.Counters(); c.Corruptions != 1 {
 		t.Fatalf("corruption not counted: %+v", c)
+	}
+}
+
+// TestCorruptionDecodesCoreFrames: an injector built with no wire
+// configuration at all frames a core message in core's wire family, so
+// the error OnFault sees is the decoder's own on the damaged frame — not
+// a stand-in made up by the injector.
+func TestCorruptionDecodesCoreFrames(t *testing.T) {
+	_, faults := corruptOnce(t, core.Request{Entry: core.QEntry{Node: 2, Seq: 41}})
+	if len(faults) != 1 {
+		t.Fatalf("OnFault called %d times, want 1", len(faults))
+	}
+	var de *wire.DecodeError
+	if !errors.As(faults[0], &de) {
+		t.Fatalf("corruption surfaced %T (%v), want *wire.DecodeError", faults[0], faults[0])
+	}
+	if de.Algo != registry.Core {
+		t.Errorf("decode error %+v, want one on a core frame", de)
+	}
+	if strings.Contains(de.Err.Error(), "faultnet") {
+		t.Errorf("cause %q was made up by the injector, want the decoder's error on the truncated frame", de.Err)
 	}
 }
 

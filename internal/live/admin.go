@@ -3,7 +3,6 @@ package live
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -17,11 +16,6 @@ import (
 // and state snapshot for that lock plus every metric. Role is "holder" while the node is inside
 // (or its application holds) the critical section, "arbiter" while it is
 // collecting requests, "waiting" with requests outstanding, else "idle".
-//
-// For algorithms without core introspection the document degrades: Algo,
-// ID, N, Role (holder/waiting/idle from the live runtime's own view),
-// uptime, grant counts and metrics are filled; the protocol-state fields
-// stay zero.
 type Status struct {
 	ID            int     `json:"id"`
 	N             int     `json:"n"`
@@ -56,11 +50,10 @@ type Status struct {
 }
 
 // Status assembles the document, taking the protocol snapshot under the
-// executor's exclusion. Algorithms without core introspection get the
-// degraded generic document rather than an error.
+// executor's exclusion.
 func (n *Node) Status(ctx context.Context) (Status, error) {
 	ins, err := n.Inspect(ctx)
-	if err != nil && !errors.Is(err, ErrNotCore) {
+	if err != nil {
 		return Status{}, err
 	}
 	granted, released := n.Stats()
@@ -73,16 +66,6 @@ func (n *Node) Status(ctx context.Context) (Status, error) {
 		Granted:       granted,
 		Released:      released,
 		Metrics:       n.reg.Snapshot(),
-	}
-	if err != nil {
-		// No core introspection: the runtime's own view of the role.
-		switch {
-		case n.held.Load() != nil:
-			st.Role = "holder"
-		case n.metrics.lockWaiters.Value() > 0:
-			st.Role = "waiting"
-		}
-		return st, nil
 	}
 	switch {
 	case ins.InCS || n.held.Load() != nil:

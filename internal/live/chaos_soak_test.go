@@ -132,7 +132,6 @@ func chaosSoak(t *testing.T, seed uint64) {
 			Reorder:       0.05,
 			ReorderWindow: 2 * time.Millisecond,
 		},
-		Algo: algo,
 		OnFault: func(err error) {
 			var de *wire.DecodeError
 			if errors.As(err, &de) {

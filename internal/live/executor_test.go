@@ -35,24 +35,13 @@ func (s *recTransport) Send(to dme.NodeID, msg dme.Message) error { return nil }
 func (s *recTransport) SetHandler(h transport.Handler)            { s.h = h }
 func (s *recTransport) Close() error                              { s.closedTr.Store(true); return nil }
 
-// inertProto is a dme.Node that does nothing — the executor machinery is
-// the test subject, not the protocol.
-type inertProto struct{ id int }
-
-func (p *inertProto) ID() dme.NodeID                                 { return p.id }
-func (p *inertProto) Init(dme.Context)                               {}
-func (p *inertProto) OnRequest(dme.Context)                          {}
-func (p *inertProto) OnMessage(dme.Context, dme.NodeID, dme.Message) {}
-func (p *inertProto) OnCSDone(dme.Context)                           {}
-
-func inertFactory(id, n int, _ func(core.Event)) (dme.Node, error) {
-	return &inertProto{id: id}, nil
-}
-
+// newExecNode builds a one-node engine that nothing asks for the lock:
+// its core protocol sits idle, and the executor machinery (posts,
+// timers, Close) is the test subject.
 func newExecNode(t *testing.T) (*Node, *recTransport) {
 	t.Helper()
 	tr := &recTransport{}
-	n, err := NewNode(Config{ID: 0, N: 1, Transport: tr, Factory: inertFactory, Seed: 1, TraceDepth: -1})
+	n, err := NewNode(Config{ID: 0, N: 1, Transport: tr, Factory: registry.CoreLiveFactory(core.Options{}), Seed: 1, TraceDepth: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,15 @@ package live_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/baseline/raymond"
 	"tokenarbiter/internal/core"
+	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/faultnet"
 	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/registry"
@@ -72,6 +75,30 @@ func TestLockUnlockSingleNodeCluster(t *testing.T) {
 // node increment an unprotected shared counter inside the distributed
 // critical section; any mutual exclusion failure loses increments or
 // trips the concurrent-holder detector.
+// TestNewNodeRefusesNonCore: the live runtime runs core alone. A factory
+// that builds another algorithm's node — here Raymond's, which the
+// simulator still runs — is refused at construction, naming the node's
+// type, rather than run without fences or recovery.
+func TestNewNodeRefusesNonCore(t *testing.T) {
+	net := transport.NewMemNetwork(2, transport.MemOptions{})
+	defer net.Close()
+	factory := func(id, n int, _ func(core.Event)) (dme.Node, error) {
+		nodes, err := (&raymond.Algorithm{}).Build(dme.Config{N: n})
+		if err != nil {
+			return nil, err
+		}
+		return nodes[id], nil
+	}
+	nd, err := live.NewNode(live.Config{ID: 0, N: 2, Transport: net.Endpoint(0), Factory: factory})
+	if err == nil {
+		_ = nd.Close()
+		t.Fatal("NewNode accepted a raymond node")
+	}
+	if !strings.Contains(err.Error(), "raymond") {
+		t.Errorf("error %q does not name the node's type", err)
+	}
+}
+
 func TestMutualExclusionCounter(t *testing.T) {
 	const (
 		n       = 5

@@ -138,7 +138,6 @@ func managerChaosSoak(t *testing.T, seed uint64) {
 	inj := faultnet.New(faultnet.Options{
 		Seed:   seed,
 		Faults: fullFaults,
-		Algo:   algo,
 		OnFault: func(err error) {
 			var de *wire.DecodeError
 			if errors.As(err, &de) {

@@ -1,16 +1,16 @@
-// Package live is the deployable runtime for distributed mutual
-// exclusion protocols: one Manager per process (or per goroutine cluster
-// member) serving any number of named locks over one
-// transport.Transport, with real wall-clock timers. Each lock key runs
-// its own protocol state machine inside a Node, the per-key engine. The
-// state machine is injected through a Factory — the paper's arbiter
-// algorithm (internal/core) or any baseline from internal/registry — and
-// is the very same code the simulation validates; this package adapts it
-// to real time and exposes a context-aware Lock/Unlock API.
+// Package live is the deployable runtime of the paper's arbiter
+// algorithm: one Manager per process (or per goroutine cluster member)
+// serving any number of named locks over one transport.Transport, with
+// real wall-clock timers. Each lock key runs its own core protocol state
+// machine inside a Node, the per-key engine. The state machine is built
+// through a Factory (registry.CoreLiveFactory) and is the very same code
+// the simulation validates; this package adapts it to real time and
+// exposes a context-aware Lock/Unlock API whose grants carry fencing
+// tokens.
 //
 // Typical use:
 //
-//	factory, _ := registry.NewLiveFactory("raymond", nil)
+//	factory := registry.CoreLiveFactory(core.Options{Treq: 0.002, Tfwd: 0.002})
 //	net := transport.NewMemNetwork(5, transport.MemOptions{})
 //	mgrs := make([]*live.Manager, 5)
 //	for i := range mgrs {
@@ -22,13 +22,8 @@
 //	if err := mgrs[2].Lock(ctx, "orders"); err != nil { ... }
 //	defer mgrs[2].Unlock("orders")
 //
-// Node 0 is the initial token holder / arbiter / coordinator of every
-// key in every registered algorithm, matching the paper's initialization.
-//
-// Core-only features degrade gracefully for other algorithms: Inspect
-// and the protocol-transition metrics/logging report nothing (the
-// observer hook is an arbiter-protocol concept), fencing tokens stay
-// zero, and /statusz?key=K falls back to the generic role view.
+// Node 0 mints every key's token and is its initial arbiter, matching
+// the paper's initialization.
 package live
 
 import (
@@ -53,18 +48,13 @@ import (
 // ErrClosed is returned by Lock when the node has been shut down.
 var ErrClosed = errors.New("live: node is closed")
 
-// ErrNotCore is returned by Inspect (and wrapped into /statusz's
-// degraded view) when the node runs an algorithm without the core
-// protocol's introspection hooks.
-var ErrNotCore = errors.New("live: algorithm does not support core introspection")
-
-// Factory builds one node's protocol state machine. The obs callback is
-// the live runtime's observer fan-out (metrics, tracing, and the
-// configured Logger); factories for the core algorithm install it as
-// core.Options.Observer — registry.CoreLiveFactory does — while baseline
-// algorithms, which have no observer hook, ignore it. The type is an
-// alias so internal/registry can produce factories without importing
-// this package.
+// Factory builds one node's core protocol state machine; NewNode refuses
+// a node of any other algorithm. The obs callback is the live runtime's
+// observer fan-out (metrics, tracing, and the configured Logger), which
+// the factory installs as core.Options.Observer —
+// registry.CoreLiveFactory does. The type is an alias so
+// internal/registry can produce factories without importing this
+// package.
 type Factory = func(id, n int, obs func(core.Event)) (dme.Node, error)
 
 // Config parameterizes one Node, the engine of a single lock. The
@@ -78,10 +68,8 @@ type Config struct {
 	N int
 	// Transport connects this node to its peers.
 	Transport transport.Transport
-	// Factory builds the protocol state machine this node runs:
-	// registry.CoreLiveFactory(opts) for the paper's algorithm with full
-	// option control, or registry.NewLiveFactory(name, params) for any
-	// registered algorithm. Required.
+	// Factory builds the core protocol state machine this node runs:
+	// registry.CoreLiveFactory(opts). Required.
 	Factory Factory
 	// Algo optionally names the algorithm for display surfaces
 	// (/statusz); it does not affect the protocol. Transports carry
@@ -95,7 +83,7 @@ type Config struct {
 	// high-frequency events (token passes, request forwarding) at Debug.
 	// It joins the metrics and tracing observers in the fan-out handed
 	// to Factory, so it composes with any observer the factory itself
-	// installs. Core-only: baseline algorithms emit no protocol events.
+	// installs.
 	Logger *slog.Logger
 	// Metrics, when non-nil, is the registry protocol metrics are
 	// recorded into — share one registry with the transport's counting
@@ -126,12 +114,11 @@ type Config struct {
 	// it replayable by reqtrace.Replay / `mutexsim replay`.
 	FlightRec *reqtrace.Recorder
 	// Rejoin marks this node a restarted incarnation joining a group
-	// that is already running. Protocol machines that support it (the
-	// core algorithm, via core.Options.Rejoin) start without minting
-	// initial protocol state — in particular a restarted node 0 does not
-	// resurrect the initial token, leaving invalidation and regeneration
-	// to §6 recovery. Machines without rejoin support ignore it. The
-	// Manager sets it automatically for incarnations after the first.
+	// that is already running (core.Options.Rejoin): it starts without
+	// minting initial protocol state — in particular a restarted node 0
+	// does not resurrect the initial token, leaving invalidation and
+	// regeneration to §6 recovery. The Manager sets it automatically for
+	// incarnations after the first.
 	Rejoin bool
 }
 
@@ -167,11 +154,12 @@ const (
 // state transitions order their accesses. The public API is safe for
 // concurrent use from any goroutine.
 type Node struct {
-	cfg   Config
-	inner dme.Node
-	tr    transport.Transport
-	start time.Time
-	rng   *rand.Rand
+	cfg    Config
+	inner  dme.Node   // a core node: NewNode checks
+	fenced dme.Fenced // inner's grant fence and epoch
+	tr     transport.Transport
+	start  time.Time
+	rng    *rand.Rand
 
 	execState atomic.Int32
 
@@ -256,7 +244,7 @@ func NewNode(cfg Config) (*Node, error) {
 			cfg.Transport.Self(), cfg.ID)
 	}
 	if cfg.Factory == nil {
-		return nil, errors.New("live: config needs a Factory (see registry.NewLiveFactory / registry.CoreLiveFactory)")
+		return nil, errors.New("live: config needs a Factory (see registry.CoreLiveFactory)")
 	}
 
 	reg := cfg.Metrics
@@ -326,6 +314,11 @@ func NewNode(cfg Config) (*Node, error) {
 	if inner.ID() != cfg.ID {
 		return nil, fmt.Errorf("live: factory built node %d, want %d", inner.ID(), cfg.ID)
 	}
+	// Core is the one algorithm the runtime runs: its grants carry the
+	// fences Lock returns, and its state is what Inspect reports.
+	if _, ok := core.Inspect(inner); !ok {
+		return nil, fmt.Errorf("live: factory built a %T, not a core node", inner)
+	}
 	if cfg.Rejoin {
 		// Must happen before Init is posted below: rejoin changes what
 		// Init sets up (no initial token for a restarted incarnation).
@@ -340,6 +333,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:     cfg,
 		inner:   inner,
+		fenced:  inner.(dme.Fenced),
 		tr:      cfg.Transport,
 		start:   time.Now(),
 		rng:     rand.New(rand.NewPCG(seed, seed^0x5deece66d)),
@@ -637,25 +631,16 @@ func (n *Node) Trace() *reqtrace.Ring { return n.trace }
 func (n *Node) Requests() *reqtrace.Collector { return n.cfg.Tracer }
 
 // Inspect returns a read-only snapshot of the protocol state, taken
-// under the executor's exclusion. Algorithms other than the paper's arbiter protocol
-// have no introspection hooks; Inspect then reports ErrNotCore, and
-// callers that can degrade (the /statusz endpoint does) should.
+// under the executor's exclusion.
 func (n *Node) Inspect(ctx context.Context) (core.Introspection, error) {
-	type result struct {
-		ins core.Introspection
-		ok  bool
-	}
-	ch := make(chan result, 1)
+	ch := make(chan core.Introspection, 1)
 	n.post(func() {
-		ins, ok := core.Inspect(n.inner)
-		ch <- result{ins, ok}
+		ins, _ := core.Inspect(n.inner) // NewNode checked inner is core's
+		ch <- ins
 	})
 	select {
-	case r := <-ch:
-		if !r.ok {
-			return core.Introspection{}, ErrNotCore
-		}
-		return r.ins, nil
+	case ins := <-ch:
+		return ins, nil
 	case <-ctx.Done():
 		return core.Introspection{}, ctx.Err()
 	case <-n.quit:
@@ -725,9 +710,7 @@ func (n *Node) Send(from, to dme.NodeID, msg dme.Message) {
 	// they serve, derived from the QEntry the message carries — the same
 	// ID the requester minted at Lock entry. Only when tracing or flight
 	// recording is on; the disabled path is untouched. Messages that
-	// serve the group rather than one request go out unstamped, as do
-	// all baseline-algorithm messages (core.RequestID knows only the
-	// arbiter protocol's types).
+	// serve the group rather than one request go out unstamped.
 	if n.stamp {
 		if node, seq, ok := core.RequestID(msg); ok {
 			msg = wire.Wrap(msg, wire.WithTrace(uint64(reqtrace.MakeID(node, seq))))
@@ -894,9 +877,7 @@ func (n *Node) EnterCS(_ dme.NodeID) {
 		n.waiters = n.waiters[:last]
 		// Read before the branch: a cancelled waiter's grant consumed a
 		// real fence too, and its records must say which.
-		if ins, ok := core.Inspect(n.inner); ok {
-			w.fence, w.epoch = ins.LastFence, ins.Epoch
-		}
+		w.fence, w.epoch = n.fenced.GrantFence()
 		if w.canceled {
 			// The Lock call gave up; release the CS immediately so the
 			// token keeps moving. Posted rather than called inline so

@@ -5,172 +5,76 @@ import (
 	"strings"
 	"testing"
 
+	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/wire"
 )
 
-func TestLookupNamesAndAliases(t *testing.T) {
-	cases := []struct {
-		in   string
-		want string
-	}{
-		{"core", "core"},
-		{"arbiter", "core"},
-		{"Token-Arbiter", "core"},
-		{"raymond", "raymond"},
-		{"Suzuki-Kasami", "suzukikasami"},
-		{"sk", "suzukikasami"},
-		{"ricart_agrawala", "ricartagrawala"},
-		{"ra", "ricartagrawala"},
-		{"naimi-trehel", "naimitrehel"},
-		{"Token Ring", "ring"},
-		{"tree-quorum", "treequorum"},
-		{"coordinator", "central"},
+// TestRegisterWireOnlyCore: core registers under its own name, and any
+// other name — a baseline the simulator still runs included — is refused
+// with an error that names it.
+func TestRegisterWireOnlyCore(t *testing.T) {
+	name, err := registry.RegisterWire(registry.Core)
+	if err != nil {
+		t.Fatalf("RegisterWire(core): %v", err)
 	}
-	for _, c := range cases {
-		e, ok := registry.Lookup(c.in)
-		if !ok {
-			t.Errorf("Lookup(%q) not found", c.in)
-			continue
-		}
-		if e.Name != c.want {
-			t.Errorf("Lookup(%q) = %q, want %q", c.in, e.Name, c.want)
-		}
+	if name != registry.Core {
+		t.Errorf("RegisterWire(core) returned %q", name)
 	}
-	if _, ok := registry.Lookup("two-phase-commit"); ok {
-		t.Error("Lookup accepted an unknown algorithm")
-	}
-}
-
-func TestCatalogIsComplete(t *testing.T) {
-	names := registry.Names()
-	if len(names) != 11 {
-		t.Fatalf("registry has %d algorithms, want 11 (core + 9 baselines + central): %v",
-			len(names), names)
-	}
-	for _, want := range []string{
-		"core", "central", "lamport", "maekawa", "naimitrehel", "raymond",
-		"ricartagrawala", "ring", "singhal", "suzukikasami", "treequorum",
-	} {
-		if _, ok := registry.Lookup(want); !ok {
-			t.Errorf("catalog is missing %q", want)
-		}
-	}
-	for _, e := range registry.Entries() {
-		if len(e.Messages) == 0 {
-			t.Errorf("%s registers no wire messages", e.Name)
-		}
-		if e.New == nil {
-			t.Errorf("%s has no algorithm constructor", e.Name)
-		}
-		if e.Description == "" {
-			t.Errorf("%s has no description", e.Name)
+	for _, other := range []string{"raymond", "nonesuch", "Core"} {
+		_, err := registry.RegisterWire(other)
+		if err == nil {
+			t.Errorf("RegisterWire(%q) accepted an algorithm the live runtime does not run", other)
+		} else if !strings.Contains(err.Error(), `"`+other+`"`) {
+			t.Errorf("RegisterWire(%q) error does not name it: %v", other, err)
 		}
 	}
 }
 
-// TestRegisterWireAllAlgorithms registers every cataloged algorithm's
-// wire types in one process and checks the canonical name comes back
-// and the wire layer knows it.
-func TestRegisterWireAllAlgorithms(t *testing.T) {
-	for _, e := range registry.Entries() {
-		name, err := registry.RegisterWire(e.Name)
+// TestCoreIsBinaryCapable pins that every core message carries a
+// complete binary wire layout. A new message type added without
+// AppendWire / UnmarshalWire methods panics RegisterWire — there is no
+// other codec to fall back to — and this test is where that panic lands
+// first; it then frames one of each message and reads it back by kind.
+func TestCoreIsBinaryCapable(t *testing.T) {
+	algo, err := registry.RegisterWire(registry.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pipe bytes.Buffer
+	enc := wire.BinaryCodec().NewEncoder(&pipe, algo)
+	dec := wire.BinaryCodec().NewDecoder(&pipe, algo)
+	for _, m := range core.Messages() {
+		if err := enc.Encode(0, m); err != nil {
+			t.Fatalf("encode %T: %v", m, err)
+		}
+		_, got, err := dec.Decode()
 		if err != nil {
-			t.Fatalf("RegisterWire(%s): %v", e.Name, err)
+			t.Fatalf("decode %T: %v", m, err)
 		}
-		if name != e.Name {
-			t.Errorf("RegisterWire(%s) returned %q", e.Name, name)
-		}
-		if !wire.Registered(e.Name) {
-			t.Errorf("%s not registered with the wire layer", e.Name)
-		}
-	}
-	if _, err := registry.RegisterWire("nonesuch"); err == nil {
-		t.Error("RegisterWire accepted an unknown algorithm")
-	} else if !strings.Contains(err.Error(), "unknown algorithm") {
-		t.Errorf("unhelpful RegisterWire error: %v", err)
-	}
-}
-
-// TestEveryAlgorithmIsBinaryCapable pins that each catalog entry's
-// message set carries complete binary wire layouts. A new message type
-// added without AppendWire / UnmarshalWire methods panics RegisterWire —
-// there is no other codec to fall back to — and this test is where that
-// panic lands first; it then frames one of each message and reads it
-// back by kind.
-func TestEveryAlgorithmIsBinaryCapable(t *testing.T) {
-	for _, e := range registry.Entries() {
-		if _, err := registry.RegisterWire(e.Name); err != nil {
-			t.Fatalf("RegisterWire(%s): %v", e.Name, err)
-		}
-		if len(e.Messages) == 0 {
-			t.Errorf("%s registers no messages", e.Name)
-		}
-		var pipe bytes.Buffer
-		enc := wire.BinaryCodec().NewEncoder(&pipe, e.Name)
-		dec := wire.BinaryCodec().NewDecoder(&pipe, e.Name)
-		for _, m := range e.Messages {
-			if err := enc.Encode(0, m); err != nil {
-				t.Fatalf("%s: encode %T: %v", e.Name, m, err)
-			}
-			_, got, err := dec.Decode()
-			if err != nil {
-				t.Fatalf("%s: decode %T: %v", e.Name, m, err)
-			}
-			if got.Kind() != m.Kind() {
-				t.Errorf("%s round trip: kind %q, want %q", e.Name, got.Kind(), m.Kind())
-			}
+		if got.Kind() != m.Kind() {
+			t.Errorf("round trip: kind %q, want %q", got.Kind(), m.Kind())
 		}
 	}
 }
 
 // TestLiveFactoriesBuildEveryNode builds a 5-node cluster's state
-// machines through each algorithm's live factory and checks identities —
-// the invariant the live runtime depends on (the factory must hand node
-// id its own state machine, not node 0's).
+// machines through the core live factory and checks identities — the
+// invariant the live runtime depends on (the factory must hand node id
+// its own state machine, not node 0's).
 func TestLiveFactoriesBuildEveryNode(t *testing.T) {
 	const n = 5
-	for _, e := range registry.Entries() {
-		f, err := registry.NewLiveFactory(e.Name, nil)
+	f := registry.CoreLiveFactory(core.Options{Treq: 0.25, Tfwd: 0.125})
+	for id := 0; id < n; id++ {
+		nd, err := f(id, n, nil)
 		if err != nil {
-			t.Fatalf("NewLiveFactory(%s): %v", e.Name, err)
+			t.Fatalf("factory(%d, %d): %v", id, n, err)
 		}
-		for id := 0; id < n; id++ {
-			nd, err := f(id, n, nil)
-			if err != nil {
-				t.Fatalf("%s factory(%d, %d): %v", e.Name, id, n, err)
-			}
-			if nd == nil {
-				t.Fatalf("%s factory(%d, %d) returned nil", e.Name, id, n)
-			}
-			if nd.ID() != id {
-				t.Errorf("%s factory built node %d, want %d", e.Name, nd.ID(), id)
-			}
-		}
-		if e.Name != registry.Core {
-			if _, err := f(n, n, nil); err == nil {
-				t.Errorf("%s factory accepted out-of-range id %d", e.Name, n)
-			}
+		if nd.ID() != id {
+			t.Errorf("factory built node %d, want %d", nd.ID(), id)
 		}
 	}
-	if _, err := registry.NewLiveFactory("nonesuch", nil); err == nil {
-		t.Error("NewLiveFactory accepted an unknown algorithm")
-	}
-}
-
-// TestCoreFactoryHonorsParams: the params map reaches core.Options, so
-// `-algo core` behaves the same through the generic path as through
-// CoreLiveFactory.
-func TestCoreFactoryHonorsParams(t *testing.T) {
-	f, err := registry.NewLiveFactory("core", map[string]float64{"treq": 0.25, "tfwd": 0.125})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nd, err := f(0, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nd.ID() != 0 {
-		t.Errorf("core factory built node %d, want 0", nd.ID())
+	if _, err := f(n, n, nil); err == nil {
+		t.Errorf("factory accepted out-of-range id %d", n)
 	}
 }

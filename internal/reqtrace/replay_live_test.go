@@ -104,10 +104,7 @@ func TestReplayDeterminism(t *testing.T) {
 		}
 	}
 
-	factory, err := registry.NewLiveFactory(algo, map[string]float64{"treq": 0.005, "tfwd": 0.005})
-	if err != nil {
-		t.Fatal(err)
-	}
+	factory := registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005})
 	run := func() *reqtrace.ReplayResult {
 		res, err := reqtrace.Replay(capture, factory, reqtrace.NewCollector(reqtrace.DefaultDepth))
 		if err != nil {

@@ -3,6 +3,7 @@ package reqtrace
 import (
 	"testing"
 
+	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/registry"
 )
 
@@ -28,10 +29,7 @@ func TestReplaySingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := registry.NewLiveFactory(algo, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	factory := registry.CoreLiveFactory(core.Options{})
 	collector := NewCollector(DefaultDepth)
 	res, err := Replay(syntheticCapture(algo), factory, collector)
 	if err != nil {
@@ -55,10 +53,7 @@ func TestReplaySingleNode(t *testing.T) {
 }
 
 func TestReplayRejectsBadCapture(t *testing.T) {
-	factory, err := registry.NewLiveFactory(registry.Core, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	factory := registry.CoreLiveFactory(core.Options{})
 	if _, err := Replay(nil, factory, nil); err == nil {
 		t.Error("Replay accepted a nil capture")
 	}

@@ -190,10 +190,7 @@ func TestClusterCaptureReplays(t *testing.T) {
 				key, grants, cl.N, transitions)
 		}
 	}
-	factory, err := registry.NewLiveFactory(algo, map[string]float64{"treq": 0.005, "tfwd": 0.005})
-	if err != nil {
-		t.Fatal(err)
-	}
+	factory := registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005})
 	res, err := reqtrace.Replay(capture, factory, nil)
 	if err != nil {
 		t.Fatal(err)

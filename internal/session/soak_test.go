@@ -163,7 +163,6 @@ func sessionChaosSoak(t *testing.T, seed uint64) {
 			Reorder:       0.05,
 			ReorderWindow: 2 * time.Millisecond,
 		},
-		Algo: algo,
 	})
 
 	cl := sessiontest.Start(t, sessiontest.Options{

@@ -17,11 +17,10 @@ import (
 
 // TCPOptions tunes a TCPTransport beyond the address map.
 type TCPOptions struct {
-	// Algo is the registry name of the algorithm whose messages this
-	// endpoint carries; it is stamped on every outgoing envelope and
-	// required on every inbound one. Empty means the paper's core
-	// algorithm. NewTCPOpt registers the algorithm's wire types itself,
-	// and rejects names the registry does not know.
+	// Algo names the wire family this endpoint carries; it is stamped on
+	// every outgoing frame and required on every inbound one. Core
+	// (registry.Core) is the only one, and empty means it. NewTCPOpt
+	// registers core's wire types itself and rejects any other name.
 	Algo string
 	// Codec is a compile-compatibility field: there is one wire codec, so
 	// "", "auto" and "binary" all mean it and anything else is an error.
@@ -91,16 +90,16 @@ type TCPTransport struct {
 	DialTimeout time.Duration
 }
 
-// Algo returns the canonical registry name of the algorithm this
-// endpoint is configured for.
+// Algo returns the wire family this endpoint carries: registry.Core.
 func (t *TCPTransport) Algo() string { return t.algo }
 
 // WireErrors reports how many inbound frames and handshakes were
-// rejected: mismatches (the peer speaks another algorithm or wire
-// version, or is not a wire peer at all) and decode failures (corrupted
-// or unknown payloads, frames from a sender other than the connection's).
-// Nonzero mismatches almost always mean the cluster was started with
-// inconsistent -algo flags.
+// rejected: mismatches (the peer speaks another wire family or version,
+// or is not a wire peer at all) and decode failures (corrupted or unknown
+// payloads, frames from a sender other than the connection's). Nonzero
+// mismatches almost always mean something other than a peer node — a
+// session client, a build of another wire version — dialed the peer
+// port.
 func (t *TCPTransport) WireErrors() (mismatches, decodeErrs uint64) {
 	return t.wireMismatches.Load(), t.wireDecodeErrs.Load()
 }
@@ -222,9 +221,7 @@ func NewTCP(self dme.NodeID, addrs map[dme.NodeID]string) (*TCPTransport, error)
 	return NewTCPOpt(self, addrs, TCPOptions{})
 }
 
-// NewTCPOpt is NewTCP with explicit options; use it to carry any
-// registered algorithm (the -algo seam of cmd/mutexnode and
-// cmd/mutexload).
+// NewTCPOpt is NewTCP with explicit options.
 func NewTCPOpt(self dme.NodeID, addrs map[dme.NodeID]string, opts TCPOptions) (*TCPTransport, error) {
 	name := opts.Algo
 	if name == "" {
@@ -355,7 +352,7 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 			var de *wire.DecodeError
 			switch {
 			case errors.As(err, &mm):
-				// The peer speaks another algorithm or wire format;
+				// The peer speaks another wire family or format;
 				// every frame on this connection will be rejected, so
 				// count it, surface it, and drop the connection.
 				t.wireMismatches.Add(1)

@@ -17,6 +17,7 @@ import (
 	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/registry"
+	"tokenarbiter/internal/session"
 	"tokenarbiter/internal/transport"
 	"tokenarbiter/internal/wire"
 )
@@ -139,72 +140,88 @@ func TestTCPClusterMutualExclusion(t *testing.T) {
 	}
 }
 
-// TestTCPAlgorithmMismatch: two endpoints configured for different
-// algorithms must not exchange messages — the receiver rejects the
-// tagged handshake with a typed *wire.MismatchError, surfaces it through
+// TestTCPAlgorithmMismatch: a core endpoint and a peer that handshakes
+// in the other wire family (the session protocol's tag — a session
+// client dialing a peer port, say) must not exchange messages, in either
+// direction. The endpoint refuses the handshake with a typed
+// *wire.MismatchError naming both families, surfaces it through
 // OnWireError, counts it, and drops the connection instead of feeding
 // garbage to the protocol.
 func TestTCPAlgorithmMismatch(t *testing.T) {
+	errCh := make(chan error, 4)
 	coreEnd, err := transport.NewTCPOpt(0, map[dme.NodeID]string{0: "127.0.0.1:0"},
-		transport.TCPOptions{Algo: "core"})
+		transport.TCPOptions{OnWireError: func(err error) { errCh <- err }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coreEnd.Close() //nolint:errcheck
+	delivered := make(chan dme.Message, 1)
+	coreEnd.SetHandler(func(from dme.NodeID, msg dme.Message) { delivered <- msg })
 
-	errCh := make(chan error, 4)
-	rayEnd, err := transport.NewTCPOpt(1, map[dme.NodeID]string{1: "127.0.0.1:0"},
-		transport.TCPOptions{
-			Algo:        "raymond",
-			OnWireError: func(err error) { errCh <- err },
-		})
+	// wantMismatch checks err is a mismatch between the two families as
+	// seen from local's side by a node that talked to node from.
+	wantMismatch := func(what string, err error, local, remote string, from int) {
+		t.Helper()
+		var mm *wire.MismatchError
+		if !errors.As(err, &mm) {
+			t.Fatalf("%s: error %T (%v), want *wire.MismatchError", what, err, err)
+		}
+		if mm.LocalAlgo != local || mm.RemoteAlgo != remote || mm.From != from {
+			t.Errorf("%s: mismatch fields = %+v, want local %q remote %q from %d", what, mm, local, remote, from)
+		}
+	}
+	reported := func(local, remote string, from int) {
+		t.Helper()
+		select {
+		case err := <-errCh:
+			wantMismatch("OnWireError", err, local, remote, from)
+		case msg := <-delivered:
+			t.Fatalf("cross-family message delivered to the handler: %#v", msg)
+		case <-time.After(5 * time.Second):
+			t.Fatal("mismatched handshake neither reported nor delivered")
+		}
+	}
+
+	// Outbound: node 1 is a raw acceptor answering in the session family.
+	// The mismatch surfaces at connection setup, before any frame flows,
+	// so the sender learns of it at once.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rayEnd.Close() //nolint:errcheck
-	if rayEnd.Algo() != "raymond" {
-		t.Fatalf("Algo() = %q, want raymond", rayEnd.Algo())
-	}
-
-	addrs := map[dme.NodeID]string{0: coreEnd.Addr().String(), 1: rayEnd.Addr().String()}
-	coreEnd.SetPeers(addrs)
-	rayEnd.SetPeers(addrs)
-
-	delivered := make(chan dme.Message, 1)
-	rayEnd.SetHandler(func(from dme.NodeID, msg dme.Message) { delivered <- msg })
-
-	// The mismatch surfaces at connection setup: the handshake is
-	// refused before any frame flows, so the sender learns about the
-	// misconfiguration immediately instead of talking into a dropped
-	// connection.
+	defer ln.Close() //nolint:errcheck
+	acceptorErr := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			acceptorErr <- err
+			return
+		}
+		defer conn.Close() //nolint:errcheck
+		_, err = wire.ServerHandshake(conn, conn, 1, session.Algo)
+		acceptorErr <- err
+	}()
+	coreEnd.SetPeers(map[dme.NodeID]string{0: coreEnd.Addr().String(), 1: ln.Addr().String()})
 	err = coreEnd.Send(1, core.Request{Entry: core.QEntry{Node: 0, Seq: 7}})
 	if err == nil {
-		t.Fatal("Send succeeded across an algorithm mismatch")
+		t.Fatal("Send succeeded across a family mismatch")
 	}
-	var sendMM *wire.MismatchError
-	if !errors.As(err, &sendMM) {
-		t.Fatalf("Send error = %T (%v), want *wire.MismatchError", err, err)
-	}
-	if sendMM.LocalAlgo != "core" || sendMM.RemoteAlgo != "raymond" || sendMM.From != 1 {
-		t.Errorf("sender mismatch fields = %+v", sendMM)
-	}
+	wantMismatch("Send", err, registry.Core, session.Algo, 1)
+	wantMismatch("raw acceptor", <-acceptorErr, session.Algo, registry.Core, 0)
+	reported(registry.Core, session.Algo, 1)
 
-	select {
-	case err := <-errCh:
-		var mm *wire.MismatchError
-		if !errors.As(err, &mm) {
-			t.Fatalf("OnWireError got %T (%v), want *wire.MismatchError", err, err)
-		}
-		if mm.LocalAlgo != "raymond" || mm.RemoteAlgo != "core" || mm.From != 0 {
-			t.Errorf("mismatch fields = %+v", mm)
-		}
-	case msg := <-delivered:
-		t.Fatalf("cross-algorithm message delivered to the handler: %#v", msg)
-	case <-time.After(5 * time.Second):
-		t.Fatal("mismatched envelope neither rejected nor delivered")
+	// Inbound: node 1 dials in with a session-family hello.
+	conn, err := net.Dial("tcp", coreEnd.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mism, _ := rayEnd.WireErrors(); mism != 1 {
-		t.Errorf("mismatch counter = %d, want 1", mism)
+	defer conn.Close() //nolint:errcheck
+	_, err = wire.ClientHandshake(conn, 1, session.Algo)
+	wantMismatch("raw dialer", err, session.Algo, registry.Core, 0)
+	reported(registry.Core, session.Algo, 1)
+
+	if mism, _ := coreEnd.WireErrors(); mism != 2 {
+		t.Errorf("mismatch counter = %d, want 2 (one per direction)", mism)
 	}
 	select {
 	case msg := <-delivered:

@@ -12,28 +12,30 @@ import (
 
 // FuzzCodecEquivalence is the differential fuzz target for the wire
 // codec: arbitrary bytes are interpreted as one frame for one of the
-// registered message families (the eleven algorithms — the paper's
-// arbiter and every baseline — and the session protocol, so the fuzzer
-// reaches every message layout). The decoder must never panic and must
+// registered message families (core's and the session protocol's, so
+// the fuzzer reaches every message layout). The decoder must never panic and must
 // type every in-body failure as *wire.MismatchError or
 // *wire.DecodeError; any frame it does accept must re-encode and
 // round-trip identically at the dme.Message level, wrappers included;
 // and the gob oracle, handed the same message value, must agree.
 //
-// The seed corpus holds a well-formed frame for every message type of
-// every family (zero-valued and fully populated, keyed and traced) plus
-// a truncated and a bit-flipped variant of each, so even the
-// -fuzztime=30s CI smoke run covers every layout's decode path.
+// The seed corpus holds well-formed frames for every message type of
+// every family (zero-valued; fully populated and keyed and traced,
+// keyed only, traced only) plus a truncated and a bit-flipped variant of
+// each, so even the -fuzztime=30s CI smoke run covers every layout's
+// decode path under every wrapper combination.
 func FuzzCodecEquivalence(f *testing.F) {
 	var algos []string
 	for _, fam := range families(f) {
 		algoIdx := byte(len(algos))
 		algos = append(algos, fam.algo)
 		for _, proto := range fam.msgs {
+			full := filled(proto, 0x9e3779b97f4a7c15)
 			for _, msg := range []dme.Message{
 				proto,
-				wire.Wrap(filled(proto, 0x9e3779b97f4a7c15),
-					wire.WithKey("orders"), wire.WithTrace(9)),
+				wire.Wrap(full, wire.WithKey("orders"), wire.WithTrace(9)),
+				wire.Wrap(full, wire.WithKey("orders")),
+				wire.Wrap(full, wire.WithTrace(9)),
 			} {
 				var buf bytes.Buffer
 				if err := wire.BinaryCodec().NewEncoder(&buf, fam.algo).Encode(3, msg); err != nil {

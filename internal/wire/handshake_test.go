@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tokenarbiter/internal/registry"
+	"tokenarbiter/internal/session"
 	"tokenarbiter/internal/wire"
 )
 
@@ -42,25 +43,26 @@ func TestHandshakeExchangesIdentity(t *testing.T) {
 	}
 }
 
-// TestHandshakeAlgorithmMismatch pins that an -algo disagreement
-// surfaces as *wire.MismatchError on both ends, naming both algorithms
-// so either side's logs identify the misconfiguration.
+// TestHandshakeAlgorithmMismatch pins that a family disagreement (a
+// session client dialing a peer port, say) surfaces as
+// *wire.MismatchError on both ends, naming both families so either
+// side's logs identify the misconfiguration.
 func TestHandshakeAlgorithmMismatch(t *testing.T) {
 	register(t, registry.Core)
-	register(t, "raymond")
-	_, clientErr, _, serverErr := runHandshake(t, "core", "raymond")
+	session.Register()
+	_, clientErr, _, serverErr := runHandshake(t, "core", session.Algo)
 
 	var mm *wire.MismatchError
 	if !errors.As(clientErr, &mm) {
 		t.Fatalf("client error %T (%v), want *wire.MismatchError", clientErr, clientErr)
 	}
-	if mm.LocalAlgo != "core" || mm.RemoteAlgo != "raymond" || mm.From != 7 {
+	if mm.LocalAlgo != "core" || mm.RemoteAlgo != session.Algo || mm.From != 7 {
 		t.Errorf("client mismatch %+v", mm)
 	}
 	if !errors.As(serverErr, &mm) {
 		t.Fatalf("server error %T (%v), want *wire.MismatchError", serverErr, serverErr)
 	}
-	if mm.LocalAlgo != "raymond" || mm.RemoteAlgo != "core" || mm.From != 3 {
+	if mm.LocalAlgo != session.Algo || mm.RemoteAlgo != "core" || mm.From != 3 {
 		t.Errorf("server mismatch %+v", mm)
 	}
 }

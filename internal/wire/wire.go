@@ -3,20 +3,21 @@
 // length-prefixed binary frame per protocol message (binary.go), behind
 // one connection handshake (handshake.go).
 //
-// Every algorithm that runs over a real transport first registers its
-// concrete message types under its registry name with RegisterAlgorithm;
-// registration is idempotent per algorithm, so any number of algorithms
-// can coexist in one process (a load generator running core and Raymond
-// clusters side by side, say). Peers must agree on both the wire format
-// version and the algorithm; a disagreement surfaces as a typed
-// *MismatchError from the handshake or the decoder rather than a garbage
-// decode.
+// Two message families cross a wire: the paper's arbiter protocol
+// between lock-service peers ("core", registered by internal/registry)
+// and the session protocol between clients and servers ("session",
+// registered by internal/session). Each registers its concrete message
+// types under its name with RegisterAlgorithm; registration is
+// idempotent per family, and both coexist in one process. Every frame
+// and handshake carries the family's name, and peers must agree on both
+// the wire format version and the family; a disagreement surfaces as a
+// typed *MismatchError from the handshake or the decoder rather than a
+// garbage decode.
 package wire
 
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 
 	"tokenarbiter/internal/dme"
@@ -100,7 +101,7 @@ func (e *MismatchError) Error() string {
 			e.From, e.LocalVersion, e.RemoteVersion)
 	}
 	return fmt.Sprintf(
-		"wire: algorithm mismatch with node %d: this node runs %q, peer sent %q (start every node with the same -algo)",
+		"wire: algorithm mismatch with node %d: this node runs %q, peer sent %q (a peer port and a session port crossed?)",
 		e.From, e.LocalAlgo, e.RemoteAlgo)
 }
 
@@ -126,8 +127,8 @@ func (e *DecodeError) Unwrap() error { return e.Err }
 // algoSet is everything registered for one algorithm: the kind names
 // for diagnostics, and the concrete-type tables the codec dispatches
 // on. The index of a type in types is its wire kind id, so the
-// RegisterAlgorithm call order is wire protocol (registry.Entry.Messages
-// fixes it per algorithm).
+// RegisterAlgorithm call order is wire protocol (core.Messages and
+// session.Messages fix it per family).
 type algoSet struct {
 	kinds  []string
 	types  []reflect.Type
@@ -179,24 +180,4 @@ func algoFor(name string) *algoSet {
 	regMu.Lock()
 	defer regMu.Unlock()
 	return algos[name]
-}
-
-// Registered reports whether RegisterAlgorithm has been called for name.
-func Registered(name string) bool {
-	regMu.Lock()
-	defer regMu.Unlock()
-	_, ok := algos[name]
-	return ok
-}
-
-// Algorithms returns the sorted names of every registered algorithm.
-func Algorithms() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	names := make([]string, 0, len(algos))
-	for name := range algos {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

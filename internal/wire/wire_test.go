@@ -8,11 +8,10 @@ import (
 	"strings"
 	"testing"
 
-	"tokenarbiter/internal/baseline/raymond"
-	"tokenarbiter/internal/baseline/suzukikasami"
 	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/registry"
+	"tokenarbiter/internal/session"
 	"tokenarbiter/internal/wire"
 )
 
@@ -67,60 +66,34 @@ func TestPrivilegeWithToMonitorFlag(t *testing.T) {
 	}
 }
 
-func TestEnvelopeRoundTripBaselineMessages(t *testing.T) {
-	algo := register(t, "suzukikasami")
-	msg := suzukikasami.Token{LN: []uint64{1, 2, 3}, Queue: []int{2, 0}}
-	out := roundTrip(t, algo, 1, msg)
-	tok, ok := out.(suzukikasami.Token)
-	if !ok {
-		t.Fatalf("payload type %T, want suzukikasami.Token", out)
-	}
-	if !reflect.DeepEqual(tok, msg) {
-		t.Errorf("token %#v, want %#v", tok, msg)
-	}
-	if tok.SizeUnits() != msg.SizeUnits() {
-		t.Errorf("SizeUnits %d, want %d", tok.SizeUnits(), msg.SizeUnits())
-	}
-
-	// Zero-field messages must survive too (an empty payload).
-	ralgo := register(t, "raymond")
-	if out := roundTrip(t, ralgo, 2, raymond.Token{}); out.Kind() != raymond.KindToken {
-		t.Errorf("raymond token kind %q", out.Kind())
-	}
-}
-
 func TestTwoAlgorithmsInOneProcess(t *testing.T) {
-	// Registration is per algorithm, not per process: two algorithms
-	// coexist, each with its own kind-id table.
-	a := register(t, "raymond")
-	b := register(t, "suzukikasami")
-	if out := roundTrip(t, a, 0, raymond.Request{}); out.Kind() != raymond.KindRequest {
-		t.Errorf("raymond request kind %q", out.Kind())
+	// Registration is per family, not per process: core and the session
+	// protocol coexist, each with its own kind-id table.
+	a := register(t, registry.Core)
+	session.Register()
+	b := session.Algo
+	if out := roundTrip(t, a, 0, core.Request{}); out.Kind() != core.KindRequest {
+		t.Errorf("core request kind %q", out.Kind())
 	}
-	if out := roundTrip(t, b, 0, suzukikasami.Request{Node: 1, N: 2}); out.Kind() != suzukikasami.KindRequest {
-		t.Errorf("suzukikasami request kind %q", out.Kind())
+	if out := roundTrip(t, b, 0, session.OpenReq{Seq: 1, TTLMillis: 2}); out.Kind() != (session.OpenReq{}).Kind() {
+		t.Errorf("session open kind %q", out.Kind())
 	}
-	for _, name := range []string{a, b} {
-		if !wire.Registered(name) {
-			t.Errorf("Registered(%q) = false after registration", name)
-		}
-	}
-	// One algorithm's encoder refuses the other's messages.
-	if err := wire.BinaryCodec().NewEncoder(&bytes.Buffer{}, a).Encode(0, suzukikasami.Request{}); err == nil {
-		t.Error("raymond encoder accepted a suzukikasami message")
+	// One family's encoder refuses the other's messages.
+	if err := wire.BinaryCodec().NewEncoder(&bytes.Buffer{}, a).Encode(0, session.OpenReq{}); err == nil {
+		t.Error("core encoder accepted a session message")
 	}
 }
 
 func TestRegisterAlgorithmIdempotent(t *testing.T) {
 	// Repeats of the same algorithm are no-ops: the first call's kind
 	// ids stand.
-	wire.RegisterAlgorithm("idem-test", raymond.Request{})
-	wire.RegisterAlgorithm("idem-test", raymond.Token{}, raymond.Request{})
-	if !wire.Registered("idem-test") {
-		t.Fatal("algorithm not registered")
-	}
-	if _, ok := roundTrip(t, "idem-test", 0, raymond.Request{}).(raymond.Request); !ok {
+	wire.RegisterAlgorithm("idem-test", core.Request{})
+	wire.RegisterAlgorithm("idem-test", core.Privilege{}, core.Request{})
+	if _, ok := roundTrip(t, "idem-test", 0, core.Request{}).(core.Request); !ok {
 		t.Error("the first registration's kind ids did not stand")
+	}
+	if err := wire.BinaryCodec().NewEncoder(&bytes.Buffer{}, "idem-test").Encode(0, core.Privilege{}); err == nil {
+		t.Error("the repeated registration added a message type")
 	}
 }
 
@@ -141,24 +114,25 @@ func TestRegisterAlgorithmRequiresLayouts(t *testing.T) {
 		if s, _ := r.(string); !strings.Contains(s, "layoutless") || !strings.Contains(s, "AppendWire") {
 			t.Errorf("unhelpful panic: %v", r)
 		}
-		if wire.Registered("layoutless-test") {
+		if err := wire.BinaryCodec().NewEncoder(&bytes.Buffer{}, "layoutless-test").Encode(0, core.Request{}); err == nil {
 			t.Error("a failed registration left the algorithm registered")
 		}
 	}()
-	wire.RegisterAlgorithm("layoutless-test", raymond.Request{}, layoutless{})
+	wire.RegisterAlgorithm("layoutless-test", core.Request{}, layoutless{})
 }
 
 func TestSealUnregisteredAlgorithm(t *testing.T) {
-	err := wire.BinaryCodec().NewEncoder(&bytes.Buffer{}, "no-such-algo").Encode(0, raymond.Request{})
+	err := wire.BinaryCodec().NewEncoder(&bytes.Buffer{}, "no-such-algo").Encode(0, core.Request{})
 	if err == nil {
 		t.Fatal("Encode accepted an unregistered algorithm")
 	}
 }
 
 func TestOpenAlgorithmMismatch(t *testing.T) {
-	a := register(t, "raymond")
-	b := register(t, "suzukikasami")
-	_, _, err := decodeBinary(encodeBinary(t, a, 3, raymond.Request{}), b)
+	a := register(t, registry.Core)
+	session.Register()
+	b := session.Algo
+	_, _, err := decodeBinary(encodeBinary(t, a, 3, core.Request{}), b)
 	var mm *wire.MismatchError
 	if !errors.As(err, &mm) {
 		t.Fatalf("Decode returned %v (%T), want *wire.MismatchError", err, err)
@@ -177,8 +151,8 @@ func reframe(body []byte) []byte {
 }
 
 func TestOpenVersionMismatch(t *testing.T) {
-	algo := register(t, "raymond")
-	frame := encodeBinary(t, algo, 1, raymond.Token{})
+	algo := register(t, registry.Core)
+	frame := encodeBinary(t, algo, 1, core.Privilege{})
 	frame[4] = wire.FormatVersion + 1
 	_, _, err := decodeBinary(frame, algo)
 	var mm *wire.MismatchError
@@ -194,15 +168,15 @@ func TestOpenVersionMismatch(t *testing.T) {
 }
 
 func TestOpenCorruptPayload(t *testing.T) {
-	algo := register(t, "suzukikasami")
-	frame := encodeBinary(t, algo, 2, suzukikasami.Request{Node: 1, N: 2})
+	algo := register(t, registry.Core)
+	frame := encodeBinary(t, algo, 2, core.Request{Entry: core.QEntry{Node: 1, Seq: 2}})
 	corrupt := reframe(append(frame[4:len(frame)-1], 0xff, 0xff, 0xff)) // an unterminated varint
 	_, _, err := decodeBinary(corrupt, algo)
 	var de *wire.DecodeError
 	if !errors.As(err, &de) {
 		t.Fatalf("Decode returned %v (%T), want *wire.DecodeError", err, err)
 	}
-	if de.Kind != suzukikasami.KindRequest || de.From != 2 || de.Algo != algo {
+	if de.Kind != core.KindRequest || de.From != 2 || de.Algo != algo {
 		t.Errorf("decode-error fields %+v", de)
 	}
 }
@@ -212,9 +186,10 @@ func TestOpenCorruptPayload(t *testing.T) {
 // algorithm → payload order, so transport counters never double-report a
 // single bad frame.
 func TestOpenValidationOrder(t *testing.T) {
-	algo := register(t, "suzukikasami")
-	other := register(t, "raymond")
-	valid := encodeBinary(t, algo, 4, suzukikasami.Request{Node: 1, N: 2})
+	algo := register(t, registry.Core)
+	session.Register()
+	other := session.Algo
+	valid := encodeBinary(t, algo, 4, core.Request{Entry: core.QEntry{Node: 1, Seq: 2}})
 	damaged := func(version byte, truncate int) []byte {
 		body := append([]byte(nil), valid[4:len(valid)-truncate]...)
 		body[0] = version
