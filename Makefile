@@ -15,9 +15,11 @@ race:
 	$(GO) test -race -skip 'TestChaosSoak|TestManagerChaosSoakMultiKey|TestSessionChaosSoak|TestRunTenThousandSessions' ./...
 
 # allocs runs the lock path's allocation-budget guards, which skip under
-# -race (the detector allocates on its own): decode and keying, session
-# round trip, live Lock/Unlock and the live token hop between two
-# Managers (DESIGN.md, "Allocation budget").
+# -race (the detector allocates on its own): decode and keying, the
+# session tier's unboxed encode (EncodeValue) and borrowed decode
+# (DecodeBorrowed), the session round trip (0 per Acquire+Release), live
+# Lock/Unlock and the live token hop between two Managers (DESIGN.md,
+# "Allocation budget").
 allocs:
 	$(GO) test -run 'Allocs' -count=1 ./internal/wire ./internal/session ./internal/live
 

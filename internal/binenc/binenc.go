@@ -158,17 +158,18 @@ func (r *Reader) Bool() bool {
 
 // String reads a uvarint-length-prefixed string.
 func (r *Reader) String() string {
-	n := r.Uvarint()
+	return string(r.Take(r.Count()))
+}
+
+// InternedString reads a string like String, but has intern make it
+// from the string's bytes, which alias the reader's buffer: intern
+// returns a string it already holds for those bytes, or copies them.
+func (r *Reader) InternedString(intern func([]byte) string) string {
+	b := r.Take(r.Count())
 	if r.err != nil {
 		return ""
 	}
-	if n > uint64(r.Len()) {
-		r.fail()
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
+	return intern(b)
 }
 
 // Take consumes the next n bytes and returns them as a view into the

@@ -19,14 +19,18 @@ func (b *instantBackend) LockFence(context.Context, string) (uint64, error) {
 func (b *instantBackend) Unlock(string) {}
 
 // sessionCycleBudget is what one Acquire+Release round trip may
-// allocate, client and server together: each of the four frames is
-// boxed once on the way out and once on the way in, and each request's
-// key is copied once by the decoder.
-const sessionCycleBudget = 10
+// allocate, client and server together: nothing. Its four frames would
+// cost 8 boxes if either end passed them as dme.Message; both encode
+// them by value with wire.EncodeValue and read them borrowed with
+// DecodeBorrowed, and a response reaches its caller as a reply value on
+// a reused channel. The two request keys would cost 2 copies; the
+// server's decoder interns them.
+const sessionCycleBudget = 0
 
 // TestSessionCycleAllocs pins the session tier's per-cycle allocation
-// budget against a backend that grants at once: reply channels and
-// server waiters are reused, and a slot start allocates no closure.
+// budget against a backend that grants at once: no frame is boxed into a
+// dme.Message, reply channels and server waiters are reused, and a slot
+// start allocates no closure.
 func TestSessionCycleAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/wire"
 )
 
@@ -39,12 +38,13 @@ type Client struct {
 	clock Clock
 	opts  Options
 
-	wmu sync.Mutex // serializes Encode+Flush
-	fr  framed
+	wmu sync.Mutex // serializes writes; enc writes each frame to conn
+	enc *wire.Encoder
+	dec *wire.Decoder
 
 	mu       sync.Mutex
 	err      error
-	pending  map[uint64]chan dme.Message
+	pending  map[uint64]chan reply
 	sessions map[uint64]*Session
 	nextSeq  uint64
 	// replies are response channels ready for reuse. A channel returns
@@ -52,9 +52,29 @@ type Client struct {
 	// it is then empty and no longer in pending, so nothing else can
 	// send on it. Abandoned calls (ctx gave up, session died) never
 	// return theirs, since a late response may still land in it.
-	replies []chan dme.Message
+	replies []chan reply
 
 	readerDone chan struct{}
+}
+
+// reply is a response as its caller reads it: the kind that answered,
+// its code, and the numbers the kind carries. Reply channels carry it
+// by value, so handing a response over allocates nothing.
+type reply struct {
+	kind    string
+	code    Code
+	session uint64 // OpenResp
+	ttl     uint64 // OpenResp's TTLMillis
+	fence   uint64 // AcquireResp
+}
+
+// check returns an error for a reply of another kind than want (a
+// confused server), and else the reply's code as an error.
+func (r reply) check(op, want string) error {
+	if r.kind != want {
+		return fmt.Errorf("session: %s got %s", op, r.kind)
+	}
+	return r.code.Err()
 }
 
 // Dial connects to a session server over TCP.
@@ -74,7 +94,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 // NewClient runs the handshake over an existing connection and starts
 // the client's reader. The client owns the connection from here on.
 func NewClient(conn net.Conn, opts Options) (*Client, error) {
-	fr, err := handshake(conn, false)
+	dec, err := handshake(conn, false)
 	if err != nil {
 		return nil, err
 	}
@@ -88,8 +108,9 @@ func NewClient(conn net.Conn, opts Options) (*Client, error) {
 		conn:       conn,
 		clock:      opts.Clock,
 		opts:       opts,
-		fr:         fr,
-		pending:    make(map[uint64]chan dme.Message),
+		enc:        wire.BinaryCodec().NewEncoder(conn, Algo),
+		dec:        dec,
+		pending:    make(map[uint64]chan reply),
 		sessions:   make(map[uint64]*Session),
 		readerDone: make(chan struct{}),
 	}
@@ -121,7 +142,7 @@ func (c *Client) fail(err error) {
 	}
 	c.err = err
 	pending := c.pending
-	c.pending = map[uint64]chan dme.Message{}
+	c.pending = map[uint64]chan reply{}
 	sessions := make([]*Session, 0, len(c.sessions))
 	for _, s := range c.sessions {
 		sessions = append(sessions, s)
@@ -136,38 +157,35 @@ func (c *Client) fail(err error) {
 	}
 }
 
-// write frames one message onto the connection.
-func (c *Client) write(msg dme.Message) error {
+// write frames one request onto the connection, by value.
+func write[T wire.Frame](c *Client, msg T) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := c.fr.enc.Encode(0, msg); err != nil {
-		return err
-	}
-	return c.fr.bw.Flush()
+	return wire.EncodeValue(c.enc, 0, msg)
 }
 
 // seq allocates a request sequence number and its response channel.
-func (c *Client) seq() (uint64, chan dme.Message, error) {
+func (c *Client) seq() (uint64, chan reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
 		return 0, nil, c.err
 	}
 	c.nextSeq++
-	var ch chan dme.Message
+	var ch chan reply
 	if n := len(c.replies); n > 0 {
 		ch = c.replies[n-1]
 		c.replies[n-1] = nil
 		c.replies = c.replies[:n-1]
 	} else {
-		ch = make(chan dme.Message, 1)
+		ch = make(chan reply, 1)
 	}
 	c.pending[c.nextSeq] = ch
 	return c.nextSeq, ch, nil
 }
 
 // recycle returns a response channel its caller has received on.
-func (c *Client) recycle(ch chan dme.Message) {
+func (c *Client) recycle(ch chan reply) {
 	c.mu.Lock()
 	c.replies = append(c.replies, ch)
 	c.mu.Unlock()
@@ -180,27 +198,28 @@ func (c *Client) forget(seq uint64) {
 	c.mu.Unlock()
 }
 
-// call performs one request/response exchange.
-func (c *Client) call(ctx context.Context, build func(seq uint64) dme.Message) (dme.Message, error) {
+// call performs one request/response exchange: build makes the request
+// for the sequence number the call was given.
+func call[T wire.Frame](ctx context.Context, c *Client, build func(seq uint64) T) (reply, error) {
 	seq, ch, err := c.seq()
 	if err != nil {
-		return nil, err
+		return reply{}, err
 	}
-	if err := c.write(build(seq)); err != nil {
+	if err := write(c, build(seq)); err != nil {
 		c.forget(seq)
 		c.fail(err)
-		return nil, err
+		return reply{}, err
 	}
 	select {
 	case resp, ok := <-ch:
 		if !ok {
-			return nil, c.Err()
+			return reply{}, c.Err()
 		}
 		c.recycle(ch)
 		return resp, nil
 	case <-ctx.Done():
 		c.forget(seq)
-		return nil, ctx.Err()
+		return reply{}, ctx.Err()
 	}
 }
 
@@ -209,7 +228,9 @@ func (c *Client) call(ctx context.Context, build func(seq uint64) dme.Message) (
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	for {
-		_, msg, err := c.fr.dec.Decode()
+		// The frame is borrowed from the decoder: everything kept from
+		// it is copied out before the next read.
+		_, msg, err := c.dec.DecodeBorrowed()
 		if err != nil {
 			var de *wire.DecodeError
 			if errors.As(err, &de) {
@@ -218,32 +239,30 @@ func (c *Client) readLoop() {
 			c.fail(fmt.Errorf("session: connection lost: %w", err))
 			return
 		}
-		// Responses go on as the decoder boxed them: re-boxing m would
-		// allocate a second copy per frame.
 		switch m := msg.(type) {
-		case OpenResp:
-			c.deliver(m.Seq, msg)
-		case KeepAliveResp:
-			c.deliver(m.Seq, msg)
-		case AcquireResp:
-			c.deliver(m.Seq, msg)
-		case ReleaseResp:
-			c.deliver(m.Seq, msg)
-		case WatchResp:
-			c.deliver(m.Seq, msg)
-		case ByeResp:
-			c.deliver(m.Seq, msg)
-		case WatchEvent:
+		case *OpenResp:
+			c.deliver(m.Seq, reply{kind: m.Kind(), code: m.Code, session: m.Session, ttl: m.TTLMillis})
+		case *KeepAliveResp:
+			c.deliver(m.Seq, reply{kind: m.Kind(), code: m.Code})
+		case *AcquireResp:
+			c.deliver(m.Seq, reply{kind: m.Kind(), code: m.Code, fence: m.Fence})
+		case *ReleaseResp:
+			c.deliver(m.Seq, reply{kind: m.Kind(), code: m.Code})
+		case *WatchResp:
+			c.deliver(m.Seq, reply{kind: m.Kind(), code: m.Code})
+		case *ByeResp:
+			c.deliver(m.Seq, reply{kind: m.Kind(), code: m.Code})
+		case *WatchEvent:
 			c.mu.Lock()
 			s := c.sessions[m.Session]
 			c.mu.Unlock()
 			if s != nil {
 				select {
-				case s.events <- m:
+				case s.events <- *m:
 				default: // watcher not draining; drop
 				}
 			}
-		case SessionExpired:
+		case *SessionExpired:
 			c.mu.Lock()
 			s := c.sessions[m.Session]
 			c.mu.Unlock()
@@ -255,13 +274,13 @@ func (c *Client) readLoop() {
 }
 
 // deliver routes a response to its caller.
-func (c *Client) deliver(seq uint64, msg dme.Message) {
+func (c *Client) deliver(seq uint64, r reply) {
 	c.mu.Lock()
 	ch := c.pending[seq]
 	delete(c.pending, seq)
 	c.mu.Unlock()
 	if ch != nil {
-		ch <- msg
+		ch <- r
 	}
 }
 
@@ -285,23 +304,19 @@ type Session struct {
 // the lease automatically at a jittered fraction of the TTL until the
 // session ends.
 func (c *Client) Open(ctx context.Context, ttl time.Duration) (*Session, error) {
-	resp, err := c.call(ctx, func(seq uint64) dme.Message {
+	resp, err := call(ctx, c, func(seq uint64) OpenReq {
 		return OpenReq{Seq: seq, TTLMillis: uint64(ttl / time.Millisecond)}
 	})
 	if err != nil {
 		return nil, err
 	}
-	or, ok := resp.(OpenResp)
-	if !ok {
-		return nil, fmt.Errorf("session: open got %T", resp)
-	}
-	if err := or.Code.Err(); err != nil {
+	if err := resp.check("open", (OpenResp{}).Kind()); err != nil {
 		return nil, err
 	}
 	s := &Session{
 		c:      c,
-		id:     or.Session,
-		ttl:    time.Duration(or.TTLMillis) * time.Millisecond,
+		id:     resp.session,
+		ttl:    time.Duration(resp.ttl) * time.Millisecond,
 		events: make(chan WatchEvent, c.opts.EventBuffer),
 		done:   make(chan struct{}),
 	}
@@ -395,15 +410,10 @@ func (s *Session) keepAliveTick() {
 	if s.Expired() {
 		return
 	}
-	resp, err := s.c.call(context.Background(), func(seq uint64) dme.Message {
+	resp, err := call(context.Background(), s.c, func(seq uint64) KeepAliveReq {
 		return KeepAliveReq{Seq: seq, Session: s.id}
 	})
-	if err != nil {
-		s.markDead()
-		return
-	}
-	kr, ok := resp.(KeepAliveResp)
-	if !ok || kr.Code != CodeOK {
+	if err != nil || resp.check("keepalive", (KeepAliveResp{}).Kind()) != nil {
 		s.markDead()
 		return
 	}
@@ -416,20 +426,16 @@ func (s *Session) KeepAlive(ctx context.Context) error {
 	if s.Expired() {
 		return ErrSessionDead
 	}
-	resp, err := s.c.call(ctx, func(seq uint64) dme.Message {
+	resp, err := call(ctx, s.c, func(seq uint64) KeepAliveReq {
 		return KeepAliveReq{Seq: seq, Session: s.id}
 	})
 	if err != nil {
 		return err
 	}
-	kr, ok := resp.(KeepAliveResp)
-	if !ok {
-		return fmt.Errorf("session: keepalive got %T", resp)
-	}
-	if kr.Code != CodeOK {
+	if resp.kind == (KeepAliveResp{}).Kind() && resp.code != CodeOK {
 		s.markDead()
 	}
-	return kr.Code.Err()
+	return resp.check("keepalive", (KeepAliveResp{}).Kind())
 }
 
 // Acquire takes the named lock, waiting in the server's FIFO queue as
@@ -458,7 +464,7 @@ func (s *Session) acquire(ctx context.Context, key string, wait time.Duration) (
 	}
 	req := AcquireReq{Seq: seq, Session: s.id, Key: key,
 		WaitMillis: uint64(wait / time.Millisecond)}
-	if err := s.c.write(req); err != nil {
+	if err := write(s.c, req); err != nil {
 		s.c.forget(seq)
 		s.c.fail(err)
 		return 0, err
@@ -469,14 +475,10 @@ func (s *Session) acquire(ctx context.Context, key string, wait time.Duration) (
 			return 0, s.c.Err()
 		}
 		s.c.recycle(ch)
-		ar, ok := resp.(AcquireResp)
-		if !ok {
-			return 0, fmt.Errorf("session: acquire got %T", resp)
-		}
-		if err := ar.Code.Err(); err != nil {
+		if err := resp.check("acquire", (AcquireResp{}).Kind()); err != nil {
 			return 0, err
 		}
-		return ar.Fence, nil
+		return resp.fence, nil
 	case <-ctx.Done():
 		// Stay registered for the response: if the grant already won
 		// the race it must be released, not leaked until lease expiry.
@@ -486,7 +488,7 @@ func (s *Session) acquire(ctx context.Context, key string, wait time.Duration) (
 			if !ok {
 				return
 			}
-			if ar, isAcq := resp.(AcquireResp); isAcq && ar.Code == CodeOK {
+			if resp.check("acquire", (AcquireResp{}).Kind()) == nil {
 				_ = s.Release(key)
 			}
 		}()
@@ -499,17 +501,13 @@ func (s *Session) acquire(ctx context.Context, key string, wait time.Duration) (
 
 // Release gives the named lock back.
 func (s *Session) Release(key string) error {
-	resp, err := s.c.call(context.Background(), func(seq uint64) dme.Message {
+	resp, err := call(context.Background(), s.c, func(seq uint64) ReleaseReq {
 		return ReleaseReq{Seq: seq, Session: s.id, Key: key}
 	})
 	if err != nil {
 		return err
 	}
-	rr, ok := resp.(ReleaseResp)
-	if !ok {
-		return fmt.Errorf("session: release got %T", resp)
-	}
-	return rr.Code.Err()
+	return resp.check("release", (ReleaseResp{}).Kind())
 }
 
 // Watch subscribes the session to the key: each grant ending on it
@@ -527,20 +525,21 @@ func (s *Session) watchOp(ctx context.Context, key string, watch bool) error {
 	if s.Expired() {
 		return ErrSessionDead
 	}
-	resp, err := s.c.call(ctx, func(seq uint64) dme.Message {
-		if watch {
+	var resp reply
+	var err error
+	if watch {
+		resp, err = call(ctx, s.c, func(seq uint64) WatchReq {
 			return WatchReq{Seq: seq, Session: s.id, Key: key}
-		}
-		return UnwatchReq{Seq: seq, Session: s.id, Key: key}
-	})
+		})
+	} else {
+		resp, err = call(ctx, s.c, func(seq uint64) UnwatchReq {
+			return UnwatchReq{Seq: seq, Session: s.id, Key: key}
+		})
+	}
 	if err != nil {
 		return err
 	}
-	wr, ok := resp.(WatchResp)
-	if !ok {
-		return fmt.Errorf("session: watch got %T", resp)
-	}
-	return wr.Code.Err()
+	return resp.check("watch", (WatchResp{}).Kind())
 }
 
 // End closes the session cleanly: held locks are released, queued
@@ -549,15 +548,15 @@ func (s *Session) End(ctx context.Context) error {
 	if s.Expired() {
 		return nil
 	}
-	resp, err := s.c.call(ctx, func(seq uint64) dme.Message {
+	resp, err := call(ctx, s.c, func(seq uint64) ByeReq {
 		return ByeReq{Seq: seq, Session: s.id}
 	})
 	s.markDead()
 	if err != nil {
 		return err
 	}
-	if br, ok := resp.(ByeResp); ok && br.Code != CodeOK && br.Code != CodeUnknownSession {
-		return br.Code.Err()
+	if resp.kind == (ByeResp{}).Kind() && resp.code != CodeUnknownSession {
+		return resp.code.Err()
 	}
 	return nil
 }

@@ -16,3 +16,17 @@ func (s *Server) Slots(key string) int {
 	}
 	return 0
 }
+
+// QueuedFrames reports how many frames wait for their connection's
+// writer, summed over the server's connections.
+func (s *Server) QueuedFrames() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for c := range s.conns {
+		c.mu.Lock()
+		n += c.queued
+		c.mu.Unlock()
+	}
+	return n
+}

@@ -25,18 +25,12 @@ const endpointID = -1
 // nothing costs the server one goroutine for this long, not forever.
 const handshakeTimeout = 2 * time.Second
 
-// framed is one side's encoder/decoder pair over a buffered connection.
-// Encode paths must hold their own serialization (the client's write
-// mutex, the server's single writer goroutine) and flush after a batch.
-type framed struct {
-	enc *wire.Encoder
-	dec *wire.Decoder
-	bw  *bufio.Writer
-}
-
 // handshake runs one side of the wire handshake under handshakeTimeout
-// and builds the frame pair.
-func handshake(conn net.Conn, server bool) (framed, error) {
+// and returns the decoder for the peer's frames. Each side encodes its
+// own frames with wire.EncodeValue: the client straight onto the
+// connection under its write mutex, the server into a connection's
+// outbox (see srvConn).
+func handshake(conn net.Conn, server bool) (*wire.Decoder, error) {
 	Register()
 	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	var err error
@@ -46,13 +40,8 @@ func handshake(conn net.Conn, server bool) (framed, error) {
 		_, err = wire.ClientHandshake(conn, endpointID, Algo)
 	}
 	if err != nil {
-		return framed{}, fmt.Errorf("session: %w", err)
+		return nil, fmt.Errorf("session: %w", err)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	bw := bufio.NewWriter(conn)
-	return framed{
-		enc: wire.BinaryCodec().NewEncoder(bw, Algo),
-		dec: wire.BinaryCodec().NewDecoder(bufio.NewReader(conn), Algo),
-		bw:  bw,
-	}, nil
+	return wire.BinaryCodec().NewDecoder(bufio.NewReader(conn), Algo), nil
 }

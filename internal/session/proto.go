@@ -199,6 +199,9 @@ func (m *KeepAliveResp) UnmarshalWire(data []byte) error {
 	return r.Close()
 }
 
+// copyKey is the intern function of a decode with no intern table.
+func copyKey(b []byte) string { return string(b) }
+
 // AcquireReq asks for the named lock on behalf of a session. WaitMillis
 // bounds the time the request may sit in the key's wait queue before the
 // server answers CodeTimeout; 0 waits indefinitely.
@@ -222,10 +225,16 @@ func (m AcquireReq) AppendWire(b []byte) ([]byte, error) {
 
 // UnmarshalWire implements wire.WireUnmarshaler.
 func (m *AcquireReq) UnmarshalWire(data []byte) error {
+	return m.UnmarshalWireInterned(data, copyKey)
+}
+
+// UnmarshalWireInterned implements wire.InternUnmarshaler: a session
+// server's decoder interns the keys its client locks.
+func (m *AcquireReq) UnmarshalWireInterned(data []byte, intern func([]byte) string) error {
 	r := binenc.NewReader(data)
 	m.Seq = r.Uvarint()
 	m.Session = r.Uvarint()
-	m.Key = r.String()
+	m.Key = r.InternedString(intern)
 	m.WaitMillis = r.Uvarint()
 	return r.Close()
 }
@@ -277,10 +286,16 @@ func (m ReleaseReq) AppendWire(b []byte) ([]byte, error) {
 
 // UnmarshalWire implements wire.WireUnmarshaler.
 func (m *ReleaseReq) UnmarshalWire(data []byte) error {
+	return m.UnmarshalWireInterned(data, copyKey)
+}
+
+// UnmarshalWireInterned implements wire.InternUnmarshaler: a session
+// server's decoder interns the keys its client locks.
+func (m *ReleaseReq) UnmarshalWireInterned(data []byte, intern func([]byte) string) error {
 	r := binenc.NewReader(data)
 	m.Seq = r.Uvarint()
 	m.Session = r.Uvarint()
-	m.Key = r.String()
+	m.Key = r.InternedString(intern)
 	return r.Close()
 }
 

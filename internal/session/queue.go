@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/wire"
 )
 
@@ -87,32 +86,32 @@ func (s *Server) handleAcquire(c *srvConn, m AcquireReq) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		c.send(AcquireResp{Seq: m.Seq, Code: CodeShuttingDown})
+		send(c, AcquireResp{Seq: m.Seq, Code: CodeShuttingDown})
 		return
 	}
 	sess, ok := s.sessions[m.Session]
 	if !ok {
 		s.mu.Unlock()
-		c.send(AcquireResp{Seq: m.Seq, Code: CodeUnknownSession})
+		send(c, AcquireResp{Seq: m.Seq, Code: CodeUnknownSession})
 		return
 	}
 	if m.Key == "" {
 		s.mu.Unlock()
-		c.send(AcquireResp{Seq: m.Seq, Code: CodeBadRequest})
+		send(c, AcquireResp{Seq: m.Seq, Code: CodeBadRequest})
 		return
 	}
 	if _, already := sess.held[m.Key]; already {
 		// One lock per (session, key); a re-acquire while holding is a
 		// client bug, not a queueing request.
 		s.mu.Unlock()
-		c.send(AcquireResp{Seq: m.Seq, Code: CodeBadRequest})
+		send(c, AcquireResp{Seq: m.Seq, Code: CodeBadRequest})
 		return
 	}
 	kq := s.keyQueueLocked(m.Key)
 	if s.cfg.MaxWaitersPerKey > 0 && kq.live >= s.cfg.MaxWaitersPerKey {
 		s.m.rejects.Inc()
 		s.mu.Unlock()
-		c.send(AcquireResp{Seq: m.Seq, Code: CodeOverloaded})
+		send(c, AcquireResp{Seq: m.Seq, Code: CodeOverloaded})
 		return
 	}
 	w := s.newWaiterLocked()
@@ -227,7 +226,7 @@ func (s *Server) waiterTimeout(w *waiter) {
 	s.mu.Unlock()
 	if ok {
 		s.m.waitTimeouts.Inc()
-		w.conn.send(AcquireResp{Seq: w.seq, Code: CodeTimeout})
+		send(w.conn, AcquireResp{Seq: w.seq, Code: CodeTimeout})
 	}
 }
 
@@ -237,7 +236,7 @@ func (s *Server) waiterTimeout(w *waiter) {
 func (s *Server) failQueueLocked(kq *keyQueue) {
 	for _, w := range kq.q[kq.head:] {
 		if s.dequeueLocked(w) {
-			w.conn.send(AcquireResp{Seq: w.seq, Code: CodeShuttingDown})
+			send(w.conn, AcquireResp{Seq: w.seq, Code: CodeShuttingDown})
 		}
 	}
 	kq.reset()
@@ -325,7 +324,7 @@ func (s *Server) slot(kq *keyQueue) {
 					"key", kq.key, "fence", lost)
 				s.notifyWatchers(kq, lost, ReasonExpired)
 			}
-			conn.send(AcquireResp{Seq: seq, Code: CodeOK, Fence: fence})
+			send(conn, AcquireResp{Seq: seq, Code: CodeOK, Fence: fence})
 		}
 		if !again {
 			return
@@ -407,40 +406,75 @@ func (s *Server) notifyWatchers(kq *keyQueue, fence uint64, reason uint8) {
 	}
 	s.mu.Unlock()
 	for _, t := range targets {
-		t.conn.send(WatchEvent{Session: t.sid, Key: kq.key, Fence: fence, Reason: reason})
+		send(t.conn, WatchEvent{Session: t.sid, Key: kq.key, Fence: fence, Reason: reason})
 		s.m.watchEvents.Inc()
 	}
 }
 
 // --- connection plumbing ---
 
-// respFrame is one queued outbound message.
-type respFrame struct{ msg dme.Message }
-
 // srvConn is one client connection: a reader goroutine dispatching
-// requests (which may block on Server.mu but never on the network) and
-// a writer goroutine draining a bounded queue with coalesced flushes.
+// requests (which may block on Server.mu but never on the network),
+// and a writer goroutine sending what the handlers, grant slots, lease
+// timers and watch pushes queue for it. Frames are encoded as they are
+// queued, into out; the writer takes out whole and writes it in one
+// call outside the lock, so frames that become ready while a write is
+// in flight leave together in the next one.
 type srvConn struct {
-	s         *Server
-	conn      net.Conn
-	fr        framed
-	out       chan respFrame
+	s    *Server
+	conn net.Conn
+	dec  *wire.Decoder
+
+	mu     sync.Mutex
+	enc    *wire.Encoder // frames into out; guarded by mu
+	out    outbox        // encoded frames the writer has not taken yet
+	queued int           // frames in out, at most Config.WriteQueue
+
+	kick      chan struct{} // the writer's wakeup, capacity 1
 	quit      chan struct{}
 	closeOnce sync.Once
 }
 
-// send enqueues an outbound frame, dropping the connection instead of
-// blocking when the queue is full: a consumer that cannot keep up with
-// its own responses and watch events is evicted, and its sessions die
-// by TTL like any other orphan.
-func (c *srvConn) send(msg dme.Message) {
+// outbox is the connection encoder's writer: it appends each frame to
+// the batch awaiting the writer goroutine.
+type outbox struct{ b []byte }
+
+func (o *outbox) Write(p []byte) (int, error) {
+	o.b = append(o.b, p...)
+	return len(p), nil
+}
+
+// send queues one frame for the connection's writer, dropping the
+// connection instead of blocking when Config.WriteQueue frames already
+// wait: a consumer that cannot keep up with its own responses and watch
+// events is evicted, and its sessions die by TTL like any other orphan.
+// The frame is encoded here, by value, so queueing it allocates nothing.
+func send[T wire.Frame](c *srvConn, msg T) {
 	select {
-	case c.out <- respFrame{msg}:
 	case <-c.quit:
+		return
 	default:
+	}
+	c.mu.Lock()
+	if c.queued >= c.s.cfg.WriteQueue {
+		c.mu.Unlock()
 		c.s.m.slowCloses.Inc()
 		c.s.logf("dropping slow consumer")
 		c.close()
+		return
+	}
+	err := wire.EncodeValue(c.enc, 0, msg)
+	if err == nil {
+		c.queued++
+	}
+	c.mu.Unlock()
+	if err != nil {
+		c.close()
+		return
+	}
+	select {
+	case c.kick <- struct{}{}:
+	default: // a wakeup is already pending
 	}
 }
 
@@ -452,36 +486,43 @@ func (c *srvConn) close() {
 	})
 }
 
-// writeLoop drains the outbound queue, flushing when it runs dry.
+// writeLoop writes the queued frames, each batch in one call.
 func (c *srvConn) writeLoop() {
 	defer c.s.wg.Done()
+	var batch []byte
 	for {
 		select {
-		case f := <-c.out:
-			if err := c.fr.enc.Encode(0, f.msg); err != nil {
-				c.close()
-				return
-			}
-			if len(c.out) == 0 {
-				if err := c.fr.bw.Flush(); err != nil {
-					c.close()
-					return
-				}
-			}
+		case <-c.kick:
 		case <-c.quit:
 			return
 		}
+		c.mu.Lock()
+		batch, c.out.b = c.out.b, batch[:0]
+		n := c.queued
+		c.queued = 0
+		c.mu.Unlock()
+		if n == 0 {
+			continue
+		}
+		if _, err := c.conn.Write(batch); err != nil {
+			c.close()
+			return
+		}
+		c.s.m.writes.Inc()
+		c.s.m.framesWritten.Add(uint64(n))
 	}
 }
 
 // readLoop decodes and dispatches requests until the connection dies.
+// Each frame is borrowed from the decoder, and every handler takes its
+// request by value before the next frame is read.
 func (c *srvConn) readLoop() {
 	defer func() {
 		c.close()
 		c.s.dropConn(c)
 	}()
 	for {
-		_, msg, err := c.fr.dec.Decode()
+		_, msg, err := c.dec.DecodeBorrowed()
 		if err != nil {
 			var de *wire.DecodeError
 			if errors.As(err, &de) {
@@ -490,20 +531,20 @@ func (c *srvConn) readLoop() {
 			return
 		}
 		switch m := msg.(type) {
-		case OpenReq:
-			c.s.handleOpen(c, m)
-		case KeepAliveReq:
-			c.s.handleKeepAlive(c, m)
-		case AcquireReq:
-			c.s.handleAcquire(c, m)
-		case ReleaseReq:
-			c.s.handleRelease(c, m)
-		case WatchReq:
-			c.s.handleWatch(c, m)
-		case UnwatchReq:
-			c.s.handleUnwatch(c, m)
-		case ByeReq:
-			c.s.handleBye(c, m)
+		case *OpenReq:
+			c.s.handleOpen(c, *m)
+		case *KeepAliveReq:
+			c.s.handleKeepAlive(c, *m)
+		case *AcquireReq:
+			c.s.handleAcquire(c, *m)
+		case *ReleaseReq:
+			c.s.handleRelease(c, *m)
+		case *WatchReq:
+			c.s.handleWatch(c, *m)
+		case *UnwatchReq:
+			c.s.handleUnwatch(c, *m)
+		case *ByeReq:
+			c.s.handleBye(c, *m)
 		default:
 			// A response or push type from a confused peer: ignore.
 		}

@@ -10,6 +10,7 @@ import (
 
 	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/telemetry"
+	"tokenarbiter/internal/wire"
 )
 
 // Backend is the per-key lock provider the session server multiplexes
@@ -73,10 +74,11 @@ type Config struct {
 	// (zero-value fields take the package defaults). An OpenReq with
 	// TTLMillis 0 gets DefaultTTL.
 	MinTTL, DefaultTTL, MaxTTL time.Duration
-	// WriteQueue is the per-connection outbound frame buffer. A
-	// connection that lets it fill — a consumer slower than its
-	// responses and watch events — is disconnected (backpressure by
-	// eviction, not by blocking the server). 0 means DefaultWriteQueue.
+	// WriteQueue bounds the frames queued for one connection while its
+	// writer is busy with the previous write. A connection that lets
+	// it fill — a consumer slower than its responses and watch events
+	// — is disconnected (backpressure by eviction, not by blocking the
+	// server). 0 means DefaultWriteQueue.
 	WriteQueue int
 	// Invalidate overrides how an expired holder's key is invalidated.
 	// Nil uses the Backend's RestartKey when it has one (the §6 path:
@@ -129,6 +131,8 @@ type serverMetrics struct {
 	invalidations *telemetry.Counter
 	lostGrants    *telemetry.Counter
 	slowCloses    *telemetry.Counter
+	writes        *telemetry.Counter
+	framesWritten *telemetry.Counter
 	hsRejects     *telemetry.Counter
 	active        *telemetry.Gauge
 	waiters       *telemetry.Gauge
@@ -216,6 +220,10 @@ func NewServer(cfg Config) (*Server, error) {
 				"releases of grants the backend no longer recognized (key restarted under the holder)"),
 			slowCloses: reg.Counter("session_slow_consumer_closes_total",
 				"connections dropped because their write queue overflowed"),
+			writes: reg.Counter("session_writes_total",
+				"writes to session connections; each carries every frame queued since the last"),
+			framesWritten: reg.Counter("session_frames_written_total",
+				"frames written to session connections (÷ session_writes_total = frames per write)"),
 			hsRejects: reg.Counter("session_handshake_rejects_total",
 				"connections refused at the wire handshake (not a session client, or one of another format version)"),
 			active: reg.Gauge("sessions_active",
@@ -296,9 +304,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 	c := &srvConn{
 		s:    s,
 		conn: conn,
-		out:  make(chan respFrame, s.cfg.WriteQueue),
+		kick: make(chan struct{}, 1),
 		quit: make(chan struct{}),
 	}
+	c.enc = wire.BinaryCodec().NewEncoder(&c.out, Algo)
 	// The connection is tracked before it has said anything, so Close
 	// reaches a dialer that never completes the handshake.
 	s.mu.Lock()
@@ -313,7 +322,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 	s.mu.Unlock()
 	go func() {
 		defer s.wg.Done()
-		fr, err := handshake(conn, true)
+		dec, err := handshake(conn, true)
 		if err != nil {
 			s.m.hsRejects.Inc()
 			s.logf("handshake refused", "remote", conn.RemoteAddr(), "err", err)
@@ -321,7 +330,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			s.dropConn(c)
 			return
 		}
-		c.fr = fr
+		c.dec = dec
 		s.wg.Add(1) // the writer; the reader runs on this goroutine
 		go c.writeLoop()
 		c.readLoop()
@@ -401,13 +410,13 @@ func (s *Server) handleOpen(c *srvConn, m OpenReq) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		c.send(OpenResp{Seq: m.Seq, Code: CodeShuttingDown})
+		send(c, OpenResp{Seq: m.Seq, Code: CodeShuttingDown})
 		return
 	}
 	if s.cfg.MaxSessions > 0 && len(s.sessions) >= s.cfg.MaxSessions {
 		s.m.rejects.Inc()
 		s.mu.Unlock()
-		c.send(OpenResp{Seq: m.Seq, Code: CodeOverloaded})
+		send(c, OpenResp{Seq: m.Seq, Code: CodeOverloaded})
 		return
 	}
 	s.nextID++
@@ -426,7 +435,7 @@ func (s *Server) handleOpen(c *srvConn, m OpenReq) {
 	s.m.opens.Inc()
 	s.m.active.Add(1)
 	s.mu.Unlock()
-	c.send(OpenResp{Seq: m.Seq, Code: CodeOK, Session: id, TTLMillis: uint64(ttl / time.Millisecond)})
+	send(c, OpenResp{Seq: m.Seq, Code: CodeOK, Session: id, TTLMillis: uint64(ttl / time.Millisecond)})
 }
 
 func (s *Server) handleKeepAlive(c *srvConn, m KeepAliveReq) {
@@ -434,13 +443,13 @@ func (s *Server) handleKeepAlive(c *srvConn, m KeepAliveReq) {
 	sess, ok := s.sessions[m.Session]
 	if !ok {
 		s.mu.Unlock()
-		c.send(KeepAliveResp{Seq: m.Seq, Code: CodeUnknownSession})
+		send(c, KeepAliveResp{Seq: m.Seq, Code: CodeUnknownSession})
 		return
 	}
 	sess.deadline = s.clock.Now().Add(sess.ttl)
 	s.m.renewals.Inc()
 	s.mu.Unlock()
-	c.send(KeepAliveResp{Seq: m.Seq, Code: CodeOK})
+	send(c, KeepAliveResp{Seq: m.Seq, Code: CodeOK})
 }
 
 // leaseTimer fires at (or after) a session's deadline. A keepalive may
@@ -471,14 +480,14 @@ func (s *Server) handleBye(c *srvConn, m ByeReq) {
 	sess, ok := s.sessions[m.Session]
 	if !ok {
 		s.mu.Unlock()
-		c.send(ByeResp{Seq: m.Seq, Code: CodeUnknownSession})
+		send(c, ByeResp{Seq: m.Seq, Code: CodeUnknownSession})
 		return
 	}
 	s.m.byes.Inc()
 	after := s.endSessionLocked(sess, false)
 	s.mu.Unlock()
 	after()
-	c.send(ByeResp{Seq: m.Seq, Code: CodeOK})
+	send(c, ByeResp{Seq: m.Seq, Code: CodeOK})
 }
 
 // endSessionLocked removes a session and detaches everything it owns,
@@ -521,13 +530,13 @@ func (s *Server) endSessionLocked(sess *sessionState, expired bool) func() {
 	id := sess.id
 	return func() {
 		for _, r := range resps {
-			r.c.send(r.m)
+			send(r.c, r.m)
 		}
 		for _, g := range ends {
 			s.endGrant(g.kq, g.fence, expired)
 		}
 		if expired {
-			conn.send(SessionExpired{Session: id, Code: CodeExpired})
+			send(conn, SessionExpired{Session: id, Code: CodeExpired})
 		}
 	}
 }
@@ -537,19 +546,19 @@ func (s *Server) handleRelease(c *srvConn, m ReleaseReq) {
 	sess, ok := s.sessions[m.Session]
 	if !ok {
 		s.mu.Unlock()
-		c.send(ReleaseResp{Seq: m.Seq, Code: CodeUnknownSession})
+		send(c, ReleaseResp{Seq: m.Seq, Code: CodeUnknownSession})
 		return
 	}
 	if _, held := sess.held[m.Key]; !held {
 		s.mu.Unlock()
-		c.send(ReleaseResp{Seq: m.Seq, Code: CodeNotHeld})
+		send(c, ReleaseResp{Seq: m.Seq, Code: CodeNotHeld})
 		return
 	}
 	kq := s.keys[m.Key]
 	fence := s.takeGrantLocked(kq)
 	s.m.releases.Inc()
 	s.mu.Unlock()
-	c.send(ReleaseResp{Seq: m.Seq, Code: CodeOK})
+	send(c, ReleaseResp{Seq: m.Seq, Code: CodeOK})
 	s.endGrant(kq, fence, false)
 }
 
@@ -558,14 +567,14 @@ func (s *Server) handleWatch(c *srvConn, m WatchReq) {
 	sess, ok := s.sessions[m.Session]
 	if !ok {
 		s.mu.Unlock()
-		c.send(WatchResp{Seq: m.Seq, Code: CodeUnknownSession})
+		send(c, WatchResp{Seq: m.Seq, Code: CodeUnknownSession})
 		return
 	}
 	kq := s.keyQueueLocked(m.Key)
 	kq.watchers[sess.id] = c
 	sess.watches[m.Key] = struct{}{}
 	s.mu.Unlock()
-	c.send(WatchResp{Seq: m.Seq, Code: CodeOK})
+	send(c, WatchResp{Seq: m.Seq, Code: CodeOK})
 }
 
 func (s *Server) handleUnwatch(c *srvConn, m UnwatchReq) {
@@ -573,7 +582,7 @@ func (s *Server) handleUnwatch(c *srvConn, m UnwatchReq) {
 	sess, ok := s.sessions[m.Session]
 	if !ok {
 		s.mu.Unlock()
-		c.send(WatchResp{Seq: m.Seq, Code: CodeUnknownSession})
+		send(c, WatchResp{Seq: m.Seq, Code: CodeUnknownSession})
 		return
 	}
 	if kq := s.keys[m.Key]; kq != nil {
@@ -581,5 +590,5 @@ func (s *Server) handleUnwatch(c *srvConn, m UnwatchReq) {
 	}
 	delete(sess.watches, m.Key)
 	s.mu.Unlock()
-	c.send(WatchResp{Seq: m.Seq, Code: CodeOK})
+	send(c, WatchResp{Seq: m.Seq, Code: CodeOK})
 }

@@ -1,7 +1,9 @@
 package wire_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
 	"tokenarbiter/internal/core"
@@ -42,6 +44,56 @@ func TestDecodeBodyAllocs(t *testing.T) {
 				t.Errorf("DecodeBody of an unkeyed, untraced %s: %.1f allocations, want ≤ 1", c.name, allocs)
 			}
 		})
+	}
+}
+
+// TestEncodeValueAllocs pins the generic encoder's budget: framing a
+// concrete message value allocates nothing once the encoder's scratch
+// has grown, since no dme.Message box is made.
+func TestEncodeValueAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	session.Register()
+	enc := wire.BinaryCodec().NewEncoder(io.Discard, session.Algo)
+	msg := session.AcquireReq{Seq: 9, Session: 4, Key: "alloc-budget", WaitMillis: 50}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := wire.EncodeValue(enc, 0, msg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("EncodeValue of a session AcquireReq: %.1f allocations, want 0", allocs)
+	}
+}
+
+// TestDecodeBorrowedAllocs pins the borrowing decoder's budget: after
+// the first frame of a kind, an untagged frame allocates nothing when
+// its payload holds no slice or string (an AcquireResp) or only a key
+// the decoder has interned (an AcquireReq), since the message stays in
+// the decoder's scratch.
+func TestDecodeBorrowedAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	session.Register()
+	for _, msg := range []dme.Message{
+		session.AcquireResp{Seq: 9, Code: session.CodeOK, Fence: 41},
+		session.AcquireReq{Seq: 9, Session: 4, Key: "alloc-budget"},
+	} {
+		frame := encodeBinary(t, session.Algo, 1, msg)
+		var r bytes.Reader
+		dec := wire.BinaryCodec().NewDecoder(&r, session.Algo)
+		decode := func() {
+			r.Reset(frame)
+			if _, _, err := dec.DecodeBorrowed(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		decode() // the kind's scratch, the frame buffer, the interned key
+		if allocs := testing.AllocsPerRun(1000, decode); allocs > 0 {
+			t.Errorf("DecodeBorrowed of a session %s: %.1f allocations, want 0", msg.Kind(), allocs)
+		}
 	}
 }
 

@@ -33,6 +33,16 @@ type WireUnmarshaler interface {
 	UnmarshalWire(data []byte) error
 }
 
+// InternUnmarshaler is an optional decode half for a layout that
+// carries lock keys. The decoder calls it in place of UnmarshalWire and
+// passes intern, which makes a key's string from its bytes (they alias
+// the frame buffer) through the decoder's key-intern table, the one
+// frame keys go through: a key the connection has sent before decodes
+// without a copy. binenc.Reader.InternedString reads a key this way.
+type InternUnmarshaler interface {
+	UnmarshalWireInterned(data []byte, intern func([]byte) string) error
+}
+
 // Every message travels as one frame:
 //
 //	u32 little-endian body length, then the body:
@@ -83,7 +93,9 @@ func (Codec) NewEncoder(w io.Writer, algo string) *Encoder {
 // algorithm from r; r may be nil for a decoder used only through
 // DecodeBody.
 func (Codec) NewDecoder(r io.Reader, algo string) *Decoder {
-	return &Decoder{algo: algo, set: algoFor(algo), r: r, keys: map[string]string{}}
+	d := &Decoder{algo: algo, set: algoFor(algo), r: r, keys: map[string]string{}}
+	d.intern = d.internKey
+	return d
 }
 
 // Encoder frames protocol messages onto one connection.
@@ -97,24 +109,56 @@ type Encoder struct {
 	buf []byte
 }
 
+// Frame is what EncodeValue accepts: a registered message type, passed
+// by value through a type parameter so that framing it boxes nothing.
+type Frame interface {
+	dme.Message
+	WireAppender
+}
+
 // Encode writes one frame. It accepts bare or Wrap'd messages; key and
 // trace tags travel in the frame header.
 func (e *Encoder) Encode(from int, msg dme.Message) error {
-	if e.set == nil {
-		return fmt.Errorf("wire: algorithm %q is not registered", e.algo)
-	}
-	if len(e.algo) > 0xff {
-		return fmt.Errorf("wire: algorithm name %q exceeds 255 bytes", e.algo)
-	}
 	inner, key, trace := Unwrap(msg)
 	if inner == nil {
 		return fmt.Errorf("wire: nil message for algorithm %q", e.algo)
 	}
-	kind, ok := e.set.byType[reflect.TypeOf(inner)]
-	if !ok {
-		return fmt.Errorf("wire: %T is not a registered %s message", inner, e.algo)
+	b, kind, err := e.header(from, reflect.TypeOf(inner), key, trace)
+	if err != nil {
+		return err
 	}
-	b := append(e.buf[:0], 0, 0, 0, 0) // length prefix, patched below
+	b, err = inner.(WireAppender).AppendWire(b)
+	return e.finish(b, kind, err)
+}
+
+// EncodeValue writes one untagged frame for a concrete registered
+// message: the bytes Encode writes for the same value, without the
+// conversion to dme.Message that costs Encode's caller an allocation
+// per frame. The session tier frames its own messages this way.
+func EncodeValue[T Frame](e *Encoder, from int, msg T) error {
+	b, kind, err := e.header(from, reflect.TypeFor[T](), "", 0)
+	if err != nil {
+		return err
+	}
+	b, err = msg.AppendWire(b)
+	return e.finish(b, kind, err)
+}
+
+// header starts a frame in the encoder's scratch: the length prefix
+// (patched by finish), the envelope and the tags. It returns the
+// message type's kind id.
+func (e *Encoder) header(from int, typ reflect.Type, key string, trace uint64) ([]byte, int, error) {
+	if e.set == nil {
+		return nil, 0, fmt.Errorf("wire: algorithm %q is not registered", e.algo)
+	}
+	if len(e.algo) > 0xff {
+		return nil, 0, fmt.Errorf("wire: algorithm name %q exceeds 255 bytes", e.algo)
+	}
+	kind, ok := e.set.byType[typ]
+	if !ok {
+		return nil, 0, fmt.Errorf("wire: %v is not a registered %s message", typ, e.algo)
+	}
+	b := append(e.buf[:0], 0, 0, 0, 0) // length prefix, patched by finish
 	b = append(b, FormatVersion)
 	var flags byte
 	if key != "" {
@@ -133,13 +177,18 @@ func (e *Encoder) Encode(from int, msg dme.Message) error {
 	if trace != 0 {
 		b = binary.AppendUvarint(b, trace)
 	}
-	b, err := inner.(WireAppender).AppendWire(b)
+	return b, kind, nil
+}
+
+// finish checks the frame the payload completed (err is the payload's
+// AppendWire error), patches its length prefix and writes it.
+func (e *Encoder) finish(b []byte, kind int, err error) error {
 	if err != nil {
-		return fmt.Errorf("wire: encode %s %q payload: %w", e.algo, inner.Kind(), err)
+		return fmt.Errorf("wire: encode %s %q payload: %w", e.algo, e.set.kinds[kind], err)
 	}
 	if len(b)-PrefixLen > maxFrame {
 		return fmt.Errorf("wire: %s %q frame of %d bytes exceeds the %d-byte limit",
-			e.algo, inner.Kind(), len(b)-PrefixLen, maxFrame)
+			e.algo, e.set.kinds[kind], len(b)-PrefixLen, maxFrame)
 	}
 	binary.LittleEndian.PutUint32(b[:PrefixLen], uint32(len(b)-PrefixLen))
 	e.buf = b
@@ -149,6 +198,17 @@ func (e *Encoder) Encode(from int, msg dme.Message) error {
 
 // Decoder reads framed messages off one connection. Decoders are not
 // safe for concurrent use; each connection's reader owns its own.
+//
+// Decode and DecodeBody return a message the caller owns. DecodeBorrowed
+// returns a pointer into the decoder's scratch instead (*AcquireReq for
+// a session acquire, say), valid only until the decoder's next call:
+// the next frame of the same kind decodes into the same value. That
+// saves the one allocation a frame otherwise costs, the copy of the
+// decoded value into a dme.Message, and suits a reader that is done
+// with each message before it reads the next. The session tier's two
+// read loops are such readers. The TCP transport is not: the live
+// executor keeps an inbound message queued after the read loop moves
+// on, so it decodes with Decode.
 type Decoder struct {
 	algo string
 	set  *algoSet
@@ -162,10 +222,11 @@ type Decoder struct {
 	// maxInterned entries: a peer choosing keys (a session client does)
 	// must not grow it without bound, so keys past the cap are copied
 	// per frame instead.
-	keys map[string]string
+	keys   map[string]string
+	intern func([]byte) string // internKey, bound once for InternUnmarshaler
 	// scratch holds, per kind id, a reusable *T the payload decodes
-	// into, so a frame allocates only the final boxing of T into a
-	// dme.Message. Created on a kind's first frame; zeroed after each.
+	// into: the value DecodeBorrowed lends out, and the one Decode
+	// copies. Created on a kind's first frame; zeroed before each.
 	scratch []reflect.Value
 }
 
@@ -183,23 +244,49 @@ const maxInterned = 256
 //   - anything else: an I/O or framing failure; the stream position is
 //     unknown and the connection is dead.
 func (d *Decoder) Decode() (int, dme.Message, error) {
-	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
+	body, err := d.next()
+	if err != nil {
 		return 0, nil, err
+	}
+	return d.decodeBody(body, false)
+}
+
+// DecodeBorrowed reads one frame like Decode, with the same errors, but
+// the message it returns (inside its Keyed and Traced tags, when the
+// frame has them) is a pointer to the decoder's scratch value for the
+// frame's kind: *T where Decode returns T. It stays valid until the
+// decoder's next call; a caller that keeps the message past that must
+// copy the pointee. After its first frame of a kind, an untagged frame
+// allocates nothing when its payload holds no slice and no string but
+// an interned key (see InternUnmarshaler).
+func (d *Decoder) DecodeBorrowed() (int, dme.Message, error) {
+	body, err := d.next()
+	if err != nil {
+		return 0, nil, err
+	}
+	return d.decodeBody(body, true)
+}
+
+// next reads one frame off the stream and returns its body, which lives
+// in the decoder's buffer until the next read.
+func (d *Decoder) next() ([]byte, error) {
+	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
+		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(d.hdr[:])
 	if n == 0 || n > maxFrame {
 		// The length prefix itself is untrustworthy, so the frame
 		// boundary is lost: fatal, unlike the in-body errors below.
-		return 0, nil, fmt.Errorf("wire: binary frame length %d out of range (0, %d]", n, maxFrame)
+		return nil, fmt.Errorf("wire: binary frame length %d out of range (0, %d]", n, maxFrame)
 	}
 	if cap(d.buf) < int(n) {
 		d.buf = make([]byte, n)
 	}
 	body := d.buf[:n]
 	if _, err := io.ReadFull(d.r, body); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return d.DecodeBody(body)
+	return body, nil
 }
 
 // DecodeBody interprets one complete frame body — what follows the
@@ -209,6 +296,12 @@ func (d *Decoder) Decode() (int, dme.Message, error) {
 // anything malformed. Callers holding a body outside a stream (a
 // flight-recorder capture, an injected corruption) call it directly.
 func (d *Decoder) DecodeBody(body []byte) (int, dme.Message, error) {
+	return d.decodeBody(body, false)
+}
+
+// decodeBody is DecodeBody; borrow returns the scratch pointer in place
+// of a copy of its value.
+func (d *Decoder) decodeBody(body []byte, borrow bool) (int, dme.Message, error) {
 	corrupt := func(from int, kind string, err error) (int, dme.Message, error) {
 		return from, nil, &DecodeError{From: from, Algo: d.algo, Kind: kind, Err: err}
 	}
@@ -247,17 +340,7 @@ func (d *Decoder) DecodeBody(body []byte) (int, dme.Message, error) {
 	}
 	var key string
 	if flags&flagKey != 0 {
-		kb := r.Take(int(r.Uvarint()))
-		if r.Err() == nil {
-			if interned, ok := d.keys[string(kb)]; ok {
-				key = interned
-			} else {
-				key = string(kb)
-				if len(d.keys) < maxInterned {
-					d.keys[key] = key
-				}
-			}
-		}
+		key = r.InternedString(d.intern)
 	}
 	var trace uint64
 	if flags&flagTrace != 0 {
@@ -269,9 +352,15 @@ func (d *Decoder) DecodeBody(body []byte) (int, dme.Message, error) {
 	if d.set == nil || kind >= uint64(len(d.set.types)) {
 		return corrupt(from, "", fmt.Errorf("unknown kind id %d", kind))
 	}
-	msg, err := d.decodePayload(int(kind), r.Rest())
+	pv, err := d.decodePayload(int(kind), r.Rest())
 	if err != nil {
 		return corrupt(from, d.set.kinds[kind], err)
+	}
+	var msg dme.Message
+	if borrow {
+		msg = pv.Interface().(dme.Message)
+	} else {
+		msg = pv.Elem().Interface().(dme.Message) // the frame's one allocation
 	}
 	if trace != 0 {
 		msg = Traced{Trace: trace, Msg: msg}
@@ -283,11 +372,12 @@ func (d *Decoder) DecodeBody(body []byte) (int, dme.Message, error) {
 }
 
 // decodePayload decodes one kind's payload into the decoder's scratch
-// value for that kind and returns a copy of it as a dme.Message: the
-// copy is the frame's one allocation. The scratch is zeroed afterwards,
-// so every decode starts from the zero value (as a fresh reflect.New
-// would) and no decoded slice is shared with the next frame.
-func (d *Decoder) decodePayload(kind int, data []byte) (dme.Message, error) {
+// value for that kind and returns the scratch pointer. The scratch is
+// zeroed first, so every decode starts from the zero value (as a fresh
+// reflect.New would) and no slice decoded into it is reused: a copy
+// Decode returned keeps its slices, and a borrowed pointee stays intact
+// until the next call.
+func (d *Decoder) decodePayload(kind int, data []byte) (reflect.Value, error) {
 	if d.scratch == nil {
 		d.scratch = make([]reflect.Value, len(d.set.types))
 	}
@@ -296,10 +386,28 @@ func (d *Decoder) decodePayload(kind int, data []byte) (dme.Message, error) {
 		pv = reflect.New(d.set.types[kind])
 		d.scratch[kind] = pv
 	}
-	v := pv.Elem()
-	defer v.SetZero()
-	if err := pv.Interface().(WireUnmarshaler).UnmarshalWire(data); err != nil {
-		return nil, err
+	pv.Elem().SetZero()
+	var err error
+	if iu, ok := pv.Interface().(InternUnmarshaler); ok {
+		err = iu.UnmarshalWireInterned(data, d.intern)
+	} else {
+		err = pv.Interface().(WireUnmarshaler).UnmarshalWire(data)
 	}
-	return v.Interface().(dme.Message), nil
+	if err != nil {
+		return reflect.Value{}, err
+	}
+	return pv, nil
+}
+
+// internKey returns the decoder's interned string for a key's bytes,
+// interning a new key while the table is under its cap.
+func (d *Decoder) internKey(b []byte) string {
+	if key, ok := d.keys[string(b)]; ok {
+		return key
+	}
+	key := string(b)
+	if len(d.keys) < maxInterned {
+		d.keys[key] = key
+	}
+	return key
 }

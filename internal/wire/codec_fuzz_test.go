@@ -25,29 +25,10 @@ import (
 // each, so even the -fuzztime=30s CI smoke run covers every layout's
 // decode path under every wrapper combination.
 func FuzzCodecEquivalence(f *testing.F) {
-	var algos []string
-	for _, fam := range families(f) {
-		algoIdx := byte(len(algos))
-		algos = append(algos, fam.algo)
-		for _, proto := range fam.msgs {
-			full := filled(proto, 0x9e3779b97f4a7c15)
-			for _, msg := range []dme.Message{
-				proto,
-				wire.Wrap(full, wire.WithKey("orders"), wire.WithTrace(9)),
-				wire.Wrap(full, wire.WithKey("orders")),
-				wire.Wrap(full, wire.WithTrace(9)),
-			} {
-				var buf bytes.Buffer
-				if err := wire.BinaryCodec().NewEncoder(&buf, fam.algo).Encode(3, msg); err != nil {
-					f.Fatalf("%s %s: seed encode: %v", fam.algo, msg.Kind(), err)
-				}
-				frame := buf.Bytes()
-				f.Add(algoIdx, append([]byte(nil), frame...))
-				f.Add(algoIdx, append([]byte(nil), frame[:len(frame)/2]...))
-				flipped := append([]byte(nil), frame...)
-				flipped[len(flipped)-1] ^= 0xa5
-				f.Add(algoIdx, flipped)
-			}
+	algos, seeds := codecSeeds(f)
+	for _, sd := range seeds {
+		for _, frame := range sd.variants() {
+			f.Add(sd.algoIdx, frame)
 		}
 	}
 
@@ -87,4 +68,54 @@ func FuzzCodecEquivalence(f *testing.F) {
 			t.Fatalf("binary and the gob oracle disagree:\nbinary: %#v\n   gob: %#v", inner, want)
 		}
 	})
+}
+
+// codecSeed is one message of FuzzCodecEquivalence's seed corpus, with
+// the frame Encode writes for it.
+type codecSeed struct {
+	algoIdx byte // index of algo in the corpus's algorithm list
+	algo    string
+	msg     dme.Message
+	frame   []byte
+}
+
+// codecSeeds builds the seed corpus: every message type of every
+// family, zero-valued, then fully populated keyed and traced, keyed
+// only and traced only. It returns the families' algorithm names in
+// algoIdx order beside it.
+func codecSeeds(t testing.TB) ([]string, []codecSeed) {
+	var algos []string
+	var seeds []codecSeed
+	for _, fam := range families(t) {
+		algoIdx := byte(len(algos))
+		algos = append(algos, fam.algo)
+		for _, proto := range fam.msgs {
+			full := filled(proto, 0x9e3779b97f4a7c15)
+			for _, msg := range []dme.Message{
+				proto,
+				wire.Wrap(full, wire.WithKey("orders"), wire.WithTrace(9)),
+				wire.Wrap(full, wire.WithKey("orders")),
+				wire.Wrap(full, wire.WithTrace(9)),
+			} {
+				var buf bytes.Buffer
+				if err := wire.BinaryCodec().NewEncoder(&buf, fam.algo).Encode(3, msg); err != nil {
+					t.Fatalf("%s %s: seed encode: %v", fam.algo, msg.Kind(), err)
+				}
+				seeds = append(seeds, codecSeed{algoIdx, fam.algo, msg, buf.Bytes()})
+			}
+		}
+	}
+	return algos, seeds
+}
+
+// variants returns the seed's frame, a truncated copy and a copy with
+// its last byte flipped.
+func (sd codecSeed) variants() [][]byte {
+	flipped := append([]byte(nil), sd.frame...)
+	flipped[len(flipped)-1] ^= 0xa5
+	return [][]byte{
+		append([]byte(nil), sd.frame...),
+		append([]byte(nil), sd.frame[:len(sd.frame)/2]...),
+		flipped,
+	}
 }

@@ -13,6 +13,20 @@
 // the wire format version and the family; a disagreement surfaces as a
 // typed *MismatchError from the handshake or the decoder rather than a
 // garbage decode.
+//
+// A message crosses the codec in one of two shapes. Encoder.Encode and
+// Decoder.Decode move a dme.Message, Wrap'd with a key and a trace or
+// bare, which is what a transport carries; each frame then costs a box
+// at both ends. EncodeValue and DecodeBorrowed move a concrete message
+// instead: EncodeValue frames a value passed through a type parameter,
+// and DecodeBorrowed returns a pointer into the decoder's per-kind
+// scratch that stays valid only until the decoder's next call. The
+// bytes on the wire are the same either way. The session tier uses the
+// second shape at both ends, since its reader loops finish with each
+// frame before they read the next. The TCP transport keeps the first:
+// core holds an inbound message in the live executor's queue after the
+// read loop has moved on, so a borrowed message would be overwritten
+// under it.
 package wire
 
 import (
