@@ -123,7 +123,7 @@ func main() {
 		log.Fatalf("victim lock: ok=%v err=%v", ok, err)
 	}
 	fmt.Println("node 0 acquired the mutex ... and dies")
-	_ = nodes[0].Close() // the hard kill: closes the endpoint under the mux too
+	_ = nodes[0].Close() // the hard kill: closes the endpoint under the Manager too
 
 	before = acquisitions.Load()
 	time.Sleep(1500 * time.Millisecond)

@@ -19,7 +19,7 @@ import (
 type Status struct {
 	ID            int     `json:"id"`
 	N             int     `json:"n"`
-	Algo          string  `json:"algo,omitempty"`
+	Algo          string  `json:"algo,omitempty"` // ManagerConfig.Algo, set by /statusz
 	Role          string  `json:"role"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 
@@ -60,7 +60,6 @@ func (n *Node) Status(ctx context.Context) (Status, error) {
 	st := Status{
 		ID:            n.cfg.ID,
 		N:             n.cfg.N,
-		Algo:          n.cfg.Algo,
 		Role:          "idle",
 		UptimeSeconds: time.Since(n.start).Seconds(),
 		Granted:       granted,
@@ -202,6 +201,7 @@ func (m *Manager) AdminHandler() *http.ServeMux {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
+		st.Algo = m.cfg.Algo
 		_ = enc.Encode(keyStatus{
 			Key:         inst.key,
 			Shard:       inst.shard,

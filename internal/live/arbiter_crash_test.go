@@ -25,7 +25,7 @@ func TestLiveArbiterCrashTakeover(t *testing.T) {
 		ArbiterTimeout: 0.3,
 		ProbeTimeout:   0.05,
 	}
-	nodes, net := memCluster(t, 5, opts, transport.MemOptions{Delay: 200 * time.Microsecond})
+	mgrs, net := managerCluster(t, 5, opts, transport.MemOptions{Delay: 200 * time.Microsecond})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -33,9 +33,9 @@ func TestLiveArbiterCrashTakeover(t *testing.T) {
 	// Background load keeps the arbiter role circulating.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for _, nd := range nodes {
+	for _, m := range mgrs {
 		wg.Add(1)
-		go func(nd *live.Node) {
+		go func(m *live.Manager) {
 			defer wg.Done()
 			for {
 				select {
@@ -43,14 +43,14 @@ func TestLiveArbiterCrashTakeover(t *testing.T) {
 					return
 				default:
 				}
-				if err := nd.Lock(ctx); err != nil {
+				if err := m.Lock(ctx, lockKey); err != nil {
 					return
 				}
 				time.Sleep(time.Millisecond)
-				nd.Unlock()
+				m.Unlock(lockKey)
 				time.Sleep(2 * time.Millisecond)
 			}
-		}(nd)
+		}(m)
 	}
 
 	// Find a node that is the designated arbiter without the token and
@@ -60,7 +60,11 @@ func TestLiveArbiterCrashTakeover(t *testing.T) {
 	victim := -1
 	deadline := time.Now().Add(10 * time.Second)
 	for victim < 0 && time.Now().Before(deadline) {
-		for i, nd := range nodes {
+		for i, m := range mgrs {
+			nd := m.Node(lockKey)
+			if nd == nil {
+				continue // the key's first frame has not reached node i yet
+			}
 			ins, err := nd.Inspect(ctx)
 			if err != nil {
 				continue
@@ -75,23 +79,23 @@ func TestLiveArbiterCrashTakeover(t *testing.T) {
 		t.Skip("never caught a tokenless designated arbiter; load too light")
 	}
 	net.Disconnect(victim)
-	_ = nodes[victim].Close()
+	_ = mgrs[victim].Close()
 	t.Logf("killed designated arbiter node %d", victim)
 
 	// Survivors must keep making progress through the takeover.
 	okCount := 0
-	for i, nd := range nodes {
+	for i, m := range mgrs {
 		if i == victim {
 			continue
 		}
 		func() {
 			lctx, lcancel := context.WithTimeout(ctx, 20*time.Second)
 			defer lcancel()
-			if err := nd.Lock(lctx); err != nil {
+			if err := m.Lock(lctx, lockKey); err != nil {
 				t.Errorf("survivor %d after arbiter crash: %v", i, err)
 				return
 			}
-			nd.Unlock()
+			m.Unlock(lockKey)
 			okCount++
 		}()
 	}
@@ -100,11 +104,11 @@ func TestLiveArbiterCrashTakeover(t *testing.T) {
 	if okCount == 0 {
 		ictx, icancel := context.WithTimeout(context.Background(), time.Second)
 		defer icancel()
-		for i, nd := range nodes {
+		for i, m := range mgrs {
 			if i == victim {
 				continue
 			}
-			ins, err := nd.Inspect(ictx)
+			ins, err := m.Node(lockKey).Inspect(ictx)
 			t.Logf("post-failure node %d: %+v err=%v", i, ins, err)
 		}
 		t.Fatal("no survivor acquired the mutex after the arbiter crash")

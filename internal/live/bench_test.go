@@ -14,31 +14,31 @@ import (
 var benchOptions = core.Options{Treq: 0.001, Tfwd: 0.001, RetransmitTimeout: 0.5}
 
 // BenchmarkLiveLockUnlockUncontended measures the full Lock/Unlock round
-// trip on the node that already holds the token.
+// trip of one key on the node that already holds the token.
 func BenchmarkLiveLockUnlockUncontended(b *testing.B) {
-	nodes, _ := memCluster(b, 3, benchOptions, transport.MemOptions{})
+	mgrs, _ := managerCluster(b, 3, benchOptions, transport.MemOptions{})
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := nodes[0].Lock(ctx); err != nil {
+		if err := mgrs[0].Lock(ctx, lockKey); err != nil {
 			b.Fatal(err)
 		}
-		nodes[0].Unlock()
+		mgrs[0].Unlock(lockKey)
 	}
 }
 
 // BenchmarkLiveLockUnlockRoundRobin bounces the mutex between all nodes,
 // forcing a token transfer per acquisition.
 func BenchmarkLiveLockUnlockRoundRobin(b *testing.B) {
-	nodes, _ := memCluster(b, 3, benchOptions, transport.MemOptions{})
+	mgrs, _ := managerCluster(b, 3, benchOptions, transport.MemOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nd := nodes[i%len(nodes)]
-		if err := nd.Lock(ctx); err != nil {
+		m := mgrs[i%len(mgrs)]
+		if err := m.Lock(ctx, lockKey); err != nil {
 			b.Fatal(err)
 		}
-		nd.Unlock()
+		m.Unlock(lockKey)
 	}
 }

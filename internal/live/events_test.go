@@ -31,29 +31,29 @@ func TestCancelledGrantRecordsItsFence(t *testing.T) {
 	tracer := reqtrace.NewCollector(8)
 	net := transport.NewMemNetwork(1, transport.MemOptions{})
 	defer net.Close()
-	nd, err := live.NewNode(live.Config{
+	m, err := live.NewManager(live.ManagerConfig{
 		ID: 0, N: 1, Transport: net.Endpoint(0),
 		Factory: registry.CoreLiveFactory(fastOptions()),
-		Seed:    1, Key: "k", Tracer: tracer, FlightRec: rec,
+		Seed:    1, Tracer: tracer, FlightRec: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nd.Close() //nolint:errcheck
+	defer m.Close() //nolint:errcheck
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	held, err := nd.LockFence(ctx)
+	held, err := m.LockFence(ctx, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The second request is issued and abandoned while the first holds.
 	gone, giveUp := context.WithCancel(ctx)
 	giveUp()
-	if _, err := nd.LockFence(gone); !errors.Is(err, context.Canceled) {
+	if _, err := m.LockFence(gone, "k"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("LockFence under a cancelled context = %v, want context.Canceled", err)
 	}
-	nd.Unlock()
+	m.Unlock("k")
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		if done, _, _ := tracer.Totals(); done == 2 {
 			break
@@ -62,12 +62,12 @@ func TestCancelledGrantRecordsItsFence(t *testing.T) {
 			t.Fatal("the abandoned request was never granted and released")
 		}
 	}
-	after, err := nd.LockFence(ctx)
+	after, err := m.LockFence(ctx, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd.Unlock()
-	_ = nd.Close()
+	m.Unlock("k")
+	_ = m.Close()
 
 	id := reqtrace.MakeID(0, 2)
 	tr, ok := tracer.Lookup(id)

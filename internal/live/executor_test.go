@@ -22,17 +22,16 @@ import (
 )
 
 // recTransport is a loopback-free Transport stub: sends vanish, Close is
-// recorded. Enough for single-node executor tests where no wire traffic
+// recorded (a node must not close it). Enough for single-node executor tests where no wire traffic
 // exists.
 type recTransport struct {
 	self     dme.NodeID
-	h        transport.Handler
 	closedTr atomic.Bool
 }
 
 func (s *recTransport) Self() dme.NodeID                          { return s.self }
 func (s *recTransport) Send(to dme.NodeID, msg dme.Message) error { return nil }
-func (s *recTransport) SetHandler(h transport.Handler)            { s.h = h }
+func (s *recTransport) SetHandler(transport.Handler)              {}
 func (s *recTransport) Close() error                              { s.closedTr.Store(true); return nil }
 
 // newExecNode builds a one-node engine that nothing asks for the lock:
@@ -41,7 +40,7 @@ func (s *recTransport) Close() error                              { s.closedTr.S
 func newExecNode(t *testing.T) (*Node, *recTransport) {
 	t.Helper()
 	tr := &recTransport{}
-	n, err := NewNode(Config{ID: 0, N: 1, Transport: tr, Factory: registry.CoreLiveFactory(core.Options{}), Seed: 1, TraceDepth: -1})
+	n, err := newNode(config{ID: 0, N: 1, Transport: tr, Factory: registry.CoreLiveFactory(core.Options{}), Seed: 1, TraceDepth: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestExecutorQueueOrderFIFO(t *testing.T) {
 // move WHERE protocol steps run, never in what order grants happen.
 func TestExecutorGrantOrderMatchesQueuedLoop(t *testing.T) {
 	tr := &recTransport{}
-	n, err := NewNode(Config{
+	n, err := newNode(config{
 		ID: 0, N: 1, Transport: tr, Seed: 1, TraceDepth: -1,
 		Factory: registry.CoreLiveFactory(core.Options{Treq: 0.001, Tfwd: 0.001}),
 	})
@@ -287,7 +286,7 @@ func TestExecutorTimerCancelRace(t *testing.T) {
 // 1 ms phases and recovery off, so an idle node arms no timers at all.
 func newCoreExecNode(t *testing.T) *Node {
 	t.Helper()
-	n, err := NewNode(Config{
+	n, err := newNode(config{
 		ID: 0, N: 1, Transport: &recTransport{}, Seed: 1, TraceDepth: -1,
 		Factory: registry.CoreLiveFactory(core.Options{Treq: 0.001, Tfwd: 0.001}),
 	})
@@ -389,8 +388,9 @@ func TestLockCancelledBeforeItsGrantStepReleases(t *testing.T) {
 
 // TestExecutorCloseWhileForeignOwner: Close called while another
 // goroutine owns the state machine must wait for that owner's drain
-// (running everything already queued), then retire the executor and the
-// transport, and fail subsequent API calls with ErrClosed.
+// (running everything already queued), then retire the executor, leave
+// the shared transport to its owner, and fail subsequent API calls with
+// ErrClosed.
 func TestExecutorCloseWhileForeignOwner(t *testing.T) {
 	n, tr := newExecNode(t)
 
@@ -415,8 +415,8 @@ func TestExecutorCloseWhileForeignOwner(t *testing.T) {
 	if !markerRan {
 		t.Error("function posted before Close was dropped")
 	}
-	if !tr.closedTr.Load() {
-		t.Error("Close did not close the transport")
+	if tr.closedTr.Load() {
+		t.Error("Close closed the shared transport, which the Manager owns")
 	}
 	if got := n.execState.Load(); got != execClosed {
 		t.Errorf("executor state %d after Close, want execClosed", got)

@@ -11,13 +11,14 @@ import (
 	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/transport"
+	"tokenarbiter/internal/wire"
 )
 
 // TestFencingTokensStrictlyIncrease acquires the mutex from many
 // goroutines across the cluster and checks the fencing tokens form a
 // strictly increasing sequence in acquisition order.
 func TestFencingTokensStrictlyIncrease(t *testing.T) {
-	nodes, _ := memCluster(t, 4, fastOptions(), transport.MemOptions{})
+	mgrs, _ := managerCluster(t, 4, fastOptions(), transport.MemOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -26,23 +27,23 @@ func TestFencingTokensStrictlyIncrease(t *testing.T) {
 		fences []uint64
 		wg     sync.WaitGroup
 	)
-	for _, nd := range nodes {
+	for _, m := range mgrs {
 		for w := 0; w < 2; w++ {
 			wg.Add(1)
-			go func(nd *live.Node) {
+			go func(m *live.Manager) {
 				defer wg.Done()
 				for r := 0; r < 6; r++ {
-					fence, err := nd.LockFence(ctx)
+					fence, err := m.LockFence(ctx, lockKey)
 					if err != nil {
-						t.Errorf("node %d: %v", nd.ID(), err)
+						t.Errorf("node %d: %v", m.ID(), err)
 						return
 					}
 					mu.Lock()
 					fences = append(fences, fence)
 					mu.Unlock()
-					nd.Unlock()
+					m.Unlock(lockKey)
 				}
-			}(nd)
+			}(m)
 		}
 	}
 	wg.Wait()
@@ -95,8 +96,9 @@ func TestFencingSurvivesTokenRegeneration(t *testing.T) {
 		ProbeTimeout:   0.05,
 	}
 	var dropped atomic.Bool
-	nodes, _ := memCluster(t, 4, opts, transport.MemOptions{}, dropFirstMW(&dropped, func(msg dme.Message) bool {
-		p, ok := msg.(core.Privilege)
+	mgrs, _ := managerCluster(t, 4, opts, transport.MemOptions{}, dropFirstMW(&dropped, func(msg dme.Message) bool {
+		inner, _, _ := wire.Unwrap(msg) // frames go out keyed
+		p, ok := inner.(core.Privilege)
 		return ok && p.Fence >= 5 && len(p.Q) > 0
 	}))
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -107,23 +109,23 @@ func TestFencingSurvivesTokenRegeneration(t *testing.T) {
 		fences []uint64
 		wg     sync.WaitGroup
 	)
-	for _, nd := range nodes {
+	for _, m := range mgrs {
 		wg.Add(1)
-		go func(nd *live.Node) {
+		go func(m *live.Manager) {
 			defer wg.Done()
 			for r := 0; r < 8; r++ {
-				fence, err := nd.LockFence(ctx)
+				fence, err := m.LockFence(ctx, lockKey)
 				if err != nil {
-					t.Errorf("node %d: %v", nd.ID(), err)
+					t.Errorf("node %d: %v", m.ID(), err)
 					return
 				}
 				mu.Lock()
 				fences = append(fences, fence)
 				mu.Unlock()
 				time.Sleep(time.Millisecond)
-				nd.Unlock()
+				m.Unlock(lockKey)
 			}
-		}(nd)
+		}(m)
 	}
 	wg.Wait()
 

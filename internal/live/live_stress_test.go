@@ -13,21 +13,21 @@ import (
 	"tokenarbiter/internal/transport"
 )
 
-func hammer(t *testing.T, ctx context.Context, nodes []*live.Node, workers, rounds int) int64 {
+func hammer(t *testing.T, ctx context.Context, mgrs []*live.Manager, workers, rounds int) int64 {
 	t.Helper()
 	var (
 		inCS  atomic.Int64
 		total atomic.Int64
 		wg    sync.WaitGroup
 	)
-	for _, nd := range nodes {
+	for _, m := range mgrs {
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(nd *live.Node) {
+			go func(m *live.Manager) {
 				defer wg.Done()
 				for r := 0; r < rounds; r++ {
-					if err := nd.Lock(ctx); err != nil {
-						t.Errorf("node %d: %v", nd.ID(), err)
+					if err := m.Lock(ctx, lockKey); err != nil {
+						t.Errorf("node %d: %v", m.ID(), err)
 						return
 					}
 					if got := inCS.Add(1); got != 1 {
@@ -35,9 +35,9 @@ func hammer(t *testing.T, ctx context.Context, nodes []*live.Node, workers, roun
 					}
 					total.Add(1)
 					inCS.Add(-1)
-					nd.Unlock()
+					m.Unlock(lockKey)
 				}
-			}(nd)
+			}(m)
 		}
 	}
 	wg.Wait()
@@ -49,11 +49,11 @@ func TestLiveMonitorVariant(t *testing.T) {
 	opts.Monitor = true
 	opts.MonitorFlushTimeout = 1
 	opts.Tau = 2
-	nodes, _ := memCluster(t, 5, opts, transport.MemOptions{Delay: 100 * time.Microsecond})
+	mgrs, _ := managerCluster(t, 5, opts, transport.MemOptions{Delay: 100 * time.Microsecond})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if got := hammer(t, ctx, nodes, 2, 6); got != 5*2*6 {
+	if got := hammer(t, ctx, mgrs, 2, 6); got != 5*2*6 {
 		t.Errorf("completed %d acquisitions, want %d", got, 5*2*6)
 	}
 }
@@ -63,11 +63,11 @@ func TestLiveRotatingMonitor(t *testing.T) {
 	opts.Monitor = true
 	opts.RotatingMonitor = true
 	opts.MonitorFlushTimeout = 1
-	nodes, _ := memCluster(t, 4, opts, transport.MemOptions{})
+	mgrs, _ := managerCluster(t, 4, opts, transport.MemOptions{})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if got := hammer(t, ctx, nodes, 2, 5); got != 4*2*5 {
+	if got := hammer(t, ctx, mgrs, 2, 5); got != 4*2*5 {
 		t.Errorf("completed %d acquisitions, want %d", got, 4*2*5)
 	}
 }
@@ -76,11 +76,11 @@ func TestLiveSequenceNumbers(t *testing.T) {
 	opts := fastOptions()
 	opts.SeqNumbers = true
 	opts.RetransmitTimeout = 0.05 // aggressive: force duplicate requests
-	nodes, _ := memCluster(t, 4, opts, transport.MemOptions{Delay: 200 * time.Microsecond})
+	mgrs, _ := managerCluster(t, 4, opts, transport.MemOptions{Delay: 200 * time.Microsecond})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if got := hammer(t, ctx, nodes, 2, 6); got != 4*2*6 {
+	if got := hammer(t, ctx, mgrs, 2, 6); got != 4*2*6 {
 		t.Errorf("completed %d acquisitions, want %d", got, 4*2*6)
 	}
 }
@@ -97,11 +97,11 @@ func TestLiveLossyNetworkWithRecovery(t *testing.T) {
 	}
 	// 1% of every message type, including tokens.
 	inj := faultnet.New(faultnet.Options{Seed: 7, Faults: faultnet.Faults{Drop: 0.01}})
-	nodes, _ := memCluster(t, 4, opts, transport.MemOptions{}, inj.Middleware())
+	mgrs, _ := managerCluster(t, 4, opts, transport.MemOptions{}, inj.Middleware())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	if got := hammer(t, ctx, nodes, 2, 8); got != 4*2*8 {
+	if got := hammer(t, ctx, mgrs, 2, 8); got != 4*2*8 {
 		t.Errorf("completed %d acquisitions, want %d", got, 4*2*8)
 	}
 }
@@ -110,7 +110,7 @@ func TestLiveEightNodeStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	nodes, _ := memCluster(t, 8, fastOptions(), transport.MemOptions{
+	mgrs, _ := managerCluster(t, 8, fastOptions(), transport.MemOptions{
 		Delay:  100 * time.Microsecond,
 		Jitter: 200 * time.Microsecond,
 		Seed:   3,
@@ -118,83 +118,93 @@ func TestLiveEightNodeStress(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	want := int64(8 * 4 * 10)
-	if got := hammer(t, ctx, nodes, 4, 10); got != want {
+	if got := hammer(t, ctx, mgrs, 4, 10); got != want {
 		t.Errorf("completed %d acquisitions, want %d", got, want)
 	}
 	// Fairness smoke check: every node got a share.
-	for _, nd := range nodes {
-		granted, released := nd.Stats()
+	for _, m := range mgrs {
+		granted, released := m.Stats()
 		if granted != released {
-			t.Errorf("node %d: %d granted vs %d released", nd.ID(), granted, released)
+			t.Errorf("node %d: %d granted vs %d released", m.ID(), granted, released)
 		}
 		if granted < 40 {
-			t.Errorf("node %d starved: only %d grants", nd.ID(), granted)
+			t.Errorf("node %d starved: only %d grants", m.ID(), granted)
 		}
 	}
 }
 
 func TestLiveCloseUnblocksWaiters(t *testing.T) {
-	nodes, _ := memCluster(t, 3, fastOptions(), transport.MemOptions{})
+	mgrs, _ := managerCluster(t, 3, fastOptions(), transport.MemOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
 	// Node 0 holds; node 1 waits; closing node 1 must unblock its Lock.
-	if err := nodes[0].Lock(ctx); err != nil {
+	if err := mgrs[0].Lock(ctx, lockKey); err != nil {
 		t.Fatal(err)
 	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- nodes[1].Lock(ctx) }()
+	go func() { errCh <- mgrs[1].Lock(ctx, lockKey) }()
 	// Close must catch the Lock mid-wait: poll until node 1's request is
 	// actually outstanding instead of guessing with a fixed sleep.
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		ins, err := nodes[1].Inspect(ctx)
-		if err == nil && ins.Outstanding > 0 {
-			break
+		if nd := mgrs[1].Node(lockKey); nd != nil {
+			if ins, err := nd.Inspect(ctx); err == nil && ins.Outstanding > 0 {
+				break
+			}
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("node 1's request never became outstanding")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	_ = nodes[1].Close()
+	_ = mgrs[1].Close()
 	select {
 	case err := <-errCh:
 		if err == nil {
-			nodes[1].Unlock()
 			t.Fatal("Lock succeeded on a closed node")
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Lock on closed node never returned")
 	}
-	nodes[0].Unlock()
+	mgrs[0].Unlock(lockKey)
 
 	// Lock after close fails fast.
-	if err := nodes[1].Lock(ctx); err == nil {
+	if err := mgrs[1].Lock(ctx, lockKey); err == nil {
 		t.Fatal("Lock on closed node returned nil")
 	}
 }
 
 func TestLiveUnlockPanicsWhenNotHolding(t *testing.T) {
-	nodes, _ := memCluster(t, 1, fastOptions(), transport.MemOptions{})
+	mgrs, _ := managerCluster(t, 1, fastOptions(), transport.MemOptions{})
+	if err := mgrs[0].Lock(context.Background(), lockKey); err != nil {
+		t.Fatal(err)
+	}
+	mgrs[0].Unlock(lockKey)
 	defer func() {
 		if recover() == nil {
-			t.Error("Unlock without Lock did not panic")
+			t.Error("a second Unlock did not panic")
 		}
 	}()
-	nodes[0].Unlock()
+	mgrs[0].Unlock(lockKey)
 }
 
 func TestLiveInspect(t *testing.T) {
-	nodes, _ := memCluster(t, 3, fastOptions(), transport.MemOptions{})
+	mgrs, _ := managerCluster(t, 3, fastOptions(), transport.MemOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	ins, err := nodes[0].Inspect(ctx)
+	// Node 0 mints the key's token; an uncontended CS leaves it there,
+	// together with the arbiter role.
+	if err := mgrs[0].Lock(ctx, lockKey); err != nil {
+		t.Fatal(err)
+	}
+	mgrs[0].Unlock(lockKey)
+	ins, err := mgrs[0].Node(lockKey).Inspect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ins.HasToken || !ins.IsArbiter {
-		t.Errorf("node 0 at start: %+v, want initial arbiter with token", ins)
+		t.Errorf("node 0 after an uncontended CS: %+v, want the initial arbiter with the token", ins)
 	}
 	if ins.ID != 0 {
 		t.Errorf("ID = %d, want 0", ins.ID)

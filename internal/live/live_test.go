@@ -14,7 +14,6 @@ import (
 	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/faultnet"
 	"tokenarbiter/internal/live"
-	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/transport"
 )
 
@@ -27,45 +26,20 @@ func fastOptions() core.Options {
 	}
 }
 
-// memCluster builds an n-node in-memory cluster; mws wrap every node's
-// endpoint (first outermost), which is how a test injects faults.
-func memCluster(t testing.TB, n int, opts core.Options, mo transport.MemOptions, mws ...transport.Middleware) ([]*live.Node, *transport.MemNetwork) {
-	t.Helper()
-	net := transport.NewMemNetwork(n, mo)
-	nodes := make([]*live.Node, n)
-	for i := 0; i < n; i++ {
-		nd, err := live.NewNode(live.Config{
-			ID:        i,
-			N:         n,
-			Transport: transport.Chain(net.Endpoint(i), mws...),
-			Factory:   registry.CoreLiveFactory(opts),
-			Seed:      uint64(i + 1),
-		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-		nodes[i] = nd
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
-		}
-		net.Close()
-	})
-	return nodes, net
-}
+// lockKey is the one key of the tests that exercise a single lock.
+const lockKey = "lock"
 
 func TestLockUnlockSingleNodeCluster(t *testing.T) {
-	nodes, _ := memCluster(t, 1, fastOptions(), transport.MemOptions{})
+	mgrs, _ := managerCluster(t, 1, fastOptions(), transport.MemOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for i := 0; i < 10; i++ {
-		if err := nodes[0].Lock(ctx); err != nil {
+		if err := mgrs[0].Lock(ctx, lockKey); err != nil {
 			t.Fatalf("lock %d: %v", i, err)
 		}
-		nodes[0].Unlock()
+		mgrs[0].Unlock(lockKey)
 	}
-	granted, released := nodes[0].Stats()
+	granted, released := mgrs[0].Stats()
 	if granted != 10 || released != 10 {
 		t.Errorf("stats = (%d, %d), want (10, 10)", granted, released)
 	}
@@ -75,11 +49,11 @@ func TestLockUnlockSingleNodeCluster(t *testing.T) {
 // node increment an unprotected shared counter inside the distributed
 // critical section; any mutual exclusion failure loses increments or
 // trips the concurrent-holder detector.
-// TestNewNodeRefusesNonCore: the live runtime runs core alone. A factory
+// TestManagerRefusesNonCore: the live runtime runs core alone. A factory
 // that builds another algorithm's node — here Raymond's, which the
-// simulator still runs — is refused at construction, naming the node's
-// type, rather than run without fences or recovery.
-func TestNewNodeRefusesNonCore(t *testing.T) {
+// simulator still runs — is refused when the key's engine is built,
+// naming the node's type, rather than run without fences or recovery.
+func TestManagerRefusesNonCore(t *testing.T) {
 	net := transport.NewMemNetwork(2, transport.MemOptions{})
 	defer net.Close()
 	factory := func(id, n int, _ func(core.Event)) (dme.Node, error) {
@@ -89,13 +63,20 @@ func TestNewNodeRefusesNonCore(t *testing.T) {
 		}
 		return nodes[id], nil
 	}
-	nd, err := live.NewNode(live.Config{ID: 0, N: 2, Transport: net.Endpoint(0), Factory: factory})
+	m, err := live.NewManager(live.ManagerConfig{ID: 0, N: 2, Transport: net.Endpoint(0), Factory: factory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	err = m.Lock(context.Background(), lockKey)
 	if err == nil {
-		_ = nd.Close()
-		t.Fatal("NewNode accepted a raymond node")
+		t.Fatal("the Manager ran a raymond node")
 	}
 	if !strings.Contains(err.Error(), "raymond") {
 		t.Errorf("error %q does not name the node's type", err)
+	}
+	if keys := m.Keys(); len(keys) != 0 {
+		t.Errorf("a refused engine was published: keys %q", keys)
 	}
 }
 
@@ -105,7 +86,7 @@ func TestMutualExclusionCounter(t *testing.T) {
 		workers = 3
 		rounds  = 8
 	)
-	nodes, _ := memCluster(t, n, fastOptions(), transport.MemOptions{
+	mgrs, _ := managerCluster(t, n, fastOptions(), transport.MemOptions{
 		Delay: 200 * time.Microsecond,
 	})
 
@@ -120,10 +101,10 @@ func TestMutualExclusionCounter(t *testing.T) {
 	for i := 0; i < n; i++ {
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(nd *live.Node) {
+			go func(m *live.Manager) {
 				defer wg.Done()
 				for r := 0; r < rounds; r++ {
-					if err := nd.Lock(ctx); err != nil {
+					if err := m.Lock(ctx, lockKey); err != nil {
 						t.Errorf("lock: %v", err)
 						return
 					}
@@ -132,9 +113,9 @@ func TestMutualExclusionCounter(t *testing.T) {
 					}
 					counter++
 					inCS.Add(-1)
-					nd.Unlock()
+					m.Unlock(lockKey)
 				}
-			}(nodes[i])
+			}(mgrs[i])
 		}
 	}
 	wg.Wait()
@@ -144,29 +125,29 @@ func TestMutualExclusionCounter(t *testing.T) {
 }
 
 func TestLockContextCancellation(t *testing.T) {
-	nodes, _ := memCluster(t, 3, fastOptions(), transport.MemOptions{})
+	mgrs, _ := managerCluster(t, 3, fastOptions(), transport.MemOptions{})
 	bg, cancelBG := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancelBG()
 
 	// Node 0 grabs and holds the CS.
-	if err := nodes[0].Lock(bg); err != nil {
+	if err := mgrs[0].Lock(bg, lockKey); err != nil {
 		t.Fatal(err)
 	}
 
 	// Node 1's lock attempt gets cancelled while waiting.
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	if err := nodes[1].Lock(ctx); !errors.Is(err, context.DeadlineExceeded) {
+	if err := mgrs[1].Lock(ctx, lockKey); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cancelled lock: err = %v, want DeadlineExceeded", err)
 	}
 
 	// After node 0 releases, node 2 must still be able to acquire: the
 	// abandoned grant is auto-released and the token keeps circulating.
-	nodes[0].Unlock()
-	if err := nodes[2].Lock(bg); err != nil {
+	mgrs[0].Unlock(lockKey)
+	if err := mgrs[2].Lock(bg, lockKey); err != nil {
 		t.Fatalf("lock after abandoned grant: %v", err)
 	}
-	nodes[2].Unlock()
+	mgrs[2].Unlock(lockKey)
 }
 
 // TestTokenLossRecovery drops one PRIVILEGE message on the wire and
@@ -186,7 +167,7 @@ func TestTokenLossRecovery(t *testing.T) {
 	// with the token, sends to the first requesting peer.
 	inj := faultnet.New(faultnet.Options{})
 	inj.DropNextKind(core.KindPrivilege, 1)
-	nodes, _ := memCluster(t, 4, opts, transport.MemOptions{}, inj.Middleware())
+	mgrs, _ := managerCluster(t, 4, opts, transport.MemOptions{}, inj.Middleware())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -194,11 +175,11 @@ func TestTokenLossRecovery(t *testing.T) {
 	var inCS atomic.Int64
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func(nd *live.Node) {
+		go func(m *live.Manager) {
 			defer wg.Done()
 			for r := 0; r < 5; r++ {
-				if err := nd.Lock(ctx); err != nil {
-					t.Errorf("node %d lock: %v", nd.ID(), err)
+				if err := m.Lock(ctx, lockKey); err != nil {
+					t.Errorf("node %d lock: %v", m.ID(), err)
 					return
 				}
 				if got := inCS.Add(1); got != 1 {
@@ -206,9 +187,9 @@ func TestTokenLossRecovery(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 				inCS.Add(-1)
-				nd.Unlock()
+				m.Unlock(lockKey)
 			}
-		}(nodes[i])
+		}(mgrs[i])
 	}
 	wg.Wait()
 
@@ -217,8 +198,8 @@ func TestTokenLossRecovery(t *testing.T) {
 	}
 	// At least one node must have witnessed a token regeneration.
 	var maxEpoch uint64
-	for _, nd := range nodes {
-		ins, err := nd.Inspect(ctx)
+	for _, m := range mgrs {
+		ins, err := m.Node(lockKey).Inspect(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,40 +224,40 @@ func TestCrashedNodeRecovery(t *testing.T) {
 		ArbiterTimeout: 0.4,
 		ProbeTimeout:   0.05,
 	}
-	nodes, net := memCluster(t, 4, opts, transport.MemOptions{})
+	mgrs, net := managerCluster(t, 4, opts, transport.MemOptions{})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	// Warm the cluster up so the token is circulating.
-	for _, nd := range nodes {
-		if err := nd.Lock(ctx); err != nil {
+	for _, m := range mgrs {
+		if err := m.Lock(ctx, lockKey); err != nil {
 			t.Fatal(err)
 		}
-		nd.Unlock()
+		m.Unlock(lockKey)
 	}
 
 	// Node 1 acquires the CS and "crashes" while holding the token.
-	if err := nodes[1].Lock(ctx); err != nil {
+	if err := mgrs[1].Lock(ctx, lockKey); err != nil {
 		t.Fatal(err)
 	}
 	net.Disconnect(1)
-	_ = nodes[1].Close()
+	_ = mgrs[1].Close()
 
 	// Survivors must still make progress.
 	var wg sync.WaitGroup
 	for _, i := range []int{0, 2, 3} {
 		wg.Add(1)
-		go func(nd *live.Node) {
+		go func(m *live.Manager) {
 			defer wg.Done()
 			for r := 0; r < 3; r++ {
-				if err := nd.Lock(ctx); err != nil {
-					t.Errorf("survivor %d lock: %v", nd.ID(), err)
+				if err := m.Lock(ctx, lockKey); err != nil {
+					t.Errorf("survivor %d lock: %v", m.ID(), err)
 					return
 				}
-				nd.Unlock()
+				m.Unlock(lockKey)
 			}
-		}(nodes[i])
+		}(mgrs[i])
 	}
 	wg.Wait()
 }

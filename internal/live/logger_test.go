@@ -41,9 +41,9 @@ func TestLoggerEmitsProtocolTransitions(t *testing.T) {
 
 	net := transport.NewMemNetwork(3, transport.MemOptions{})
 	defer net.Close()
-	nodes := make([]*live.Node, 3)
-	for i := range nodes {
-		nd, err := live.NewNode(live.Config{
+	mgrs := make([]*live.Manager, 3)
+	for i := range mgrs {
+		m, err := live.NewManager(live.ManagerConfig{
 			ID: i, N: 3, Transport: net.Endpoint(i),
 			Factory: registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005}),
 			Logger:  logger,
@@ -52,21 +52,21 @@ func TestLoggerEmitsProtocolTransitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[i] = nd
-		defer nd.Close() //nolint:errcheck
+		mgrs[i] = m
+		defer m.Close() //nolint:errcheck
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	for _, nd := range nodes {
-		if err := nd.Lock(ctx); err != nil {
+	for _, m := range mgrs {
+		if err := m.Lock(ctx, lockKey); err != nil {
 			t.Fatal(err)
 		}
-		nd.Unlock()
+		m.Unlock(lockKey)
 	}
 
 	out := sink.String()
-	for _, want := range []string{"protocol dispatched", "protocol became-arbiter", "node="} {
+	for _, want := range []string{"protocol dispatched", "protocol became-arbiter", "node=", "lockkey=" + lockKey} {
 		if !strings.Contains(out, want) {
 			t.Errorf("log output missing %q:\n%s", want, out)
 		}
@@ -83,7 +83,7 @@ func TestLoggerComposesWithObserver(t *testing.T) {
 	var seen atomic.Int64
 	net := transport.NewMemNetwork(1, transport.MemOptions{})
 	defer net.Close()
-	nd, err := live.NewNode(live.Config{
+	m, err := live.NewManager(live.ManagerConfig{
 		ID: 0, N: 1, Transport: net.Endpoint(0),
 		Factory: registry.CoreLiveFactory(core.Options{
 			Treq: 0.002, Tfwd: 0.002,
@@ -94,14 +94,14 @@ func TestLoggerComposesWithObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nd.Close() //nolint:errcheck
+	defer m.Close() //nolint:errcheck
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := nd.Lock(ctx); err != nil {
+	if err := m.Lock(ctx, lockKey); err != nil {
 		t.Fatal(err)
 	}
-	nd.Unlock()
+	m.Unlock(lockKey)
 	// The dispatch that granted the CS reaches both sinks synchronously
 	// before Lock returns.
 	if seen.Load() == 0 {

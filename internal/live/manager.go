@@ -15,6 +15,7 @@ import (
 	"tokenarbiter/internal/reqtrace"
 	"tokenarbiter/internal/telemetry"
 	"tokenarbiter/internal/transport"
+	"tokenarbiter/internal/wire"
 )
 
 // ErrTooManyKeys is returned by Lock when ManagerConfig.MaxKeys is set
@@ -43,14 +44,15 @@ type ManagerConfig struct {
 	N int
 	// Transport is the single shared endpoint all keys multiplex over —
 	// typically a middleware chain (counting, fault injection) whose
-	// layers then observe the merged keyed stream. The Manager wraps it
-	// in a transport.KeyMux and owns its handler slot.
+	// layers then observe the merged keyed stream. The Manager owns its
+	// handler slot and closes it on Close.
 	Transport transport.Transport
 	// Factory builds one key's protocol state machine; it is invoked
 	// once per key (per incarnation), so every key runs an independent
 	// instance of the same algorithm.
 	Factory Factory
-	// Algo optionally names the algorithm for display surfaces.
+	// Algo optionally names the algorithm for display surfaces
+	// (/statusz); it does not affect the protocol.
 	Algo string
 	// MaxKeys bounds the number of live keys (0 = unlimited): Lock on a
 	// fresh key beyond the bound fails with ErrTooManyKeys, and inbound
@@ -60,24 +62,38 @@ type ManagerConfig struct {
 	// Seed seeds per-key node randomness; each key derives its own
 	// stream from Seed and the key hash. 0 derives from the clock.
 	Seed uint64
-	// Logger, when non-nil, receives each key's protocol-transition logs
-	// (see Config.Logger) annotated with a "lockkey" attribute.
+	// Logger, when non-nil, receives each key's structured
+	// protocol-transition logs, annotated with a "lockkey" attribute:
+	// arbiter changes, dispatches and recovery actions at Info level,
+	// high-frequency events (token passes, request forwarding) at Debug.
+	// It joins the metrics and tracing observers in the fan-out handed
+	// to Factory, so it composes with any observer the factory itself
+	// installs.
 	Logger *slog.Logger
 	// Metrics, when non-nil, receives the manager-level metrics
 	// (manager_keys_active, manager_keys_created_total, ...). Per-key
 	// protocol and traffic metrics live in per-key registries, exported
 	// together — with a key label — by AdminHandler's /metrics.
 	Metrics *telemetry.Registry
-	// TraceDepth is passed to every key's node (see Config.TraceDepth).
+	// TraceDepth sizes each key's ring buffer of recent event records —
+	// protocol transitions and the lock lifecycle (Node.Trace, the
+	// /debug/trace endpoint). 0 means DefaultTraceDepth; negative
+	// disables it.
 	TraceDepth int
 	// Tracer, when non-nil, is the shared request-trace collector every
-	// key's node records into; spans carry the key, so one collector
-	// serves the whole service (see Config.Tracer).
+	// key's node records into: every Lock/LockFence call mints a trace
+	// ID and accumulates records from enqueue through grant to release,
+	// including the protocol's own (batch inclusion, token hops). Spans
+	// carry the key, so one collector serves the whole service; share
+	// it across a cluster's Managers so each trace assembles in one
+	// place. Nil disables request tracing at zero cost on the lock path.
 	Tracer *reqtrace.Collector
 	// FlightRec, when non-nil, is the shared flight recorder every key's
-	// node logs lock lifecycle events into; pair it with
-	// FlightRec.Middleware() on the shared Transport so the capture also
-	// holds the keyed wire traffic (see Config.FlightRec).
+	// node logs its lock lifecycle (enqueue, grant, release) and every
+	// protocol transition into; pair it with FlightRec.Middleware() on
+	// the shared Transport so the capture also holds the keyed wire
+	// traffic, making it replayable by reqtrace.Replay / `mutexsim
+	// replay`.
 	FlightRec *reqtrace.Recorder
 }
 
@@ -90,10 +106,14 @@ type ManagerConfig struct {
 // Node docs), telemetry registry, and incarnation counter. All methods
 // are safe for concurrent use.
 //
+// Frames reach the keys through one handler on the shared transport:
+// the frame's key selects the key's engine in a striped table, created
+// on the key's first frame, and the engine sends with its key tagged on.
+//
 // Crashes have one mechanism at each scale. RestartKey crash-restarts
 // one key in place; the new incarnation rejoins without re-minting
-// protocol state. A whole-node crash is Close — it closes the mux and
-// the endpoint under it — followed by a fresh NewManager on the
+// protocol state. A whole-node crash is Close — it closes every key's
+// engine and the shared endpoint — followed by a fresh NewManager on the
 // reconnected endpoint. The rebuilt node remembers nothing: its keys
 // start again at incarnation 1, so a rebuilt node 0 mints each key's
 // initial token a second time and §6 recovery has to retire the twin.
@@ -101,7 +121,6 @@ type ManagerConfig struct {
 // incarnation (an open ROADMAP item), not a configuration flag.
 type Manager struct {
 	cfg    ManagerConfig
-	mux    *transport.KeyMux
 	shards [DefaultShards]managerShard
 	start  time.Time
 
@@ -165,7 +184,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 			cfg.Transport.Self(), cfg.ID)
 	}
 	if cfg.Factory == nil {
-		return nil, errors.New("live: manager config needs a Factory")
+		return nil, errors.New("live: manager config needs a Factory (see registry.CoreLiveFactory)")
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -189,8 +208,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	for i := range m.shards {
 		m.shards[i].keys = make(map[string]*instance)
 	}
-	m.mux = transport.NewKeyMux(cfg.Transport)
-	m.mux.OnUnknownKey(m.onRemoteKey)
+	cfg.Transport.SetHandler(m.deliver)
 	return m, nil
 }
 
@@ -211,26 +229,27 @@ func (m *Manager) ShardOf(key string) int { return ShardIndex(key, len(m.shards)
 // Shards returns the shard count, DefaultShards.
 func (m *Manager) Shards() int { return len(m.shards) }
 
-// onRemoteKey is the KeyMux unknown-key hook: a peer is running a DME
-// group for a key this node has never locked. Join it — create the
-// key's instance so the protocol (token routing, arbiter election,
-// recovery) has all N participants; the mux then re-resolves the key
-// and delivers the triggering message to the fresh instance. Creation
-// failures (MaxKeys, closed manager) leave the key unbound and the
-// message is dropped, which every protocol tolerates as loss.
-func (m *Manager) onRemoteKey(key string, _ dme.NodeID, _ dme.Message) {
-	_, _ = m.instanceFor(key, true)
+// deliver is the shared transport's handler. A frame goes to its key's
+// engine; a peer's first frame for a key this node has never locked
+// creates the key's engine, so the protocol (token routing, arbiter
+// election, recovery) has all N participants. A frame that creates
+// nothing — no key, MaxKeys reached, a closed manager — is dropped,
+// which the protocol tolerates as loss. The engine runs outside the
+// shard lock: its step may run to completion on this goroutine.
+func (m *Manager) deliver(from dme.NodeID, msg dme.Message) {
+	msg, key := wire.SplitKey(msg)
+	if inst, err := m.instanceFor(key, true); err == nil {
+		inst.node.deliver(from, msg)
+	}
 }
 
 // instanceFor returns key's live instance, creating it if needed.
 // remote marks creations triggered by peer traffic rather than a local
-// Lock (metrics only).
+// Lock (metrics only). An instance is published in its shard only once
+// built, so deliver never finds one that cannot take a frame.
 func (m *Manager) instanceFor(key string, remote bool) (*instance, error) {
 	if key == "" {
 		return nil, ErrEmptyKey
-	}
-	if m.closed.Load() {
-		return nil, ErrClosed
 	}
 	sh := &m.shards[m.ShardOf(key)]
 	sh.mu.Lock()
@@ -238,16 +257,21 @@ func (m *Manager) instanceFor(key string, remote bool) (*instance, error) {
 	if inst, ok := sh.keys[key]; ok {
 		return inst, nil
 	}
-	if m.cfg.MaxKeys > 0 && int(m.keyCount.Load()) >= m.cfg.MaxKeys {
+	// Checked under the shard lock: Close sweeps every shard after it
+	// sets closed, so no instance is published after the sweep.
+	if m.closed.Load() {
+		return nil, ErrClosed
+	}
+	if !m.reserveKey() {
 		m.keyLimitHits.Inc()
 		return nil, fmt.Errorf("%w (max %d, creating %q)", ErrTooManyKeys, m.cfg.MaxKeys, key)
 	}
 	inst, err := m.buildInstance(key, telemetry.NewRegistry(), 1)
 	if err != nil {
+		m.keyCount.Add(-1)
 		return nil, err
 	}
 	sh.keys[key] = inst
-	m.keyCount.Add(1)
 	m.keysActive.Set(m.keyCount.Load())
 	m.keysCreated.Inc()
 	if remote {
@@ -256,16 +280,26 @@ func (m *Manager) instanceFor(key string, remote bool) (*instance, error) {
 	return inst, nil
 }
 
-// buildInstance assembles one key incarnation: a fresh mux binding, a
-// per-key counting layer into the key's registry, and the key's live
-// node. Callers hold the key's shard lock (creation for a given key is
-// serialized; other shards proceed in parallel).
-func (m *Manager) buildInstance(key string, reg *telemetry.Registry, incarnation uint64) (*instance, error) {
-	ep, err := m.mux.Bind(key)
-	if err != nil {
-		return nil, err
+// reserveKey takes one slot of the MaxKeys bound, or reports the bound
+// reached. The slot is taken before the instance is built, so creators
+// on different shards cannot all pass a full table.
+func (m *Manager) reserveKey() bool {
+	for {
+		n := m.keyCount.Load()
+		if m.cfg.MaxKeys > 0 && n >= int64(m.cfg.MaxKeys) {
+			return false
+		}
+		if m.keyCount.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
-	chained := transport.Chain(ep, transport.CountingMW(reg))
+}
+
+// buildInstance assembles one key incarnation: the key's live node,
+// counting its traffic into the key's registry. Callers hold the key's
+// shard lock (creation for a given key is serialized; other shards
+// proceed in parallel).
+func (m *Manager) buildInstance(key string, reg *telemetry.Registry, incarnation uint64) (*instance, error) {
 	seed := m.cfg.Seed
 	if seed != 0 {
 		seed ^= keyHash64(key)
@@ -278,12 +312,11 @@ func (m *Manager) buildInstance(key string, reg *telemetry.Registry, incarnation
 	if m.cfg.Logger != nil {
 		logger = m.cfg.Logger.With("lockkey", key)
 	}
-	node, err := NewNode(Config{
+	node, err := newNode(config{
 		ID:         m.cfg.ID,
 		N:          m.cfg.N,
-		Transport:  chained,
+		Transport:  m.cfg.Transport,
 		Factory:    m.cfg.Factory,
-		Algo:       m.cfg.Algo,
 		Seed:       seed,
 		Logger:     logger,
 		Metrics:    reg,
@@ -296,7 +329,6 @@ func (m *Manager) buildInstance(key string, reg *telemetry.Registry, incarnation
 		Rejoin: incarnation > 1,
 	})
 	if err != nil {
-		_ = ep.Close() // release the binding; the mux stays usable
 		return nil, fmt.Errorf("live: key %q: %w", key, err)
 	}
 	return &instance{
@@ -523,17 +555,19 @@ func (m *Manager) RestartKey(key string) (*Node, error) {
 	if key == "" {
 		return nil, ErrEmptyKey
 	}
-	if m.closed.Load() {
-		return nil, ErrClosed
-	}
 	sh := &m.shards[m.ShardOf(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if m.closed.Load() {
+		return nil, ErrClosed
+	}
 	old, ok := sh.keys[key]
 	if !ok {
 		return nil, fmt.Errorf("live: restart of unknown lock key %q", key)
 	}
-	_ = old.node.Close() // unbinds the key from the mux
+	// Frames for the key wait on the shard lock until the new
+	// incarnation is published; one that found the old one is dropped.
+	_ = old.node.Close()
 	inst, err := m.buildInstance(key, old.reg, old.incarnation+1)
 	if err != nil {
 		delete(sh.keys, key)
@@ -547,7 +581,7 @@ func (m *Manager) RestartKey(key string) (*Node, error) {
 }
 
 // Close shuts the whole service down: every key's node stops, then the
-// mux closes the shared transport. Idempotent.
+// shared transport closes. Idempotent.
 func (m *Manager) Close() error {
 	if !m.closed.CompareAndSwap(false, true) {
 		return nil
@@ -570,7 +604,7 @@ func (m *Manager) Close() error {
 			firstErr = err
 		}
 	}
-	if err := m.mux.Close(); err != nil && firstErr == nil {
+	if err := m.cfg.Transport.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr

@@ -1,6 +1,7 @@
 package live_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -15,12 +16,15 @@ import (
 	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/registry"
+	"tokenarbiter/internal/reqtrace"
 	"tokenarbiter/internal/transport"
+	"tokenarbiter/internal/wire"
 )
 
 // managerCluster builds n Managers over one in-memory network, each
-// multiplexing every lock key over its single endpoint.
-func managerCluster(t testing.TB, n int, opts core.Options, mo transport.MemOptions) ([]*live.Manager, *transport.MemNetwork) {
+// multiplexing every lock key over its single endpoint; mws wrap every
+// endpoint (first outermost), which is how a test injects faults.
+func managerCluster(t testing.TB, n int, opts core.Options, mo transport.MemOptions, mws ...transport.Middleware) ([]*live.Manager, *transport.MemNetwork) {
 	t.Helper()
 	net := transport.NewMemNetwork(n, mo)
 	mgrs := make([]*live.Manager, n)
@@ -28,7 +32,7 @@ func managerCluster(t testing.TB, n int, opts core.Options, mo transport.MemOpti
 		m, err := live.NewManager(live.ManagerConfig{
 			ID:        i,
 			N:         n,
-			Transport: net.Endpoint(i),
+			Transport: transport.Chain(net.Endpoint(i), mws...),
 			Factory:   registry.CoreLiveFactory(opts),
 			Algo:      "core",
 			Seed:      uint64(i + 1),
@@ -282,7 +286,7 @@ func TestManagerEmptyKeyIsNotALock(t *testing.T) {
 		t.Errorf("RestartKey(\"\"): %v, want ErrEmptyKey", err)
 	}
 
-	// A peer that sends on its raw endpoint, not through a KeyMux,
+	// A peer that sends on its raw endpoint, not through a Manager,
 	// produces a frame with no key.
 	if err := net.Endpoint(1).Send(0, core.Request{Entry: core.QEntry{Node: 1, Seq: 1}}); err != nil {
 		t.Fatal(err)
@@ -458,7 +462,7 @@ func TestManagerCloseRebuild(t *testing.T) {
 	lockUnlock(0)
 	lockUnlock(1)
 
-	net.Reconnect(2) // Close disconnected the endpoint under the mux
+	net.Reconnect(2) // Close disconnected the endpoint under the Manager
 	fresh, err := live.NewManager(live.ManagerConfig{
 		ID: 2, N: 3, Transport: net.Endpoint(2),
 		Factory: registry.CoreLiveFactory(recoveryOptions()), Seed: 3,
@@ -550,5 +554,234 @@ func TestManagerAdminEndpoints(t *testing.T) {
 	}
 	if code, _ := get("/healthz"); code != http.StatusServiceUnavailable {
 		t.Errorf("/healthz after close = %d, want 503", code)
+	}
+}
+
+// TestManagerMaxKeysConcurrent: the MaxKeys bound holds against
+// concurrent creators on different shards, whether the fresh keys come
+// from local Locks or from peers' first frames. A frame for a key past
+// the bound creates nothing; a frame that creates a key reaches the
+// key's engine. Each case runs on several fresh Managers, since an
+// overshoot needs two creators to interleave.
+func TestManagerMaxKeysConcurrent(t *testing.T) {
+	const (
+		maxKeys = 2
+		fresh   = 32
+		peers   = 4
+		rounds  = 10
+	)
+	// race builds a Manager on node 0 of an n-node network, runs create
+	// for fresh keys from as many goroutines at once, waits for done to
+	// hold, and checks the bound.
+	race := func(t *testing.T, n int, create func(m *live.Manager, net *transport.MemNetwork, i int), done func(m *live.Manager) bool) *live.Manager {
+		t.Helper()
+		net := transport.NewMemNetwork(n, transport.MemOptions{})
+		t.Cleanup(net.Close)
+		m, err := live.NewManager(live.ManagerConfig{
+			ID: 0, N: n, Transport: net.Endpoint(0),
+			Factory: registry.CoreLiveFactory(fastOptions()),
+			MaxKeys: maxKeys, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = m.Close() })
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < fresh; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				create(m, net, i)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for deadline := time.Now().Add(10 * time.Second); !done(m); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the fresh keys were never all handled")
+			}
+		}
+		snap := m.Metrics().Snapshot()
+		if keys := m.Keys(); len(keys) != maxKeys {
+			t.Errorf("%d live keys %q, want the bound %d", len(keys), keys, maxKeys)
+		}
+		if got := snap.Counters["manager_keys_created_total"]; got != maxKeys {
+			t.Errorf("manager_keys_created_total = %d, want %d", got, maxKeys)
+		}
+		if got := snap.Gauges["manager_keys_active"]; got != maxKeys {
+			t.Errorf("manager_keys_active = %d, want %d", got, maxKeys)
+		}
+		return m
+	}
+
+	t.Run("local", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		lock := func(m *live.Manager, _ *transport.MemNetwork, i int) {
+			key := fmt.Sprintf("local-%d", i)
+			switch err := m.Lock(ctx, key); {
+			case err == nil:
+				m.Unlock(key)
+			case !errors.Is(err, live.ErrTooManyKeys):
+				t.Errorf("Lock(%q): %v", key, err)
+			}
+		}
+		for round := 0; round < rounds && !t.Failed(); round++ {
+			race(t, 1, lock, func(*live.Manager) bool { return true })
+		}
+	})
+
+	t.Run("remote", func(t *testing.T) {
+		firstFrame := func(_ *live.Manager, net *transport.MemNetwork, i int) {
+			p := 1 + i%peers
+			frame := wire.Wrap(core.Request{Entry: core.QEntry{Node: p, Seq: 1}}, wire.WithKey(fmt.Sprintf("remote-%d", i)))
+			if err := net.Endpoint(p).Send(0, frame); err != nil {
+				t.Error(err)
+			}
+		}
+		received := func(m *live.Manager, key string) uint64 {
+			return m.Registry(key).Snapshot().Kinds["transport_received_total"][core.KindRequest]
+		}
+		// Every frame either creates its key, and then reaches the key's
+		// engine, or is refused by the bound.
+		handled := func(m *live.Manager) bool {
+			c := m.Metrics().Snapshot().Counters
+			if c["manager_keys_created_total"]+c["manager_key_limit_rejections_total"] < fresh {
+				return false
+			}
+			for _, key := range m.Keys() {
+				if received(m, key) == 0 {
+					return false
+				}
+			}
+			return true
+		}
+		for round := 0; round < rounds && !t.Failed(); round++ {
+			m := race(t, peers+1, firstFrame, handled)
+			for _, key := range m.Keys() {
+				if got := received(m, key); got != 1 {
+					t.Errorf("key %q: its engine received %d REQUESTs, want the 1 that created it", key, got)
+				}
+			}
+		}
+	})
+}
+
+// TestManagerFirstFramesRestartCloseRace: raw peer endpoints race the
+// first frames for one fresh key against each other, then keep sending
+// while RestartKey and Close run. The key's engine is created once and
+// receives every first frame, nothing panics, and no incarnation records
+// anything after its close record. Run it under -race.
+func TestManagerFirstFramesRestartCloseRace(t *testing.T) {
+	const (
+		peers  = 4
+		frames = 3 // first frames per peer
+		key    = "fresh"
+	)
+	algo, err := registry.RegisterWire(registry.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	rec, err := reqtrace.NewRecorder(&buf, algo, peers+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := transport.NewMemNetwork(peers+1, transport.MemOptions{FIFO: true})
+	defer net.Close()
+	m, err := live.NewManager(live.ManagerConfig{
+		ID: 0, N: peers + 1, Transport: net.Endpoint(0),
+		Factory: registry.CoreLiveFactory(fastOptions()), Seed: 1, FlightRec: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	// send has peer p send frames seq from..to for the key, stopping
+	// early once stop is closed.
+	send := func(p, from, to int, stop <-chan struct{}) {
+		for seq := from; seq <= to; seq++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			frame := wire.Wrap(core.Request{Entry: core.QEntry{Node: p, Seq: uint64(seq)}}, wire.WithKey(key))
+			_ = net.Endpoint(p).Send(0, frame)
+		}
+	}
+	var wg sync.WaitGroup
+	race := func(from, to int, stop <-chan struct{}) {
+		start := make(chan struct{})
+		for p := 1; p <= peers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				<-start
+				send(p, from, to, stop)
+			}(p)
+		}
+		close(start)
+	}
+
+	race(1, frames, nil)
+	wg.Wait()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		var got uint64
+		if reg := m.Registry(key); reg != nil {
+			for _, v := range reg.Snapshot().Kinds["transport_received_total"] {
+				got += v
+			}
+		}
+		if got == peers*frames {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the key's engine received %d of the %d first frames", got, peers*frames)
+		}
+	}
+	c := m.Metrics().Snapshot().Counters
+	if c["manager_keys_created_total"] != 1 || c["manager_remote_key_creates_total"] != 1 {
+		t.Fatalf("first frames created %d engines (%d remotely), want 1",
+			c["manager_keys_created_total"], c["manager_remote_key_creates_total"])
+	}
+
+	stop := make(chan struct{})
+	race(frames+1, 1000, stop)
+	first := m.Node(key)
+	second, err := m.RestartKey(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	wg.Wait()
+
+	for i, nd := range []*live.Node{first, second} {
+		events := nd.Trace().Events()
+		if len(events) == 0 || events[len(events)-1].Ev != reqtrace.EvClose {
+			t.Errorf("incarnation %d's ring does not end with its close record: %v", i+1, events)
+		}
+	}
+	capture, err := reqtrace.ReadCapture(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closes, last := 0, ""
+	for _, r := range capture.Records {
+		if r.Node == 0 && r.Key == key {
+			last = r.Ev
+			if r.Ev == reqtrace.EvClose {
+				closes++
+			}
+		}
+	}
+	if closes != 2 || last != reqtrace.EvClose {
+		t.Errorf("capture: %d close records for the key, last record %q; want 2, the last one a close", closes, last)
 	}
 }

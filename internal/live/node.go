@@ -48,7 +48,7 @@ import (
 // ErrClosed is returned by Lock when the node has been shut down.
 var ErrClosed = errors.New("live: node is closed")
 
-// Factory builds one node's core protocol state machine; NewNode refuses
+// Factory builds one node's core protocol state machine; newNode refuses
 // a node of any other algorithm. The obs callback is the live runtime's
 // observer fan-out (metrics, tracing, and the configured Logger), which
 // the factory installs as core.Options.Observer —
@@ -57,73 +57,41 @@ var ErrClosed = errors.New("live: node is closed")
 // package.
 type Factory = func(id, n int, obs func(core.Event)) (dme.Node, error)
 
-// Config parameterizes one Node, the engine of a single lock. The
-// Manager fills one in per key; only engine-level tests and
-// micro-benchmarks construct a Node directly.
-type Config struct {
-	// ID is this node's identity in [0, N); node 0 starts as the
-	// initial token holder / arbiter.
-	ID int
-	// N is the cluster size.
-	N int
-	// Transport connects this node to its peers.
+// config parameterizes one Node, the engine of a single lock. The
+// Manager fills one in per key from its ManagerConfig, whose fields of
+// the same names document them; only the package's engine-level tests
+// construct a Node directly.
+type config struct {
+	ID, N int
+	// Transport is the Manager's shared endpoint. The node sends on it,
+	// each message tagged with Key; it neither receives from it (the
+	// Manager's handler calls deliver) nor closes it.
 	Transport transport.Transport
-	// Factory builds the core protocol state machine this node runs:
-	// registry.CoreLiveFactory(opts). Required.
-	Factory Factory
-	// Algo optionally names the algorithm for display surfaces
-	// (/statusz); it does not affect the protocol. Transports carry
-	// their own algorithm tag.
-	Algo string
-	// Seed seeds node-local randomness (0 derives one from the clock —
-	// live runs, unlike simulations, need no reproducibility).
-	Seed uint64
-	// Logger, when non-nil, receives structured protocol-transition logs:
-	// arbiter changes, dispatches and recovery actions at Info level,
-	// high-frequency events (token passes, request forwarding) at Debug.
-	// It joins the metrics and tracing observers in the fan-out handed
-	// to Factory, so it composes with any observer the factory itself
-	// installs.
+	Factory   Factory
+	// Seed seeds node-local randomness (0 derives one from the clock).
+	Seed   uint64
 	Logger *slog.Logger
-	// Metrics, when non-nil, is the registry protocol metrics are
-	// recorded into — share one registry with the transport's counting
-	// wrapper (transport.NewCountingIn) to serve both from one /metrics
-	// endpoint. Nil creates a private registry, available via
-	// Node.Metrics.
-	Metrics *telemetry.Registry
-	// TraceDepth sizes the ring buffer of recent event records — protocol
-	// transitions and the lock lifecycle (Node.Trace, the /debug/trace
-	// endpoint). 0 means DefaultTraceDepth; negative disables it.
+	// Metrics is the key's registry: protocol metrics and the key's
+	// share of the traffic (transport.Tally's families). Nil creates a
+	// private one.
+	Metrics    *telemetry.Registry
 	TraceDepth int
-	// Key labels this node's lock in its event records when many locks
-	// share a tracer or recorder (the Manager sets it per instance). Empty
-	// for a bare engine.
-	Key string
-	// Tracer, when non-nil, collects end-to-end request traces: every
-	// Lock/LockFence call mints a trace ID and accumulates records from
-	// enqueue through grant to release, including the protocol's own
-	// (batch inclusion, token hops) for the core algorithm. Share one
-	// collector across a cluster's nodes (or a Manager's keys) so each
-	// trace assembles in one place. Nil disables request tracing at zero
-	// cost on the lock path.
-	Tracer *reqtrace.Collector
-	// FlightRec, when non-nil, logs this node's lock lifecycle (enqueue,
-	// grant, release) and every protocol transition into the flight
-	// recorder; pair it with FlightRec.Middleware() on the node's
-	// transport chain so the same capture holds the wire traffic, making
-	// it replayable by reqtrace.Replay / `mutexsim replay`.
+	// Key names the node's lock: it tags every frame the node sends and
+	// labels its event records. Empty for a bare engine.
+	Key       string
+	Tracer    *reqtrace.Collector
 	FlightRec *reqtrace.Recorder
-	// Rejoin marks this node a restarted incarnation joining a group
-	// that is already running (core.Options.Rejoin): it starts without
-	// minting initial protocol state — in particular a restarted node 0
-	// does not resurrect the initial token, leaving invalidation and
-	// regeneration to §6 recovery. The Manager sets it automatically for
-	// incarnations after the first.
+	// Rejoin marks a restarted incarnation joining a group that is
+	// already running (core.Options.Rejoin): it starts without minting
+	// initial protocol state — in particular a restarted node 0 does not
+	// resurrect the initial token, leaving invalidation and regeneration
+	// to §6 recovery. The Manager sets it for incarnations after the
+	// first.
 	Rejoin bool
 }
 
 // DefaultTraceDepth is the event-trace ring capacity when
-// Config.TraceDepth is zero.
+// ManagerConfig.TraceDepth is zero.
 const DefaultTraceDepth = 256
 
 // Executor states: the run-to-completion scheduler that replaces the old
@@ -154,10 +122,11 @@ const (
 // state transitions order their accesses. The public API is safe for
 // concurrent use from any goroutine.
 type Node struct {
-	cfg    Config
-	inner  dme.Node   // a core node: NewNode checks
+	cfg    config
+	inner  dme.Node   // a core node: newNode checks
 	fenced dme.Fenced // inner's grant fence and epoch
 	tr     transport.Transport
+	tally  *transport.Tally // this lock's share of the shared transport's traffic
 	start  time.Time
 	rng    *rand.Rand
 
@@ -184,8 +153,8 @@ type Node struct {
 	metrics *liveMetrics
 
 	// The one event stream: each lifecycle point and protocol transition
-	// is one reqtrace.Record handed to sinks — the ring, Config.Tracer and
-	// Config.FlightRec, whichever are on; empty when none is.
+	// is one reqtrace.Record handed to sinks — the ring, cfg.Tracer and
+	// cfg.FlightRec, whichever are on; empty when none is.
 	sinks    reqtrace.Sinks
 	trace    *reqtrace.Ring // the ring among sinks; nil when TraceDepth < 0
 	stamp    bool           // Tracer or FlightRec is on: mint trace IDs and stamp them on the wire
@@ -232,21 +201,12 @@ type waiter struct {
 	grantedAt time.Time   // grant time, for the CS-hold histogram
 }
 
-// NewNode builds and starts a live node: the protocol state machine is
+// newNode builds and starts a live node: the protocol state machine is
 // built by the configured factory and initialized (node 0 mints the
-// token) under the executor's exclusion.
-func NewNode(cfg Config) (*Node, error) {
-	if cfg.Transport == nil {
-		return nil, errors.New("live: config needs a transport")
-	}
-	if cfg.Transport.Self() != cfg.ID {
-		return nil, fmt.Errorf("live: transport self %d does not match node id %d",
-			cfg.Transport.Self(), cfg.ID)
-	}
-	if cfg.Factory == nil {
-		return nil, errors.New("live: config needs a Factory (see registry.CoreLiveFactory)")
-	}
-
+// token) under the executor's exclusion. Inbound frames reach it only
+// once its owner calls deliver, so a node is complete before any can.
+// NewManager has checked the transport and the factory.
+func newNode(cfg config) (*Node, error) {
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -335,6 +295,7 @@ func NewNode(cfg Config) (*Node, error) {
 		inner:   inner,
 		fenced:  inner.(dme.Fenced),
 		tr:      cfg.Transport,
+		tally:   transport.NewTally(reg),
 		start:   time.Now(),
 		rng:     rand.New(rand.NewPCG(seed, seed^0x5deece66d)),
 		quit:    make(chan struct{}),
@@ -344,17 +305,23 @@ func NewNode(cfg Config) (*Node, error) {
 		trace:   ring,
 		stamp:   cfg.Tracer != nil || cfg.FlightRec != nil,
 	}
-	n.tr.SetHandler(func(from dme.NodeID, msg dme.Message) {
-		// Trace context rides a wire wrapper; the protocol state
-		// machine sees only the bare message, traced or not.
-		msg, _ = wire.SplitTrace(msg)
-		// When the executor is free this runs the protocol step inline on
-		// the transport's receive goroutine (see post); recvAt feeds the
-		// handoff_latency_seconds histogram if the step grants the CS.
-		n.postStep(step{from: from, msg: msg, recvAt: time.Now()})
-	})
 	n.post(func() { n.inner.Init(n) })
 	return n, nil
+}
+
+// deliver hands the node one inbound frame of its lock, the key tag
+// already split off by the Manager's handler.
+func (n *Node) deliver(from dme.NodeID, msg dme.Message) {
+	if from != n.cfg.ID {
+		n.tally.CountReceived(msg)
+	}
+	// Trace context rides a wire wrapper; the protocol state machine
+	// sees only the bare message, traced or not.
+	msg, _ = wire.SplitTrace(msg)
+	// When the executor is free this runs the protocol step inline on
+	// the transport's receive goroutine (see post); recvAt feeds the
+	// handoff_latency_seconds histogram if the step grants the CS.
+	n.postStep(step{from: from, msg: msg, recvAt: time.Now()})
 }
 
 // ID returns the node's identity.
@@ -615,17 +582,17 @@ func (n *Node) Stats() (granted, released uint64) {
 	return n.granted.Load(), n.released.Load()
 }
 
-// Metrics returns the node's telemetry registry — the one passed in
-// Config.Metrics, or the private one created when none was. Protocol
-// metrics (token passes, tenures, lock-wait and CS-hold histograms,
-// recovery activity) accumulate here from node start.
+// Metrics returns the node's telemetry registry: its key's registry on a
+// Manager (Manager.Registry). Protocol metrics (token passes, tenures,
+// lock-wait and CS-hold histograms, recovery activity) and the key's
+// traffic tallies accumulate here.
 func (n *Node) Metrics() *telemetry.Registry { return n.reg }
 
 // Trace returns the ring buffer of recent event records, or nil when
-// Config.TraceDepth is negative.
+// ManagerConfig.TraceDepth is negative.
 func (n *Node) Trace() *reqtrace.Ring { return n.trace }
 
-// Requests returns the request-trace collector from Config.Tracer, or
+// Requests returns the request-trace collector from ManagerConfig.Tracer, or
 // nil when request tracing is disabled. Safe to pass to the admin
 // surfaces either way — the collector's methods are nil-safe.
 func (n *Node) Requests() *reqtrace.Collector { return n.cfg.Tracer }
@@ -635,7 +602,7 @@ func (n *Node) Requests() *reqtrace.Collector { return n.cfg.Tracer }
 func (n *Node) Inspect(ctx context.Context) (core.Introspection, error) {
 	ch := make(chan core.Introspection, 1)
 	n.post(func() {
-		ins, _ := core.Inspect(n.inner) // NewNode checked inner is core's
+		ins, _ := core.Inspect(n.inner) // newNode checked inner is core's
 		ch <- ins
 	})
 	select {
@@ -648,9 +615,9 @@ func (n *Node) Inspect(ctx context.Context) (core.Introspection, error) {
 	}
 }
 
-// Close shuts the node down: the executor is retired, pending Lock calls
-// fail with ErrClosed, and the transport endpoint is closed. A crashed
-// node is simulated by Close — the rest of the cluster recovers via the
+// Close shuts the node down: the executor is retired and pending Lock
+// calls fail with ErrClosed. The shared transport is the Manager's and
+// stays up. A crashed node is simulated by Close — the rest of the cluster recovers via the
 // §6 protocol when recovery options are enabled. Close is idempotent and
 // safe to race with the public API (Lock returns ErrClosed, Unlock of a
 // closed node returns once the holder bookkeeping is dropped), which is
@@ -667,7 +634,7 @@ func (n *Node) Close() error {
 	}
 	close(n.quit)
 	// Take the executor terminally: once the CAS lands no goroutine runs
-	// protocol code again, so the transport can be torn down under it.
+	// protocol code again.
 	// A foreign owner mid-step finishes its drain first; closed is
 	// already set, so the queue it races against is bounded.
 	for i := 0; !n.execState.CompareAndSwap(execIdle, execClosed); i++ {
@@ -684,7 +651,7 @@ func (n *Node) Close() error {
 	if len(n.sinks) > 0 {
 		n.sinks.Record(reqtrace.Record{T: reqtrace.Now(), Ev: reqtrace.EvClose, Node: n.cfg.ID, Peer: -1, Key: n.cfg.Key})
 	}
-	return n.tr.Close()
+	return nil
 }
 
 // --- dme.Context implementation (executor-owned context only) -----------
@@ -709,16 +676,18 @@ func (n *Node) Send(from, to dme.NodeID, msg dme.Message) {
 	// Stamp outbound protocol messages with the trace ID of the request
 	// they serve, derived from the QEntry the message carries — the same
 	// ID the requester minted at Lock entry. Only when tracing or flight
-	// recording is on; the disabled path is untouched. Messages that
-	// serve the group rather than one request go out unstamped.
+	// recording is on. Messages that serve the group rather than one
+	// request go out unstamped.
+	var trace uint64
 	if n.stamp {
 		if node, seq, ok := core.RequestID(msg); ok {
-			msg = wire.Wrap(msg, wire.WithTrace(uint64(reqtrace.MakeID(node, seq))))
+			trace = uint64(reqtrace.MakeID(node, seq))
 		}
 	}
+	n.tally.CountSent(msg)
 	// Best-effort: transport errors are equivalent to message loss,
 	// which the protocol already tolerates.
-	_ = n.tr.Send(to, msg)
+	_ = n.tr.Send(to, wire.Wrap(msg, wire.WithKey(n.cfg.Key), wire.WithTrace(trace)))
 }
 
 // Broadcast implements dme.Context.

@@ -41,13 +41,16 @@ func TestNoSinksNoCost(t *testing.T) {
 		}
 		build := registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005})
 		factory := func(id, n int, o func(core.Event)) (dme.Node, error) {
+			mu.Lock()
 			obs = append(obs, runtime.FuncForPC(reflect.ValueOf(o).Pointer()).Name())
+			mu.Unlock()
 			return build(id, n, o)
 		}
 		net := transport.NewMemNetwork(2, transport.MemOptions{})
 		t.Cleanup(net.Close)
+		var mgrs []*Manager
 		for i := 0; i < 2; i++ {
-			nd, err := NewNode(Config{
+			m, err := NewManager(ManagerConfig{
 				ID: i, N: 2, Transport: transport.Chain(net.Endpoint(i), tap),
 				Factory: factory, Seed: uint64(i + 1),
 				TraceDepth: depth, Tracer: tracer,
@@ -55,15 +58,19 @@ func TestNoSinksNoCost(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { _ = nd.Close() })
-			nodes = append(nodes, nd)
+			t.Cleanup(func() { _ = m.Close() })
+			mgrs = append(mgrs, m)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		if err := nodes[1].Lock(ctx); err != nil { // a REQUEST out, the token back
+		// A REQUEST out creates node 0's engine, and the token comes back.
+		if err := mgrs[1].Lock(ctx, "k"); err != nil {
 			t.Fatal(err)
 		}
-		nodes[1].Unlock()
+		mgrs[1].Unlock("k")
+		for _, m := range mgrs {
+			nodes = append(nodes, m.Node("k"))
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		return nodes, obs, append([]dme.Message(nil), sent...)

@@ -10,23 +10,24 @@ import (
 	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/registry"
+	"tokenarbiter/internal/reqtrace"
 	"tokenarbiter/internal/telemetry"
 	"tokenarbiter/internal/transport"
 )
 
 // startCluster builds an n-node in-memory cluster with telemetry wired
 // the way cmd/mutexnode does: one registry per node, shared between the
-// protocol metrics and the transport counting layer.
-func startCluster(t *testing.T, n int) ([]*live.Node, []*transport.Counting) {
+// manager-level metrics and the transport counting layer.
+func startCluster(t *testing.T, n int) ([]*live.Manager, []*transport.Counting) {
 	t.Helper()
 	net := transport.NewMemNetwork(n, transport.MemOptions{})
 	t.Cleanup(net.Close)
-	nodes := make([]*live.Node, n)
+	mgrs := make([]*live.Manager, n)
 	counters := make([]*transport.Counting, n)
-	for i := range nodes {
+	for i := range mgrs {
 		reg := telemetry.NewRegistry()
 		counters[i] = transport.NewCountingIn(net.Endpoint(i), reg)
-		nd, err := live.NewNode(live.Config{
+		m, err := live.NewManager(live.ManagerConfig{
 			ID: i, N: n, Transport: counters[i],
 			Factory: registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005}),
 			Metrics: reg,
@@ -35,31 +36,39 @@ func startCluster(t *testing.T, n int) ([]*live.Node, []*transport.Counting) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[i] = nd
-		t.Cleanup(func() { _ = nd.Close() })
+		mgrs[i] = m
+		t.Cleanup(func() { _ = m.Close() })
 	}
-	return nodes, counters
+	return mgrs, counters
 }
 
 func TestLiveMetricsRecordProtocolActivity(t *testing.T) {
-	nodes, counters := startCluster(t, 3)
+	mgrs, counters := startCluster(t, 3)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
 	const rounds = 5
 	for r := 0; r < rounds; r++ {
-		for _, nd := range nodes {
-			if err := nd.Lock(ctx); err != nil {
+		for _, m := range mgrs {
+			if err := m.Lock(ctx, lockKey); err != nil {
 				t.Fatal(err)
 			}
 			time.Sleep(time.Millisecond)
-			nd.Unlock()
+			m.Unlock(lockKey)
 		}
 	}
 
+	// Read the key's registry and ring once nothing sends any more: the
+	// key's tally and the shared counting layer are two counters.
+	regs := make([]*telemetry.Registry, len(mgrs))
+	rings := make([]*reqtrace.Ring, len(mgrs))
+	for i, m := range mgrs {
+		regs[i], rings[i] = m.Registry(lockKey), m.Node(lockKey).Trace()
+		_ = m.Close()
+	}
 	var tokenPasses, grants uint64
-	for i, nd := range nodes {
-		s := nd.Metrics().Snapshot()
+	for i, reg := range regs {
+		s := reg.Snapshot()
 		tokenPasses += s.Counters["token_passes_total"]
 		grants += s.Counters["cs_granted_total"]
 		if s.Counters["cs_granted_total"] != rounds {
@@ -73,7 +82,7 @@ func TestLiveMetricsRecordProtocolActivity(t *testing.T) {
 		if hold.Count != rounds {
 			t.Errorf("node %d cs_hold count = %d, want %d", i, hold.Count, rounds)
 		}
-		// Transport counters share the registry.
+		// The key's own tally is the whole shared stream: one key.
 		sent, _ := counters[i].Totals()
 		var regSent uint64
 		for _, v := range s.Kinds["transport_sent_total"] {
@@ -92,9 +101,9 @@ func TestLiveMetricsRecordProtocolActivity(t *testing.T) {
 
 	// Dispatches and tenures happened somewhere, and the trace saw them.
 	var dispatches, traceEvents uint64
-	for _, nd := range nodes {
-		dispatches += nd.Metrics().Snapshot().Counters["dispatches_total"]
-		traceEvents += nd.Trace().Total()
+	for i, reg := range regs {
+		dispatches += reg.Snapshot().Counters["dispatches_total"]
+		traceEvents += rings[i].Total()
 	}
 	if dispatches == 0 {
 		t.Error("no dispatches recorded")
@@ -192,39 +201,30 @@ func TestAdminEndpoints(t *testing.T) {
 }
 
 func TestStatusRoles(t *testing.T) {
-	net := transport.NewMemNetwork(1, transport.MemOptions{})
-	defer net.Close()
-	nd, err := live.NewNode(live.Config{
-		ID: 0, N: 1, Transport: net.Endpoint(0),
-		Factory: registry.CoreLiveFactory(core.Options{Treq: 0.001, Tfwd: 0.001}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Close() //nolint:errcheck
-
+	mgrs, _ := managerCluster(t, 1, core.Options{Treq: 0.001, Tfwd: 0.001}, transport.MemOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
+	if err := mgrs[0].Lock(ctx, lockKey); err != nil {
+		t.Fatal(err)
+	}
+	nd := mgrs[0].Node(lockKey)
 	st, err := nd.Status(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Role != "arbiter" {
-		t.Errorf("initial role %q, want arbiter (node 0 mints the token)", st.Role)
-	}
-
-	if err := nd.Lock(ctx); err != nil {
-		t.Fatal(err)
-	}
-	st, err = nd.Status(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Role != "holder" {
 		t.Errorf("locked role %q, want holder", st.Role)
 	}
-	nd.Unlock()
+	mgrs[0].Unlock(lockKey)
+
+	st, err = nd.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Role != "arbiter" {
+		t.Errorf("released role %q, want arbiter (node 0 minted the token and keeps it)", st.Role)
+	}
 }
 
 func TestTraceDisabled(t *testing.T) {

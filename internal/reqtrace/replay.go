@@ -197,8 +197,9 @@ func replayKey(hdr CaptureHeader, key string, recs []Record,
 				continue
 			}
 			// Strip the transport-layer wrappers the way the live stack
-			// does (KeyMux strips the key, the node the trace); replay
-			// drives the state machines with the bare message.
+			// does (the Manager strips the key, the key's engine the
+			// trace); replay drives the state machines with the bare
+			// message.
 			msg, _, _ = wire.Unwrap(msg)
 			s.PostAt(rec.T, func() { nodes[rec.Node].OnMessage(ctx, rec.Peer, msg) })
 		case EvGrant:

@@ -22,8 +22,17 @@ import (
 // NewCountingIn's, so they appear on the /metrics endpoint alongside the
 // protocol metrics, or a private one.
 type Counting struct {
+	*Tally
 	inner Transport
+}
 
+var _ Transport = (*Counting)(nil)
+
+// Tally is the counting layer's bookkeeping without the wrapper: a
+// caller that sends and receives on a shared transport — the live
+// Manager's per-key engine — counts its own share of the traffic into
+// its own registry with CountSent and CountReceived.
+type Tally struct {
 	sent      atomic.Uint64
 	received  atomic.Uint64
 	sentUnits atomic.Uint64
@@ -33,32 +42,54 @@ type Counting struct {
 	recvVec *telemetry.CounterVec
 }
 
-var _ Transport = (*Counting)(nil)
+// NewTally keeps its tallies in reg (nil means a private registry):
+// transport_sent_total / transport_received_total (by kind) and
+// transport_sent_units_total / transport_received_units_total (Sized
+// payload units, the simulation's TotalUnits accounting).
+func NewTally(reg *telemetry.Registry) *Tally {
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
+	t := &Tally{}
+	t.sentVec = reg.CounterVec("transport_sent_total",
+		"protocol messages sent to peers, by kind", "kind")
+	t.recvVec = reg.CounterVec("transport_received_total",
+		"protocol messages received from peers, by kind", "kind")
+	reg.CounterFunc("transport_sent_units_total",
+		"abstract payload units sent (Sized messages; others count 1)",
+		t.sentUnits.Load)
+	reg.CounterFunc("transport_received_units_total",
+		"abstract payload units received (Sized messages; others count 1)",
+		t.recvUnits.Load)
+	return t
+}
+
+// CountSent tallies one message sent to a peer.
+func (t *Tally) CountSent(msg dme.Message) {
+	t.sent.Add(1)
+	t.sentUnits.Add(units(msg))
+	t.sentVec.With(msg.Kind()).Inc()
+}
+
+// CountReceived tallies one message received from a peer.
+func (t *Tally) CountReceived(msg dme.Message) {
+	t.received.Add(1)
+	t.recvUnits.Add(units(msg))
+	t.recvVec.With(msg.Kind()).Inc()
+}
 
 // NewCounting wraps t, keeping the tallies in a registry of its own.
 func NewCounting(t Transport) *Counting { return NewCountingIn(t, nil) }
 
 // NewCountingIn wraps t and keeps every tally in reg (nil means a private
-// registry): transport_sent_total / transport_received_total (by kind),
-// transport_sent_units_total / transport_received_units_total (Sized
-// payload units, the simulation's TotalUnits accounting), and — when the
-// inner transport reports wire bytes (the TCP transport does) —
-// transport_wire_bytes_sent_total / transport_wire_bytes_received_total.
+// registry): NewTally's families and — when the inner transport reports
+// wire bytes (the TCP transport does) — transport_wire_bytes_sent_total /
+// transport_wire_bytes_received_total.
 func NewCountingIn(t Transport, reg *telemetry.Registry) *Counting {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	c := &Counting{inner: t}
-	c.sentVec = reg.CounterVec("transport_sent_total",
-		"protocol messages sent to peers, by kind", "kind")
-	c.recvVec = reg.CounterVec("transport_received_total",
-		"protocol messages received from peers, by kind", "kind")
-	reg.CounterFunc("transport_sent_units_total",
-		"abstract payload units sent (Sized messages; others count 1)",
-		c.sentUnits.Load)
-	reg.CounterFunc("transport_received_units_total",
-		"abstract payload units received (Sized messages; others count 1)",
-		c.recvUnits.Load)
+	c := &Counting{Tally: NewTally(reg), inner: t}
 	if wb, ok := t.(WireByteser); ok {
 		reg.CounterFunc("transport_wire_bytes_sent_total",
 			"bytes written to peer connections", func() uint64 {
@@ -97,9 +128,7 @@ func (c *Counting) Self() dme.NodeID { return c.inner.Self() }
 // are not counted, matching the simulation's accounting.
 func (c *Counting) Send(to dme.NodeID, msg dme.Message) error {
 	if to != c.inner.Self() {
-		c.sent.Add(1)
-		c.sentUnits.Add(units(msg))
-		c.sentVec.With(msg.Kind()).Inc()
+		c.CountSent(msg)
 	}
 	return c.inner.Send(to, msg)
 }
@@ -108,9 +137,7 @@ func (c *Counting) Send(to dme.NodeID, msg dme.Message) error {
 func (c *Counting) SetHandler(h Handler) {
 	c.inner.SetHandler(func(from dme.NodeID, msg dme.Message) {
 		if from != c.inner.Self() {
-			c.received.Add(1)
-			c.recvUnits.Add(units(msg))
-			c.recvVec.With(msg.Kind()).Inc()
+			c.CountReceived(msg)
 		}
 		h(from, msg)
 	})
@@ -123,19 +150,19 @@ func (c *Counting) Close() error { return c.inner.Close() }
 func (c *Counting) Unwrap() Transport { return c.inner }
 
 // Totals returns the number of messages sent to and received from peers.
-func (c *Counting) Totals() (sent, received uint64) {
-	return c.sent.Load(), c.received.Load()
+func (t *Tally) Totals() (sent, received uint64) {
+	return t.sent.Load(), t.received.Load()
 }
 
 // UnitTotals returns the message volume in abstract payload units, the
 // live counterpart of the simulation's Metrics.TotalUnits.
-func (c *Counting) UnitTotals() (sent, received uint64) {
-	return c.sentUnits.Load(), c.recvUnits.Load()
+func (t *Tally) UnitTotals() (sent, received uint64) {
+	return t.sentUnits.Load(), t.recvUnits.Load()
 }
 
 // SentByKind returns a copy of the per-kind outbound tally.
-func (c *Counting) SentByKind() map[string]uint64 { return c.sentVec.Values() }
+func (t *Tally) SentByKind() map[string]uint64 { return t.sentVec.Values() }
 
 // ReceivedByKind returns a copy of the per-kind inbound tally, mirroring
 // SentByKind.
-func (c *Counting) ReceivedByKind() map[string]uint64 { return c.recvVec.Values() }
+func (t *Tally) ReceivedByKind() map[string]uint64 { return t.recvVec.Values() }

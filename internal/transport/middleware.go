@@ -10,7 +10,7 @@ import "tokenarbiter/internal/telemetry"
 // # Composition order
 //
 // Chain applies middlewares so that the FIRST middleware listed is the
-// OUTERMOST layer — the one the application (live.Node) talks to:
+// OUTERMOST layer — the one the application (live.Manager) talks to:
 //
 //	tr := transport.Chain(base, CountingMW(reg), fault.Middleware())
 //

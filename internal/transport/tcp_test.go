@@ -18,13 +18,14 @@ import (
 	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/session"
+	"tokenarbiter/internal/telemetry"
 	"tokenarbiter/internal/transport"
 	"tokenarbiter/internal/wire"
 )
 
-// tcpCluster starts n live nodes connected over loopback TCP with
-// OS-assigned ports.
-func tcpCluster(t *testing.T, n int, opts core.Options) []*live.Node {
+// tcpCluster starts n live Managers connected over loopback TCP with
+// OS-assigned ports, each endpoint under a counting layer.
+func tcpCluster(t *testing.T, n int, opts core.Options) ([]*live.Manager, []*transport.Counting) {
 	t.Helper()
 	// Bind each transport on :0 sequentially, collecting real addresses.
 	addrs := make(map[dme.NodeID]string, n)
@@ -41,26 +42,28 @@ func tcpCluster(t *testing.T, n int, opts core.Options) []*live.Node {
 	for i := 0; i < n; i++ {
 		trs[i].SetPeers(addrs)
 	}
-	nodes := make([]*live.Node, n)
+	mgrs := make([]*live.Manager, n)
+	counters := make([]*transport.Counting, n)
 	for i := 0; i < n; i++ {
-		nd, err := live.NewNode(live.Config{
+		counters[i] = transport.NewCounting(trs[i])
+		m, err := live.NewManager(live.ManagerConfig{
 			ID:        i,
 			N:         n,
-			Transport: trs[i],
+			Transport: counters[i],
 			Factory:   registry.CoreLiveFactory(opts),
 			Seed:      uint64(i + 1),
 		})
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
-		nodes[i] = nd
+		mgrs[i] = m
 	}
 	t.Cleanup(func() {
-		for _, nd := range nodes {
-			_ = nd.Close()
+		for _, m := range mgrs {
+			_ = m.Close()
 		}
 	})
-	return nodes
+	return mgrs, counters
 }
 
 func TestTCPRoundTrip(t *testing.T) {
@@ -101,8 +104,13 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTCPClusterMutualExclusion runs one key over real TCP under a
+// counting layer: the grants never overlap, the keyed frames survive the
+// wire, and the shared counting layer and the key's own tally agree, by
+// kind (a keyed frame counts as its inner message's kind).
 func TestTCPClusterMutualExclusion(t *testing.T) {
-	nodes := tcpCluster(t, 3, core.Options{
+	const key = "tcp"
+	mgrs, counters := tcpCluster(t, 3, core.Options{
 		Treq:              0.005,
 		Tfwd:              0.005,
 		RetransmitTimeout: 0.5,
@@ -116,13 +124,13 @@ func TestTCPClusterMutualExclusion(t *testing.T) {
 		wg      sync.WaitGroup
 	)
 	const rounds = 6
-	for _, nd := range nodes {
+	for _, m := range mgrs {
 		wg.Add(1)
-		go func(nd *live.Node) {
+		go func(m *live.Manager) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				if err := nd.Lock(ctx); err != nil {
-					t.Errorf("node %d: %v", nd.ID(), err)
+				if err := m.Lock(ctx, key); err != nil {
+					t.Errorf("node %d: %v", m.ID(), err)
 					return
 				}
 				if got := inCS.Add(1); got != 1 {
@@ -130,13 +138,29 @@ func TestTCPClusterMutualExclusion(t *testing.T) {
 				}
 				counter++
 				inCS.Add(-1)
-				nd.Unlock()
+				m.Unlock(key)
 			}
-		}(nd)
+		}(m)
 	}
 	wg.Wait()
-	if want := int64(len(nodes) * rounds); counter != want {
+	if want := int64(len(mgrs) * rounds); counter != want {
 		t.Errorf("counter = %d, want %d", counter, want)
+	}
+	// Compare once nothing sends any more: the registries outlive Close.
+	regs := make([]*telemetry.Registry, len(mgrs))
+	for i, m := range mgrs {
+		regs[i] = m.Registry(key)
+		_ = m.Close()
+	}
+	for i, reg := range regs {
+		shared := counters[i].SentByKind()
+		if shared[core.KindRequest] == 0 {
+			t.Errorf("node %d: no REQUEST counted by kind: %v", i, shared)
+		}
+		own := reg.Snapshot().Kinds["transport_sent_total"]
+		if !reflect.DeepEqual(own, shared) {
+			t.Errorf("node %d: the key's tally %v, the shared stream's %v", i, own, shared)
+		}
 	}
 }
 

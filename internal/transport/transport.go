@@ -22,7 +22,7 @@ import "tokenarbiter/internal/dme"
 // do not invoke the handler while holding locks the next layer might
 // need, and do not assume the call returns quickly enough to sit inside
 // a per-connection critical section (deliver outside your locks, as the
-// TCP read loop, the in-memory network, and KeyMux do). For handler
+// TCP read loop and the in-memory network do). For handler
 // implementations: a handler that can block indefinitely stalls that
 // peer's receive stream, so long waits belong on another goroutine.
 type Handler func(from dme.NodeID, msg dme.Message)

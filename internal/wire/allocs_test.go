@@ -97,23 +97,33 @@ func TestDecodeBorrowedAllocs(t *testing.T) {
 	}
 }
 
-// TestWrapAllocs pins the cost of KeyMux's per-send tagging: keying an
-// already-boxed message allocates only the Keyed box, not the options.
+// TestWrapAllocs pins the cost of a keyed engine's per-send tagging:
+// keying an already-boxed message allocates only the Keyed box, and
+// keying and tracing it in one call only the Traced and Keyed boxes —
+// never the options.
 func TestWrapAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	var msg dme.Message = core.Privilege{Q: core.QList{{Node: 1, Seq: 2}}, Counter: 7, Fence: 41}
 	key := "orders"
-	var out dme.Message
-	allocs := testing.AllocsPerRun(1000, func() {
-		out = wire.Wrap(msg, wire.WithKey(key))
-	})
-	if _, got := wire.SplitKey(out); got != key {
-		t.Fatalf("Wrap keyed the message %q, want %q", got, key)
-	}
-	if allocs > 1 {
-		t.Errorf("Wrap(msg, WithKey): %.1f allocations, want ≤ 1 (the Keyed box)", allocs)
+	var trace uint64 = 99
+	for _, c := range []struct {
+		name string
+		wrap func() dme.Message
+		max  float64
+	}{
+		{"Wrap(msg, WithKey)", func() dme.Message { return wire.Wrap(msg, wire.WithKey(key)) }, 1},
+		{"Wrap(msg, WithKey, WithTrace)", func() dme.Message { return wire.Wrap(msg, wire.WithKey(key), wire.WithTrace(trace)) }, 2},
+	} {
+		var out dme.Message
+		allocs := testing.AllocsPerRun(1000, func() { out = c.wrap() })
+		if _, got := wire.SplitKey(out); got != key {
+			t.Fatalf("%s keyed the message %q, want %q", c.name, got, key)
+		}
+		if allocs > c.max {
+			t.Errorf("%s: %.1f allocations, want ≤ %.0f (the wrapper boxes)", c.name, allocs, c.max)
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ const FormatVersion = 2
 
 // Keyed tags a protocol message with the lock key of the DME group it
 // belongs to. A multiplexed transport stack passes Keyed values between
-// the key demultiplexer (transport.KeyMux) and the wire: the encoder
+// the key router (the live Manager) and the wire: the encoder
 // unwraps a Keyed into the frame's key field (the payload is the inner
 // message) and the decoder re-wraps a keyed frame's message on the way
 // in. Keys are arbitrary byte strings — never interpreted, only matched

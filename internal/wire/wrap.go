@@ -4,12 +4,12 @@ import "tokenarbiter/internal/dme"
 
 // This file is the only sanctioned way to attach transport metadata —
 // the lock key of a multiplexed group and the end-to-end trace id — to a
-// protocol message. Callers above the wire (KeyMux, the live Manager,
-// the tracing runtime) use Wrap and the Split/Unwrap accessors; the
-// Keyed and Traced structs themselves are an internal representation
-// whose nesting order (Keyed outside Traced) is this package's business,
-// and constructing them directly outside internal/wire is deprecated
-// (enforced by a grep check in CI).
+// protocol message. Callers above the wire (the live Manager and its
+// per-key engines, tracing middleware) use Wrap and the Split/Unwrap
+// accessors; the Keyed and Traced structs themselves are an internal
+// representation whose nesting order (Keyed outside Traced) is this
+// package's business, and constructing them directly outside
+// internal/wire is deprecated (enforced by a grep check in CI).
 
 // WrapOption configures Wrap: one tag, set by WithKey or WithTrace. It
 // is a plain value so that Wrap's option loop moves nothing to the heap.
@@ -38,10 +38,10 @@ func WithTrace(trace uint64) WrapOption {
 // canonical wrapper nesting the codecs expect regardless of the order
 // the layers applied their tags. A message that is already wrapped is
 // re-wrapped: existing tags are preserved unless the corresponding
-// option overrides them, so KeyMux can add a key to a message the
-// tracing runtime already traced (and vice versa) without either layer
-// knowing about the other. Zero-valued tags add no wrapper at all —
-// Wrap(msg) returns msg unchanged.
+// option overrides them, so a layer can add a trace to a message that
+// is already keyed (and vice versa) without either layer knowing about
+// the other; a key's engine sets both in one call. Zero-valued tags add
+// no wrapper at all — Wrap(msg) returns msg unchanged.
 func Wrap(msg dme.Message, opts ...WrapOption) dme.Message {
 	inner, key, trace := Unwrap(msg)
 	for _, o := range opts {
@@ -89,8 +89,8 @@ func Unwrap(msg dme.Message) (inner dme.Message, key string, trace uint64) {
 
 // SplitKey removes the key tag, if any, returning the message one layer
 // in — which may still carry a trace tag — and the key. It is the demux
-// half of Wrap(msg, WithKey(key)): KeyMux routes on the key and hands
-// the still-traced message to the per-key endpoint.
+// half of Wrap(msg, WithKey(key)): the Manager routes on the key and
+// hands the still-traced message to the key's engine.
 func SplitKey(msg dme.Message) (dme.Message, string) {
 	if k, ok := msg.(Keyed); ok {
 		return k.Msg, k.Key
