@@ -10,7 +10,7 @@
 //	mutexload -transport tcp -nodes 3 -duration 3s -hold 2ms
 //	mutexload -nodes 5 -duration 10s -chaos drop=0.05,dup=0.02,corrupt=0.01,seed=7
 //
-// -keys M load-tests the sharded multi-key lock service: every node runs
+// -keys M load-tests the multi-key lock service: every node runs
 // a live.Manager serving M named lock keys over its single endpoint, and
 // the worker pool is spread across the keys (worker g drives key g mod
 // M), so the report shows how aggregate throughput scales with key count
@@ -22,7 +22,7 @@
 // -workers sets the worker goroutines per node (default 1, the classic
 // single-mutex workload), and -rate 0 runs them closed-loop — the
 // configuration that exposes the single-key serialization ceiling
-// (aggregate cs/sec ≈ 1/hold) that multi-key sharding lifts. The end of
+// (aggregate cs/sec ≈ 1/hold) that independent lock keys lift. The end of
 // the run prints aggregate plus per-key throughput and messages/CS.
 //
 // -chaos threads every node's outbound traffic through a shared, seeded
@@ -71,7 +71,7 @@ func run(args []string) error {
 	var (
 		nodes     = fs.Int("nodes", 5, "cluster size")
 		trans     = fs.String("transport", "mem", "transport: mem or tcp")
-		keys      = fs.Int("keys", 1, "named lock keys served per node (1: classic single mutex; >1: the sharded multi-key service)")
+		keys      = fs.Int("keys", 1, "named lock keys served per node (1: classic single mutex; >1: the multi-key service)")
 		workers   = fs.Int("workers", 1, "worker goroutines per node, spread round-robin across the keys")
 		duration  = fs.Duration("duration", 5*time.Second, "measurement duration")
 		rate      = fs.Float64("rate", 200, "aggregate lock attempts per second (0 = closed loop)")
@@ -411,7 +411,7 @@ func printPerNode(cluster []*live.Manager, counters []*transport.Counting) {
 // cmd/mutexnode uses), so the end-of-run summary can scrape protocol and
 // transport metrics together. With -keys 1 the Manager serves a single
 // key — same protocol, one DME group — keeping the comparison between
-// key counts an apples-to-apples change of sharding only.
+// key counts an apples-to-apples change of key count only.
 func buildCluster(kind string, n int, factory live.Factory, delay time.Duration, inj *faultnet.Injector, tracer *reqtrace.Collector, frec *reqtrace.Recorder) ([]*live.Manager, []*transport.Counting, func(), error) {
 	counters := make([]*transport.Counting, n)
 	trans := make([]transport.Transport, n)
@@ -465,8 +465,7 @@ func buildCluster(kind string, n int, factory live.Factory, delay time.Duration,
 	for i := 0; i < n; i++ {
 		m, err := live.NewManager(live.ManagerConfig{
 			ID: i, N: n, Transport: trans[i], Factory: factory, Algo: registry.Core,
-			Seed: uint64(i + 1), Metrics: regs[i],
-			Tracer: tracer, FlightRec: frec,
+			Metrics: regs[i], Tracer: tracer, FlightRec: frec,
 		})
 		if err != nil {
 			return nil, nil, func() {}, err

@@ -371,8 +371,8 @@ func printSummary(cfg *nodeConfig, mgr *live.Manager, ct *transport.Counting, tc
 	printWireAndChaos(cfg.id, tcp, inj)
 	printKinds(cfg.id, ct)
 	for _, ks := range mgr.KeyStats() {
-		fmt.Printf("node %d:   key %-12s shard=%-3d granted=%-5d sent=%-6d received=%-6d wait-p99=%.1fms\n",
-			cfg.id, ks.Key, ks.Shard, ks.Granted, ks.MsgsSent, ks.MsgsRecv, ks.WaitP99*1000)
+		fmt.Printf("node %d:   key %-12s granted=%-5d sent=%-6d received=%-6d wait-p99=%.1fms\n",
+			cfg.id, ks.Key, ks.Granted, ks.MsgsSent, ks.MsgsRecv, ks.WaitP99*1000)
 	}
 	printPerCS(cfg.id, granted, ct)
 }

@@ -33,10 +33,6 @@ type fakeTimer struct {
 
 func newFakeCtx(t *testing.T, n int) *fakeCtx { return &fakeCtx{t: t, n: n} }
 
-func (c *fakeCtx) Now() float64  { return 0 }
-func (c *fakeCtx) N() int        { return c.n }
-func (c *fakeCtx) Rand() float64 { return 0.5 }
-
 func (c *fakeCtx) Send(from, to dme.NodeID, msg dme.Message) {
 	c.sends = append(c.sends, fakeSend{from, to, msg})
 }

@@ -112,10 +112,6 @@ func (t Timer) Armed() bool { return t.host != nil }
 // runtime in internal/live (wall-clock time over a real transport) — the
 // same protocol state machine drives both.
 type Context interface {
-	// Now returns the current virtual time.
-	Now() float64
-	// N returns the number of nodes.
-	N() int
 	// Send transmits msg from one node to another with network delay.
 	// Sending to self delivers after zero delay and is not counted as a
 	// network message.
@@ -133,9 +129,6 @@ type Context interface {
 	// EnterCS asserts mutual exclusion and starts the critical section
 	// for node. OnCSDone is invoked Texec later.
 	EnterCS(node NodeID)
-	// Rand returns a float64 in [0,1) from the deterministic stream.
-	// Algorithms that need randomized decisions must use this.
-	Rand() float64
 }
 
 // Config parameterizes one simulation run.

@@ -345,12 +345,6 @@ func (r *Runner) arrive(node NodeID) {
 
 var _ Context = (*Runner)(nil)
 
-// N implements Context.
-func (r *Runner) N() int { return r.cfg.N }
-
-// Rand implements Context.
-func (r *Runner) Rand() float64 { return r.sim.RNG().Float64() }
-
 // Send implements Context. Self-sends deliver after zero delay and are not
 // counted as network messages.
 func (r *Runner) Send(from, to NodeID, msg Message) {

@@ -100,7 +100,6 @@ type ManagerStatus struct {
 	ID            int     `json:"id"`
 	N             int     `json:"n"`
 	Algo          string  `json:"algo,omitempty"`
-	Shards        int     `json:"shards"`
 	KeyCount      int     `json:"key_count"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 
@@ -119,7 +118,6 @@ func (m *Manager) Status() ManagerStatus {
 		ID:            m.cfg.ID,
 		N:             m.cfg.N,
 		Algo:          m.cfg.Algo,
-		Shards:        len(m.shards),
 		KeyCount:      len(stats),
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Keys:          stats,
@@ -136,7 +134,6 @@ func (m *Manager) Status() ManagerStatus {
 // of the instance serving it.
 type keyStatus struct {
 	Key         string `json:"key"`
-	Shard       int    `json:"shard"`
 	Incarnation uint64 `json:"incarnation"`
 	Status
 }
@@ -151,7 +148,7 @@ type keyStatus struct {
 //	                      HELP/TYPE per name): the manager registry's series
 //	                      unlabeled, every key's registry with a key="..." label
 //	/statusz              aggregate JSON ManagerStatus (totals + per-key rows)
-//	/statusz?key=K        key K's full protocol Status (wrapped with key/shard/
+//	/statusz?key=K        key K's full protocol Status (wrapped with key and
 //	                      incarnation); 404 when the key does not exist here
 //	/debug/trace?key=K    key K's recent event records (protocol transitions
 //	                      and the lock lifecycle, the lines a capture holds)
@@ -204,7 +201,6 @@ func (m *Manager) AdminHandler() *http.ServeMux {
 		st.Algo = m.cfg.Algo
 		_ = enc.Encode(keyStatus{
 			Key:         inst.key,
-			Shard:       inst.shard,
 			Incarnation: inst.incarnation,
 			Status:      st,
 		})

@@ -26,7 +26,6 @@ func tracedManager(t *testing.T, tracer *reqtrace.Collector) *httptest.Server {
 	m, err := live.NewManager(live.ManagerConfig{
 		ID: 0, N: 1, Transport: net.Endpoint(0),
 		Factory: registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005}),
-		Seed:    1,
 		Tracer:  tracer,
 	})
 	if err != nil {
@@ -200,7 +199,6 @@ func TestDebugRequestsManagerKeyFilter(t *testing.T) {
 	m, err := live.NewManager(live.ManagerConfig{
 		ID: 0, N: 1, Transport: net.Endpoint(0),
 		Factory: registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005}),
-		Seed:    1,
 		Tracer:  tracer,
 	})
 	if err != nil {

@@ -52,7 +52,7 @@ func TestManagerLockUnlockAllocs(t *testing.T) {
 	net := transport.NewMemNetwork(1, transport.MemOptions{})
 	defer net.Close()
 	m, err := live.NewManager(live.ManagerConfig{
-		ID: 0, N: 1, Transport: net.Endpoint(0), Seed: 1,
+		ID: 0, N: 1, Transport: net.Endpoint(0),
 		Factory: registry.CoreLiveFactory(budgetOptions),
 	})
 	if err != nil {

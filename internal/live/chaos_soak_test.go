@@ -166,7 +166,6 @@ func chaosSoak(t *testing.T, seed uint64) {
 			N:         n,
 			Transport: transport.Chain(net.Endpoint(i), rec.Middleware(), inj.Middleware()),
 			Factory:   registry.CoreLiveFactory(opts),
-			Seed:      seed<<8 + uint64(i) + 1,
 			FlightRec: rec.Recorder,
 		})
 		if err != nil {

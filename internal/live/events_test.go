@@ -34,7 +34,7 @@ func TestCancelledGrantRecordsItsFence(t *testing.T) {
 	m, err := live.NewManager(live.ManagerConfig{
 		ID: 0, N: 1, Transport: net.Endpoint(0),
 		Factory: registry.CoreLiveFactory(fastOptions()),
-		Seed:    1, Tracer: tracer, FlightRec: rec,
+		Tracer:  tracer, FlightRec: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +121,8 @@ func TestOneClock(t *testing.T) {
 			ID: i, N: n,
 			Transport: transport.Chain(net.Endpoint(i), rec.Middleware()),
 			Factory:   registry.CoreLiveFactory(fastOptions()),
-			Algo:      algo, Seed: uint64(i + 1),
-			Tracer: tracer, FlightRec: rec, // TraceDepth 0: the ring at its default depth
+			Algo:      algo,
+			Tracer:    tracer, FlightRec: rec, // TraceDepth 0: the ring at its default depth
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +212,7 @@ func TestRestartedHolderRecordsLineage(t *testing.T) {
 			ID: i, N: n,
 			Transport: transport.Chain(net.Endpoint(i), rec.Middleware()),
 			Factory:   registry.CoreLiveFactory(recoveryOptions()),
-			Algo:      algo, Seed: uint64(i + 1), FlightRec: rec,
+			Algo:      algo, FlightRec: rec,
 		})
 		if err != nil {
 			t.Fatal(err)

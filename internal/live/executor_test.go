@@ -40,7 +40,7 @@ func (s *recTransport) Close() error                              { s.closedTr.S
 func newExecNode(t *testing.T) (*Node, *recTransport) {
 	t.Helper()
 	tr := &recTransport{}
-	n, err := newNode(config{ID: 0, N: 1, Transport: tr, Factory: registry.CoreLiveFactory(core.Options{}), Seed: 1, TraceDepth: -1})
+	n, err := newNode(config{ID: 0, N: 1, Transport: tr, Factory: registry.CoreLiveFactory(core.Options{}), TraceDepth: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestExecutorQueueOrderFIFO(t *testing.T) {
 func TestExecutorGrantOrderMatchesQueuedLoop(t *testing.T) {
 	tr := &recTransport{}
 	n, err := newNode(config{
-		ID: 0, N: 1, Transport: tr, Seed: 1, TraceDepth: -1,
+		ID: 0, N: 1, Transport: tr, TraceDepth: -1,
 		Factory: registry.CoreLiveFactory(core.Options{Treq: 0.001, Tfwd: 0.001}),
 	})
 	if err != nil {
@@ -287,7 +287,7 @@ func TestExecutorTimerCancelRace(t *testing.T) {
 func newCoreExecNode(t *testing.T) *Node {
 	t.Helper()
 	n, err := newNode(config{
-		ID: 0, N: 1, Transport: &recTransport{}, Seed: 1, TraceDepth: -1,
+		ID: 0, N: 1, Transport: &recTransport{}, TraceDepth: -1,
 		Factory: registry.CoreLiveFactory(core.Options{Treq: 0.001, Tfwd: 0.001}),
 	})
 	if err != nil {

@@ -47,7 +47,6 @@ func TestLoggerEmitsProtocolTransitions(t *testing.T) {
 			ID: i, N: 3, Transport: net.Endpoint(i),
 			Factory: registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005}),
 			Logger:  logger,
-			Seed:    uint64(i + 1),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"sort"
 	"sync"
@@ -27,13 +26,6 @@ var ErrTooManyKeys = errors.New("live: manager key limit reached")
 // "": it names no lock (a frame without a key field is not addressed to
 // any), so the Manager never creates an instance for it.
 var ErrEmptyKey = errors.New("live: the empty string is not a lock key")
-
-// DefaultShards is the number of lock stripes a Manager spreads its keys
-// over by FNV hashing, so creating or locking a hot key never serializes
-// against unrelated keys: enough stripes that key creation and lookup on
-// different keys almost never contend, cheap enough to be irrelevant
-// when idle.
-const DefaultShards = 16
 
 // ManagerConfig parameterizes one node's lock service.
 type ManagerConfig struct {
@@ -59,8 +51,10 @@ type ManagerConfig struct {
 	// traffic for fresh keys is dropped. A guard against unbounded state
 	// from misbehaving peers.
 	MaxKeys int
-	// Seed seeds per-key node randomness; each key derives its own
-	// stream from Seed and the key hash. 0 derives from the clock.
+	// Seed has no effect: no protocol step draws randomness, so a key's
+	// engine has no random stream to seed.
+	//
+	// Deprecated: it stays only because the benchmark harness sets it.
 	Seed uint64
 	// Logger, when non-nil, receives each key's structured
 	// protocol-transition logs, annotated with a "lockkey" attribute:
@@ -107,8 +101,9 @@ type ManagerConfig struct {
 // are safe for concurrent use.
 //
 // Frames reach the keys through one handler on the shared transport:
-// the frame's key selects the key's engine in a striped table, created
-// on the key's first frame, and the engine sends with its key tagged on.
+// the frame's key selects the key's engine in one key table, created on
+// the key's first frame, and the engine sends with its key tagged on. A
+// lookup never waits; only creation, RestartKey and Close serialize.
 //
 // Crashes have one mechanism at each scale. RestartKey crash-restarts
 // one key in place; the new incarnation rejoins without re-minting
@@ -120,12 +115,16 @@ type ManagerConfig struct {
 // Closing that gap takes a durable record of epoch, fence and
 // incarnation (an open ROADMAP item), not a configuration flag.
 type Manager struct {
-	cfg    ManagerConfig
-	shards [DefaultShards]managerShard
-	start  time.Time
+	cfg   ManagerConfig
+	start time.Time
 
-	closed   atomic.Bool
-	keyCount atomic.Int64
+	// keys maps each live key to its *instance. Lookups are one
+	// lock-free Load; every write (creation, RestartKey, Close) holds mu,
+	// which also guards nkeys, the MaxKeys count.
+	keys   sync.Map
+	mu     sync.Mutex
+	nkeys  int
+	closed atomic.Bool
 
 	reg           *telemetry.Registry
 	keysActive    *telemetry.Gauge
@@ -135,42 +134,13 @@ type Manager struct {
 	keyLimitHits  *telemetry.Counter
 }
 
-// managerShard is one lock stripe of the key table.
-type managerShard struct {
-	mu   sync.Mutex
-	keys map[string]*instance
-}
-
 // instance is one key's state: the live node of the key's DME group plus
 // the bookkeeping the Manager layers on top.
 type instance struct {
 	key         string
-	shard       int
 	incarnation uint64
 	node        *Node
 	reg         *telemetry.Registry
-	createdAt   time.Time
-}
-
-// ShardIndex is the Manager's key→shard routing function, exported so
-// tests (and operators debugging a hot shard) can compute placement
-// without a Manager: FNV-1a over the key bytes, reduced modulo shards.
-// It is pure and deterministic — the same key always routes to the same
-// shard for a given shard count.
-func ShardIndex(key string, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum64() % uint64(shards))
-}
-
-// keyHash64 derives a per-key seed component.
-func keyHash64(key string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return h.Sum64()
 }
 
 // NewManager builds the service. No keys exist yet; the first Lock (or
@@ -205,9 +175,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		keyLimitHits: reg.Counter("manager_key_limit_rejections_total",
 			"key creations refused by the MaxKeys bound"),
 	}
-	for i := range m.shards {
-		m.shards[i].keys = make(map[string]*instance)
-	}
 	cfg.Transport.SetHandler(m.deliver)
 	return m, nil
 }
@@ -223,19 +190,13 @@ func (m *Manager) Metrics() *telemetry.Registry { return m.reg }
 // ManagerConfig.Tracer, or nil when request tracing is disabled.
 func (m *Manager) Requests() *reqtrace.Collector { return m.cfg.Tracer }
 
-// ShardOf returns the shard index key routes to on this Manager.
-func (m *Manager) ShardOf(key string) int { return ShardIndex(key, len(m.shards)) }
-
-// Shards returns the shard count, DefaultShards.
-func (m *Manager) Shards() int { return len(m.shards) }
-
 // deliver is the shared transport's handler. A frame goes to its key's
 // engine; a peer's first frame for a key this node has never locked
 // creates the key's engine, so the protocol (token routing, arbiter
 // election, recovery) has all N participants. A frame that creates
 // nothing — no key, MaxKeys reached, a closed manager — is dropped,
 // which the protocol tolerates as loss. The engine runs outside the
-// shard lock: its step may run to completion on this goroutine.
+// table's lock: its step may run to completion on this goroutine.
 func (m *Manager) deliver(from dme.NodeID, msg dme.Message) {
 	msg, key := wire.SplitKey(msg)
 	if inst, err := m.instanceFor(key, true); err == nil {
@@ -245,34 +206,36 @@ func (m *Manager) deliver(from dme.NodeID, msg dme.Message) {
 
 // instanceFor returns key's live instance, creating it if needed.
 // remote marks creations triggered by peer traffic rather than a local
-// Lock (metrics only). An instance is published in its shard only once
+// Lock (metrics only). An instance is stored in the table only once
 // built, so deliver never finds one that cannot take a frame.
 func (m *Manager) instanceFor(key string, remote bool) (*instance, error) {
+	if inst := m.lookup(key); inst != nil {
+		return inst, nil
+	}
 	if key == "" {
 		return nil, ErrEmptyKey
 	}
-	sh := &m.shards[m.ShardOf(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if inst, ok := sh.keys[key]; ok {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// Rechecked under mu: another creator, or a RestartKey, may have
+	// stored the key while this one waited.
+	if inst := m.lookup(key); inst != nil {
 		return inst, nil
 	}
-	// Checked under the shard lock: Close sweeps every shard after it
-	// sets closed, so no instance is published after the sweep.
 	if m.closed.Load() {
 		return nil, ErrClosed
 	}
-	if !m.reserveKey() {
+	if m.cfg.MaxKeys > 0 && m.nkeys >= m.cfg.MaxKeys {
 		m.keyLimitHits.Inc()
 		return nil, fmt.Errorf("%w (max %d, creating %q)", ErrTooManyKeys, m.cfg.MaxKeys, key)
 	}
 	inst, err := m.buildInstance(key, telemetry.NewRegistry(), 1)
 	if err != nil {
-		m.keyCount.Add(-1)
 		return nil, err
 	}
-	sh.keys[key] = inst
-	m.keysActive.Set(m.keyCount.Load())
+	m.keys.Store(key, inst)
+	m.nkeys++
+	m.keysActive.Set(int64(m.nkeys))
 	m.keysCreated.Inc()
 	if remote {
 		m.remoteCreates.Inc()
@@ -280,34 +243,9 @@ func (m *Manager) instanceFor(key string, remote bool) (*instance, error) {
 	return inst, nil
 }
 
-// reserveKey takes one slot of the MaxKeys bound, or reports the bound
-// reached. The slot is taken before the instance is built, so creators
-// on different shards cannot all pass a full table.
-func (m *Manager) reserveKey() bool {
-	for {
-		n := m.keyCount.Load()
-		if m.cfg.MaxKeys > 0 && n >= int64(m.cfg.MaxKeys) {
-			return false
-		}
-		if m.keyCount.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
 // buildInstance assembles one key incarnation: the key's live node,
-// counting its traffic into the key's registry. Callers hold the key's
-// shard lock (creation for a given key is serialized; other shards
-// proceed in parallel).
+// counting its traffic into the key's registry. Callers hold mu.
 func (m *Manager) buildInstance(key string, reg *telemetry.Registry, incarnation uint64) (*instance, error) {
-	seed := m.cfg.Seed
-	if seed != 0 {
-		seed ^= keyHash64(key)
-		seed += incarnation // a restarted instance must not replay its RNG
-		if seed == 0 {
-			seed = 1
-		}
-	}
 	var logger *slog.Logger
 	if m.cfg.Logger != nil {
 		logger = m.cfg.Logger.With("lockkey", key)
@@ -317,7 +255,6 @@ func (m *Manager) buildInstance(key string, reg *telemetry.Registry, incarnation
 		N:          m.cfg.N,
 		Transport:  m.cfg.Transport,
 		Factory:    m.cfg.Factory,
-		Seed:       seed,
 		Logger:     logger,
 		Metrics:    reg,
 		TraceDepth: m.cfg.TraceDepth,
@@ -331,22 +268,15 @@ func (m *Manager) buildInstance(key string, reg *telemetry.Registry, incarnation
 	if err != nil {
 		return nil, fmt.Errorf("live: key %q: %w", key, err)
 	}
-	return &instance{
-		key:         key,
-		shard:       m.ShardOf(key),
-		incarnation: incarnation,
-		node:        node,
-		reg:         reg,
-		createdAt:   time.Now(),
-	}, nil
+	return &instance{key: key, incarnation: incarnation, node: node, reg: reg}, nil
 }
 
-// lookup returns key's instance without creating it.
+// lookup returns key's instance without creating it: one lock-free Load.
 func (m *Manager) lookup(key string) *instance {
-	sh := &m.shards[m.ShardOf(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.keys[key]
+	if v, ok := m.keys.Load(key); ok {
+		return v.(*instance)
+	}
+	return nil
 }
 
 // Lock acquires the named distributed lock, creating the key's DME
@@ -412,8 +342,9 @@ func (m *Manager) Unlock(key string) {
 }
 
 // Node returns the current live node of key's DME instance, or nil if
-// the key does not exist on this node. The pointer is current only until
-// the key's next restart; introspection and tests use it.
+// the key does not exist on this node (or is in the middle of a
+// RestartKey). The pointer is current only until the key's next
+// restart; introspection and tests use it.
 func (m *Manager) Node(key string) *Node {
 	if inst := m.lookup(key); inst != nil {
 		return inst.node
@@ -422,8 +353,9 @@ func (m *Manager) Node(key string) *Node {
 }
 
 // Registry returns key's telemetry registry (protocol metrics and the
-// per-key traffic tallies), or nil if the key does not exist. Registries
-// survive restarts, so counters are cumulative across incarnations.
+// per-key traffic tallies), or nil if the key does not exist (or is in
+// the middle of a RestartKey). Registries survive restarts, so counters
+// are cumulative across incarnations.
 func (m *Manager) Registry(key string) *telemetry.Registry {
 	if inst := m.lookup(key); inst != nil {
 		return inst.reg
@@ -434,15 +366,9 @@ func (m *Manager) Registry(key string) *telemetry.Registry {
 // Keys returns the sorted live lock keys.
 func (m *Manager) Keys() []string {
 	var keys []string
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for k := range sh.keys {
-			keys = append(keys, k)
-		}
-		sh.mu.Unlock()
+	for _, inst := range m.snapshotInstances() {
+		keys = append(keys, inst.key)
 	}
-	sort.Strings(keys)
 	return keys
 }
 
@@ -450,7 +376,6 @@ func (m *Manager) Keys() []string {
 // cumulative registry (so it spans incarnations).
 type KeyStat struct {
 	Key         string  `json:"key"`
-	Shard       int     `json:"shard"`
 	Incarnation uint64  `json:"incarnation"`
 	Granted     uint64  `json:"granted"`
 	Released    uint64  `json:"released"`
@@ -463,36 +388,25 @@ type KeyStat struct {
 // KeyStats returns every live key's summary, sorted by key.
 func (m *Manager) KeyStats() []KeyStat {
 	var out []KeyStat
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		insts := make([]*instance, 0, len(sh.keys))
-		for _, inst := range sh.keys {
-			insts = append(insts, inst)
+	for _, inst := range m.snapshotInstances() {
+		snap := inst.reg.Snapshot()
+		st := KeyStat{
+			Key:         inst.key,
+			Incarnation: inst.incarnation,
+			Granted:     snap.Counters["cs_granted_total"],
+			Released:    snap.Counters["cs_released_total"],
 		}
-		sh.mu.Unlock()
-		for _, inst := range insts {
-			snap := inst.reg.Snapshot()
-			st := KeyStat{
-				Key:         inst.key,
-				Shard:       inst.shard,
-				Incarnation: inst.incarnation,
-				Granted:     snap.Counters["cs_granted_total"],
-				Released:    snap.Counters["cs_released_total"],
-			}
-			for _, v := range snap.Kinds["transport_sent_total"] {
-				st.MsgsSent += v
-			}
-			for _, v := range snap.Kinds["transport_received_total"] {
-				st.MsgsRecv += v
-			}
-			if h, ok := snap.Histograms["lock_wait_seconds"]; ok {
-				st.WaitP50, st.WaitP99 = h.P50, h.P99
-			}
-			out = append(out, st)
+		for _, v := range snap.Kinds["transport_sent_total"] {
+			st.MsgsSent += v
 		}
+		for _, v := range snap.Kinds["transport_received_total"] {
+			st.MsgsRecv += v
+		}
+		if h, ok := snap.Histograms["lock_wait_seconds"]; ok {
+			st.WaitP50, st.WaitP99 = h.P50, h.P99
+		}
+		out = append(out, st)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
@@ -519,18 +433,14 @@ func (m *Manager) MergedHistogram(name string) telemetry.HistogramSnapshot {
 	return telemetry.MergeHistograms(snaps...)
 }
 
-// snapshotInstances copies the current instance set out from under the
-// shard locks.
+// snapshotInstances copies the current instance set out of the table,
+// sorted by key.
 func (m *Manager) snapshotInstances() []*instance {
 	var out []*instance
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for _, inst := range sh.keys {
-			out = append(out, inst)
-		}
-		sh.mu.Unlock()
-	}
+	m.keys.Range(func(_, v any) bool {
+		out = append(out, v.(*instance))
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
 }
@@ -555,27 +465,27 @@ func (m *Manager) RestartKey(key string) (*Node, error) {
 	if key == "" {
 		return nil, ErrEmptyKey
 	}
-	sh := &m.shards[m.ShardOf(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed.Load() {
 		return nil, ErrClosed
 	}
-	old, ok := sh.keys[key]
-	if !ok {
+	old := m.lookup(key)
+	if old == nil {
 		return nil, fmt.Errorf("live: restart of unknown lock key %q", key)
 	}
-	// Frames for the key wait on the shard lock until the new
-	// incarnation is published; one that found the old one is dropped.
+	// Deleted before the close: a frame for the key then misses, takes
+	// the creation path and waits on mu for the new incarnation; one
+	// that found the old one is dropped.
+	m.keys.Delete(key)
 	_ = old.node.Close()
 	inst, err := m.buildInstance(key, old.reg, old.incarnation+1)
 	if err != nil {
-		delete(sh.keys, key)
-		m.keyCount.Add(-1)
-		m.keysActive.Set(m.keyCount.Load())
+		m.nkeys--
+		m.keysActive.Set(int64(m.nkeys))
 		return nil, err
 	}
-	sh.keys[key] = inst
+	m.keys.Store(key, inst)
 	m.keyRestarts.Inc()
 	return inst.node, nil
 }
@@ -583,21 +493,21 @@ func (m *Manager) RestartKey(key string) (*Node, error) {
 // Close shuts the whole service down: every key's node stops, then the
 // shared transport closes. Idempotent.
 func (m *Manager) Close() error {
-	if !m.closed.CompareAndSwap(false, true) {
+	m.mu.Lock()
+	if m.closed.Load() {
+		m.mu.Unlock()
 		return nil
 	}
-	var insts []*instance
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for _, inst := range sh.keys {
-			insts = append(insts, inst)
-		}
-		sh.keys = make(map[string]*instance)
-		sh.mu.Unlock()
+	// Set under mu: a creator that waited on it sees closed and stores
+	// nothing after the sweep.
+	m.closed.Store(true)
+	insts := m.snapshotInstances()
+	for _, inst := range insts {
+		m.keys.Delete(inst.key)
 	}
-	m.keyCount.Store(0)
+	m.nkeys = 0
 	m.keysActive.Set(0)
+	m.mu.Unlock()
 	var firstErr error
 	for _, inst := range insts {
 		if err := inst.node.Close(); err != nil && firstErr == nil {

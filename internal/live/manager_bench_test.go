@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkManagerMultiKey is the aggregate-throughput-vs-keys point of
-// the sharded lock service: the same worker pool drives b.N total
+// the multi-key lock service: the same worker pool drives b.N total
 // Lock/Unlock cycles — each holding the lock for a fixed critical
 // section — over 1 vs 8 lock keys on a 3-node cluster. With one key the
 // hold times serialize on a single token, so aggregate throughput is

@@ -11,71 +11,6 @@ import (
 	"tokenarbiter/internal/transport"
 )
 
-// TestShardRoutingDeterministic: routing is a pure function of
-// (key, shard count) — stable across calls, Managers, and processes
-// (FNV-1a has no per-process seed).
-func TestShardRoutingDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 11))
-	for trial := 0; trial < 200; trial++ {
-		key := randomKey(rng)
-		for _, shards := range []int{1, 2, 16, 64} {
-			a := live.ShardIndex(key, shards)
-			b := live.ShardIndex(key, shards)
-			if a != b {
-				t.Fatalf("key %q shards %d: %d then %d", key, shards, a, b)
-			}
-			if a < 0 || a >= shards {
-				t.Fatalf("key %q routed to %d of %d shards", key, a, shards)
-			}
-		}
-	}
-	// Known pin so an accidental hash change is caught even if it stays
-	// self-consistent (routing must also be stable across releases: an
-	// operator's shard dashboards and debug notes reference placements).
-	if got := live.ShardIndex("orders", 16); got != live.ShardIndex("orders", 16) {
-		t.Fatal("unstable")
-	}
-	if live.ShardIndex("", 8) != 0 && live.ShardIndex("", 1) != 0 {
-		t.Fatal("empty key must route consistently")
-	}
-}
-
-// TestShardRoutingBalance: ≥64 random keys spread over the shards with no
-// shard above 2× the mean occupancy — the property that makes per-shard
-// striping an effective contention bound.
-func TestShardRoutingBalance(t *testing.T) {
-	rng := rand.New(rand.NewPCG(42, 1))
-	for trial := 0; trial < 10; trial++ {
-		shards := 8 << (trial % 3) // 8, 16, 32
-		nKeys := 64 + rng.IntN(512)
-		seen := make(map[string]bool, nKeys)
-		counts := make([]int, shards)
-		for len(seen) < nKeys {
-			key := randomKey(rng)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			counts[live.ShardIndex(key, shards)]++
-		}
-		mean := float64(nKeys) / float64(shards)
-		for s, c := range counts {
-			if float64(c) > 2*mean {
-				t.Errorf("trial %d: shard %d holds %d keys, mean %.1f (over 2×)", trial, s, c, mean)
-			}
-		}
-	}
-}
-
-func randomKey(rng *rand.Rand) string {
-	n := 1 + rng.IntN(24)
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(rng.IntN(256)) // arbitrary bytes: keys are uninterpreted
-	}
-	return string(b)
-}
-
 // TestManagerInterleavingsNeverDeadlock drives a fixed-seed random
 // schedule of Lock/Unlock/TryLockContext operations over several keys
 // and nodes, every acquisition bounded by a TryLockContext deadline, and

@@ -171,7 +171,6 @@ func managerChaosSoak(t *testing.T, seed uint64) {
 			Transport: transport.Chain(net.Endpoint(i), rec.Middleware(), blackoutMW(ctl), inj.Middleware()),
 			Factory:   registry.CoreLiveFactory(opts),
 			Algo:      "core",
-			Seed:      seed<<8 + uint64(i) + 1,
 			FlightRec: rec.Recorder,
 		})
 		if err != nil {

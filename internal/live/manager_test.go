@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,7 +36,6 @@ func managerCluster(t testing.TB, n int, opts core.Options, mo transport.MemOpti
 			Transport: transport.Chain(net.Endpoint(i), mws...),
 			Factory:   registry.CoreLiveFactory(opts),
 			Algo:      "core",
-			Seed:      uint64(i + 1),
 		})
 		if err != nil {
 			t.Fatalf("manager %d: %v", i, err)
@@ -360,9 +360,6 @@ func TestManagerKeyStatsAndKeys(t *testing.T) {
 		if st.Incarnation != 1 {
 			t.Errorf("key %s: incarnation %d, want 1", st.Key, st.Incarnation)
 		}
-		if st.Shard != live.ShardIndex(st.Key, mgrs[0].Shards()) {
-			t.Errorf("key %s: reported shard %d does not match ShardIndex", st.Key, st.Shard)
-		}
 	}
 	if got := mgrs[0].SumCounter("cs_granted_total"); got != 2 {
 		t.Errorf("SumCounter(cs_granted_total) = %d, want 2", got)
@@ -465,7 +462,7 @@ func TestManagerCloseRebuild(t *testing.T) {
 	net.Reconnect(2) // Close disconnected the endpoint under the Manager
 	fresh, err := live.NewManager(live.ManagerConfig{
 		ID: 2, N: 3, Transport: net.Endpoint(2),
-		Factory: registry.CoreLiveFactory(recoveryOptions()), Seed: 3,
+		Factory: registry.CoreLiveFactory(recoveryOptions()),
 	})
 	if err != nil {
 		t.Fatalf("rebuild: %v", err)
@@ -558,7 +555,7 @@ func TestManagerAdminEndpoints(t *testing.T) {
 }
 
 // TestManagerMaxKeysConcurrent: the MaxKeys bound holds against
-// concurrent creators on different shards, whether the fresh keys come
+// concurrent creators, whether the fresh keys come
 // from local Locks or from peers' first frames. A frame for a key past
 // the bound creates nothing; a frame that creates a key reaches the
 // key's engine. Each case runs on several fresh Managers, since an
@@ -580,7 +577,7 @@ func TestManagerMaxKeysConcurrent(t *testing.T) {
 		m, err := live.NewManager(live.ManagerConfig{
 			ID: 0, N: n, Transport: net.Endpoint(0),
 			Factory: registry.CoreLiveFactory(fastOptions()),
-			MaxKeys: maxKeys, Seed: 1,
+			MaxKeys: maxKeys,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -612,6 +609,9 @@ func TestManagerMaxKeysConcurrent(t *testing.T) {
 		}
 		if got := snap.Gauges["manager_keys_active"]; got != maxKeys {
 			t.Errorf("manager_keys_active = %d, want %d", got, maxKeys)
+		}
+		if got, keys := snap.Gauges["manager_keys_active"], m.Keys(); got != int64(len(keys)) {
+			t.Errorf("manager_keys_active = %d, but %d keys are live", got, len(keys))
 		}
 		return m
 	}
@@ -669,6 +669,90 @@ func TestManagerMaxKeysConcurrent(t *testing.T) {
 	})
 }
 
+// TestManagerLookupDoesNotWaitOnBuild: while one key's engine is being
+// built, a key that already exists keeps serving: Lock/Unlock on it
+// completes and a peer's frame for it reaches its engine. The two keys
+// share a stripe of a 16-stripe FNV-1a table, so the test also fails
+// against a table whose builds lock the stripe that lookups take.
+func TestManagerLookupDoesNotWaitOnBuild(t *testing.T) {
+	const a, b = "key-0", "key-15"
+	net := transport.NewMemNetwork(2, transport.MemOptions{})
+	defer net.Close()
+	base := registry.CoreLiveFactory(fastOptions())
+	building, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	m, err := live.NewManager(live.ManagerConfig{
+		ID: 0, N: 2, Transport: net.Endpoint(0),
+		Factory: func(id, n int, obs func(core.Event)) (dme.Node, error) {
+			if calls.Add(1) == 2 { // key b's build holds here
+				close(building)
+				<-release
+			}
+			return base(id, n, obs)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var once sync.Once
+	releaseBuild := func() { once.Do(func() { close(release) }) }
+	defer releaseBuild() // before Close, which waits for the build
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := m.Lock(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	m.Unlock(a)
+	created := make(chan error, 1)
+	go func() { created <- m.Lock(ctx, b) }()
+	<-building
+
+	// within reports whether f succeeded in 2 s; a lookup that waits on
+	// b's build cannot until the build is released.
+	within := func(what string, f func() bool) bool {
+		done := make(chan bool, 1)
+		go func() { done <- f() }()
+		select {
+		case ok := <-done:
+			if !ok {
+				t.Errorf("%s failed while key %q's build was held", what, b)
+			}
+			return ok
+		case <-time.After(2 * time.Second):
+			t.Errorf("%s did not finish within 2s while key %q's build was held", what, b)
+			return false
+		}
+	}
+	if within("Lock/Unlock of key "+a, func() bool {
+		if m.Lock(ctx, a) != nil {
+			return false
+		}
+		m.Unlock(a)
+		return true
+	}) {
+		frame := wire.Wrap(core.Request{Entry: core.QEntry{Node: 1, Seq: 1}}, wire.WithKey(a))
+		if err := net.Endpoint(1).Send(0, frame); err != nil {
+			t.Fatal(err)
+		}
+		within("delivering a peer frame for key "+a, func() bool {
+			for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if reg := m.Registry(a); reg != nil && reg.Snapshot().Kinds["transport_received_total"][core.KindRequest] == 1 {
+					return true
+				}
+			}
+			return false
+		})
+	}
+
+	releaseBuild()
+	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+	m.Unlock(b)
+}
+
 // TestManagerFirstFramesRestartCloseRace: raw peer endpoints race the
 // first frames for one fresh key against each other, then keep sending
 // while RestartKey and Close run. The key's engine is created once and
@@ -693,7 +777,7 @@ func TestManagerFirstFramesRestartCloseRace(t *testing.T) {
 	defer net.Close()
 	m, err := live.NewManager(live.ManagerConfig{
 		ID: 0, N: peers + 1, Transport: net.Endpoint(0),
-		Factory: registry.CoreLiveFactory(fastOptions()), Seed: 1, FlightRec: rec,
+		Factory: registry.CoreLiveFactory(fastOptions()), FlightRec: rec,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -68,9 +67,7 @@ type config struct {
 	// Manager's handler calls deliver) nor closes it.
 	Transport transport.Transport
 	Factory   Factory
-	// Seed seeds node-local randomness (0 derives one from the clock).
-	Seed   uint64
-	Logger *slog.Logger
+	Logger    *slog.Logger
 	// Metrics is the key's registry: protocol metrics and the key's
 	// share of the traffic (transport.Tally's families). Nil creates a
 	// private one.
@@ -114,7 +111,7 @@ const (
 // Manager runs, handed out by Manager.Node for Inspect and Status. It is
 // not a service — lifecycle, restart and the admin surface belong to the
 // Manager. All protocol state (the inner
-// dme.Node, waiters, holder, rng, metrics' tenure clock) is guarded by
+// dme.Node, waiters, holder, metrics' tenure clock) is guarded by
 // the executor's mutual exclusion: exactly one goroutine owns the
 // idle/running/dirty state machine at a time and only the owner touches
 // protocol state. Which goroutine that is changes from step to step — a
@@ -128,7 +125,6 @@ type Node struct {
 	tr     transport.Transport
 	tally  *transport.Tally // this lock's share of the shared transport's traffic
 	start  time.Time
-	rng    *rand.Rand
 
 	execState atomic.Int32
 
@@ -286,10 +282,6 @@ func newNode(cfg config) (*Node, error) {
 			r.MarkRejoin()
 		}
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = uint64(time.Now().UnixNano()) + uint64(cfg.ID)<<32
-	}
 	n := &Node{
 		cfg:     cfg,
 		inner:   inner,
@@ -297,7 +289,6 @@ func newNode(cfg config) (*Node, error) {
 		tr:      cfg.Transport,
 		tally:   transport.NewTally(reg),
 		start:   time.Now(),
-		rng:     rand.New(rand.NewPCG(seed, seed^0x5deece66d)),
 		quit:    make(chan struct{}),
 		reg:     reg,
 		metrics: metrics,
@@ -657,15 +648,6 @@ func (n *Node) Close() error {
 // --- dme.Context implementation (executor-owned context only) -----------
 
 var _ dme.Context = (*Node)(nil)
-
-// Now implements dme.Context: seconds since the node started.
-func (n *Node) Now() float64 { return time.Since(n.start).Seconds() }
-
-// N implements dme.Context.
-func (n *Node) N() int { return n.cfg.N }
-
-// Rand implements dme.Context.
-func (n *Node) Rand() float64 { return n.rng.Float64() }
 
 // Send implements dme.Context.
 func (n *Node) Send(from, to dme.NodeID, msg dme.Message) {

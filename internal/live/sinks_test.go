@@ -52,7 +52,7 @@ func TestNoSinksNoCost(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			m, err := NewManager(ManagerConfig{
 				ID: i, N: 2, Transport: transport.Chain(net.Endpoint(i), tap),
-				Factory: factory, Seed: uint64(i + 1),
+				Factory:    factory,
 				TraceDepth: depth, Tracer: tracer,
 			})
 			if err != nil {

@@ -31,7 +31,6 @@ func startCluster(t *testing.T, n int) ([]*live.Manager, []*transport.Counting) 
 			ID: i, N: n, Transport: counters[i],
 			Factory: registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005}),
 			Metrics: reg,
-			Seed:    uint64(i + 1),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -127,7 +126,6 @@ func TestAdminEndpoints(t *testing.T) {
 			ID: i, N: 2, Transport: transport.NewCountingIn(net.Endpoint(i), reg),
 			Factory: registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005}),
 			Metrics: reg,
-			Seed:    uint64(i + 1),
 		})
 		if err != nil {
 			t.Fatal(err)

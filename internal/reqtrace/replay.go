@@ -146,12 +146,12 @@ func Replay(cap *Capture, factory func(id, n int, obs func(core.Event)) (dme.Nod
 }
 
 // replayKey runs one key's records on its own kernel instance (keys are
-// independent DME groups, exactly as the live Manager shards them).
+// independent DME groups, exactly as the live Manager runs them).
 func replayKey(hdr CaptureHeader, key string, recs []Record,
 	factory func(id, n int, obs func(core.Event)) (dme.Node, error),
 	collector *Collector, res *ReplayResult) error {
 
-	s := sim.New(1) // fixed seed: the replayed randomness stream is part of determinism
+	s := sim.New(1) // any fixed seed: no replayed step draws randomness
 	ctx := &replayCtx{s: s, key: key, res: res}
 	nodes := make([]dme.Node, hdr.N)
 	for i := range nodes {
@@ -241,12 +241,6 @@ type replayCtx struct {
 	releases []uint64 // per-node OnCSDone count (capture-driven)
 }
 
-// Now implements dme.Context.
-func (c *replayCtx) Now() float64 { return c.s.Now() }
-
-// N implements dme.Context.
-func (c *replayCtx) N() int { return len(c.nodes) }
-
 // Send suppresses cross-node traffic (deliveries come from the capture)
 // and loops self-sends back with zero delay, as every Context does.
 func (c *replayCtx) Send(from, to dme.NodeID, msg dme.Message) {
@@ -288,6 +282,3 @@ func (c *replayCtx) EnterCS(node dme.NodeID) {
 		Key: c.key, Node: node, Fence: fence, T: c.s.Now(),
 	})
 }
-
-// Rand implements dme.Context from the kernel's seeded stream.
-func (c *replayCtx) Rand() float64 { return c.s.RNG().Float64() }

@@ -44,7 +44,6 @@ func TestReplayDeterminism(t *testing.T) {
 			Transport: transport.Chain(net.Endpoint(i), rec.Middleware()),
 			Factory:   registry.CoreLiveFactory(opts),
 			Algo:      algo,
-			Seed:      uint64(i + 1),
 			Tracer:    tracer,
 			FlightRec: rec,
 		})

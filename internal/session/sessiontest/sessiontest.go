@@ -31,8 +31,6 @@ type Options struct {
 	Clock session.Clock
 	// Core overrides the protocol options; nil uses FastCoreOptions.
 	Core *core.Options
-	// Seed seeds per-node randomness; 0 means 1.
-	Seed uint64
 	// Middleware, when non-nil, wraps node i's transport endpoint —
 	// the hook for fault injection in chaos tests.
 	Middleware func(i int, base transport.Transport) transport.Transport
@@ -83,9 +81,6 @@ func Start(t testing.TB, o Options) *Cluster {
 	if o.Clock == nil {
 		o.Clock = session.WallClock{}
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 	opts := FastCoreOptions()
 	if o.Core != nil {
 		opts = *o.Core
@@ -113,7 +108,6 @@ func Start(t testing.TB, o Options) *Cluster {
 			Transport: tr,
 			Factory:   registry.CoreLiveFactory(opts),
 			Algo:      "core",
-			Seed:      o.Seed<<8 + uint64(i) + 1,
 		}
 		if o.Manager != nil {
 			o.Manager(i, &mcfg)

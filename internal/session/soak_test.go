@@ -166,8 +166,7 @@ func sessionChaosSoak(t *testing.T, seed uint64) {
 	})
 
 	cl := sessiontest.Start(t, sessiontest.Options{
-		N:    nodes,
-		Seed: seed,
+		N: nodes,
 		Middleware: func(i int, base transport.Transport) transport.Transport {
 			// Recorder outermost: it captures what the protocol attempted,
 			// not what survived the faults.

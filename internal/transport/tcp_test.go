@@ -51,7 +51,6 @@ func tcpCluster(t *testing.T, n int, opts core.Options) ([]*live.Manager, []*tra
 			N:         n,
 			Transport: counters[i],
 			Factory:   registry.CoreLiveFactory(opts),
-			Seed:      uint64(i + 1),
 		})
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
