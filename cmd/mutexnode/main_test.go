@@ -387,14 +387,22 @@ func TestRunMixedSessionFlags(t *testing.T) {
 	}
 	peers := strings.Join([]string{freeAddr(t), freeAddr(t), freeAddr(t)}, ",")
 	admin := freeAddr(t)
+	var stops []func()
 	node := func(id string, extra ...string) {
-		startNode(t, append([]string{
+		stops = append(stops, startNode(t, append([]string{
 			"-id", id, "-peers", peers,
 			"-count", "30", "-hold", "1ms", "-think", "5ms", "-linger", "1m",
 			"-treq", "0.002", "-tfwd", "0.002",
-		}, extra...)...)
+		}, extra...)...))
 	}
 	captureStdout(t, func() {
+		// The nodes print to the captured stdout until they stop, so they
+		// stop before it is restored.
+		defer func() {
+			for _, stop := range stops {
+				stop()
+			}
+		}()
 		node("0", "-http", admin, "-session", freeAddr(t))
 		adminGet(t, admin, "/healthz") // node 0 listens before its peers send
 		node("1")

@@ -96,6 +96,7 @@ type node struct {
 	haveToken   bool      // physically holding the token
 	token       Privilege // the held token (meaningful iff haveToken)
 	windowTimer dme.Timer // pending collection-window expiry
+	windowLax   bool      // windowTimer was armed lax, on an empty Q-list
 	windowDone  bool      // window elapsed with the token held and q empty
 	inCS        bool
 	csEntry     QEntry // entry being executed while inCS
@@ -380,6 +381,12 @@ func (nd *node) acceptRequest(ctx dme.Context, e QEntry) {
 	}
 	nd.q = append(nd.q, e)
 	nd.observe(Event{Kind: EventRequestAccepted, Arbiter: nd.id, Batch: len(nd.q), Req: e.Node, ReqSeq: e.Seq})
+	if nd.windowLax && nd.windowTimer.Armed() {
+		// The first request into a window armed empty: from here on a
+		// client waits for its expiry, so it must end on time.
+		nd.windowLax = false
+		nd.windowTimer.Tighten()
+	}
 	if nd.haveToken && nd.windowDone && !nd.windowTimer.Armed() && !nd.inCS {
 		// The idle arbiter: token in hand, outside the CS, and one whole
 		// Treq already watched expire on an empty Q-list.
@@ -435,6 +442,11 @@ func (nd *node) noteBatch(size int) {
 
 // startWindow begins a request-collection window of Treq; at expiry the
 // batch is dispatched (or the arbiter goes idle if the batch is empty).
+// A window opened on an empty Q-list — the one at token return under
+// light load — holds up no request, so it is armed lax: expiring empty
+// only marks the arbiter idle for its next step. acceptRequest tightens
+// it when a request joins. A window holding requests is precise from
+// the start.
 func (nd *node) startWindow(ctx dme.Context) {
 	nd.windowDone = false
 	ctx.Cancel(nd.windowTimer)
@@ -451,7 +463,12 @@ func (nd *node) startWindow(ctx dme.Context) {
 			nd.dispatch(ctx)
 		}
 	}
-	nd.windowTimer = ctx.After(nd.id, nd.opts.Treq, nd.windowFn)
+	nd.windowLax = nd.q.Empty()
+	if nd.windowLax {
+		nd.windowTimer = dme.AfterLax(ctx, nd.id, nd.opts.Treq, nd.windowFn)
+	} else {
+		nd.windowTimer = ctx.After(nd.id, nd.opts.Treq, nd.windowFn)
+	}
 }
 
 // staleTokenCopy reports whether an incoming PRIVILEGE carries a token
@@ -877,6 +894,9 @@ func (nd *node) sendBatch(ctx dme.Context, batch QList, fromMonitor bool) {
 }
 
 // beginForwarding starts the request-forwarding phase of Tfwd (§2.1).
+// Its end is lax: no request waits for it, and it only decides what this
+// node's later steps do with a REQUEST. A host that ended it late would
+// forward a late REQUEST instead of dropping it, which loses nothing.
 func (nd *node) beginForwarding(ctx dme.Context) {
 	nd.forwarding = true
 	ctx.Cancel(nd.fwdTimer)
@@ -885,7 +905,7 @@ func (nd *node) beginForwarding(ctx dme.Context) {
 			nd.forwarding = false
 		}
 	}
-	nd.fwdTimer = ctx.After(nd.id, nd.opts.Tfwd, nd.fwdFn)
+	nd.fwdTimer = dme.AfterLax(ctx, nd.id, nd.opts.Tfwd, nd.fwdFn)
 }
 
 // onNewArbiter processes the NEW-ARBITER broadcast: update beliefs, track

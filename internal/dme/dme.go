@@ -107,6 +107,42 @@ func (t Timer) Cancel() {
 // their field to the zero Timer when the callback fires.
 func (t Timer) Armed() bool { return t.host != nil }
 
+// TimerTightener is implemented by a TimerHost whose lax timers
+// (LaxContext) can be moved onto its precise path.
+type TimerTightener interface {
+	TightenTimer(id int32, gen uint32)
+}
+
+// Tighten asks that a timer armed by AfterLax fire at its deadline after
+// all, or at once if that has passed: something now waits behind it. It
+// is a no-op when the host keeps a single precision, and on a zero,
+// fired, cancelled or already tightened timer.
+func (t Timer) Tighten() {
+	if h, ok := t.host.(TimerTightener); ok {
+		h.TightenTimer(t.id, t.gen)
+	}
+}
+
+// LaxContext is implemented by a Context whose timers come in two
+// precision classes. AfterLax arms a timer for a phase nothing waits
+// behind, so the host can spare the work it spends on firing precisely:
+// the callback runs no earlier than its deadline, and no later than the
+// node's next protocol step after it. A lax callback must therefore
+// change only state that the node's own later steps read, and send
+// nothing. The simulator has one precision and does not implement it.
+type LaxContext interface {
+	AfterLax(node NodeID, delay float64, fn func()) Timer
+}
+
+// AfterLax arms a lax timer through ctx when it offers one, and a plain
+// After otherwise.
+func AfterLax(ctx Context, node NodeID, delay float64, fn func()) Timer {
+	if l, ok := ctx.(LaxContext); ok {
+		return l.AfterLax(node, delay, fn)
+	}
+	return ctx.After(node, delay, fn)
+}
+
 // Context is the interface through which nodes act on the world. It is
 // implemented by the simulation Runner (virtual time) and by the live
 // runtime in internal/live (wall-clock time over a real transport) — the

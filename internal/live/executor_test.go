@@ -297,13 +297,28 @@ func newCoreExecNode(t *testing.T) *Node {
 }
 
 // waitIdle waits until the token-return window is over and its step has
-// run: no timer is armed, and (read after that) the executor is idle.
-// runTimer frees its slot before it runs the callback, so an empty slab
-// alone does not say the window's step is done. From then on nothing but
-// the test's own calls drives the executor.
+// run: no timer is armed but lax ones past their deadline, which run
+// ahead of the next step as if they had fired, and (read after that) the
+// executor is idle. runTimer frees its slot before it runs the callback,
+// so an empty slab alone does not say the window's step is done. From
+// then on nothing but the test's own calls drives the executor.
+// pendingTimers counts the armed slots, leaving out lax ones whose
+// deadline has passed.
+func pendingTimers(n *Node) int {
+	n.timersMu.Lock()
+	defer n.timersMu.Unlock()
+	now, pending := time.Now(), 0
+	for i := range n.timers {
+		if lt := &n.timers[i]; lt.fn != nil && !(lt.lax && !lt.due.After(now)) {
+			pending++
+		}
+	}
+	return pending
+}
+
 func waitIdle(t *testing.T, n *Node) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); armedTimers(n) != 0 || n.execState.Load() != execIdle; time.Sleep(100 * time.Microsecond) {
+	for deadline := time.Now().Add(5 * time.Second); pendingTimers(n) != 0 || n.execState.Load() != execIdle; time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the node never went idle")
 		}

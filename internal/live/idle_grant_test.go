@@ -122,3 +122,51 @@ func TestLockFromIdleGrantsInline(t *testing.T) {
 		t.Errorf("closed loop skipped %d windows, want only its start", got)
 	}
 }
+
+// TestTimerClassLightLoadNoLateness: at light load no request waits
+// behind a short timer — the window opened at token return expires empty
+// and the old arbiter's Tfwd ends with nobody forwarding — so both are
+// lax and short_timer_lateness_seconds, which samples the precise class
+// only, records nothing. Two Managers trade the token with
+// idle gaps; the first cycles, before either node has a batch history to
+// skip windows by, are left out.
+func TestTimerClassLightLoadNoLateness(t *testing.T) {
+	const (
+		treq = 200 * time.Microsecond
+		key  = "k"
+	)
+	opts := core.Options{Treq: treq.Seconds(), Tfwd: treq.Seconds(), RetransmitTimeout: 0.25}
+	mgrs, _ := managerCluster(t, 2, opts, transport.MemOptions{})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	lateness := func() (n uint64) {
+		for _, m := range mgrs {
+			n += m.MergedHistogram("short_timer_lateness_seconds").Count
+		}
+		return n
+	}
+	cycle := func(i int) {
+		t.Helper()
+		m := mgrs[i%2]
+		if _, err := m.LockFence(ctx, key); err != nil {
+			t.Fatalf("cycle %d: LockFence: %v", i, err)
+		}
+		m.Unlock(key)
+		time.Sleep(25 * treq) // well past the window and Tfwd
+	}
+	const warm, cycles = 4, 30
+	for i := 0; i < warm; i++ {
+		cycle(i)
+	}
+	before, skips := lateness(), mgrs[0].SumCounter("window_skips_total")+mgrs[1].SumCounter("window_skips_total")
+	for i := warm; i < warm+cycles; i++ {
+		cycle(i)
+	}
+	if got := mgrs[0].SumCounter("window_skips_total") + mgrs[1].SumCounter("window_skips_total") - skips; got != cycles {
+		t.Fatalf("%d of %d idle-gap cycles skipped the window, want every one: the load is not light", got, cycles)
+	}
+	if got := lateness() - before; got != 0 {
+		t.Errorf("%d short_timer_lateness_seconds samples over %d light-load cycles, want 0", got, cycles)
+	}
+}

@@ -157,8 +157,9 @@ type Node struct {
 	traceSeq uint64         // executor-confined: request count, mirrors core's sequence numbering
 
 	timersMu   sync.Mutex
-	timers     []liveTimer // the timer slab, indexed by handle id
-	freeTimers []int32     // slab slots ready for reuse
+	timers     []liveTimer  // the timer slab, indexed by handle id
+	freeTimers []int32      // slab slots ready for reuse
+	laxArmed   atomic.Int32 // armed lax slots; written under timersMu
 }
 
 // step is one executor queue entry: a function to run, or, when fn is
@@ -398,9 +399,13 @@ func (n *Node) drain() {
 	}
 }
 
-// run executes one step. A delivery brackets OnMessage with its receive
-// time, which EnterCS reads for the handoff latency.
+// run executes one step, after any lax timer whose deadline has passed.
+// A delivery brackets OnMessage with its receive time, which EnterCS
+// reads for the handoff latency.
 func (n *Node) run(s step) {
+	if n.laxArmed.Load() > 0 {
+		n.runDueLax()
+	}
 	if s.fn != nil {
 		s.fn()
 		return
@@ -647,7 +652,11 @@ func (n *Node) Close() error {
 
 // --- dme.Context implementation (executor-owned context only) -----------
 
-var _ dme.Context = (*Node)(nil)
+var (
+	_ dme.Context        = (*Node)(nil)
+	_ dme.LaxContext     = (*Node)(nil)
+	_ dme.TimerTightener = (*Node)(nil)
+)
 
 // Send implements dme.Context.
 func (n *Node) Send(from, to dme.NodeID, msg dme.Message) {
@@ -689,21 +698,26 @@ func (n *Node) Broadcast(from dme.NodeID, msg dme.Message) {
 // runtime timer, built on its first such arming and re-armed with Reset;
 // shorter ones — the sub-millisecond Treq/Tfwd protocol phases, whose
 // firing precision bounds the dispatch cycle — go to the short-timer
-// service. Either way the slot's fire and step functions are bound once,
-// so arming a timer allocates nothing once the slab has grown to the
-// node's timer concurrency.
+// service, unless they are armed lax (AfterLax): a lax short timer has
+// no firing of its own and runs before the node's first step after its
+// deadline, or goes to the short-timer service when TightenTimer asks.
+// Either way the slot's fire and step functions are bound once, so
+// arming a timer allocates nothing once the slab has grown to the node's
+// timer concurrency.
 //
 // An armed slot belongs to its pending firing until it is freed: by its
 // step (fired), by its fire (cancelled before it fired), or by Cancel
-// when the runtime timer's Stop guarantees no firing is left. Cancel
-// only sets the flag otherwise, and the step, which runs under the
-// executor, reads it; that closes the race between a timer firing and
-// the protocol cancelling it. All fields are guarded by Node.timersMu.
+// when no firing is left — a lax slot's, or a runtime timer's that Stop
+// caught. Cancel only sets the flag otherwise, and the step, which runs
+// under the executor, reads it; that closes the race between a timer
+// firing and the protocol cancelling it. All fields are guarded by
+// Node.timersMu.
 type liveTimer struct {
 	fn       func() // the protocol callback; nil while the slot is free
 	gen      uint32
 	canceled bool
-	due      time.Time   // short-timer deadline; zero for runtime-timer delays
+	due      time.Time   // deadline of a short delay; zero for longer ones
+	lax      bool        // a short delay waiting for a step or a Tighten
 	t        *time.Timer // the slot's runtime timer, once it needed one
 	fire     func()      // runs when the delay elapses, off the executor
 	step     func()      // fire's posted executor step
@@ -712,6 +726,18 @@ type liveTimer struct {
 // After implements dme.Context: delay is in seconds, matching the
 // simulation's time unit.
 func (n *Node) After(_ dme.NodeID, delay float64, fn func()) dme.Timer {
+	return n.arm(delay, fn, false)
+}
+
+// AfterLax implements dme.LaxContext. A short lax delay costs no timer:
+// the callback runs before the first executor step that starts after the
+// deadline, the first moment protocol code could see what it changed. A
+// longer one is armed as After arms it.
+func (n *Node) AfterLax(_ dme.NodeID, delay float64, fn func()) dme.Timer {
+	return n.arm(delay, fn, true)
+}
+
+func (n *Node) arm(delay float64, fn func(), lax bool) dme.Timer {
 	d := time.Duration(delay * float64(time.Second))
 	n.timersMu.Lock()
 	id := n.allocTimerLocked()
@@ -720,6 +746,7 @@ func (n *Node) After(_ dme.NodeID, delay float64, fn func()) dme.Timer {
 	lt.fn = fn
 	lt.canceled = false
 	lt.due = time.Time{}
+	lt.lax = false
 	gen, fire := lt.gen, lt.fire
 	if d >= shortTimerCutoff {
 		if lt.t == nil {
@@ -732,9 +759,42 @@ func (n *Node) After(_ dme.NodeID, delay float64, fn func()) dme.Timer {
 	}
 	due := time.Now().Add(d)
 	lt.due = due
+	if lax {
+		lt.lax = true
+		n.laxArmed.Add(1)
+		n.timersMu.Unlock()
+		return dme.MakeTimer(n, id, gen)
+	}
 	n.timersMu.Unlock()
 	shortTimers.at(due, fire)
 	return dme.MakeTimer(n, id, gen)
+}
+
+// runDueLax runs the lax timers whose deadline has passed, in slot
+// order, each on a slot already freed as runTimer frees one. Caller owns
+// the executor.
+func (n *Node) runDueLax() {
+	now := time.Now()
+	n.timersMu.Lock()
+	for id := range n.timers {
+		lt := &n.timers[id]
+		if !lt.lax || lt.due.After(now) {
+			continue
+		}
+		fn := lt.fn
+		n.clearLaxLocked(lt)
+		n.freeTimerLocked(int32(id))
+		n.timersMu.Unlock()
+		fn()
+		n.timersMu.Lock()
+	}
+	n.timersMu.Unlock()
+}
+
+// clearLaxLocked ends a slot's lax wait. Caller holds timersMu.
+func (n *Node) clearLaxLocked(lt *liveTimer) {
+	lt.lax = false
+	n.laxArmed.Add(-1)
 }
 
 // allocTimerLocked takes a free slab slot, growing the slab when every
@@ -806,9 +866,39 @@ func (n *Node) CancelTimer(id int32, gen uint32) {
 		return
 	}
 	lt.canceled = true
-	if lt.due.IsZero() && lt.t.Stop() {
+	switch {
+	case lt.lax:
+		n.clearLaxLocked(lt)
+		n.freeTimerLocked(id)
+	case lt.due.IsZero() && lt.t.Stop():
 		// The runtime timer will not fire: nothing else holds the slot.
 		n.freeTimerLocked(id)
+	}
+}
+
+// TightenTimer implements dme.TimerTightener. A lax short timer goes to
+// the short-timer service at its original deadline; if the deadline has
+// passed already, its step is posted at once, so from inside an executor
+// step it runs right after that step. Stale, cancelled, fired, precise
+// and long-delay handles are no-ops.
+func (n *Node) TightenTimer(id int32, gen uint32) {
+	n.timersMu.Lock()
+	if id < 0 || int(id) >= len(n.timers) {
+		n.timersMu.Unlock()
+		return
+	}
+	lt := &n.timers[id]
+	if lt.fn == nil || lt.gen != gen || !lt.lax {
+		n.timersMu.Unlock()
+		return
+	}
+	n.clearLaxLocked(lt)
+	due, fire, step := lt.due, lt.fire, lt.step
+	n.timersMu.Unlock()
+	if time.Until(due) > 0 {
+		shortTimers.at(due, fire)
+	} else {
+		n.post(step)
 	}
 }
 

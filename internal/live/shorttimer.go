@@ -18,7 +18,9 @@ import (
 // cycle — an ~0.9 ms overshoot per 200 µs timer was the single largest
 // term in the live keys=1 handoff chain after the inline executor
 // removed the queue parks. Delays below shortTimerCutoff therefore go
-// onto a shared min-heap drained by one runner goroutine.
+// onto a shared min-heap drained by one runner goroutine — the precise
+// ones: a lax delay (Node.AfterLax), which nothing waits behind, comes
+// here only once it is tightened.
 //
 // The runner sleeps in the kernel and yields only the tail. Most of a
 // delay it spends parked in Go's netpoller on a timerfd armed for
