@@ -401,6 +401,75 @@ func TestLockCancelledBeforeItsGrantStepReleases(t *testing.T) {
 	n.Unlock()
 }
 
+// TestLockFuncDeclineRacesStaleUnlock: a LockFunc grant is published as
+// held before its callback runs, so an Unlock meant for an earlier grant
+// (the session tier issues such stale Unlocks after a key restart) can
+// take it while the callback is still deciding. If the callback then
+// declines, the Unlock's release step owns the ending: EnterCS must not
+// release the CS or recycle the waiter too. Otherwise the waiter sits
+// in the spare list twice and two later requests share it.
+func TestLockFuncDeclineRacesStaleUnlock(t *testing.T) {
+	n := newCoreExecNode(t)
+	defer n.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := n.Lock(ctx); err != nil { // warm the batch history, as above
+		t.Fatal(err)
+	}
+	n.Unlock()
+	waitIdle(t, n)
+
+	inCallback := make(chan struct{})
+	unlocked := make(chan struct{})
+	go func() {
+		<-inCallback
+		n.Unlock()
+		close(unlocked)
+	}()
+	declined := make(chan bool, 1)
+	if !n.lockFunc(func(uint64, error) bool {
+		close(inCallback)
+		// Hold the executor until the Unlock has taken the grant.
+		deadline := time.Now().Add(5 * time.Second)
+		for n.held.Load() != nil && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		declined <- n.held.Load() == nil
+		return false
+	}) {
+		t.Fatal("lockFunc on an open node queued nothing")
+	}
+	select {
+	case <-unlocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the Unlock racing the declined grant never returned")
+	}
+	if !<-declined {
+		t.Fatal("the Unlock never took the grant while the callback ran")
+	}
+	waitIdle(t, n)
+
+	n.mu.Lock()
+	seen := make(map[*waiter]bool)
+	for _, w := range n.spareWaiters {
+		if seen[w] {
+			n.mu.Unlock()
+			t.Fatalf("a waiter is in the spare list twice (%d spares)", len(n.spareWaiters))
+		}
+		seen[w] = true
+	}
+	n.mu.Unlock()
+	if granted, released := n.Stats(); granted != 2 || released != 2 {
+		t.Fatalf("after the declined grant: granted %d, released %d, want 2 and 2", granted, released)
+	}
+	for i := 0; i < 3; i++ {
+		if err := n.Lock(ctx); err != nil {
+			t.Fatalf("Lock %d after the declined grant: %v", i, err)
+		}
+		n.Unlock()
+	}
+}
+
 // TestExecutorCloseWhileForeignOwner: Close called while another
 // goroutine owns the state machine must wait for that owner's drain
 // (running everything already queued), then retire the executor, leave

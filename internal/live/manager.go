@@ -310,6 +310,49 @@ func (m *Manager) LockFence(ctx context.Context, key string) (uint64, error) {
 	}
 }
 
+// LockFunc queues a request for the named lock and returns at once; the
+// request's outcome goes to grant: a grant on the key's executor, an
+// error on an unspecified goroutine with no lock of the key held (see
+// GrantFunc for what grant may do in each). A grant the callback
+// declines is released on the spot. If the key's instance is restarted
+// before the grant, the request is reissued on the next incarnation, as
+// LockFence retries; grant hears ErrClosed only when the Manager
+// closes, and ErrEmptyKey or ErrTooManyKeys when the key cannot be
+// created. A caller that binds grant once, as the session tier binds one
+// per key queue, makes the request allocate nothing.
+//
+// Nothing waits for the grant: no goroutine parks between the request
+// and its grant, and the grant is handed over by whichever goroutine
+// ran the protocol step that produced it.
+func (m *Manager) LockFunc(key string, grant GrantFunc) {
+	if inst := m.lookup(key); inst != nil && inst.node.lockFunc(grant) {
+		return
+	}
+	// The key is new, or mid-restart. Creating it may wait on mu, which
+	// RestartKey holds while it waits for the old incarnation's executor
+	// — perhaps the very step this call was issued from — so the wait
+	// gets a goroutine of its own.
+	go m.relock(key, grant)
+}
+
+// relock is LockFunc's slow path: it queues the request on key's
+// current instance, creating it if needed, or ends it with the error
+// that prevents that.
+func (m *Manager) relock(key string, grant GrantFunc) {
+	for {
+		inst, err := m.instanceFor(key, false)
+		if err != nil {
+			grant(0, err)
+			return
+		}
+		if inst.node.lockFunc(grant) {
+			return
+		}
+		// Closed after the lookup: RestartKey has taken it out of the
+		// table, so the next lookup waits for its replacement.
+	}
+}
+
 // TryLockContext acquires the named lock only if it is granted before
 // ctx is done: (true, nil) on acquisition, (false, nil) on timeout or
 // cancellation, (false, err) for real failures.
@@ -456,8 +499,9 @@ func (m *Manager) Stats() (granted, released uint64) {
 }
 
 // RestartKey crash-restarts one key's instance in place: the old node is
-// closed (in-flight Locks on it fail and are retried by LockFence) and a
-// fresh incarnation joins the key's DME group, keeping the cumulative
+// closed (in-flight Locks on it fail and are retried by LockFence, and
+// its waiting LockFunc requests are reissued, after mu is released) and
+// a fresh incarnation joins the key's DME group, keeping the cumulative
 // registry. The rest of the cluster recovers the key via the §6 protocol
 // when the old incarnation held protocol state. Restarting a key that
 // does not exist is an error.
@@ -466,27 +510,35 @@ func (m *Manager) RestartKey(key string) (*Node, error) {
 		return nil, ErrEmptyKey
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.closed.Load() {
+		m.mu.Unlock()
 		return nil, ErrClosed
 	}
 	old := m.lookup(key)
 	if old == nil {
+		m.mu.Unlock()
 		return nil, fmt.Errorf("live: restart of unknown lock key %q", key)
 	}
 	// Deleted before the close: a frame for the key then misses, takes
 	// the creation path and waits on mu for the new incarnation; one
 	// that found the old one is dropped.
 	m.keys.Delete(key)
-	_ = old.node.Close()
+	pending := old.node.shutdown()
 	inst, err := m.buildInstance(key, old.reg, old.incarnation+1)
 	if err != nil {
 		m.nkeys--
 		m.keysActive.Set(int64(m.nkeys))
+	} else {
+		m.keys.Store(key, inst)
+		m.keyRestarts.Inc()
+	}
+	m.mu.Unlock()
+	for _, grant := range pending {
+		m.LockFunc(key, grant)
+	}
+	if err != nil {
 		return nil, err
 	}
-	m.keys.Store(key, inst)
-	m.keyRestarts.Inc()
 	return inst.node, nil
 }
 

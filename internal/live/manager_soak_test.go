@@ -98,12 +98,20 @@ func TestManagerChaosSoakMultiKey(t *testing.T) {
 	}
 	for _, seed := range []uint64{1, 2} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			managerChaosSoak(t, seed)
+			managerChaosSoak(t, seed, 0)
 		})
 	}
+	// The same gauntlet with sub-millisecond phases, below the
+	// short-timer cutoff: a window holding requests fires from the
+	// short-timer service, which then runs the grant handoff itself.
+	t.Run("seed=1,phase=0.5ms", func(t *testing.T) {
+		managerChaosSoak(t, 1, 500*time.Microsecond)
+	})
 }
 
-func managerChaosSoak(t *testing.T, seed uint64) {
+// managerChaosSoak runs the soak under one fault seed. phase, when
+// non-zero, replaces fastOptions' Treq and Tfwd.
+func managerChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 	const (
 		n     = 3
 		nKeys = 8
@@ -147,6 +155,10 @@ func managerChaosSoak(t *testing.T, seed uint64) {
 	})
 
 	opts := fastOptions()
+	if phase > 0 {
+		opts.Treq = phase.Seconds()
+		opts.Tfwd = phase.Seconds()
+	}
 	opts.Recovery = core.RecoveryOptions{
 		Enabled:        true,
 		TokenTimeout:   0.15,
@@ -156,7 +168,11 @@ func managerChaosSoak(t *testing.T, seed uint64) {
 	}
 
 	// 30 s is the recovery bound the convergence barrier waits out.
-	rec := newSoakCapture(t, algo, n, fmt.Sprintf("manager-soak-seed%d", seed), 30)
+	capture := fmt.Sprintf("manager-soak-seed%d", seed)
+	if phase > 0 {
+		capture += fmt.Sprintf("-phase%dus", phase.Microseconds())
+	}
+	rec := newSoakCapture(t, algo, n, capture, 30)
 	ctl := &blackoutCtl{}
 	net := transport.NewMemNetwork(n, transport.MemOptions{})
 	defer net.Close()

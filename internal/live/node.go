@@ -138,7 +138,8 @@ type Node struct {
 	holder    *waiter
 	msgRecvAt time.Time // receive timestamp of the message being processed
 
-	held   atomic.Pointer[waiter] // public-API view: the grant between Lock return and Unlock
+	csDone func()                 // the executor step releasing a grant nobody took; bound once
+	held   atomic.Pointer[waiter] // public-API view: the grant between its handoff and Unlock
 	closed atomic.Bool
 	quit   chan struct{}
 
@@ -173,20 +174,41 @@ type step struct {
 	recvAt time.Time // transport receive time; zero for a self-send
 }
 
-// waiter tracks one Lock call from issuance to grant, and on to the
-// Unlock that releases it. LockFence parks on sig at once: a grant its
-// own post produced inline is already in the buffered channel, so the
-// receive returns without parking, and any other grant is at least a
-// token hop or a collection window away.
+// GrantFunc receives one lock request's outcome (see Manager.LockFunc):
+// the grant's fencing token, or the error that ended the request. For a
+// grant it reports whether it takes it; a grant it does not take is
+// released at once, on the executor, and the request is over. Its
+// answer to an error is ignored.
+//
+// A grant is handed over on the executor of the key's node, under the
+// executor's exclusion, wherever the grant happened: a transport receive
+// goroutine, a timer, an Unlock caller. So there it must not block, and
+// must not Unlock, Lock or Close anything of the key: the step it runs
+// in cannot finish until it returns. Issuing the next request with
+// LockFunc is fine; it queues and returns. An error is handed over on an
+// unspecified goroutine (the one that found the key could not be made,
+// or that closed the node), with no lock of the key held.
+type GrantFunc func(fence uint64, err error) bool
+
+// waiter tracks one lock request from issuance to grant, and on to the
+// Unlock that releases it. EnterCS hands a LockFunc request's grant to
+// its callback, cb, and a LockFence call's to sig, where the caller
+// parks at once: a grant its own post produced inline is already in the
+// buffered channel, so the receive returns without parking, and any
+// other grant is at least a token hop or a collection window away.
 //
 // Waiters are recycled on the grant path: the Unlock that releases one
-// returns it to the node once its release step has run, and the next
-// LockFence reuses it with its channel and bound steps. A waiter whose
-// Lock call gave up is never recycled; its grant may still be coming.
+// returns it to the node once its release step has run (EnterCS returns
+// a LockFunc grant its callback declined, unless an Unlock took it
+// first), and the next request reuses it with its channel and bound
+// steps. A waiter whose Lock call gave up is never recycled; its grant
+// may still be coming.
 type waiter struct {
-	// sig carries one token per phase, in order: the grant (EnterCS),
-	// then the completion of the Unlock releasing it (release).
+	// sig carries one token per phase, in order: the grant (EnterCS,
+	// LockFence only), then the completion of the Unlock releasing it
+	// (release).
 	sig       chan struct{}
+	cb        GrantFunc   // LockFunc's callback; nil for a LockFence call
 	enqueue   func()      // executor step queueing this waiter; bound once
 	release   func()      // Unlock's executor step; bound once
 	granted   bool        // executor-confined
@@ -297,6 +319,7 @@ func newNode(cfg config) (*Node, error) {
 		trace:   ring,
 		stamp:   cfg.Tracer != nil || cfg.FlightRec != nil,
 	}
+	n.csDone = func() { n.inner.OnCSDone(n) }
 	n.post(func() { n.inner.Init(n) })
 	return n, nil
 }
@@ -470,6 +493,31 @@ func (n *Node) LockFence(ctx context.Context) (uint64, error) {
 	return fence, nil
 }
 
+// lockFunc queues one request whose grant EnterCS hands to grant (see
+// Manager.LockFunc). It reports false, queueing nothing, once the node
+// is closed: the closed check and the append share mu, so a request
+// either lands before Close's last drain, and Close finds it, or not at
+// all.
+func (n *Node) lockFunc(grant GrantFunc) bool {
+	w := n.newWaiter()
+	w.cb = grant
+	w.issuedAt = time.Now()
+	n.metrics.lockWaiters.Add(1)
+	n.mu.Lock()
+	closed := n.closed.Load()
+	if !closed {
+		n.queue = append(n.queue, step{fn: w.enqueue})
+	}
+	n.mu.Unlock()
+	if closed {
+		n.metrics.lockWaiters.Add(-1)
+		n.recycle(w)
+		return false
+	}
+	n.schedule()
+	return true
+}
+
 // newWaiter returns a recycled waiter, or builds one with its channel
 // and its two executor steps bound once.
 func (n *Node) newWaiter() *waiter {
@@ -488,11 +536,13 @@ func (n *Node) newWaiter() *waiter {
 	return w
 }
 
-// recycle resets a released waiter and keeps it for the next LockFence.
-// Only Unlock calls it, after receiving the release step's token: the
-// executor has let go of w by then (EnterCS popped it, finishCS cleared
+// recycle resets a released waiter and keeps it for the next request.
+// Unlock calls it after receiving the release step's token, and EnterCS
+// for a grant its callback declined and no Unlock took: the executor has
+// let go of w by then (EnterCS popped it, finishCS or EnterCS cleared
 // the holder) and its channel is empty.
 func (n *Node) recycle(w *waiter) {
+	w.cb = nil
 	w.granted, w.canceled = false, false
 	w.fence, w.epoch, w.trace = 0, 0, 0
 	w.issuedAt, w.grantedAt = time.Time{}, time.Time{}
@@ -611,10 +661,12 @@ func (n *Node) Inspect(ctx context.Context) (core.Introspection, error) {
 	}
 }
 
-// Close shuts the node down: the executor is retired and pending Lock
-// calls fail with ErrClosed. The shared transport is the Manager's and
-// stays up. A crashed node is simulated by Close — the rest of the cluster recovers via the
-// §6 protocol when recovery options are enabled. Close is idempotent and
+// Close shuts the node down: the executor is retired, pending Lock calls
+// fail with ErrClosed, and the callbacks of pending LockFunc requests
+// then hear ErrClosed. The shared transport is the Manager's and stays
+// up. A crashed node is simulated by Close — the
+// rest of the cluster recovers via the §6 protocol when recovery options
+// are enabled. Close is idempotent and
 // safe to race with the public API (Lock returns ErrClosed, Unlock of a
 // closed node returns once the holder bookkeeping is dropped), which is
 // what lets Manager.RestartKey and Manager.Close kill a node out from
@@ -625,6 +677,16 @@ func (n *Node) Inspect(ctx context.Context) (core.Introspection, error) {
 // owner waiting on itself would spin forever (the old event loop had
 // the same restriction — Close joined the loop goroutine).
 func (n *Node) Close() error {
+	for _, grant := range n.shutdown() {
+		grant(0, ErrClosed)
+	}
+	return nil
+}
+
+// shutdown is Close without the callbacks: it retires the node and
+// returns the callbacks of the LockFunc requests left waiting for a
+// grant, for the caller to end or to reissue (Manager.RestartKey).
+func (n *Node) shutdown() []GrantFunc {
 	if !n.closed.CompareAndSwap(false, true) {
 		return nil
 	}
@@ -644,10 +706,18 @@ func (n *Node) Close() error {
 	// its queue before exiting on quit, and posted completions (Unlock's
 	// done) should not silently vanish when they lost that race.
 	n.drain()
+	var pending []GrantFunc
+	for _, w := range n.waiters {
+		if w.cb != nil {
+			n.metrics.lockWaiters.Add(-1)
+			pending = append(pending, w.cb)
+		}
+	}
+	n.waiters = nil
 	if len(n.sinks) > 0 {
 		n.sinks.Record(reqtrace.Record{T: reqtrace.Now(), Ev: reqtrace.EvClose, Node: n.cfg.ID, Peer: -1, Key: n.cfg.Key})
 	}
-	return nil
+	return pending
 }
 
 // --- dme.Context implementation (executor-owned context only) -----------
@@ -906,52 +976,72 @@ func (n *Node) TightenTimer(id int32, gen uint32) {
 func (n *Node) Cancel(t dme.Timer) { t.Cancel() }
 
 // EnterCS implements dme.Context: the protocol granted us the critical
-// section; hand it to the oldest live Lock waiter.
+// section; hand it to the oldest live request. A LockFunc grant is
+// published as held before its callback runs, since a callback that
+// takes it may see it released from another goroutine before it
+// returns. A grant nobody takes — its Lock call gave up, or its LockFunc
+// callback declined — is released here, on the executor: an Unlock
+// would wait on the very step this is.
 func (n *Node) EnterCS(_ dme.NodeID) {
-	for len(n.waiters) > 0 {
-		// Pop by shifting: the queue holds a few waiters, and keeping its
-		// backing array spares the next append a reallocation.
-		w := n.waiters[0]
-		last := len(n.waiters) - 1
-		copy(n.waiters, n.waiters[1:])
-		n.waiters[last] = nil
-		n.waiters = n.waiters[:last]
-		// Read before the branch: a cancelled waiter's grant consumed a
-		// real fence too, and its records must say which.
-		w.fence, w.epoch = n.fenced.GrantFence()
-		if w.canceled {
-			// The Lock call gave up; release the CS immediately so the
-			// token keeps moving. Posted rather than called inline so
-			// the protocol's EnterCS call finishes before OnCSDone runs.
-			n.granted.Add(1)
-			n.released.Add(1)
-			n.metrics.grants.Inc()
-			n.metrics.releases.Inc()
-			// Close the trace: the grant existed, however briefly.
-			n.emit(reqtrace.EvGrant, w)
-			n.emit(reqtrace.EvRelease, w)
-			n.post(func() { n.inner.OnCSDone(n) })
-			return
-		}
+	if len(n.waiters) == 0 {
+		// No waiter (should not happen: one OnRequest per waiter); release.
+		n.post(n.csDone)
+		return
+	}
+	// Pop by shifting: the queue holds a few waiters, and keeping its
+	// backing array spares the next append a reallocation.
+	w := n.waiters[0]
+	last := len(n.waiters) - 1
+	copy(n.waiters, n.waiters[1:])
+	n.waiters[last] = nil
+	n.waiters = n.waiters[:last]
+	// Read before the handoff: a grant given back consumed a real fence
+	// too, and its records must say which.
+	w.fence, w.epoch = n.fenced.GrantFence()
+	n.granted.Add(1)
+	n.metrics.grants.Inc()
+	n.emit(reqtrace.EvGrant, w)
+	if !w.canceled {
 		w.granted = true
 		w.grantedAt = time.Now()
 		n.holder = w
-		n.granted.Add(1)
-		n.metrics.grants.Inc()
-		n.emit(reqtrace.EvGrant, w)
 		if !n.msgRecvAt.IsZero() {
 			// This grant was produced by processing an inbound message
 			// (a token arrival): receive-to-grant is the handoff latency
 			// the inline executor exists to shrink.
 			n.metrics.handoff.Observe(w.grantedAt.Sub(n.msgRecvAt).Seconds())
 		}
-		// Publish the grant: everything the waiter reads (fence,
-		// grantedAt) is written above, and the send orders it. The
-		// channel is buffered and this is its only token until Unlock,
-		// so the send never blocks.
-		w.sig <- struct{}{}
-		return
+		if w.cb == nil {
+			// Publish the grant: everything the LockFence caller reads
+			// (fence, grantedAt) is written above, and the send orders
+			// it. The channel is buffered and this is its only token
+			// until Unlock, so the send never blocks.
+			w.sig <- struct{}{}
+			return
+		}
+		n.metrics.lockWaiters.Add(-1)
+		n.metrics.lockWait.ObserveEx(time.Since(w.issuedAt).Seconds(), uint64(w.trace))
+		n.held.Store(w)
+		if w.cb(w.fence, nil) {
+			return
+		}
+		if !n.held.CompareAndSwap(w, nil) {
+			// An Unlock took the grant while the callback ran (a stale
+			// one: nobody took it here). Its release step, queued behind
+			// this one, finishes the CS and hands w back for recycling.
+			return
+		}
+		n.holder = nil
+		w.granted = false
 	}
-	// No waiter (should not happen: one OnRequest per waiter); release.
-	n.post(func() { n.inner.OnCSDone(n) })
+	// Give the CS back. Posted rather than called inline so the
+	// protocol's EnterCS call finishes before OnCSDone runs.
+	n.released.Add(1)
+	n.metrics.releases.Inc()
+	// Close the trace: the grant existed, however briefly.
+	n.emit(reqtrace.EvRelease, w)
+	n.post(n.csDone)
+	if !w.canceled {
+		n.recycle(w) // declined: nothing else holds a LockFunc waiter
+	}
 }

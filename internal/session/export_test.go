@@ -1,13 +1,12 @@
 package session
 
-// GrantSlots exposes D, the per-key bound on outstanding Backend
-// LockFence calls, to the black-box tests.
+// GrantSlots exposes D, the per-key bound on outstanding backend
+// requests, to the black-box tests.
 const GrantSlots = grantSlots
 
-// Slots reports how many of key's grant-slot goroutines are alive. A
-// slot that hands over its grant and does not go back to
-// Backend.LockFence stops counting in that step, so a held grant keeps
-// none.
+// Slots reports how many of key's requests are outstanding in the
+// backend. A request stops counting when its grant is answered, so a
+// held grant keeps none.
 func (s *Server) Slots(key string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -6,40 +6,44 @@ import (
 	"sync"
 	"time"
 
+	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/wire"
 )
 
-// Per-key wait queues and their grant slots. A key's waiters sit in one
-// FIFO; the lock is fetched for them by up to grantSlots goroutines,
-// each looping: block in Backend.LockFence, and when it returns pop the
-// *current* head of the FIFO — the waiter is bound at grant time, so
-// grant order is exactly queue order whatever order the slots ran in —
-// hand it the grant, and go back for another or retire. A held grant
-// occupies no slot: the grant is owned by kq.holder, and whoever takes
-// it from the holder under Server.mu ends it (endGrant) on its own
-// goroutine — Release and Bye unlock it, lease expiry crash-restarts the
-// key's local participant so the fence dies through §6 recovery (see
-// Config.Invalidate), a superseding grant finds the lock already gone,
-// and Close unlocks it.
+// Per-key wait queues and their requests. A key's waiters sit in one
+// FIFO; the lock is fetched for them by up to grantSlots requests in
+// the backend at once. Each request's grant comes back through the key
+// queue's one callback (granted), on the backend's executor where the
+// grant happened: it pops the *current* head of the FIFO — the waiter
+// is bound at grant time, so grant order is exactly queue order whatever
+// order the requests were granted in — hands it the grant, and issues
+// the next request or not. Nothing waits for a grant: a request parks no
+// goroutine, and a held grant occupies no request. The grant is owned by
+// kq.holder, and whoever takes it from the holder under Server.mu ends
+// it (endGrant) on its own goroutine — Release and Bye unlock it, lease
+// expiry crash-restarts the key's local participant so the fence dies
+// through §6 recovery (see Config.Invalidate), a superseding grant finds
+// the lock already gone, and Close unlocks it.
 //
-// Several slots exist so that several of this server's clients can have
-// requests in the DME group at once: requests that are outstanding
-// while the arbiter's collection window is open are stamped into one
-// Q-list and share one window and one NEW-ARBITER broadcast, which is
-// where the protocol's economy is. One request at a time — the pump
-// this replaces — meant two clients of one node could never share a
-// batch. A slot is started when queued waiters exceed the slots already
-// requesting, and goes back for another grant only while that still
-// holds, so the backend never sees more requests than there are waiters
-// to use them (a waiter that gives up while its request is in flight
-// leaves a grant nobody wants, which is unlocked at once). The lock
-// itself serializes holders, so a key still has one holder at a time.
+// Several requests are outstanding so that several of this server's
+// clients can be in the DME group at once: requests that are
+// outstanding while the arbiter's collection window is open are stamped
+// into one Q-list and share one window and one NEW-ARBITER broadcast,
+// which is where the protocol's economy is. One request at a time meant
+// two clients of one node could never share a batch. A request is
+// issued when queued waiters exceed the requests already outstanding,
+// and a grant issues the next only while that still holds, so the
+// backend never sees more requests than there are waiters to use them
+// (a waiter that gives up while its request is outstanding leaves a
+// grant nobody wants, which the callback declines and the backend
+// releases at once). The lock itself serializes holders, so a key still
+// has one holder at a time.
 
-// grantSlots is D, the bound on one key's outstanding Backend.LockFence
-// calls. Four lets a node's clients fill a batch without letting one
-// node's backlog crowd the Q-list: a node occupies at most D entries of
-// a batch, and across nodes requests are served in arrival order at the
-// arbiter — so fairness is FIFO per client, not per node.
+// grantSlots is D, the bound on one key's outstanding requests. Four
+// lets a node's clients fill a batch without letting one node's backlog
+// crowd the Q-list: a node occupies at most D entries of a batch, and
+// across nodes requests are served in arrival order at the arbiter — so
+// fairness is FIFO per client, not per node.
 const grantSlots = 4
 
 // waiter is one queued acquire. Granted waiters are recycled through
@@ -54,20 +58,22 @@ type waiter struct {
 	enqueuedAt time.Time
 }
 
-// keyQueue is one key's waiters, grant slots, holder, and watchers.
-// Guarded by Server.mu.
+// keyQueue is one key's waiters, outstanding requests, holder, and
+// watchers. Guarded by Server.mu.
 type keyQueue struct {
 	key         string
 	q           []*waiter // FIFO from q[head]; canceled waiters stay until popped
 	head        int       // index of the FIFO's first entry in q
 	live        int       // waiters in q still queued
-	requesting  int       // slot goroutines in (or headed into) LockFence, at most grantSlots
+	requesting  int       // requests issued and not yet answered, at most grantSlots
 	holder      *sessionState
 	holderFence uint64
 	watchers    map[uint64]*srvConn // watching session id → its conn
-	// run starts one grant slot on this key; bound once, so starting a
-	// slot allocates no closure.
-	run func()
+	// grant is the callback every request of this key answers; fetch
+	// runs one request through a backend's blocking LockFence. Both are
+	// bound once, so a request allocates no closure.
+	grant live.GrantFunc
+	fetch func()
 }
 
 // keyQueueLocked returns (creating if needed) the key's queue; the
@@ -76,7 +82,8 @@ func (s *Server) keyQueueLocked(key string) *keyQueue {
 	kq := s.keys[key]
 	if kq == nil {
 		kq = &keyQueue{key: key, watchers: make(map[uint64]*srvConn)}
-		kq.run = func() { s.slot(kq) }
+		kq.grant = func(fence uint64, err error) bool { return s.granted(kq, fence, err) }
+		kq.fetch = func() { s.fetch(kq) }
 		s.keys[key] = kq
 	}
 	return kq
@@ -132,12 +139,40 @@ func (s *Server) handleAcquire(c *srvConn, m AcquireReq) {
 		d := time.Duration(m.WaitMillis) * time.Millisecond
 		w.timer = s.clock.AfterFunc(d, func() { s.waiterTimeout(w) })
 	}
-	if kq.requesting < grantSlots && kq.live > kq.requesting {
+	issue := kq.requesting < grantSlots && kq.live > kq.requesting
+	if issue {
 		kq.requesting++
-		s.wg.Add(1)
-		go kq.run()
 	}
 	s.mu.Unlock()
+	// Outside mu: the backend may grant at once and run the callback,
+	// which takes mu, on this goroutine.
+	if issue {
+		s.request(kq)
+	}
+}
+
+// request issues one request for kq's key, whose grant comes back to
+// kq.grant. A backend with a LockFunc takes it as it is; any other gets
+// a goroutine that blocks in its LockFence and then answers the
+// callback, releasing a grant the callback declines. That goroutine's
+// wg.Add never races Close's Wait from zero: request runs on a
+// connection's reader or in a fetch's callback, both already counted.
+func (s *Server) request(kq *keyQueue) {
+	if s.lockFunc != nil {
+		s.lockFunc(kq.key, kq.grant)
+		return
+	}
+	s.wg.Add(1)
+	go kq.fetch()
+}
+
+// fetch is request's goroutine for a backend without LockFunc.
+func (s *Server) fetch(kq *keyQueue) {
+	defer s.wg.Done()
+	fence, err := s.cfg.Backend.LockFence(s.ctx, kq.key)
+	if !kq.grant(fence, err) && err == nil {
+		s.unlock(kq.key)
+	}
 }
 
 // newWaiterLocked returns a recycled waiter, or a new one. Caller holds
@@ -202,7 +237,7 @@ func (kq *keyQueue) reset() {
 
 // dequeueLocked takes w out of contention — answered by the caller, or
 // about to be granted — reporting false if something else already did.
-// The entry itself stays in kq.q until a slot pops past it. A wait-bound
+// The entry itself stays in kq.q until a grant pops past it. A wait-bound
 // timer stopped before it fired is dropped, which is what lets
 // recycleLocked reuse w. Caller holds mu.
 func (s *Server) dequeueLocked(w *waiter) bool {
@@ -242,9 +277,10 @@ func (s *Server) failQueueLocked(kq *keyQueue) {
 	kq.reset()
 }
 
-// slotContinuesLocked decides whether a slot that has handed out its
-// grant goes back for another: only while queued waiters exceed the
-// slots already requesting. Otherwise the slot is retired.
+// slotContinuesLocked decides whether a request that was just answered
+// is followed by another: only while queued waiters exceed the requests
+// already outstanding. It counts the next request before the caller
+// issues it.
 func (s *Server) slotContinuesLocked(kq *keyQueue) bool {
 	if kq.live > kq.requesting {
 		kq.requesting++
@@ -256,80 +292,75 @@ func (s *Server) slotContinuesLocked(kq *keyQueue) bool {
 	return false
 }
 
-// slot is one of a key's grant loops. It enters counted in
-// kq.requesting and stays counted only while it is in, or headed back
-// into, LockFence: once a grant is handed to its waiter the slot owns
-// nothing of it.
-func (s *Server) slot(kq *keyQueue) {
-	defer s.wg.Done()
-	for {
-		fence, err := s.cfg.Backend.LockFence(s.ctx, kq.key)
-
-		s.mu.Lock()
-		kq.requesting--
-		if err != nil {
-			// The server is closing (our ctx) or the backend is gone;
-			// either way this key grants nothing more, so every queued
-			// waiter hears it now instead of sitting there until some
-			// later acquire starts a slot that rediscovers the failure.
-			s.failQueueLocked(kq)
-			s.mu.Unlock()
-			return
-		}
-		var w *waiter
-		for w == nil {
-			head := kq.pop()
-			if head == nil {
-				break
-			}
-			if s.dequeueLocked(head) {
-				w = head
-			}
-		}
-		var conn *srvConn
-		var seq, lost uint64
-		superseded := false
-		if w != nil {
-			// The lock serializes holders, so a grant arriving while
-			// another is still out means the backend dropped that one:
-			// the key's participant was restarted under its holder (an
-			// operator, chaos injection) and the lock now belongs to this
-			// grant. Take the key from the old holder — its fence is
-			// dead, and its release must not unlock what is ours.
-			if kq.holder != nil {
-				superseded = true
-				lost = s.takeGrantLocked(kq)
-			}
-			w.sess.held[kq.key] = fence
-			kq.holder = w.sess
-			kq.holderFence = fence
-			s.m.grants.Inc()
-			s.m.acquireWait.Observe(s.clock.Now().Sub(w.enqueuedAt).Seconds())
-			conn, seq = w.conn, w.seq
-			s.recycleLocked(w)
-		}
-		again := s.slotContinuesLocked(kq)
+// granted is every request's answer, kq.grant: it runs where the
+// backend hands the outcome over — for *live.Manager a grant on the
+// key's executor, so it never blocks and never calls back into the
+// backend but to issue the next request, and an error on some other
+// goroutine — and reports whether a waiter took the grant. A grant
+// nobody takes is declined, and the backend releases it.
+func (s *Server) granted(kq *keyQueue, fence uint64, err error) bool {
+	s.mu.Lock()
+	kq.requesting--
+	if err != nil {
+		// The server is closing (the fetch's ctx) or the backend is gone;
+		// either way this key grants nothing more, so every queued waiter
+		// hears it now instead of sitting there until some later acquire
+		// issues a request that rediscovers the failure.
+		s.failQueueLocked(kq)
 		s.mu.Unlock()
-
-		if conn == nil {
-			// Whoever this request was made for gave up meanwhile (wait
-			// bound, session death — answered already) or the server is
-			// closing: give the lock straight back. The grant existed,
-			// so watchers still hear about it.
-			s.endGrant(kq, fence, false)
-		} else {
-			if superseded {
-				s.m.lostGrants.Inc()
-				s.logf("grant superseded: the backend granted the key again under its holder",
-					"key", kq.key, "fence", lost)
-				s.notifyWatchers(kq, lost, ReasonExpired)
-			}
-			send(conn, AcquireResp{Seq: seq, Code: CodeOK, Fence: fence})
+		return false
+	}
+	var w *waiter
+	for w == nil {
+		head := kq.pop()
+		if head == nil {
+			break
 		}
-		if !again {
-			return
+		if s.dequeueLocked(head) {
+			w = head
 		}
 	}
+	if w == nil {
+		// Whoever this request was made for gave up meanwhile (wait
+		// bound, session death — answered already) or the server is
+		// closing: decline, and the backend gives the lock straight back.
+		// The grant existed, so watchers still hear about it.
+		s.mu.Unlock()
+		s.notifyWatchers(kq, fence, ReasonReleased)
+		return false
+	}
+	// The lock serializes holders, so a grant arriving while another is
+	// still out means the backend dropped that one: the key's participant
+	// was restarted under its holder (an operator, chaos injection) and
+	// the lock now belongs to this grant. Take the key from the old
+	// holder — its fence is dead, and its release must not unlock what is
+	// ours.
+	superseded := kq.holder != nil
+	var lost uint64
+	if superseded {
+		lost = s.takeGrantLocked(kq)
+	}
+	w.sess.held[kq.key] = fence
+	kq.holder = w.sess
+	kq.holderFence = fence
+	s.m.grants.Inc()
+	s.m.acquireWait.Observe(s.clock.Now().Sub(w.enqueuedAt).Seconds())
+	conn, seq := w.conn, w.seq
+	s.recycleLocked(w)
+	again := s.slotContinuesLocked(kq)
+	s.mu.Unlock()
+
+	if superseded {
+		s.m.lostGrants.Inc()
+		s.logf("grant superseded: the backend granted the key again under its holder",
+			"key", kq.key, "fence", lost)
+		s.notifyWatchers(kq, lost, ReasonExpired)
+	}
+	send(conn, AcquireResp{Seq: seq, Code: CodeOK, Fence: fence})
+	if again {
+		s.request(kq)
+	}
+	return true
 }
 
 // takeGrantLocked takes the key's grant from its holder, returning the
@@ -361,10 +392,9 @@ func (s *Server) endGrant(kq *keyQueue, fence uint64, expired bool) {
 // is crash-restarted: the group loses the token, runs the §6
 // invalidation round, and regenerates it at a higher epoch with the
 // fence watermark carried forward — the expired fence is dead
-// cluster-wide, and the slots' LockFence calls — the ones in flight
-// included — rejoin through the new incarnation. Without a hook the
-// lock is released locally, which keeps liveness but trusts the expired
-// client to stop using its fence.
+// cluster-wide, and the key's outstanding requests are reissued on the
+// new incarnation. Without a hook the lock is released locally, which
+// keeps liveness but trusts the expired client to stop using its fence.
 func (s *Server) invalidateKey(key string) {
 	if s.invalidate == nil {
 		s.unlock(key)
@@ -415,7 +445,7 @@ func (s *Server) notifyWatchers(kq *keyQueue, fence uint64, reason uint8) {
 
 // srvConn is one client connection: a reader goroutine dispatching
 // requests (which may block on Server.mu but never on the network),
-// and a writer goroutine sending what the handlers, grant slots, lease
+// and a writer goroutine sending what the handlers, grant callbacks, lease
 // timers and watch pushes queue for it. Frames are encoded as they are
 // queued, into out; the writer takes out whole and writes it in one
 // call outside the lock, so frames that become ready while a write is

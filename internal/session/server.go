@@ -16,11 +16,13 @@ import (
 // Backend is the per-key lock provider the session server multiplexes
 // its clients onto — *live.Manager in production, a scripted fake in
 // service-layer tests. Every key sees at most grantSlots (D = 4)
-// outstanding LockFence calls and one holder from one server at a time:
+// outstanding requests and one holder from one server at a time:
 // LockFence must be safe to call concurrently for one key, each call
 // that returns a grant is paired with exactly one Unlock (or one
 // Invalidate) before the key's next grant is used, and a grant whose
-// waiter gave up meanwhile is unlocked at once. However many clients
+// waiter gave up meanwhile is unlocked at once. A backend that also has
+// *live.Manager's LockFunc (grantCaller) is sent its requests there
+// instead, and parks no goroutine per request. However many clients
 // pile up behind it, the server therefore occupies at most D entries of
 // a Q-list batch. The fairness consequence: requests are served in
 // arrival order at the arbiter, so ordering is FIFO per client on one
@@ -32,6 +34,13 @@ type Backend interface {
 	LockFence(ctx context.Context, key string) (uint64, error)
 	// Unlock releases the key's lock; the caller must hold it.
 	Unlock(key string)
+}
+
+// grantCaller is the optional Backend extension that takes a request
+// and hands its grant to a callback (live.Manager.LockFunc), instead of
+// blocking a LockFence call until the grant.
+type grantCaller interface {
+	LockFunc(key string, grant live.GrantFunc)
 }
 
 // keyRestarter is the optional Backend extension that lets lease expiry
@@ -90,17 +99,20 @@ type Config struct {
 }
 
 // Server fronts one live node with the session protocol: it owns the
-// session table (TTL leases), the per-key wait queues and their grant
-// slots, the watch registrations, and the connections. All methods
-// are safe for concurrent use.
+// session table (TTL leases), the per-key wait queues and their
+// outstanding requests, the watch registrations, and the connections.
+// All methods are safe for concurrent use.
 type Server struct {
 	cfg        Config
 	clock      Clock
 	reg        *telemetry.Registry
 	logger     *slog.Logger
 	invalidate func(key string) error
+	// lockFunc is the Backend's LockFunc, when it has one (grantCaller);
+	// nil sends each request through a LockFence goroutine.
+	lockFunc func(key string, grant live.GrantFunc)
 
-	ctx    context.Context // cancels slot LockFence calls on Close
+	ctx    context.Context // cancels outstanding LockFence calls on Close
 	cancel context.CancelFunc
 
 	mu        sync.Mutex
@@ -237,6 +249,9 @@ func NewServer(cfg Config) (*Server, error) {
 				telemetry.DefLatencyBuckets),
 		},
 	}
+	if g, ok := cfg.Backend.(grantCaller); ok {
+		s.lockFunc = g.LockFunc
+	}
 	if s.invalidate == nil {
 		if r, ok := cfg.Backend.(keyRestarter); ok {
 			s.invalidate = func(key string) error {
@@ -349,9 +364,12 @@ func (s *Server) dropConn(c *srvConn) {
 
 // Close shuts the server down: listeners stop accepting, queued
 // acquires are answered CodeShuttingDown, held grants are taken from
-// their holders and unlocked (watchers hear nothing), grant slots exit,
-// lease timers stop, and every connection is closed. The Backend is not
-// closed — its owner does that, afterwards.
+// their holders and unlocked (watchers hear nothing), blocked LockFence
+// calls are cancelled, lease timers stop, and every connection is
+// closed. A request still outstanding in the backend is left there: its
+// grant, when it lands, finds no waiter and is declined, so the backend
+// releases it at once. The Backend is not closed — its owner does that,
+// afterwards.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {

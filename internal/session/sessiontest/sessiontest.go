@@ -31,6 +31,12 @@ type Options struct {
 	Clock session.Clock
 	// Core overrides the protocol options; nil uses FastCoreOptions.
 	Core *core.Options
+	// Phase, when non-zero, replaces the protocol's Treq and Tfwd (the
+	// collection and forwarding phases) in whichever options Core picks.
+	// Phases under 2 ms put the windows holding requests on the live
+	// runtime's short-timer service, which is where the benchmark's
+	// 200 µs phases run.
+	Phase time.Duration
 	// Middleware, when non-nil, wraps node i's transport endpoint —
 	// the hook for fault injection in chaos tests.
 	Middleware func(i int, base transport.Transport) transport.Transport
@@ -84,6 +90,10 @@ func Start(t testing.TB, o Options) *Cluster {
 	opts := FastCoreOptions()
 	if o.Core != nil {
 		opts = *o.Core
+	}
+	if o.Phase > 0 {
+		opts.Treq = o.Phase.Seconds()
+		opts.Tfwd = o.Phase.Seconds()
 	}
 	if _, err := registry.RegisterWire(registry.Core); err != nil {
 		t.Fatal(err)

@@ -130,12 +130,21 @@ func TestSessionChaosSoak(t *testing.T) {
 	}
 	for _, seed := range []uint64{1, 2} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			sessionChaosSoak(t, seed)
+			sessionChaosSoak(t, seed, 0)
 		})
 	}
+	// The same gauntlet with sub-millisecond phases: a window holding
+	// requests then fires from the short-timer service, and the grants it
+	// produces reach the session tier's callbacks on that service's
+	// goroutine.
+	t.Run("seed=1,phase=0.5ms", func(t *testing.T) {
+		sessionChaosSoak(t, 1, 500*time.Microsecond)
+	})
 }
 
-func sessionChaosSoak(t *testing.T, seed uint64) {
+// sessionChaosSoak runs the soak under one fault seed. phase, when
+// non-zero, sets the protocol's Treq and Tfwd (sessiontest.Options.Phase).
+func sessionChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 	const (
 		nodes        = 3
 		connsPerNode = 2
@@ -151,7 +160,11 @@ func sessionChaosSoak(t *testing.T, seed uint64) {
 		t.Fatal(err)
 	}
 	// 20 s is the recovery bound the soak's phases wait out.
-	rec := newSoakCapture(t, algo, nodes, fmt.Sprintf("session-chaos-soak-seed%d", seed), 20)
+	capture := fmt.Sprintf("session-chaos-soak-seed%d", seed)
+	if phase > 0 {
+		capture += fmt.Sprintf("-phase%dus", phase.Microseconds())
+	}
+	rec := newSoakCapture(t, algo, nodes, capture, 20)
 	inj := faultnet.New(faultnet.Options{
 		Seed: seed,
 		Faults: faultnet.Faults{
@@ -166,7 +179,8 @@ func sessionChaosSoak(t *testing.T, seed uint64) {
 	})
 
 	cl := sessiontest.Start(t, sessiontest.Options{
-		N: nodes,
+		N:     nodes,
+		Phase: phase,
 		Middleware: func(i int, base transport.Transport) transport.Transport {
 			// Recorder outermost: it captures what the protocol attempted,
 			// not what survived the faults.
