@@ -48,14 +48,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/core"
-	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/faultnet"
 	"tokenarbiter/internal/live"
-	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/reqtrace"
 	"tokenarbiter/internal/stats"
-	"tokenarbiter/internal/telemetry"
 	"tokenarbiter/internal/transport"
 )
 
@@ -136,7 +134,11 @@ func run(args []string) error {
 			ProbeTimeout:   0.25,
 		}
 	}
-	factory := registry.CoreLiveFactory(opts)
+	keyNames := make([]string, *keys)
+	for k := range keyNames {
+		keyNames[k] = fmt.Sprintf("lock-%d", k)
+	}
+	totalWorkers := *nodes * *workers
 
 	// One shared injector covers every node's outbound link, so a single
 	// seed reproduces the whole cluster's fault schedule.
@@ -149,59 +151,51 @@ func run(args []string) error {
 		inj = faultnet.New(faultnet.Options{Seed: spec.Seed, Faults: spec.Faults})
 	}
 
-	// One shared collector and (optionally) one shared flight recorder
-	// serve every node: spans from all the nodes a request crossed land in
-	// one place, and a single capture file holds the whole cluster's
-	// timeline — exactly what `mutexsim replay` needs.
+	// One shared collector and (with -flightrec) one shared flight
+	// recorder serve every node: spans from all the nodes a request
+	// crossed land in one place, and a single capture file holds the whole
+	// cluster's timeline — exactly what `mutexsim replay` needs. The
+	// counting layer under every Manager feeds the end-of-run summary.
 	tracer := reqtrace.NewCollector(reqtrace.DefaultDepth)
-	var frec *reqtrace.Recorder
-	if *flightrec != "" {
-		// The recorder seals every captured message itself, so the wire
-		// types must be registered even over the mem transport (which
-		// ships message values and never serializes).
-		if _, err := registry.RegisterWire(registry.Core); err != nil {
-			return err
-		}
-		var err error
-		frec, err = reqtrace.CreateRecorder(*flightrec, registry.Core, *nodes)
-		if err != nil {
-			return err
-		}
-		defer frec.Close() //nolint:errcheck // shutdown path
+	ccfg := cluster.Config{
+		N: *nodes, Core: opts, Transport: *trans,
+		Mem:     transport.MemOptions{Delay: *netDelay},
+		Faults:  inj,
+		Manager: func(_ int, cfg *live.ManagerConfig) { cfg.Tracer = tracer },
+		Capture: *flightrec,
 	}
-
-	cluster, counters, cleanup, err := buildCluster(*trans, *nodes, factory, *netDelay, inj, tracer, frec)
+	slc := sessionLoadConfig{
+		sessions:    *sessionsN,
+		conns:       *connsN,
+		ttl:         *ttl,
+		wait:        *wait,
+		think:       *think,
+		hold:        *hold,
+		maxSessions: *maxSessions,
+		maxWaiters:  *maxWaiters,
+		duration:    *duration,
+		keys:        keyNames,
+	}
+	if *sessionsN > 0 {
+		ccfg.Sessions, ccfg.Server = "tcp", slc.server(*nodes)
+	}
+	cl, err := cluster.New(ccfg)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
-
-	keyNames := make([]string, *keys)
-	for k := range keyNames {
-		keyNames[k] = fmt.Sprintf("lock-%d", k)
-	}
-	totalWorkers := *nodes * *workers
+	// `mutexsim replay` judges a -flightrec capture; the verdict Close
+	// returns is not this report's.
+	defer cl.Close() //nolint:errcheck // shutdown path
 
 	if *sessionsN > 0 {
 		fmt.Printf("cluster: %d nodes over %s, keys=%d, sessions=%d, conns=%d/node, ttl=%v, wait=%v, think=%v, hold=%v, duration=%v, maxsessions=%d maxwaiters=%d chaos=%q\n",
 			*nodes, *trans, *keys, *sessionsN, *connsN, *ttl, *wait, *think, *hold, *duration, *maxSessions, *maxWaiters, *chaosStr)
-		err := runSessionLoad(cluster, sessionLoadConfig{
-			sessions:    *sessionsN,
-			conns:       *connsN,
-			ttl:         *ttl,
-			wait:        *wait,
-			think:       *think,
-			hold:        *hold,
-			maxSessions: *maxSessions,
-			maxWaiters:  *maxWaiters,
-			duration:    *duration,
-			keys:        keyNames,
-		})
+		err := runSessionLoad(cl, slc)
 		if *perNodeS {
-			printPerNode(cluster, counters)
+			printPerNode(cl.Managers, cl.Counters)
 		}
-		if frec != nil {
-			records, dropped := frec.Totals()
+		if cl.Recorder != nil {
+			records, dropped := cl.Recorder.Totals()
 			fmt.Printf("flight recorder: %d records (%d dropped) -> %s\n", records, dropped, *flightrec)
 		}
 		if inj != nil {
@@ -229,7 +223,7 @@ func run(args []string) error {
 		wg        sync.WaitGroup
 	)
 	perWorker := *rate / float64(totalWorkers)
-	for i := range cluster {
+	for i, m := range cl.Managers {
 		for w := 0; w < *workers; w++ {
 			g := i**workers + w // global worker index
 			key := keyNames[g%*keys]
@@ -272,7 +266,7 @@ func run(args []string) error {
 					time.Sleep(*hold)
 					m.Unlock(key)
 				}
-			}(cluster[i], key, uint64(g+1))
+			}(m, key, uint64(g+1))
 		}
 	}
 
@@ -291,7 +285,7 @@ func run(args []string) error {
 		return latencies[i] * 1000
 	}
 	var sent uint64
-	for _, c := range counters {
+	for _, c := range cl.Counters {
 		s, _ := c.Totals()
 		sent += s
 	}
@@ -301,10 +295,10 @@ func run(args []string) error {
 	fmt.Printf("latency ms: p50=%.2f p90=%.2f p99=%.2f max=%.2f mean=%.2f\n",
 		pct(0.50), pct(0.90), pct(0.99), latencies[n-1]*1000, lat.Mean()*1000)
 	if *keys > 1 {
-		printPerKey(cluster, keyNames, perKey, duration.Seconds())
+		printPerKey(cl.Managers, keyNames, perKey, duration.Seconds())
 	}
 	if *perNodeS {
-		printPerNode(cluster, counters)
+		printPerNode(cl.Managers, cl.Counters)
 	}
 	if *slowN > 0 {
 		printSlowest(tracer, *slowN)
@@ -313,8 +307,8 @@ func run(args []string) error {
 	// simulator's messages per CS at matched parameters.
 	fmt.Printf("keys=%d: %.2f messages per CS (%d messages, %d critical sections, %d nodes)\n",
 		*keys, float64(sent)/float64(n), sent, n, *nodes)
-	if frec != nil {
-		records, dropped := frec.Totals()
+	if cl.Recorder != nil {
+		records, dropped := cl.Recorder.Totals()
 		fmt.Printf("flight recorder: %d records (%d dropped) -> %s\n", records, dropped, *flightrec)
 	}
 	if inj != nil {
@@ -329,12 +323,12 @@ func run(args []string) error {
 // and throughput from the workers' own tallies, messages per CS from the
 // key's registries summed across every node's manager (each key is an
 // independent DME group, so its message complexity stands alone).
-func printPerKey(cluster []*live.Manager, keyNames []string, perKey map[string]int, seconds float64) {
+func printPerKey(mgrs []*live.Manager, keyNames []string, perKey map[string]int, seconds float64) {
 	fmt.Println("per-key:")
 	fmt.Printf("  %-10s %12s %10s %12s\n", "key", "acquired", "cs/sec", "msgs/CS")
 	for _, key := range keyNames {
 		var sent, granted uint64
-		for _, m := range cluster {
+		for _, m := range mgrs {
 			reg := m.Registry(key)
 			if reg == nil {
 				continue
@@ -388,11 +382,11 @@ func printSlowest(c *reqtrace.Collector, n int) {
 // prints the live counterparts of the simulation observables summed over
 // the node's keys: grants, token passes, dispatches, lock-wait
 // percentiles (merged across keys) and the node's message traffic.
-func printPerNode(cluster []*live.Manager, counters []*transport.Counting) {
+func printPerNode(mgrs []*live.Manager, counters []*transport.Counting) {
 	fmt.Println("per-node metrics:")
 	fmt.Printf("  %-4s %8s %8s %8s %8s %12s %12s %10s %10s\n",
 		"node", "grants", "tokpass", "dispatch", "retx", "wait-p50-ms", "wait-p99-ms", "sent", "recv")
-	for i, m := range cluster {
+	for i, m := range mgrs {
 		wait := m.MergedHistogram("lock_wait_seconds")
 		sent, recv := counters[i].Totals()
 		fmt.Printf("  %-4d %8d %8d %8d %8d %12.2f %12.2f %10d %10d\n",
@@ -404,83 +398,4 @@ func printPerNode(cluster []*live.Manager, counters []*transport.Counting) {
 			wait.P50*1000, wait.P99*1000,
 			sent, recv)
 	}
-}
-
-// buildCluster assembles one live.Manager per node over the chosen
-// transport, each endpoint wrapped in a counting layer (the same wiring
-// cmd/mutexnode uses), so the end-of-run summary can scrape protocol and
-// transport metrics together. With -keys 1 the Manager serves a single
-// key — same protocol, one DME group — keeping the comparison between
-// key counts an apples-to-apples change of key count only.
-func buildCluster(kind string, n int, factory live.Factory, delay time.Duration, inj *faultnet.Injector, tracer *reqtrace.Collector, frec *reqtrace.Recorder) ([]*live.Manager, []*transport.Counting, func(), error) {
-	counters := make([]*transport.Counting, n)
-	trans := make([]transport.Transport, n)
-	regs := make([]*telemetry.Registry, n)
-	mgrs := make([]*live.Manager, n)
-	var closers []func()
-	for i := 0; i < n; i++ {
-		regs[i] = telemetry.NewRegistry()
-	}
-	// Flight recorder outermost (the capture shows what the protocol
-	// attempted), counting next, the optional fault injector innermost,
-	// directly over the wire; the Manager's key demux sits above the
-	// whole chain. frec.Middleware() is nil — and skipped — when flight
-	// recording is off.
-	chain := func(i int, base transport.Transport) {
-		var faultMW transport.Middleware
-		if inj != nil {
-			faultMW = inj.Middleware()
-			inj.RegisterMetrics(regs[i])
-		}
-		trans[i] = transport.Chain(base, frec.Middleware(), transport.CountingMW(regs[i]), faultMW)
-		counters[i], _ = transport.Find[*transport.Counting](trans[i])
-	}
-
-	switch kind {
-	case "mem":
-		net := transport.NewMemNetwork(n, transport.MemOptions{Delay: delay})
-		closers = append(closers, net.Close)
-		for i := 0; i < n; i++ {
-			chain(i, net.Endpoint(i))
-		}
-	case "tcp":
-		trs := make([]*transport.TCPTransport, n)
-		addrs := make(map[dme.NodeID]string, n)
-		for i := 0; i < n; i++ {
-			tr, err := transport.NewTCP(i, map[dme.NodeID]string{i: "127.0.0.1:0"})
-			if err != nil {
-				return nil, nil, func() {}, err
-			}
-			trs[i] = tr
-			addrs[i] = tr.Addr().String()
-		}
-		for i := 0; i < n; i++ {
-			trs[i].SetPeers(addrs)
-			chain(i, trs[i])
-		}
-	default:
-		return nil, nil, func() {}, fmt.Errorf("unknown transport %q (mem or tcp)", kind)
-	}
-
-	for i := 0; i < n; i++ {
-		m, err := live.NewManager(live.ManagerConfig{
-			ID: i, N: n, Transport: trans[i], Factory: factory, Algo: registry.Core,
-			Metrics: regs[i], Tracer: tracer, FlightRec: frec,
-		})
-		if err != nil {
-			return nil, nil, func() {}, err
-		}
-		mgrs[i] = m
-	}
-	cleanup := func() {
-		for _, m := range mgrs {
-			if m != nil {
-				_ = m.Close()
-			}
-		}
-		for _, c := range closers {
-			c()
-		}
-	}
-	return mgrs, counters, cleanup, nil
 }

@@ -2,7 +2,8 @@ package main
 
 // Session-layer load mode (-sessions N): instead of driving Manager.Lock
 // directly from worker goroutines, every node fronts its Manager with an
-// internal/session Server on a loopback-TCP listener, and the driver
+// internal/session Server on a loopback-TCP listener (the cluster builds
+// them with the config server returns), and the driver
 // opens N TTL-leased sessions spread round-robin across a small pool of
 // shared client connections per node — the many-client shape the session
 // layer exists for: tens of thousands of leases multiplexed onto one DME
@@ -21,13 +22,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"tokenarbiter/internal/live"
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/reqtrace"
 	"tokenarbiter/internal/session"
 	"tokenarbiter/internal/stats"
@@ -60,61 +60,39 @@ type sessionTally struct {
 	errs        atomic.Int64
 }
 
-// runSessionLoad fronts the built cluster with session servers and
-// drives cfg.sessions concurrent leased sessions against them for the
-// measurement duration.
-func runSessionLoad(cluster []*live.Manager, cfg sessionLoadConfig) error {
-	nodes := len(cluster)
-	servers := make([]*session.Server, nodes)
-	listeners := make([]net.Listener, nodes)
-	clients := make([][]*session.Client, nodes)
-	defer func() {
-		for _, cs := range clients {
-			for _, c := range cs {
-				if c != nil {
-					_ = c.Close()
-				}
-			}
-		}
-		for _, s := range servers {
-			if s != nil {
-				_ = s.Close()
-			}
-		}
-	}()
-	// Size the per-connection write queue to this driver's fan-in: with
-	// hundreds of sessions multiplexed per connection, a grant/timeout
-	// burst can put one response per session in flight at once, and the
-	// default queue would evict the connection as a slow consumer — a
-	// self-inflicted wound, not backpressure against a genuinely slow
-	// client.
+// server is every node's session server config on an n-node cluster:
+// the driver's admission bounds and lease TTL, and a write queue sized
+// to its fan-in.
+func (cfg sessionLoadConfig) server(nodes int) func(int, *session.Config) {
+	// With hundreds of sessions multiplexed per connection, a
+	// grant/timeout burst can put one response per session in flight at
+	// once, and the default queue would evict the connection as a slow
+	// consumer — a self-inflicted wound, not backpressure against a
+	// genuinely slow client.
 	perConn := (cfg.sessions + nodes*cfg.conns - 1) / (nodes * cfg.conns)
 	writeQueue := 2*perConn + session.DefaultWriteQueue
-	for i, m := range cluster {
-		srv, err := session.NewServer(session.Config{
-			Backend:          m,
-			MaxSessions:      cfg.maxSessions,
-			MaxWaitersPerKey: cfg.maxWaiters,
-			DefaultTTL:       cfg.ttl,
-			WriteQueue:       writeQueue,
-		})
-		if err != nil {
-			return err
-		}
-		servers[i] = srv
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		listeners[i] = ln
-		go srv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on shutdown
+	return func(_ int, sc *session.Config) {
+		sc.MaxSessions = cfg.maxSessions
+		sc.MaxWaitersPerKey = cfg.maxWaiters
+		sc.DefaultTTL = cfg.ttl
+		sc.WriteQueue = writeQueue
+	}
+}
+
+// runSessionLoad connects cfg.conns clients to each of the cluster's
+// session servers and drives cfg.sessions concurrent leased sessions
+// against them for the measurement duration. The cluster closes the
+// clients and the servers.
+func runSessionLoad(c *cluster.Cluster, cfg sessionLoadConfig) error {
+	nodes := len(c.Managers)
+	clients := make([][]*session.Client, nodes)
+	for i := range clients {
 		clients[i] = make([]*session.Client, cfg.conns)
-		for c := 0; c < cfg.conns; c++ {
-			cl, err := session.Dial(ln.Addr().String(), session.Options{})
-			if err != nil {
-				return fmt.Errorf("node %d conn %d: %w", i, c, err)
+		for k := range clients[i] {
+			var err error
+			if clients[i][k], err = c.Dial(i, session.Options{}); err != nil {
+				return fmt.Errorf("conn %d: %w", k, err)
 			}
-			clients[i][c] = cl
 		}
 	}
 
@@ -212,7 +190,7 @@ func runSessionLoad(cluster []*live.Manager, cfg sessionLoadConfig) error {
 	// "concurrent sessions" means, and the servers' gauges count them.
 	time.Sleep(cfg.duration)
 	var concurrent, rejects int64
-	for _, s := range servers {
+	for _, s := range c.Servers {
 		snap := s.Metrics().Snapshot()
 		concurrent += int64(snap.Gauges["sessions_active"])
 		rejects += int64(snap.Counters["session_rejects_total"])
@@ -235,7 +213,7 @@ func runSessionLoad(cluster []*live.Manager, cfg sessionLoadConfig) error {
 		fmt.Printf("grant latency ms: p50=%.2f p90=%.2f p99=%.2f max=%.2f mean=%.2f\n",
 			pct(0.50), pct(0.90), pct(0.99), latencies[n-1]*1000, welford.Mean()*1000)
 	}
-	printSessionServers(servers)
+	printSessionServers(c.Servers)
 
 	if err := checker.Verdict().Err(); err != nil {
 		return fmt.Errorf("correctness violated: %w", err)

@@ -9,11 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/live"
-	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/reqtrace"
-	"tokenarbiter/internal/transport"
 )
 
 // tracedManager serves a single-node Manager's admin mux after a few
@@ -21,18 +20,7 @@ import (
 // tracing is on when tracer is non-nil.
 func tracedManager(t *testing.T, tracer *reqtrace.Collector) *httptest.Server {
 	t.Helper()
-	net := transport.NewMemNetwork(1, transport.MemOptions{})
-	t.Cleanup(net.Close)
-	m, err := live.NewManager(live.ManagerConfig{
-		ID: 0, N: 1, Transport: net.Endpoint(0),
-		Factory: registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005}),
-		Tracer:  tracer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = m.Close() })
-
+	m := tracedCluster(t, tracer)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for i := 0; i < 4; i++ {
@@ -44,6 +32,14 @@ func tracedManager(t *testing.T, tracer *reqtrace.Collector) *httptest.Server {
 	srv := httptest.NewServer(m.AdminHandler())
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// tracedCluster is a single-node cluster whose Manager traces requests
+// into tracer.
+func tracedCluster(t *testing.T, tracer *reqtrace.Collector) *live.Manager {
+	return cluster.Start(t, cluster.Config{N: 1, Core: core.Options{Treq: 0.005, Tfwd: 0.005}, Manager: func(_ int, cfg *live.ManagerConfig) {
+		cfg.Tracer = tracer
+	}}).Managers[0]
 }
 
 func adminGet(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -193,18 +189,7 @@ func TestDebugRequestsDisabled(t *testing.T) {
 }
 
 func TestDebugRequestsManagerKeyFilter(t *testing.T) {
-	net := transport.NewMemNetwork(1, transport.MemOptions{})
-	t.Cleanup(net.Close)
-	tracer := reqtrace.NewCollector(reqtrace.DefaultDepth)
-	m, err := live.NewManager(live.ManagerConfig{
-		ID: 0, N: 1, Transport: net.Endpoint(0),
-		Factory: registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005}),
-		Tracer:  tracer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = m.Close() })
+	m := tracedCluster(t, reqtrace.NewCollector(reqtrace.DefaultDepth))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

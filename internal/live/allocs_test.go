@@ -82,7 +82,7 @@ func TestManagerTokenHopAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	mgrs, _ := managerCluster(t, 2, budgetOptions, transport.MemOptions{})
+	mgrs := bareManagers(t, 2, budgetOptions)
 	ctx := context.Background()
 	const key = "hop-budget"
 	turn := 0

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/transport"
@@ -17,7 +18,7 @@ import (
 // PROBE goes unanswered, takeover is proclaimed, the invalidation round
 // finds the live token or regenerates it, and survivors keep locking.
 func TestLiveArbiterCrashTakeover(t *testing.T) {
-	opts := fastOptions()
+	opts := cluster.Fast()
 	opts.Recovery = core.RecoveryOptions{
 		Enabled:        true,
 		TokenTimeout:   0.2,
@@ -25,7 +26,8 @@ func TestLiveArbiterCrashTakeover(t *testing.T) {
 		ArbiterTimeout: 0.3,
 		ProbeTimeout:   0.05,
 	}
-	mgrs, net := managerCluster(t, 5, opts, transport.MemOptions{Delay: 200 * time.Microsecond})
+	cl := cluster.Start(t, cluster.Config{N: 5, Core: opts, Mem: transport.MemOptions{Delay: 200 * time.Microsecond}})
+	mgrs := cl.Managers
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -78,7 +80,7 @@ func TestLiveArbiterCrashTakeover(t *testing.T) {
 	if victim < 0 {
 		t.Skip("never caught a tokenless designated arbiter; load too light")
 	}
-	net.Disconnect(victim)
+	cl.Network.Disconnect(victim)
 	_ = mgrs[victim].Close()
 	t.Logf("killed designated arbiter node %d", victim)
 

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"tokenarbiter/internal/core"
+	"tokenarbiter/internal/live"
+	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/transport"
 )
 
@@ -13,10 +15,37 @@ import (
 // this package runs.
 var benchOptions = core.Options{Treq: 0.001, Tfwd: 0.001, RetransmitTimeout: 0.5}
 
+// bareManagers builds n Managers over one in-memory network with nothing
+// between a Manager and its endpoint. The benchmarks and the allocation
+// guards measure a bare Manager; a test cluster's recorder and counting
+// layer would be part of what they measure.
+func bareManagers(tb testing.TB, n int, opts core.Options) []*live.Manager {
+	net := transport.NewMemNetwork(n, transport.MemOptions{})
+	mgrs := make([]*live.Manager, n)
+	tb.Cleanup(func() {
+		for _, m := range mgrs {
+			if m != nil {
+				_ = m.Close()
+			}
+		}
+		net.Close()
+	})
+	for i := range mgrs {
+		m, err := live.NewManager(live.ManagerConfig{
+			ID: i, N: n, Transport: net.Endpoint(i), Factory: registry.CoreLiveFactory(opts),
+		})
+		if err != nil {
+			tb.Fatalf("manager %d: %v", i, err)
+		}
+		mgrs[i] = m
+	}
+	return mgrs
+}
+
 // BenchmarkLiveLockUnlockUncontended measures the full Lock/Unlock round
 // trip of one key on the node that already holds the token.
 func BenchmarkLiveLockUnlockUncontended(b *testing.B) {
-	mgrs, _ := managerCluster(b, 3, benchOptions, transport.MemOptions{})
+	mgrs := bareManagers(b, 3, benchOptions)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -30,7 +59,7 @@ func BenchmarkLiveLockUnlockUncontended(b *testing.B) {
 // BenchmarkLiveLockUnlockRoundRobin bounces the mutex between all nodes,
 // forcing a token transfer per acquisition.
 func BenchmarkLiveLockUnlockRoundRobin(b *testing.B) {
-	mgrs, _ := managerCluster(b, 3, benchOptions, transport.MemOptions{})
+	mgrs := bareManagers(b, 3, benchOptions)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	b.ResetTimer()

@@ -4,89 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/faultnet"
 	"tokenarbiter/internal/live"
-	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/reqtrace"
-	"tokenarbiter/internal/transport"
 	"tokenarbiter/internal/wire"
 )
-
-// soakCapture is a soak's flight-recorder capture and the one place its
-// safety verdict comes from. Every soak records, always: a failure that
-// happens one run in five must leave something to replay (`mutexsim
-// replay <capture>`) and to judge. Under $FLIGHTREC_DIR when that is set
-// — CI sets it and uploads the directory when the job fails — else in a
-// temp dir that is removed when the test passes. A failed test logs the
-// capture's path beside its verdict.
-type soakCapture struct {
-	*reqtrace.Recorder
-	path    string
-	settle  float64 // the soak's recovery bound: reqtrace.Check's time rules
-	verdict *reqtrace.Verdict
-}
-
-func newSoakCapture(t *testing.T, algo string, n int, name string, settle float64) *soakCapture {
-	dir := os.Getenv("FLIGHTREC_DIR")
-	if dir == "" {
-		var err error
-		if dir, err = os.MkdirTemp("", "flightrec-"); err != nil {
-			t.Fatalf("flight recorder dir: %v", err)
-		}
-		t.Cleanup(func() {
-			if !t.Failed() {
-				_ = os.RemoveAll(dir)
-			}
-		})
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatalf("flight recorder dir %s: %v", dir, err)
-	}
-	path := filepath.Join(dir, name+".jsonl")
-	rec, err := reqtrace.CreateRecorder(path, algo, n)
-	if err != nil {
-		t.Fatalf("flight recorder %s: %v", path, err)
-	}
-	c := &soakCapture{Recorder: rec, path: path, settle: settle}
-	t.Cleanup(func() {
-		if t.Failed() {
-			t.Logf("flight-recorder capture of the failed run: %s\nverdict: %s", path, c.judge(t))
-		}
-		_ = rec.Close()
-	})
-	return c
-}
-
-// judge ends the capture and judges it. Call it once the cluster is shut
-// down, so every grant has its release or close on record.
-func (c *soakCapture) judge(t *testing.T) *reqtrace.Verdict {
-	if c.verdict == nil {
-		_ = c.Close()
-		f, err := os.Open(c.path)
-		if err != nil {
-			t.Fatalf("open capture: %v", err)
-		}
-		defer f.Close()
-		capture, err := reqtrace.ReadCapture(f)
-		if err != nil {
-			t.Fatalf("read capture %s: %v", c.path, err)
-		}
-		c.verdict = reqtrace.Check(capture, c.settle)
-	}
-	return c.verdict
-}
-
-// mark records a fault or heal on the capture; key "" is every key.
-func (c *soakCapture) mark(ev, key string) {
-	c.Record(reqtrace.Record{T: reqtrace.Now(), Ev: ev, Node: -1, Peer: -1, Key: key})
-}
 
 // TestChaosSoak drives a 5-node cluster of one-key Managers through the
 // full fault gauntlet — random drop/dup/corrupt/delay/reorder on every
@@ -115,11 +44,6 @@ func chaosSoak(t *testing.T, seed uint64) {
 		quota = 8
 		key   = "soak"
 	)
-	algo, err := registry.RegisterWire(registry.Core)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	var decodeErrs atomic.Uint64
 	inj := faultnet.New(faultnet.Options{
 		Seed: seed,
@@ -140,50 +64,17 @@ func chaosSoak(t *testing.T, seed uint64) {
 		},
 	})
 
-	opts := fastOptions()
-	opts.Recovery = core.RecoveryOptions{
-		Enabled:        true,
-		TokenTimeout:   0.15,
-		RoundTimeout:   0.05,
-		ArbiterTimeout: 0.4,
-		ProbeTimeout:   0.05,
-	}
-
 	// 15 s is the recovery bound the forced-loss phase waits out.
-	rec := newSoakCapture(t, algo, n, fmt.Sprintf("chaos-soak-seed%d", seed), 15)
-	net := transport.NewMemNetwork(n, transport.MemOptions{})
-	defer net.Close()
-	// mgrs[i] is node i's current Manager, nil while the node is crashed.
-	// start builds one on the (re)connected endpoint: the injector sits
-	// innermost, directly over the wire, with the flight recorder
-	// outermost (it captures what the protocol attempted, not what
-	// survived the faults).
+	cl := cluster.Start(t, cluster.Config{
+		N: n, Core: cluster.FastRecovery(), Faults: inj,
+		Capture: fmt.Sprintf("chaos-soak-seed%d", seed), Settle: 15,
+	})
+	// mgrs[i] is node i's current Manager, nil while the node is crashed:
+	// the workers read it while the crash phase swaps it.
 	var mgrs [n]atomic.Pointer[live.Manager]
-	start := func(i int) {
-		net.Reconnect(i)
-		m, err := live.NewManager(live.ManagerConfig{
-			ID:        i,
-			N:         n,
-			Transport: transport.Chain(net.Endpoint(i), rec.Middleware(), inj.Middleware()),
-			Factory:   registry.CoreLiveFactory(opts),
-			FlightRec: rec.Recorder,
-		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
+	for i, m := range cl.Managers {
 		mgrs[i].Store(m)
 	}
-	for i := 0; i < n; i++ {
-		start(i)
-	}
-	closeAll := func() {
-		for i := range mgrs {
-			if m := mgrs[i].Load(); m != nil {
-				_ = m.Close()
-			}
-		}
-	}
-	defer closeAll()
 	// regenerations totals the cluster's token regenerations. A crashed
 	// node's counters die with its Manager; lostRegens carries them so the
 	// total stays cumulative across the restart.
@@ -291,11 +182,11 @@ func chaosSoak(t *testing.T, seed uint64) {
 	// Phase 3 — partition {0,1} from {2,3,4} for ~700ms, then heal. The
 	// isolated side may regenerate a twin token (no quorum prevents it);
 	// the fault/heal records let the checker excuse what the split made.
-	rec.mark(reqtrace.EvFault, "")
+	cl.Mark(reqtrace.EvFault, "")
 	inj.Partition([]int{0, 1}, []int{2, 3, 4})
 	time.Sleep(700 * time.Millisecond)
 	inj.Heal()
-	rec.mark(reqtrace.EvHeal, "")
+	cl.Mark(reqtrace.EvHeal, "")
 
 	// Phase 4 — crash node 4, leave it down briefly, restart it.
 	victim := mgrs[4].Swap(nil)
@@ -304,7 +195,10 @@ func chaosSoak(t *testing.T, seed uint64) {
 		t.Fatalf("crash node 4: %v", err)
 	}
 	time.Sleep(300 * time.Millisecond)
-	start(4)
+	if err := cl.Restart(4); err != nil {
+		t.Fatalf("restart node 4: %v", err)
+	}
+	mgrs[4].Store(cl.Managers[4])
 
 	// Phase 5 — liveness: every worker completes `quota` critical
 	// sections after the forced phases, under the still-running random
@@ -336,11 +230,9 @@ func chaosSoak(t *testing.T, seed uint64) {
 	cancel()
 	wg.Wait()
 	regens := regenerations()
-	closeAll()
-
-	v := rec.judge(t)
-	for _, x := range v.Violations {
-		t.Errorf("safety: %s", x)
+	v, err := cl.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if v.Accepted[key] < n*quota {
 		t.Errorf("the fenced store accepted %d grants, want ≥ %d", v.Accepted[key], n*quota)

@@ -1,16 +1,14 @@
 package live_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/live"
-	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/reqtrace"
-	"tokenarbiter/internal/transport"
 )
 
 // TestCancelledGrantRecordsItsFence: a Lock that gave up is still granted
@@ -19,27 +17,11 @@ import (
 // and the capture's — must carry it: Replay compares recorded against
 // replayed fences, and a recorded 0 reads as drift that is not there.
 func TestCancelledGrantRecordsItsFence(t *testing.T) {
-	algo, err := registry.RegisterWire(registry.Core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	rec, err := reqtrace.NewRecorder(&buf, algo, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tracer := reqtrace.NewCollector(8)
-	net := transport.NewMemNetwork(1, transport.MemOptions{})
-	defer net.Close()
-	m, err := live.NewManager(live.ManagerConfig{
-		ID: 0, N: 1, Transport: net.Endpoint(0),
-		Factory: registry.CoreLiveFactory(fastOptions()),
-		Tracer:  tracer, FlightRec: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close() //nolint:errcheck
+	cl := cluster.Start(t, cluster.Config{N: 1, Core: cluster.Fast(), Manager: func(_ int, cfg *live.ManagerConfig) {
+		cfg.Tracer = tracer
+	}})
+	m := cl.Managers[0]
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -67,7 +49,9 @@ func TestCancelledGrantRecordsItsFence(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Unlock("k")
-	_ = m.Close()
+	if _, err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	id := reqtrace.MakeID(0, 2)
 	tr, ok := tracer.Lookup(id)
@@ -77,12 +61,8 @@ func TestCancelledGrantRecordsItsFence(t *testing.T) {
 	if f := tr.Fence(); f <= held || f >= after {
 		t.Errorf("cancelled grant's trace says fence %d, want one between the grants around it (%d, %d)", f, held, after)
 	}
-	capture, err := reqtrace.ReadCapture(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	found := false
-	for _, r := range capture.Records {
+	for _, r := range cl.Capture().Records {
 		if r.Ev == reqtrace.EvGrant && r.Trace == id {
 			found = true
 			if r.Fence != tr.Fence() {
@@ -102,34 +82,12 @@ func TestCancelledGrantRecordsItsFence(t *testing.T) {
 // stamped separately — time.Now, seconds since the collector's epoch,
 // seconds since the recorder's.)
 func TestOneClock(t *testing.T) {
-	algo, err := registry.RegisterWire(registry.Core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 3
-	var buf bytes.Buffer
-	rec, err := reqtrace.NewRecorder(&buf, algo, n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tracer := reqtrace.NewCollector(reqtrace.DefaultDepth)
-	net := transport.NewMemNetwork(n, transport.MemOptions{})
-	defer net.Close()
-	mgrs := make([]*live.Manager, n)
-	for i := range mgrs {
-		m, err := live.NewManager(live.ManagerConfig{
-			ID: i, N: n,
-			Transport: transport.Chain(net.Endpoint(i), rec.Middleware()),
-			Factory:   registry.CoreLiveFactory(fastOptions()),
-			Algo:      algo,
-			Tracer:    tracer, FlightRec: rec, // TraceDepth 0: the ring at its default depth
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mgrs[i] = m
-		defer m.Close() //nolint:errcheck
-	}
+	// TraceDepth 0: the ring at its default depth.
+	cl := cluster.Start(t, cluster.Config{N: 3, Core: cluster.Fast(), Manager: func(_ int, cfg *live.ManagerConfig) {
+		cfg.Tracer = tracer
+	}})
+	mgrs := cl.Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	keys := []string{"orders", "billing"}
@@ -168,14 +126,10 @@ func TestOneClock(t *testing.T) {
 	for _, tr := range tracer.Completed() {
 		grants(tr.Events, inTrace)
 	}
-	for _, m := range mgrs {
-		_ = m.Close()
-	}
-	capture, err := reqtrace.ReadCapture(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	if _, err := cl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	grants(capture.Records, inCapture)
+	grants(cl.Capture().Records, inCapture)
 
 	if len(inRing) != want || len(inTrace) != want || len(inCapture) != want {
 		t.Fatalf("%d grants: the rings hold %d, the collector %d, the capture %d",
@@ -194,32 +148,8 @@ func TestOneClock(t *testing.T) {
 // and the next grant's records carry the new epoch — what the checker
 // needs to tell the two tokens apart. The capture judges clean.
 func TestRestartedHolderRecordsLineage(t *testing.T) {
-	algo, err := registry.RegisterWire(registry.Core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 3
-	var buf bytes.Buffer
-	rec, err := reqtrace.NewRecorder(&buf, algo, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := transport.NewMemNetwork(n, transport.MemOptions{})
-	defer net.Close()
-	mgrs := make([]*live.Manager, n)
-	for i := range mgrs {
-		m, err := live.NewManager(live.ManagerConfig{
-			ID: i, N: n,
-			Transport: transport.Chain(net.Endpoint(i), rec.Middleware()),
-			Factory:   registry.CoreLiveFactory(recoveryOptions()),
-			Algo:      algo, FlightRec: rec,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mgrs[i] = m
-		defer m.Close() //nolint:errcheck
-	}
+	cl := cluster.Start(t, cluster.Config{N: 3, Core: cluster.FastRecovery()})
+	mgrs := cl.Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	// A first grant away from node 0 spreads the key's group cluster-wide.
@@ -239,14 +169,11 @@ func TestRestartedHolderRecordsLineage(t *testing.T) {
 		t.Fatalf("lock after the holder's restart: %v", err)
 	}
 	mgrs[1].Unlock("k")
-	for _, m := range mgrs {
-		_ = m.Close()
-	}
-
-	capture, err := reqtrace.ReadCapture(bytes.NewReader(buf.Bytes()))
+	v, err := cl.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
+	capture := cl.Capture()
 	closed, lineage := false, map[string]uint64{}
 	for _, r := range capture.Records {
 		switch {
@@ -263,7 +190,7 @@ func TestRestartedHolderRecordsLineage(t *testing.T) {
 		t.Errorf("grant of fence %d (after %d) and its release say epochs %v, want one regenerated epoch on both",
 			after, held, lineage)
 	}
-	if v := reqtrace.Check(capture, 0); v.Err() != nil {
+	if v.Err() != nil {
 		t.Errorf("verdict: %s", v)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/live"
@@ -18,7 +19,7 @@ import (
 // goroutines across the cluster and checks the fencing tokens form a
 // strictly increasing sequence in acquisition order.
 func TestFencingTokensStrictlyIncrease(t *testing.T) {
-	mgrs, _ := managerCluster(t, 4, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 4, Core: cluster.Fast()}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -87,20 +88,14 @@ func (d *dropFirst) Send(to dme.NodeID, msg dme.Message) error {
 // that post-recovery fences are strictly above every pre-recovery fence —
 // the property a fencing-token consumer relies on.
 func TestFencingSurvivesTokenRegeneration(t *testing.T) {
-	opts := fastOptions()
-	opts.Recovery = core.RecoveryOptions{
-		Enabled:        true,
-		TokenTimeout:   0.15,
-		RoundTimeout:   0.05,
-		ArbiterTimeout: 0.4,
-		ProbeTimeout:   0.05,
-	}
 	var dropped atomic.Bool
-	mgrs, _ := managerCluster(t, 4, opts, transport.MemOptions{}, dropFirstMW(&dropped, func(msg dme.Message) bool {
-		inner, _, _ := wire.Unwrap(msg) // frames go out keyed
-		p, ok := inner.(core.Privilege)
-		return ok && p.Fence >= 5 && len(p.Q) > 0
-	}))
+	mgrs := cluster.Start(t, cluster.Config{N: 4, Core: cluster.FastRecovery(), Middleware: []transport.Middleware{
+		dropFirstMW(&dropped, func(msg dme.Message) bool {
+			inner, _, _ := wire.Unwrap(msg) // frames go out keyed
+			p, ok := inner.(core.Privilege)
+			return ok && p.Fence >= 5 && len(p.Q) > 0
+		}),
+	}}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 

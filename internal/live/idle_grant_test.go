@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/core"
-	"tokenarbiter/internal/transport"
 )
 
 // TestLockFromIdleGrantsInline: a lone Lock on the idle token holder does
@@ -21,7 +21,7 @@ func TestLockFromIdleGrantsInline(t *testing.T) {
 		key  = "k"
 	)
 	opts := core.Options{Treq: treq.Seconds(), Tfwd: treq.Seconds(), RetransmitTimeout: 0.25}
-	mgrs, _ := managerCluster(t, 3, opts, transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 3, Core: opts}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	m := mgrs[0]
@@ -136,7 +136,7 @@ func TestTimerClassLightLoadNoLateness(t *testing.T) {
 		key  = "k"
 	)
 	opts := core.Options{Treq: treq.Seconds(), Tfwd: treq.Seconds(), RetransmitTimeout: 0.25}
-	mgrs, _ := managerCluster(t, 2, opts, transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 2, Core: opts}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/faultnet"
 	"tokenarbiter/internal/live"
@@ -45,11 +46,11 @@ func hammer(t *testing.T, ctx context.Context, mgrs []*live.Manager, workers, ro
 }
 
 func TestLiveMonitorVariant(t *testing.T) {
-	opts := fastOptions()
+	opts := cluster.Fast()
 	opts.Monitor = true
 	opts.MonitorFlushTimeout = 1
 	opts.Tau = 2
-	mgrs, _ := managerCluster(t, 5, opts, transport.MemOptions{Delay: 100 * time.Microsecond})
+	mgrs := cluster.Start(t, cluster.Config{N: 5, Core: opts, Mem: transport.MemOptions{Delay: 100 * time.Microsecond}}).Managers
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -59,11 +60,11 @@ func TestLiveMonitorVariant(t *testing.T) {
 }
 
 func TestLiveRotatingMonitor(t *testing.T) {
-	opts := fastOptions()
+	opts := cluster.Fast()
 	opts.Monitor = true
 	opts.RotatingMonitor = true
 	opts.MonitorFlushTimeout = 1
-	mgrs, _ := managerCluster(t, 4, opts, transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 4, Core: opts}).Managers
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -73,10 +74,10 @@ func TestLiveRotatingMonitor(t *testing.T) {
 }
 
 func TestLiveSequenceNumbers(t *testing.T) {
-	opts := fastOptions()
+	opts := cluster.Fast()
 	opts.SeqNumbers = true
 	opts.RetransmitTimeout = 0.05 // aggressive: force duplicate requests
-	mgrs, _ := managerCluster(t, 4, opts, transport.MemOptions{Delay: 200 * time.Microsecond})
+	mgrs := cluster.Start(t, cluster.Config{N: 4, Core: opts, Mem: transport.MemOptions{Delay: 200 * time.Microsecond}}).Managers
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -86,7 +87,7 @@ func TestLiveSequenceNumbers(t *testing.T) {
 }
 
 func TestLiveLossyNetworkWithRecovery(t *testing.T) {
-	opts := fastOptions()
+	opts := cluster.Fast()
 	opts.RetransmitTimeout = 0.1
 	opts.Recovery = core.RecoveryOptions{
 		Enabled:        true,
@@ -97,7 +98,7 @@ func TestLiveLossyNetworkWithRecovery(t *testing.T) {
 	}
 	// 1% of every message type, including tokens.
 	inj := faultnet.New(faultnet.Options{Seed: 7, Faults: faultnet.Faults{Drop: 0.01}})
-	mgrs, _ := managerCluster(t, 4, opts, transport.MemOptions{}, inj.Middleware())
+	mgrs := cluster.Start(t, cluster.Config{N: 4, Core: opts, Faults: inj}).Managers
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -110,11 +111,11 @@ func TestLiveEightNodeStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	mgrs, _ := managerCluster(t, 8, fastOptions(), transport.MemOptions{
+	mgrs := cluster.Start(t, cluster.Config{N: 8, Core: cluster.Fast(), Mem: transport.MemOptions{
 		Delay:  100 * time.Microsecond,
 		Jitter: 200 * time.Microsecond,
 		Seed:   3,
-	})
+	}}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	want := int64(8 * 4 * 10)
@@ -134,7 +135,7 @@ func TestLiveEightNodeStress(t *testing.T) {
 }
 
 func TestLiveCloseUnblocksWaiters(t *testing.T) {
-	mgrs, _ := managerCluster(t, 3, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 3, Core: cluster.Fast()}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
@@ -175,7 +176,7 @@ func TestLiveCloseUnblocksWaiters(t *testing.T) {
 }
 
 func TestLiveUnlockPanicsWhenNotHolding(t *testing.T) {
-	mgrs, _ := managerCluster(t, 1, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 1, Core: cluster.Fast()}).Managers
 	if err := mgrs[0].Lock(context.Background(), lockKey); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestLiveUnlockPanicsWhenNotHolding(t *testing.T) {
 }
 
 func TestLiveInspect(t *testing.T) {
-	mgrs, _ := managerCluster(t, 3, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 3, Core: cluster.Fast()}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 

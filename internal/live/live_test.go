@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tokenarbiter/internal/baseline/raymond"
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/faultnet"
@@ -17,20 +18,11 @@ import (
 	"tokenarbiter/internal/transport"
 )
 
-// fastOptions shrinks the protocol phases so tests finish quickly.
-func fastOptions() core.Options {
-	return core.Options{
-		Treq:              0.005,
-		Tfwd:              0.005,
-		RetransmitTimeout: 0.25,
-	}
-}
-
 // lockKey is the one key of the tests that exercise a single lock.
 const lockKey = "lock"
 
 func TestLockUnlockSingleNodeCluster(t *testing.T) {
-	mgrs, _ := managerCluster(t, 1, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 1, Core: cluster.Fast()}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for i := 0; i < 10; i++ {
@@ -86,9 +78,9 @@ func TestMutualExclusionCounter(t *testing.T) {
 		workers = 3
 		rounds  = 8
 	)
-	mgrs, _ := managerCluster(t, n, fastOptions(), transport.MemOptions{
+	mgrs := cluster.Start(t, cluster.Config{N: n, Core: cluster.Fast(), Mem: transport.MemOptions{
 		Delay: 200 * time.Microsecond,
-	})
+	}}).Managers
 
 	var (
 		counter int64 // deliberately unsynchronized; the DME is the lock
@@ -125,7 +117,7 @@ func TestMutualExclusionCounter(t *testing.T) {
 }
 
 func TestLockContextCancellation(t *testing.T) {
-	mgrs, _ := managerCluster(t, 3, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 3, Core: cluster.Fast()}).Managers
 	bg, cancelBG := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancelBG()
 
@@ -154,20 +146,11 @@ func TestLockContextCancellation(t *testing.T) {
 // checks that the §6 two-phase invalidation protocol regenerates the
 // token and the cluster keeps making progress.
 func TestTokenLossRecovery(t *testing.T) {
-	opts := fastOptions()
-	opts.Recovery = core.RecoveryOptions{
-		Enabled:        true,
-		TokenTimeout:   0.15,
-		RoundTimeout:   0.05,
-		ArbiterTimeout: 0.4,
-		ProbeTimeout:   0.05,
-	}
-
 	// Drop the first PRIVILEGE on the wire: the one node 0, which starts
 	// with the token, sends to the first requesting peer.
 	inj := faultnet.New(faultnet.Options{})
 	inj.DropNextKind(core.KindPrivilege, 1)
-	mgrs, _ := managerCluster(t, 4, opts, transport.MemOptions{}, inj.Middleware())
+	mgrs := cluster.Start(t, cluster.Config{N: 4, Core: cluster.FastRecovery(), Faults: inj}).Managers
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -216,15 +199,8 @@ func TestTokenLossRecovery(t *testing.T) {
 // while the cluster is under load and checks the survivors keep acquiring
 // the mutex via the §6 recovery protocol.
 func TestCrashedNodeRecovery(t *testing.T) {
-	opts := fastOptions()
-	opts.Recovery = core.RecoveryOptions{
-		Enabled:        true,
-		TokenTimeout:   0.15,
-		RoundTimeout:   0.05,
-		ArbiterTimeout: 0.4,
-		ProbeTimeout:   0.05,
-	}
-	mgrs, net := managerCluster(t, 4, opts, transport.MemOptions{})
+	cl := cluster.Start(t, cluster.Config{N: 4, Core: cluster.FastRecovery()})
+	mgrs := cl.Managers
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -241,7 +217,7 @@ func TestCrashedNodeRecovery(t *testing.T) {
 	if err := mgrs[1].Lock(ctx, lockKey); err != nil {
 		t.Fatal(err)
 	}
-	net.Disconnect(1)
+	cl.Network.Disconnect(1)
 	_ = mgrs[1].Close()
 
 	// Survivors must still make progress.

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/live"
-	"tokenarbiter/internal/transport"
 )
 
 type grantResult struct {
@@ -40,7 +40,7 @@ func awaitGrant(t *testing.T, ch chan grantResult) grantResult {
 // Lock's; a declined one is released by the node at once, and the key
 // grants on. A callback may issue the next request from the executor.
 func TestLockFuncTakeAndDecline(t *testing.T) {
-	mgrs, _ := managerCluster(t, 1, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 1, Core: cluster.Fast()}).Managers
 	m := mgrs[0]
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -96,7 +96,7 @@ func TestLockFuncTakeAndDecline(t *testing.T) {
 // TestLockFuncErrors: a request that cannot be made, or that the
 // Manager's Close ends, reaches its callback as an error.
 func TestLockFuncErrors(t *testing.T) {
-	mgrs, _ := managerCluster(t, 1, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 1, Core: cluster.Fast()}).Managers
 	m := mgrs[0]
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

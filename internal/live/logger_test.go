@@ -10,10 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/live"
-	"tokenarbiter/internal/registry"
-	"tokenarbiter/internal/transport"
 )
 
 // syncBuffer guards the log sink: slog handlers run on every node's event
@@ -39,21 +38,9 @@ func TestLoggerEmitsProtocolTransitions(t *testing.T) {
 	var sink syncBuffer
 	logger := slog.New(slog.NewTextHandler(&sink, nil))
 
-	net := transport.NewMemNetwork(3, transport.MemOptions{})
-	defer net.Close()
-	mgrs := make([]*live.Manager, 3)
-	for i := range mgrs {
-		m, err := live.NewManager(live.ManagerConfig{
-			ID: i, N: 3, Transport: net.Endpoint(i),
-			Factory: registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005}),
-			Logger:  logger,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mgrs[i] = m
-		defer m.Close() //nolint:errcheck
-	}
+	mgrs := cluster.Start(t, cluster.Config{N: 3, Core: core.Options{Treq: 0.005, Tfwd: 0.005}, Manager: func(_ int, cfg *live.ManagerConfig) {
+		cfg.Logger = logger
+	}}).Managers
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -80,20 +67,12 @@ func TestLoggerComposesWithObserver(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(&sink, nil))
 
 	var seen atomic.Int64
-	net := transport.NewMemNetwork(1, transport.MemOptions{})
-	defer net.Close()
-	m, err := live.NewManager(live.ManagerConfig{
-		ID: 0, N: 1, Transport: net.Endpoint(0),
-		Factory: registry.CoreLiveFactory(core.Options{
-			Treq: 0.002, Tfwd: 0.002,
-			Observer: func(core.Event) { seen.Add(1) },
-		}),
-		Logger: logger,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close() //nolint:errcheck
+	m := cluster.Start(t, cluster.Config{N: 1, Core: core.Options{
+		Treq: 0.002, Tfwd: 0.002,
+		Observer: func(core.Event) { seen.Add(1) },
+	}, Manager: func(_ int, cfg *live.ManagerConfig) {
+		cfg.Logger = logger
+	}}).Managers[0]
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

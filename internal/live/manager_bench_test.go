@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"tokenarbiter/internal/transport"
 )
 
 // BenchmarkManagerMultiKey is the aggregate-throughput-vs-keys point of
@@ -27,7 +25,7 @@ func BenchmarkManagerMultiKey(b *testing.B) {
 	)
 	for _, keys := range []int{1, 8} {
 		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
-			mgrs, _ := managerCluster(b, nodes, benchOptions, transport.MemOptions{})
+			mgrs := bareManagers(b, nodes, benchOptions)
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 			defer cancel()
 

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/live"
-	"tokenarbiter/internal/transport"
 )
 
 // TestManagerInterleavingsNeverDeadlock drives a fixed-seed random
@@ -28,7 +28,7 @@ func TestManagerInterleavingsNeverDeadlock(t *testing.T) {
 		keys  = 5
 		ops   = 24 // per worker
 	)
-	mgrs, _ := managerCluster(t, nodes, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: nodes, Core: cluster.Fast()}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 

@@ -9,11 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"tokenarbiter/internal/core"
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/faultnet"
 	"tokenarbiter/internal/live"
-	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/reqtrace"
 	"tokenarbiter/internal/transport"
 	"tokenarbiter/internal/wire"
@@ -110,17 +109,13 @@ func TestManagerChaosSoakMultiKey(t *testing.T) {
 }
 
 // managerChaosSoak runs the soak under one fault seed. phase, when
-// non-zero, replaces fastOptions' Treq and Tfwd.
+// non-zero, replaces cluster.FastRecovery's Treq and Tfwd.
 func managerChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 	const (
 		n     = 3
 		nKeys = 8
 		quota = 4
 	)
-	algo, err := registry.RegisterWire(registry.Core)
-	if err != nil {
-		t.Fatal(err)
-	}
 	keys := make([]string, nKeys)
 	for k := range keys {
 		keys[k] = fmt.Sprintf("key-%d", k)
@@ -154,17 +149,10 @@ func managerChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 		},
 	})
 
-	opts := fastOptions()
+	opts := cluster.FastRecovery()
 	if phase > 0 {
 		opts.Treq = phase.Seconds()
 		opts.Tfwd = phase.Seconds()
-	}
-	opts.Recovery = core.RecoveryOptions{
-		Enabled:        true,
-		TokenTimeout:   0.15,
-		RoundTimeout:   0.05,
-		ArbiterTimeout: 0.4,
-		ProbeTimeout:   0.05,
 	}
 
 	// 30 s is the recovery bound the convergence barrier waits out.
@@ -172,34 +160,14 @@ func managerChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 	if phase > 0 {
 		capture += fmt.Sprintf("-phase%dus", phase.Microseconds())
 	}
-	rec := newSoakCapture(t, algo, n, capture, 30)
 	ctl := &blackoutCtl{}
-	net := transport.NewMemNetwork(n, transport.MemOptions{})
-	defer net.Close()
-	mgrs := make([]*live.Manager, n)
-	for i := 0; i < n; i++ {
-		// Blackout above the injector: the injector stays key-blind and
-		// composes below the demux exactly as in production; the optional
-		// flight recorder outermost captures the pre-fault traffic.
-		m, err := live.NewManager(live.ManagerConfig{
-			ID:        i,
-			N:         n,
-			Transport: transport.Chain(net.Endpoint(i), rec.Middleware(), blackoutMW(ctl), inj.Middleware()),
-			Factory:   registry.CoreLiveFactory(opts),
-			Algo:      "core",
-			FlightRec: rec.Recorder,
-		})
-		if err != nil {
-			t.Fatalf("manager %d: %v", i, err)
-		}
-		mgrs[i] = m
-	}
-	closeAll := func() {
-		for _, m := range mgrs {
-			_ = m.Close()
-		}
-	}
-	defer closeAll()
+	// The blackout sits above the injector: the injector stays key-blind
+	// and composes below the demux exactly as in production.
+	cl := cluster.Start(t, cluster.Config{
+		N: n, Core: opts, Faults: inj, Middleware: []transport.Middleware{blackoutMW(ctl)},
+		Capture: capture, Settle: 30,
+	})
+	mgrs := cl.Managers
 
 	// The deadline is deliberately generous: eight independent recovery
 	// state machines share one transport per node, so reconvergence and
@@ -263,11 +231,11 @@ func managerChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 			}(mgrs[i], i, k)
 		}
 	}
-	// Drain the workers before the deferred manager Close tears the key
+	// Drain the workers before the cluster's cleanup tears the key
 	// instances down: when a phase bails out with t.Fatal the defers run
 	// with workers still inside their critical sections, and a worker
 	// would otherwise Unlock into a closed Manager and panic, masking
-	// the phase's real failure. (LIFO: this runs before the Close defer.)
+	// the phase's real failure.
 	defer func() {
 		cancel()
 		wg.Wait()
@@ -279,11 +247,11 @@ func managerChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 	// Phase 2 — partition node 0 (every key's initial arbiter) from
 	// {1,2}. Twin tokens are possible on every key at once; the fault/heal
 	// records let the checker excuse what the split made.
-	rec.mark(reqtrace.EvFault, "")
+	cl.Mark(reqtrace.EvFault, "")
 	inj.Partition([]int{0}, []int{1, 2})
 	time.Sleep(600 * time.Millisecond)
 	inj.Heal()
-	rec.mark(reqtrace.EvHeal, "")
+	cl.Mark(reqtrace.EvHeal, "")
 
 	// The barrier before the isolation phase: with the loss faults
 	// quiesced (latency stays), every key's group gets back to one epoch
@@ -317,11 +285,11 @@ func managerChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 			before[k] += counts[i][k].Load()
 		}
 	}
-	rec.mark(reqtrace.EvFault, victim)
+	cl.Mark(reqtrace.EvFault, victim)
 	ctl.set(victim)
 	time.Sleep(600 * time.Millisecond)
 	ctl.clear()
-	rec.mark(reqtrace.EvHeal, victim)
+	cl.Mark(reqtrace.EvHeal, victim)
 	for k, key := range keys {
 		if key == victim {
 			continue
@@ -382,11 +350,9 @@ func managerChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 	cancel()
 	wg.Wait()
 	regens := sumRegen()
-	closeAll()
-
-	v := rec.judge(t)
-	for _, x := range v.Violations {
-		t.Errorf("safety: %s", x)
+	v, err := cl.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, key := range keys {
 		if a := v.Accepted[key]; a < n*quota {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/live"
@@ -22,37 +23,8 @@ import (
 	"tokenarbiter/internal/wire"
 )
 
-// managerCluster builds n Managers over one in-memory network, each
-// multiplexing every lock key over its single endpoint; mws wrap every
-// endpoint (first outermost), which is how a test injects faults.
-func managerCluster(t testing.TB, n int, opts core.Options, mo transport.MemOptions, mws ...transport.Middleware) ([]*live.Manager, *transport.MemNetwork) {
-	t.Helper()
-	net := transport.NewMemNetwork(n, mo)
-	mgrs := make([]*live.Manager, n)
-	for i := 0; i < n; i++ {
-		m, err := live.NewManager(live.ManagerConfig{
-			ID:        i,
-			N:         n,
-			Transport: transport.Chain(net.Endpoint(i), mws...),
-			Factory:   registry.CoreLiveFactory(opts),
-			Algo:      "core",
-		})
-		if err != nil {
-			t.Fatalf("manager %d: %v", i, err)
-		}
-		mgrs[i] = m
-	}
-	t.Cleanup(func() {
-		for _, m := range mgrs {
-			_ = m.Close()
-		}
-		net.Close()
-	})
-	return mgrs, net
-}
-
 func TestManagerSingleKeyLockUnlock(t *testing.T) {
-	mgrs, _ := managerCluster(t, 3, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 3, Core: cluster.Fast()}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -72,7 +44,7 @@ func TestManagerSingleKeyLockUnlock(t *testing.T) {
 // TestManagerKeysAreIndependent pins the point of the whole subsystem:
 // holding one key never blocks another key's critical section.
 func TestManagerKeysAreIndependent(t *testing.T) {
-	mgrs, _ := managerCluster(t, 3, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 3, Core: cluster.Fast()}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -102,7 +74,7 @@ func TestManagerMutualExclusionPerKey(t *testing.T) {
 		rounds  = 5
 		holdFor = 200 * time.Microsecond
 	)
-	mgrs, _ := managerCluster(t, nodes, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: nodes, Core: cluster.Fast()}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -149,7 +121,7 @@ func TestManagerMutualExclusionPerKey(t *testing.T) {
 // still joins its DME group when a peer's traffic arrives — node 1 can
 // acquire a key whose group only exists because node 0 created it.
 func TestManagerLazyRemoteCreation(t *testing.T) {
-	mgrs, _ := managerCluster(t, 3, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 3, Core: cluster.Fast()}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -170,7 +142,7 @@ func TestManagerLazyRemoteCreation(t *testing.T) {
 }
 
 func TestManagerFencesPerKeyMonotonic(t *testing.T) {
-	mgrs, _ := managerCluster(t, 2, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 2, Core: cluster.Fast()}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -196,7 +168,7 @@ func TestManagerFencesPerKeyMonotonic(t *testing.T) {
 }
 
 func TestManagerTryLockContext(t *testing.T) {
-	mgrs, _ := managerCluster(t, 2, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 2, Core: cluster.Fast()}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -237,7 +209,7 @@ func TestManagerTryLockContext(t *testing.T) {
 }
 
 func TestManagerUnlockUnknownKeyPanics(t *testing.T) {
-	mgrs, _ := managerCluster(t, 1, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 1, Core: cluster.Fast()}).Managers
 	defer func() {
 		if recover() == nil {
 			t.Error("Unlock of an unknown key did not panic")
@@ -269,7 +241,7 @@ func TestManagerEmptyKeyIsNotALock(t *testing.T) {
 	recv := recvSignal{Transport: net.Endpoint(0), done: make(chan struct{}, 1)}
 	m, err := live.NewManager(live.ManagerConfig{
 		ID: 0, N: 2, Transport: recv,
-		Factory: registry.CoreLiveFactory(fastOptions()),
+		Factory: registry.CoreLiveFactory(cluster.Fast()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -305,17 +277,9 @@ func TestManagerEmptyKeyIsNotALock(t *testing.T) {
 }
 
 func TestManagerMaxKeys(t *testing.T) {
-	net := transport.NewMemNetwork(1, transport.MemOptions{})
-	defer net.Close()
-	m, err := live.NewManager(live.ManagerConfig{
-		ID: 0, N: 1, Transport: net.Endpoint(0),
-		Factory: registry.CoreLiveFactory(fastOptions()),
-		MaxKeys: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := cluster.Start(t, cluster.Config{N: 1, Core: cluster.Fast(), Manager: func(_ int, cfg *live.ManagerConfig) {
+		cfg.MaxKeys = 2
+	}}).Managers[0]
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for _, key := range []string{"a", "b"} {
@@ -324,8 +288,7 @@ func TestManagerMaxKeys(t *testing.T) {
 		}
 		m.Unlock(key)
 	}
-	err = m.Lock(ctx, "c")
-	if !errors.Is(err, live.ErrTooManyKeys) {
+	if err := m.Lock(ctx, "c"); !errors.Is(err, live.ErrTooManyKeys) {
 		t.Fatalf("third key: %v, want ErrTooManyKeys", err)
 	}
 	// Existing keys keep working at the limit.
@@ -336,7 +299,7 @@ func TestManagerMaxKeys(t *testing.T) {
 }
 
 func TestManagerKeyStatsAndKeys(t *testing.T) {
-	mgrs, _ := managerCluster(t, 2, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 2, Core: cluster.Fast()}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for _, key := range []string{"beta", "alpha"} {
@@ -366,23 +329,8 @@ func TestManagerKeyStatsAndKeys(t *testing.T) {
 	}
 }
 
-// recoveryOptions is fastOptions with §6 recovery on: a crashed or
-// restarted participant may have held the token, so the group needs it
-// to regenerate one.
-func recoveryOptions() core.Options {
-	opts := fastOptions()
-	opts.Recovery = core.RecoveryOptions{
-		Enabled:        true,
-		TokenTimeout:   0.15,
-		RoundTimeout:   0.05,
-		ArbiterTimeout: 0.4,
-		ProbeTimeout:   0.05,
-	}
-	return opts
-}
-
 func TestManagerRestartKeyIncarnation(t *testing.T) {
-	mgrs, _ := managerCluster(t, 3, recoveryOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 3, Core: cluster.FastRecovery()}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 
@@ -429,22 +377,22 @@ func TestManagerRestartKeyIncarnation(t *testing.T) {
 // survivors keep acquiring the lock across the crash, and the rebuilt
 // node rejoins and acquires it too.
 func TestManagerCloseRebuild(t *testing.T) {
-	mgrs, net := managerCluster(t, 3, recoveryOptions(), transport.MemOptions{})
+	cl := cluster.Start(t, cluster.Config{N: 3, Core: cluster.FastRecovery()})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	lockUnlock := func(i int) {
 		t.Helper()
-		if err := mgrs[i].Lock(ctx, "k"); err != nil {
+		if err := cl.Managers[i].Lock(ctx, "k"); err != nil {
 			t.Fatalf("node %d lock: %v", i, err)
 		}
-		mgrs[i].Unlock("k")
+		cl.Managers[i].Unlock("k")
 	}
-	for i := range mgrs {
+	for i := range cl.Managers {
 		lockUnlock(i)
 	}
 
-	victim := mgrs[2]
+	victim := cl.Managers[2]
 	if err := victim.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -459,20 +407,14 @@ func TestManagerCloseRebuild(t *testing.T) {
 	lockUnlock(0)
 	lockUnlock(1)
 
-	net.Reconnect(2) // Close disconnected the endpoint under the Manager
-	fresh, err := live.NewManager(live.ManagerConfig{
-		ID: 2, N: 3, Transport: net.Endpoint(2),
-		Factory: registry.CoreLiveFactory(recoveryOptions()),
-	})
-	if err != nil {
+	if err := cl.Restart(2); err != nil {
 		t.Fatalf("rebuild: %v", err)
 	}
-	mgrs[2] = fresh // managerCluster's cleanup closes whatever is in the slot
 	lockUnlock(2)
 }
 
 func TestManagerClosedErrors(t *testing.T) {
-	mgrs, _ := managerCluster(t, 1, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 1, Core: cluster.Fast()}).Managers
 	m := mgrs[0]
 	ctx := context.Background()
 	if err := m.Lock(ctx, "k"); err != nil {
@@ -497,7 +439,7 @@ func TestManagerClosedErrors(t *testing.T) {
 // real HTTP: aggregate /statusz and /metrics, per-key ?key= views, and
 // the error paths for unknown keys.
 func TestManagerAdminEndpoints(t *testing.T) {
-	mgrs, _ := managerCluster(t, 2, fastOptions(), transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 2, Core: cluster.Fast()}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for _, key := range []string{"orders", "users"} {
@@ -576,7 +518,7 @@ func TestManagerMaxKeysConcurrent(t *testing.T) {
 		t.Cleanup(net.Close)
 		m, err := live.NewManager(live.ManagerConfig{
 			ID: 0, N: n, Transport: net.Endpoint(0),
-			Factory: registry.CoreLiveFactory(fastOptions()),
+			Factory: registry.CoreLiveFactory(cluster.Fast()),
 			MaxKeys: maxKeys,
 		})
 		if err != nil {
@@ -678,7 +620,7 @@ func TestManagerLookupDoesNotWaitOnBuild(t *testing.T) {
 	const a, b = "key-0", "key-15"
 	net := transport.NewMemNetwork(2, transport.MemOptions{})
 	defer net.Close()
-	base := registry.CoreLiveFactory(fastOptions())
+	base := registry.CoreLiveFactory(cluster.Fast())
 	building, release := make(chan struct{}), make(chan struct{})
 	var calls atomic.Int32
 	m, err := live.NewManager(live.ManagerConfig{
@@ -777,7 +719,7 @@ func TestManagerFirstFramesRestartCloseRace(t *testing.T) {
 	defer net.Close()
 	m, err := live.NewManager(live.ManagerConfig{
 		ID: 0, N: peers + 1, Transport: net.Endpoint(0),
-		Factory: registry.CoreLiveFactory(fastOptions()), FlightRec: rec,
+		Factory: registry.CoreLiveFactory(cluster.Fast()), FlightRec: rec,
 	})
 	if err != nil {
 		t.Fatal(err)

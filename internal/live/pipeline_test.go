@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/core"
-	"tokenarbiter/internal/transport"
 )
 
 // TestLocalRequestersShareBatches: a node may have several requests
@@ -20,7 +20,7 @@ import (
 // the token never leaving node 0 not one message crosses the network.
 func TestLocalRequestersShareBatches(t *testing.T) {
 	opts := core.Options{Treq: 0.0005, Tfwd: 0.0005, RetransmitTimeout: 0.25}
-	mgrs, _ := managerCluster(t, 3, opts, transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 3, Core: opts}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

@@ -7,42 +7,16 @@ import (
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/live"
-	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/reqtrace"
 	"tokenarbiter/internal/telemetry"
-	"tokenarbiter/internal/transport"
 )
 
-// startCluster builds an n-node in-memory cluster with telemetry wired
-// the way cmd/mutexnode does: one registry per node, shared between the
-// manager-level metrics and the transport counting layer.
-func startCluster(t *testing.T, n int) ([]*live.Manager, []*transport.Counting) {
-	t.Helper()
-	net := transport.NewMemNetwork(n, transport.MemOptions{})
-	t.Cleanup(net.Close)
-	mgrs := make([]*live.Manager, n)
-	counters := make([]*transport.Counting, n)
-	for i := range mgrs {
-		reg := telemetry.NewRegistry()
-		counters[i] = transport.NewCountingIn(net.Endpoint(i), reg)
-		m, err := live.NewManager(live.ManagerConfig{
-			ID: i, N: n, Transport: counters[i],
-			Factory: registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005}),
-			Metrics: reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mgrs[i] = m
-		t.Cleanup(func() { _ = m.Close() })
-	}
-	return mgrs, counters
-}
-
 func TestLiveMetricsRecordProtocolActivity(t *testing.T) {
-	mgrs, counters := startCluster(t, 3)
+	cl := cluster.Start(t, cluster.Config{N: 3, Core: core.Options{Treq: 0.005, Tfwd: 0.005}})
+	mgrs, counters := cl.Managers, cl.Counters
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
@@ -117,22 +91,7 @@ func TestLiveMetricsRecordProtocolActivity(t *testing.T) {
 // layer under the key demux — so /metrics has node-level and per-key
 // series of the same families to merge.
 func TestAdminEndpoints(t *testing.T) {
-	net := transport.NewMemNetwork(2, transport.MemOptions{})
-	t.Cleanup(net.Close)
-	mgrs := make([]*live.Manager, 2)
-	for i := range mgrs {
-		reg := telemetry.NewRegistry()
-		m, err := live.NewManager(live.ManagerConfig{
-			ID: i, N: 2, Transport: transport.NewCountingIn(net.Endpoint(i), reg),
-			Factory: registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005}),
-			Metrics: reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mgrs[i] = m
-		t.Cleanup(func() { _ = m.Close() })
-	}
+	mgrs := cluster.Start(t, cluster.Config{N: 2, Core: core.Options{Treq: 0.005, Tfwd: 0.005}}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	for _, m := range mgrs {
@@ -199,7 +158,7 @@ func TestAdminEndpoints(t *testing.T) {
 }
 
 func TestStatusRoles(t *testing.T) {
-	mgrs, _ := managerCluster(t, 1, core.Options{Treq: 0.001, Tfwd: 0.001}, transport.MemOptions{})
+	mgrs := cluster.Start(t, cluster.Config{N: 1, Core: core.Options{Treq: 0.001, Tfwd: 0.001}}).Managers
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -226,16 +185,9 @@ func TestStatusRoles(t *testing.T) {
 }
 
 func TestTraceDisabled(t *testing.T) {
-	net := transport.NewMemNetwork(1, transport.MemOptions{})
-	defer net.Close()
-	m, err := live.NewManager(live.ManagerConfig{
-		ID: 0, N: 1, Transport: net.Endpoint(0), TraceDepth: -1,
-		Factory: registry.CoreLiveFactory(core.Options{Treq: 0.001, Tfwd: 0.001}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close() //nolint:errcheck
+	m := cluster.Start(t, cluster.Config{N: 1, Core: core.Options{Treq: 0.001, Tfwd: 0.001}, Manager: func(_ int, cfg *live.ManagerConfig) {
+		cfg.TraceDepth = -1
+	}}).Managers[0]
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := m.Lock(ctx, "k"); err != nil {

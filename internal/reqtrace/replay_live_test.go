@@ -6,11 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/reqtrace"
-	"tokenarbiter/internal/transport"
 )
 
 // TestReplayDeterminism is the end-to-end contract the flight recorder
@@ -19,39 +19,16 @@ import (
 // grant/fence sequences to be byte-identical. CI runs this as the
 // replay-determinism gate.
 func TestReplayDeterminism(t *testing.T) {
-	algo, err := registry.RegisterWire(registry.Core)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 3
-	var buf bytes.Buffer
-	rec, err := reqtrace.NewRecorder(&buf, algo, n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tracer := reqtrace.NewCollector(reqtrace.DefaultDepth)
 
 	// A 3-node multi-key cluster over an in-memory network, every node
 	// sharing one recorder so the capture holds the whole cluster's
 	// traffic and lock lifecycle.
-	net := transport.NewMemNetwork(n, transport.MemOptions{})
-	defer net.Close()
-	opts := core.Options{Treq: 0.005, Tfwd: 0.005, RetransmitTimeout: 0.25}
-	mgrs := make([]*live.Manager, n)
-	for i := 0; i < n; i++ {
-		m, err := live.NewManager(live.ManagerConfig{
-			ID: i, N: n,
-			Transport: transport.Chain(net.Endpoint(i), rec.Middleware()),
-			Factory:   registry.CoreLiveFactory(opts),
-			Algo:      algo,
-			Tracer:    tracer,
-			FlightRec: rec,
-		})
-		if err != nil {
-			t.Fatalf("manager %d: %v", i, err)
-		}
-		mgrs[i] = m
-	}
+	cl := cluster.Start(t, cluster.Config{N: n, Core: cluster.Fast(), Manager: func(_ int, cfg *live.ManagerConfig) {
+		cfg.Tracer = tracer
+	}})
+	mgrs := cl.Managers
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -68,14 +45,10 @@ func TestReplayDeterminism(t *testing.T) {
 			}
 		}
 	}
-	for _, m := range mgrs {
-		_ = m.Close()
-	}
-
-	capture, err := reqtrace.ReadCapture(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	if _, err := cl.Close(); err != nil {
 		t.Fatal(err)
 	}
+	capture := cl.Capture()
 	if len(capture.Records) == 0 {
 		t.Fatal("live run produced an empty capture")
 	}

@@ -1,36 +1,44 @@
 package session_test
 
 // Cluster-level tests: the session layer over real live.Managers and
-// the real DME protocol on a mem network, via the sessiontest harness.
+// the real DME protocol on a mem network, built by internal/cluster.
 // Leases run on a FakeClock; the protocol underneath runs on wall time
 // with fast timeouts, so these tests poll protocol-side effects instead
 // of sleeping for them.
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/core"
-	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/reqtrace"
 	"tokenarbiter/internal/session"
-	"tokenarbiter/internal/session/sessiontest"
-	"tokenarbiter/internal/transport"
 )
+
+// dial connects a client to node's session server; the cluster closes
+// it.
+func dial(t *testing.T, cl *cluster.Cluster, node int, opts session.Options) *session.Client {
+	t.Helper()
+	c, err := cl.Dial(node, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 // TestClusterAcquireAcrossNodes: sessions on different nodes contend
 // for one key through the real arbiter; exclusion shows up as strictly
 // increasing fences and serialized grants.
 func TestClusterAcquireAcrossNodes(t *testing.T) {
-	cl := sessiontest.Start(t, sessiontest.Options{})
+	cl := cluster.Start(t, cluster.Config{N: 3, Sessions: "pipe"})
 	ctx := ctxT(t)
 
 	var last uint64
 	for round := 0; round < 3; round++ {
-		for node := 0; node < cl.N; node++ {
-			c := cl.Dial(t, node, session.Options{NoKeepAlive: true})
+		for node := 0; node < len(cl.Managers); node++ {
+			c := dial(t, cl, node, session.Options{NoKeepAlive: true})
 			sess, err := c.Open(ctx, 10*time.Second)
 			if err != nil {
 				t.Fatalf("node %d: open: %v", node, err)
@@ -61,7 +69,7 @@ func TestClusterAcquireAcrossNodes(t *testing.T) {
 // unlock.
 func TestClusterExpiryRunsRecovery(t *testing.T) {
 	clk := session.NewFakeClock()
-	cl := sessiontest.Start(t, sessiontest.Options{Clock: clk})
+	cl := cluster.Start(t, cluster.Config{N: 3, Sessions: "pipe", Clock: clk})
 	ctx := ctxT(t)
 
 	// Warm-up: one grant from another node first, so the key's DME group
@@ -69,7 +77,7 @@ func TestClusterExpiryRunsRecovery(t *testing.T) {
 	// beyond the node about to crash. Without traffic, the group is one
 	// lazily-created instance whose crash erases the only copy of the
 	// fence history — there is nothing for §6 to recover *from*.
-	warm := cl.Dial(t, 1, session.Options{NoKeepAlive: true})
+	warm := dial(t, cl, 1, session.Options{NoKeepAlive: true})
 	warmSess, err := warm.Open(ctx, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +89,7 @@ func TestClusterExpiryRunsRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := cl.Dial(t, 0, session.Options{NoKeepAlive: true})
+	c := dial(t, cl, 0, session.Options{NoKeepAlive: true})
 	holder, err := c.Open(ctx, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +107,7 @@ func TestClusterExpiryRunsRecovery(t *testing.T) {
 	clk.Advance(2 * time.Second) // the lease lapses mid-critical-section
 
 	waitUntil(t, "expiry to invalidate through the backend", func() bool {
-		return cl.Regs[0].Counter("session_expiry_invalidations_total", "").Value() == 1
+		return cl.Servers[0].Metrics().Counter("session_expiry_invalidations_total", "").Value() == 1
 	})
 	waitUntil(t, "client handle to learn of expiry", holder.Expired)
 
@@ -108,7 +116,7 @@ func TestClusterExpiryRunsRecovery(t *testing.T) {
 	// restarted participant), the token timeout fires, the group runs the
 	// invalidation round and regenerates — and the grant that finally
 	// arrives carries a strictly higher fence.
-	c2 := cl.Dial(t, 1, session.Options{NoKeepAlive: true})
+	c2 := dial(t, cl, 1, session.Options{NoKeepAlive: true})
 	sess2, err := c2.Open(ctx, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -129,30 +137,15 @@ func TestClusterExpiryRunsRecovery(t *testing.T) {
 	}
 }
 
-// TestClusterCaptureReplays: a session cluster whose Managers are handed
-// the flight recorder captures each key's grants and protocol transitions
-// beside the frames, so the capture replays to grants and judges clean.
-// Without the Manager hook the capture held frames only.
+// TestClusterCaptureReplays: a session cluster's capture holds each
+// key's grants and protocol transitions beside the frames, so it replays
+// to grants and judges clean.
 func TestClusterCaptureReplays(t *testing.T) {
-	algo, err := registry.RegisterWire(registry.Core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	rec, err := reqtrace.NewRecorder(&buf, algo, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := sessiontest.Start(t, sessiontest.Options{
-		Middleware: func(i int, base transport.Transport) transport.Transport {
-			return transport.Chain(base, rec.Middleware())
-		},
-		Manager: func(i int, cfg *live.ManagerConfig) { cfg.FlightRec = rec },
-	})
+	cl := cluster.Start(t, cluster.Config{N: 3, Sessions: "pipe"})
 	ctx := ctxT(t)
 	keys := []string{"a", "b"}
-	for node := 0; node < cl.N; node++ {
-		sess, err := cl.Dial(t, node, session.Options{NoKeepAlive: true}).Open(ctx, 10*time.Second)
+	for node := 0; node < len(cl.Managers); node++ {
+		sess, err := dial(t, cl, node, session.Options{NoKeepAlive: true}).Open(ctx, 10*time.Second)
 		if err != nil {
 			t.Fatalf("node %d: open: %v", node, err)
 		}
@@ -165,15 +158,11 @@ func TestClusterCaptureReplays(t *testing.T) {
 			}
 		}
 	}
-	for i := range cl.Servers {
-		_ = cl.Servers[i].Close()
-		_ = cl.Managers[i].Close()
-	}
-
-	capture, err := reqtrace.ReadCapture(bytes.NewReader(buf.Bytes()))
+	v, err := cl.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
+	capture := cl.Capture()
 	for _, key := range keys {
 		grants, transitions := 0, 0
 		for _, r := range capture.Records {
@@ -185,9 +174,9 @@ func TestClusterCaptureReplays(t *testing.T) {
 				transitions++
 			}
 		}
-		if grants != cl.N || transitions == 0 {
+		if grants != len(cl.Managers) || transitions == 0 {
 			t.Errorf("key %q: capture holds %d grants (want %d) and %d protocol transitions (want some)",
-				key, grants, cl.N, transitions)
+				key, grants, len(cl.Managers), transitions)
 		}
 	}
 	factory := registry.CoreLiveFactory(core.Options{Treq: 0.005, Tfwd: 0.005})
@@ -198,7 +187,7 @@ func TestClusterCaptureReplays(t *testing.T) {
 	if len(res.Grants) == 0 {
 		t.Errorf("replay granted nothing (recorded %d grants)", len(res.Recorded))
 	}
-	if v := reqtrace.Check(capture, 0); v.Err() != nil {
+	if v.Err() != nil {
 		t.Errorf("verdict: %s", v)
 	}
 }

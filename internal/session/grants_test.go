@@ -16,9 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/session"
-	"tokenarbiter/internal/session/sessiontest"
 	"tokenarbiter/internal/telemetry"
 )
 
@@ -53,9 +53,9 @@ func requestsAt(m *live.Manager, key string) int64 {
 }
 
 // holdOn opens a session on node's server and acquires key with it.
-func holdOn(t *testing.T, cl *sessiontest.Cluster, node int, key string) (*session.Session, uint64) {
+func holdOn(t *testing.T, cl *cluster.Cluster, node int, key string) (*session.Session, uint64) {
 	t.Helper()
-	s := openSessions(t, cl.Dial(t, node, session.Options{NoKeepAlive: true}), 1, 10*time.Second)[0]
+	s := openSessions(t, dial(t, cl, node, session.Options{NoKeepAlive: true}), 1, 10*time.Second)[0]
 	fence, err := s.Acquire(ctxT(t), key)
 	if err != nil {
 		t.Fatalf("holder on node %d: %v", node, err)
@@ -67,10 +67,10 @@ func holdOn(t *testing.T, cl *sessiontest.Cluster, node int, key string) (*sessi
 // a holder, no goroutine waits for any of them — no grant-slot loop and
 // no LockFence call anywhere in the process.
 func TestGrantCallbackParksNoGoroutine(t *testing.T) {
-	cl := sessiontest.Start(t, sessiontest.Options{})
+	cl := cluster.Start(t, cluster.Config{N: 3, Sessions: "pipe"})
 	holder, _ := holdOn(t, cl, 0, "k")
-	queued := openSessions(t, cl.Dial(t, 0, session.Options{NoKeepAlive: true}), session.GrantSlots, 10*time.Second)
-	res := queueOn(t, cl.Regs[0], queued, "k", 0)
+	queued := openSessions(t, dial(t, cl, 0, session.Options{NoKeepAlive: true}), session.GrantSlots, 10*time.Second)
+	res := queueOn(t, cl.Servers[0].Metrics(), queued, "k", 0)
 	waitUntil(t, "D requests to reach the node", func() bool {
 		return requestsAt(cl.Managers[0], "k") == session.GrantSlots
 	})
@@ -108,10 +108,10 @@ func TestGrantCallbackParksNoGoroutine(t *testing.T) {
 // reissues them on the new incarnation, and every queued acquire — the
 // D outstanding and the one behind them — is granted, in queue order.
 func TestGrantCallbackRestartKey(t *testing.T) {
-	cl := sessiontest.Start(t, sessiontest.Options{})
+	cl := cluster.Start(t, cluster.Config{N: 3, Sessions: "pipe"})
 	holder, held := holdOn(t, cl, 1, "k")
-	queued := openSessions(t, cl.Dial(t, 2, session.Options{NoKeepAlive: true}), session.GrantSlots+1, 10*time.Second)
-	res := queueOn(t, cl.Regs[2], queued, "k", 0)
+	queued := openSessions(t, dial(t, cl, 2, session.Options{NoKeepAlive: true}), session.GrantSlots+1, 10*time.Second)
+	res := queueOn(t, cl.Servers[2].Metrics(), queued, "k", 0)
 	waitUntil(t, "D requests to reach node 2", func() bool {
 		return requestsAt(cl.Managers[2], "k") == session.GrantSlots
 	})
@@ -151,10 +151,10 @@ func TestGrantCallbackRestartKey(t *testing.T) {
 // the closed server declines each on the node's executor, the node
 // releases it there, and the key moves on to another node.
 func TestGrantCallbackServerClose(t *testing.T) {
-	cl := sessiontest.Start(t, sessiontest.Options{})
+	cl := cluster.Start(t, cluster.Config{N: 3, Sessions: "pipe"})
 	holder, _ := holdOn(t, cl, 1, "k")
-	queued := openSessions(t, cl.Dial(t, 0, session.Options{NoKeepAlive: true}), session.GrantSlots, 10*time.Second)
-	res := queueOn(t, cl.Regs[0], queued, "k", 0)
+	queued := openSessions(t, dial(t, cl, 0, session.Options{NoKeepAlive: true}), session.GrantSlots, 10*time.Second)
+	res := queueOn(t, cl.Servers[0].Metrics(), queued, "k", 0)
 	waitUntil(t, "D requests to reach node 0", func() bool {
 		return requestsAt(cl.Managers[0], "k") == session.GrantSlots
 	})
@@ -173,7 +173,7 @@ func TestGrantCallbackServerClose(t *testing.T) {
 			t.Fatalf("queued acquire %d: %v, want CodeShuttingDown", i, got.err)
 		}
 	}
-	if got := cl.Regs[0].Snapshot().Gauges["session_queue_waiters"]; got != 0 {
+	if got := cl.Servers[0].Metrics().Snapshot().Gauges["session_queue_waiters"]; got != 0 {
 		t.Fatalf("session_queue_waiters = %d after Close", got)
 	}
 
@@ -199,10 +199,10 @@ func TestGrantCallbackServerClose(t *testing.T) {
 // grants again — on the same node and elsewhere.
 func TestGrantCallbackWaitBound(t *testing.T) {
 	clk := session.NewFakeClock()
-	cl := sessiontest.Start(t, sessiontest.Options{Clock: clk})
+	cl := cluster.Start(t, cluster.Config{N: 3, Sessions: "pipe", Clock: clk})
 	holder, _ := holdOn(t, cl, 1, "k")
-	bounded := openSessions(t, cl.Dial(t, 0, session.Options{NoKeepAlive: true}), 1, 10*time.Second)
-	res := queueOn(t, cl.Regs[0], bounded, "k", 50*time.Millisecond)
+	bounded := openSessions(t, dial(t, cl, 0, session.Options{NoKeepAlive: true}), 1, 10*time.Second)
+	res := queueOn(t, cl.Servers[0].Metrics(), bounded, "k", 50*time.Millisecond)
 	waitUntil(t, "the request to reach node 0", func() bool {
 		return requestsAt(cl.Managers[0], "k") == 1
 	})
@@ -218,7 +218,7 @@ func TestGrantCallbackWaitBound(t *testing.T) {
 		g, r := cl.Managers[0].Node("k").Stats()
 		return g == 1 && r == 1
 	})
-	if got := cl.Regs[0].Snapshot().Counters["session_grants_total"]; got != 0 {
+	if got := cl.Servers[0].Metrics().Snapshot().Counters["session_grants_total"]; got != 0 {
 		t.Fatalf("session_grants_total = %d after a grant nobody wanted", got)
 	}
 	if _, err := bounded[0].Acquire(ctxT(t), "k"); err != nil {

@@ -5,90 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/faultnet"
-	"tokenarbiter/internal/live"
-	"tokenarbiter/internal/registry"
 	"tokenarbiter/internal/reqtrace"
 	"tokenarbiter/internal/session"
-	"tokenarbiter/internal/session/sessiontest"
-	"tokenarbiter/internal/telemetry"
-	"tokenarbiter/internal/transport"
 )
-
-// soakCapture is a soak's flight-recorder capture and the one place its
-// safety verdict comes from. Every soak records, always: a failure that
-// happens one run in five must leave something to replay (`mutexsim
-// replay <capture>`) and to judge. Under $FLIGHTREC_DIR when that is set
-// — CI sets it and uploads the directory when the job fails — else in a
-// temp dir that is removed when the test passes. A failed test logs the
-// capture's path beside its verdict.
-type soakCapture struct {
-	*reqtrace.Recorder
-	path    string
-	settle  float64 // the soak's recovery bound: reqtrace.Check's time rules
-	verdict *reqtrace.Verdict
-}
-
-func newSoakCapture(t *testing.T, algo string, n int, name string, settle float64) *soakCapture {
-	dir := os.Getenv("FLIGHTREC_DIR")
-	if dir == "" {
-		var err error
-		if dir, err = os.MkdirTemp("", "flightrec-"); err != nil {
-			t.Fatalf("flight recorder dir: %v", err)
-		}
-		t.Cleanup(func() {
-			if !t.Failed() {
-				_ = os.RemoveAll(dir)
-			}
-		})
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatalf("flight recorder dir %s: %v", dir, err)
-	}
-	path := filepath.Join(dir, name+".jsonl")
-	rec, err := reqtrace.CreateRecorder(path, algo, n)
-	if err != nil {
-		t.Fatalf("flight recorder %s: %v", path, err)
-	}
-	c := &soakCapture{Recorder: rec, path: path, settle: settle}
-	t.Cleanup(func() {
-		if t.Failed() {
-			t.Logf("flight-recorder capture of the failed run: %s\nverdict: %s", path, c.judge(t))
-		}
-		_ = rec.Close()
-	})
-	return c
-}
-
-// judge ends the capture and judges it. Call it once the cluster is shut
-// down, so every grant has its release or close on record.
-func (c *soakCapture) judge(t *testing.T) *reqtrace.Verdict {
-	if c.verdict == nil {
-		_ = c.Close()
-		f, err := os.Open(c.path)
-		if err != nil {
-			t.Fatalf("open capture: %v", err)
-		}
-		defer f.Close()
-		capture, err := reqtrace.ReadCapture(f)
-		if err != nil {
-			t.Fatalf("read capture %s: %v", c.path, err)
-		}
-		c.verdict = reqtrace.Check(capture, c.settle)
-	}
-	return c.verdict
-}
-
-// mark records a fault or heal on the capture; key "" is every key.
-func (c *soakCapture) mark(ev, key string) {
-	c.Record(reqtrace.Record{T: reqtrace.Now(), Ev: ev, Node: -1, Peer: -1, Key: key})
-}
 
 // waitFor is waitUntil with a caller-chosen deadline: the soak's
 // convergence and liveness phases run under active link faults and can
@@ -104,11 +30,11 @@ func waitFor(t *testing.T, desc string, timeout time.Duration, cond func() bool)
 	}
 }
 
-// sumRegs totals one counter across the cluster's server registries.
-func sumRegs(regs []*telemetry.Registry, name string) uint64 {
+// sumServers totals one counter across the cluster's session servers.
+func sumServers(servers []*session.Server, name string) uint64 {
 	var sum uint64
-	for _, reg := range regs {
-		sum += reg.Snapshot().Counters[name]
+	for _, srv := range servers {
+		sum += srv.Metrics().Snapshot().Counters[name]
 	}
 	return sum
 }
@@ -143,7 +69,7 @@ func TestSessionChaosSoak(t *testing.T) {
 }
 
 // sessionChaosSoak runs the soak under one fault seed. phase, when
-// non-zero, sets the protocol's Treq and Tfwd (sessiontest.Options.Phase).
+// non-zero, sets the protocol's Treq and Tfwd.
 func sessionChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 	const (
 		nodes        = 3
@@ -155,16 +81,11 @@ func sessionChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 	)
 	keys := []string{"alpha", "beta", "gamma", "delta"}
 
-	algo, err := registry.RegisterWire(registry.Core)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// 20 s is the recovery bound the soak's phases wait out.
 	capture := fmt.Sprintf("session-chaos-soak-seed%d", seed)
 	if phase > 0 {
 		capture += fmt.Sprintf("-phase%dus", phase.Microseconds())
 	}
-	rec := newSoakCapture(t, algo, nodes, capture, 20)
 	inj := faultnet.New(faultnet.Options{
 		Seed: seed,
 		Faults: faultnet.Faults{
@@ -178,19 +99,18 @@ func sessionChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 		},
 	})
 
-	cl := sessiontest.Start(t, sessiontest.Options{
-		N:     nodes,
-		Phase: phase,
-		Middleware: func(i int, base transport.Transport) transport.Transport {
-			// Recorder outermost: it captures what the protocol attempted,
-			// not what survived the faults.
-			return transport.Chain(base, rec.Middleware(), inj.Middleware())
-		},
-		Manager: func(i int, cfg *live.ManagerConfig) { cfg.FlightRec = rec.Recorder },
+	opts := cluster.FastRecovery()
+	if phase > 0 {
+		opts.Treq = phase.Seconds()
+		opts.Tfwd = phase.Seconds()
+	}
+	cl := cluster.Start(t, cluster.Config{
+		N: nodes, Core: opts, Faults: inj, Sessions: "pipe",
 		Server: func(i int, cfg *session.Config) {
 			cfg.MaxSessions = 1000
 			cfg.MaxWaitersPerKey = 64 // small enough that admission control engages
 		},
+		Capture: capture, Settle: 20,
 	})
 
 	// Completed grants per key, the liveness quota's measure.
@@ -220,7 +140,7 @@ func sessionChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 	)
 	for node := 0; node < nodes; node++ {
 		for c := 0; c < connsPerNode; c++ {
-			conn := cl.Dial(t, node, session.Options{})
+			conn := dial(t, cl, node, session.Options{})
 			for s := 0; s < sessPerConn; s++ {
 				wg.Add(1)
 				go func(node, c, s int) {
@@ -275,7 +195,7 @@ func sessionChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 	// Watchers: one session per node watching every key, draining events.
 	var watchEvents atomic.Uint64
 	for node := 0; node < nodes; node++ {
-		wconn := cl.Dial(t, node, session.Options{})
+		wconn := dial(t, cl, node, session.Options{})
 		wsess, err := wconn.Open(ctx, 5*time.Second)
 		if err != nil {
 			t.Fatalf("watcher open node %d: %v", node, err)
@@ -307,7 +227,7 @@ func sessionChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 	// holders; the checker's rule excuses their replacement.
 	var grantedLeaky atomic.Uint64
 	for node := 0; node < nodes; node++ {
-		lconn := cl.Dial(t, node, session.Options{NoKeepAlive: true})
+		lconn := dial(t, cl, node, session.Options{NoKeepAlive: true})
 		for s := 0; s < leakyPerNode; s++ {
 			wg.Add(1)
 			go func(node, s int) {
@@ -349,17 +269,17 @@ func sessionChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 	// must be invalidated through the protocol.
 	waitFor(t, "leaky holders invalidated via §6", 15*time.Second, func() bool {
 		return grantedLeaky.Load() > 0 &&
-			sumRegs(cl.Regs, "session_expiry_invalidations_total") >= grantedLeaky.Load()
+			sumServers(cl.Servers, "session_expiry_invalidations_total") >= grantedLeaky.Load()
 	})
 
 	// Phase 3 — partition node 0 from {1,2} for ~600ms, then heal. Twin
 	// tokens are possible; the fault/heal records let the checker excuse
 	// what the split made.
-	rec.mark(reqtrace.EvFault, "")
+	cl.Mark(reqtrace.EvFault, "")
 	inj.Partition([]int{0}, []int{1, 2})
 	time.Sleep(600 * time.Millisecond)
 	inj.Heal()
-	rec.mark(reqtrace.EvHeal, "")
+	cl.Mark(reqtrace.EvHeal, "")
 
 	// Phase 4 — forced participant restarts: node 0's instance exercises
 	// the initial-node rejoin path (no token re-mint; §6 regenerates above
@@ -432,7 +352,7 @@ func sessionChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 
 	// Quiet phase — deterministic watch-on-release delivery: a fresh
 	// watcher and a fresh holder on the same node, one release, one event.
-	wconn := cl.Dial(t, 0, session.Options{})
+	wconn := dial(t, cl, 0, session.Options{})
 	wsess, err := wconn.Open(ctx, 5*time.Second)
 	if err != nil {
 		t.Fatalf("quiet watcher open: %v", err)
@@ -440,7 +360,7 @@ func sessionChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 	if err := wsess.Watch(ctx, keys[0]); err != nil {
 		t.Fatalf("quiet watch: %v", err)
 	}
-	hconn := cl.Dial(t, 0, session.Options{})
+	hconn := dial(t, cl, 0, session.Options{})
 	hsess, err := hconn.Open(ctx, 5*time.Second)
 	if err != nil {
 		t.Fatalf("quiet holder open: %v", err)
@@ -484,13 +404,9 @@ watched:
 	for _, m := range cl.Managers {
 		regens += m.SumCounter("recovery_regenerations_total")
 	}
-	for i := range cl.Servers {
-		_ = cl.Servers[i].Close()
-		_ = cl.Managers[i].Close()
-	}
-	v := rec.judge(t)
-	for _, x := range v.Violations {
-		t.Errorf("safety: %s", x)
+	v, err := cl.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
 	accepted := 0
 	for _, k := range keys {
@@ -502,7 +418,7 @@ watched:
 	if n := churnErrs.Load(); n > 0 {
 		t.Errorf("%d churn sessions died with unexpected errors", n)
 	}
-	if got := sumRegs(cl.Regs, "session_watch_events_total"); got == 0 {
+	if got := sumServers(cl.Servers, "session_watch_events_total"); got == 0 {
 		t.Error("no watch events delivered during the soak")
 	}
 	if regens == 0 {
@@ -516,5 +432,5 @@ watched:
 		t.Errorf("partition lifecycle counters: %+v, want 1 partition and 1 heal", c)
 	}
 	t.Logf("seed %d: leaky-granted=%d invalidations=%d regenerations=%d overloads=%d wait-retries=%d watch-events=%d faults=%+v verdict: %s",
-		seed, grantedLeaky.Load(), sumRegs(cl.Regs, "session_expiry_invalidations_total"), regens, overloads.Load(), waitRetries.Load(), watchEvents.Load(), c, v)
+		seed, grantedLeaky.Load(), sumServers(cl.Servers, "session_expiry_invalidations_total"), regens, overloads.Load(), waitRetries.Load(), watchEvents.Load(), c, v)
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/dme"
 	"tokenarbiter/internal/live"
@@ -22,48 +23,6 @@ import (
 	"tokenarbiter/internal/transport"
 	"tokenarbiter/internal/wire"
 )
-
-// tcpCluster starts n live Managers connected over loopback TCP with
-// OS-assigned ports, each endpoint under a counting layer.
-func tcpCluster(t *testing.T, n int, opts core.Options) ([]*live.Manager, []*transport.Counting) {
-	t.Helper()
-	// Bind each transport on :0 sequentially, collecting real addresses.
-	addrs := make(map[dme.NodeID]string, n)
-	trs := make([]*transport.TCPTransport, n)
-	for i := 0; i < n; i++ {
-		tr, err := transport.NewTCP(i, map[dme.NodeID]string{i: "127.0.0.1:0"})
-		if err != nil {
-			t.Fatalf("listen node %d: %v", i, err)
-		}
-		trs[i] = tr
-		addrs[i] = tr.Addr().String()
-	}
-	// Everyone learns everyone's address.
-	for i := 0; i < n; i++ {
-		trs[i].SetPeers(addrs)
-	}
-	mgrs := make([]*live.Manager, n)
-	counters := make([]*transport.Counting, n)
-	for i := 0; i < n; i++ {
-		counters[i] = transport.NewCounting(trs[i])
-		m, err := live.NewManager(live.ManagerConfig{
-			ID:        i,
-			N:         n,
-			Transport: counters[i],
-			Factory:   registry.CoreLiveFactory(opts),
-		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-		mgrs[i] = m
-	}
-	t.Cleanup(func() {
-		for _, m := range mgrs {
-			_ = m.Close()
-		}
-	})
-	return mgrs, counters
-}
 
 func TestTCPRoundTrip(t *testing.T) {
 	a, err := transport.NewTCP(0, map[dme.NodeID]string{0: "127.0.0.1:0"})
@@ -103,17 +62,20 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTCPClusterMutualExclusion runs one key over real TCP under a
-// counting layer: the grants never overlap, the keyed frames survive the
-// wire, and the shared counting layer and the key's own tally agree, by
-// kind (a keyed frame counts as its inner message's kind).
+// TestTCPClusterMutualExclusion passes one key's token across a 3-node
+// cluster over real TCP under a counting layer: the grants never overlap
+// and the verdict on the cluster's capture judged every one of them, the
+// keyed frames survive the wire, and the shared counting layer and the
+// key's own tally agree, by kind (a keyed frame counts as its inner
+// message's kind).
 func TestTCPClusterMutualExclusion(t *testing.T) {
 	const key = "tcp"
-	mgrs, counters := tcpCluster(t, 3, core.Options{
+	cl := cluster.Start(t, cluster.Config{N: 3, Transport: "tcp", Core: core.Options{
 		Treq:              0.005,
 		Tfwd:              0.005,
 		RetransmitTimeout: 0.5,
-	})
+	}})
+	mgrs, counters := cl.Managers, cl.Counters
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -149,7 +111,13 @@ func TestTCPClusterMutualExclusion(t *testing.T) {
 	regs := make([]*telemetry.Registry, len(mgrs))
 	for i, m := range mgrs {
 		regs[i] = m.Registry(key)
-		_ = m.Close()
+	}
+	v, err := cl.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Err() != nil || v.Grants != int(counter) {
+		t.Errorf("verdict %s, want no violation over the %d grants", v, counter)
 	}
 	for i, reg := range regs {
 		shared := counters[i].SentByKind()
