@@ -287,27 +287,20 @@ func (m *Manager) Lock(ctx context.Context, key string) error {
 }
 
 // LockFence is Lock returning the grant's fencing token for key (see
-// Node.LockFence; fences are per-key sequences). If the key's instance
-// is closed or restarted while we wait, the acquisition retries on the
-// next incarnation.
+// Node.LockFence; fences are per-key sequences). The call is a LockFunc
+// request with a parked caller, so it lives as LockFunc requests do: a
+// RestartKey reissues it on the key's next incarnation, in its original
+// order, and it returns ErrClosed only when the Manager closes.
 func (m *Manager) LockFence(ctx context.Context, key string) (uint64, error) {
-	for {
-		inst, err := m.instanceFor(key, false)
-		if err != nil {
-			return 0, err
-		}
-		fence, err := inst.node.LockFence(ctx)
-		switch {
-		case err == nil:
-			return fence, nil
-		case errors.Is(err, ErrClosed) && !m.closed.Load() && ctx.Err() == nil:
-			// The instance died under us (RestartKey); retry on
-			// the replacement incarnation.
-			continue
-		default:
-			return 0, err
-		}
+	inst, err := m.instanceFor(key, false)
+	if err != nil {
+		return 0, err
 	}
+	p := newParker()
+	m.LockFunc(key, p.grant)
+	// The key's registry outlives its incarnations, and so does this
+	// counter: a cancel counts where the request is, restarted or not.
+	return p.wait(ctx, inst.node.metrics.lockCancels)
 }
 
 // LockFunc queues a request for the named lock and returns at once; the
@@ -315,11 +308,11 @@ func (m *Manager) LockFence(ctx context.Context, key string) (uint64, error) {
 // error on an unspecified goroutine with no lock of the key held (see
 // GrantFunc for what grant may do in each). A grant the callback
 // declines is released on the spot. If the key's instance is restarted
-// before the grant, the request is reissued on the next incarnation, as
-// LockFence retries; grant hears ErrClosed only when the Manager
-// closes, and ErrEmptyKey or ErrTooManyKeys when the key cannot be
-// created. A caller that binds grant once, as the session tier binds one
-// per key queue, makes the request allocate nothing.
+// before the grant, the request is reissued on the next incarnation;
+// grant hears ErrClosed only when the Manager closes, and ErrEmptyKey
+// or ErrTooManyKeys when the key cannot be created. A caller that binds
+// grant once, as the session tier binds one per key queue, makes the
+// request allocate nothing.
 //
 // Nothing waits for the grant: no goroutine parks between the request
 // and its grant, and the grant is handed over by whichever goroutine
@@ -499,12 +492,12 @@ func (m *Manager) Stats() (granted, released uint64) {
 }
 
 // RestartKey crash-restarts one key's instance in place: the old node is
-// closed (in-flight Locks on it fail and are retried by LockFence, and
-// its waiting LockFunc requests are reissued, after mu is released) and
-// a fresh incarnation joins the key's DME group, keeping the cumulative
-// registry. The rest of the cluster recovers the key via the §6 protocol
-// when the old incarnation held protocol state. Restarting a key that
-// does not exist is an error.
+// closed (its waiting requests, parked LockFence calls included, are
+// reissued in their order once mu is released) and a fresh incarnation
+// joins the key's DME group, keeping the cumulative registry. The rest
+// of the cluster recovers the key via the §6 protocol when the old
+// incarnation held protocol state. Restarting a key that does not exist
+// is an error.
 func (m *Manager) RestartKey(key string) (*Node, error) {
 	if key == "" {
 		return nil, ErrEmptyKey

@@ -111,7 +111,7 @@ const (
 // Manager runs, handed out by Manager.Node for Inspect and Status. It is
 // not a service — lifecycle, restart and the admin surface belong to the
 // Manager. All protocol state (the inner
-// dme.Node, waiters, holder, metrics' tenure clock) is guarded by
+// dme.Node, waiters, metrics' tenure clock) is guarded by
 // the executor's mutual exclusion: exactly one goroutine owns the
 // idle/running/dirty state machine at a time and only the owner touches
 // protocol state. Which goroutine that is changes from step to step — a
@@ -135,7 +135,6 @@ type Node struct {
 
 	// Executor-confined (owner-only) state.
 	waiters   []*waiter
-	holder    *waiter
 	msgRecvAt time.Time // receive timestamp of the message being processed
 
 	csDone func()                 // the executor step releasing a grant nobody took; bound once
@@ -178,7 +177,8 @@ type step struct {
 // the grant's fencing token, or the error that ended the request. For a
 // grant it reports whether it takes it; a grant it does not take is
 // released at once, on the executor, and the request is over. Its
-// answer to an error is ignored.
+// answer to an error is ignored. A blocking LockFence call is such a
+// request too, its GrantFunc a parker's.
 //
 // A grant is handed over on the executor of the key's node, under the
 // executor's exclusion, wherever the grant happened: a transport receive
@@ -191,33 +191,87 @@ type step struct {
 type GrantFunc func(fence uint64, err error) bool
 
 // waiter tracks one lock request from issuance to grant, and on to the
-// Unlock that releases it. EnterCS hands a LockFunc request's grant to
-// its callback, cb, and a LockFence call's to sig, where the caller
-// parks at once: a grant its own post produced inline is already in the
-// buffered channel, so the receive returns without parking, and any
-// other grant is at least a token hop or a collection window away.
+// Unlock that releases it. EnterCS hands the grant to the request's
+// callback, cb, and publishes it as held before the callback runs.
 //
 // Waiters are recycled on the grant path: the Unlock that releases one
 // returns it to the node once its release step has run (EnterCS returns
-// a LockFunc grant its callback declined, unless an Unlock took it
-// first), and the next request reuses it with its channel and bound
-// steps. A waiter whose Lock call gave up is never recycled; its grant
-// may still be coming.
+// a grant its callback declined, unless an Unlock took it first), and
+// the next request reuses it with its channel and bound steps.
 type waiter struct {
-	// sig carries one token per phase, in order: the grant (EnterCS,
-	// LockFence only), then the completion of the Unlock releasing it
-	// (release).
+	// sig carries the completion of the Unlock releasing the grant
+	// (release) to that Unlock.
 	sig       chan struct{}
-	cb        GrantFunc   // LockFunc's callback; nil for a LockFence call
+	cb        GrantFunc   // the request's outcome goes here
 	enqueue   func()      // executor step queueing this waiter; bound once
 	release   func()      // Unlock's executor step; bound once
-	granted   bool        // executor-confined
-	canceled  bool        // executor-confined
 	fence     uint64      // fencing token of the grant, set before the grant's token is sent
 	epoch     uint64      // the grant's token epoch, for its records
 	trace     reqtrace.ID // end-to-end trace ID, zero when tracing is off
-	issuedAt  time.Time   // Lock call time, for the lock-wait histogram
+	issuedAt  time.Time   // request time, for the lock-wait histogram
 	grantedAt time.Time   // grant time, for the CS-hold histogram
+}
+
+// parker is a LockFence call's end of its request: the call issues the
+// request with grant and parks on ch. Whoever moves state out of
+// parkWaiting first decides: the callback (parkTaken) hands the outcome
+// over on ch, and that outcome stands even if ctx is done by then, as a
+// grant the call's own request made inline is; a caller whose ctx is
+// done first (parkAbandoned) returns, and the callback declines the
+// grant and frees the parker, which is reused only then.
+type parker struct {
+	ch    chan struct{} // capacity 1: the outcome is in fence and err
+	grant GrantFunc     // p.handoff, bound once
+	state atomic.Int32
+	fence uint64
+	err   error
+}
+
+const (
+	parkWaiting int32 = iota
+	parkTaken
+	parkAbandoned
+)
+
+var parkers sync.Pool // free parkers
+
+func newParker() *parker {
+	if p, ok := parkers.Get().(*parker); ok {
+		return p
+	}
+	p := &parker{ch: make(chan struct{}, 1)}
+	p.grant = p.handoff
+	return p
+}
+
+func (p *parker) handoff(fence uint64, err error) bool {
+	if !p.state.CompareAndSwap(parkWaiting, parkTaken) {
+		p.state.Store(parkWaiting) // the caller gave up: p is free
+		parkers.Put(p)
+		return false
+	}
+	p.fence, p.err = fence, err
+	p.ch <- struct{}{}
+	return true
+}
+
+// wait parks until the outcome is handed over, or gives up, counting it
+// in cancels, if ctx is done first.
+func (p *parker) wait(ctx context.Context, cancels *telemetry.Counter) (uint64, error) {
+	select {
+	case <-p.ch:
+	case <-ctx.Done():
+		if p.state.CompareAndSwap(parkWaiting, parkAbandoned) {
+			cancels.Inc()
+			return 0, ctx.Err()
+		}
+		<-p.ch // the callback has taken the outcome and is sending it
+	}
+	fence, err := p.fence, p.err
+	p.fence, p.err = 0, nil
+	p.state.Store(parkWaiting)
+	parkers.Put(p)
+	return fence, err
 }
 
 // newNode builds and starts a live node: the protocol state machine is
@@ -453,44 +507,17 @@ func (n *Node) Lock(ctx context.Context) error {
 // highest fence it has accepted can reject operations from a holder that
 // stalled while the system recovered past it — the standard defense
 // against the paused-lock-holder hazard of distributed locks.
+//
+// The call is a request with a parked caller (see parker): the node's
+// Close ends it with ErrClosed, and RestartKey reissues it on the key's
+// next incarnation, where Manager.Unlock releases its grant.
 func (n *Node) LockFence(ctx context.Context) (uint64, error) {
-	if n.closed.Load() {
+	p := newParker()
+	if !n.lockFunc(p.grant) {
+		parkers.Put(p)
 		return 0, ErrClosed
 	}
-	w := n.newWaiter()
-	w.issuedAt = time.Now()
-	n.metrics.lockWaiters.Add(1)
-	n.post(w.enqueue)
-	select {
-	case <-w.sig:
-	case <-ctx.Done():
-		// select picks at random among ready cases. A grant already in
-		// sig, above all one this call's own post made inline, is
-		// returned, not thrown back; only a grant still to come loses.
-		select {
-		case <-w.sig:
-		default:
-			n.metrics.lockWaiters.Add(-1)
-			n.metrics.lockCancels.Inc()
-			n.post(func() {
-				if w.granted {
-					// The grant raced the cancellation: give the CS back.
-					n.finishCS(w)
-				} else {
-					w.canceled = true
-				}
-			})
-			return 0, ctx.Err()
-		}
-	case <-n.quit:
-		n.metrics.lockWaiters.Add(-1)
-		return 0, ErrClosed
-	}
-	n.metrics.lockWaiters.Add(-1)
-	n.metrics.lockWait.ObserveEx(time.Since(w.issuedAt).Seconds(), uint64(w.trace))
-	fence := w.fence
-	n.held.Store(w)
-	return fence, nil
+	return p.wait(ctx, n.metrics.lockCancels)
 }
 
 // lockFunc queues one request whose grant EnterCS hands to grant (see
@@ -539,11 +566,10 @@ func (n *Node) newWaiter() *waiter {
 // recycle resets a released waiter and keeps it for the next request.
 // Unlock calls it after receiving the release step's token, and EnterCS
 // for a grant its callback declined and no Unlock took: the executor has
-// let go of w by then (EnterCS popped it, finishCS or EnterCS cleared
-// the holder) and its channel is empty.
+// let go of w by then (EnterCS popped it, and release or EnterCS ended
+// its grant) and its channel is empty.
 func (n *Node) recycle(w *waiter) {
 	w.cb = nil
-	w.granted, w.canceled = false, false
 	w.fence, w.epoch, w.trace = 0, 0, 0
 	w.issuedAt, w.grantedAt = time.Time{}, time.Time{}
 	n.mu.Lock()
@@ -551,7 +577,7 @@ func (n *Node) recycle(w *waiter) {
 	n.mu.Unlock()
 }
 
-// enqueue is LockFence's executor step: w joins the local waiters and
+// enqueue is a request's executor step: w joins the local waiters and
 // the protocol hears one request.
 func (n *Node) enqueue(w *waiter) {
 	// Mint the trace ID under the executor, where the request count is exact:
@@ -587,26 +613,12 @@ func (n *Node) Unlock() {
 // release is Unlock's executor step for the grant w was handed: finish
 // the critical section, then signal the Unlock waiting on w.
 func (n *Node) release(w *waiter) {
-	if n.holder != nil {
-		n.finishCS(n.holder)
-	}
-	w.sig <- struct{}{}
-}
-
-// finishCS completes the critical section held by w (executor-owned
-// context only).
-func (n *Node) finishCS(w *waiter) {
-	if n.holder == w {
-		n.holder = nil
-	}
-	w.granted = false
 	n.released.Add(1)
 	n.metrics.releases.Inc()
-	if !w.grantedAt.IsZero() {
-		n.metrics.csHold.ObserveEx(time.Since(w.grantedAt).Seconds(), uint64(w.trace))
-	}
+	n.metrics.csHold.ObserveEx(time.Since(w.grantedAt).Seconds(), uint64(w.trace))
 	n.emit(reqtrace.EvRelease, w)
 	n.inner.OnCSDone(n)
+	w.sig <- struct{}{}
 }
 
 // emit hands one lock-lifecycle record for w to the sinks, on the clock
@@ -661,10 +673,10 @@ func (n *Node) Inspect(ctx context.Context) (core.Introspection, error) {
 	}
 }
 
-// Close shuts the node down: the executor is retired, pending Lock calls
-// fail with ErrClosed, and the callbacks of pending LockFunc requests
-// then hear ErrClosed. The shared transport is the Manager's and stays
-// up. A crashed node is simulated by Close — the
+// Close shuts the node down: the executor is retired, and every request
+// still waiting for a grant hears ErrClosed — a LockFunc callback, and
+// through its callback a parked Lock call. The shared transport is the
+// Manager's and stays up. A crashed node is simulated by Close — the
 // rest of the cluster recovers via the §6 protocol when recovery options
 // are enabled. Close is idempotent and
 // safe to race with the public API (Lock returns ErrClosed, Unlock of a
@@ -684,8 +696,8 @@ func (n *Node) Close() error {
 }
 
 // shutdown is Close without the callbacks: it retires the node and
-// returns the callbacks of the LockFunc requests left waiting for a
-// grant, for the caller to end or to reissue (Manager.RestartKey).
+// returns the callbacks of the requests left waiting for a grant, for
+// the caller to end or to reissue (Manager.RestartKey).
 func (n *Node) shutdown() []GrantFunc {
 	if !n.closed.CompareAndSwap(false, true) {
 		return nil
@@ -706,13 +718,11 @@ func (n *Node) shutdown() []GrantFunc {
 	// its queue before exiting on quit, and posted completions (Unlock's
 	// done) should not silently vanish when they lost that race.
 	n.drain()
-	var pending []GrantFunc
-	for _, w := range n.waiters {
-		if w.cb != nil {
-			n.metrics.lockWaiters.Add(-1)
-			pending = append(pending, w.cb)
-		}
+	pending := make([]GrantFunc, len(n.waiters))
+	for i, w := range n.waiters {
+		pending[i] = w.cb
 	}
+	n.metrics.lockWaiters.Add(-int64(len(n.waiters)))
 	n.waiters = nil
 	if len(n.sinks) > 0 {
 		n.sinks.Record(reqtrace.Record{T: reqtrace.Now(), Ev: reqtrace.EvClose, Node: n.cfg.ID, Peer: -1, Key: n.cfg.Key})
@@ -976,12 +986,11 @@ func (n *Node) TightenTimer(id int32, gen uint32) {
 func (n *Node) Cancel(t dme.Timer) { t.Cancel() }
 
 // EnterCS implements dme.Context: the protocol granted us the critical
-// section; hand it to the oldest live request. A LockFunc grant is
+// section; hand it to the oldest live request's callback. The grant is
 // published as held before its callback runs, since a callback that
 // takes it may see it released from another goroutine before it
-// returns. A grant nobody takes — its Lock call gave up, or its LockFunc
-// callback declined — is released here, on the executor: an Unlock
-// would wait on the very step this is.
+// returns. A grant its callback declines is released here, on the
+// executor: an Unlock would wait on the very step this is.
 func (n *Node) EnterCS(_ dme.NodeID) {
 	if len(n.waiters) == 0 {
 		// No waiter (should not happen: one OnRequest per waiter); release.
@@ -1001,38 +1010,24 @@ func (n *Node) EnterCS(_ dme.NodeID) {
 	n.granted.Add(1)
 	n.metrics.grants.Inc()
 	n.emit(reqtrace.EvGrant, w)
-	if !w.canceled {
-		w.granted = true
-		w.grantedAt = time.Now()
-		n.holder = w
-		if !n.msgRecvAt.IsZero() {
-			// This grant was produced by processing an inbound message
-			// (a token arrival): receive-to-grant is the handoff latency
-			// the inline executor exists to shrink.
-			n.metrics.handoff.Observe(w.grantedAt.Sub(n.msgRecvAt).Seconds())
-		}
-		if w.cb == nil {
-			// Publish the grant: everything the LockFence caller reads
-			// (fence, grantedAt) is written above, and the send orders
-			// it. The channel is buffered and this is its only token
-			// until Unlock, so the send never blocks.
-			w.sig <- struct{}{}
-			return
-		}
-		n.metrics.lockWaiters.Add(-1)
-		n.metrics.lockWait.ObserveEx(time.Since(w.issuedAt).Seconds(), uint64(w.trace))
-		n.held.Store(w)
-		if w.cb(w.fence, nil) {
-			return
-		}
-		if !n.held.CompareAndSwap(w, nil) {
-			// An Unlock took the grant while the callback ran (a stale
-			// one: nobody took it here). Its release step, queued behind
-			// this one, finishes the CS and hands w back for recycling.
-			return
-		}
-		n.holder = nil
-		w.granted = false
+	w.grantedAt = time.Now()
+	if !n.msgRecvAt.IsZero() {
+		// This grant was produced by processing an inbound message
+		// (a token arrival): receive-to-grant is the handoff latency
+		// the inline executor exists to shrink.
+		n.metrics.handoff.Observe(w.grantedAt.Sub(n.msgRecvAt).Seconds())
+	}
+	n.metrics.lockWaiters.Add(-1)
+	n.metrics.lockWait.ObserveEx(time.Since(w.issuedAt).Seconds(), uint64(w.trace))
+	n.held.Store(w)
+	if w.cb(w.fence, nil) {
+		return
+	}
+	if !n.held.CompareAndSwap(w, nil) {
+		// An Unlock took the grant while the callback ran (a stale
+		// one: nobody took it here). Its release step, queued behind
+		// this one, finishes the CS and hands w back for recycling.
+		return
 	}
 	// Give the CS back. Posted rather than called inline so the
 	// protocol's EnterCS call finishes before OnCSDone runs.
@@ -1041,7 +1036,5 @@ func (n *Node) EnterCS(_ dme.NodeID) {
 	// Close the trace: the grant existed, however briefly.
 	n.emit(reqtrace.EvRelease, w)
 	n.post(n.csDone)
-	if !w.canceled {
-		n.recycle(w) // declined: nothing else holds a LockFunc waiter
-	}
+	n.recycle(w)
 }
