@@ -24,23 +24,23 @@ import (
 //
 // The runner sleeps in the kernel and yields only the tail. Most of a
 // delay it spends parked in Go's netpoller on a timerfd armed for
-// due − shortTimerLead: an expiry is a file-descriptor *event*, so
-// epoll_wait returns for it at hrtimer precision and the millisecond
-// rounding of epoll's own timeout never applies. Only the last
-// shortTimerLead is spent as the first version of this service spent
-// the whole delay — looping on runtime.Gosched until the deadline —
-// because that loop is what starved the process: every Gosched puts the
-// runner on the global run queue, which findRunnable consults before it
-// polls the network, and wakes a second P, so for as long as it runs
-// one vCPU spins, the other is kept in a futex wake/sleep storm, and
-// the thread parked in epoll_wait has to fight both for a CPU. Spinning
-// through every Treq window made the process all but blind to its
-// sockets exactly while the arbiter was supposed to be collecting
-// requests from them (a session ReleaseResp sat 214 µs in the socket,
-// batches stayed at one request, the process burned more than a core).
-// Sleeping leaves both Ps to the network for the body of the window;
-// the yielded tail keeps firing error scheduler-pass sized instead of
-// wake-latency sized.
+// due − lead: an expiry is a file-descriptor *event*, so epoll_wait
+// returns for it at hrtimer precision and the millisecond rounding of
+// epoll's own timeout never applies. Only the last lead (the wakes'
+// measured overshoot, below) is spent as the first version of this
+// service spent the whole delay — looping on runtime.Gosched until the
+// deadline — because that loop is what starved the process: every
+// Gosched puts the runner on the global run queue, which findRunnable
+// consults before it polls the network, and wakes a second P, so for as
+// long as it runs one vCPU spins, the other is kept in a futex
+// wake/sleep storm, and the thread parked in epoll_wait has to fight
+// both for a CPU. Spinning through every Treq window made the process
+// all but blind to its sockets exactly while the arbiter was supposed to
+// be collecting requests from them (a session ReleaseResp sat 214 µs in
+// the socket, batches stayed at one request, the process burned more
+// than a core). Sleeping leaves both Ps to the network for the body of
+// the window; the yielded tail keeps firing error scheduler-pass sized
+// instead of wake-latency sized.
 //
 // The runner exists only while short timers are pending (it exits when
 // the heap drains), every entry is < shortTimerCutoff away, and the fn
@@ -56,16 +56,24 @@ import (
 // harmless — on the runtime's timers.
 const shortTimerCutoff = 2 * time.Millisecond
 
-// shortTimerLead is how far ahead of a deadline the kernel sleep ends;
-// the runner yields through the rest. A thread woken from epoll_wait on
-// an idle vCPU of the reference VM runs 60–80 µs after the expiry it
-// was woken for, so a sleep aimed at the deadline itself stretches
-// every 200 µs window to ≈290; 100 µs covers that overshoot with
-// margin. Delays at or under the lead yield the whole way. The
-// short_timer_lateness_seconds histogram says whether the constant fits
-// another host: lateness creeping toward the wake latency means the
-// lead is too short for it.
-const shortTimerLead = 100 * time.Microsecond
+// The lead is how far ahead of a deadline the kernel sleep ends; the
+// runner yields through the rest. It is measured, not fixed: the
+// service samples every kernel wake's overshoot (wake time − armed
+// expiry) and keeps the lead at about that overshoot's 99th
+// percentile, so the yielded tail is only as long as the wakes on this
+// host and under this load are late. On the 2-vCPU reference VM,
+// 97 % of local_1key's wakes overshoot by ≤ 20 µs (p99 ≈ 35 µs) and
+// the lead settles near 45 µs; hop_4key's (p99 ≈ 120 µs) and
+// open_light's (p99 ≈ 150 µs) keep it near the cap. The service starts
+// at the cap, shortTimerLeadMax, and a host with slow wakes stays there,
+// so no host yields more than 100 µs per timer. Delays at or under the
+// lead yield the whole way. short_timer_lateness_seconds says whether
+// the estimate keeps up: lateness creeping toward the wake overshoot
+// means the lead is too short for it.
+const (
+	shortTimerLeadMax  = 100 * time.Microsecond
+	shortTimerLeadStep = 200 * time.Nanosecond // also the floor
+)
 
 // timerEntry is one pending short timer.
 type timerEntry struct {
@@ -132,12 +140,38 @@ type shortTimerService struct {
 	heap     timerHeap
 	seq      uint64
 	running  bool
-	runner   func()     // s.run, bound once so starting the runner allocates nothing
-	sleeping bool       // the runner armed wake and is (about to be) parked on it
-	wake     kernelWake // armed and re-armed under mu, so the latest arm wins
+	runner   func()        // s.run, bound once so starting the runner allocates nothing
+	sleeping bool          // the runner armed wake and is (about to be) parked on it
+	wake     kernelWake    // armed and re-armed under mu, so the latest arm wins
+	wakeAt   time.Time     // when wake's latest arm expires
+	lead     time.Duration // the measured lead; the first at() sets it to shortTimerLeadMax
 }
 
 var shortTimers shortTimerService
+
+// observeWake feeds one kernel-wake overshoot to the lead: a
+// frugal-streaming p99, which steps up 99 times as far for a wake later
+// than the lead as it steps down for one within it, so it rests where
+// 1 % of the wakes are later. Called under mu.
+func (s *shortTimerService) observeWake(over time.Duration) {
+	if over > s.lead {
+		s.lead = min(s.lead+99*shortTimerLeadStep, shortTimerLeadMax)
+	} else {
+		s.lead = max(s.lead-shortTimerLeadStep, shortTimerLeadStep)
+	}
+}
+
+// armWake sets the kernel sleep to end s.lead ahead of due and notes
+// when it will, for observeWake. A wake already in the past still arms
+// (for the minimum). Called under mu.
+func (s *shortTimerService) armWake(now, due time.Time) bool {
+	d := due.Sub(now) - s.lead
+	if !s.wake.arm(d) {
+		return false
+	}
+	s.wakeAt = now.Add(max(d, 0))
+	return true
+}
 
 // at schedules fn to run once at due. Callers guarantee due is <
 // shortTimerCutoff away; cancellation is theirs (Node's timer slab
@@ -151,13 +185,14 @@ func (s *shortTimerService) at(due time.Time, fn func()) {
 		// New earliest deadline under a runner sleeping toward a later
 		// one: pull its wakeup in. A wake already in the past still arms
 		// (for the minimum), which is what gets the runner up to yield.
-		s.wake.arm(time.Until(due) - shortTimerLead)
+		s.armWake(time.Now(), due)
 	}
 	start := !s.running
 	if start {
 		s.running = true
 		if s.runner == nil {
 			s.runner = s.run
+			s.lead = shortTimerLeadMax
 		}
 	}
 	runner := s.runner
@@ -167,21 +202,28 @@ func (s *shortTimerService) at(due time.Time, fn func()) {
 	}
 }
 
-// run drains the heap: fire everything due, sleep to within
-// shortTimerLead of the next deadline, yield until it, exit when empty.
-// The top of the heap is re-read under the lock every pass, so an entry
-// armed with an earlier deadline is picked up on the next scheduler
-// pass while the runner yields, and by at's re-arm while it sleeps.
+// run drains the heap: fire everything due, sleep to within the lead
+// of the next deadline, yield until it, exit when empty. The top of the
+// heap is re-read under the lock every pass, so an entry armed with an
+// earlier deadline is picked up on the next scheduler pass while the
+// runner yields, and by at's re-arm while it sleeps. Each pass after a
+// kernel wake first measures how late that wake came.
 func (s *shortTimerService) run() {
+	woke := false
 	for {
 		s.mu.Lock()
+		now := time.Now()
+		if woke {
+			s.observeWake(now.Sub(s.wakeAt))
+			woke = false
+		}
 		s.sleeping = false
 		if len(s.heap) == 0 {
 			s.running = false
 			s.mu.Unlock()
 			return
 		}
-		wait := time.Until(s.heap[0].due)
+		wait := s.heap[0].due.Sub(now)
 		if wait <= 0 {
 			e := s.heap.pop()
 			s.mu.Unlock()
@@ -191,10 +233,10 @@ func (s *shortTimerService) run() {
 			e.fn()
 			continue
 		}
-		if wait > shortTimerLead && s.wake.arm(wait-shortTimerLead) {
+		if wait > s.lead && s.armWake(now, s.heap[0].due) {
 			s.sleeping = true
 			s.mu.Unlock()
-			s.wake.wait()
+			woke = s.wake.wait()
 			continue
 		}
 		s.mu.Unlock()

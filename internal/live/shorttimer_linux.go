@@ -55,12 +55,16 @@ func (k *kernelWake) arm(d time.Duration) bool {
 	return errno == 0
 }
 
-// wait parks until the armed timer expires.
-func (k *kernelWake) wait() {
+// wait parks until the armed timer expires. It reports false when the
+// read failed, so the caller neither trusts the wake's timing nor
+// measures it.
+func (k *kernelWake) wait() bool {
 	var expirations [8]byte
 	if _, err := k.f.Read(expirations[:]); err != nil {
 		// Not pollable after all: degrade to the yield loop rather than
 		// a hot loop of failing reads.
 		runtime.Gosched()
+		return false
 	}
+	return true
 }

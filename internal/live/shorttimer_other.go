@@ -10,4 +10,4 @@ import "time"
 type kernelWake struct{}
 
 func (*kernelWake) arm(time.Duration) bool { return false }
-func (*kernelWake) wait()                  {}
+func (*kernelWake) wait() bool             { return false }

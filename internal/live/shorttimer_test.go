@@ -1,11 +1,12 @@
 package live
 
 // White-box tests for the short-timer service: ordering, the re-arm
-// path, cancellation, the runner's lifecycle, firing precision, and the
-// regression the kernel sleep exists for — a pending short timer must
-// not blind the process to its sockets.
+// path, cancellation, the runner's lifecycle, firing precision, the
+// measured lead, and the regression the kernel sleep exists for — a
+// pending short timer must not blind the process to its sockets.
 
 import (
+	"math/rand/v2"
 	"net"
 	"runtime"
 	"sort"
@@ -316,5 +317,77 @@ func TestShortTimerDoesNotStarveNetpoller(t *testing.T) {
 		if busy > 4*quiet {
 			t.Errorf("GOMAXPROCS=%d: pending short timer slows the network path %v → %v (> 4×)", procs, quiet, busy)
 		}
+	}
+}
+
+// TestShortTimerLeadTracksWakeOvershoot drives the lead estimator with
+// synthetic kernel-wake overshoots (no clock, no runner): it settles
+// between the prompt and the late wakes of a 99 %/1 % mix, a burst of
+// wakes later than the cap pins it at the cap and never above, it
+// decays once the wakes are prompt again, and it never drops below
+// the floor.
+func TestShortTimerLeadTracksWakeOvershoot(t *testing.T) {
+	s := shortTimerService{lead: shortTimerLeadMax} // as at() starts it
+	feed := func(n int, over func(i int) time.Duration, check func(lead time.Duration)) {
+		t.Helper()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for i := 0; i < n; i++ {
+			s.observeWake(over(i))
+			if s.lead < shortTimerLeadStep || s.lead > shortTimerLeadMax {
+				t.Fatalf("lead %v outside [%v, %v]", s.lead, shortTimerLeadStep, shortTimerLeadMax)
+			}
+			if check != nil {
+				check(s.lead)
+			}
+		}
+	}
+	const (
+		prompt = 10 * time.Microsecond
+		late   = 60 * time.Microsecond
+	)
+
+	// 99 % of the wakes 10 µs late, 1 % 60 µs, in a fixed
+	// pseudo-random order. The lead's p99 is anywhere in [10, 60) µs;
+	// once settled, the lead must average inside it.
+	rng := rand.New(rand.NewPCG(1, 2))
+	mixed := func(int) time.Duration {
+		if rng.IntN(100) == 0 {
+			return late
+		}
+		return prompt
+	}
+	feed(2000, mixed, nil)
+	var sum time.Duration
+	const settled = 100000
+	feed(settled, mixed, func(lead time.Duration) { sum += lead })
+	if mean := sum / settled; mean <= prompt || mean >= late {
+		t.Errorf("lead under a 99 %% %v / 1 %% %v mix averages %v, want between them", prompt, late, mean)
+	}
+
+	// A burst of wakes later than the cap drives the lead to the cap.
+	feed(200, func(int) time.Duration { return 150 * time.Microsecond }, nil)
+	if s.lead != shortTimerLeadMax {
+		t.Errorf("lead after 200 wakes 150µs late: %v, want the %v cap", s.lead, shortTimerLeadMax)
+	}
+
+	// Prompt wakes again: the lead falls one step per wake until it
+	// meets them.
+	prev := s.lead
+	feed(400, func(int) time.Duration { return 5 * time.Microsecond }, func(lead time.Duration) {
+		if lead > prev {
+			t.Fatalf("lead rose from %v to %v on a wake within it", prev, lead)
+		}
+		prev = lead
+	})
+	if want := shortTimerLeadMax - 400*shortTimerLeadStep; s.lead != want {
+		t.Errorf("lead after 400 prompt wakes: %v, want %v", s.lead, want)
+	}
+
+	// Wakes on time (or early: a re-arm can beat a read) rest it on
+	// the floor.
+	feed(1000, func(i int) time.Duration { return -time.Duration(i%2) * time.Microsecond }, nil)
+	if s.lead != shortTimerLeadStep {
+		t.Errorf("lead after 1000 on-time wakes: %v, want the %v floor", s.lead, shortTimerLeadStep)
 	}
 }
