@@ -284,6 +284,20 @@ func (c *Cluster) Mark(ev, key string) {
 	c.Recorder.Record(reqtrace.Record{T: reqtrace.Now(), Ev: ev, Node: -1, Peer: -1, Key: key})
 }
 
+// Partition cuts every link between groups a and b through the
+// configured injector (Config.Faults), after recording the fault on the
+// capture for every key.
+func (c *Cluster) Partition(a, b []int) {
+	c.Mark(reqtrace.EvFault, "")
+	c.cfg.Faults.Partition(a, b)
+}
+
+// Heal restores every partitioned link, then records the heal.
+func (c *Cluster) Heal() {
+	c.cfg.Faults.Heal()
+	c.Mark(reqtrace.EvHeal, "")
+}
+
 // Close shuts the cluster down — clients, servers, Managers, then the
 // network — and judges the capture, once every grant has its release or
 // close on record. The verdict is nil without a capture; the error says

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tokenarbiter/internal/cluster"
+	"tokenarbiter/internal/faultnet"
 	"tokenarbiter/internal/live"
 	"tokenarbiter/internal/reqtrace"
 )
@@ -160,5 +161,42 @@ func TestBuildFailureClosesWhatItBuilt(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after the failed build, %d before", runtime.NumGoroutine(), base)
 		}
+	}
+}
+
+// TestPartitionMarksTheCapture: Partition and Heal drive the configured
+// injector and bracket the cut with a fault and a heal record for every
+// key, so the checker can excuse what the cut made.
+func TestPartitionMarksTheCapture(t *testing.T) {
+	inj := faultnet.New(faultnet.Options{})
+	c, err := cluster.New(cluster.Config{N: 3, Faults: inj, Capture: t.TempDir() + "/partition.jsonl"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Partition([]int{0}, []int{1, 2})
+	if got := len(inj.BlockedLinks()); got != 4 {
+		t.Errorf("partition {0}|{1,2} blocked %d links, want 4", got)
+	}
+	c.Heal()
+	if got := len(inj.BlockedLinks()); got != 0 {
+		t.Errorf("heal left %d links blocked", got)
+	}
+	if _, err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var marks []string
+	for _, rec := range c.Capture().Records {
+		if rec.Ev == reqtrace.EvFault || rec.Ev == reqtrace.EvHeal {
+			if rec.Key != "" {
+				t.Errorf("%s record names key %q, want every key", rec.Ev, rec.Key)
+			}
+			marks = append(marks, rec.Ev)
+		}
+	}
+	if want := []string{reqtrace.EvFault, reqtrace.EvHeal}; strings.Join(marks, ",") != strings.Join(want, ",") {
+		t.Errorf("capture marks %v, want %v", marks, want)
+	}
+	if ct := inj.Counters(); ct.Partitions != 1 || ct.Heals != 1 {
+		t.Errorf("injector counters %+v, want one partition and one heal", ct)
 	}
 }

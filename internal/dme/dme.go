@@ -158,7 +158,7 @@ type Context interface {
 	Broadcast(from NodeID, msg Message)
 	// After schedules fn on node's behalf after delay time units. The
 	// returned timer can be cancelled with Cancel. If the node has
-	// crashed when the timer fires, fn is suppressed.
+	// crashed or restarted when the timer fires, fn is suppressed.
 	After(node NodeID, delay float64, fn func()) Timer
 	// Cancel cancels a pending timer; safe on zero or fired timers.
 	Cancel(t Timer)
@@ -202,8 +202,9 @@ type Config struct {
 	// MaxVirtualTime aborts a run that exceeds this virtual-time horizon
 	// (a liveness backstop for tests); 0 means no limit.
 	MaxVirtualTime float64
-	// Fault, when non-nil, is consulted for every message send and can
-	// drop or duplicate messages (failure-injection experiments).
+	// Fault, when non-nil, is consulted for every network send and can
+	// drop, duplicate or delay messages (failure-injection experiments);
+	// a faultnet.Injector's Intercept is one.
 	Fault Interceptor
 	// Params carries algorithm-specific tuning (e.g. the arbiter
 	// algorithm's collection and forwarding durations).
@@ -299,17 +300,27 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// FaultAction tells the harness what to do with an intercepted message.
-type FaultAction int
+// FaultAction is a message's fate: how many copies reach the receiver,
+// and the extra delay of each on top of the network's. The Runner adds
+// Delay to its network delay; faultnet's live endpoint holds the copy
+// back that long.
+type FaultAction struct {
+	// Copies is the number of copies delivered, at most len(Delay): 0
+	// drops the message (it still counts as sent), 2 duplicates it.
+	Copies int
+	// Delay[i] is copy i's extra delay, in the protocol's time unit
+	// (seconds on the live path).
+	Delay [2]float64
+}
 
-// Fault actions, in increasing order of mischief.
-const (
+// The fates that add no delay.
+var (
 	// Deliver passes the message through normally.
-	Deliver FaultAction = iota + 1
-	// Drop silently discards the message (it still counts as sent).
-	Drop
+	Deliver = FaultAction{Copies: 1}
+	// Drop silently discards the message.
+	Drop = FaultAction{}
 	// Duplicate delivers the message twice, with independent delays.
-	Duplicate
+	Duplicate = FaultAction{Copies: 2}
 )
 
 // Interceptor inspects an outgoing message and decides its fate.

@@ -37,10 +37,10 @@ var ErrStalled = errors.New("dme: event queue drained with requests outstanding 
 // which is where most of the old kernel's allocation pressure came from.
 const (
 	evDeliver     uint8 = iota + 1 // a=from, b=to, p=Message
-	evSelfDeliver                  // a=node, p=Message (zero-delay self-send)
-	evCSExit                       // a=node (arrival/entry times live on the Runner)
+	evSelfDeliver                  // a=node, b=incarnation, p=Message (zero-delay self-send)
+	evCSExit                       // a=node, b=incarnation (arrival/entry times live on the Runner)
 	evArrival                      // a=node (next workload arrival)
-	evTimer                        // a=node, fn=callback (Context.After)
+	evTimer                        // a=node, b=incarnation, fn=callback (Context.After)
 )
 
 // Runner executes one algorithm instance under one configuration. Create
@@ -76,6 +76,11 @@ type Runner struct {
 	crashed []bool
 	fatal   error
 	gens    []GeneratorFunc
+
+	// incarnation[i] counts node i's Restarts. A node's timers, self-sends
+	// and CS exit carry the incarnation that armed them and reach only
+	// that incarnation.
+	incarnation []int32
 
 	// lastDelivery[from*N+to] is the latest delivery time scheduled on
 	// that ordered pair, for Config.FIFO clamping.
@@ -123,6 +128,7 @@ func NewRunner(algo Algorithm, cfg Config) (*Runner, error) {
 		pending: make([]pendingQueue, cfg.N),
 		crashed: make([]bool, cfg.N),
 	}
+	r.incarnation = make([]int32, cfg.N)
 	r.met.MsgByKind = make(map[string]uint64)
 	r.met.PerNodeCS = make([]uint64, cfg.N)
 	r.met.PerNodeWait = make([]stats.Welford, cfg.N)
@@ -177,15 +183,15 @@ func (r *Runner) Dispatch(kind uint8, a, b int32, x float64, p any, fn func()) {
 		}
 	case evSelfDeliver:
 		node := NodeID(a)
-		if !r.crashed[node] {
+		if r.up(node, b) {
 			r.nodes[node].OnMessage(r, node, p.(Message))
 		}
 	case evCSExit:
-		r.finishCS(NodeID(a))
+		r.finishCS(NodeID(a), b)
 	case evArrival:
 		r.arrive(NodeID(a))
 	case evTimer:
-		if !r.crashed[a] {
+		if r.up(NodeID(a), b) {
 			fn()
 		}
 	default:
@@ -233,10 +239,26 @@ func (r *Runner) Crash(node NodeID) {
 	}
 }
 
-// Restore clears a node's crashed flag. The node resumes with whatever
-// state it had; algorithms with recovery support re-synchronize via their
-// own protocol.
-func (r *Runner) Restore(node NodeID) { r.crashed[node] = false }
+// Restart brings node back amnesiac, as the live path rebuilds one: the
+// node is crashed, fresh takes its place and is Init'ed now. The old
+// incarnation's timers, self-sends and CS exit never reach fresh;
+// messages in flight to node do.
+func (r *Runner) Restart(node NodeID, fresh Node) {
+	if fresh.ID() != node {
+		panic(fmt.Sprintf("dme: Restart(%d) with a node that reports ID %d", node, fresh.ID()))
+	}
+	r.Crash(node)
+	r.crashed[node] = false
+	r.incarnation[node]++
+	r.nodes[node] = fresh
+	fresh.Init(r)
+}
+
+// up reports whether an event armed by node's incarnation inc may reach
+// it: the node is running and has not been restarted since.
+func (r *Runner) up(node NodeID, inc int32) bool {
+	return !r.crashed[node] && r.incarnation[node] == inc
+}
 
 // Crashed reports whether the node is currently marked failed.
 func (r *Runner) Crashed(node NodeID) bool { return r.crashed[node] }
@@ -352,28 +374,25 @@ func (r *Runner) Send(from, to NodeID, msg Message) {
 		panic(fmt.Sprintf("dme: node %d sent %s to invalid node %d", from, msg.Kind(), to))
 	}
 	if from == to {
-		r.sim.PostCall(0, evSelfDeliver, int32(to), 0, 0, msg)
+		r.sim.PostCall(0, evSelfDeliver, int32(to), r.incarnation[to], 0, msg)
 		return
 	}
 	r.trace(TraceEvent{Time: r.sim.Now(), Kind: TraceSend, From: from, To: to, Msg: msg})
 	r.countMessage(msg)
-	action := Deliver
-	if r.cfg.Fault != nil {
-		action = r.cfg.Fault(r.sim.Now(), from, to, msg)
-	}
-	switch action {
-	case Drop:
+	if r.cfg.Fault == nil {
+		r.deliver(from, to, msg, 0)
 		return
-	case Duplicate:
-		r.deliver(from, to, msg)
-		r.deliver(from, to, msg)
-	default:
-		r.deliver(from, to, msg)
+	}
+	fate := r.cfg.Fault(r.sim.Now(), from, to, msg)
+	for _, extra := range fate.Delay[:fate.Copies] {
+		r.deliver(from, to, msg, extra)
 	}
 }
 
-func (r *Runner) deliver(from, to NodeID, msg Message) {
-	delay := r.cfg.Delay.Delay(r.sim.RNG(), from, to)
+// deliver schedules one copy of msg after the network's delay plus the
+// fate's extra delay.
+func (r *Runner) deliver(from, to NodeID, msg Message, extra float64) {
+	delay := r.cfg.Delay.Delay(r.sim.RNG(), from, to) + extra
 	if r.lastDelivery != nil {
 		idx := from*r.cfg.N + to
 		at := r.sim.Now() + delay
@@ -395,12 +414,12 @@ func (r *Runner) Broadcast(from NodeID, msg Message) {
 	}
 }
 
-// After implements Context. The callback is suppressed if the node is
-// crashed when the timer fires. The timer rides the typed event path: no
-// wrapper closure, the cancellable record comes from the kernel's
-// free-list pool, and the value Timer handle costs no allocation.
+// After implements Context. The callback is suppressed if the node has
+// crashed or restarted when the timer fires. The timer rides the typed
+// event path: no wrapper closure, the cancellable record comes from the
+// kernel's free-list pool, and the value Timer handle costs no allocation.
 func (r *Runner) After(node NodeID, delay float64, fn func()) Timer {
-	ev := r.sim.ScheduleCall(delay, evTimer, int32(node), 0, 0, nil, fn)
+	ev := r.sim.ScheduleCall(delay, evTimer, int32(node), r.incarnation[node], 0, nil, fn)
 	return MakeTimer(r, ev.ID(), ev.Gen())
 }
 
@@ -430,13 +449,14 @@ func (r *Runner) EnterCS(node NodeID) {
 		}
 		r.cfg.Trace(ev)
 	}
-	r.sim.PostCall(r.cfg.Texec, evCSExit, int32(node), 0, 0, nil)
+	r.sim.PostCall(r.cfg.Texec, evCSExit, int32(node), r.incarnation[node], 0, nil)
 }
 
 // finishCS completes the critical section in progress (the evCSExit event
 // body). The entry and arrival times live on the Runner rather than in
 // the event: mutual exclusion guarantees at most one CS is in flight.
-func (r *Runner) finishCS(node NodeID) {
+// OnCSDone reaches only the incarnation inc that entered.
+func (r *Runner) finishCS(node NodeID, inc int32) {
 	arrival, enterTime := r.csArrival, r.csEnter
 	r.inCS = -1
 	r.completed++
@@ -451,7 +471,7 @@ func (r *Runner) finishCS(node NodeID) {
 		r.measuring = true
 		r.measureFrom = r.sim.Now()
 	}
-	if !r.crashed[node] {
+	if r.up(node, inc) {
 		r.nodes[node].OnCSDone(r)
 	}
 	if r.cfg.ClosedLoop && r.gens != nil && r.gens[node] != nil {

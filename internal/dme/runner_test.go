@@ -2,6 +2,7 @@ package dme
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"tokenarbiter/internal/sim"
@@ -199,9 +200,62 @@ func TestRunnerCrashAbandonsPending(t *testing.T) {
 	if !r.Crashed(1) {
 		t.Error("Crashed(1) = false")
 	}
-	r.Restore(1)
+	r.Restart(1, &stubNode{id: 1, shared: r.Node(1).(*stubNode).shared})
 	if r.Crashed(1) {
-		t.Error("Restore did not clear the crash flag")
+		t.Error("Restart did not clear the crash flag")
+	}
+}
+
+// restartNode enters the CS on each request and, when armed, sets a
+// timer at Init; every callback it gets is logged under its name.
+type restartNode struct {
+	id   int
+	name string
+	arm  float64 // timer delay at Init; 0 arms none
+	log  *[]string
+}
+
+func (n *restartNode) ID() int { return n.id }
+func (n *restartNode) Init(ctx Context) {
+	if n.arm > 0 {
+		ctx.After(n.id, n.arm, func() { *n.log = append(*n.log, n.name+" timer") })
+	}
+}
+func (n *restartNode) OnRequest(ctx Context)                           { ctx.EnterCS(n.id) }
+func (n *restartNode) OnMessage(ctx Context, from NodeID, msg Message) {}
+func (n *restartNode) OnCSDone(ctx Context) {
+	*n.log = append(*n.log, n.name+" cs-done")
+}
+
+type restartAlgo struct{ log *[]string }
+
+func (a restartAlgo) Name() string { return "restart-stub" }
+func (a restartAlgo) Build(cfg Config) ([]Node, error) {
+	return []Node{
+		&restartNode{id: 0, name: "old", arm: 1, log: a.log},
+		&restartNode{id: 1, name: "peer", log: a.log},
+	}, nil
+}
+
+// TestRestartIsAmnesiac: a restarted node is the fresh one alone. The old
+// incarnation's timer (armed for t=1) and its CS exit (t=1.1) both come
+// due after the Restart at t=0.5 and must reach nobody; the fresh
+// incarnation's own timer fires.
+func TestRestartIsAmnesiac(t *testing.T) {
+	var log []string
+	r, err := NewRunner(restartAlgo{log: &log}, Config{N: 2, Texec: 1, TotalRequests: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ScheduleAt(0.1, func() { r.InjectRequest(0) })
+	r.ScheduleAt(0.5, func() { r.Restart(0, &restartNode{id: 0, name: "new", arm: 1, log: &log}) })
+	r.ScheduleAt(2, func() { r.InjectRequest(1) })
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"new timer", "peer cs-done"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("callbacks %q, want %q: the old incarnation's timer or CS exit reached a node", log, want)
 	}
 }
 

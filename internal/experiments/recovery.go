@@ -6,6 +6,7 @@ import (
 
 	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/dme"
+	"tokenarbiter/internal/faultnet"
 	"tokenarbiter/internal/workload"
 )
 
@@ -115,16 +116,8 @@ func runRecoveryOnce(s Setup, sc RecoveryScenario, seed uint64) (RecoveryRow, er
 
 	// The failure fires once the run is warmed up.
 	const failAt = 20.0
-	dropped := false
-	if sc == ScenarioDropToken {
-		cfg.Fault = func(now float64, from, to dme.NodeID, msg dme.Message) dme.FaultAction {
-			if !dropped && now >= failAt && msg.Kind() == core.KindPrivilege {
-				dropped = true
-				return dme.Drop
-			}
-			return dme.Deliver
-		}
-	}
+	inj := faultnet.New(faultnet.Options{})
+	cfg.Fault = inj.Intercept
 
 	r, err := dme.NewRunner(core.New(recoveryOptions()), cfg)
 	if err != nil {
@@ -150,6 +143,8 @@ func runRecoveryOnce(s Setup, sc RecoveryScenario, seed uint64) (RecoveryRow, er
 		r.ScheduleAt(failAt, attempt)
 	}
 	switch sc {
+	case ScenarioDropToken:
+		r.ScheduleAt(failAt, func() { inj.DropNextKind(core.KindPrivilege, 1) })
 	case ScenarioCrashHolder:
 		crashWhen(func() (dme.NodeID, bool) {
 			for i := 0; i < cfg.N; i++ {

@@ -95,6 +95,11 @@ func RunRecoveryTuning(s Setup, lossRate float64, timeouts []float64) (*TuningRe
 			Gen: func(node int) dme.GeneratorFunc {
 				return workload.Stream(workload.Poisson{Lambda: 0.3}, seed, node)
 			},
+			// The loss stays this fixed every-period-th pattern rather than
+			// a faultnet.Injector's seeded Drop at the same rate: the
+			// injector would lose other messages, so every row of the
+			// table would move. Neither keeps every workload seed safe at
+			// 0.5% loss (ROADMAP item 1(h)); the committed seed passes.
 			Fault: func(now float64, from, to dme.NodeID, msg dme.Message) dme.FaultAction {
 				lossCounter++
 				if lossCounter%period == 0 {

@@ -1,9 +1,12 @@
-// Package faultnet is a deterministic, seedable network fault injector
-// for the live runtime: a transport.Middleware that subjects every
-// outbound message to per-link drop, duplication, delay, reordering and
-// byte-corruption probabilities, plus directional partitions that heal on
-// a schedule or by command, and one-shot targeted drops ("lose the next
-// PRIVILEGE") for scripted recovery scenarios.
+// Package faultnet is the one fault model of the simulator and the live
+// runtime: a deterministic, seedable injector that subjects every
+// message between two nodes to drop, duplication, delay, reordering and
+// byte-corruption probabilities, plus partitions that heal on a schedule
+// or by command, and one-shot targeted drops ("lose the next PRIVILEGE")
+// for scripted recovery scenarios. Intercept decides each message's
+// fate: the simulator applies it as its dme.Config.Fault (a simulated
+// partition is Partition and Heal from dme.Runner.ScheduleAt), the live
+// runtime through Middleware.
 //
 // One Injector is shared by every endpoint it wraps, so a single object
 // controls the whole fault surface of an in-process cluster (and one per
@@ -31,6 +34,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -44,7 +48,7 @@ import (
 	"tokenarbiter/internal/wire"
 )
 
-// Faults is one link direction's fault model. Probabilities are
+// Faults is the fault model of every link. Probabilities are
 // independent per message; the zero value injects nothing.
 type Faults struct {
 	// Drop is the probability a message is silently discarded.
@@ -70,7 +74,7 @@ type Faults struct {
 // is unset.
 const DefaultReorderWindow = 5 * time.Millisecond
 
-// active reports whether this link model can affect a message at all.
+// active reports whether this fault model can affect a message at all.
 func (f Faults) active() bool {
 	return f.Drop > 0 || f.Dup > 0 || f.Corrupt > 0 ||
 		f.Delay > 0 || f.Jitter > 0 || f.Reorder > 0
@@ -98,12 +102,11 @@ type Options struct {
 	// Seed seeds all fault randomness; runs with the same seed and the
 	// same message order replay identically.
 	Seed uint64
-	// Faults is the default fault model applied to every link; override
-	// individual links with SetLinkFaults.
+	// Faults is the fault model applied to every link.
 	Faults Faults
 	// OnFault, when non-nil, receives the *wire.DecodeError produced by
-	// each injected corruption. Called from Send paths; must be safe for
-	// concurrent use.
+	// each injected corruption. Called from Intercept, on the sender's
+	// path; must be safe for concurrent use.
 	OnFault func(error)
 }
 
@@ -118,7 +121,6 @@ type Injector struct {
 	mu        sync.Mutex
 	rng       *rand.Rand
 	faults    Faults
-	perLink   map[link]Faults
 	blocked   map[link]bool
 	oneShot   map[string]int // message kind → remaining forced drops
 	healTimer *time.Timer
@@ -146,7 +148,6 @@ func New(opts Options) *Injector {
 		onFault: opts.OnFault,
 		rng:     rand.New(rand.NewPCG(opts.Seed, opts.Seed^0x9e3779b97f4a7c15)),
 		faults:  opts.Faults,
-		perLink: make(map[link]Faults),
 		blocked: make(map[link]bool),
 		oneShot: make(map[string]int),
 	}
@@ -163,7 +164,7 @@ func (inj *Injector) Middleware() transport.Middleware {
 	}
 }
 
-// SetFaults replaces the default (all-links) fault model at runtime.
+// SetFaults replaces the fault model at runtime.
 func (inj *Injector) SetFaults(f Faults) error {
 	if err := f.Validate(); err != nil {
 		return err
@@ -174,51 +175,16 @@ func (inj *Injector) SetFaults(f Faults) error {
 	return nil
 }
 
-// Faults returns the current default fault model.
+// Faults returns the current fault model.
 func (inj *Injector) Faults() Faults {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	return inj.faults
 }
 
-// SetLinkFaults overrides the fault model of the directional link
-// from→to; the default model no longer applies to it.
-func (inj *Injector) SetLinkFaults(from, to int, f Faults) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	inj.perLink[link{from, to}] = f
-	return nil
-}
-
-// ClearLinkFaults removes a per-link override; the link reverts to the
-// default model.
-func (inj *Injector) ClearLinkFaults(from, to int) {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	delete(inj.perLink, link{from, to})
-}
-
-// BlockLink blocks the directional link from→to: messages on it are
-// dropped (counted as partition drops) until Unblock or Heal.
-func (inj *Injector) BlockLink(from, to int) {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	inj.blocked[link{from, to}] = true
-}
-
-// UnblockLink restores the directional link from→to.
-func (inj *Injector) UnblockLink(from, to int) {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	delete(inj.blocked, link{from, to})
-}
-
 // Partition blocks every link between the two groups, both directions,
-// leaving intra-group traffic untouched. It composes with existing
-// blocks; Heal clears them all.
+// leaving intra-group traffic untouched. It composes with earlier
+// partitions; Heal clears them all.
 func (inj *Injector) Partition(a, b []int) {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
@@ -243,7 +209,7 @@ func (inj *Injector) PartitionFor(a, b []int, d time.Duration) {
 	inj.mu.Unlock()
 }
 
-// Heal removes every blocked link (partitions and individual blocks).
+// Heal removes every blocked link.
 func (inj *Injector) Heal() {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
@@ -335,22 +301,27 @@ func (inj *Injector) RegisterMetrics(reg *telemetry.Registry) {
 		"partition heals (scheduled or commanded)", inj.healsMade.Load)
 }
 
-// decision is what the locked fault roll concluded for one message.
-type decision struct {
-	drop   bool
-	copies int
-	delays []time.Duration
-}
-
-// decide rolls this message's fate under the injector lock, keeping the
-// rng deterministic under concurrent senders.
-func (inj *Injector) decide(from, to int, kind string) decision {
+// Intercept decides one message's fate from the injector's partitions,
+// one-shot drops and fault model, under its lock so the rng stays
+// deterministic under concurrent senders. It is a dme.Interceptor, the
+// one decision both carriers apply (see the package comment). now is
+// not read: faults change only by the caller's commands. A corrupted
+// message is a Drop whose *wire.DecodeError Intercept reports through
+// Options.OnFault, after it has released the lock.
+func (inj *Injector) Intercept(_ float64, from, to dme.NodeID, msg dme.Message) (fate dme.FaultAction) {
+	corrupted := false
+	defer func() {
+		if corrupted {
+			inj.corrupt(from, msg)
+		}
+	}()
+	kind := msg.Kind()
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 
 	if inj.blocked[link{from, to}] {
 		inj.partitionDrops.Add(1)
-		return decision{drop: true}
+		return dme.Drop
 	}
 	if k := inj.oneShot[kind]; k > 0 {
 		if k == 1 {
@@ -359,32 +330,27 @@ func (inj *Injector) decide(from, to int, kind string) decision {
 			inj.oneShot[kind] = k - 1
 		}
 		inj.drops.Add(1)
-		return decision{drop: true}
+		return dme.Drop
 	}
-	f, ok := inj.perLink[link{from, to}]
-	if !ok {
-		f = inj.faults
-	}
+	f := inj.faults
 	if !f.active() {
-		return decision{copies: 1}
+		return dme.Deliver
 	}
 	if f.Drop > 0 && inj.rng.Float64() < f.Drop {
 		inj.drops.Add(1)
-		return decision{drop: true}
+		return dme.Drop
 	}
 	if f.Corrupt > 0 && inj.rng.Float64() < f.Corrupt {
 		inj.corruptions.Add(1)
-		// Corruption is a drop plus a surfaced decode error; the caller
-		// runs the (unlocked) wire round-trip.
-		return decision{drop: true, copies: -1}
+		corrupted = true
+		return dme.Drop
 	}
-	d := decision{copies: 1}
+	fate = dme.Deliver
 	if f.Dup > 0 && inj.rng.Float64() < f.Dup {
-		d.copies = 2
+		fate = dme.Duplicate
 		inj.dups.Add(1)
 	}
-	d.delays = make([]time.Duration, d.copies)
-	for i := range d.delays {
+	for i := range fate.Delay[:fate.Copies] {
 		delay := f.Delay
 		if f.Jitter > 0 {
 			delay += time.Duration(inj.rng.Int64N(int64(f.Jitter)))
@@ -397,12 +363,12 @@ func (inj *Injector) decide(from, to int, kind string) decision {
 			delay += w
 			inj.reordered.Add(1)
 		}
-		d.delays[i] = delay
+		fate.Delay[i] = delay.Seconds()
 		if delay > 0 {
 			inj.delayed.Add(1)
 		}
 	}
-	return d
+	return fate
 }
 
 // corrupt frames msg the way the wire would, damages the frame, and
@@ -466,31 +432,22 @@ func (e *endpoint) Close() error { return e.next.Close() }
 // Unwrap implements transport.Wrapper.
 func (e *endpoint) Unwrap() transport.Transport { return e.next }
 
-// Send implements transport.Transport, applying the injector's fault
-// model. Self-sends are not a network link and pass through untouched.
+// Send implements transport.Transport, applying the fate Intercept
+// decides. Self-sends are not a network link and pass through untouched.
 func (e *endpoint) Send(to dme.NodeID, msg dme.Message) error {
 	from := e.next.Self()
 	if to == from {
 		return e.next.Send(to, msg)
 	}
-	d := e.inj.decide(from, to, msg.Kind())
-	if d.drop {
-		if d.copies == -1 {
-			e.inj.corrupt(from, msg)
-		}
-		return nil
-	}
+	fate := e.inj.Intercept(0, from, to, msg)
 	var err error
-	for i := 0; i < d.copies; i++ {
-		var delay time.Duration
-		if i < len(d.delays) {
-			delay = d.delays[i]
-		}
+	for _, delay := range fate.Delay[:fate.Copies] {
 		if delay > 0 {
 			// Delayed copies are delivered best-effort: by the time the
 			// timer fires the endpoint may be gone, which is just more
 			// message loss as far as the protocol is concerned.
-			time.AfterFunc(delay, func() { _ = e.next.Send(to, msg) })
+			d := time.Duration(math.Round(delay * float64(time.Second)))
+			time.AfterFunc(d, func() { _ = e.next.Send(to, msg) })
 			continue
 		}
 		if sendErr := e.next.Send(to, msg); sendErr != nil && err == nil {

@@ -116,26 +116,32 @@ func TestSelfSendBypassesFaults(t *testing.T) {
 	}
 }
 
+// TestPartitionIsDirectionalAndHeals: a partition blocks the links its
+// injector governs, which are its senders' outbound links, so on a TCP
+// cluster (one injector per process) it is directional; Heal restores
+// them.
 func TestPartitionIsDirectionalAndHeals(t *testing.T) {
 	inj := faultnet.New(faultnet.Options{})
 	tr0, base0 := wrap(inj, 0)
-	tr2, base2 := wrap(inj, 2)
+	other := faultnet.New(faultnet.Options{}) // node 2's own process
+	tr2, base2 := wrap(other, 2)
 
-	inj.BlockLink(0, 2)
-	_ = tr0.Send(2, msg{K: "A"}) // blocked direction
-	_ = tr2.Send(0, msg{K: "B"}) // reverse direction open
+	inj.Partition([]int{0}, []int{2})
+	_ = tr0.Send(2, msg{K: "A"}) // blocked by node 0's injector
+	_ = tr2.Send(0, msg{K: "B"}) // node 2's injector has no partition
 	if len(base0.log()) != 0 {
-		t.Fatal("blocked link 0→2 delivered")
+		t.Fatal("partitioned link 0→2 delivered")
 	}
 	if len(base2.log()) != 1 {
 		t.Fatal("open link 2→0 did not deliver")
 	}
 
+	tr2, base2 = wrap(inj, 2)
 	inj.Partition([]int{0, 1}, []int{2, 3})
 	_ = tr2.Send(1, msg{K: "C"})
 	_ = tr0.Send(2, msg{K: "D"})
 	_ = tr0.Send(1, msg{K: "E"}) // intra-group stays open
-	if got := base2.log(); len(got) != 1 {
+	if got := base2.log(); len(got) != 0 {
 		t.Fatalf("partition left 2→1 open: %v", got)
 	}
 	if got := base0.log(); len(got) != 1 || got[0] != "E" {
@@ -148,12 +154,12 @@ func TestPartitionIsDirectionalAndHeals(t *testing.T) {
 	if got := base0.log(); len(got) != 2 {
 		t.Fatalf("heal did not restore 0→2: %v", got)
 	}
-	if got := base2.log(); len(got) != 2 {
+	if got := base2.log(); len(got) != 1 {
 		t.Fatalf("heal did not restore 2→1: %v", got)
 	}
 	c := inj.Counters()
-	if c.PartitionDrops != 3 || c.Partitions != 1 || c.Heals != 1 {
-		t.Fatalf("counters = %+v, want 3 partition drops, 1 partition, 1 heal", c)
+	if c.PartitionDrops != 3 || c.Partitions != 2 || c.Heals != 1 {
+		t.Fatalf("counters = %+v, want 3 partition drops, 2 partitions, 1 heal", c)
 	}
 }
 

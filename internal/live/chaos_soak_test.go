@@ -13,7 +13,6 @@ import (
 	"tokenarbiter/internal/core"
 	"tokenarbiter/internal/faultnet"
 	"tokenarbiter/internal/live"
-	"tokenarbiter/internal/reqtrace"
 	"tokenarbiter/internal/wire"
 )
 
@@ -182,11 +181,9 @@ func chaosSoak(t *testing.T, seed uint64) {
 	// Phase 3 — partition {0,1} from {2,3,4} for ~700ms, then heal. The
 	// isolated side may regenerate a twin token (no quorum prevents it);
 	// the fault/heal records let the checker excuse what the split made.
-	cl.Mark(reqtrace.EvFault, "")
-	inj.Partition([]int{0, 1}, []int{2, 3, 4})
+	cl.Partition([]int{0, 1}, []int{2, 3, 4})
 	time.Sleep(700 * time.Millisecond)
-	inj.Heal()
-	cl.Mark(reqtrace.EvHeal, "")
+	cl.Heal()
 
 	// Phase 4 — crash node 4, leave it down briefly, restart it.
 	victim := mgrs[4].Swap(nil)

@@ -247,11 +247,9 @@ func managerChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 	// Phase 2 — partition node 0 (every key's initial arbiter) from
 	// {1,2}. Twin tokens are possible on every key at once; the fault/heal
 	// records let the checker excuse what the split made.
-	cl.Mark(reqtrace.EvFault, "")
-	inj.Partition([]int{0}, []int{1, 2})
+	cl.Partition([]int{0}, []int{1, 2})
 	time.Sleep(600 * time.Millisecond)
-	inj.Heal()
-	cl.Mark(reqtrace.EvHeal, "")
+	cl.Heal()
 
 	// The barrier before the isolation phase: with the loss faults
 	// quiesced (latency stays), every key's group gets back to one epoch

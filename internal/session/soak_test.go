@@ -12,7 +12,6 @@ import (
 
 	"tokenarbiter/internal/cluster"
 	"tokenarbiter/internal/faultnet"
-	"tokenarbiter/internal/reqtrace"
 	"tokenarbiter/internal/session"
 )
 
@@ -275,11 +274,9 @@ func sessionChaosSoak(t *testing.T, seed uint64, phase time.Duration) {
 	// Phase 3 — partition node 0 from {1,2} for ~600ms, then heal. Twin
 	// tokens are possible; the fault/heal records let the checker excuse
 	// what the split made.
-	cl.Mark(reqtrace.EvFault, "")
-	inj.Partition([]int{0}, []int{1, 2})
+	cl.Partition([]int{0}, []int{1, 2})
 	time.Sleep(600 * time.Millisecond)
-	inj.Heal()
-	cl.Mark(reqtrace.EvHeal, "")
+	cl.Heal()
 
 	// Phase 4 — forced participant restarts: node 0's instance exercises
 	// the initial-node rejoin path (no token re-mint; §6 regenerates above
